@@ -139,6 +139,37 @@ pub fn pin_current_thread(_cpu: usize) -> bool {
     false
 }
 
+/// The CPUs the calling thread may run on (`sched_getaffinity`), in id
+/// order; `None` when the call fails.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+pub fn current_affinity() -> Option<Vec<usize>> {
+    const SETSIZE_BITS: usize = 1024;
+    let mut mask = [0u64; SETSIZE_BITS / 64];
+    let ret: i64;
+    // SAFETY: sched_getaffinity(0, len, mask) writes at most `len` bytes
+    // into `mask`, which outlives the call; the clobbered registers are
+    // declared.
+    unsafe {
+        std::arch::asm!(
+            "syscall",
+            inlateout("rax") 204i64 => ret, // __NR_sched_getaffinity
+            in("rdi") 0,                    // pid 0 = calling thread
+            in("rsi") std::mem::size_of_val(&mask),
+            in("rdx") mask.as_mut_ptr(),
+            lateout("rcx") _,
+            lateout("r11") _,
+            options(nostack)
+        );
+    }
+    (ret > 0).then(|| (0..SETSIZE_BITS).filter(|c| mask[c / 64] >> (c % 64) & 1 == 1).collect())
+}
+
+/// The CPUs the calling thread may run on (unsupported platform: unknown).
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+pub fn current_affinity() -> Option<Vec<usize>> {
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +195,15 @@ mod tests {
 
     #[test]
     fn pinning_is_safe_to_attempt() {
-        // Must not crash whatever the host supports; success optional.
-        let _ = pin_current_thread(0);
+        // Must not crash whatever the host supports; success optional. On
+        // its own thread, so the test harness's thread keeps its mask.
+        std::thread::spawn(|| {
+            let before = current_affinity();
+            if before.as_ref().is_some_and(|b| b.contains(&0)) && pin_current_thread(0) {
+                assert_eq!(current_affinity(), Some(vec![0]));
+            }
+        })
+        .join()
+        .unwrap();
     }
 }

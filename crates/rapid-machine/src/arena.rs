@@ -78,6 +78,7 @@ pub struct Arena {
     live: Vec<(u64, u64)>,
     in_use: u64,
     peak: u64,
+    high_water: u64,
 }
 
 impl Arena {
@@ -95,6 +96,7 @@ impl Arena {
             live: Vec::new(),
             in_use: 0,
             peak: 0,
+            high_water: 0,
         }
     }
 
@@ -111,6 +113,14 @@ impl Arena {
     /// High-water mark of [`Arena::in_use`].
     pub fn peak(&self) -> u64 {
         self.peak
+    }
+
+    /// One past the highest unit any allocation has ever covered. Unlike
+    /// [`Arena::peak`] this includes fragmentation: everything written
+    /// through offsets this arena handed out lies below it, so it is the
+    /// prefix of the backing buffer a reuse has to clear.
+    pub fn high_water(&self) -> u64 {
+        self.high_water
     }
 
     /// Units currently free.
@@ -158,6 +168,7 @@ impl Arena {
         self.live.insert(pos, (off, len));
         self.in_use += len;
         self.peak = self.peak.max(self.in_use);
+        self.high_water = self.high_water.max(off + len);
         Ok(off)
     }
 
@@ -274,6 +285,18 @@ mod tests {
             other => panic!("expected fragmentation, got {other:?}"),
         }
         assert!(a.check_invariants());
+    }
+
+    #[test]
+    fn high_water_counts_holes_peak_does_not() {
+        let mut a = Arena::new(100);
+        let x = a.alloc(10).unwrap();
+        a.alloc(10).unwrap();
+        a.free(x).unwrap();
+        // The hole at 0 is too small, so this lands past everything live.
+        assert_eq!(a.alloc(20).unwrap(), 20);
+        assert_eq!(a.peak(), 30);
+        assert_eq!(a.high_water(), 40);
     }
 
     #[test]

@@ -22,6 +22,8 @@
 //!   simulator's virtual-time backend,
 //! - [`affinity`] — core pinning (raw `sched_setaffinity`) and
 //!   NUMA-aware worker→core assignment for the native backend,
+//! - [`pool`] — the persistent worker threads an executor keeps between
+//!   runs, and the model-checked cell that hands them a job,
 //! - [`fault`] — deterministic, seeded fault injection (mailbox rejection
 //!   and delay, RMA put delay, transient allocation failure, worker
 //!   jitter) for chaos-testing the executors' recovery paths.
@@ -36,6 +38,7 @@ pub mod config;
 pub mod fault;
 pub mod machine;
 pub mod mailbox;
+pub mod pool;
 pub mod rma;
 
 pub use arena::{Arena, ArenaError};

@@ -47,8 +47,20 @@ unsafe impl Send for RmaHeap {}
 
 impl RmaHeap {
     /// A heap of `capacity` units, zero-initialized.
+    ///
+    /// The zeros come from the allocator (`vec![0.0; n]` is a `calloc`),
+    /// not from a store per cell: a large heap arrives as lazily-mapped
+    /// zero pages, so creating it costs microseconds and the thread that
+    /// first writes a page — the owning worker — is the one that faults it
+    /// in, on its own NUMA node.
     pub fn new(capacity: u64) -> Self {
-        let cells = (0..capacity).map(|_| UnsafeCell::new(0.0)).collect();
+        let zeroed = vec![0.0f64; capacity as usize].into_boxed_slice();
+        let len = zeroed.len();
+        let ptr = Box::into_raw(zeroed) as *mut UnsafeCell<f64>;
+        // SAFETY: `UnsafeCell<f64>` is `repr(transparent)` over `f64`, so
+        // the slice keeps its size, alignment and layout, and the box
+        // uniquely owns the allocation it is rebuilt from.
+        let cells = unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len)) };
         RmaHeap { cells }
     }
 

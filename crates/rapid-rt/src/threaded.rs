@@ -55,6 +55,24 @@
 //!   assigns workers to physical cores NUMA-aware (see
 //!   [`rapid_machine::affinity`]) so the per-processor arena and RMA
 //!   working sets stop migrating between caches.
+//!
+//! ## Run lifecycle
+//!
+//! The schedule is built once and run many times, so what a run needs is
+//! split by how long it lives. The executor keeps, from one run to the
+//! next: the protocol plan; the worker threads (a
+//! [`rapid_machine::pool::WorkerPool`], one thread per processor, started
+//! by the first run and sent home when the executor is dropped; the thread
+//! that calls `run` sleeps meanwhile); one [`RmaHeap`] per processor (`p × capacity × 8` bytes held
+//! between runs); and the trace rings. Built per run, because they are
+//! small and their initial state *is* the protocol's initial state: arrival
+//! flags, state boards, arenas, address tables and mailboxes.
+//!
+//! Each worker's `Setup` state re-zeroes the prefix of its own heap that
+//! the previous run's arena reached, so buffers start zeroed on every run;
+//! its `End` state copies the permanent objects it owns out of its heap, so
+//! the gather runs on `p` threads inside the parallel section. A run that
+//! fails gives its heaps back to the allocator instead of keeping them.
 
 use crate::inspector::{ProcDiag, StallSnapshot, StateBoard, WorkerState};
 // sync-audit: the only Relaxed atomics in this module are the recovery
@@ -74,6 +92,7 @@ use rapid_machine::backoff::{Backoff, Retry};
 use rapid_machine::fault::{FaultPlan, FaultSite, ProcFaults};
 use rapid_machine::machine::{AggregatingMachine, DirectMachine, Machine, Port, SendOutcome};
 use rapid_machine::mailbox::AddrEntry;
+use rapid_machine::pool::WorkerPool;
 use rapid_machine::rma::{FlagBoard, RmaHeap};
 use rapid_trace::{
     decode_ring, FlatRing, FlatWriter, LiveDrain, ProcMetrics, ProcTrace, ProtoState,
@@ -215,7 +234,10 @@ pub struct ThreadedOutcome {
     pub arena_peak: Vec<u64>,
     /// Final contents of every object, gathered from the owners' heaps.
     pub objects: Vec<Vec<f64>>,
-    /// Wall-clock duration of the parallel section.
+    /// Wall-clock duration of the parallel section: from the hand-off to
+    /// the workers until the last of them has left its `End` state, which
+    /// includes re-zeroing the heaps (`Setup`) and the owner-side gather
+    /// of `objects` (`End`).
     pub wall: Duration,
     /// Recorded event traces, when [`ThreadedExecutor::with_tracing`] was
     /// enabled at a tier other than [`TraceTier::Off`] (one ring per
@@ -265,11 +287,43 @@ pub struct ThreadedExecutor<'a> {
     tracing: Option<TraceConfig>,
     recovery: Option<RecoveryPolicy>,
     streaming: bool,
-    /// Rings from the previous traced run, kept for reuse: on this
-    /// machine class a multi-MB ring allocation (mmap + munmap per run)
-    /// can cost more than the recording itself, so repeated runs on one
-    /// executor — benchmarks, feedback loops — pay for their rings once.
-    ring_pool: Mutex<Vec<FlatRing>>,
+    /// What outlives a run (see "Run lifecycle" in the module docs).
+    /// Locked for the whole of a run: concurrent runs on one executor
+    /// take turns.
+    kept: Mutex<Kept>,
+}
+
+/// The run resources an executor keeps between runs.
+#[derive(Default)]
+struct Kept {
+    /// The worker threads, started by the first run.
+    pool: Option<WorkerPool>,
+    /// One heap per processor, parked by the last run if it succeeded
+    /// (empty otherwise).
+    heaps: Vec<RmaHeap>,
+    /// Per parked heap, the prefix that run may have written: its arena's
+    /// high-water mark. Everything above is still the allocator's zeros.
+    dirty: Vec<u64>,
+    /// Rings of the previous traced run: on this machine class a multi-MB
+    /// ring allocation (mmap + munmap per run) can cost more than the
+    /// recording itself.
+    rings: Vec<FlatRing>,
+}
+
+/// What one worker hands back when it leaves the protocol.
+#[derive(Default)]
+struct WorkerOut {
+    maps: u32,
+    /// Peak units in use, counting accounting.
+    peak_units: u64,
+    arena_peak: u64,
+    /// How far up its heap this worker's arena ever reached.
+    arena_high: u64,
+    /// Final contents of the objects this worker owns, in id order
+    /// (empty when the worker bailed out).
+    owned: Vec<Vec<f64>>,
+    /// This worker's ring, decoded, with its aggregate metrics.
+    trace: Option<(ProcTrace, ProcMetrics)>,
 }
 
 impl<'a> ThreadedExecutor<'a> {
@@ -295,7 +349,7 @@ impl<'a> ThreadedExecutor<'a> {
             tracing: None,
             recovery: None,
             streaming: false,
-            ring_pool: Mutex::new(Vec::new()),
+            kept: Mutex::new(Kept::default()),
         }
     }
 
@@ -356,9 +410,14 @@ impl<'a> ThreadedExecutor<'a> {
 
     /// Pin each worker thread to a physical core, NUMA-aware (builder
     /// form). When the host has fewer distinct cores than workers the
-    /// plan degrades to floating threads, which is always safe.
+    /// plan degrades to floating threads, which is always safe. A worker
+    /// thread pins itself once, when it starts; the affinity of the
+    /// thread that calls `run` is never touched.
     pub fn with_pinning(mut self, pinning: bool) -> Self {
         self.pinning = pinning;
+        // Threads started under the other setting leave here; the next
+        // run starts new ones.
+        self.kept.get_mut().unwrap_or_else(|p| p.into_inner()).pool = None;
         self
     }
 
@@ -385,7 +444,14 @@ impl<'a> ThreadedExecutor<'a> {
     }
 
     /// Run the schedule, applying `body` to every task. Object buffers
-    /// start zeroed.
+    /// start zeroed, on the first run and on every later one.
+    ///
+    /// The processors run on the executor's own threads while the caller
+    /// sleeps, and the call does not return — with a result, an error or
+    /// a caught panic — before all of them have left the run. Concurrent
+    /// calls on one executor are safe and take turns: each holds the
+    /// executor's threads and heaps from start to end (so a task body
+    /// must not call `run` on the executor it is running on).
     pub fn run<F>(&self, body: F) -> Result<ThreadedOutcome, ExecError>
     where
         F: Fn(TaskId, &mut TaskCtx<'_>) + Sync,
@@ -453,40 +519,57 @@ impl<'a> ThreadedExecutor<'a> {
             }
         }
 
-        let heaps: Vec<RmaHeap> = (0..nprocs).map(|_| RmaHeap::new(self.capacity)).collect();
+        // Everything the executor keeps between runs, for the whole run:
+        // a second `run` on this executor waits here.
+        let mut kept = self.kept.lock().unwrap_or_else(|p| p.into_inner());
+        let Kept { pool, heaps, dirty, rings: ring_pool } = &mut *kept;
+        let pool = match pool {
+            Some(pool) => pool,
+            None => {
+                let pins =
+                    if self.pinning { affinity::assign_cores(nprocs) } else { vec![None; nprocs] };
+                pool.insert(WorkerPool::start(&pins).map_err(|e| ExecError::Internal {
+                    proc: 0,
+                    detail: format!("cannot start the worker threads: {e}"),
+                })?)
+            }
+        };
+
+        // The parked heaps leave `kept` for the run and return only if it
+        // succeeds: after a failure nothing vouches for what was written
+        // where, so the next run starts from the allocator's zeros.
+        let (run_heaps, run_dirty) = if heaps.is_empty() {
+            ((0..nprocs).map(|_| RmaHeap::new(self.capacity)).collect(), vec![0; nprocs])
+        } else {
+            (std::mem::take(heaps), std::mem::take(dirty))
+        };
+
         let flags = FlagBoard::new(self.plan.msgs.len());
         let state = StateBoard::new(nprocs);
         let recov = RecovBoard::new(nprocs);
         let poison = AtomicBool::new(false);
         let error: Mutex<Option<ExecError>> = Mutex::new(None);
         let error = &error;
-        let pin_plan: Vec<Option<usize>> =
-            if self.pinning { affinity::assign_cores(nprocs) } else { vec![None; nprocs] };
 
         // Flat binary recording: one ring per worker, sized with ~25%
         // headroom over the configured event capacity so object-list
         // continuation records do not eat into the event budget. Rings
         // from a previous run on this executor are reset and reused when
-        // they still fit the configuration — the allocation (a multi-MB
-        // mmap/munmap round trip at the default capacity) would otherwise
-        // dwarf the recording cost on short runs.
+        // they still fit the configuration.
         let tier = self.tracing.map_or(TraceTier::Off, |tc| tc.tier);
         let rings: Option<Vec<FlatRing>> = (tier != TraceTier::Off).then(|| {
             let cap = self.tracing.map_or(0, |tc| tc.capacity);
             let want = cap + cap / 4;
-            let mut pool = match self.ring_pool.lock() {
-                Ok(mut p) => std::mem::take(&mut *p),
-                Err(_) => Vec::new(),
-            };
-            let fits = pool.len() == nprocs
-                && pool.iter().enumerate().all(|(p, r)| {
+            let mut pooled = std::mem::take(ring_pool);
+            let fits = pooled.len() == nprocs
+                && pooled.iter().enumerate().all(|(p, r)| {
                     r.proc == p as u32 && r.capacity_records() == FlatRing::rounded_capacity(want)
                 });
             if fits {
-                for r in &mut pool {
+                for r in &mut pooled {
                     r.reset();
                 }
-                pool
+                pooled
             } else {
                 (0..nprocs).map(|p| FlatRing::new(p as u32, want)).collect()
             }
@@ -500,10 +583,10 @@ impl<'a> ThreadedExecutor<'a> {
             plan: &self.plan,
             capacity: self.capacity,
             perm_off: &perm_off,
-            heaps: &heaps,
+            heaps: &run_heaps,
+            dirty: &run_dirty,
             flags: &flags,
             machine,
-            pin_plan: &pin_plan,
             state: &state,
             poison: &poison,
             watchdog: self.watchdog,
@@ -529,63 +612,66 @@ impl<'a> ThreadedExecutor<'a> {
         };
         let fail = &fail;
 
-        // Quiesce signal for the streaming checker: raised after every
-        // worker has joined, so its final drain sees quiesced rings.
-        let quiesced = AtomicBool::new(false);
-        let quiesced = &quiesced;
-
-        type PerProc = (u32, u64, u64, Option<(ProcTrace, ProcMetrics)>);
-        let (per_proc, stream_verdict): (Vec<PerProc>, _) = std::thread::scope(|scope| {
-            let checker = match (self.streaming, rings_ref) {
-                (true, Some(rs)) => Some(scope.spawn(move || {
-                    let spec = self.plan.trace_spec(self.capacity);
-                    let mut drain = LiveDrain::new(StreamChecker::new(g, sched, spec, tier));
-                    while !quiesced.load(AtOrd::Acquire) {
-                        if !drain.poll(rs) {
-                            // Idle: nothing new published. Sleep rather
-                            // than spin so the checker core does not
-                            // perturb the measured run.
-                            std::thread::sleep(Duration::from_micros(50));
-                        }
-                    }
-                    drain.finish(rs)
-                })),
-                _ => None,
-            };
-            let handles: Vec<_> =
-                (0..nprocs).map(|p| scope.spawn(move || worker(p, shared, fail))).collect();
-            let per_proc = handles
+        // The parallel section, on the pool's threads while this one
+        // sleeps. Task-body panics are caught inside the worker; a
+        // share that comes back as a panic therefore means the worker
+        // itself died (an executor bug). Poison the run and surface it as
+        // a typed error instead of aborting the process.
+        let mut run_workers = || -> Vec<WorkerOut> {
+            pool.run(|p| worker(p, shared, fail))
                 .into_iter()
                 .enumerate()
-                .map(|(p, h)| {
-                    // Task-body panics are caught inside the worker; a join
-                    // error therefore means the worker itself died (an
-                    // executor bug). Poison the run and surface it as a
-                    // typed error instead of aborting the process.
-                    h.join().unwrap_or_else(|payload| {
+                .map(|(p, share)| {
+                    share.unwrap_or_else(|payload| {
                         fail(ExecError::WorkerPanicked {
                             proc: p as u32,
                             task: None,
                             payload: panic_payload_str(payload.as_ref()),
                         });
-                        (0, 0, 0, None)
+                        WorkerOut::default()
                     })
                 })
-                .collect();
-            quiesced.store(true, AtOrd::Release);
-            let verdict = checker.and_then(|h| match h.join() {
-                Ok(v) => Some(v),
-                Err(payload) => {
-                    fail(ExecError::WorkerPanicked {
-                        proc: nprocs as u32,
-                        task: None,
-                        payload: panic_payload_str(payload.as_ref()),
+                .collect()
+        };
+        let (mut per_proc, stream_verdict) = match (self.streaming, rings_ref) {
+            (true, Some(rs)) => {
+                // Quiesce signal for the streaming checker: raised after
+                // every worker has left the run, so its final drain sees
+                // quiesced rings.
+                let quiesced = AtomicBool::new(false);
+                let quiesced = &quiesced;
+                std::thread::scope(|scope| {
+                    let checker = scope.spawn(move || {
+                        let spec = self.plan.trace_spec(self.capacity);
+                        let mut drain = LiveDrain::new(StreamChecker::new(g, sched, spec, tier));
+                        while !quiesced.load(AtOrd::Acquire) {
+                            if !drain.poll(rs) {
+                                // Idle: nothing new published. Sleep rather
+                                // than spin so the checker core does not
+                                // perturb the measured run.
+                                std::thread::sleep(Duration::from_micros(50));
+                            }
+                        }
+                        drain.finish(rs)
                     });
-                    None
-                }
-            });
-            (per_proc, verdict)
-        });
+                    let per_proc = run_workers();
+                    quiesced.store(true, AtOrd::Release);
+                    let verdict = match checker.join() {
+                        Ok(v) => Some(v),
+                        Err(payload) => {
+                            fail(ExecError::WorkerPanicked {
+                                proc: nprocs as u32,
+                                task: None,
+                                payload: panic_payload_str(payload.as_ref()),
+                            });
+                            None
+                        }
+                    };
+                    (per_proc, verdict)
+                })
+            }
+            _ => (run_workers(), None),
+        };
         let wall = epoch.elapsed();
 
         if poison.load(AtOrd::Acquire) {
@@ -596,46 +682,32 @@ impl<'a> ThreadedExecutor<'a> {
                 .unwrap_or(ExecError::Stalled { remaining: 0, snapshot: None }));
         }
 
-        // Gather final object contents from the owners' permanent buffers.
-        // SAFETY: all worker threads have joined; no concurrent access.
-        let objects = g
+        // Each owner copied its objects out, in id order, before it left
+        // `End`; deal them back into one id-ordered list.
+        let mut owned: Vec<_> =
+            per_proc.iter_mut().map(|w| std::mem::take(&mut w.owned).into_iter()).collect();
+        let objects: Vec<Vec<f64>> = g
             .objects()
-            .map(|d| {
-                let o = sched.assign.owner_of(d) as usize;
-                unsafe { heaps[o].slice(perm_off[d.idx()], g.obj_size(d)) }.to_vec()
-            })
+            .map(|d| owned[sched.assign.owner_of(d) as usize].next().unwrap_or_default())
             .collect();
 
-        let maps = per_proc.iter().map(|&(m, _, _, _)| m).collect();
-        let peak_mem = per_proc.iter().map(|&(_, pk, _, _)| pk).collect();
-        let arena_peak = per_proc.iter().map(|&(_, _, ap, _)| ap).collect();
+        *dirty = per_proc.iter().map(|w| w.arena_high).collect();
+        *heaps = run_heaps;
+
+        let maps = per_proc.iter().map(|w| w.maps).collect();
+        let peak_mem = per_proc.iter().map(|w| w.peak_units).collect();
+        let arena_peak = per_proc.iter().map(|w| w.arena_peak).collect();
         // Each worker decoded its own ring (and aggregated its metrics)
-        // in parallel before its thread returned; a worker that died
-        // without reporting still left its ring behind, so decode it
-        // here.
-        let (trace, metrics) = match &rings {
+        // in parallel before it left the run.
+        let (trace, metrics) = match rings {
             Some(rs) => {
-                let mut procs = Vec::with_capacity(nprocs);
-                let mut ms = Vec::with_capacity(nprocs);
-                for (p, (_, _, _, t)) in per_proc.into_iter().enumerate() {
-                    let (t, m) = t.unwrap_or_else(|| {
-                        let t = decode_ring(&rs[p]);
-                        let m = ProcMetrics::from_trace(&t);
-                        (t, m)
-                    });
-                    procs.push(t);
-                    ms.push(m);
-                }
+                let (procs, ms) = per_proc.into_iter().filter_map(|w| w.trace).unzip();
+                // Park the rings for the next run on this executor.
+                *ring_pool = rs;
                 (Some(TraceSet::new(procs)), Some(ms))
             }
             None => (None, None),
         };
-
-        // Park the rings for the next run on this executor (skipped if
-        // the pool lock was poisoned — the next run simply reallocates).
-        if let (Some(rs), Ok(mut pool)) = (rings, self.ring_pool.lock()) {
-            *pool = rs;
-        }
 
         Ok(ThreadedOutcome {
             maps,
@@ -710,11 +782,10 @@ struct Shared<'e, F, I, M> {
     capacity: u64,
     perm_off: &'e [u64],
     heaps: &'e [RmaHeap],
+    /// Per heap, the prefix the previous run on it may have written.
+    dirty: &'e [u64],
     flags: &'e FlagBoard,
     machine: &'e M,
-    /// Worker → core plan (`None` = float); all-`None` unless
-    /// [`ThreadedExecutor::with_pinning`] was requested.
-    pin_plan: &'e [Option<usize>],
     state: &'e StateBoard,
     poison: &'e AtomicBool,
     watchdog: Duration,
@@ -1180,15 +1251,15 @@ impl<'e, P: Port> Net<'e, P> {
     }
 }
 
-/// Per-thread worker: returns `(maps, peak_units, arena_peak, trace)`,
-/// the trace already decoded from this worker's flat ring (with its
-/// aggregate metrics) so the decode work runs in parallel across
-/// workers.
+/// One processor's run of the protocol, on its pool thread. The trace
+/// comes back already decoded from this worker's flat ring (with its
+/// aggregate metrics) and the owned objects already copied out, so both
+/// run in parallel across workers.
 fn worker<F, I, M>(
     p: usize,
     sh: &Shared<'_, F, I, M>,
     fail: &(impl Fn(ExecError) + Sync),
-) -> (u32, u64, u64, Option<(ProcTrace, ProcMetrics)>)
+) -> WorkerOut
 where
     F: Fn(TaskId, &mut TaskCtx<'_>) + Sync,
     I: Fn(ObjId, &mut [f64]) + Sync,
@@ -1200,17 +1271,20 @@ where
     let heaps = sh.heaps;
     let flags = sh.flags;
 
-    // Pin before touching any heap memory so first-touch pages land on
-    // this worker's NUMA node. Failure leaves the thread floating.
-    if let Some(cpu) = sh.pin_plan[p] {
-        let _ = affinity::pin_current_thread(cpu);
-    }
-
     let mut tr = sh.rings.map(|rs| Tr::new(&rs[p], sh.tier, sh.epoch));
     if let Some(tr) = tr.as_mut() {
         tr.state(ProtoState::Setup);
     }
     sh.state.publish(p, WorkerState::Setup, 0, 0);
+    // A heap parked by the previous run is dirty up to that run's arena
+    // high-water mark; above it the allocator's zeros were never touched.
+    // This thread pinned itself when it started, so a fresh heap's pages
+    // are first touched (below, by `init` and by the tasks) on its node.
+    // SAFETY: setup phase — the only way into this heap from another
+    // thread is a put to an address this worker has announced, and it
+    // announces none before its first MAP; the previous run's threads
+    // all left before this run was handed out.
+    unsafe { heaps[p].slice_mut(0, sh.dirty[p]) }.fill(0.0);
     let mut arena = Arena::new(sh.capacity);
     // Reproduce the deterministic permanent layout and load resident data.
     for d in g.objects() {
@@ -1231,7 +1305,7 @@ where
                         needed: plan.perm_units[p],
                         capacity: sh.capacity,
                     });
-                    return (0, 0, arena.peak(), tr.map(Tr::finish));
+                    return WorkerOut { trace: tr.map(Tr::finish), ..WorkerOut::default() };
                 }
             }
         }
@@ -1272,9 +1346,22 @@ where
         net.sent = vec![false; plan.msgs.len()];
     }
 
+    // Leave the protocol with `$owned` as the gathered objects.
+    macro_rules! leave {
+        ($owned:expr) => {
+            return WorkerOut {
+                maps: planner.maps(),
+                peak_units: planner.peak(),
+                arena_peak: arena.peak(),
+                arena_high: arena.high_water(),
+                owned: $owned,
+                trace: net.tr.take().map(Tr::finish),
+            }
+        };
+    }
     macro_rules! bail {
         () => {
-            return (planner.maps(), planner.peak(), arena.peak(), net.tr.take().map(Tr::finish))
+            leave!(Vec::new())
         };
     }
 
@@ -1763,11 +1850,23 @@ where
         sh.state.publish(p, WorkerState::End, pos, net.suspended as u32);
         spin_service!();
     }
+    // Still END: gather. Every task of this processor has run and every
+    // message it owed has been put, so its permanent objects are final.
+    let owned: Vec<Vec<f64>> = g
+        .objects()
+        .filter(|&d| sched.assign.owner_of(d) as usize == p)
+        .map(|d| {
+            // SAFETY: owner-compute makes this worker's tasks the only
+            // writers of the object, and they are done; remote puts only
+            // ever land in volatile buffers, never in a permanent one.
+            unsafe { heaps[p].slice(sh.perm_off[d.idx()], g.obj_size(d)) }.to_vec()
+        })
+        .collect();
     sh.state.publish(p, WorkerState::Done, pos, 0);
     if let Some(tr) = net.tr.as_mut() {
         tr.state(ProtoState::Done);
     }
-    (planner.maps(), planner.peak(), arena.peak(), net.tr.take().map(Tr::finish))
+    leave!(owned)
 }
 
 /// Assemble the stall diagnostic from the shared introspection surfaces:
@@ -2057,6 +2156,32 @@ mod tests {
             let e2: Vec<_> = p2.iter().map(|(_, e)| e.clone()).collect();
             assert_eq!(e1, e2, "proc {}: stale records decoded", p1.proc);
         }
+    }
+
+    /// Heap reuse: a run that succeeds parks its heaps with the prefix it
+    /// dirtied, a run that fails gives them up, and either way the next
+    /// run starts from zeroed buffers.
+    #[test]
+    fn heaps_are_parked_after_success_and_dropped_after_failure() {
+        let g = fixtures::figure2_dag();
+        let sched = fixtures::figure2_schedule_c();
+        let mm = min_mem(&g, &sched).min_mem;
+        let exec = ThreadedExecutor::new(&g, &sched, mm);
+        let parked = || {
+            let kept = exec.kept.lock().unwrap();
+            (kept.heaps.len(), kept.dirty.clone())
+        };
+        assert_eq!(parked(), (0, vec![]), "nothing is allocated before the first run");
+        let reference = run_sequential(&g, test_body);
+        assert_eq!(exec.run(test_body).unwrap().objects, reference);
+        let (n, dirty) = parked();
+        assert_eq!(n, 2);
+        assert!(dirty.iter().all(|&d| d > 0 && d <= mm), "dirty prefixes {dirty:?} of {mm}");
+        let failed = exec.run_with_init(|_, _| panic!("boom"), |_, buf| buf.fill(f64::NAN));
+        assert!(matches!(failed, Err(ExecError::WorkerPanicked { .. })));
+        assert_eq!(parked(), (0, vec![]), "a failed run must not park its heaps");
+        assert_eq!(exec.run(test_body).unwrap().objects, reference);
+        assert_eq!(parked().0, 2);
     }
 
     /// A wait with no observable progress for longer than the watchdog
