@@ -364,17 +364,28 @@ impl VirtualMachine {
     pub fn peak_queued(&self) -> usize {
         self.state.lock().unwrap_or_else(|e| e.into_inner()).peak_queued
     }
+
+    /// Date the package `src` last handed toward `dst`: it becomes
+    /// drainable once the receiver's clock reaches `arrive`. The sender
+    /// pays for a hand-off only once it is accepted, so the arrival time
+    /// is known only then.
+    pub fn date_last(&self, src: usize, dst: usize, arrive: f64) {
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(pkg) = st.queues[src * self.nprocs + dst].back_mut() {
+            pkg.0 = arrive;
+        }
+    }
 }
 
 /// Per-processor endpoint of [`VirtualMachine`]. The driving simulator
-/// sets the virtual clock explicitly: [`VirtualPort::set_stamp`] dates
-/// outgoing packages (arrival time), [`VirtualPort::set_now`] gates
-/// which incoming packages [`Port::drain_batched`] may consume.
+/// owns the virtual clock: a package is accepted undated and stays in
+/// flight until [`VirtualMachine::date_last`] gives it its arrival time,
+/// and [`VirtualPort::set_now`] gates which incoming packages
+/// [`Port::drain_batched`] may consume.
 #[derive(Debug)]
 pub struct VirtualPort<'m> {
     m: &'m VirtualMachine,
     p: usize,
-    stamp: f64,
     now: f64,
     scratch: Vec<AddrEntry>,
     segs: Vec<u32>,
@@ -382,24 +393,10 @@ pub struct VirtualPort<'m> {
 }
 
 impl VirtualPort<'_> {
-    /// Virtual arrival time attached to subsequent
-    /// [`Port::send_package`] calls.
-    pub fn set_stamp(&mut self, arrive: f64) {
-        self.stamp = arrive;
-    }
-
     /// Virtual receive clock: [`Port::drain_batched`] consumes only
     /// packages whose arrival time is `<= now`.
     pub fn set_now(&mut self, now: f64) {
         self.now = now;
-    }
-
-    /// Is any package (arrived or in flight) queued from this processor
-    /// toward `dst`? This is the single-slot blocking condition the
-    /// simulator checks before charging send costs.
-    pub fn outbound_queued(&self, dst: usize) -> bool {
-        let st = self.m.state.lock().unwrap_or_else(|e| e.into_inner());
-        !st.queues[self.p * self.m.nprocs + dst].is_empty()
     }
 }
 
@@ -414,7 +411,6 @@ impl Machine for VirtualMachine {
         VirtualPort {
             m: self,
             p,
-            stamp: 0.0,
             now: 0.0,
             scratch: Vec::new(),
             segs: Vec::new(),
@@ -430,7 +426,7 @@ impl Port for VirtualPort<'_> {
         if !self.m.buffered && !q.is_empty() {
             return SendOutcome::Busy;
         }
-        q.push_back((self.stamp, std::mem::take(pkg)));
+        q.push_back((f64::INFINITY, std::mem::take(pkg)));
         let depth = q.len();
         st.peak_queued = st.peak_queued.max(depth);
         if depth == 1 {
@@ -585,20 +581,20 @@ mod tests {
         let m = VirtualMachine::new(2, false);
         let mut tx = m.port(0);
         let mut rx = m.port(1);
-        tx.set_stamp(5.0);
         let mut p = pkg(&[1]);
         assert_eq!(tx.send_package(1, &mut p), SendOutcome::Delivered);
-        assert!(tx.outbound_queued(1));
         // Unbuffered: a second in-flight package is refused.
         let mut p2 = pkg(&[2]);
         assert_eq!(tx.send_package(1, &mut p2), SendOutcome::Busy);
+        rx.set_now(1e9);
+        assert_eq!(rx.drain_batched(|_, _, _| panic!("not dated yet")), 0);
+        m.date_last(0, 1, 5.0);
         rx.set_now(4.9);
         assert_eq!(rx.drain_batched(|_, _, _| panic!("not arrived yet")), 0);
         rx.set_now(5.0);
         let mut got = Vec::new();
         assert_eq!(rx.drain_batched(|src, run, _| got.push((src, run[0].obj))), 1);
         assert_eq!(got, vec![(0, 1)]);
-        assert!(!tx.outbound_queued(1));
         assert_eq!(tx.send_package(1, &mut p2), SendOutcome::Delivered);
     }
 
@@ -607,10 +603,10 @@ mod tests {
         let m = VirtualMachine::new(2, true);
         let mut tx = m.port(0);
         for (i, arrive) in [1.0, 2.0, 3.0].into_iter().enumerate() {
-            tx.set_stamp(arrive);
             let mut p = pkg(&[i as u32]);
             let out = tx.send_package(1, &mut p);
             assert_ne!(out, SendOutcome::Busy, "buffered machine never refuses");
+            m.date_last(0, 1, arrive);
         }
         assert_eq!(m.peak_queued(), 3);
         let mut rx = m.port(1);

@@ -1,0 +1,819 @@
+//! The protocol core: the five-state machine of the paper's Figure 3(b)
+//! (REC / EXE / SND / MAP / END with the RA and CQ service operations),
+//! written once and stepped by both executors.
+//!
+//! [`ProcCore`] is one processor's resumable run of the protocol. It owns
+//! everything that *is* protocol: the position in the order and the MAP
+//! window, the [`MapPlanner`] call and the address packages it produces,
+//! the dense address tables, the suspended-send queue, the window
+//! rollback of [`RecoveryPolicy`], the fault sites and every trace hook.
+//! It knows nothing about time, threads or buffers: those it reaches
+//! through an [`Env`] (statically dispatched, one per driver) and through
+//! the [`Port`] of its comm backend.
+//!
+//! [`ProcCore::step`] advances the machine until a MAP or a task is
+//! complete ([`Step::Progress`]), until it cannot go on ([`Step::Blocked`],
+//! naming what it waits [`On`]) or until the processor has nothing left
+//! to do ([`Step::Done`]). A blocked core is resumed by calling `step`
+//! again; [`ProcCore::service`] (RA + CQ) is what a driver runs in
+//! between, which is what breaks the circular-wait chains in the Theorem 1
+//! proof. The threaded driver spins `step` under its backoff pacer and
+//! watchdog; the DES driver calls it from the event heap and returns to
+//! the heap on `Blocked`.
+//!
+//! ## Hot-path layout
+//!
+//! - **Address resolution is O(1) array indexing.** Two dense tables are
+//!   seeded with the deterministic permanent layout: `local` (object id →
+//!   offset of its buffer on this processor) and `known`
+//!   (`proc * num_objects + obj` → offset on that processor, filled in by
+//!   RA packages).
+//! - **CQ retry is incremental.** A send that is missing a destination
+//!   address parks on the id of the first missing object; an incoming
+//!   address package wakes exactly the parked sends its entries unblock
+//!   (the two-watched-literal trick: a retried send that is still blocked
+//!   re-parks on its next missing object).
+//! - **Address packages are batched.** A MAP's notifications arrive
+//!   pre-sorted by destination, so one package per collaborating
+//!   processor is assembled in a reusable buffer and handed to
+//!   [`Port::send_package`] — no allocation in steady state.
+
+use crate::maps::{ExecError, MapAction, MapPlanner, MapWindow, RtPlan};
+use crate::recover::RecoveryPolicy;
+use rapid_core::graph::{ObjId, TaskGraph, TaskId};
+use rapid_core::schedule::Schedule;
+use rapid_machine::arena::ArenaError;
+use rapid_machine::fault::{FaultSite, ProcFaults};
+use rapid_machine::machine::{Port, SendOutcome};
+use rapid_machine::mailbox::AddrEntry;
+use rapid_trace::{FlatWriter, ProtoState, TraceTier};
+use std::time::Duration;
+
+/// Sentinel for "address not (yet) known" in the dense tables. Not
+/// `u64::MAX`: that is [`rapid_trace::NO_OFFSET`], the address an
+/// environment without real buffers hands out.
+pub(crate) const NO_ADDR: u64 = u64::MAX - 1;
+/// Bounded retries of a MAP-time placement that failed with
+/// [`ArenaError::Fragmented`] before the window-truncation ladder kicks in.
+const FRAG_RETRIES: u32 = 8;
+
+/// A modelled cost the protocol incurs. Real threads pay these by doing
+/// the work; the DES adds them to its virtual clock.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Cost {
+    /// A MAP was planned: `objects` buffers are freed or allocated.
+    Map { objects: usize },
+    /// An address package of `entries` entries was handed off toward `dst`.
+    AddrPkg { dst: u32, entries: usize },
+    /// One address package from `src` was read (the RA operation).
+    Ra { src: usize },
+    /// A task is about to index `accesses` objects through the address
+    /// tables.
+    Lookup { accesses: usize },
+}
+
+/// What a protocol core needs from the machine it runs on.
+pub(crate) trait Env {
+    /// A fresh trace timestamp in nanoseconds (wall clock since the run's
+    /// epoch, or virtual time).
+    fn now(&mut self) -> u64;
+    /// The last timestamp [`Env::now`] returned, where reading the clock
+    /// costs something; the current time where it does not.
+    fn recent(&self) -> u64;
+    /// Account one modelled cost. Nothing to do where costs are paid by
+    /// doing the work.
+    fn charge(&mut self, _cost: Cost) {}
+    /// Hold the next operation of fault site `site` back by `by`.
+    fn delay(&mut self, site: FaultSite, by: Duration);
+    /// Place a buffer of `units` for `d` and return its offset. With
+    /// `pretend_fragmented` (an injected fault) nothing is placed and the
+    /// answer is the fragmentation error a real failure would give.
+    fn place(&mut self, d: ObjId, units: u64, pretend_fragmented: bool) -> Result<u64, ArenaError>;
+    /// Release the buffer at `off`.
+    fn release(&mut self, off: u64) -> Result<(), ArenaError>;
+    /// Put message `mid`: copy its objects from their `local` offsets to
+    /// the `remote` ones (both indexed by object id) and signal arrival.
+    fn put(&mut self, mid: u32, local: &[u64], remote: &[u64]);
+    /// Has message `mid` arrived?
+    fn arrived(&mut self, mid: u32) -> bool;
+    /// Message `mid`, which has arrived, is consumed by the task about to
+    /// run.
+    fn receive(&mut self, _mid: u32) {}
+    /// Run task `t` on the buffers at the `local` offsets. A body that
+    /// fails comes back as the typed error to report or recover from.
+    fn run_task(&mut self, t: TaskId, local: &[u64]) -> Result<(), ExecError>;
+    /// Photograph the write set of `tasks`, the window about to run (only
+    /// asked of runs armed for recovery).
+    fn checkpoint(&mut self, _tasks: &[TaskId], _local: &[u64]) {}
+    /// The window at `pos` is rolled back for re-execution `attempt`;
+    /// with `restore`, put the last checkpoint's contents back first.
+    fn rollback(&mut self, _restore: bool, _pos: u32, _attempt: u32) {}
+    /// The core entered a new state (stall diagnostics).
+    fn publish(&mut self, d: Diag);
+}
+
+/// One processor's published state: what a stall snapshot shows of it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Diag {
+    /// Protocol state last entered.
+    pub state: ProtoState,
+    /// Position in the processor's order.
+    pub pos: u32,
+    /// Sends parked on a missing remote address.
+    pub suspended: u32,
+}
+
+/// What a blocked core is waiting on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum On {
+    /// MAP: the address slot toward this processor is still occupied.
+    Mailbox(u32),
+    /// MAP: a buffer could not be placed; retry after servicing.
+    Arena,
+    /// REC: this message has not arrived.
+    Msg(u32),
+    /// END, or a window about to roll back: suspended sends or buffered
+    /// packages are still owed.
+    Drain,
+}
+
+/// Result of one [`ProcCore::step`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// A MAP completed, a task ran and its messages were sent or
+    /// suspended, or a window was rolled back.
+    Progress,
+    /// Nothing can move until what is named happens.
+    Blocked(On),
+    /// Every task ran and every message owed was put.
+    Done,
+}
+
+/// What is the same for every processor of a run.
+#[derive(Clone, Copy)]
+pub(crate) struct CoreSpec<'e> {
+    pub g: &'e TaskGraph,
+    pub sched: &'e Schedule,
+    pub plan: &'e RtPlan,
+    pub capacity: u64,
+    /// [`permanent_layout`] of the schedule.
+    pub perm_off: &'e [u64],
+    pub window: MapWindow,
+    pub recovery: Option<RecoveryPolicy>,
+}
+
+/// The deterministic permanent layout: objects in id order, bump
+/// allocated from 0 on the owner's heap, so their addresses are globally
+/// known without notification, as in RAPID.
+pub(crate) fn permanent_layout(g: &TaskGraph, sched: &Schedule) -> Vec<u64> {
+    let mut cursor = vec![0u64; sched.assign.nprocs];
+    g.objects()
+        .map(|d| {
+            let c = &mut cursor[sched.assign.owner_of(d) as usize];
+            *c += g.obj_size(d);
+            *c - g.obj_size(d)
+        })
+        .collect()
+}
+
+/// Where `step` resumes.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum State {
+    MapPlan,
+    MapPlace,
+    MapNotify,
+    Task,
+    /// A task failed and its window is armed for recovery.
+    Quiesce,
+    End,
+    Done,
+}
+
+/// Run `f` on the recorder, when there is one: every record site is a
+/// single `Option` branch, so untraced runs keep the untraced hot path.
+#[inline]
+fn trace<'e>(tr: &mut Option<FlatWriter<'e>>, f: impl FnOnce(&mut FlatWriter<'e>)) {
+    if let Some(w) = tr.as_mut() {
+        f(w);
+    }
+}
+
+/// Timestamp of a task boundary or a message receipt: fresh at
+/// [`TraceTier::Full`], where per-task timeline spans are worth the clock
+/// reads, the cached one at Skeleton. State transitions, MAP ends and
+/// rollbacks always read the clock; alloc/free waves, package traffic, CQ
+/// retries and fault markers never do. The dwell metrics depend only on
+/// state transitions and the checker ignores timestamps, so the cache
+/// never changes a verdict.
+#[inline]
+fn fine_ts<E: Env>(w: &FlatWriter<'_>, env: &mut E) -> u64 {
+    if w.tier() == TraceTier::Full {
+        env.now()
+    } else {
+        env.recent()
+    }
+}
+
+/// One processor's run of the protocol (see the module docs).
+pub(crate) struct ProcCore<'e, P: Port> {
+    p: usize,
+    nobj: usize,
+    spec: CoreSpec<'e>,
+    order: &'e [TaskId],
+    port: P,
+    planner: MapPlanner,
+    state: State,
+    /// Protocol state last entered (traced and published).
+    at: ProtoState,
+    pos: u32,
+    next_map: u32,
+    /// Object id → offset of its buffer on this processor ([`NO_ADDR`]
+    /// when not resident). Permanent entries are seeded once; volatile
+    /// entries are set and cleared by MAPs.
+    local: Vec<u64>,
+    /// `proc * nobj + obj` → offset of the object's buffer on `proc`.
+    /// Permanent entries are seeded from the deterministic layout;
+    /// volatile entries arrive in RA packages.
+    known: Vec<u64>,
+    /// `waiters[obj]`: suspended message ids parked on `obj`'s address.
+    /// Each suspended message is parked in exactly one list (its first
+    /// missing object).
+    waiters: Vec<Vec<u32>>,
+    /// Scratch: messages woken by the current RA round.
+    woken: Vec<u32>,
+    /// Number of currently suspended sends, and of sends ever suspended.
+    suspended: usize,
+    suspended_ever: usize,
+    /// `sent[msg]`: message already completed. Maintained only when
+    /// window recovery is armed (empty otherwise): a rolled back window
+    /// re-enters its SND states, and a completed message must not be
+    /// re-sent — the bytes would be identical, but arrival flags and the
+    /// receiver's consumption are one-shot.
+    sent: Vec<bool>,
+    faults: Option<ProcFaults>,
+    tr: Option<FlatWriter<'e>>,
+    /// The MAP in progress: its plan, the next allocation to place with
+    /// the retries spent on it, the next notification to send, whether
+    /// its package is assembled and whether its busy slot was reported.
+    action: MapAction,
+    alloc_i: usize,
+    alloc_tries: u32,
+    notify_i: usize,
+    pkg_ready: bool,
+    busy_told: bool,
+    /// Reusable address-package buffer, and a scratch object-id list for
+    /// package trace records.
+    pkg_buf: Vec<AddrEntry>,
+    pkg_ids: Vec<u32>,
+    /// Address packages sent toward / drained from each processor so far
+    /// (trace sequence numbers).
+    pkg_send_seq: Vec<u32>,
+    pkg_recv_seq: Vec<u32>,
+    /// Start of the current allocation window and the re-executions it
+    /// has consumed (both MAP-phase retries and EXE-phase rollbacks).
+    window_start: u32,
+    window_attempts: u32,
+}
+
+impl<'e, P: Port> ProcCore<'e, P> {
+    /// Processor `p`'s core, in `Setup`, about to run its first MAP.
+    pub(crate) fn new<E: Env>(
+        spec: CoreSpec<'e>,
+        p: usize,
+        port: P,
+        faults: Option<ProcFaults>,
+        tr: Option<FlatWriter<'e>>,
+        env: &mut E,
+    ) -> Self {
+        let CoreSpec { g, sched, plan, .. } = spec;
+        let nobj = g.num_objects();
+        let nprocs = sched.assign.nprocs;
+        let mut local = vec![NO_ADDR; nobj];
+        let mut known = vec![NO_ADDR; nprocs * nobj];
+        for d in g.objects() {
+            let o = sched.assign.owner_of(d) as usize;
+            known[o * nobj + d.idx()] = spec.perm_off[d.idx()];
+            if o == p {
+                local[d.idx()] = spec.perm_off[d.idx()];
+            }
+        }
+        let mut tr = tr;
+        trace(&mut tr, |w| w.state(env.now(), ProtoState::Setup));
+        ProcCore {
+            p,
+            nobj,
+            spec,
+            order: &sched.order[p],
+            port,
+            planner: MapPlanner::new(p as u32, spec.capacity, plan.perm_units[p]),
+            state: State::MapPlan,
+            at: ProtoState::Setup,
+            pos: 0,
+            next_map: 0,
+            local,
+            known,
+            waiters: vec![Vec::new(); nobj],
+            woken: Vec::new(),
+            suspended: 0,
+            suspended_ever: 0,
+            sent: if spec.recovery.is_some() { vec![false; plan.msgs.len()] } else { Vec::new() },
+            faults,
+            tr,
+            action: MapAction::default(),
+            alloc_i: 0,
+            alloc_tries: 0,
+            notify_i: 0,
+            pkg_ready: false,
+            busy_told: false,
+            pkg_buf: Vec::new(),
+            pkg_ids: Vec::new(),
+            pkg_send_seq: vec![0; nprocs],
+            pkg_recv_seq: vec![0; nprocs],
+            window_start: 0,
+            window_attempts: 0,
+        }
+    }
+
+    /// Original RAPID instead of active memory management: all `resident`
+    /// units (permanent and volatile) are allocated up front and every
+    /// address was exchanged before the run, so no MAP ever runs and no
+    /// send ever waits.
+    pub(crate) fn preallocated(mut self, resident: u64) -> Self {
+        self.planner = MapPlanner::new(self.p as u32, self.spec.capacity, resident);
+        self.next_map = u32::MAX;
+        self.known.fill(0);
+        self.state = if self.order.is_empty() { State::End } else { State::Task };
+        self
+    }
+
+    /// This core's comm endpoint.
+    pub(crate) fn port(&mut self) -> &mut P {
+        &mut self.port
+    }
+
+    /// Has [`ProcCore::step`] returned [`Step::Done`]?
+    pub(crate) fn is_done(&self) -> bool {
+        self.state == State::Done
+    }
+
+    /// Tasks of this processor's order that have not completed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.order.len() - self.pos as usize
+    }
+
+    /// The planner's counting: MAPs performed so far, peak units in use.
+    pub(crate) fn planner(&self) -> &MapPlanner {
+        &self.planner
+    }
+
+    /// Sends that waited in the suspended queue at least once.
+    pub(crate) fn suspended_ever(&self) -> usize {
+        self.suspended_ever
+    }
+
+    /// Enter protocol state `s`: trace the transition and publish it.
+    fn enter<E: Env>(&mut self, env: &mut E, s: ProtoState) {
+        if self.at == s {
+            return;
+        }
+        self.at = s;
+        trace(&mut self.tr, |w| w.state(env.now(), s));
+        env.publish(Diag { state: s, pos: self.pos, suspended: self.suspended as u32 });
+    }
+
+    /// The processor leaves the protocol (after [`Step::Done`] and
+    /// whatever its driver does while still in END, such as the gather).
+    pub(crate) fn retire<E: Env>(&mut self, env: &mut E) {
+        self.enter(env, ProtoState::Done);
+    }
+
+    /// Consult a rejection fault site: does this attempt fail by decree?
+    fn rejected<E: Env>(
+        &mut self,
+        env: &E,
+        site: FaultSite,
+        draw: fn(&mut ProcFaults) -> bool,
+    ) -> bool {
+        let hit = self.faults.as_mut().is_some_and(draw);
+        if hit {
+            trace(&mut self.tr, |w| w.fault(env.recent(), site));
+        }
+        hit
+    }
+
+    /// Consult a delay fault site and hold the operation back if it fires.
+    fn delayed<E: Env>(
+        &mut self,
+        env: &mut E,
+        site: FaultSite,
+        draw: fn(&mut ProcFaults) -> Option<Duration>,
+    ) {
+        if let Some(by) = self.faults.as_mut().and_then(draw) {
+            trace(&mut self.tr, |w| w.fault(env.recent(), site));
+            env.delay(site, by);
+        }
+    }
+
+    fn internal(&self, detail: String) -> ExecError {
+        ExecError::Internal { proc: self.p as u32, detail }
+    }
+
+    /// Advance the state machine (see the module docs).
+    pub(crate) fn step<E: Env>(&mut self, env: &mut E) -> Result<Step, ExecError> {
+        loop {
+            match self.state {
+                State::MapPlan => self.map_plan(env)?,
+                State::MapPlace => {
+                    if let Some(on) = self.map_place(env)? {
+                        return Ok(Step::Blocked(on));
+                    }
+                }
+                State::MapNotify => {
+                    if let Some(on) = self.map_notify(env) {
+                        return Ok(Step::Blocked(on));
+                    }
+                    self.map_end(env);
+                    return Ok(Step::Progress);
+                }
+                State::Task => {
+                    if let Some(step) = self.task(env)? {
+                        return Ok(step);
+                    }
+                }
+                State::Quiesce => {
+                    // Quiesce before restoring: a send suspended (or a
+                    // package batch still buffered) earlier in this window
+                    // must complete *now*, while the written buffers hold
+                    // the values it is supposed to carry — a put firing
+                    // after the restore would ship pre-window bytes.
+                    if self.suspended > 0 || self.port.pending() > 0 {
+                        return Ok(Step::Blocked(On::Drain));
+                    }
+                    // Restore the pre-window contents of the window's
+                    // write set; everything else (volatile allocations,
+                    // arrival flags, received addresses, completed sends)
+                    // is still valid and is deliberately kept.
+                    let (start, attempt) = (self.window_start, self.window_attempts);
+                    env.rollback(true, start, attempt);
+                    trace(&mut self.tr, |w| w.window_rollback(env.now(), start, attempt));
+                    self.pos = start;
+                    self.state = State::Task;
+                    return Ok(Step::Progress);
+                }
+                State::End => {
+                    // END may not retire while the suspended queue or this
+                    // port's aggregation buffers hold anything: a buffered
+                    // address package that never got flushed would strand
+                    // a peer's suspended send forever (the aggregation
+                    // half of the Theorem-1 obligations).
+                    self.enter(env, ProtoState::End);
+                    if self.suspended > 0 || self.port.pending() > 0 {
+                        return Ok(Step::Blocked(On::Drain));
+                    }
+                    self.state = State::Done;
+                }
+                State::Done => return Ok(Step::Done),
+            }
+        }
+    }
+
+    /// MAP, first part: plan the window and run its free wave.
+    fn map_plan<E: Env>(&mut self, env: &mut E) -> Result<(), ExecError> {
+        let CoreSpec { g, sched, plan, window, .. } = self.spec;
+        let pos = self.pos;
+        // A new allocation window begins here: it gets a fresh
+        // re-execution budget (EXE-phase rollbacks never rewind across a
+        // MAP, so the previous window's spend is settled).
+        self.window_start = pos;
+        self.window_attempts = 0;
+        self.enter(env, ProtoState::Map);
+        trace(&mut self.tr, |w| w.map_begin(env.recent(), pos));
+        self.action = self.planner.run_map_with(g, sched, plan, pos, window)?;
+        env.charge(Cost::Map { objects: self.action.frees.len() + self.action.allocs.len() });
+        for &d in &self.action.frees {
+            let off = std::mem::replace(&mut self.local[d.idx()], NO_ADDR);
+            if let Err(e) = env.release(off) {
+                return Err(self.internal(format!("MAP free of {d:?} at {off} rejected: {e:?}")));
+            }
+            trace(&mut self.tr, |w| w.free(env.recent(), d.0, g.obj_size(d), off));
+        }
+        (self.alloc_i, self.alloc_tries, self.notify_i) = (0, 0, 0);
+        self.state = State::MapPlace;
+        Ok(())
+    }
+
+    /// MAP, second part: place the planned allocations. The counting
+    /// planner guarantees the units fit, but a first-fit arena can still
+    /// be transiently fragmented (and the fault layer can pretend it is).
+    /// Degradation ladder: retry a bounded number of times, blocked so
+    /// that the driver services RA/CQ in between (Theorem 1: the system
+    /// keeps evolving while we wait), then truncate the allocation window
+    /// at the first *lookahead* position that cannot be placed — those
+    /// objects roll back and are re-planned by the (now earlier) next
+    /// MAP, whose free wave may have coalesced room. Only the task at
+    /// `pos` itself failing to place is a hard `Fragmented` error, which
+    /// an armed window retries from its first allocation.
+    fn map_place<E: Env>(&mut self, env: &mut E) -> Result<Option<On>, ExecError> {
+        let g = self.spec.g;
+        let (p, pos) = (self.p as u32, self.pos);
+        let budget = self.spec.recovery.map_or(FRAG_RETRIES, |r| r.retry.alloc_attempts);
+        while let Some(&d) = self.action.allocs.get(self.alloc_i) {
+            let size = g.obj_size(d);
+            let injected = self.rejected(env, FaultSite::AllocFail, ProcFaults::alloc_fails);
+            let largest = match env.place(d, size, injected) {
+                Ok(off) => {
+                    self.local[d.idx()] = off;
+                    trace(&mut self.tr, |w| w.alloc(env.recent(), d.0, size, off));
+                    self.alloc_i += 1;
+                    self.alloc_tries = 0;
+                    continue;
+                }
+                Err(ArenaError::Fragmented { largest, .. }) => largest,
+                Err(_) => {
+                    return Err(ExecError::NonExecutable {
+                        proc: p,
+                        position: pos,
+                        needed: self.planner.in_use(),
+                        capacity: self.spec.capacity,
+                    })
+                }
+            };
+            if self.alloc_tries < budget {
+                self.alloc_tries += 1;
+                return Ok(Some(On::Arena));
+            }
+            self.alloc_tries = 0;
+            let ai = self.alloc_i;
+            if self.action.alloc_pos[ai] != pos {
+                // The failing object and everything after it were never
+                // placed, so no Alloc events were recorded for them — the
+                // trace replay's accounting stays consistent with the
+                // planner rollback without any compensating event. They
+                // have no address; their notifications are re-issued by
+                // the MAP that re-plans them.
+                for &dd in &self.action.allocs[ai..] {
+                    self.planner.rollback_alloc(g, dd);
+                }
+                self.action.next_map = self.action.alloc_pos[ai];
+                let planner = &self.planner;
+                self.action.notifies.retain(|n| planner.is_allocated(ObjId(n.obj)));
+                break;
+            }
+            let frag = ExecError::Fragmented { proc: p, requested: size, largest };
+            let Some(pol) = self.spec.recovery else { return Err(frag) };
+            if self.window_attempts >= pol.retry.window_attempts {
+                return Err(ExecError::Unrecoverable {
+                    proc: p,
+                    pos,
+                    attempts: pol.retry.window_attempts,
+                    cause: Box::new(frag),
+                });
+            }
+            // MAP-phase window retry: undo this attempt's placements and
+            // re-run the wave. The planner accounting is untouched (the
+            // same objects are re-placed) and the arena free-list
+            // restores, so the re-placed offsets — and hence the recovered
+            // trace — depend only on the fault seed and the plan. No task
+            // ran yet, so there is nothing to restore. Blocking gives one
+            // service round between attempts: an injected fault stream
+            // drains its budget, a genuinely fragmented arena gets a
+            // chance to coalesce.
+            self.window_attempts += 1;
+            for &dd in &self.action.allocs[..ai] {
+                let off = std::mem::replace(&mut self.local[dd.idx()], NO_ADDR);
+                if let Err(e) = env.release(off) {
+                    return Err(self.internal(format!(
+                        "recovery rollback of {dd:?} at offset {off} rejected: {e:?}"
+                    )));
+                }
+                trace(&mut self.tr, |w| w.alloc_rollback(env.recent(), dd.0, g.obj_size(dd)));
+            }
+            let attempt = self.window_attempts;
+            trace(&mut self.tr, |w| w.window_rollback(env.now(), pos, attempt));
+            env.rollback(false, pos, attempt);
+            self.alloc_i = 0;
+            return Ok(Some(On::Arena));
+        }
+        self.state = State::MapNotify;
+        Ok(None)
+    }
+
+    /// MAP, third part: tell every processor that will put into a buffer
+    /// this MAP placed where it is. Notifications arrive pre-sorted by
+    /// (destination, object), so one linear walk assembles one package
+    /// per destination.
+    fn map_notify<E: Env>(&mut self, env: &mut E) -> Option<On> {
+        while let Some(first) = self.action.notifies.get(self.notify_i) {
+            let dst = first.dst;
+            let group = &self.action.notifies[self.notify_i..];
+            let entries = group.iter().take_while(|n| n.dst == dst).count();
+            if !self.pkg_ready {
+                self.pkg_buf.clear();
+                for n in &group[..entries] {
+                    self.pkg_buf.push(AddrEntry { obj: n.obj, offset: self.local[n.obj as usize] });
+                }
+                self.delayed(env, FaultSite::MailboxDelay, ProcFaults::mailbox_delay);
+                self.pkg_ready = true;
+                self.busy_told = false;
+            }
+            // An injected rejection is handled exactly like a slot the
+            // receiver has not drained yet. Delivered and Buffered both
+            // complete the logical hand-off (the port owns the entries
+            // from here); only Busy — the direct backend's full slot —
+            // makes this MAP block.
+            let busy = self.rejected(env, FaultSite::MailboxReject, ProcFaults::mailbox_reject)
+                || self.port.send_package(dst as usize, &mut self.pkg_buf) == SendOutcome::Busy;
+            if busy {
+                if !std::mem::replace(&mut self.busy_told, true) {
+                    trace(&mut self.tr, |w| w.mailbox_busy(env.recent(), dst));
+                }
+                return Some(On::Mailbox(dst));
+            }
+            env.charge(Cost::AddrPkg { dst, entries });
+            if let Some(w) = self.tr.as_mut() {
+                // The hand-off consumed the buffer; the plan still has the ids.
+                let sent = &self.action.notifies[self.notify_i..][..entries];
+                self.pkg_ids.clear();
+                self.pkg_ids.extend(sent.iter().map(|n| n.obj));
+                let seq = &mut self.pkg_send_seq[dst as usize];
+                w.pkg_send(env.recent(), dst, *seq, &self.pkg_ids);
+                *seq += 1;
+            }
+            self.pkg_ready = false;
+            self.notify_i += entries;
+        }
+        None
+    }
+
+    /// MAP, last part: the window is provisioned and announced.
+    fn map_end<E: Env>(&mut self, env: &mut E) {
+        let (pos, next_map) = (self.pos, self.action.next_map);
+        self.next_map = next_map;
+        // Hand any coalesced batches over eagerly: under aggregation the
+        // sends above never block, so one flush attempt at MAP end bounds
+        // notification latency by the MAP itself without re-introducing
+        // the per-package blocking of the direct backend (a busy slot
+        // just leaves the batch parked for the service rounds).
+        if self.port.pending() > 0 {
+            self.port.flush();
+        }
+        let (in_use, peak) = (self.planner.in_use(), self.planner.peak());
+        trace(&mut self.tr, |w| w.map_end(env.now(), pos, next_map, in_use, peak));
+        let end = (next_map as usize).min(self.order.len());
+        // Photograph the window's write set before any of its tasks run:
+        // bodies may read-modify-write their local permanents, so
+        // EXE-phase rollback must restore pre-window contents.
+        if self.spec.recovery.is_some() {
+            env.checkpoint(&self.order[pos as usize..end], &self.local);
+        }
+        // A processor with an empty order performs this one empty MAP
+        // and goes straight to END.
+        self.state = if pos as usize == self.order.len() { State::End } else { State::Task };
+    }
+
+    /// REC, EXE and SND of the task at `pos`. `None` when the task failed
+    /// and its window is armed for recovery.
+    fn task<E: Env>(&mut self, env: &mut E) -> Result<Option<Step>, ExecError> {
+        let CoreSpec { g, plan, .. } = self.spec;
+        let t = self.order[self.pos as usize];
+        // REC: wait for every incoming message.
+        self.enter(env, ProtoState::Rec);
+        let inbox = &plan.in_msgs[t.idx()];
+        if let Some(&mid) = inbox.iter().find(|&&mid| !env.arrived(mid)) {
+            return Ok(Some(Step::Blocked(On::Msg(mid))));
+        }
+        for &mid in inbox {
+            env.receive(mid);
+            trace(&mut self.tr, |w| w.msg_recv(fine_ts(w, env), mid));
+        }
+        // EXE.
+        env.charge(Cost::Lookup { accesses: g.reads(t).len() + g.writes(t).len() });
+        self.enter(env, ProtoState::Exe);
+        self.delayed(env, FaultSite::TaskJitter, ProcFaults::task_jitter);
+        let pos = self.pos;
+        trace(&mut self.tr, |w| w.task_begin(fine_ts(w, env), t.0, pos));
+        if let Err(cause) = env.run_task(t, &self.local) {
+            let Some(pol) = self.spec.recovery else { return Err(cause) };
+            if self.window_attempts >= pol.retry.window_attempts {
+                return Err(ExecError::Unrecoverable {
+                    proc: self.p as u32,
+                    pos: self.window_start,
+                    attempts: self.window_attempts,
+                    cause: Box::new(cause),
+                });
+            }
+            self.window_attempts += 1;
+            self.state = State::Quiesce;
+            return Ok(None);
+        }
+        trace(&mut self.tr, |w| w.task_end(fine_ts(w, env), t.0));
+        // SND.
+        self.enter(env, ProtoState::Snd);
+        for &mid in &plan.out_msgs[t.idx()] {
+            self.send_or_suspend(env, mid);
+        }
+        self.pos += 1;
+        self.state = if self.pos as usize == self.order.len() {
+            State::End
+        } else if self.pos == self.next_map {
+            State::MapPlan
+        } else {
+            State::Task
+        };
+        Ok(Some(Step::Progress))
+    }
+
+    /// Try to send message `mid`; on failure returns the id of the first
+    /// object whose destination address is still unknown.
+    fn try_send<E: Env>(&mut self, env: &mut E, mid: u32) -> Result<(), u32> {
+        let msg = &self.spec.plan.msgs[mid as usize];
+        let base = msg.dst_proc as usize * self.nobj;
+        if let Some(d) = msg.objs.iter().find(|d| self.known[base + d.idx()] == NO_ADDR) {
+            return Err(d.0);
+        }
+        // Injected put delay: hold this message back so it lands late and
+        // reordered relative to the fault-free interleaving.
+        self.delayed(env, FaultSite::PutDelay, ProcFaults::put_delay);
+        env.put(mid, &self.local, &self.known[base..base + self.nobj]);
+        if let Some(s) = self.sent.get_mut(mid as usize) {
+            *s = true;
+        }
+        trace(&mut self.tr, |w| w.send_ok(env.recent(), mid));
+        Ok(())
+    }
+
+    /// SND: send `mid` now, or park it on its first missing address.
+    /// No-op for a message that already completed (only possible when a
+    /// recovered window re-runs its SND states).
+    fn send_or_suspend<E: Env>(&mut self, env: &mut E, mid: u32) {
+        if self.sent.get(mid as usize).copied().unwrap_or(false) {
+            return;
+        }
+        if let Err(missing) = self.try_send(env, mid) {
+            trace(&mut self.tr, |w| w.send_suspend(env.recent(), mid, missing));
+            self.waiters[missing as usize].push(mid);
+            self.suspended += 1;
+            self.suspended_ever += 1;
+        }
+    }
+
+    /// RA + incremental CQ: drain incoming address packages (one batched
+    /// callback per source, covering every logical package the run
+    /// carries), then retry exactly the parked sends the new addresses
+    /// may unblock, in the order they were suspended. Every service round
+    /// is also a flush opportunity for packages buffered in this port
+    /// (eventual delivery under aggregation). Returns `true` if any
+    /// package arrived, any buffered batch was handed off, or any
+    /// suspended send completed.
+    pub(crate) fn service<E: Env>(&mut self, env: &mut E) -> bool {
+        let nobj = self.nobj;
+        let ProcCore { known, waiters, woken, tr, pkg_recv_seq, pkg_ids, .. } = self;
+        let drained = self.port.drain_batched(|src, entries, seg_ends| {
+            // One round per *logical* package: a physical batch replays
+            // exactly like the unbatched package sequence.
+            let mut start = 0usize;
+            for &end in seg_ends {
+                let pkg = &entries[start..end as usize];
+                env.charge(Cost::Ra { src });
+                if let Some(w) = tr.as_mut() {
+                    // PkgRecv is a Full-only record; at Skeleton only the
+                    // sequence numbers advance (the send side carries them).
+                    if w.tier() == TraceTier::Full {
+                        pkg_ids.clear();
+                        pkg_ids.extend(pkg.iter().map(|e| e.obj));
+                        w.pkg_recv(env.recent(), src as u32, pkg_recv_seq[src], pkg_ids);
+                    }
+                    pkg_recv_seq[src] += 1;
+                }
+                for e in pkg {
+                    known[src * nobj + e.obj as usize] = e.offset;
+                    woken.append(&mut waiters[e.obj as usize]);
+                }
+                start = end as usize;
+            }
+        });
+        let mut progress = drained > 0;
+        if self.port.pending() > 0 && self.port.flush() {
+            progress = true;
+        }
+        let mut woken = std::mem::take(&mut self.woken);
+        // Suspension order is SND order: by the sending task's position,
+        // then by message id within the task.
+        let plan = self.spec.plan;
+        woken.sort_unstable_by_key(|&m| (plan.pos[plan.msgs[m as usize].src_task.idx()], m));
+        for &mid in &woken {
+            trace(&mut self.tr, |w| w.cq_retry(env.recent(), mid));
+            match self.try_send(env, mid) {
+                Ok(()) => {
+                    self.suspended -= 1;
+                    progress = true;
+                }
+                // Still blocked: re-park on the next missing address.
+                Err(missing) => self.waiters[missing as usize].push(mid),
+            }
+        }
+        woken.clear();
+        self.woken = woken;
+        progress
+    }
+}

@@ -2,10 +2,14 @@
 //!
 //! Models the run-time behaviour of a static schedule under active memory
 //! management on the simulated machine: MAP insertion and its costs,
-//! address packages through single-slot mailboxes, suspended sends,
-//! message transfer times, and the five-state machine of the paper's
-//! Figure 3(b) (REC / EXE / SND / MAP / END, with RA and CQ service
-//! operations run at every blocking state and task boundary).
+//! address packages through single-slot mailboxes, suspended sends and
+//! message transfer times. The five-state machine of the paper's Figure
+//! 3(b) is the shared [`ProcCore`](crate::core); this module is its
+//! virtual-time driver — the cost model and the message arrival times
+//! behind the core's environment, and an event heap that steps whichever
+//! processor is due, runs the RA and CQ service operations before every
+//! step, and on `Blocked` simply returns to the heap: whatever ends a wait
+//! (a put, an address package, an RA drain) has pushed the wake-up.
 //!
 //! With `memory_mgmt` disabled the executor reproduces the *original*
 //! RAPID behaviour — all volatile space allocated up front, addresses
@@ -13,20 +17,23 @@
 //! Tables 2 and 3 ("the parallel time of a schedule with 100% memory
 //! available and without any memory managing overhead").
 
-use crate::maps::{ExecError, MapPlanner, MapWindow, RtPlan};
+use crate::core::{permanent_layout, CoreSpec, Cost, Diag, Env, On, ProcCore, Step};
+use crate::inspector::{ProcDiag, StallSnapshot};
+use crate::maps::{ExecError, MapWindow, RtPlan};
 use rapid_core::algo::OrdF64;
-use rapid_core::graph::{ProcId, TaskGraph};
+use rapid_core::graph::{ObjId, ProcId, TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
+use rapid_machine::arena::ArenaError;
 use rapid_machine::config::MachineConfig;
-use rapid_machine::fault::{FaultPlan, FaultSite, ProcFaults};
-use rapid_machine::machine::{Machine, Port, SendOutcome, VirtualMachine};
-use rapid_machine::mailbox::{AddrEntry, AddrPackage};
+use rapid_machine::fault::{FaultPlan, FaultSite, FaultSpec};
+use rapid_machine::machine::{Machine, VirtualMachine};
 use rapid_trace::{
-    decode_rings, FlatRing, FlatWriter, LiveDrain, ProcMetrics, ProtoState, StreamChecker,
-    TraceConfig, TraceReport, TraceSet, TraceTier, Violation, NO_OFFSET,
+    decode_rings, FlatRing, LiveDrain, ProcMetrics, ProtoState, StreamChecker, TraceConfig,
+    TraceReport, TraceSet, TraceTier, Violation, NO_OFFSET,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::BinaryHeap;
+use std::time::Duration;
 
 /// Virtual-time trace timestamp: simulated seconds scaled to integer
 /// nanoseconds (a unit-cost task spans 1 s of virtual time). Pure f64
@@ -123,15 +130,7 @@ impl DesConfig {
 
     /// Original-RAPID configuration (no recycling).
     pub fn unmanaged(machine: MachineConfig) -> Self {
-        DesConfig {
-            machine,
-            memory_mgmt: false,
-            window: MapWindow::Greedy,
-            addr_buffering: false,
-            faults: None,
-            trace: None,
-            streaming: false,
-        }
+        DesConfig { memory_mgmt: false, ..Self::managed(machine) }
     }
 
     /// Override the MAP window policy.
@@ -225,38 +224,156 @@ impl DesOutcome {
     }
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    /// Performing MAP actions; may block on a full address slot.
-    Map,
-    /// Waiting for the current task's incoming messages.
-    Rec,
-    /// All tasks finished; draining the suspended send queue.
-    End,
-    /// Finished.
-    Done,
+/// One processor's virtual clock: its local time, and how long an
+/// injected fault holds back its next put and its next address package.
+#[derive(Clone, Copy, Default)]
+struct Clock {
+    now: f64,
+    put_lag: f64,
+    pkg_lag: f64,
 }
 
-struct ProcState {
-    phase: Phase,
-    /// Next task position in this processor's order.
-    pos: u32,
-    /// Position before which the next MAP runs.
-    next_map: u32,
-    /// Local clock.
-    now: f64,
-    planner: MapPlanner,
-    /// Address packages awaiting an empty slot: `(dst, entries)` where an
-    /// entry is an object id whose local buffer address is being notified.
-    pending_pkgs: VecDeque<(ProcId, Vec<u32>)>,
-    /// Message ids waiting for remote addresses.
-    suspended: VecDeque<u32>,
-    /// `(target_proc, obj)` pairs whose remote buffer address this
-    /// processor has learned via RA.
-    known: HashSet<(ProcId, u32)>,
-    /// A [`Event::MailboxBusy`] was already recorded for the package at
-    /// the head of `pending_pkgs` (avoid one event per wake-up).
-    busy_reported: bool,
+/// The simulated machine behind the protocol cores: the cost model, the
+/// event heap and the message arrival times. It is the [`Env`] of
+/// whichever processor (`cur`) the event loop is stepping.
+struct Sim<'a> {
+    g: &'a TaskGraph,
+    plan: &'a RtPlan,
+    m: &'a MachineConfig,
+    memory_mgmt: bool,
+    vm: &'a VirtualMachine,
+    cur: usize,
+    clocks: Vec<Clock>,
+    /// Wake-ups `(time, sequence, processor)`; ordering lives here, the
+    /// cores know nothing about time.
+    events: BinaryHeap<Reverse<(OrdF64, u64, u32)>>,
+    seq: u64,
+    /// Arrival time of every message, once sent.
+    msg_arrival: Vec<Option<f64>>,
+    finish: Vec<f64>,
+    done: usize,
+    /// Did the step in progress run a task?
+    ran_task: bool,
+    msgs_sent: usize,
+    addr_pkgs_sent: usize,
+    /// Every processor's last published state.
+    diag: Vec<Diag>,
+}
+
+impl Sim<'_> {
+    /// Step processor `p` again once virtual time reaches `t`.
+    fn wake(&mut self, t: f64, p: u32) {
+        self.seq += 1;
+        self.events.push(Reverse((OrdF64(t), self.seq, p)));
+    }
+
+    fn clock(&mut self) -> &mut Clock {
+        &mut self.clocks[self.cur]
+    }
+}
+
+impl Env for Sim<'_> {
+    fn now(&mut self) -> u64 {
+        self.recent()
+    }
+
+    fn recent(&self) -> u64 {
+        vts(self.clocks[self.cur].now)
+    }
+
+    fn charge(&mut self, cost: Cost) {
+        let m = self.m;
+        match cost {
+            Cost::Map { objects } => {
+                self.clock().now += m.map_fixed_cost + m.alloc_cost * objects as f64;
+            }
+            // The package wakes its destination when it arrives.
+            Cost::AddrPkg { dst, entries } => {
+                let c = self.clock();
+                c.now += m.addr_pkg_cost;
+                let arrive =
+                    c.now + m.transfer_time(entries as u64) + std::mem::take(&mut c.pkg_lag);
+                self.vm.date_last(self.cur, dst as usize, arrive);
+                self.addr_pkgs_sent += 1;
+                self.wake(arrive, dst);
+            }
+            // The pair's queue drained: wake the source in case it is
+            // blocked in MAP trying to send us a new package.
+            Cost::Ra { src } => {
+                self.clock().now += m.ra_cost;
+                let now = self.clock().now;
+                self.wake(now, src as u32);
+            }
+            // Managed runs pay the address-table indirection for every
+            // object the task touches.
+            Cost::Lookup { accesses } => {
+                if self.memory_mgmt {
+                    self.clock().now += m.addr_lookup_cost * accesses as f64;
+                }
+            }
+        }
+    }
+
+    fn delay(&mut self, site: FaultSite, by: Duration) {
+        match site {
+            FaultSite::PutDelay => self.clock().put_lag = by.as_secs_f64(),
+            FaultSite::MailboxDelay => self.clock().pkg_lag = by.as_secs_f64(),
+            _ => {}
+        }
+    }
+
+    // The DES places no real buffers: allocation is the planner's counting
+    // and every address is `NO_OFFSET`.
+    fn place(&mut self, _: ObjId, _: u64, _: bool) -> Result<u64, ArenaError> {
+        Ok(NO_OFFSET)
+    }
+
+    fn release(&mut self, _: u64) -> Result<(), ArenaError> {
+        Ok(())
+    }
+
+    /// Charge the sender's put overhead (plus the managed-mode address
+    /// table lookup), date the arrival, including any injected delay, and
+    /// wake the destination then.
+    fn put(&mut self, mid: u32, _: &[u64], _: &[u64]) {
+        let (m, mgmt) = (self.m, self.memory_mgmt);
+        let msg = &self.plan.msgs[mid as usize];
+        let c = self.clock();
+        c.now += m.put_overhead;
+        if mgmt {
+            c.now += m.msg_lookup_cost;
+        }
+        let arrive = c.now + m.transfer_time(msg.units) + std::mem::take(&mut c.put_lag);
+        self.msg_arrival[mid as usize] = Some(arrive);
+        self.msgs_sent += 1;
+        self.wake(arrive, msg.dst_proc);
+    }
+
+    /// A message counts once it is sent: its receiver then waits for it
+    /// by advancing its clock to the arrival ([`Env::receive`]).
+    fn arrived(&mut self, mid: u32) -> bool {
+        self.msg_arrival[mid as usize].is_some()
+    }
+
+    fn receive(&mut self, mid: u32) {
+        if let Some(arrive) = self.msg_arrival[mid as usize] {
+            let c = self.clock();
+            c.now = c.now.max(arrive);
+        }
+    }
+
+    fn run_task(&mut self, t: TaskId, _: &[u64]) -> Result<(), ExecError> {
+        let secs = self.m.task_time(self.g.weight(t));
+        self.clock().now += secs;
+        self.finish[t.idx()] = self.clock().now;
+        self.done += 1;
+        self.ran_task = true;
+        Ok(())
+    }
+
+    fn publish(&mut self, d: Diag) {
+        self.diag[self.cur] = d;
+    }
 }
 
 /// The discrete-event executor. Owns nothing of the schedule; borrow it
@@ -285,28 +402,6 @@ impl<'a> DesExecutor<'a> {
         let nprocs = self.sched.assign.nprocs;
         let m = &self.cfg.machine;
         assert_eq!(nprocs, m.nprocs, "schedule and machine disagree on processor count");
-        let mut pfaults: Vec<Option<ProcFaults>> =
-            (0..nprocs).map(|p| self.cfg.faults.as_ref().map(|f| f.for_proc(p))).collect();
-
-        let mut procs: Vec<ProcState> = (0..nprocs)
-            .map(|p| ProcState {
-                phase: if self.cfg.memory_mgmt {
-                    Phase::Map
-                } else if self.sched.order[p].is_empty() {
-                    Phase::End
-                } else {
-                    Phase::Rec
-                },
-                pos: 0,
-                next_map: 0,
-                now: 0.0,
-                planner: MapPlanner::new(p as ProcId, m.capacity, self.plan.perm_units[p]),
-                pending_pkgs: VecDeque::new(),
-                suspended: VecDeque::new(),
-                known: HashSet::new(),
-                busy_reported: false,
-            })
-            .collect();
 
         // Recording goes straight into per-processor flat rings; the
         // typed trace is decoded once at the end of the run. Headroom on
@@ -317,20 +412,6 @@ impl<'a> DesExecutor<'a> {
             let cap = self.cfg.trace.map_or(0, |tc| tc.capacity);
             (0..nprocs).map(|p| FlatRing::new(p as u32, cap + cap / 4)).collect()
         });
-        let mut ws: Option<Vec<FlatWriter<'_>>> =
-            rings.as_ref().map(|rs| rs.iter().map(|r| r.writer(tier)).collect());
-        // Per-(src, dst) address-package sequence numbers, counted
-        // independently by sender and receiver so the checker can match
-        // them up.
-        let mut send_seq: Vec<Vec<u32>> = vec![vec![0; nprocs]; nprocs];
-        let mut recv_seq: Vec<Vec<u32>> = vec![vec![0; nprocs]; nprocs];
-        // Scratch for package object ids (reused, no per-package alloc).
-        let mut obj_scratch: Vec<u32> = Vec::new();
-        if let Some(ws) = ws.as_mut() {
-            for w in ws.iter_mut() {
-                w.state(0, ProtoState::Setup);
-            }
-        }
         // The inline streaming checker: polled between event-loop steps,
         // finished (with the exact quiesced claim) after the loop.
         let mut drain = (self.cfg.streaming && rings.is_some()).then(|| {
@@ -342,9 +423,62 @@ impl<'a> DesExecutor<'a> {
             ))
         });
 
-        if !self.cfg.memory_mgmt {
-            // Original RAPID: all volatile space allocated up front.
-            for (p, st) in procs.iter_mut().enumerate() {
+        // Address mailboxes: the cores run on the same [`Machine`]/[`Port`]
+        // surface as under the threaded executor, through its virtual-time
+        // backend. The paper's scheme keeps at most one package in flight
+        // per pair (a second send is `Busy`); with `addr_buffering` the
+        // queue is unbounded and the machine tracks its peak depth.
+        let vm = VirtualMachine::new(nprocs, self.cfg.addr_buffering);
+        let mut sim = Sim {
+            g: self.g,
+            plan: &self.plan,
+            m,
+            memory_mgmt: self.cfg.memory_mgmt,
+            vm: &vm,
+            cur: 0,
+            clocks: vec![Clock::default(); nprocs],
+            events: BinaryHeap::new(),
+            seq: 0,
+            msg_arrival: vec![None; self.plan.msgs.len()],
+            finish: vec![0.0; self.g.num_tasks()],
+            done: 0,
+            ran_task: false,
+            msgs_sent: 0,
+            addr_pkgs_sent: 0,
+            diag: vec![Diag { state: ProtoState::Setup, pos: 0, suspended: 0 }; nprocs],
+        };
+
+        let perm_off = permanent_layout(self.g, self.sched);
+        let spec = CoreSpec {
+            g: self.g,
+            sched: self.sched,
+            plan: &self.plan,
+            capacity: m.capacity,
+            perm_off: &perm_off,
+            window: self.cfg.window,
+            recovery: None,
+        };
+        // Virtual time has no interleaving for task jitter to shake: only
+        // the put and mailbox delays of a fault plan apply.
+        let faults = self.cfg.faults.as_ref().map(|f| FaultPlan {
+            seed: f.seed,
+            spec: FaultSpec { task_jitter_permille: 0, ..f.spec.clone() },
+        });
+        let mut cores = Vec::with_capacity(nprocs);
+        for p in 0..nprocs {
+            sim.cur = p;
+            let core = ProcCore::new(
+                spec,
+                p,
+                vm.port(p),
+                faults.as_ref().map(|f| f.for_proc(p)),
+                rings.as_ref().map(|rs| rs[p].writer(tier)),
+                &mut sim,
+            );
+            cores.push(if self.cfg.memory_mgmt {
+                core
+            } else {
+                // Original RAPID: all volatile space allocated up front.
                 let vola: u64 =
                     self.plan.lv.procs[p].volatile.iter().map(|&d| self.g.obj_size(d)).sum();
                 let need = self.plan.perm_units[p] + vola;
@@ -356,388 +490,96 @@ impl<'a> DesExecutor<'a> {
                         capacity: m.capacity,
                     });
                 }
-                // Account the up-front footprint through the planner peak.
-                st.planner = MapPlanner::new(p as ProcId, m.capacity, need);
-                st.next_map = u32::MAX;
-            }
+                core.preallocated(need)
+            });
+            sim.wake(0.0, p as u32);
         }
 
-        // Global message state: arrival time once sent.
-        let mut msg_arrival: Vec<Option<f64>> = vec![None; self.plan.msgs.len()];
-        // Address mailboxes: the DES drives the same [`Machine`]/[`Port`]
-        // surface the threaded executor runs on, through its virtual-time
-        // backend. The paper's scheme keeps at most one package in flight
-        // per pair ([`VirtualPort::outbound_queued`] is the blocking
-        // probe); with `addr_buffering` the queue is unbounded and the
-        // machine tracks its peak depth.
-        let vm = VirtualMachine::new(nprocs, self.cfg.addr_buffering);
-        let mut ports: Vec<_> = (0..nprocs).map(|p| vm.port(p)).collect();
-
-        let mut events: BinaryHeap<Reverse<(OrdF64, u64, u32)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let push = |events: &mut BinaryHeap<Reverse<(OrdF64, u64, u32)>>,
-                    seq: &mut u64,
-                    t: f64,
-                    p: u32| {
-            *seq += 1;
-            events.push(Reverse((OrdF64(t), *seq, p)));
-        };
-        for p in 0..nprocs as u32 {
-            push(&mut events, &mut seq, 0.0, p);
-        }
-
-        let mut finish = vec![0.0f64; self.g.num_tasks()];
-        let mut done = 0usize;
-        let mut msgs_sent = 0usize;
-        let mut addr_pkgs_sent = 0usize;
-        let mut suspended_ever: HashSet<u32> = HashSet::new();
-
+        // What each processor that cannot go on is waiting for.
+        let mut blocked: Vec<Option<On>> = vec![None; nprocs];
         let mut polled = 0u64;
-        while let Some(Reverse((OrdF64(t), _, p))) = events.pop() {
+        while let Some(Reverse((OrdF64(t), _, p))) = sim.events.pop() {
             polled += 1;
             if polled & 63 == 0 {
                 if let (Some(d), Some(rs)) = (drain.as_mut(), rings.as_deref()) {
                     d.poll(rs);
                 }
             }
-            let pi = p as usize;
-            if procs[pi].phase == Phase::Done {
+            let core = &mut cores[p as usize];
+            if core.is_done() {
                 continue;
             }
-            if t > procs[pi].now {
-                procs[pi].now = t;
-            }
-            // Step processor p as far as it can go.
-            'step: loop {
-                // Service RA: consume arrived packages (any state at a
-                // service point is a blocking state or a task boundary).
-                // The port gates on the captured virtual clock and hands
-                // back one run per source with logical package
-                // boundaries; each logical package charges `ra_cost`.
-                ports[pi].set_now(procs[pi].now);
-                {
-                    let ProcState { now, known, .. } = &mut procs[pi];
-                    ports[pi].drain_batched(|src, run, segs| {
-                        let mut start = 0usize;
-                        for &end in segs {
-                            *now += m.ra_cost;
-                            if let Some(ws) = ws.as_mut() {
-                                let sq = recv_seq[src][pi];
-                                recv_seq[src][pi] += 1;
-                                if ws[pi].tier() == TraceTier::Full {
-                                    obj_scratch.clear();
-                                    obj_scratch
-                                        .extend(run[start..end as usize].iter().map(|e| e.obj));
-                                    ws[pi].pkg_recv(vts(*now), src as u32, sq, &obj_scratch);
-                                }
-                            }
-                            for e in &run[start..end as usize] {
-                                known.insert((src as ProcId, e.obj));
-                            }
-                            // The pair's queue drained: wake the source in
-                            // case it is blocked in MAP trying to send us
-                            // a new package.
-                            push(&mut events, &mut seq, *now, src as u32);
-                            start = end as usize;
-                        }
-                    });
-                }
-                // Service CQ: retry suspended sends.
-                let mut still: VecDeque<u32> = VecDeque::new();
-                while let Some(mid) = procs[pi].suspended.pop_front() {
-                    if self.sendable(&procs[pi].known, mid) {
-                        if let Some(ws) = ws.as_mut() {
-                            ws[pi].cq_retry(vts(procs[pi].now), mid);
-                        }
-                        let arr = self.do_send(
-                            &mut procs[pi].now,
-                            mid,
-                            m,
-                            &mut pfaults[pi],
-                            ws.as_mut().map(|ws| &mut ws[pi]),
-                        );
-                        if let Some(ws) = ws.as_mut() {
-                            ws[pi].send_ok(vts(procs[pi].now), mid);
-                        }
-                        msg_arrival[mid as usize] = Some(arr);
-                        msgs_sent += 1;
-                        push(&mut events, &mut seq, arr, self.plan.msgs[mid as usize].dst_proc);
-                    } else {
-                        still.push_back(mid);
+            sim.cur = p as usize;
+            sim.clock().now = sim.clock().now.max(t);
+            // Step processor p as far as it can go. RA and CQ are
+            // serviced before every step (any state at a service point is
+            // a blocking state or a task boundary); the port hands over
+            // what has arrived by the clock captured here.
+            loop {
+                core.port().set_now(sim.clock().now);
+                core.service(&mut sim);
+                sim.ran_task = false;
+                match core.step(&mut sim)? {
+                    // Yield after every task: re-queue ourselves so that
+                    // other processors' earlier events (message and
+                    // address-package arrivals) interleave in simulated-
+                    // time order — RA/CQ are then serviced at the right
+                    // task boundary, as on real hardware.
+                    Step::Progress if sim.ran_task => {
+                        let now = sim.clock().now;
+                        sim.wake(now, p);
+                        break;
                     }
-                }
-                procs[pi].suspended = still;
-
-                match procs[pi].phase {
-                    Phase::Map => {
-                        // First entry into this MAP: compute its action.
-                        if procs[pi].pending_pkgs.is_empty() && procs[pi].pos == procs[pi].next_map
-                        {
-                            let pos = procs[pi].pos;
-                            if let Some(ws) = ws.as_mut() {
-                                let ts = vts(procs[pi].now);
-                                ws[pi].state(ts, ProtoState::Map);
-                                ws[pi].map_begin(ts, pos);
-                            }
-                            let action = procs[pi].planner.run_map_with(
-                                self.g,
-                                self.sched,
-                                &self.plan,
-                                pos,
-                                self.cfg.window,
-                            )?;
-                            procs[pi].now += m.map_fixed_cost
-                                + m.alloc_cost * (action.frees.len() + action.allocs.len()) as f64;
-                            if let Some(ws) = ws.as_mut() {
-                                let ts = vts(procs[pi].now);
-                                // The DES places no real buffers; record
-                                // counting-only records with NO_OFFSET.
-                                for &d in &action.frees {
-                                    ws[pi].free(ts, d.0, self.g.obj_size(d), NO_OFFSET);
-                                }
-                                for &d in &action.allocs {
-                                    ws[pi].alloc(ts, d.0, self.g.obj_size(d), NO_OFFSET);
-                                }
-                            }
-                            procs[pi].next_map = action.next_map;
-                            // Group notifications by destination.
-                            let mut by_dst: Vec<Vec<u32>> = vec![Vec::new(); nprocs];
-                            for nfy in &action.notifies {
-                                by_dst[nfy.dst as usize].push(nfy.obj);
-                            }
-                            for (dst, objs) in by_dst.into_iter().enumerate() {
-                                if !objs.is_empty() {
-                                    procs[pi].pending_pkgs.push_back((dst as ProcId, objs));
-                                }
-                            }
-                        }
-                        // Send pending packages; block on a full slot
-                        // unless buffering is enabled (ablation).
-                        while let Some((dst, objs)) = procs[pi].pending_pkgs.front() {
-                            let (dst, nobjs) = (*dst as usize, objs.len() as u64);
-                            if !self.cfg.addr_buffering && ports[pi].outbound_queued(dst) {
-                                // Blocked in MAP (paper §3.3); RA of the
-                                // destination will wake us.
-                                if !procs[pi].busy_reported {
-                                    procs[pi].busy_reported = true;
-                                    if let Some(ws) = ws.as_mut() {
-                                        ws[pi].mailbox_busy(vts(procs[pi].now), dst as u32);
-                                    }
-                                }
-                                break 'step;
-                            }
-                            procs[pi].busy_reported = false;
-                            procs[pi].now += m.addr_pkg_cost;
-                            // Injected mailbox hand-off delay (virtual time).
-                            let fault_lag = pfaults[pi]
-                                .as_mut()
-                                .and_then(|f| f.mailbox_delay())
-                                .map_or(0.0, |d| d.as_secs_f64());
-                            let arrive = procs[pi].now + m.transfer_time(nobjs) + fault_lag;
-                            let Some((_, objs)) = procs[pi].pending_pkgs.pop_front() else { break };
-                            if let Some(ws) = ws.as_mut() {
-                                let ts = vts(procs[pi].now);
-                                if fault_lag > 0.0 {
-                                    ws[pi].fault(ts, FaultSite::MailboxDelay);
-                                }
-                                let sq = send_seq[pi][dst];
-                                send_seq[pi][dst] += 1;
-                                ws[pi].pkg_send(ts, dst as u32, sq, &objs);
-                            }
-                            ports[pi].set_stamp(arrive);
-                            let mut pkg: AddrPackage = objs
-                                .iter()
-                                .map(|&o| AddrEntry { obj: o, offset: NO_OFFSET })
-                                .collect();
-                            // The emptiness probe above (or unbounded
-                            // buffering) guarantees acceptance; a refusal
-                            // would be a backend bug, not a protocol state.
-                            if ports[pi].send_package(dst, &mut pkg) == SendOutcome::Busy {
-                                return Err(ExecError::Internal {
-                                    proc: pi as ProcId,
-                                    detail: "virtual mailbox refused a probed-empty send".into(),
-                                });
-                            }
-                            addr_pkgs_sent += 1;
-                            push(&mut events, &mut seq, arrive, dst as u32);
-                        }
-                        if procs[pi].pending_pkgs.is_empty() {
-                            if let Some(ws) = ws.as_mut() {
-                                ws[pi].map_end(
-                                    vts(procs[pi].now),
-                                    procs[pi].pos,
-                                    procs[pi].next_map,
-                                    procs[pi].planner.in_use(),
-                                    procs[pi].planner.peak(),
-                                );
-                            }
-                            procs[pi].phase =
-                                if procs[pi].pos as usize == self.sched.order[pi].len() {
-                                    Phase::End
-                                } else {
-                                    Phase::Rec
-                                };
-                        }
+                    Step::Progress => {}
+                    // Whatever ends the wait wakes us: a put or a package
+                    // its destination, an RA drain the package's source.
+                    Step::Blocked(on) => {
+                        blocked[p as usize] = Some(on);
+                        break;
                     }
-                    Phase::Rec => {
-                        let pos = procs[pi].pos as usize;
-                        let t = self.sched.order[pi][pos];
-                        if let Some(ws) = ws.as_mut() {
-                            ws[pi].state(vts(procs[pi].now), ProtoState::Rec);
-                        }
-                        // Wait for every incoming message.
-                        let mut latest = procs[pi].now;
-                        for &mid in &self.plan.in_msgs[t.idx()] {
-                            match msg_arrival[mid as usize] {
-                                Some(a) => latest = latest.max(a),
-                                // Not sent yet: block; the send will wake us.
-                                None => break 'step,
-                            }
-                        }
-                        procs[pi].now = latest;
-                        if let Some(ws) = ws.as_mut() {
-                            let ts = vts(procs[pi].now);
-                            for &mid in &self.plan.in_msgs[t.idx()] {
-                                ws[pi].msg_recv(ts, mid);
-                            }
-                        }
-                        // EXE. Managed runs pay the address-table
-                        // indirection for every object the task touches.
-                        if self.cfg.memory_mgmt {
-                            let naccess = self.g.reads(t).len() + self.g.writes(t).len();
-                            procs[pi].now += m.addr_lookup_cost * naccess as f64;
-                        }
-                        if let Some(ws) = ws.as_mut() {
-                            let ts = vts(procs[pi].now);
-                            ws[pi].state(ts, ProtoState::Exe);
-                            ws[pi].task_begin(ts, t.0, pos as u32);
-                        }
-                        procs[pi].now += m.task_time(self.g.weight(t));
-                        finish[t.idx()] = procs[pi].now;
-                        done += 1;
-                        if let Some(ws) = ws.as_mut() {
-                            let ts = vts(procs[pi].now);
-                            ws[pi].task_end(ts, t.0);
-                            ws[pi].state(ts, ProtoState::Snd);
-                        }
-                        // SND.
-                        for &mid in &self.plan.out_msgs[t.idx()] {
-                            if self.sendable(&procs[pi].known, mid) {
-                                let arr = self.do_send(
-                                    &mut procs[pi].now,
-                                    mid,
-                                    m,
-                                    &mut pfaults[pi],
-                                    ws.as_mut().map(|ws| &mut ws[pi]),
-                                );
-                                if let Some(ws) = ws.as_mut() {
-                                    ws[pi].send_ok(vts(procs[pi].now), mid);
-                                }
-                                msg_arrival[mid as usize] = Some(arr);
-                                msgs_sent += 1;
-                                push(
-                                    &mut events,
-                                    &mut seq,
-                                    arr,
-                                    self.plan.msgs[mid as usize].dst_proc,
-                                );
-                            } else {
-                                if let Some(ws) = ws.as_mut() {
-                                    let msg = &self.plan.msgs[mid as usize];
-                                    let missing = msg
-                                        .objs
-                                        .iter()
-                                        .find(|&&d| {
-                                            self.sched.assign.owner_of(d) != msg.dst_proc
-                                                && !procs[pi].known.contains(&(msg.dst_proc, d.0))
-                                        })
-                                        .map_or(u32::MAX, |d| d.0);
-                                    ws[pi].send_suspend(vts(procs[pi].now), mid, missing);
-                                }
-                                suspended_ever.insert(mid);
-                                procs[pi].suspended.push_back(mid);
-                            }
-                        }
-                        procs[pi].pos += 1;
-                        let len = self.sched.order[pi].len() as u32;
-                        procs[pi].phase = if procs[pi].pos == len {
-                            Phase::End
-                        } else if self.cfg.memory_mgmt && procs[pi].pos == procs[pi].next_map {
-                            Phase::Map
-                        } else {
-                            Phase::Rec
-                        };
-                        // Yield after every task: re-queue ourselves so
-                        // that other processors' earlier events (message
-                        // and address-package arrivals) interleave in
-                        // simulated-time order — RA/CQ are then serviced
-                        // at the right task boundary, as on real hardware.
-                        push(&mut events, &mut seq, procs[pi].now, p);
-                        break 'step;
+                    Step::Done => {
+                        core.retire(&mut sim);
+                        break;
                     }
-                    Phase::End => {
-                        if let Some(ws) = ws.as_mut() {
-                            ws[pi].state(vts(procs[pi].now), ProtoState::End);
-                        }
-                        if procs[pi].suspended.is_empty() {
-                            procs[pi].phase = Phase::Done;
-                            if let Some(ws) = ws.as_mut() {
-                                ws[pi].state(vts(procs[pi].now), ProtoState::Done);
-                            }
-                            break 'step;
-                        }
-                        // Blocked until an address package arrives.
-                        break 'step;
-                    }
-                    Phase::Done => break 'step,
                 }
             }
         }
 
-        let remaining = self.g.num_tasks() - done;
+        let remaining = self.g.num_tasks() - sim.done;
         if remaining > 0 {
-            if std::env::var_os("RAPID_DES_DEBUG").is_some() {
-                for (pi, st) in procs.iter().enumerate() {
-                    eprintln!(
-                        "P{pi}: phase={:?} pos={}/{} next_map={} pending_pkgs={} suspended={:?} now={}",
-                        st.phase,
-                        st.pos,
-                        self.sched.order[pi].len(),
-                        st.next_map,
-                        st.pending_pkgs.len(),
-                        st.suspended,
-                        st.now
-                    );
-                    if st.phase == Phase::Rec {
-                        let t = self.sched.order[pi][st.pos as usize];
-                        let unsent: Vec<u32> = self.plan.in_msgs[t.idx()]
-                            .iter()
-                            .copied()
-                            .filter(|&mid| msg_arrival[mid as usize].is_none())
-                            .collect();
-                        eprintln!(
-                            "  waiting task {t:?} ({}), unsent in-msgs: {:?}",
-                            self.g.task_label(t),
-                            unsent
-                                .iter()
-                                .map(|&mid| {
-                                    let m = &self.plan.msgs[mid as usize];
-                                    format!(
-                                        "msg{mid} from {:?}@P{} objs {:?}",
-                                        m.src_task, m.src_proc, m.objs
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        );
-                    }
-                }
-            }
-            return Err(ExecError::Stalled { remaining, snapshot: None });
+            // The heap ran dry with tasks left: photograph every processor.
+            let procs = (0..nprocs)
+                .map(|q| ProcDiag {
+                    proc: q as ProcId,
+                    state: sim.diag[q].state,
+                    pos: sim.diag[q].pos,
+                    order_len: self.sched.order[q].len() as u32,
+                    suspended_sends: sim.diag[q].suspended,
+                    mailbox_full_to: match blocked[q] {
+                        Some(On::Mailbox(dst)) if !cores[q].is_done() => vec![dst],
+                        _ => Vec::new(),
+                    },
+                    buffered_pkgs: 0,
+                })
+                .collect();
+            let reporter = cores.iter().position(|c| !c.is_done()).unwrap_or(0);
+            let snapshot = StallSnapshot::new(
+                reporter as ProcId,
+                0,
+                sim.msg_arrival.iter().flatten().count(),
+                self.plan.msgs.len(),
+                procs,
+                rings.as_ref().map(|rs| &rs[reporter]),
+            );
+            return Err(ExecError::Stalled { remaining, snapshot: Some(Box::new(snapshot)) });
         }
-        let parallel_time = procs.iter().map(|s| s.now).fold(0.0f64, f64::max);
+        let parallel_time = sim.clocks.iter().map(|c| c.now).fold(0.0f64, f64::max);
+        let maps = cores.iter().map(|c| c.planner().maps()).collect();
+        let peak_mem = cores.iter().map(|c| c.planner().peak()).collect();
+        let suspended_sends = cores.iter().map(|c| c.suspended_ever()).sum();
         // Quiesce the writers, then decode the rings back into the typed
         // schema (exact drop accounting via the quiesced claim).
-        drop(ws);
+        drop(cores);
         let trace = rings.as_deref().map(decode_rings);
         let metrics = trace.as_ref().map(ProcMetrics::from_traces);
         let stream_verdict = match (drain, rings.as_deref()) {
@@ -746,53 +588,17 @@ impl<'a> DesExecutor<'a> {
         };
         Ok(DesOutcome {
             parallel_time,
-            maps: procs.iter().map(|s| s.planner.maps()).collect(),
-            peak_mem: procs.iter().map(|s| s.planner.peak()).collect(),
-            msgs_sent,
-            addr_pkgs_sent,
-            suspended_sends: suspended_ever.len(),
+            maps,
+            peak_mem,
+            msgs_sent: sim.msgs_sent,
+            addr_pkgs_sent: sim.addr_pkgs_sent,
+            suspended_sends,
             peak_queued_pkgs: vm.peak_queued(),
-            finish,
+            finish: sim.finish,
             trace,
             metrics,
             stream_verdict,
         })
-    }
-
-    /// Is message `mid` sendable given the sender's address knowledge?
-    fn sendable(&self, known: &HashSet<(ProcId, u32)>, mid: u32) -> bool {
-        let msg = &self.plan.msgs[mid as usize];
-        if !self.cfg.memory_mgmt {
-            return true; // all addresses exchanged up front
-        }
-        msg.objs.iter().all(|&d| {
-            self.sched.assign.owner_of(d) == msg.dst_proc || known.contains(&(msg.dst_proc, d.0))
-        })
-    }
-
-    /// Charge the sender's put overhead (plus the managed-mode address
-    /// table lookup) and return the arrival time, including any injected
-    /// virtual-time put delay.
-    fn do_send(
-        &self,
-        now: &mut f64,
-        mid: u32,
-        m: &MachineConfig,
-        f: &mut Option<ProcFaults>,
-        w: Option<&mut FlatWriter<'_>>,
-    ) -> f64 {
-        let msg = &self.plan.msgs[mid as usize];
-        *now += m.put_overhead;
-        if self.cfg.memory_mgmt {
-            *now += m.msg_lookup_cost;
-        }
-        let fault_lag = f.as_mut().and_then(|pf| pf.put_delay()).map_or(0.0, |d| d.as_secs_f64());
-        if fault_lag > 0.0 {
-            if let Some(w) = w {
-                w.fault(vts(*now), FaultSite::PutDelay);
-            }
-        }
-        *now + m.transfer_time(msg.units) + fault_lag
     }
 }
 
@@ -941,6 +747,26 @@ mod tests {
             let out = DesExecutor::new(&g, &sched, cfg).run().unwrap();
             assert_eq!(out.finish.len(), g.num_tasks());
         }
+    }
+
+    #[test]
+    fn a_stall_carries_every_processors_state_and_position() {
+        // A dependence-violating order: on P0, T[8,9] (which needs d8 from
+        // P1) runs before T[1,7] (whose d7 P1 needs to produce d8). Both
+        // processors end up in REC, waiting for each other.
+        let g = fixtures::figure2_dag();
+        let mut sched = fixtures::figure2_schedule_c();
+        sched.order[0].swap(3, 4);
+        let stalled = run_managed(&g, &sched, unit_machine(100));
+        let Err(ExecError::Stalled { remaining, snapshot: Some(snap) }) = stalled else {
+            panic!("expected a stall with a snapshot, got {stalled:?}");
+        };
+        assert_eq!(remaining, 9);
+        let rows: Vec<_> = snap.procs.iter().map(|d| (d.proc, d.state, d.pos)).collect();
+        assert_eq!(rows, vec![(0, ProtoState::Rec, 3), (1, ProtoState::Rec, 8)]);
+        assert_eq!((snap.reporter, snap.watchdog_ms), (0, 0));
+        assert_eq!(snap.procs[1].order_len, 14);
+        assert!(snap.to_string().contains("P1: Rec at 8/14 tasks"), "{snap}");
     }
 
     #[test]

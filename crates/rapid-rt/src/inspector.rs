@@ -130,78 +130,51 @@ pub fn plan_schedule(
 }
 
 // ---------------------------------------------------------------------
-// Runtime introspection: the live worker-state board and the stall
-// snapshot the threaded executor's watchdog attaches to
-// [`ExecError::Stalled`](crate::maps::ExecError::Stalled). The paper's
-// five-state machine makes "where is every processor stuck?" the first
-// diagnostic question; publishing each worker's (state, position,
-// suspended-send depth) through a lock-free board answers it without
-// perturbing the run.
+// Runtime introspection: the live state board and the stall snapshot
+// attached to [`ExecError::Stalled`](crate::maps::ExecError::Stalled).
+// The paper's five-state machine makes "where is every processor stuck?"
+// the first diagnostic question; every protocol core publishes its
+// (state, position, suspended-send depth) on each transition, and the
+// drivers photograph what was published — the threaded one through a
+// lock-free board, without perturbing the run.
 // ---------------------------------------------------------------------
 
+use crate::core::Diag;
+use rapid_trace::{decode_ring, FlatRing, ProtoState};
 use std::sync::atomic::{AtomicU64, Ordering as AtOrd};
-
-/// A worker's protocol state (the paper's Figure 3(b) plus bookkeeping
-/// states), as published to the live [`StateBoard`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkerState {
-    /// Laying out permanent objects before the protocol starts.
-    Setup,
-    /// Running a memory allocation point (may block on a full mailbox
-    /// slot or a fragmented arena).
-    Map,
-    /// Waiting for the current task's incoming messages.
-    Rec,
-    /// Executing a task body.
-    Exe,
-    /// Emitting the task's outgoing messages.
-    Snd,
-    /// All tasks done; draining the suspended-send queue.
-    End,
-    /// Worker finished.
-    Done,
-}
-
-impl WorkerState {
-    fn from_bits(b: u64) -> WorkerState {
-        match b {
-            0 => WorkerState::Setup,
-            1 => WorkerState::Map,
-            2 => WorkerState::Rec,
-            3 => WorkerState::Exe,
-            4 => WorkerState::Snd,
-            5 => WorkerState::End,
-            _ => WorkerState::Done,
-        }
-    }
-}
 
 /// Lock-free board where every worker publishes `(state, position,
 /// suspended sends)` on each state transition (one relaxed store), so the
 /// first watchdog to fire can photograph the whole machine.
 #[derive(Debug)]
-pub struct StateBoard {
+pub(crate) struct StateBoard {
     /// Packed `state << 60 | pos << 32 | suspended` per processor.
     words: Vec<AtomicU64>,
 }
 
 impl StateBoard {
-    /// Board for `nprocs` workers, all in [`WorkerState::Setup`].
-    pub fn new(nprocs: usize) -> Self {
+    /// Board for `nprocs` workers, all in [`ProtoState::Setup`].
+    pub(crate) fn new(nprocs: usize) -> Self {
         StateBoard { words: (0..nprocs).map(|_| AtomicU64::new(0)).collect() }
     }
 
     /// Publish worker `p`'s current state (relaxed: diagnostics only).
     #[inline]
-    pub fn publish(&self, p: usize, st: WorkerState, pos: u32, suspended: u32) {
-        let w = ((st as u64) << 60) | (((pos as u64) & 0x0FFF_FFFF) << 32) | suspended as u64;
+    pub(crate) fn publish(&self, p: usize, d: Diag) {
+        let w = ((d.state.idx() as u64) << 60)
+            | (((d.pos as u64) & 0x0FFF_FFFF) << 32)
+            | d.suspended as u64;
         self.words[p].store(w, AtOrd::Relaxed);
     }
 
-    /// Read worker `p`'s last published `(state, position, suspended)`.
-    pub fn read(&self, p: usize) -> (WorkerState, u32, u32) {
+    /// Read worker `p`'s last published state.
+    pub(crate) fn read(&self, p: usize) -> Diag {
         let w = self.words[p].load(AtOrd::Relaxed);
-        (WorkerState::from_bits(w >> 60), ((w >> 32) & 0x0FFF_FFFF) as u32, w as u32)
+        Diag {
+            state: ProtoState::ALL[((w >> 60) as usize).min(ProtoState::ALL.len() - 1)],
+            pos: ((w >> 32) & 0x0FFF_FFFF) as u32,
+            suspended: w as u32,
+        }
     }
 }
 
@@ -211,7 +184,7 @@ pub struct ProcDiag {
     /// Processor id.
     pub proc: ProcId,
     /// Last published protocol state.
-    pub state: WorkerState,
+    pub state: ProtoState,
     /// Last published position in the processor's order.
     pub pos: u32,
     /// Length of the processor's order.
@@ -233,9 +206,11 @@ pub struct ProcDiag {
 /// [`ExecError::Stalled`](crate::maps::ExecError::Stalled).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StallSnapshot {
-    /// Processor that tripped the watchdog.
+    /// Processor that tripped the watchdog (in the DES, which has none:
+    /// the lowest processor that did not finish).
     pub reporter: ProcId,
-    /// The watchdog period that elapsed without local progress.
+    /// The watchdog period that elapsed without local progress (0 in the
+    /// DES: its heap ran dry instead).
     pub watchdog_ms: u64,
     /// Messages whose arrival flag has been raised, out of the plan total.
     pub msgs_arrived: usize,
@@ -262,6 +237,43 @@ pub struct StallSnapshot {
     /// attempt ran. Empty for unsupervised runs; stamped by the
     /// supervisor when it gives up and surfaces the final error.
     pub quarantined: Vec<ProcId>,
+}
+
+impl StallSnapshot {
+    /// A snapshot of a run that never recovered anything, with the tail
+    /// of the reporter's event `ring` when it was recording one. The
+    /// reporter's own writer must be idle, so that decoding sees a
+    /// quiesced ring.
+    pub(crate) fn new(
+        reporter: ProcId,
+        watchdog_ms: u64,
+        msgs_arrived: usize,
+        msgs_total: usize,
+        procs: Vec<ProcDiag>,
+        ring: Option<&FlatRing>,
+    ) -> Self {
+        let recent_events = ring
+            .map(|r| {
+                decode_ring(r)
+                    .tail(16)
+                    .into_iter()
+                    .map(|(ts, ev)| format!("{:.3}ms {ev:?}", ts as f64 / 1e6))
+                    .collect()
+            })
+            .unwrap_or_default();
+        StallSnapshot {
+            reporter,
+            watchdog_ms,
+            msgs_arrived,
+            msgs_total,
+            procs,
+            recent_events,
+            recovery_retries: 0,
+            recovery_rollbacks: 0,
+            last_recovery: None,
+            quarantined: Vec::new(),
+        }
+    }
 }
 
 impl std::fmt::Display for StallSnapshot {
@@ -340,14 +352,17 @@ mod tests {
     #[test]
     fn state_board_roundtrip() {
         let b = StateBoard::new(3);
-        assert_eq!(b.read(2), (WorkerState::Setup, 0, 0));
-        b.publish(1, WorkerState::Rec, 17, 4);
-        assert_eq!(b.read(1), (WorkerState::Rec, 17, 4));
-        b.publish(1, WorkerState::Done, 20, 0);
-        assert_eq!(b.read(1), (WorkerState::Done, 20, 0));
-        // Large positions survive the packing.
-        b.publish(0, WorkerState::Exe, 0x0ABC_DEF0, u32::MAX);
-        assert_eq!(b.read(0), (WorkerState::Exe, 0x0ABC_DEF0, u32::MAX));
+        let diag = |state, pos, suspended| Diag { state, pos, suspended };
+        assert_eq!(b.read(2), diag(ProtoState::Setup, 0, 0));
+        for d in [
+            diag(ProtoState::Rec, 17, 4),
+            diag(ProtoState::Done, 20, 0),
+            // Large positions survive the packing.
+            diag(ProtoState::Exe, 0x0ABC_DEF0, u32::MAX),
+        ] {
+            b.publish(1, d);
+            assert_eq!(b.read(1), d);
+        }
     }
 
     #[test]
@@ -360,7 +375,7 @@ mod tests {
             procs: vec![
                 ProcDiag {
                     proc: 0,
-                    state: WorkerState::Map,
+                    state: ProtoState::Map,
                     pos: 2,
                     order_len: 5,
                     suspended_sends: 1,
@@ -369,7 +384,7 @@ mod tests {
                 },
                 ProcDiag {
                     proc: 1,
-                    state: WorkerState::Rec,
+                    state: ProtoState::Rec,
                     pos: 3,
                     order_len: 4,
                     suspended_sends: 0,

@@ -354,7 +354,7 @@ pub struct Notify {
 }
 
 /// Outcome of planning one MAP.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MapAction {
     /// Volatile objects to free (dead before the current position).
     pub frees: Vec<ObjId>,
@@ -495,8 +495,9 @@ pub enum ExecError {
     Stalled {
         /// Tasks that never ran.
         remaining: usize,
-        /// Diagnostic snapshot taken by the worker whose watchdog fired
-        /// (threaded executor only; the DES has its own debug dump).
+        /// Diagnostic snapshot: every processor's state and position,
+        /// taken by the worker whose watchdog fired (threaded executor)
+        /// or when the event heap ran dry (DES).
         snapshot: Option<Box<crate::inspector::StallSnapshot>>,
     },
     /// The threaded executor's arena could not satisfy an allocation due

@@ -10,40 +10,25 @@
 //! per-message arrival flags give the release/acquire happens-before edge
 //! `SHMEM_PUT` + flag polling gave on the T3D.
 //!
-//! The thread body is the five-state machine of the paper's Figure 3(b);
-//! the RA (read address packages) and CQ (check suspended queue) service
-//! operations run in every blocking wait, which is what breaks the
-//! circular-wait chains in the Theorem 1 proof. Stress tests run many
-//! random graphs at exactly `MIN_MEM` capacity to exercise that argument
-//! under real interleavings.
+//! Each thread drives one [`ProcCore`](crate::core) — the five-state
+//! machine of the paper's Figure 3(b), shared with the DES — through a
+//! thread-side environment: heaps, arena and arrival flags, the task body
+//! under `catch_unwind`, the wall clock. Whenever the core is blocked the
+//! driver loop checks for a poisoned run, runs the RA (read address
+//! packages) and CQ (check suspended queue) service operations — which is
+//! what breaks the circular-wait chains in the Theorem 1 proof — and backs
+//! off under the stall watchdog. Stress tests run many random graphs at
+//! exactly `MIN_MEM` capacity to exercise that argument under real
+//! interleavings.
 //!
-//! ## Hot-path layout
+//! ## Thread-side hot path
 //!
-//! The per-task fast path is hash-free and scan-free:
-//!
-//! - **Address resolution is O(1) array indexing.** Each worker keeps two
-//!   dense tables seeded with the deterministic permanent layout: `local`
-//!   (object id → offset in this processor's arena) and `known`
-//!   (`proc * num_objects + obj` → offset on that processor, filled in by
-//!   RA packages). `resolve`, `try_send` and MAP alloc/free are plain
-//!   array hits.
-//! - **CQ retry is incremental.** A send that is missing a destination
-//!   address parks on the id of the first missing object; an incoming
-//!   address package wakes exactly the parked sends its entries unblock,
-//!   instead of re-scanning every suspended message's full object list on
-//!   every service call (the two-watched-literal trick: a retried send
-//!   that is still blocked re-parks on its next missing object).
 //! - **Blocking waits use tiered backoff** ([`Backoff`]: bounded spin
 //!   hints → `yield_now` → short bounded parks) instead of an
 //!   unconditional `yield_now` per poll, and reset to the spin tier on
 //!   every observed progress. With the aggregating backend the backoff
 //!   is flush-aware: buffered address packages are pushed toward their
 //!   destinations before the first yield surrenders the core.
-//! - **Address packages are batched.** A MAP's notifications arrive
-//!   pre-sorted by destination, so the worker assembles one package per
-//!   collaborating processor in a reusable buffer and performs one
-//!   [`Port::send_package`] hand-off each — no per-entry contention, no
-//!   allocation in steady state.
 //! - **The comm backend is pluggable.** The protocol is written once
 //!   against the [`Machine`]/[`Port`] surface; [`Backend::Direct`] is
 //!   the paper-faithful single-slot scheme (senders block on a full
@@ -74,7 +59,8 @@
 //! the gather runs on `p` threads inside the parallel section. A run that
 //! fails gives its heaps back to the allocator instead of keeping them.
 
-use crate::inspector::{ProcDiag, StallSnapshot, StateBoard, WorkerState};
+use crate::core::{permanent_layout, CoreSpec, Diag, Env, On, ProcCore, Step, NO_ADDR};
+use crate::inspector::{ProcDiag, StallSnapshot, StateBoard};
 // sync-audit: the only Relaxed atomics in this module are the recovery
 // diagnostics counters (`RecoveryLog`) — monotonic telemetry read after the
 // workers join or for best-effort stall reports, never a publication edge.
@@ -82,33 +68,27 @@ use crate::inspector::{ProcDiag, StallSnapshot, StateBoard, WorkerState};
 // FlagBoard and mailbox protocols, model-checked by `rapid_sync::models`
 // (`sentguard`, `mailbox`; see DESIGN.md §16).
 
-use crate::maps::{AccessOp, AccessViolation, ExecError, MapPlanner, RtPlan};
+use crate::maps::{AccessOp, AccessViolation, ExecError, MapWindow, RtPlan};
 use crate::recover::RecoveryPolicy;
 use rapid_core::graph::{ObjId, TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
 use rapid_machine::affinity;
 use rapid_machine::arena::{Arena, ArenaError};
-use rapid_machine::backoff::{Backoff, Retry};
-use rapid_machine::fault::{FaultPlan, FaultSite, ProcFaults};
-use rapid_machine::machine::{AggregatingMachine, DirectMachine, Machine, Port, SendOutcome};
-use rapid_machine::mailbox::AddrEntry;
+use rapid_machine::backoff::Backoff;
+use rapid_machine::fault::{FaultPlan, FaultSite};
+use rapid_machine::machine::{AggregatingMachine, DirectMachine, Machine, Port};
 use rapid_machine::pool::WorkerPool;
 use rapid_machine::rma::{FlagBoard, RmaHeap};
 use rapid_trace::{
-    decode_ring, FlatRing, FlatWriter, LiveDrain, ProcMetrics, ProcTrace, ProtoState,
-    StreamChecker, TraceConfig, TraceReport, TraceSet, TraceTier, Violation,
+    decode_ring, FlatRing, LiveDrain, ProcMetrics, ProcTrace, StreamChecker, TraceConfig,
+    TraceReport, TraceSet, TraceTier, Violation,
 };
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtOrd};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Sentinel for "address not (yet) known" in the dense tables.
-const NO_ADDR: u64 = u64::MAX;
 /// Sentinel for "object not in this task's access set".
 const NO_SLOT: u32 = u32::MAX;
-/// Bounded retries of a MAP-time arena allocation that failed with
-/// [`ArenaError::Fragmented`] before the window-truncation ladder kicks in.
-const FRAG_RETRIES: u32 = 8;
 /// Default stall watchdog when `RAPID_WATCHDOG_MS` is unset or invalid.
 const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 
@@ -499,25 +479,15 @@ impl<'a> ThreadedExecutor<'a> {
         let g = self.g;
         let sched = self.sched;
 
-        // Deterministic permanent layout: objects in id order, bump
-        // allocated from 0 on the owner's heap.
-        let mut perm_off = vec![0u64; g.num_objects()];
-        {
-            let mut cursor = vec![0u64; nprocs];
-            for d in g.objects() {
-                let o = sched.assign.owner_of(d) as usize;
-                perm_off[d.idx()] = cursor[o];
-                cursor[o] += g.obj_size(d);
-                if cursor[o] > self.capacity {
-                    return Err(ExecError::NonExecutable {
-                        proc: o as u32,
-                        position: 0,
-                        needed: cursor[o],
-                        capacity: self.capacity,
-                    });
-                }
-            }
+        if let Some(o) = (0..nprocs).find(|&o| self.plan.perm_units[o] > self.capacity) {
+            return Err(ExecError::NonExecutable {
+                proc: o as u32,
+                position: 0,
+                needed: self.plan.perm_units[o],
+                capacity: self.capacity,
+            });
         }
+        let perm_off = permanent_layout(g, sched);
 
         // Everything the executor keeps between runs, for the whole run:
         // a second `run` on this executor waits here.
@@ -578,11 +548,15 @@ impl<'a> ThreadedExecutor<'a> {
 
         let epoch = Instant::now();
         let shared = Shared {
-            g,
-            sched,
-            plan: &self.plan,
-            capacity: self.capacity,
-            perm_off: &perm_off,
+            spec: CoreSpec {
+                g,
+                sched,
+                plan: &self.plan,
+                capacity: self.capacity,
+                perm_off: &perm_off,
+                window: MapWindow::Greedy,
+                recovery: self.recovery,
+            },
             heaps: &run_heaps,
             dirty: &run_dirty,
             flags: &flags,
@@ -593,7 +567,6 @@ impl<'a> ThreadedExecutor<'a> {
             faults: self.faults.as_ref(),
             rings: rings_ref,
             tier,
-            recovery: self.recovery,
             recov: &recov,
             epoch,
             body: &body,
@@ -618,7 +591,7 @@ impl<'a> ThreadedExecutor<'a> {
         // itself died (an executor bug). Poison the run and surface it as
         // a typed error instead of aborting the process.
         let mut run_workers = || -> Vec<WorkerOut> {
-            pool.run(|p| worker(p, shared, fail))
+            pool.run(|p| drive(p, shared, fail))
                 .into_iter()
                 .enumerate()
                 .map(|(p, share)| {
@@ -776,11 +749,8 @@ where
 /// Everything the workers share by reference — one immutable bundle so
 /// the worker signature stays small.
 struct Shared<'e, F, I, M> {
-    g: &'e TaskGraph,
-    sched: &'e Schedule,
-    plan: &'e RtPlan,
-    capacity: u64,
-    perm_off: &'e [u64],
+    /// What every processor's protocol core is built from.
+    spec: CoreSpec<'e>,
     heaps: &'e [RmaHeap],
     /// Per heap, the prefix the previous run on it may have written.
     dirty: &'e [u64],
@@ -794,7 +764,6 @@ struct Shared<'e, F, I, M> {
     rings: Option<&'e [FlatRing]>,
     /// Sampling tier the rings record at.
     tier: TraceTier,
-    recovery: Option<RecoveryPolicy>,
     recov: &'e RecovBoard,
     /// Epoch of the parallel section; trace timestamps are nanoseconds
     /// since this instant.
@@ -848,151 +817,6 @@ impl RecovBoard {
     }
 }
 
-/// Worker-owned tracer: the flat binary writer over this processor's
-/// ring, plus the run epoch its timestamps are relative to. Wrapped in
-/// `Option` everywhere it is consulted, so the untraced hot path pays
-/// one predictable branch.
-///
-/// The clock is *cached*: only protocol-state transitions, MAP
-/// boundaries and rollbacks always refresh it (`Instant::elapsed` is a
-/// few tens of ns — comparable to the flat record write itself, and
-/// much more than that inside a VM). Task boundaries and message
-/// receipts refresh only at [`TraceTier::Full`], where per-task
-/// timeline spans are worth the clock reads; at Skeleton they reuse the
-/// last refreshed timestamp. High-frequency noise records (alloc/free
-/// waves, package traffic, CQ retries, fault markers) always reuse it.
-/// The dwell metrics depend only on state transitions, and the checker
-/// ignores timestamps entirely, so the cache never changes a verdict.
-struct Tr<'e> {
-    w: FlatWriter<'e>,
-    ring: &'e FlatRing,
-    t0: Instant,
-    last_ts: u64,
-}
-
-impl<'e> Tr<'e> {
-    fn new(ring: &'e FlatRing, tier: TraceTier, t0: Instant) -> Self {
-        Tr { w: ring.writer(tier), ring, t0, last_ts: 0 }
-    }
-
-    /// Refresh and return the cached timestamp.
-    #[inline]
-    fn now(&mut self) -> u64 {
-        self.last_ts = self.t0.elapsed().as_nanos() as u64;
-        self.last_ts
-    }
-
-    /// Does the tier record the Full-only events? Callers skip argument
-    /// preparation (object-id collection) when it does not.
-    #[inline]
-    fn full(&self) -> bool {
-        self.w.tier() == TraceTier::Full
-    }
-
-    #[inline]
-    fn state(&mut self, s: ProtoState) {
-        let ts = self.now();
-        self.w.state(ts, s);
-    }
-
-    #[inline]
-    fn map_begin(&mut self, pos: u32) {
-        let ts = self.now();
-        self.w.map_begin(ts, pos);
-    }
-
-    #[inline]
-    fn map_end(&mut self, pos: u32, next_map: u32, in_use: u64, arena_high: u64) {
-        let ts = self.now();
-        self.w.map_end(ts, pos, next_map, in_use, arena_high);
-    }
-
-    #[inline]
-    fn free(&mut self, obj: u32, units: u64, offset: u64) {
-        self.w.free(self.last_ts, obj, units, offset);
-    }
-
-    #[inline]
-    fn alloc(&mut self, obj: u32, units: u64, offset: u64) {
-        self.w.alloc(self.last_ts, obj, units, offset);
-    }
-
-    #[inline]
-    fn alloc_rollback(&mut self, obj: u32, units: u64) {
-        self.w.alloc_rollback(self.last_ts, obj, units);
-    }
-
-    #[inline]
-    fn window_rollback(&mut self, pos: u32, attempt: u32) {
-        let ts = self.now();
-        self.w.window_rollback(ts, pos, attempt);
-    }
-
-    #[inline]
-    fn pkg_send(&mut self, dst: u32, seq: u32, objs: &[u32]) {
-        self.w.pkg_send(self.last_ts, dst, seq, objs);
-    }
-
-    #[inline]
-    fn pkg_recv(&mut self, src: u32, seq: u32, objs: &[u32]) {
-        self.w.pkg_recv(self.last_ts, src, seq, objs);
-    }
-
-    #[inline]
-    fn mailbox_busy(&mut self, dst: u32) {
-        self.w.mailbox_busy(self.last_ts, dst);
-    }
-
-    #[inline]
-    fn send_ok(&mut self, msg: u32) {
-        self.w.send_ok(self.last_ts, msg);
-    }
-
-    #[inline]
-    fn send_suspend(&mut self, msg: u32, missing: u32) {
-        self.w.send_suspend(self.last_ts, msg, missing);
-    }
-
-    #[inline]
-    fn cq_retry(&mut self, msg: u32) {
-        self.w.cq_retry(self.last_ts, msg);
-    }
-
-    #[inline]
-    fn msg_recv(&mut self, msg: u32) {
-        let ts = if self.full() { self.now() } else { self.last_ts };
-        self.w.msg_recv(ts, msg);
-    }
-
-    #[inline]
-    fn task_begin(&mut self, task: u32, pos: u32) {
-        let ts = if self.full() { self.now() } else { self.last_ts };
-        self.w.task_begin(ts, task, pos);
-    }
-
-    #[inline]
-    fn task_end(&mut self, task: u32) {
-        let ts = if self.full() { self.now() } else { self.last_ts };
-        self.w.task_end(ts, task);
-    }
-
-    #[inline]
-    fn fault(&mut self, site: FaultSite) {
-        self.w.fault(self.last_ts, site);
-    }
-
-    /// Decode this worker's quiesced ring into the typed trace and its
-    /// aggregate metrics. Runs on the worker's own thread so the decode
-    /// work of all processors proceeds in parallel.
-    fn finish(self) -> (ProcTrace, ProcMetrics) {
-        // Consuming `self` retires the writer; the ring is quiesced.
-        let Tr { ring, .. } = self;
-        let t = decode_ring(ring);
-        let m = ProcMetrics::from_trace(&t);
-        (t, m)
-    }
-}
-
 /// Progress pacing for a worker's blocking waits: tiered backoff plus the
 /// stall watchdog's progress timestamp. The watchdog measures time since
 /// the last *local progress* (task completion, address arrival, suspended
@@ -1036,228 +860,201 @@ impl Pacer {
     }
 }
 
-/// Per-worker communication state: the dense address tables plus the
-/// indexed suspended-send queue, built around this worker's comm
-/// [`Port`].
-struct Net<'e, P: Port> {
+/// The thread-side environment of one worker's protocol core: its heap
+/// and arena, the arrival flags, the task body, the wall clock and the
+/// boards other workers read.
+struct ThreadEnv<'e, F, I, M> {
     p: usize,
-    nobj: usize,
-    plan: &'e RtPlan,
-    g: &'e TaskGraph,
-    heaps: &'e [RmaHeap],
-    flags: &'e FlagBoard,
-    port: P,
-    /// Object id → offset of its buffer on this processor ([`NO_ADDR`]
-    /// when not resident). Permanent entries are seeded once; volatile
-    /// entries are set/cleared by MAP alloc/free.
-    local: Vec<u64>,
-    /// `proc * nobj + obj` → offset of the object's buffer on `proc`.
-    /// Permanent entries are seeded from the deterministic layout;
-    /// volatile entries arrive via RA packages.
-    known: Vec<u64>,
-    /// `waiters[obj]`: suspended message ids parked on `obj`'s address.
-    /// Each suspended message is parked in exactly one list (its first
-    /// missing object).
-    waiters: Vec<Vec<u32>>,
-    /// Scratch: messages woken by the current RA batch.
-    woken: Vec<u32>,
-    /// Number of currently suspended sends.
-    suspended: usize,
-    /// Deterministic fault injector for this processor, when chaos runs
-    /// enable one ([`ThreadedExecutor::with_faults`]).
-    faults: Option<ProcFaults>,
-    /// Event recorder, when [`ThreadedExecutor::with_tracing`] is on.
-    tr: Option<Tr<'e>>,
-    /// Scratch object-id list for Full-tier `PkgRecv` records (reused,
-    /// no allocation in steady state).
-    obj_scratch: Vec<u32>,
-    /// `pkg_send_seq[dst]`: address packages deposited toward `dst` so
-    /// far (trace sequence numbers; only maintained while tracing).
-    pkg_send_seq: Vec<u32>,
-    /// `pkg_recv_seq[src]`: address packages drained from `src` so far.
-    pkg_recv_seq: Vec<u32>,
-    /// `sent[msg]`: message already completed (flag raised). Maintained
-    /// only when window recovery is armed (empty otherwise): a rolled
-    /// back window re-enters its SND states, and a completed message
-    /// must not be re-sent — the bytes would be identical, but arrival
-    /// flags and the receiver's consumption are one-shot.
-    sent: Vec<bool>,
+    sh: &'e Shared<'e, F, I, M>,
+    arena: Arena,
+    /// The clock is *cached*: `Instant::elapsed` is a few tens of ns —
+    /// comparable to a flat trace record write, and much more than that
+    /// inside a VM — so the core reads it only where [`Env::now`] says.
+    last_ts: u64,
+    /// Pooled task-context parts (no allocation in steady state).
+    ctx_reads: Vec<(u32, &'e [f64])>,
+    ctx_writes: Vec<(u32, &'e mut [f64])>,
+    slots: Vec<u32>,
+    /// Pre-window contents of the current window's write set, for
+    /// EXE-phase rollback: `(obj, units, offset, start in ckpt_data)`.
+    /// Stays empty on runs not armed for recovery.
+    ckpt: Vec<(u32, u64, u64, usize)>,
+    ckpt_data: Vec<f64>,
+    ckpt_seen: Vec<bool>,
 }
 
-impl<'e, P: Port> Net<'e, P> {
-    fn new<F, I, M>(p: usize, sh: &Shared<'e, F, I, M>, port: P) -> Self
-    where
-        M: Machine,
-    {
-        let nobj = sh.g.num_objects();
-        let nprocs = sh.sched.assign.nprocs;
-        let mut local = vec![NO_ADDR; nobj];
-        let mut known = vec![NO_ADDR; nprocs * nobj];
-        // Seed both tables with the globally-known permanent layout.
-        for d in sh.g.objects() {
-            let o = sh.sched.assign.owner_of(d) as usize;
-            known[o * nobj + d.idx()] = sh.perm_off[d.idx()];
-            if o == p {
-                local[d.idx()] = sh.perm_off[d.idx()];
-            }
-        }
-        Net {
-            p,
-            nobj,
-            plan: sh.plan,
-            g: sh.g,
-            heaps: sh.heaps,
-            flags: sh.flags,
-            port,
-            local,
-            known,
-            waiters: vec![Vec::new(); nobj],
-            woken: Vec::new(),
-            suspended: 0,
-            faults: sh.faults.map(|f| f.for_proc(p)),
-            tr: None,
-            obj_scratch: Vec::new(),
-            pkg_send_seq: vec![0; nprocs],
-            pkg_recv_seq: vec![0; nprocs],
-            sent: Vec::new(),
-        }
+impl<'e, F, I, M> ThreadEnv<'e, F, I, M> {
+    /// This processor's heap.
+    #[inline]
+    fn heap(&self) -> &'e RmaHeap {
+        &self.sh.heaps[self.p]
     }
 
     /// Offset of object `d`'s buffer on this processor.
     #[inline]
-    fn resolve(&self, d: ObjId) -> u64 {
-        let off = self.local[d.idx()];
+    fn resolve(&self, local: &[u64], d: ObjId) -> u64 {
+        let off = local[d.idx()];
         debug_assert_ne!(off, NO_ADDR, "volatile {d:?} not allocated on P{}", self.p);
         off
     }
+}
 
-    /// Try to send message `mid`; on failure returns the id of the first
-    /// object whose destination address is still unknown.
-    fn try_send(&mut self, mid: u32) -> Result<(), u32> {
-        let msg = &self.plan.msgs[mid as usize];
-        let base = msg.dst_proc as usize * self.nobj;
-        for &d in &msg.objs {
-            if self.known[base + d.idx()] == NO_ADDR {
-                return Err(d.0);
-            }
+impl<F, I, M> Env for ThreadEnv<'_, F, I, M>
+where
+    F: Fn(TaskId, &mut TaskCtx<'_>) + Sync,
+{
+    #[inline]
+    fn now(&mut self) -> u64 {
+        self.last_ts = self.sh.epoch.elapsed().as_nanos() as u64;
+        self.last_ts
+    }
+
+    #[inline]
+    fn recent(&self) -> u64 {
+        self.last_ts
+    }
+
+    fn delay(&mut self, _: FaultSite, by: Duration) {
+        std::thread::sleep(by);
+    }
+
+    fn place(&mut self, _: ObjId, units: u64, pretend_fragmented: bool) -> Result<u64, ArenaError> {
+        if pretend_fragmented {
+            let largest = self.arena.largest_free();
+            return Err(ArenaError::Fragmented { requested: units, largest });
         }
-        // Injected put delay: hold this message back so it lands late and
-        // reordered relative to the fault-free interleaving.
-        if let Some(f) = self.faults.as_mut() {
-            if let Some(d) = f.put_delay() {
-                if let Some(tr) = self.tr.as_mut() {
-                    tr.fault(FaultSite::PutDelay);
-                }
-                std::thread::sleep(d);
-            }
-        }
+        self.arena.alloc(units)
+    }
+
+    fn release(&mut self, off: u64) -> Result<(), ArenaError> {
+        self.arena.free(off)
+    }
+
+    fn put(&mut self, mid: u32, local: &[u64], remote: &[u64]) {
+        let msg = &self.sh.spec.plan.msgs[mid as usize];
         for &d in &msg.objs {
-            let len = self.g.obj_size(d);
-            let remote = self.known[base + d.idx()];
-            let local = self.resolve(d);
+            let len = self.sh.spec.g.obj_size(d);
             // SAFETY (module protocol): we produced this object (our task
             // wrote it and no later writer has run — dependence
             // completeness), and the destination buffer is exclusively
             // ours to fill until we raise the flag.
             unsafe {
-                let src = self.heaps[self.p].slice(local, len);
-                self.heaps[msg.dst_proc as usize].put(remote, src);
+                let src = self.heap().slice(self.resolve(local, d), len);
+                self.sh.heaps[msg.dst_proc as usize].put(remote[d.idx()], src);
             }
         }
-        self.flags.raise(mid as usize);
-        if let Some(s) = self.sent.get_mut(mid as usize) {
-            *s = true;
-        }
-        if let Some(tr) = self.tr.as_mut() {
-            tr.send_ok(mid);
-        }
-        Ok(())
+        self.sh.flags.raise(mid as usize);
     }
 
-    /// SND: send `mid` now, or park it on its first missing address.
-    /// No-op for a message that already completed (only possible when a
-    /// recovered window re-runs its SND states).
-    fn send_or_suspend(&mut self, mid: u32) {
-        if self.sent.get(mid as usize).copied().unwrap_or(false) {
-            return;
+    #[inline]
+    fn arrived(&mut self, mid: u32) -> bool {
+        self.sh.flags.is_raised(mid as usize)
+    }
+
+    fn run_task(&mut self, t: TaskId, local: &[u64]) -> Result<(), ExecError> {
+        let (g, heap) = (self.sh.spec.g, self.heap());
+        let writes_ids = g.writes(t);
+        for &d in writes_ids {
+            let d = ObjId(d);
+            let off = self.resolve(local, d);
+            // SAFETY (module protocol): this task is the unique writer
+            // of `d` at this point of the dependence-complete
+            // schedule; readers have either consumed earlier versions
+            // or are ordered after us.
+            self.ctx_writes.push((d.0, unsafe { heap.slice_mut(off, g.obj_size(d)) }));
         }
-        if let Err(missing) = self.try_send(mid) {
-            if let Some(tr) = self.tr.as_mut() {
-                tr.send_suspend(mid, missing);
+        for &d in g.reads(t) {
+            if writes_ids.binary_search(&d).is_ok() {
+                continue;
             }
-            self.waiters[missing as usize].push(mid);
-            self.suspended += 1;
+            let d = ObjId(d);
+            let off = self.resolve(local, d);
+            // SAFETY: arrival flags have been observed with Acquire;
+            // no writer may touch this buffer until tasks ordered
+            // after us run.
+            self.ctx_reads.push((d.0, unsafe { heap.slice(off, g.obj_size(d)) }));
+        }
+        let mut ctx = TaskCtx::assemble(
+            std::mem::take(&mut self.ctx_reads),
+            std::mem::take(&mut self.ctx_writes),
+            std::mem::take(&mut self.slots),
+        );
+        // A panicking body must not abort the process: catch it at the
+        // task boundary and hand it to the protocol as a typed error, to
+        // recover from or to poison the run with. An [`AccessViolation`]
+        // payload (raised by the ctx accessors) keeps its type.
+        let body_ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            (self.sh.body)(t, &mut ctx);
+        }));
+        // Reclaim the pooled context parts (and reset the slot table)
+        // on both paths — a recovered window re-assembles contexts.
+        (self.ctx_reads, self.ctx_writes, self.slots) = ctx.dismantle();
+        body_ok.map_err(|payload| match payload.downcast::<AccessViolation>() {
+            Ok(v) => {
+                ExecError::AccessViolation { proc: self.p as u32, task: t, obj: v.obj, op: v.op }
+            }
+            Err(other) => ExecError::WorkerPanicked {
+                proc: self.p as u32,
+                task: Some(t),
+                payload: panic_payload_str(other.as_ref()),
+            },
+        })
+    }
+
+    /// Volatiles are deliberately *not* captured — they are filled by
+    /// remote puts that survive a rollback (flags stay raised), and this
+    /// worker's tasks never write them (owner-compute).
+    fn checkpoint(&mut self, tasks: &[TaskId], local: &[u64]) {
+        self.ckpt.clear();
+        self.ckpt_data.clear();
+        let g = self.sh.spec.g;
+        self.ckpt_seen.resize(g.num_objects(), false);
+        for &wt in tasks {
+            for &w in g.writes(wt) {
+                if std::mem::replace(&mut self.ckpt_seen[w as usize], true) {
+                    continue;
+                }
+                let (off, len) = (local[w as usize], g.obj_size(ObjId(w)));
+                let start = self.ckpt_data.len();
+                // SAFETY: our own permanent buffer (owner-compute
+                // makes this worker its only writer), read before
+                // any task of this window has run.
+                self.ckpt_data.extend_from_slice(unsafe { self.heap().slice(off, len) });
+                self.ckpt.push((w, len, off, start));
+            }
+        }
+        for &(w, ..) in &self.ckpt {
+            self.ckpt_seen[w as usize] = false;
         }
     }
 
-    /// RA + incremental CQ: drain incoming address packages (one batched
-    /// callback per source, covering every logical package the run
-    /// carries), then retry exactly the parked sends the new addresses
-    /// may unblock. Every service round is also a flush opportunity for
-    /// packages buffered in this worker's port (eventual delivery under
-    /// aggregation). Returns `true` if any package arrived, any buffered
-    /// batch was handed off, or any suspended send completed.
-    fn service(&mut self) -> bool {
-        let nobj = self.nobj;
-        let known = &mut self.known;
-        let waiters = &mut self.waiters;
-        let woken = &mut self.woken;
-        let tr = &mut self.tr;
-        let recv_seq = &mut self.pkg_recv_seq;
-        let scratch = &mut self.obj_scratch;
-        let drained = self.port.drain_batched(|src, entries, seg_ends| {
-            let base = src * nobj;
-            for e in entries {
-                known[base + e.obj as usize] = e.offset;
-                woken.append(&mut waiters[e.obj as usize]);
-            }
-            if let Some(tr) = tr.as_mut() {
-                // One PkgRecv per *logical* package: a physical batch
-                // replays exactly like the unbatched package sequence.
-                // PkgRecv is a Full-only record; at Skeleton only the
-                // sequence numbers advance (the send side carries them).
-                let full = tr.full();
-                let mut start = 0usize;
-                for &end in seg_ends {
-                    let seq = recv_seq[src];
-                    recv_seq[src] = seq + 1;
-                    if full {
-                        scratch.clear();
-                        scratch.extend(entries[start..end as usize].iter().map(|e| e.obj));
-                        tr.pkg_recv(src as u32, seq, scratch);
-                    }
-                    start = end as usize;
-                }
-            }
-        });
-        let mut progress = drained > 0;
-        if self.port.pending() > 0 && self.port.flush() {
-            progress = true;
-        }
-        while let Some(mid) = self.woken.pop() {
-            if let Some(tr) = self.tr.as_mut() {
-                tr.cq_retry(mid);
-            }
-            match self.try_send(mid) {
-                Ok(()) => {
-                    self.suspended -= 1;
-                    progress = true;
-                }
-                // Still blocked: re-park on the next missing address.
-                Err(missing) => self.waiters[missing as usize].push(mid),
+    fn rollback(&mut self, restore: bool, pos: u32, attempt: u32) {
+        if restore {
+            for &(_, len, off, start) in &self.ckpt {
+                // SAFETY: the same exclusive local permanents the
+                // checkpoint read; no remote writer exists
+                // (owner-compute) and no local task is running.
+                unsafe { self.heap().slice_mut(off, len) }
+                    .copy_from_slice(&self.ckpt_data[start..start + len as usize]);
             }
         }
-        progress
+        self.sh.recov.note(self.p, !restore, pos, attempt);
+    }
+
+    #[inline]
+    fn publish(&mut self, d: Diag) {
+        self.sh.state.publish(self.p, d);
     }
 }
 
-/// One processor's run of the protocol, on its pool thread. The trace
-/// comes back already decoded from this worker's flat ring (with its
-/// aggregate metrics) and the owned objects already copied out, so both
-/// run in parallel across workers.
-fn worker<F, I, M>(
+/// One processor's run of the protocol, on its pool thread: set the heap
+/// up, drive the protocol core to its end, gather. The trace comes back
+/// already decoded from this worker's flat ring (with its aggregate
+/// metrics) and the owned objects already copied out, so both run in
+/// parallel across workers.
+fn drive<'e, F, I, M>(
     p: usize,
-    sh: &Shared<'_, F, I, M>,
+    sh: &'e Shared<'e, F, I, M>,
     fail: &(impl Fn(ExecError) + Sync),
 ) -> WorkerOut
 where
@@ -1265,17 +1062,47 @@ where
     I: Fn(ObjId, &mut [f64]) + Sync,
     M: Machine,
 {
-    let g = sh.g;
-    let sched = sh.sched;
-    let plan = sh.plan;
-    let heaps = sh.heaps;
-    let flags = sh.flags;
+    let CoreSpec { g, sched, plan, capacity, perm_off, .. } = sh.spec;
+    let heap = &sh.heaps[p];
+    let ring = sh.rings.map(|rs| &rs[p]);
+    let mut env = ThreadEnv {
+        p,
+        sh,
+        arena: Arena::new(capacity),
+        last_ts: 0,
+        ctx_reads: Vec::new(),
+        ctx_writes: Vec::new(),
+        slots: vec![NO_SLOT; g.num_objects()],
+        ckpt: Vec::new(),
+        ckpt_data: Vec::new(),
+        ckpt_seen: Vec::new(),
+    };
+    // The core starts in `Setup`, which is ours: everything up to its
+    // first step is traced as that state.
+    let mut core = ProcCore::new(
+        sh.spec,
+        p,
+        sh.machine.port(p),
+        sh.faults.map(|f| f.for_proc(p)),
+        ring.map(|r| r.writer(sh.tier)),
+        &mut env,
+    );
+    // Leave the protocol with `owned` as the gathered objects. The ring's
+    // writer is idle from here on, so decoding it on this worker's own
+    // thread (all processors in parallel) sees a quiesced ring.
+    let leave = |core: ProcCore<'_, M::Port<'_>>, env: ThreadEnv<'_, F, I, M>, owned| WorkerOut {
+        maps: core.planner().maps(),
+        peak_units: core.planner().peak(),
+        arena_peak: env.arena.peak(),
+        arena_high: env.arena.high_water(),
+        owned,
+        trace: ring.map(|r| {
+            let t = decode_ring(r);
+            let m = ProcMetrics::from_trace(&t);
+            (t, m)
+        }),
+    };
 
-    let mut tr = sh.rings.map(|rs| Tr::new(&rs[p], sh.tier, sh.epoch));
-    if let Some(tr) = tr.as_mut() {
-        tr.state(ProtoState::Setup);
-    }
-    sh.state.publish(p, WorkerState::Setup, 0, 0);
     // A heap parked by the previous run is dirty up to that run's arena
     // high-water mark; above it the allocator's zeros were never touched.
     // This thread pinned itself when it started, so a fresh heap's pages
@@ -1284,571 +1111,66 @@ where
     // thread is a put to an address this worker has announced, and it
     // announces none before its first MAP; the previous run's threads
     // all left before this run was handed out.
-    unsafe { heaps[p].slice_mut(0, sh.dirty[p]) }.fill(0.0);
-    let mut arena = Arena::new(sh.capacity);
+    unsafe { heap.slice_mut(0, sh.dirty[p]) }.fill(0.0);
     // Reproduce the deterministic permanent layout and load resident data.
-    for d in g.objects() {
-        if sched.assign.owner_of(d) as usize == p {
-            match arena.alloc(g.obj_size(d)) {
-                Ok(off) => {
-                    debug_assert_eq!(off, sh.perm_off[d.idx()]);
-                    // SAFETY: setup phase — no other thread touches our
-                    // permanent buffers before the protocol starts (the
-                    // first remote put needs an address package or a
-                    // write by our own tasks).
-                    (sh.init)(d, unsafe { heaps[p].slice_mut(off, g.obj_size(d)) });
-                }
-                Err(_) => {
-                    fail(ExecError::NonExecutable {
-                        proc: p as u32,
-                        position: 0,
-                        needed: plan.perm_units[p],
-                        capacity: sh.capacity,
-                    });
-                    return WorkerOut { trace: tr.map(Tr::finish), ..WorkerOut::default() };
-                }
+    for d in g.objects().filter(|&d| sched.assign.owner_of(d) as usize == p) {
+        match env.arena.alloc(g.obj_size(d)) {
+            Ok(off) => {
+                debug_assert_eq!(off, perm_off[d.idx()]);
+                // SAFETY: setup phase — no other thread touches our
+                // permanent buffers before the protocol starts (the
+                // first remote put needs an address package or a
+                // write by our own tasks).
+                (sh.init)(d, unsafe { heap.slice_mut(off, g.obj_size(d)) });
             }
-        }
-    }
-
-    let mut planner = MapPlanner::new(p as u32, sh.capacity, plan.perm_units[p]);
-    let mut net = Net::new(p, sh, sh.machine.port(p));
-    net.tr = tr;
-
-    // Pooled task-context parts (no allocation in steady state).
-    let mut ctx_reads: Vec<(u32, &[f64])> = Vec::new();
-    let mut ctx_writes: Vec<(u32, &mut [f64])> = Vec::new();
-    let mut slots = vec![NO_SLOT; g.num_objects()];
-    // Reusable address-package buffer for MAP notifications, plus the
-    // object-id shadow the tracer records after the (buffer-consuming)
-    // hand-off completes.
-    let mut pkg_buf: Vec<AddrEntry> = Vec::new();
-    let mut pkg_ids: Vec<u32> = Vec::new();
-
-    let order = &sched.order[p];
-    let mut pos: u32 = 0;
-    let mut next_map: u32 = 0;
-    let mut pacer = Pacer::new();
-
-    // Self-healing state (armed by [`ThreadedExecutor::with_recovery`];
-    // everything below stays empty — and every consulting site a single
-    // predictable branch — on unarmed runs).
-    let recovery = sh.recovery;
-    let mut window_start: u32 = 0;
-    let mut window_attempts: u32 = 0;
-    // Pre-window contents of the current window's write set, for
-    // EXE-phase rollback: `(obj, units, offset, start in ckpt_data)`.
-    let mut ckpt: Vec<(u32, u64, u64, usize)> = Vec::new();
-    let mut ckpt_data: Vec<f64> = Vec::new();
-    let mut ckpt_seen: Vec<bool> =
-        if recovery.is_some() { vec![false; g.num_objects()] } else { Vec::new() };
-    if recovery.is_some() {
-        net.sent = vec![false; plan.msgs.len()];
-    }
-
-    // Leave the protocol with `$owned` as the gathered objects.
-    macro_rules! leave {
-        ($owned:expr) => {
-            return WorkerOut {
-                maps: planner.maps(),
-                peak_units: planner.peak(),
-                arena_peak: arena.peak(),
-                arena_high: arena.high_water(),
-                owned: $owned,
-                trace: net.tr.take().map(Tr::finish),
-            }
-        };
-    }
-    macro_rules! bail {
-        () => {
-            leave!(Vec::new())
-        };
-    }
-
-    macro_rules! spin_service {
-        () => {
-            if sh.poison.load(AtOrd::Acquire) {
-                bail!();
-            }
-            if net.service() {
-                pacer.mark();
-            } else {
-                if pacer.stalled(sh.watchdog) {
-                    fail(ExecError::Stalled {
-                        remaining: order.len() - pos as usize,
-                        snapshot: Some(Box::new(build_snapshot(
-                            p,
-                            sh,
-                            net.tr.as_ref().map(|t| t.ring),
-                        ))),
-                    });
-                    bail!();
-                }
-                pacer.wait(&mut net.port);
-            }
-        };
-    }
-
-    while (pos as usize) < order.len() {
-        // MAP state.
-        if pos == next_map {
-            // A new allocation window begins here: it gets a fresh
-            // re-execution budget (EXE-phase rollbacks never rewind
-            // across a MAP, so the previous window's spend is settled).
-            window_start = pos;
-            window_attempts = 0;
-            sh.state.publish(p, WorkerState::Map, pos, net.suspended as u32);
-            if let Some(tr) = net.tr.as_mut() {
-                tr.state(ProtoState::Map);
-                tr.map_begin(pos);
-            }
-            let mut action = match planner.run_map(g, sched, plan, pos) {
-                Ok(a) => a,
-                Err(e) => {
-                    fail(e);
-                    bail!();
-                }
-            };
-            for d in &action.frees {
-                let off = net.local[d.idx()];
-                if off == NO_ADDR {
-                    fail(ExecError::Internal {
-                        proc: p as u32,
-                        detail: format!("MAP free of {d:?} but no live buffer is recorded"),
-                    });
-                    bail!();
-                }
-                net.local[d.idx()] = NO_ADDR;
-                if let Err(e) = arena.free(off) {
-                    fail(ExecError::Internal {
-                        proc: p as u32,
-                        detail: format!("MAP free of {d:?} at offset {off} rejected: {e:?}"),
-                    });
-                    bail!();
-                }
-                if let Some(tr) = net.tr.as_mut() {
-                    tr.free(d.0, g.obj_size(*d), off);
-                }
-            }
-            // Place the planned allocations in the real arena. The
-            // counting planner guarantees the units fit, but a first-fit
-            // arena can still be transiently fragmented (and the fault
-            // layer can pretend it is). Degradation ladder: retry with
-            // bounded backoff while servicing RA/CQ, then truncate the
-            // allocation window at the first *lookahead* position that
-            // cannot be placed — those objects roll back and are
-            // re-planned by the (now earlier) next MAP, whose free wave
-            // may have coalesced room. Only the task at `pos` itself
-            // failing to place is a hard `Fragmented` error.
-            let mut truncated = false;
-            let alloc_budget = recovery.map_or(FRAG_RETRIES, |r| r.retry.alloc_attempts);
-            'wave: loop {
-                // Index of the alloc whose failure is *hard* — the task
-                // at `pos` itself cannot be placed — this wave attempt.
-                let mut hard_fail: Option<usize> = None;
-                for (ai, &d) in action.allocs.iter().enumerate() {
-                    let size = g.obj_size(d);
-                    let mut retry = Retry::new(alloc_budget);
-                    let off = loop {
-                        let injected = net.faults.as_mut().is_some_and(|f| f.alloc_fails());
-                        if injected {
-                            if let Some(tr) = net.tr.as_mut() {
-                                tr.fault(FaultSite::AllocFail);
-                            }
-                        } else {
-                            match arena.alloc(size) {
-                                Ok(off) => break Some(off),
-                                Err(ArenaError::Fragmented { .. }) => {}
-                                Err(_) => {
-                                    fail(ExecError::NonExecutable {
-                                        proc: p as u32,
-                                        position: pos,
-                                        needed: planner.in_use(),
-                                        capacity: sh.capacity,
-                                    });
-                                    bail!();
-                                }
-                            }
-                        }
-                        if sh.poison.load(AtOrd::Acquire) {
-                            bail!();
-                        }
-                        // Keep servicing RA/CQ between attempts so the
-                        // system keeps evolving while we wait (Theorem 1).
-                        if net.service() {
-                            pacer.mark();
-                        }
-                        if !retry.again() {
-                            break None;
-                        }
-                    };
-                    match off {
-                        Some(off) => {
-                            net.local[d.idx()] = off;
-                            if let Some(tr) = net.tr.as_mut() {
-                                tr.alloc(d.0, size, off);
-                            }
-                        }
-                        None if action.alloc_pos[ai] == pos => {
-                            hard_fail = Some(ai);
-                            break;
-                        }
-                        None => {
-                            // The failing object and everything after it
-                            // were never placed, so no Alloc events were
-                            // recorded for them — the trace replay's
-                            // accounting stays consistent with the planner
-                            // rollback without any compensating event.
-                            for &dd in &action.allocs[ai..] {
-                                planner.rollback_alloc(g, dd);
-                            }
-                            action.next_map = action.alloc_pos[ai];
-                            truncated = true;
-                            break;
-                        }
-                    }
-                }
-                let Some(ai) = hard_fail else { break 'wave };
-                let requested = g.obj_size(action.allocs[ai]);
-                let frag = ExecError::Fragmented {
+            Err(_) => {
+                fail(ExecError::NonExecutable {
                     proc: p as u32,
-                    requested,
-                    largest: arena.largest_free(),
-                };
-                match recovery.map(|r| r.retry.window_attempts) {
-                    Some(budget) if window_attempts < budget => {
-                        // MAP-phase window retry: undo this attempt's
-                        // arena placements and re-run the wave. The
-                        // planner accounting is untouched (the same
-                        // objects are re-placed below) and the arena
-                        // free-list restores, so the re-placed offsets —
-                        // and hence the recovered trace — depend only on
-                        // the fault seed and the plan. No task ran yet,
-                        // so no content checkpoint is needed here.
-                        window_attempts += 1;
-                        for &dd in &action.allocs[..ai] {
-                            let off = net.local[dd.idx()];
-                            if off == NO_ADDR {
-                                continue;
-                            }
-                            net.local[dd.idx()] = NO_ADDR;
-                            if let Err(e) = arena.free(off) {
-                                fail(ExecError::Internal {
-                                    proc: p as u32,
-                                    detail: format!(
-                                        "recovery rollback of {dd:?} at offset {off} rejected: {e:?}"
-                                    ),
-                                });
-                                bail!();
-                            }
-                            if let Some(tr) = net.tr.as_mut() {
-                                tr.alloc_rollback(dd.0, g.obj_size(dd));
-                            }
-                        }
-                        if let Some(tr) = net.tr.as_mut() {
-                            tr.window_rollback(pos, window_attempts);
-                        }
-                        sh.recov.note(p, true, pos, window_attempts);
-                        // One service round between attempts: an injected
-                        // fault stream drains its budget, a genuinely
-                        // fragmented arena gets a chance to coalesce.
-                        if net.service() {
-                            pacer.mark();
-                        }
-                        continue 'wave;
-                    }
-                    Some(budget) => {
-                        fail(ExecError::Unrecoverable {
-                            proc: p as u32,
-                            pos,
-                            attempts: budget,
-                            cause: Box::new(frag),
-                        });
-                        bail!();
-                    }
-                    None => {
-                        fail(frag);
-                        bail!();
-                    }
-                }
+                    position: 0,
+                    needed: plan.perm_units[p],
+                    capacity,
+                });
+                return leave(core, env, Vec::new());
             }
-            if truncated {
-                // Rolled-back objects have no address; their notifications
-                // are re-issued by the MAP that re-plans them.
-                action.notifies.retain(|n| net.local[n.obj as usize] != NO_ADDR);
-            }
-            next_map = action.next_map;
-            // Fill in offsets; notifications arrive pre-sorted by
-            // (destination, object), so one linear walk assembles one
-            // package per destination.
-            for n in &mut action.notifies {
-                n.offset = net.local[n.obj as usize];
-            }
-            let mut i = 0;
-            while i < action.notifies.len() {
-                let dst = action.notifies[i].dst;
-                pkg_buf.clear();
-                while i < action.notifies.len() && action.notifies[i].dst == dst {
-                    let n = action.notifies[i];
-                    pkg_buf.push(AddrEntry { obj: n.obj, offset: n.offset });
-                    i += 1;
-                }
-                let tracing_pkg = net.tr.is_some();
-                if tracing_pkg {
-                    pkg_ids.clear();
-                    pkg_ids.extend(pkg_buf.iter().map(|e| e.obj));
-                }
-                if let Some(f) = net.faults.as_mut() {
-                    if let Some(delay) = f.mailbox_delay() {
-                        if let Some(tr) = net.tr.as_mut() {
-                            tr.fault(FaultSite::MailboxDelay);
-                        }
-                        std::thread::sleep(delay);
-                    }
-                }
-                let mut reported_busy = false;
-                loop {
-                    // An injected rejection is handled exactly like a slot
-                    // the receiver has not drained yet.
-                    let rejected = net.faults.as_mut().is_some_and(|f| f.mailbox_reject());
-                    if rejected {
-                        if let Some(tr) = net.tr.as_mut() {
-                            tr.fault(FaultSite::MailboxReject);
-                        }
-                    } else {
-                        // Delivered and Buffered both complete the logical
-                        // hand-off (the port owns the entries from here);
-                        // only Busy — the direct backend's full slot —
-                        // makes this MAP block and service-retry.
-                        match net.port.send_package(dst as usize, &mut pkg_buf) {
-                            SendOutcome::Delivered | SendOutcome::Buffered => break,
-                            SendOutcome::Busy => {}
-                        }
-                    }
-                    if !reported_busy {
-                        reported_busy = true;
-                        if let Some(tr) = net.tr.as_mut() {
-                            tr.mailbox_busy(dst);
-                        }
-                    }
-                    // Blocked in MAP: keep servicing RA/CQ so the system
-                    // keeps evolving (Theorem 1).
-                    spin_service!();
-                }
-                if tracing_pkg {
-                    let seq = net.pkg_send_seq[dst as usize];
-                    net.pkg_send_seq[dst as usize] = seq + 1;
-                    if let Some(tr) = net.tr.as_mut() {
-                        tr.pkg_send(dst, seq, &pkg_ids);
-                    }
-                }
+        }
+    }
+
+    let mut pacer = Pacer::new();
+    // What the core was last blocked on: being blocked on something else
+    // means the earlier wait ended, which is progress.
+    let mut waiting: Option<On> = None;
+    loop {
+        match core.step(&mut env) {
+            Ok(Step::Progress) => {
+                core.service(&mut env);
                 pacer.mark();
+                waiting = None;
             }
-            // Hand any coalesced batches over eagerly: under aggregation
-            // the sends above never block, so one flush attempt at MAP
-            // end bounds notification latency by the MAP itself without
-            // re-introducing the per-package blocking of the direct
-            // backend (a busy slot just leaves the batch parked for the
-            // service-loop and pre-park flushes).
-            if net.port.pending() > 0 {
-                net.port.flush();
-            }
-            if let Some(tr) = net.tr.as_mut() {
-                tr.map_end(pos, next_map, planner.in_use(), arena.peak());
-            }
-            // Photograph the window's write set before any of its tasks
-            // run: bodies may read-modify-write their local permanents,
-            // so EXE-phase rollback must restore pre-window contents.
-            // Volatiles are deliberately *not* captured — they are filled
-            // by remote puts that survive a rollback (flags stay raised),
-            // and this worker's tasks never write them (owner-compute).
-            if recovery.is_some() {
-                ckpt.clear();
-                ckpt_data.clear();
-                let end = (next_map as usize).min(order.len());
-                for &wt in &order[pos as usize..end] {
-                    for &w in g.writes(wt) {
-                        if ckpt_seen[w as usize] {
-                            continue;
-                        }
-                        ckpt_seen[w as usize] = true;
-                        let d = ObjId(w);
-                        let off = net.local[d.idx()];
-                        let len = g.obj_size(d);
-                        let start = ckpt_data.len();
-                        // SAFETY: our own permanent buffer (owner-compute
-                        // makes this worker its only writer), read before
-                        // any task of this window has run.
-                        ckpt_data.extend_from_slice(unsafe { heaps[p].slice(off, len) });
-                        ckpt.push((w, len, off, start));
-                    }
+            // Blocked: keep servicing RA/CQ so the system keeps evolving
+            // (Theorem 1).
+            Ok(Step::Blocked(on)) => {
+                if sh.poison.load(AtOrd::Acquire) {
+                    return leave(core, env, Vec::new());
                 }
-                for &(w, ..) in &ckpt {
-                    ckpt_seen[w as usize] = false;
-                }
-            }
-        }
-
-        let t = order[pos as usize];
-        // REC state: wait for every incoming message.
-        sh.state.publish(p, WorkerState::Rec, pos, net.suspended as u32);
-        if let Some(tr) = net.tr.as_mut() {
-            tr.state(ProtoState::Rec);
-        }
-        for &mid in &plan.in_msgs[t.idx()] {
-            if flags.is_raised(mid as usize) {
-                if let Some(tr) = net.tr.as_mut() {
-                    tr.msg_recv(mid);
-                }
-                continue; // fast path: already arrived
-            }
-            while !flags.is_raised(mid as usize) {
-                spin_service!();
-            }
-            if let Some(tr) = net.tr.as_mut() {
-                tr.msg_recv(mid);
-            }
-            pacer.mark();
-        }
-
-        // EXE state.
-        {
-            sh.state.publish(p, WorkerState::Exe, pos, net.suspended as u32);
-            if let Some(tr) = net.tr.as_mut() {
-                tr.state(ProtoState::Exe);
-            }
-            // Injected worker stall: desynchronizes the interleaving.
-            if let Some(f) = net.faults.as_mut() {
-                if let Some(stall) = f.task_jitter() {
-                    if let Some(tr) = net.tr.as_mut() {
-                        tr.fault(FaultSite::TaskJitter);
-                    }
-                    std::thread::sleep(stall);
-                }
-            }
-            let writes_ids = g.writes(t);
-            for &d in writes_ids {
-                let d = ObjId(d);
-                let off = net.resolve(d);
-                // SAFETY (module protocol): this task is the unique writer
-                // of `d` at this point of the dependence-complete
-                // schedule; readers have either consumed earlier versions
-                // or are ordered after us.
-                ctx_writes.push((d.0, unsafe { heaps[p].slice_mut(off, g.obj_size(d)) }));
-            }
-            for &d in g.reads(t) {
-                if writes_ids.binary_search(&d).is_ok() {
-                    continue;
-                }
-                let d = ObjId(d);
-                let off = net.resolve(d);
-                // SAFETY: arrival flags have been observed with Acquire;
-                // no writer may touch this buffer until tasks ordered
-                // after us run.
-                ctx_reads.push((d.0, unsafe { heaps[p].slice(off, g.obj_size(d)) }));
-            }
-            let mut ctx = TaskCtx::assemble(
-                std::mem::take(&mut ctx_reads),
-                std::mem::take(&mut ctx_writes),
-                std::mem::take(&mut slots),
-            );
-            if let Some(tr) = net.tr.as_mut() {
-                tr.task_begin(t.0, pos);
-            }
-            // A panicking body must not abort the process: catch it at the
-            // task boundary, poison the run, and let every worker exit
-            // through the normal failure path. An [`AccessViolation`]
-            // payload (raised by the ctx accessors) keeps its type.
-            let body_ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                (sh.body)(t, &mut ctx);
-            }));
-            // Reclaim the pooled context parts (and reset the slot table)
-            // on both paths — a recovered window re-assembles contexts.
-            let body_err = body_ok.err();
-            (ctx_reads, ctx_writes, slots) = ctx.dismantle();
-            if let Some(payload) = body_err {
-                let cause = match payload.downcast::<AccessViolation>() {
-                    Ok(v) => {
-                        ExecError::AccessViolation { proc: p as u32, task: t, obj: v.obj, op: v.op }
-                    }
-                    Err(other) => ExecError::WorkerPanicked {
-                        proc: p as u32,
-                        task: Some(t),
-                        payload: panic_payload_str(other.as_ref()),
-                    },
-                };
-                let Some(pol) = recovery else {
-                    fail(cause);
-                    bail!();
-                };
-                if window_attempts >= pol.retry.window_attempts {
-                    fail(ExecError::Unrecoverable {
-                        proc: p as u32,
-                        pos: window_start,
-                        attempts: window_attempts,
-                        cause: Box::new(cause),
+                let moved_on = waiting.replace(on) != Some(on);
+                if core.service(&mut env) || moved_on {
+                    pacer.mark();
+                } else if pacer.stalled(sh.watchdog) {
+                    fail(ExecError::Stalled {
+                        remaining: core.remaining(),
+                        snapshot: Some(Box::new(build_snapshot(p, sh, ring))),
                     });
-                    bail!();
+                    return leave(core, env, Vec::new());
+                } else {
+                    pacer.wait(core.port());
                 }
-                window_attempts += 1;
-                // Quiesce before restoring: a send suspended (or a
-                // package batch still buffered) earlier in this window
-                // must complete *now*, while the written buffers hold
-                // the values it is supposed to carry — a put firing
-                // after the restore would ship pre-window bytes.
-                while net.suspended > 0 || net.port.pending() > 0 {
-                    spin_service!();
-                }
-                // Restore the pre-window contents of the window's write
-                // set; everything else (volatile allocations, arrival
-                // flags, received addresses, completed sends) is still
-                // valid and is deliberately kept.
-                for &(_, len, off, start) in &ckpt {
-                    // SAFETY: the same exclusive local permanents the
-                    // checkpoint read; no remote writer exists
-                    // (owner-compute) and no local task is running.
-                    unsafe { heaps[p].slice_mut(off, len) }
-                        .copy_from_slice(&ckpt_data[start..start + len as usize]);
-                }
-                if let Some(tr) = net.tr.as_mut() {
-                    tr.window_rollback(window_start, window_attempts);
-                }
-                sh.recov.note(p, false, window_start, window_attempts);
-                pos = window_start;
-                pacer.mark();
-                continue;
             }
-            if let Some(tr) = net.tr.as_mut() {
-                tr.task_end(t.0);
+            Ok(Step::Done) => break,
+            Err(e) => {
+                fail(e);
+                return leave(core, env, Vec::new());
             }
         }
-
-        // SND state.
-        sh.state.publish(p, WorkerState::Snd, pos, net.suspended as u32);
-        if let Some(tr) = net.tr.as_mut() {
-            tr.state(ProtoState::Snd);
-        }
-        for &mid in &plan.out_msgs[t.idx()] {
-            net.send_or_suspend(mid);
-        }
-        if net.service() {
-            pacer.mark();
-        }
-        pos += 1;
-        pacer.mark();
-    }
-
-    // END state: drain the suspended queue AND this port's aggregation
-    // buffers — a buffered address package that never got flushed would
-    // strand a peer's suspended send forever, so END may not retire
-    // while `pending() > 0` (the aggregation half of the Theorem-1
-    // obligations).
-    if let Some(tr) = net.tr.as_mut() {
-        tr.state(ProtoState::End);
-    }
-    while net.suspended > 0 || net.port.pending() > 0 {
-        sh.state.publish(p, WorkerState::End, pos, net.suspended as u32);
-        spin_service!();
     }
     // Still END: gather. Every task of this processor has run and every
     // message it owed has been put, so its permanent objects are final.
@@ -1859,14 +1181,11 @@ where
             // SAFETY: owner-compute makes this worker's tasks the only
             // writers of the object, and they are done; remote puts only
             // ever land in volatile buffers, never in a permanent one.
-            unsafe { heaps[p].slice(sh.perm_off[d.idx()], g.obj_size(d)) }.to_vec()
+            unsafe { heap.slice(perm_off[d.idx()], g.obj_size(d)) }.to_vec()
         })
         .collect();
-    sh.state.publish(p, WorkerState::Done, pos, 0);
-    if let Some(tr) = net.tr.as_mut() {
-        tr.state(ProtoState::Done);
-    }
-    leave!(owned)
+    core.retire(&mut env);
+    leave(core, env, owned)
 }
 
 /// Assemble the stall diagnostic from the shared introspection surfaces:
@@ -1874,21 +1193,18 @@ where
 /// occupancy of every address-mailbox slot — plus, when the reporting
 /// worker traces, the tail of its event ring (what it was doing right
 /// before the silence). Called (rarely — watchdog expiry only) by the
-/// worker that detected the stall.
+/// worker that detected the stall, whose own ring writer is idle
+/// meanwhile.
 fn build_snapshot<F, I, M: Machine>(
     reporter: usize,
     sh: &Shared<'_, F, I, M>,
     ring: Option<&FlatRing>,
 ) -> StallSnapshot {
-    // The reporter's own writer is idle while it builds this snapshot,
-    // so decoding its ring here (rare path: watchdog expiry only) sees a
-    // quiesced ring.
-    let trace: Option<ProcTrace> = ring.map(decode_ring);
-    let nprocs = sh.sched.assign.nprocs;
+    let nprocs = sh.spec.sched.assign.nprocs;
     let board = sh.machine.board();
     let procs = (0..nprocs)
         .map(|q| {
-            let (state, pos, suspended) = sh.state.read(q);
+            let d = sh.state.read(q);
             let mailbox_full_to = board
                 .map(|b| {
                     (0..nprocs)
@@ -1899,36 +1215,28 @@ fn build_snapshot<F, I, M: Machine>(
                 .unwrap_or_default();
             ProcDiag {
                 proc: q as u32,
-                state,
-                pos,
-                order_len: sh.sched.order[q].len() as u32,
-                suspended_sends: suspended,
+                state: d.state,
+                pos: d.pos,
+                order_len: sh.spec.sched.order[q].len() as u32,
+                suspended_sends: d.suspended,
                 mailbox_full_to,
                 buffered_pkgs: sh.machine.pending_hint(q) as u32,
             }
         })
         .collect();
-    let recent_events = trace
-        .as_ref()
-        .map(|t| {
-            t.tail(16)
-                .into_iter()
-                .map(|(ts, ev)| format!("{:.3}ms {ev:?}", ts as f64 / 1e6))
-                .collect()
-        })
-        .unwrap_or_default();
     let (recovery_retries, recovery_rollbacks) = sh.recov.totals();
     StallSnapshot {
-        reporter: reporter as u32,
-        watchdog_ms: sh.watchdog.as_millis() as u64,
-        msgs_arrived: sh.flags.raised_count(),
-        msgs_total: sh.plan.msgs.len(),
-        procs,
-        recent_events,
         recovery_retries,
         recovery_rollbacks,
         last_recovery: sh.recov.last_recovery(),
-        quarantined: Vec::new(),
+        ..StallSnapshot::new(
+            reporter as u32,
+            sh.watchdog.as_millis() as u64,
+            sh.flags.raised_count(),
+            sh.spec.plan.msgs.len(),
+            procs,
+            ring,
+        )
     }
 }
 

@@ -1,6 +1,7 @@
-//! Bounded model of the recovery `sent`-guard: `Net::try_send`'s payload
-//! puts + `FlagBoard::raise` vs window re-execution and the receiver's
-//! `is_raised` poll (`crates/rapid-rt/src/threaded.rs` and
+//! Bounded model of the recovery `sent`-guard: `ProcCore::try_send`'s
+//! payload puts + `FlagBoard::raise` (`ThreadEnv::put`) vs window
+//! re-execution and the receiver's `is_raised` poll
+//! (`crates/rapid-rt/src/core.rs`, `threaded.rs` and
 //! `crates/rapid-machine/src/rma.rs`).
 //!
 //! The sender executes a send (payload write, then a Release `fetch_add` on
@@ -36,7 +37,7 @@ pub struct SentConfig {
     pub payload_before_raise: bool,
 }
 
-/// Mirrors the audited `threaded.rs`/`rma.rs` code.
+/// Mirrors the audited `core.rs`/`threaded.rs`/`rma.rs` code.
 pub const GOOD: SentConfig = SentConfig {
     raise: Ordering::Release,
     poll: Ordering::Acquire,

@@ -6,7 +6,9 @@
 //!
 //! Runs in tier-1 debug tests (instrumentation is on under
 //! `debug_assertions`) and again in release in the CI `model-check` job via
-//! `RUSTFLAGS="--cfg rapid_model_check"`.
+//! `RUSTFLAGS="--cfg rapid_model_check"`; a plain release test build has no
+//! `rapid_sync::models` and compiles this file to nothing.
+#![cfg(any(debug_assertions, rapid_model_check))]
 
 use rapid_sync::model::{self, Config, Counterexample};
 use rapid_sync::models::{agg, mailbox, ring, sentguard};

@@ -129,6 +129,21 @@ fn random_dags_agree_at_exact_min_mem() {
 }
 
 #[test]
+fn idle_processor_agrees() {
+    // Figure 2's schedule (c) on three processors: the third owns nothing
+    // and runs nothing, and performs the one empty MAP the static
+    // placement plans for it — under both drivers.
+    let g = rapid::core::fixtures::figure2_dag();
+    let c = rapid::core::fixtures::figure2_schedule_c();
+    let assign = Assignment { nprocs: 3, ..c.assign.clone() };
+    let sched = Schedule { assign, order: vec![c.order[0].clone(), c.order[1].clone(), vec![]] };
+    assert!(conform("idle-processor", &g, &sched, 8, body));
+    let plan = rapid::rt::RtPlan::new(&g, &sched);
+    let placed = plan.place_maps(&g, &sched, 8, rapid::rt::MapWindow::Greedy).expect("cap 8 fits");
+    assert_eq!(placed.per_proc[2].len(), 1);
+}
+
+#[test]
 fn cholesky_fixture_agrees() {
     let a = gen::grid2d_laplacian(6, 5);
     let model = taskgen::cholesky_2d_model(&a, 6, 4);
