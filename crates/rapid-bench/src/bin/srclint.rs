@@ -20,9 +20,9 @@
 //!    comment** within the 12 lines above it (or on the same line).
 //!    `unsafe fn` declarations are exempt — their contract lives in the
 //!    `# Safety` doc section, which `missing_docs` keeps present.
-//! 4. **No raw `std::sync::atomic` in the five model-checked modules**
+//! 4. **No raw `std::sync::atomic` in the six model-checked modules**
 //!    (flat ring, mailbox, aggregation backend, RMA flag board, worker
-//!    pool hand-off): they
+//!    pool hand-off, sleep / wake handshake): they
 //!    must go through the `rapid-sync` instrumented shim so the model
 //!    checker sees every operation.
 //!
@@ -51,6 +51,7 @@ const SHIM_ONLY: &[&str] = &[
     "rapid-machine/src/machine.rs",
     "rapid-machine/src/rma.rs",
     "rapid-machine/src/pool.rs",
+    "rapid-machine/src/wait.rs",
 ];
 
 /// How many lines above an `unsafe` block a SAFETY comment may sit.

@@ -3,8 +3,9 @@
 //! The paper's active memory management allocates and recycles volatile
 //! data-object space inside a fixed per-processor region so that remote
 //! processors can deposit data with RMA at known offsets. This allocator
-//! hands out offsets in *allocation units* (one unit = one `f64`) using a
-//! first-fit free list with coalescing; it also tracks the in-use peak so
+//! hands out offsets in *allocation units* (one unit = one `f64`) from an
+//! address-ordered free list with coalescing, best-fit unless first-fit is
+//! asked for ([`FitPolicy`]); it also tracks the in-use peak so
 //! executors can report actual memory behaviour.
 //!
 //! The paper's §6 observes that space freed from irregular structures

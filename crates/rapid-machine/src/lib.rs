@@ -13,9 +13,9 @@
 //! - [`rma`] — the shared-memory RMA window used by the threaded executor:
 //!   one-sided stores into a remote arena at an offset learned from an
 //!   address package, with release/acquire arrival flags,
-//! - [`backoff`] — the tiered spin/yield/park strategy the executor's
-//!   blocking waits use instead of unconditional `yield_now` polling,
-//!   aggregation-aware (buffered packages flush before the first yield),
+//! - [`wait`] — how a blocked worker waits: spin, yield against a time
+//!   budget, then a park that the peer causing the awaited event ends
+//!   (buffered packages flush before the core is given away),
 //! - [`machine`] — the pluggable comm-backend surface: the [`Machine`]
 //!   trait with the paper-faithful single-slot backend, the native
 //!   per-destination aggregating backend, and the discrete-event
@@ -33,16 +33,15 @@
 
 pub mod affinity;
 pub mod arena;
-pub mod backoff;
 pub mod config;
 pub mod fault;
 pub mod machine;
 pub mod mailbox;
 pub mod pool;
 pub mod rma;
+pub mod wait;
 
 pub use arena::{Arena, ArenaError};
-pub use backoff::{Backoff, Retry, RetryPolicy};
 pub use config::MachineConfig;
 pub use fault::{FaultPlan, FaultSpec, ProcFaults};
 pub use machine::{AggregatingMachine, DirectMachine, Machine, Port, SendOutcome, VirtualMachine};

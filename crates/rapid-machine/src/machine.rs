@@ -16,6 +16,11 @@
 //! [`Port`] endpoint, which is where sender-side aggregation state
 //! lives — no synchronization is needed on the buffering fast path.
 //!
+//! The two thread backends also hold their workers' [`Sleepers`]: a port
+//! that physically deposits a package wakes the destination if it sleeps,
+//! and a port that drains a slot wakes the source, which may be waiting for
+//! that slot (a blocked MAP, or a batch it could not flush).
+//!
 //! # Aggregation and the Theorem-1 obligations
 //!
 //! The aggregating backend buffers *logical* packages per destination
@@ -26,10 +31,10 @@
 //! full slot keeps going), which strictly removes wait-for edges from
 //! the Theorem-1 circular-wait analysis; eventual delivery is
 //! guaranteed by the flush policy: size-threshold flush on send, a
-//! flush attempt in every blocking-wait service round (before the
-//! backoff's first yield), and a pending-drained barrier before END
-//! retires. Fact I is untouched because a writer cannot learn a remote
-//! address before the physical batch carrying it is drained.
+//! flush attempt in every blocking-wait service round and before a waiting
+//! worker gives its core away (see [`crate::wait`]), and a pending-drained
+//! barrier before END retires. Fact I is untouched because a writer cannot
+//! learn a remote address before the physical batch carrying it is drained.
 
 // sync-audit: the per-worker `pending` counters are Relaxed by design — they
 // are a monotonic *hint* read by the END-barrier spin, never a publication
@@ -39,6 +44,7 @@
 // `rapid_sync::models::agg` (see DESIGN.md §16).
 
 use crate::mailbox::{AddrEntry, AddrPackage, MailboxBoard};
+use crate::wait::Sleepers;
 use rapid_sync::{Ordering, SyncAtomicUsize};
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -121,12 +127,18 @@ pub trait Port {
 #[derive(Debug)]
 pub struct DirectMachine {
     board: MailboxBoard,
+    sleepers: Sleepers,
 }
 
 impl DirectMachine {
     /// Direct backend for `nprocs` processors.
     pub fn new(nprocs: usize) -> Self {
-        DirectMachine { board: MailboxBoard::new(nprocs) }
+        DirectMachine { board: MailboxBoard::new(nprocs), sleepers: Sleepers::new(nprocs) }
+    }
+
+    /// The sleeper cells of this machine's workers.
+    pub fn sleepers(&self) -> &Sleepers {
+        &self.sleepers
     }
 }
 
@@ -134,6 +146,7 @@ impl DirectMachine {
 #[derive(Debug)]
 pub struct DirectPort<'m> {
     board: &'m MailboxBoard,
+    sleepers: &'m Sleepers,
     p: usize,
     scratch: Vec<AddrEntry>,
     segs: Vec<u32>,
@@ -147,7 +160,13 @@ impl Machine for DirectMachine {
     }
 
     fn port(&self, p: usize) -> DirectPort<'_> {
-        DirectPort { board: &self.board, p, scratch: Vec::new(), segs: Vec::new() }
+        DirectPort {
+            board: &self.board,
+            sleepers: &self.sleepers,
+            p,
+            scratch: Vec::new(),
+            segs: Vec::new(),
+        }
     }
 
     fn board(&self) -> Option<&MailboxBoard> {
@@ -158,6 +177,7 @@ impl Machine for DirectMachine {
 impl Port for DirectPort<'_> {
     fn send_package(&mut self, dst: usize, pkg: &mut AddrPackage) -> SendOutcome {
         if self.board.slot(self.p, dst).try_send_from(pkg) {
+            self.sleepers.wake(dst);
             SendOutcome::Delivered
         } else {
             SendOutcome::Busy
@@ -172,8 +192,13 @@ impl Port for DirectPort<'_> {
         0
     }
 
-    fn drain_batched<F: FnMut(usize, &[AddrEntry], &[u32])>(&mut self, f: F) -> usize {
-        self.board.drain_batched_for_into(self.p, &mut self.scratch, &mut self.segs, f)
+    fn drain_batched<F: FnMut(usize, &[AddrEntry], &[u32])>(&mut self, mut f: F) -> usize {
+        let sleepers = self.sleepers;
+        // An emptied slot is what its source may be waiting for.
+        self.board.drain_batched_for_into(self.p, &mut self.scratch, &mut self.segs, |src, e, s| {
+            sleepers.wake(src);
+            f(src, e, s)
+        })
     }
 }
 
@@ -187,6 +212,7 @@ impl Port for DirectPort<'_> {
 #[derive(Debug)]
 pub struct AggregatingMachine {
     board: MailboxBoard,
+    sleepers: Sleepers,
     threshold: usize,
     pending: Vec<SyncAtomicUsize>,
 }
@@ -208,9 +234,15 @@ impl AggregatingMachine {
     pub fn with_threshold(nprocs: usize, threshold: usize) -> Self {
         AggregatingMachine {
             board: MailboxBoard::new(nprocs),
+            sleepers: Sleepers::new(nprocs),
             threshold,
             pending: (0..nprocs).map(|_| SyncAtomicUsize::new(0)).collect(),
         }
+    }
+
+    /// The sleeper cells of this machine's workers.
+    pub fn sleepers(&self) -> &Sleepers {
+        &self.sleepers
     }
 }
 
@@ -244,6 +276,7 @@ impl AggPort<'_> {
         }
         let npkgs = buf.seg_ends.len();
         if self.m.board.slot(self.p, dst).try_send_batch_from(&mut buf.entries, &mut buf.seg_ends) {
+            self.m.sleepers.wake(dst);
             self.pending -= npkgs;
             self.m.pending[self.p].store(self.pending, Ordering::Relaxed);
             true
@@ -285,6 +318,7 @@ impl Port for AggPort<'_> {
         // Fast path: nothing queued for this destination and the slot
         // is free — deliver directly, no copy into the buffer.
         if self.bufs[dst].seg_ends.is_empty() && self.m.board.slot(self.p, dst).try_send_from(pkg) {
+            self.m.sleepers.wake(dst);
             return SendOutcome::Delivered;
         }
         // Buffer behind whatever is already queued (per-pair FIFO keeps
@@ -313,8 +347,12 @@ impl Port for AggPort<'_> {
         self.pending
     }
 
-    fn drain_batched<F: FnMut(usize, &[AddrEntry], &[u32])>(&mut self, f: F) -> usize {
-        self.m.board.drain_batched_for_into(self.p, &mut self.scratch, &mut self.segs, f)
+    fn drain_batched<F: FnMut(usize, &[AddrEntry], &[u32])>(&mut self, mut f: F) -> usize {
+        let m = self.m;
+        m.board.drain_batched_for_into(self.p, &mut self.scratch, &mut self.segs, |src, e, s| {
+            m.sleepers.wake(src);
+            f(src, e, s)
+        })
     }
 }
 
@@ -574,6 +612,58 @@ mod tests {
         assert_eq!(tx.pending(), 0, "threshold reached and slot free: auto-flushed");
         consumed += rx.drain_batched(|_, _, _| {});
         assert_eq!(consumed, 4);
+    }
+
+    /// The two port-side events a worker can wait for — a package handed
+    /// to it, its own package drained from a peer's slot — end its park on
+    /// either thread backend, and so does a flush that delivers.
+    #[test]
+    fn ports_wake_the_worker_they_serve() {
+        use crate::wait::tests::parked_until;
+        use std::time::Duration;
+        let woken = |slept: Duration, what: &str| {
+            assert!(slept < Duration::from_secs(5), "{what}: slept {slept:?}, to its bound")
+        };
+
+        let m = DirectMachine::new(2);
+        let (mut p0, mut p1) = (m.port(0), m.port(1));
+        let slept = parked_until(
+            m.sleepers(),
+            || m.board.slot(1, 0).is_full(),
+            || assert_eq!(p1.send_package(0, &mut pkg(&[1])), SendOutcome::Delivered),
+        );
+        woken(slept, "direct send_package");
+        assert_eq!(p0.send_package(1, &mut pkg(&[2])), SendOutcome::Delivered);
+        let slept = parked_until(
+            m.sleepers(),
+            || !m.board.slot(0, 1).is_full(),
+            || assert_eq!(p1.drain_batched(|_, _, _| {}), 1),
+        );
+        woken(slept, "direct drain_batched");
+
+        let m = AggregatingMachine::with_threshold(2, usize::MAX);
+        let (mut p0, mut p1) = (m.port(0), m.port(1));
+        let slept = parked_until(
+            m.sleepers(),
+            || m.board.slot(1, 0).is_full(),
+            || assert_eq!(p1.send_package(0, &mut pkg(&[1])), SendOutcome::Delivered),
+        );
+        woken(slept, "aggregating send_package");
+        assert_eq!(p1.send_package(0, &mut pkg(&[2])), SendOutcome::Buffered);
+        assert_eq!(p0.drain_batched(|_, _, _| {}), 1);
+        let slept = parked_until(
+            m.sleepers(),
+            || m.board.slot(1, 0).is_full(),
+            || assert!(p1.flush(), "the slot is free: the batch goes out"),
+        );
+        woken(slept, "aggregating flush");
+        assert_eq!(p0.send_package(1, &mut pkg(&[3])), SendOutcome::Delivered);
+        let slept = parked_until(
+            m.sleepers(),
+            || !m.board.slot(0, 1).is_full(),
+            || assert_eq!(p1.drain_batched(|_, _, _| {}), 1),
+        );
+        woken(slept, "aggregating drain_batched");
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! to do ([`Step::Done`]). A blocked core is resumed by calling `step`
 //! again; [`ProcCore::service`] (RA + CQ) is what a driver runs in
 //! between, which is what breaks the circular-wait chains in the Theorem 1
-//! proof. The threaded driver spins `step` under its backoff pacer and
-//! watchdog; the DES driver calls it from the event heap and returns to
+//! proof. The threaded driver polls `step` under its wait (spin, yield,
+//! woken park) and watchdog; the DES driver calls it from the event heap and returns to
 //! the heap on `Blocked`.
 //!
 //! ## Hot-path layout
@@ -503,7 +503,7 @@ impl<'e, P: Port> ProcCore<'e, P> {
     }
 
     /// MAP, second part: place the planned allocations. The counting
-    /// planner guarantees the units fit, but a first-fit arena can still
+    /// planner guarantees the units fit, but a real (best-fit) arena can still
     /// be transiently fragmented (and the fault layer can pretend it is).
     /// Degradation ladder: retry a bounded number of times, blocked so
     /// that the driver services RA/CQ in between (Theorem 1: the system

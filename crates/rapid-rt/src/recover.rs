@@ -26,7 +26,34 @@
 //! the byte-identical-recovery guarantee.
 
 use crate::maps::ExecError;
-pub use rapid_machine::RetryPolicy;
+
+/// Per-site retry budgets of the recovery ladder: how often a transient
+/// failure is retried before it escalates to the next rung. Plain data, so
+/// a given `(fault seed, scenario, plan)` triple always exhausts a budget at
+/// the same draw, which is what makes recovery decisions reproducible.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RetryPolicy {
+    /// Attempts per MAP-time volatile allocation before the window is
+    /// truncated or rolled back (the innermost rung).
+    pub alloc_attempts: u32,
+    /// Re-executions per window (rollback + replay) before the run fails
+    /// with `Unrecoverable`.
+    pub window_attempts: u32,
+}
+
+impl RetryPolicy {
+    /// Default budgets: every budgeted fault scenario drains its injection
+    /// budget before the ladder gives up.
+    pub const fn new() -> Self {
+        RetryPolicy { alloc_attempts: 8, window_attempts: 24 }
+    }
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        RetryPolicy::new()
+    }
+}
 
 /// Recovery configuration for the threaded executor. Arming it
 /// (`with_recovery`) enables site-level retries, window checkpoints and
@@ -35,7 +62,7 @@ pub use rapid_machine::RetryPolicy;
 /// `Option` branch and no checkpoint is ever captured).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Per-site retry budgets (allocation, mailbox, window re-execution).
+    /// Per-site retry budgets (allocation, window re-execution).
     pub retry: RetryPolicy,
 }
 

@@ -4,7 +4,7 @@
 //! fixed-capacity [`RmaHeap`]; permanent objects are laid out identically
 //! and deterministically on every processor's heap (so their addresses are
 //! globally known without notification, as in RAPID), while volatile
-//! buffers are allocated at MAPs from a real first-fit [`Arena`] and their
+//! buffers are allocated at MAPs from a real best-fit [`Arena`] and their
 //! offsets travel to the data producers through single-slot address
 //! mailboxes. Data moves with one-sided `put`s into the destination heap;
 //! per-message arrival flags give the release/acquire happens-before edge
@@ -16,19 +16,23 @@
 //! under `catch_unwind`, the wall clock. Whenever the core is blocked the
 //! driver loop checks for a poisoned run, runs the RA (read address
 //! packages) and CQ (check suspended queue) service operations — which is
-//! what breaks the circular-wait chains in the Theorem 1 proof — and backs
-//! off under the stall watchdog. Stress tests run many random graphs at
+//! what breaks the circular-wait chains in the Theorem 1 proof — looks at
+//! the stall watchdog and pauses. Stress tests run many random graphs at
 //! exactly `MIN_MEM` capacity to exercise that argument under real
 //! interleavings.
 //!
 //! ## Thread-side hot path
 //!
-//! - **Blocking waits use tiered backoff** ([`Backoff`]: bounded spin
-//!   hints → `yield_now` → short bounded parks) instead of an
-//!   unconditional `yield_now` per poll, and reset to the spin tier on
-//!   every observed progress. With the aggregating backend the backoff
-//!   is flush-aware: buffered address packages are pushed toward their
-//!   destinations before the first yield surrenders the core.
+//! - **A wait ends when its event does.** A blocked worker spins, yields
+//!   for a few tens of microseconds, then parks ([`Wait`]). The peer that
+//!   makes what it waits for happen — raises an arrival flag toward it
+//!   (`put`), hands it an address package or drains its package from a slot
+//!   (the ports) — or that poisons the run, looks at the worker's
+//!   [`Sleepers`] cell and unparks it. Before the core is given away, to a
+//!   yield or to a park, buffered address packages are flushed and the
+//!   protocol gets one more round. Every park is bounded, so RA, CQ and the
+//!   watchdog keep running; the watchdog reads the wait's own clock, which
+//!   a wait that ends in the spin tier never starts.
 //! - **The comm backend is pluggable.** The protocol is written once
 //!   against the [`Machine`]/[`Port`] surface; [`Backend::Direct`] is
 //!   the paper-faithful single-slot scheme (senders block on a full
@@ -74,11 +78,11 @@ use rapid_core::graph::{ObjId, TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
 use rapid_machine::affinity;
 use rapid_machine::arena::{Arena, ArenaError};
-use rapid_machine::backoff::Backoff;
 use rapid_machine::fault::{FaultPlan, FaultSite};
 use rapid_machine::machine::{AggregatingMachine, DirectMachine, Machine, Port};
 use rapid_machine::pool::WorkerPool;
 use rapid_machine::rma::{FlagBoard, RmaHeap};
+use rapid_machine::wait::{Sleepers, Wait};
 use rapid_trace::{
     decode_ring, FlatRing, LiveDrain, ProcMetrics, ProcTrace, StreamChecker, TraceConfig,
     TraceReport, TraceSet, TraceTier, Violation,
@@ -460,16 +464,28 @@ impl<'a> ThreadedExecutor<'a> {
         // dispatch on the hot path.
         let nprocs = self.sched.assign.nprocs;
         match self.backend {
-            Backend::Direct => self.run_on(&DirectMachine::new(nprocs), body, init),
+            Backend::Direct => {
+                let machine = DirectMachine::new(nprocs);
+                self.run_on(&machine, machine.sleepers(), body, init)
+            }
             Backend::Aggregating { threshold } => {
-                self.run_on(&AggregatingMachine::with_threshold(nprocs, threshold), body, init)
+                let machine = AggregatingMachine::with_threshold(nprocs, threshold);
+                self.run_on(&machine, machine.sleepers(), body, init)
             }
         }
     }
 
     /// The backend-generic run: everything protocol happens here,
-    /// against the [`Machine`]/[`Port`] surface only.
-    fn run_on<M, F, I>(&self, machine: &M, body: F, init: I) -> Result<ThreadedOutcome, ExecError>
+    /// against the [`Machine`]/[`Port`] surface only. `sleepers` are the
+    /// machine's: its ports wake whom they hand a package to or drain a
+    /// slot of, this module whom it raises a flag toward.
+    fn run_on<M, F, I>(
+        &self,
+        machine: &M,
+        sleepers: &Sleepers,
+        body: F,
+        init: I,
+    ) -> Result<ThreadedOutcome, ExecError>
     where
         M: Machine,
         F: Fn(TaskId, &mut TaskCtx<'_>) + Sync,
@@ -561,6 +577,7 @@ impl<'a> ThreadedExecutor<'a> {
             dirty: &run_dirty,
             flags: &flags,
             machine,
+            sleepers,
             state: &state,
             poison: &poison,
             watchdog: self.watchdog,
@@ -582,6 +599,8 @@ impl<'a> ThreadedExecutor<'a> {
                 *slot = Some(e);
             }
             shared.poison.store(true, AtOrd::Release);
+            // What a parked worker waits for may never come now.
+            shared.sleepers.wake_all();
         };
         let fail = &fail;
 
@@ -756,6 +775,8 @@ struct Shared<'e, F, I, M> {
     dirty: &'e [u64],
     flags: &'e FlagBoard,
     machine: &'e M,
+    /// Who is parked, for whoever ends its wait (see [`rapid_machine::wait`]).
+    sleepers: &'e Sleepers,
     state: &'e StateBoard,
     poison: &'e AtomicBool,
     watchdog: Duration,
@@ -814,49 +835,6 @@ impl RecovBoard {
             ((w >> 16) & 0xFFFF_FFFF) as u32,
             w as u32 & 0xFFFF,
         ))
-    }
-}
-
-/// Progress pacing for a worker's blocking waits: tiered backoff plus the
-/// stall watchdog's progress timestamp. The watchdog measures time since
-/// the last *local progress* (task completion, address arrival, suspended
-/// send completing, or a mailbox hand-off) — not total wall time, so long
-/// runs that keep making progress are never falsely poisoned.
-struct Pacer {
-    backoff: Backoff,
-    last_progress: Instant,
-}
-
-impl Pacer {
-    fn new() -> Self {
-        Pacer { backoff: Backoff::new(), last_progress: Instant::now() }
-    }
-
-    /// Record progress: reset the backoff tier and the watchdog clock.
-    #[inline]
-    fn mark(&mut self) {
-        self.backoff.reset();
-        self.last_progress = Instant::now();
-    }
-
-    /// Has the watchdog period elapsed with no progress?
-    #[inline]
-    fn stalled(&self, watchdog: Duration) -> bool {
-        self.last_progress.elapsed() > watchdog
-    }
-
-    /// Wait once, escalating the backoff tier. Aggregation-aware: at the
-    /// spin→yield boundary the port's buffered packages are flushed —
-    /// this worker is about to surrender the core, so anything parked in
-    /// its sender-side buffers must move toward its destination first. A
-    /// successful flush is watchdog progress.
-    #[inline]
-    fn wait<P: Port>(&mut self, port: &mut P) {
-        let mut flushed = false;
-        self.backoff.wait_flushing(|| flushed = port.flush());
-        if flushed {
-            self.mark();
-        }
     }
 }
 
@@ -944,6 +922,7 @@ where
             }
         }
         self.sh.flags.raise(mid as usize);
+        self.sh.sleepers.wake(msg.dst_proc as usize);
     }
 
     #[inline]
@@ -1135,15 +1114,21 @@ where
         }
     }
 
-    let mut pacer = Pacer::new();
+    // The stall watchdog reads this wait's own clock: time since the last
+    // *local progress* (a task or MAP completing, an address package
+    // arriving or leaving, a suspended send completing), not total wall
+    // time, so a long run that keeps making progress is never poisoned.
+    let mut wait = Wait::new(sh.sleepers, p);
     // What the core was last blocked on: being blocked on something else
     // means the earlier wait ended, which is progress.
     let mut waiting: Option<On> = None;
+    // A step taken during a wait's last look (below), still to be acted on.
+    let mut looked = None;
     loop {
-        match core.step(&mut env) {
+        match looked.take().unwrap_or_else(|| core.step(&mut env)) {
             Ok(Step::Progress) => {
                 core.service(&mut env);
-                pacer.mark();
+                wait.reset();
                 waiting = None;
             }
             // Blocked: keep servicing RA/CQ so the system keeps evolving
@@ -1154,15 +1139,27 @@ where
                 }
                 let moved_on = waiting.replace(on) != Some(on);
                 if core.service(&mut env) || moved_on {
-                    pacer.mark();
-                } else if pacer.stalled(sh.watchdog) {
+                    wait.reset();
+                } else if wait.waited() > sh.watchdog {
                     fail(ExecError::Stalled {
                         remaining: core.remaining(),
                         snapshot: Some(Box::new(build_snapshot(p, sh, ring))),
                     });
                     return leave(core, env, Vec::new());
                 } else {
-                    pacer.wait(core.port());
+                    // Before the core is given away — to a yield, and
+                    // again, announced as a sleeper, to a park — whatever
+                    // sits in this port's buffers moves toward its
+                    // destination, and the protocol gets one more round.
+                    wait.pause(|| {
+                        if sh.poison.load(AtOrd::Acquire) || core.port().flush() {
+                            return true;
+                        }
+                        let step = core.step(&mut env);
+                        let still = matches!(step, Ok(Step::Blocked(o)) if o == on);
+                        looked = Some(step);
+                        !still || core.service(&mut env)
+                    });
                 }
             }
             Ok(Step::Done) => break,
@@ -1313,7 +1310,7 @@ mod tests {
                         "seed {seed}: results differ"
                     );
                 }
-                // A first-fit arena may fragment at exactly MIN_MEM with
+                // A real arena may fragment at exactly MIN_MEM with
                 // mixed object sizes; that is a resource failure, not a
                 // protocol failure.
                 Err(ExecError::Fragmented { .. }) => {}
@@ -1414,6 +1411,103 @@ mod tests {
             .expect("steady progress must never trip the watchdog");
         assert!(out.wall > exec.watchdog, "test must outlive the watchdog");
         assert_eq!(out.objects, run_sequential(&g, test_body));
+    }
+
+    /// The Theorem-1 chain through a parked worker: P0 sleeps in REC on a
+    /// message P1 cannot send before P0 has read P1's address package and
+    /// completed the send it had to suspend. Nothing is raised toward P0
+    /// until then, so what gets it to run RA and CQ is the package alone
+    /// (its hand-off unparks P0; a park's bound would, a millisecond later).
+    #[test]
+    fn a_worker_parked_in_rec_serves_an_address_package() {
+        use rapid_core::graph::TaskGraphBuilder;
+        use rapid_core::schedule::{Assignment, Schedule};
+        use rapid_trace::ProtoState;
+        let mut b = TaskGraphBuilder::new();
+        // P0 owns w, x, z; P1 owns s, y and a big d that leaves it room
+        // for one of the volatile copies of w and x at a time.
+        let [w, x, z] = [4, 4, 1].map(|n| b.add_object(n));
+        let [s, y, d] = [1, 1, 8].map(|n| b.add_object(n));
+        let tw = b.add_task(1.0, &[], &[w]);
+        let ta = b.add_task(1.0, &[], &[x]);
+        let ts = b.add_task(1.0, &[w], &[s, d]);
+        let tc = b.add_task(1.0, &[x], &[y]);
+        let tb = b.add_task(1.0, &[y], &[z]);
+        for (from, to) in [(tw, ts), (ta, tc), (tc, tb)] {
+            b.add_edge(from, to);
+        }
+        let g = b.build().unwrap();
+        let assign =
+            Assignment { task_proc: vec![0, 0, 1, 1, 0], owner: vec![0, 0, 0, 1, 1, 1], nprocs: 2 };
+        let sched = Schedule { assign, order: vec![vec![tw, ta, tb], vec![ts, tc]] };
+        let cap = min_mem(&g, &sched).min_mem;
+        // P1's first task holds everything up for far longer than a wait
+        // yields: P0, blocked in REC for y, is parked when P1's second MAP
+        // places x and announces it.
+        let hold = Duration::from_millis(40);
+        let body = |t: TaskId, ctx: &mut TaskCtx<'_>| {
+            if t == ts {
+                std::thread::sleep(hold);
+            }
+            test_body(t, ctx)
+        };
+        let out = ThreadedExecutor::new(&g, &sched, cap)
+            .with_tracing(TraceConfig::default())
+            .run(body)
+            .expect("the chain resolves");
+        assert_eq!(out.objects, run_sequential(&g, test_body));
+        assert_eq!(out.maps, vec![1, 2], "x is placed by a MAP of its own, after the hold");
+        let p0 = &out.metrics.as_ref().expect("traced")[0];
+        assert!(p0.suspended_peak >= 1 && p0.cq_retries >= 1, "x waited in P0's CQ: {p0:?}");
+        assert!(
+            Duration::from_nanos(p0.dwell_ns[ProtoState::Rec.idx()]) > hold / 2,
+            "P0 sat out the hold in REC: {p0:?}"
+        );
+        assert!(out.wall < hold + Duration::from_secs(2), "and got out of it: {:?}", out.wall);
+    }
+
+    /// Eight workers on however few cores pass one token round and round:
+    /// at any time one of them can run and seven wait. A waiter that kept
+    /// its core for a scheduler timeslice before letting the runnable one
+    /// on would make every hop cost milliseconds.
+    #[test]
+    fn oversubscribed_waits_hand_the_core_over() {
+        use rapid_core::graph::TaskGraphBuilder;
+        use rapid_core::schedule::{Assignment, Schedule};
+        let (nprocs, hops) = (8usize, 400usize);
+        let mut b = TaskGraphBuilder::new();
+        let objs: Vec<_> = (0..hops).map(|_| b.add_object(1)).collect();
+        let mut tasks: Vec<TaskId> = Vec::new();
+        for i in 0..hops {
+            let reads: Vec<_> = if i == 0 { vec![] } else { vec![objs[i - 1]] };
+            let t = b.add_task(1.0, &reads, &[objs[i]]);
+            if i > 0 {
+                b.add_edge(tasks[i - 1], t);
+            }
+            tasks.push(t);
+        }
+        let g = b.build().unwrap();
+        let on = |i: usize| (i % nprocs) as u32;
+        let assign = Assignment {
+            task_proc: (0..hops).map(on).collect(),
+            owner: (0..hops).map(on).collect(),
+            nprocs,
+        };
+        let order =
+            (0..nprocs).map(|p| tasks.iter().copied().skip(p).step_by(nprocs).collect()).collect();
+        let sched = Schedule { assign, order };
+        let exec = ThreadedExecutor::new(&g, &sched, min_mem(&g, &sched).min_mem);
+        let reference = run_sequential(&g, test_body);
+        let fastest = (0..5)
+            .map(|_| {
+                let out = exec.run(test_body).expect("the token comes round");
+                assert_eq!(out.objects, reference);
+                out.wall
+            })
+            .min()
+            .expect("five runs");
+        eprintln!("oversubscribed ring: {hops} hops on {nprocs} workers in {fastest:?}");
+        assert!(fastest < Duration::from_millis(400), "{fastest:?} for {hops} hops");
     }
 
     /// Pooled-ring reuse regression (satellite): a traced run whose rings
