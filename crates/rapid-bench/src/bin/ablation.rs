@@ -87,17 +87,20 @@ fn main() {
     );
     let mm = min_mem(&model.graph, &sched).min_mem;
     println!("Ablation 3: arena placement, 2-D Cholesky n={} p=4, MIN_MEM={mm}", a.ncols);
-    // Find the smallest capacity at which each policy completes. The
-    // threaded executor always uses best-fit internally, so emulate
-    // first-fit by replaying the planner trace into both arena policies.
+    // Find the smallest capacity at which each policy follows the counted
+    // placement to the end: no allocation that fails, no window cut short.
+    // The threaded executor's address plan is the best-fit walk; the
+    // first-fit one exists for this comparison only.
+    let plan = rapid_rt::RtPlan::new(&model.graph, &sched);
     for policy in
         [rapid_machine::arena::FitPolicy::BestFit, rapid_machine::arena::FitPolicy::FirstFit]
     {
+        let fits = |cap| {
+            plan.address_plan(&model.graph, &sched, cap, MapWindow::Greedy, policy)
+                .is_ok_and(|a| a.cuts.iter().all(|&c| c == 0))
+        };
         let mut cap = mm;
-        loop {
-            if replay_fits(&model, &sched, cap, policy) {
-                break;
-            }
+        while !fits(cap) {
             cap += mm / 100 + 1;
         }
         println!(
@@ -157,49 +160,4 @@ fn control_structure_report(scale: Scale) {
     }
     let (name, w) = lu_workload(scale);
     report(&format!("lu {name}"), &w);
-}
-
-/// Replay each processor's MAP alloc/free sequence into an [`Arena`] with
-/// the given policy; true when no allocation fragments.
-fn replay_fits(
-    model: &rapid_sparse::taskgen::CholeskyModel,
-    sched: &rapid_core::schedule::Schedule,
-    capacity: u64,
-    policy: rapid_machine::arena::FitPolicy,
-) -> bool {
-    use rapid_machine::arena::Arena;
-    use rapid_rt::maps::{MapPlanner, RtPlan};
-    use std::collections::HashMap;
-    let g = &model.graph;
-    let plan = RtPlan::new(g, sched);
-    for p in 0..sched.assign.nprocs {
-        let mut arena = Arena::with_policy(capacity, policy);
-        for d in g.objects() {
-            if sched.assign.owner_of(d) as usize == p && arena.alloc(g.obj_size(d)).is_err() {
-                return false;
-            }
-        }
-        let mut planner = MapPlanner::new(p as u32, capacity, plan.perm_units[p]);
-        let mut addr: HashMap<u32, u64> = HashMap::new();
-        let mut pos = 0u32;
-        while (pos as usize) < sched.order[p].len() {
-            let action = match planner.run_map(g, sched, &plan, pos) {
-                Ok(a) => a,
-                Err(_) => return false,
-            };
-            for d in &action.frees {
-                arena.free(addr.remove(&d.0).expect("live")).expect("frees cleanly");
-            }
-            for d in &action.allocs {
-                match arena.alloc(g.obj_size(*d)) {
-                    Ok(off) => {
-                        addr.insert(d.0, off);
-                    }
-                    Err(_) => return false,
-                }
-            }
-            pos = action.next_map;
-        }
-    }
-    true
 }

@@ -47,17 +47,25 @@ impl fmt::Debug for ObjId {
     }
 }
 
-/// Compressed adjacency: `targets[offsets[i]..offsets[i+1]]` are the
-/// neighbours of node `i`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Csr {
+/// Compressed rows: `targets[offsets[i]..offsets[i+1]]` is row `i` — the
+/// neighbours of node `i` for an adjacency, or any other list per index
+/// (`csr[i]` reads it). Two allocations however many rows there are, where
+/// a `Vec<Vec<T>>` makes one per non-empty row.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Csr<T = u32> {
     offsets: Vec<u32>,
-    targets: Vec<u32>,
+    targets: Vec<T>,
 }
 
-impl Csr {
+impl<T> Default for Csr<T> {
+    fn default() -> Self {
+        Csr { offsets: Vec::new(), targets: Vec::new() }
+    }
+}
+
+impl<T: Copy> Csr<T> {
     /// Build from per-node neighbour lists.
-    pub fn from_lists(lists: &[Vec<u32>]) -> Self {
+    pub fn from_lists(lists: &[Vec<T>]) -> Self {
         let mut offsets = Vec::with_capacity(lists.len() + 1);
         let mut targets = Vec::with_capacity(lists.iter().map(Vec::len).sum());
         offsets.push(0);
@@ -68,9 +76,34 @@ impl Csr {
         Csr { offsets, targets }
     }
 
+    /// Deal `(row, item)` pairs into `n` rows; within a row the items keep
+    /// the order they came in (a stable counting sort, two passes over
+    /// `pairs`).
+    pub fn group(n: usize, pairs: impl Iterator<Item = (usize, T)> + Clone) -> Self {
+        let mut offsets = vec![0u32; n + 1];
+        for (row, _) in pairs.clone() {
+            offsets[row + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let Some((_, filler)) = pairs.clone().next() else {
+            return Csr { offsets, targets: Vec::new() };
+        };
+        let mut targets = vec![filler; offsets[n] as usize];
+        let mut next = offsets.clone();
+        for (row, item) in pairs {
+            targets[next[row] as usize] = item;
+            next[row] += 1;
+        }
+        Csr { offsets, targets }
+    }
+}
+
+impl<T> Csr<T> {
     /// Neighbours of node `i`.
     #[inline]
-    pub fn row(&self, i: usize) -> &[u32] {
+    pub fn row(&self, i: usize) -> &[T] {
         let lo = self.offsets[i] as usize;
         let hi = self.offsets[i + 1] as usize;
         &self.targets[lo..hi]
@@ -92,6 +125,20 @@ impl Csr {
     #[inline]
     pub fn num_edges(&self) -> usize {
         self.targets.len()
+    }
+
+    /// Every row, in order.
+    pub fn rows(&self) -> impl Iterator<Item = &[T]> + '_ {
+        (0..self.len()).map(|i| self.row(i))
+    }
+}
+
+impl<T> std::ops::Index<usize> for Csr<T> {
+    type Output = [T];
+
+    #[inline]
+    fn index(&self, i: usize) -> &[T] {
+        self.row(i)
     }
 }
 

@@ -8,7 +8,7 @@
 //! performing a data flow analysis on a given DAG with a complexity
 //! proportional to the size of the graph").
 
-use crate::graph::{ObjId, TaskGraph};
+use crate::graph::{Csr, ObjId, TaskGraph};
 use crate::schedule::Schedule;
 
 /// Lifetime information for one processor's task order.
@@ -16,10 +16,10 @@ use crate::schedule::Schedule;
 pub struct ProcLiveness {
     /// `first_use[i]`: volatile objects whose first local access is at
     /// position `i` of the order (sorted by object id).
-    pub first_use: Vec<Vec<ObjId>>,
+    pub first_use: Csr<ObjId>,
     /// `dead_after[i]`: volatile objects whose last local access is at
     /// position `i`; their space may be recycled at any later MAP.
-    pub dead_after: Vec<Vec<ObjId>>,
+    pub dead_after: Csr<ObjId>,
     /// Every volatile object of the processor (sorted).
     pub volatile: Vec<ObjId>,
     /// `volatile_span[k] = (first, last)` positions for `volatile[k]`.
@@ -56,23 +56,21 @@ impl Liveness {
                 }
             }
             touched.sort_unstable();
-            let mut pl = ProcLiveness {
-                first_use: vec![Vec::new(); ord.len()],
-                dead_after: vec![Vec::new(); ord.len()],
-                volatile: touched.clone(),
-                volatile_span: Vec::with_capacity(touched.len()),
+            // Dealt in ascending object order, so every row comes out sorted.
+            let pl = ProcLiveness {
+                first_use: Csr::group(
+                    ord.len(),
+                    touched.iter().map(|&d| (first[d.idx()] as usize, d)),
+                ),
+                dead_after: Csr::group(
+                    ord.len(),
+                    touched.iter().map(|&d| (last[d.idx()] as usize, d)),
+                ),
+                volatile_span: touched.iter().map(|&d| (first[d.idx()], last[d.idx()])).collect(),
+                volatile: touched,
             };
-            for &d in &touched {
-                let (f, l) = (first[d.idx()], last[d.idx()]);
-                pl.first_use[f as usize].push(d);
-                pl.dead_after[l as usize].push(d);
-                pl.volatile_span.push((f, l));
-            }
-            for v in pl.first_use.iter_mut().chain(pl.dead_after.iter_mut()) {
-                v.sort_unstable();
-            }
             // Clear scratch for next processor.
-            for &d in &touched {
+            for &d in &pl.volatile {
                 first[d.idx()] = u32::MAX;
                 last[d.idx()] = u32::MAX;
             }

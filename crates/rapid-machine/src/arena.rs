@@ -72,6 +72,8 @@ pub enum FitPolicy {
 #[derive(Clone, Debug)]
 pub struct Arena {
     capacity: u64,
+    /// Units at the bottom that were never this arena's to hand out.
+    reserved: u64,
     policy: FitPolicy,
     /// Free blocks `(offset, len)`, sorted by offset, never adjacent.
     free: Vec<(u64, u64)>,
@@ -85,19 +87,30 @@ pub struct Arena {
 impl Arena {
     /// New best-fit arena of `capacity` units, all free.
     pub fn new(capacity: u64) -> Self {
-        Self::with_policy(capacity, FitPolicy::BestFit)
+        Self::with_reserved(capacity, 0, FitPolicy::BestFit)
     }
 
-    /// New arena with an explicit placement policy.
-    pub fn with_policy(capacity: u64, policy: FitPolicy) -> Self {
+    /// New arena of the given placement policy whose lowest `reserved`
+    /// units (at most `capacity`) are taken for good: a prefix laid out by
+    /// someone else — the permanent objects, bump-allocated in id order —
+    /// that counts as in use and is never freed. The same state as
+    /// allocating the prefix block by block from a fresh arena, without a
+    /// `live` entry per block.
+    pub fn with_reserved(capacity: u64, reserved: u64, policy: FitPolicy) -> Self {
+        let reserved = reserved.min(capacity);
         Arena {
             capacity,
+            reserved,
             policy,
-            free: if capacity > 0 { vec![(0, capacity)] } else { Vec::new() },
+            free: if capacity > reserved {
+                vec![(reserved, capacity - reserved)]
+            } else {
+                Vec::new()
+            },
             live: Vec::new(),
-            in_use: 0,
-            peak: 0,
-            high_water: 0,
+            in_use: reserved,
+            peak: reserved,
+            high_water: reserved,
         }
     }
 
@@ -132,11 +145,6 @@ impl Arena {
     /// Largest contiguous free block.
     pub fn largest_free(&self) -> u64 {
         self.free.iter().map(|&(_, l)| l).max().unwrap_or(0)
-    }
-
-    /// Number of live allocations.
-    pub fn live_count(&self) -> usize {
-        self.live.len()
     }
 
     /// Allocate `len` units; returns the offset. Zero-length requests get
@@ -203,13 +211,9 @@ impl Arena {
         Ok(())
     }
 
-    /// Size of the live allocation at `off`, if any.
-    pub fn len_at(&self, off: u64) -> Option<u64> {
-        self.live.binary_search_by_key(&off, |&(o, _)| o).ok().map(|i| self.live[i].1)
-    }
-
     /// Internal consistency check (tests): free and live blocks partition
-    /// `[0, capacity)` with no overlap, free blocks sorted and coalesced.
+    /// `[reserved, capacity)` with no overlap, free blocks sorted and
+    /// coalesced.
     pub fn check_invariants(&self) -> bool {
         let mut spans: Vec<(u64, u64, bool)> = self
             .free
@@ -218,7 +222,7 @@ impl Arena {
             .chain(self.live.iter().filter(|&&(_, l)| l > 0).map(|&(o, l)| (o, l, false)))
             .collect();
         spans.sort_unstable();
-        let mut cursor = 0u64;
+        let mut cursor = self.reserved;
         let mut prev_free = false;
         for &(o, l, is_free) in &spans {
             if o != cursor {
@@ -230,7 +234,8 @@ impl Arena {
             cursor = o + l;
             prev_free = is_free;
         }
-        cursor == self.capacity && self.in_use == self.live.iter().map(|&(_, l)| l).sum::<u64>()
+        cursor == self.capacity
+            && self.in_use == self.reserved + self.live.iter().map(|&(_, l)| l).sum::<u64>()
     }
 }
 
@@ -301,6 +306,37 @@ mod tests {
     }
 
     #[test]
+    fn reserved_prefix_is_the_state_block_by_block_allocation_leaves() {
+        // Permanents of sizes 3, 0, 4 bump-allocated from a fresh arena
+        // against one reserved prefix of 7: every later answer agrees.
+        for policy in [FitPolicy::BestFit, FitPolicy::FirstFit] {
+            let mut a = Arena::with_reserved(20, 0, policy);
+            for len in [3, 0, 4] {
+                a.alloc(len).unwrap();
+            }
+            let mut b = Arena::with_reserved(20, 7, policy);
+            assert_eq!((b.in_use(), b.peak(), b.high_water()), (7, 7, 7));
+            let x = (a.alloc(5).unwrap(), b.alloc(5).unwrap());
+            assert_eq!(x, (7, 7));
+            assert_eq!(a.alloc(6), b.alloc(6));
+            a.free(x.0).unwrap();
+            b.free(x.1).unwrap();
+            let small = if policy == FitPolicy::BestFit { 18 } else { 7 };
+            assert_eq!((a.alloc(2), b.alloc(2)), (Ok(small), Ok(small)));
+            assert_eq!(a.alloc(4), b.alloc(4));
+            assert_eq!(
+                (a.in_use(), a.peak(), a.high_water()),
+                (b.in_use(), b.peak(), b.high_water())
+            );
+            assert_eq!(a.largest_free(), b.largest_free());
+            assert!(b.check_invariants());
+            assert_eq!(b.free(0), Err(ArenaError::BadFree(0)), "the prefix is not an allocation");
+        }
+        let full = Arena::with_reserved(4, 9, FitPolicy::BestFit);
+        assert_eq!((full.in_use(), full.free_units(), full.largest_free()), (4, 0, 0));
+    }
+
+    #[test]
     fn directional_coalescing() {
         // Free blocks must merge with a left-only neighbour, a right-only
         // neighbour, and both at once — each case leaves a single block.
@@ -338,18 +374,13 @@ mod tests {
     }
 
     #[test]
-    fn len_at_and_accounting() {
+    fn accounting() {
         let mut a = Arena::new(50);
         let x = a.alloc(20).unwrap();
-        let y = a.alloc(5).unwrap();
-        assert_eq!(a.len_at(x), Some(20));
-        assert_eq!(a.len_at(y), Some(5));
-        assert_eq!(a.len_at(x + 1), None, "interior offsets are not allocations");
-        assert_eq!(a.live_count(), 2);
+        a.alloc(5).unwrap();
         assert_eq!(a.in_use() + a.free_units(), a.capacity());
         a.free(x).unwrap();
-        assert_eq!(a.len_at(x), None, "freed offset no longer live");
-        assert_eq!(a.live_count(), 1);
+        assert_eq!(a.free(x), Err(ArenaError::BadFree(x)), "freed offset no longer live");
         assert_eq!(a.in_use() + a.free_units(), a.capacity());
         assert_eq!(a.peak(), 25, "peak keeps the high-water mark after frees");
     }
@@ -383,7 +414,7 @@ mod tests {
         for (policy, expect_reuse) in [(FitPolicy::BestFit, true), (FitPolicy::FirstFit, false)] {
             // Layout: a 30-unit free block at 0 and an exact 10-unit hole
             // at 35, separated by live pins so nothing coalesces.
-            let mut a = Arena::with_policy(100, policy);
+            let mut a = Arena::with_reserved(100, 0, policy);
             let x = a.alloc(30).unwrap(); // 0..30
             let _p1 = a.alloc(5).unwrap(); // 30..35
             let h = a.alloc(10).unwrap(); // 35..45

@@ -4,12 +4,20 @@
 //!
 //! [`ProcCore`] is one processor's resumable run of the protocol. It owns
 //! everything that *is* protocol: the position in the order and the MAP
-//! window, the [`MapPlanner`] call and the address packages it produces,
-//! the dense address tables, the suspended-send queue, the window
-//! rollback of [`RecoveryPolicy`], the fault sites and every trace hook.
-//! It knows nothing about time, threads or buffers: those it reaches
+//! window, the replay of the MAPs planned for it and the address packages
+//! they carry, the dense address tables, the suspended-send queue, the
+//! window rollback of [`RecoveryPolicy`], the fault sites and every trace
+//! hook. It knows nothing about time, threads or buffers: those it reaches
 //! through an [`Env`] (statically dispatched, one per driver) and through
 //! the [`Port`] of its comm backend.
+//!
+//! What a MAP frees, allocates, where, and whom it tells is decided before
+//! the run ([`crate::maps`]): the core is handed its processor's
+//! [`PlannedMap`]s and, where buffers are real, the offset of every
+//! volatile, and a MAP is a walk down the next row. No allocator and no
+//! window planner runs here; what can still go wrong while placing is an
+//! injected allocation failure (retried, then healed by an armed window
+//! retry or reported).
 //!
 //! [`ProcCore::step`] advances the machine until a MAP or a task is
 //! complete ([`Step::Progress`]), until it cannot go on ([`Step::Blocked`],
@@ -33,35 +41,31 @@
 //!   address package wakes exactly the parked sends its entries unblock
 //!   (the two-watched-literal trick: a retried send that is still blocked
 //!   re-parks on its next missing object).
-//! - **Address packages are batched.** A MAP's notifications arrive
-//!   pre-sorted by destination, so one package per collaborating
-//!   processor is assembled in a reusable buffer and handed to
-//!   [`Port::send_package`] — no allocation in steady state.
+//! - **Address packages are batched.** A MAP's notifications are planned
+//!   sorted by destination, so one package per collaborating processor is
+//!   assembled in a reusable buffer and handed to [`Port::send_package`] —
+//!   no allocation in steady state.
 
-use crate::maps::{ExecError, MapAction, MapPlanner, MapWindow, RtPlan};
+use crate::maps::{ExecError, PlannedMap, RtPlan};
 use crate::recover::RecoveryPolicy;
-use rapid_core::graph::{ObjId, TaskGraph, TaskId};
+use rapid_core::graph::{TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
-use rapid_machine::arena::ArenaError;
 use rapid_machine::fault::{FaultSite, ProcFaults};
 use rapid_machine::machine::{Port, SendOutcome};
 use rapid_machine::mailbox::AddrEntry;
-use rapid_trace::{FlatWriter, ProtoState, TraceTier};
+use rapid_trace::{FlatWriter, ProtoState, TraceTier, NO_OFFSET};
 use std::time::Duration;
 
 /// Sentinel for "address not (yet) known" in the dense tables. Not
 /// `u64::MAX`: that is [`rapid_trace::NO_OFFSET`], the address an
 /// environment without real buffers hands out.
 pub(crate) const NO_ADDR: u64 = u64::MAX - 1;
-/// Bounded retries of a MAP-time placement that failed with
-/// [`ArenaError::Fragmented`] before the window-truncation ladder kicks in.
-const FRAG_RETRIES: u32 = 8;
 
 /// A modelled cost the protocol incurs. Real threads pay these by doing
 /// the work; the DES adds them to its virtual clock.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Cost {
-    /// A MAP was planned: `objects` buffers are freed or allocated.
+    /// A MAP begins: `objects` buffers are freed or allocated.
     Map { objects: usize },
     /// An address package of `entries` entries was handed off toward `dst`.
     AddrPkg { dst: u32, entries: usize },
@@ -85,12 +89,6 @@ pub(crate) trait Env {
     fn charge(&mut self, _cost: Cost) {}
     /// Hold the next operation of fault site `site` back by `by`.
     fn delay(&mut self, site: FaultSite, by: Duration);
-    /// Place a buffer of `units` for `d` and return its offset. With
-    /// `pretend_fragmented` (an injected fault) nothing is placed and the
-    /// answer is the fragmentation error a real failure would give.
-    fn place(&mut self, d: ObjId, units: u64, pretend_fragmented: bool) -> Result<u64, ArenaError>;
-    /// Release the buffer at `off`.
-    fn release(&mut self, off: u64) -> Result<(), ArenaError>;
     /// Put message `mid`: copy its objects from their `local` offsets to
     /// the `remote` ones (both indexed by object id) and signal arrival.
     fn put(&mut self, mid: u32, local: &[u64], remote: &[u64]);
@@ -128,7 +126,7 @@ pub(crate) struct Diag {
 pub(crate) enum On {
     /// MAP: the address slot toward this processor is still occupied.
     Mailbox(u32),
-    /// MAP: a buffer could not be placed; retry after servicing.
+    /// MAP: an injected fault refused a placement; retry after servicing.
     Arena,
     /// REC: this message has not arrived.
     Msg(u32),
@@ -155,25 +153,14 @@ pub(crate) struct CoreSpec<'e> {
     pub g: &'e TaskGraph,
     pub sched: &'e Schedule,
     pub plan: &'e RtPlan,
-    pub capacity: u64,
-    /// [`permanent_layout`] of the schedule.
+    /// [`permanent_layout`](crate::maps::permanent_layout) of the schedule.
     pub perm_off: &'e [u64],
-    pub window: MapWindow,
+    /// `maps[p]`: the MAPs processor `p` performs, in order.
+    pub maps: &'e [Vec<PlannedMap>],
+    /// `offsets[p][d]`: where volatile `d` lives on processor `p`. Empty
+    /// where no buffer is real and every address is [`NO_OFFSET`].
+    pub offsets: &'e [Vec<u64>],
     pub recovery: Option<RecoveryPolicy>,
-}
-
-/// The deterministic permanent layout: objects in id order, bump
-/// allocated from 0 on the owner's heap, so their addresses are globally
-/// known without notification, as in RAPID.
-pub(crate) fn permanent_layout(g: &TaskGraph, sched: &Schedule) -> Vec<u64> {
-    let mut cursor = vec![0u64; sched.assign.nprocs];
-    g.objects()
-        .map(|d| {
-            let c = &mut cursor[sched.assign.owner_of(d) as usize];
-            *c += g.obj_size(d);
-            *c - g.obj_size(d)
-        })
-        .collect()
 }
 
 /// Where `step` resumes.
@@ -221,7 +208,14 @@ pub(crate) struct ProcCore<'e, P: Port> {
     spec: CoreSpec<'e>,
     order: &'e [TaskId],
     port: P,
-    planner: MapPlanner,
+    /// The MAPs planned for this processor, how many of them are done,
+    /// and the most units their counting has had in use.
+    maps: &'e [PlannedMap],
+    maps_done: usize,
+    peak: u64,
+    /// Object id → planned offset of its volatile buffer here (empty:
+    /// [`NO_OFFSET`] throughout).
+    offsets: &'e [u64],
     state: State,
     /// Protocol state last entered (traced and published).
     at: ProtoState,
@@ -252,10 +246,10 @@ pub(crate) struct ProcCore<'e, P: Port> {
     sent: Vec<bool>,
     faults: Option<ProcFaults>,
     tr: Option<FlatWriter<'e>>,
-    /// The MAP in progress: its plan, the next allocation to place with
-    /// the retries spent on it, the next notification to send, whether
-    /// its package is assembled and whether its busy slot was reported.
-    action: MapAction,
+    /// The MAP in progress (`maps[maps_done]`): the next allocation to
+    /// place with the retries spent on it, the next notification to send,
+    /// whether its package is assembled and whether its busy slot was
+    /// reported.
     alloc_i: usize,
     alloc_tries: u32,
     notify_i: usize,
@@ -305,7 +299,10 @@ impl<'e, P: Port> ProcCore<'e, P> {
             spec,
             order: &sched.order[p],
             port,
-            planner: MapPlanner::new(p as u32, spec.capacity, plan.perm_units[p]),
+            maps: &spec.maps[p],
+            maps_done: 0,
+            peak: plan.perm_units[p],
+            offsets: spec.offsets.get(p).map_or(&[], |o| o),
             state: State::MapPlan,
             at: ProtoState::Setup,
             pos: 0,
@@ -319,7 +316,6 @@ impl<'e, P: Port> ProcCore<'e, P> {
             sent: if spec.recovery.is_some() { vec![false; plan.msgs.len()] } else { Vec::new() },
             faults,
             tr,
-            action: MapAction::default(),
             alloc_i: 0,
             alloc_tries: 0,
             notify_i: 0,
@@ -336,10 +332,10 @@ impl<'e, P: Port> ProcCore<'e, P> {
 
     /// Original RAPID instead of active memory management: all `resident`
     /// units (permanent and volatile) are allocated up front and every
-    /// address was exchanged before the run, so no MAP ever runs and no
-    /// send ever waits.
+    /// address was exchanged before the run, so no MAP is ever due (its
+    /// driver plans none) and no send ever waits.
     pub(crate) fn preallocated(mut self, resident: u64) -> Self {
-        self.planner = MapPlanner::new(self.p as u32, self.spec.capacity, resident);
+        self.peak = resident;
         self.next_map = u32::MAX;
         self.known.fill(0);
         self.state = if self.order.is_empty() { State::End } else { State::Task };
@@ -361,9 +357,14 @@ impl<'e, P: Port> ProcCore<'e, P> {
         self.order.len() - self.pos as usize
     }
 
-    /// The planner's counting: MAPs performed so far, peak units in use.
-    pub(crate) fn planner(&self) -> &MapPlanner {
-        &self.planner
+    /// MAPs performed so far.
+    pub(crate) fn maps_done(&self) -> u32 {
+        self.maps_done as u32
+    }
+
+    /// Peak units in use so far, by the plan's counting.
+    pub(crate) fn peak(&self) -> u64 {
+        self.peak
     }
 
     /// Sends that waited in the suspended queue at least once.
@@ -477,9 +478,10 @@ impl<'e, P: Port> ProcCore<'e, P> {
         }
     }
 
-    /// MAP, first part: plan the window and run its free wave.
+    /// MAP, first part: take the next planned window and run its free
+    /// wave.
     fn map_plan<E: Env>(&mut self, env: &mut E) -> Result<(), ExecError> {
-        let CoreSpec { g, sched, plan, window, .. } = self.spec;
+        let g = self.spec.g;
         let pos = self.pos;
         // A new allocation window begins here: it gets a fresh
         // re-execution budget (EXE-phase rollbacks never rewind across a
@@ -488,12 +490,14 @@ impl<'e, P: Port> ProcCore<'e, P> {
         self.window_attempts = 0;
         self.enter(env, ProtoState::Map);
         trace(&mut self.tr, |w| w.map_begin(env.recent(), pos));
-        self.action = self.planner.run_map_with(g, sched, plan, pos, window)?;
-        env.charge(Cost::Map { objects: self.action.frees.len() + self.action.allocs.len() });
-        for &d in &self.action.frees {
+        let Some(m) = self.maps.get(self.maps_done).filter(|m| m.pos == pos) else {
+            return Err(self.internal(format!("no MAP was planned at position {pos}")));
+        };
+        env.charge(Cost::Map { objects: m.frees.len() + m.allocs.len() });
+        for &d in &m.frees {
             let off = std::mem::replace(&mut self.local[d.idx()], NO_ADDR);
-            if let Err(e) = env.release(off) {
-                return Err(self.internal(format!("MAP free of {d:?} at {off} rejected: {e:?}")));
+            if off == NO_ADDR {
+                return Err(self.internal(format!("MAP frees {d:?}, which is not resident")));
             }
             trace(&mut self.tr, |w| w.free(env.recent(), d.0, g.obj_size(d), off));
         }
@@ -502,64 +506,36 @@ impl<'e, P: Port> ProcCore<'e, P> {
         Ok(())
     }
 
-    /// MAP, second part: place the planned allocations. The counting
-    /// planner guarantees the units fit, but a real (best-fit) arena can still
-    /// be transiently fragmented (and the fault layer can pretend it is).
-    /// Degradation ladder: retry a bounded number of times, blocked so
-    /// that the driver services RA/CQ in between (Theorem 1: the system
-    /// keeps evolving while we wait), then truncate the allocation window
-    /// at the first *lookahead* position that cannot be placed — those
-    /// objects roll back and are re-planned by the (now earlier) next
-    /// MAP, whose free wave may have coalesced room. Only the task at
-    /// `pos` itself failing to place is a hard `Fragmented` error, which
-    /// an armed window retries from its first allocation.
+    /// MAP, second part: place the planned allocations, each at its
+    /// planned offset. That they fit, contiguously, was settled when the
+    /// plan was made; what is left to go wrong is an injected allocation
+    /// failure, transient by definition. Ladder: retry the same entry a
+    /// bounded number of times, blocked so that the driver services RA/CQ
+    /// in between (Theorem 1: the system keeps evolving while we wait);
+    /// then an armed window undoes this MAP's placements and places them
+    /// again from the first, and an unarmed one fails `Fragmented`.
     fn map_place<E: Env>(&mut self, env: &mut E) -> Result<Option<On>, ExecError> {
         let g = self.spec.g;
         let (p, pos) = (self.p as u32, self.pos);
-        let budget = self.spec.recovery.map_or(FRAG_RETRIES, |r| r.retry.alloc_attempts);
-        while let Some(&d) = self.action.allocs.get(self.alloc_i) {
+        let m = &self.maps[self.maps_done];
+        // An unarmed run retries as often as the default policy would.
+        let budget = self.spec.recovery.unwrap_or_default().retry.alloc_attempts;
+        while let Some(&d) = m.allocs.get(self.alloc_i) {
             let size = g.obj_size(d);
-            let injected = self.rejected(env, FaultSite::AllocFail, ProcFaults::alloc_fails);
-            let largest = match env.place(d, size, injected) {
-                Ok(off) => {
-                    self.local[d.idx()] = off;
-                    trace(&mut self.tr, |w| w.alloc(env.recent(), d.0, size, off));
-                    self.alloc_i += 1;
-                    self.alloc_tries = 0;
-                    continue;
-                }
-                Err(ArenaError::Fragmented { largest, .. }) => largest,
-                Err(_) => {
-                    return Err(ExecError::NonExecutable {
-                        proc: p,
-                        position: pos,
-                        needed: self.planner.in_use(),
-                        capacity: self.spec.capacity,
-                    })
-                }
-            };
+            if !self.rejected(env, FaultSite::AllocFail, ProcFaults::alloc_fails) {
+                let off = self.offsets.get(d.idx()).copied().unwrap_or(NO_OFFSET);
+                self.local[d.idx()] = off;
+                trace(&mut self.tr, |w| w.alloc(env.recent(), d.0, size, off));
+                self.alloc_i += 1;
+                self.alloc_tries = 0;
+                continue;
+            }
             if self.alloc_tries < budget {
                 self.alloc_tries += 1;
                 return Ok(Some(On::Arena));
             }
             self.alloc_tries = 0;
-            let ai = self.alloc_i;
-            if self.action.alloc_pos[ai] != pos {
-                // The failing object and everything after it were never
-                // placed, so no Alloc events were recorded for them — the
-                // trace replay's accounting stays consistent with the
-                // planner rollback without any compensating event. They
-                // have no address; their notifications are re-issued by
-                // the MAP that re-plans them.
-                for &dd in &self.action.allocs[ai..] {
-                    self.planner.rollback_alloc(g, dd);
-                }
-                self.action.next_map = self.action.alloc_pos[ai];
-                let planner = &self.planner;
-                self.action.notifies.retain(|n| planner.is_allocated(ObjId(n.obj)));
-                break;
-            }
-            let frag = ExecError::Fragmented { proc: p, requested: size, largest };
+            let frag = ExecError::Fragmented { proc: p, requested: size, largest: 0 };
             let Some(pol) = self.spec.recovery else { return Err(frag) };
             if self.window_attempts >= pol.retry.window_attempts {
                 return Err(ExecError::Unrecoverable {
@@ -570,22 +546,15 @@ impl<'e, P: Port> ProcCore<'e, P> {
                 });
             }
             // MAP-phase window retry: undo this attempt's placements and
-            // re-run the wave. The planner accounting is untouched (the
-            // same objects are re-placed) and the arena free-list
-            // restores, so the re-placed offsets — and hence the recovered
-            // trace — depend only on the fault seed and the plan. No task
-            // ran yet, so there is nothing to restore. Blocking gives one
-            // service round between attempts: an injected fault stream
-            // drains its budget, a genuinely fragmented arena gets a
-            // chance to coalesce.
+            // re-run the wave. The same planned row is placed again at the
+            // same offsets, so the recovered trace depends only on the
+            // fault seed and the plan. No task ran yet, so there is
+            // nothing to restore. Blocking gives one service round between
+            // attempts, in which an injected fault stream drains its
+            // budget.
             self.window_attempts += 1;
-            for &dd in &self.action.allocs[..ai] {
-                let off = std::mem::replace(&mut self.local[dd.idx()], NO_ADDR);
-                if let Err(e) = env.release(off) {
-                    return Err(self.internal(format!(
-                        "recovery rollback of {dd:?} at offset {off} rejected: {e:?}"
-                    )));
-                }
+            for &dd in &m.allocs[..self.alloc_i] {
+                self.local[dd.idx()] = NO_ADDR;
                 trace(&mut self.tr, |w| w.alloc_rollback(env.recent(), dd.0, g.obj_size(dd)));
             }
             let attempt = self.window_attempts;
@@ -599,18 +568,19 @@ impl<'e, P: Port> ProcCore<'e, P> {
     }
 
     /// MAP, third part: tell every processor that will put into a buffer
-    /// this MAP placed where it is. Notifications arrive pre-sorted by
+    /// this MAP placed where it is. Notifications are planned sorted by
     /// (destination, object), so one linear walk assembles one package
     /// per destination.
     fn map_notify<E: Env>(&mut self, env: &mut E) -> Option<On> {
-        while let Some(first) = self.action.notifies.get(self.notify_i) {
+        let notifies = &self.maps[self.maps_done].notifies;
+        while let Some(first) = notifies.get(self.notify_i) {
             let dst = first.dst;
-            let group = &self.action.notifies[self.notify_i..];
+            let group = &notifies[self.notify_i..];
             let entries = group.iter().take_while(|n| n.dst == dst).count();
             if !self.pkg_ready {
                 self.pkg_buf.clear();
                 for n in &group[..entries] {
-                    self.pkg_buf.push(AddrEntry { obj: n.obj, offset: self.local[n.obj as usize] });
+                    self.pkg_buf.push(AddrEntry { obj: n.obj, offset: n.offset });
                 }
                 self.delayed(env, FaultSite::MailboxDelay, ProcFaults::mailbox_delay);
                 self.pkg_ready = true;
@@ -632,9 +602,8 @@ impl<'e, P: Port> ProcCore<'e, P> {
             env.charge(Cost::AddrPkg { dst, entries });
             if let Some(w) = self.tr.as_mut() {
                 // The hand-off consumed the buffer; the plan still has the ids.
-                let sent = &self.action.notifies[self.notify_i..][..entries];
                 self.pkg_ids.clear();
-                self.pkg_ids.extend(sent.iter().map(|n| n.obj));
+                self.pkg_ids.extend(group[..entries].iter().map(|n| n.obj));
                 let seq = &mut self.pkg_send_seq[dst as usize];
                 w.pkg_send(env.recent(), dst, *seq, &self.pkg_ids);
                 *seq += 1;
@@ -647,8 +616,11 @@ impl<'e, P: Port> ProcCore<'e, P> {
 
     /// MAP, last part: the window is provisioned and announced.
     fn map_end<E: Env>(&mut self, env: &mut E) {
-        let (pos, next_map) = (self.pos, self.action.next_map);
+        let m = &self.maps[self.maps_done];
+        let (pos, next_map) = (self.pos, m.next_map);
         self.next_map = next_map;
+        self.maps_done += 1;
+        self.peak = self.peak.max(m.in_use);
         // Hand any coalesced batches over eagerly: under aggregation the
         // sends above never block, so one flush attempt at MAP end bounds
         // notification latency by the MAP itself without re-introducing
@@ -657,7 +629,7 @@ impl<'e, P: Port> ProcCore<'e, P> {
         if self.port.pending() > 0 {
             self.port.flush();
         }
-        let (in_use, peak) = (self.planner.in_use(), self.planner.peak());
+        let (in_use, peak) = (m.in_use, self.peak);
         trace(&mut self.tr, |w| w.map_end(env.now(), pos, next_map, in_use, peak));
         let end = (next_map as usize).min(self.order.len());
         // Photograph the window's write set before any of its tasks run:

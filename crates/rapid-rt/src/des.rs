@@ -17,19 +17,18 @@
 //! Tables 2 and 3 ("the parallel time of a schedule with 100% memory
 //! available and without any memory managing overhead").
 
-use crate::core::{permanent_layout, CoreSpec, Cost, Diag, Env, On, ProcCore, Step};
+use crate::core::{CoreSpec, Cost, Diag, Env, On, ProcCore, Step};
 use crate::inspector::{ProcDiag, StallSnapshot};
-use crate::maps::{ExecError, MapWindow, RtPlan};
+use crate::maps::{permanent_layout, ExecError, MapWindow, RtPlan};
 use rapid_core::algo::OrdF64;
-use rapid_core::graph::{ObjId, ProcId, TaskGraph, TaskId};
+use rapid_core::graph::{ProcId, TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
-use rapid_machine::arena::ArenaError;
 use rapid_machine::config::MachineConfig;
 use rapid_machine::fault::{FaultPlan, FaultSite, FaultSpec};
 use rapid_machine::machine::{Machine, VirtualMachine};
 use rapid_trace::{
     decode_rings, FlatRing, LiveDrain, ProcMetrics, ProtoState, StreamChecker, TraceConfig,
-    TraceReport, TraceSet, TraceTier, Violation, NO_OFFSET,
+    TraceReport, TraceSet, TraceTier, Violation,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -322,16 +321,6 @@ impl Env for Sim<'_> {
         }
     }
 
-    // The DES places no real buffers: allocation is the planner's counting
-    // and every address is `NO_OFFSET`.
-    fn place(&mut self, _: ObjId, _: u64, _: bool) -> Result<u64, ArenaError> {
-        Ok(NO_OFFSET)
-    }
-
-    fn release(&mut self, _: u64) -> Result<(), ArenaError> {
-        Ok(())
-    }
-
     /// Charge the sender's put overhead (plus the managed-mode address
     /// table lookup), date the arrival, including any injected delay, and
     /// wake the destination then.
@@ -382,6 +371,8 @@ pub struct DesExecutor<'a> {
     g: &'a TaskGraph,
     sched: &'a Schedule,
     plan: RtPlan,
+    /// [`permanent_layout`] of the schedule.
+    perm_off: Vec<u64>,
     cfg: DesConfig,
 }
 
@@ -389,7 +380,7 @@ impl<'a> DesExecutor<'a> {
     /// Prepare an executor for `sched` (builds the protocol plan).
     pub fn new(g: &'a TaskGraph, sched: &'a Schedule, cfg: DesConfig) -> Self {
         let plan = RtPlan::new(g, sched);
-        DesExecutor { g, sched, plan, cfg }
+        DesExecutor { g, sched, plan, perm_off: permanent_layout(g, sched), cfg }
     }
 
     /// Access the protocol plan (tests, stats).
@@ -448,14 +439,23 @@ impl<'a> DesExecutor<'a> {
             diag: vec![Diag { state: ProtoState::Setup, pos: 0, suspended: 0 }; nprocs],
         };
 
-        let perm_off = permanent_layout(self.g, self.sched);
+        // The MAPs every core replays, planned by counting before virtual
+        // time starts: a schedule that cannot run under the cap is
+        // reported here, for the lowest processor it fails on, as the
+        // verifier does. The DES places no real buffers, so there are no
+        // offsets; original RAPID performs no MAP at all.
+        let maps = if self.cfg.memory_mgmt {
+            self.plan.place_maps(self.g, self.sched, m.capacity, self.cfg.window)?.per_proc
+        } else {
+            vec![Vec::new(); nprocs]
+        };
         let spec = CoreSpec {
             g: self.g,
             sched: self.sched,
             plan: &self.plan,
-            capacity: m.capacity,
-            perm_off: &perm_off,
-            window: self.cfg.window,
+            perm_off: &self.perm_off,
+            maps: &maps,
+            offsets: &[],
             recovery: None,
         };
         // Virtual time has no interleaving for task jitter to shake: only
@@ -574,8 +574,8 @@ impl<'a> DesExecutor<'a> {
             return Err(ExecError::Stalled { remaining, snapshot: Some(Box::new(snapshot)) });
         }
         let parallel_time = sim.clocks.iter().map(|c| c.now).fold(0.0f64, f64::max);
-        let maps = cores.iter().map(|c| c.planner().maps()).collect();
-        let peak_mem = cores.iter().map(|c| c.planner().peak()).collect();
+        let maps = cores.iter().map(|c| c.maps_done()).collect();
+        let peak_mem = cores.iter().map(|c| c.peak()).collect();
         let suspended_sends = cores.iter().map(|c| c.suspended_ever()).sum();
         // Quiesce the writers, then decode the rings back into the typed
         // schema (exact drop accounting via the quiesced claim).

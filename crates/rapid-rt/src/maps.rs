@@ -13,14 +13,19 @@
 //!   (computed once, `O(Σ access sets)`, the paper's static data-flow
 //!   analysis).
 //!
-//! MAP planning itself ([`MapPlanner`]) is also shared: given the current
-//! allocation state it decides which volatiles to free, how far ahead the
-//! allocation window extends, and which address packages to emit.
+//! MAP planning itself ([`MapPlanner`]) is also shared, and done before
+//! the run: which volatiles to free, how far ahead the allocation window
+//! extends, which address packages to emit. [`RtPlan::place_maps`] walks
+//! it down every processor's order by counting alone (the [`MapPlacement`]
+//! the verifier and the DES consume); [`RtPlan::address_plan`] is the same
+//! walk with a best-fit [`Arena`] beside it, so that every allocation and
+//! notification has its offset (what the threaded executor replays).
 
-use rapid_core::graph::{ObjId, ProcId, TaskGraph, TaskId};
+use rapid_core::graph::{Csr, ObjId, ProcId, TaskGraph, TaskId};
 use rapid_core::liveness::Liveness;
 use rapid_core::schedule::Schedule;
-use std::collections::HashMap;
+use rapid_machine::arena::{Arena, ArenaError, FitPolicy};
+use rapid_trace::NO_OFFSET;
 
 /// Address watchers in dense, hash-free form: for every volatile object of
 /// every processor, the processors that will RMA-put into its buffer and
@@ -84,9 +89,9 @@ pub struct RtPlan {
     /// All run-time messages.
     pub msgs: Vec<Message>,
     /// `in_msgs[t]`: message ids task `t` must receive before running.
-    pub in_msgs: Vec<Vec<u32>>,
+    pub in_msgs: Csr,
     /// `out_msgs[t]`: message ids task `t` emits after running.
-    pub out_msgs: Vec<Vec<u32>>,
+    pub out_msgs: Csr,
     /// Liveness (volatile lifetimes) per processor.
     pub lv: Liveness,
     /// Dense watcher table: which processors must learn the address of
@@ -108,8 +113,6 @@ impl RtPlan {
         let pos = sched.positions();
 
         let mut msgs: Vec<Message> = Vec::new();
-        let mut in_msgs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut out_msgs: Vec<Vec<u32>> = vec![Vec::new(); n];
         // Coalesce each task's cross-proc out-edges by (destination
         // processor, carried object set). Edges carrying *different* sets
         // must stay separate messages: merging a pure-sync edge with a
@@ -118,10 +121,16 @@ impl RtPlan {
         // of the Theorem 1 proof ("if a processor is waiting for receiving
         // a data object, the local address must have already been
         // notified").
-        let mut by_key: HashMap<(ProcId, Vec<u32>), Vec<TaskId>> = HashMap::new();
+        // One scratch pair reused across tasks: the carried object sets
+        // laid end to end, and one `(destination, set range, reader)` row
+        // per cross-processor edge.
+        let mut sets: Vec<u32> = Vec::new();
+        let mut edges: Vec<(ProcId, usize, usize, TaskId)> = Vec::new();
         for t in g.tasks() {
-            by_key.clear();
+            sets.clear();
+            edges.clear();
             let sp = assign.proc_of(t);
+            let ws = g.writes(t);
             for &s in g.succs(t) {
                 let s = TaskId(s);
                 let dp = assign.proc_of(s);
@@ -130,48 +139,37 @@ impl RtPlan {
                 }
                 // Objects this edge carries: writes(t) ∩ reads(s), both
                 // sorted, so the intersection is sorted and canonical.
-                let ws = g.writes(t);
-                let rs = g.reads(s);
-                let mut objs: Vec<u32> = Vec::new();
-                let (mut i, mut j) = (0, 0);
-                while i < ws.len() && j < rs.len() {
-                    match ws[i].cmp(&rs[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => {
-                            objs.push(ws[i]);
-                            i += 1;
-                            j += 1;
-                        }
-                    }
-                }
-                by_key.entry((dp, objs)).or_default().push(s);
+                let (rs, start) = (g.reads(s), sets.len());
+                sets.extend(ws.iter().copied().filter(|d| rs.binary_search(d).is_ok()));
+                edges.push((dp, start, sets.len(), s));
             }
-            // Deterministic message order: by (destination, object set).
-            let mut keys: Vec<(ProcId, Vec<u32>)> = by_key.keys().cloned().collect();
-            keys.sort_unstable();
-            for key in keys {
-                let Some(mut dst_tasks) = by_key.remove(&key) else { continue };
-                let (dp, objs) = key;
-                dst_tasks.sort_unstable();
+            // Deterministic message order: by (destination, object set),
+            // readers ascending within a message.
+            let key = |e: &(ProcId, usize, usize, TaskId)| (e.0, &sets[e.1..e.2]);
+            edges.sort_unstable_by(|a, b| (key(a), a.3).cmp(&(key(b), b.3)));
+            for group in edges.chunk_by(|a, b| key(a) == key(b)) {
+                let (dp, objs) = key(&group[0]);
+                let mut dst_tasks: Vec<TaskId> = group.iter().map(|e| e.3).collect();
                 dst_tasks.dedup();
-                let id = msgs.len() as u32;
-                let units = objs.iter().map(|&d| g.obj_size(ObjId(d))).sum();
-                for &dt in &dst_tasks {
-                    in_msgs[dt.idx()].push(id);
-                }
-                out_msgs[t.idx()].push(id);
                 msgs.push(Message {
-                    id,
+                    id: msgs.len() as u32,
                     src_task: t,
                     src_proc: sp,
                     dst_proc: dp,
-                    objs: objs.into_iter().map(ObjId).collect(),
-                    units,
+                    objs: objs.iter().copied().map(ObjId).collect(),
+                    units: objs.iter().map(|&d| g.obj_size(ObjId(d))).sum(),
                     dst_tasks,
                 });
             }
         }
+
+        // Ids ascend with the sending task, so both tables come out with
+        // every row in ascending id order.
+        let in_msgs = Csr::group(
+            n,
+            msgs.iter().flat_map(|m| m.dst_tasks.iter().map(move |dt| (dt.idx(), m.id))),
+        );
+        let out_msgs = Csr::group(n, msgs.iter().map(|m| (m.src_task.idx(), m.id)));
 
         // Address watchers: senders that put each volatile object, grouped
         // per allocating processor and sorted by object id.
@@ -225,8 +223,8 @@ impl RtPlan {
                     objs: m.objs.iter().map(|d| d.0).collect(),
                 })
                 .collect(),
-            in_msgs: self.in_msgs.clone(),
-            out_msgs: self.out_msgs.clone(),
+            in_msgs: self.in_msgs.rows().map(<[u32]>::to_vec).collect(),
+            out_msgs: self.out_msgs.rows().map(<[u32]>::to_vec).collect(),
             capacity,
             perm_units: self.perm_units.clone(),
             buffered_mailboxes: false,
@@ -234,14 +232,11 @@ impl RtPlan {
     }
 
     /// Precompute the full MAP placement of this plan under `capacity`
-    /// with the given window policy.
-    ///
-    /// Runs the shared [`MapPlanner`] to completion for every processor —
-    /// exactly the sequence of windows both executors will perform at run
-    /// time, since MAP decisions depend only on the static order and the
-    /// counting allocation state. Fails with [`ExecError::NonExecutable`]
-    /// at the first window whose immediate task cannot be provisioned
-    /// (Definition 6).
+    /// with the given window policy: [`MapPlanner`] run to completion for
+    /// every processor (MAP decisions depend only on the static order and
+    /// the counting allocation state). Fails with
+    /// [`ExecError::NonExecutable`] at the first window whose immediate
+    /// task cannot be provisioned (Definition 6).
     pub fn place_maps(
         &self,
         g: &TaskGraph,
@@ -251,7 +246,7 @@ impl RtPlan {
     ) -> Result<MapPlacement, ExecError> {
         let mut per_proc = Vec::with_capacity(sched.order.len());
         for p in 0..sched.order.len() {
-            per_proc.push(self.place_maps_for_proc(g, sched, p as ProcId, capacity, window)?);
+            per_proc.push(self.walk_proc(g, sched, p as ProcId, capacity, window, None)?);
         }
         Ok(MapPlacement { capacity, window, per_proc })
     }
@@ -275,7 +270,7 @@ impl RtPlan {
         let shards = rapid_core::par::map_shards(nthreads.max(1), nprocs, |_i, range| {
             let mut rows = Vec::with_capacity(range.len());
             for p in range {
-                rows.push(self.place_maps_for_proc(g, sched, p as ProcId, capacity, window)?);
+                rows.push(self.walk_proc(g, sched, p as ProcId, capacity, window, None)?);
             }
             Ok::<_, ExecError>(rows)
         });
@@ -286,36 +281,84 @@ impl RtPlan {
         Ok(MapPlacement { capacity, window, per_proc })
     }
 
-    /// The complete MAP walk of one processor under `capacity`.
-    fn place_maps_for_proc(
+    /// The complete MAP walk of one processor under `capacity`: by
+    /// counting alone, or with `placer` also through an arena.
+    fn walk_proc(
         &self,
         g: &TaskGraph,
         sched: &Schedule,
         p: ProcId,
         capacity: u64,
         window: MapWindow,
+        mut placer: Option<&mut Placer>,
     ) -> Result<Vec<PlannedMap>, ExecError> {
         let mut planner = MapPlanner::new(p, capacity, self.perm_units[p as usize]);
         let mut rows: Vec<PlannedMap> = Vec::new();
         let mut pos = 0u32;
         loop {
-            let a = planner.run_map_with(g, sched, self, pos, window)?;
-            let next = a.next_map;
-            rows.push(PlannedMap {
-                pos,
-                frees: a.frees,
-                allocs: a.allocs,
-                alloc_pos: a.alloc_pos,
-                next_map: a.next_map,
-                notifies: a.notifies,
-                in_use: planner.in_use(),
-            });
-            pos = next;
+            let mut m = planner.run_map(g, sched, self, pos, window)?;
+            if let Some(placer) = placer.as_deref_mut() {
+                placer.place(g, &mut planner, &mut m)?;
+            }
+            pos = m.next_map;
+            rows.push(m);
             if pos as usize >= sched.order[p as usize].len() {
                 break;
             }
         }
         Ok(rows)
+    }
+
+    /// The address plan under `capacity`: [`MapPlanner`] and an [`Arena`]
+    /// of policy `fit` walked together (the executors pass
+    /// [`FitPolicy::BestFit`]; first-fit exists for the ablation bench),
+    /// the permanent objects as the arena's reserved prefix.
+    ///
+    /// Where the arena cannot place a *lookahead* allocation contiguously,
+    /// the window is cut right before the task that introduces it: that
+    /// object and everything after it go back to the planner and are
+    /// planned again by the MAP now due there, after its free wave has had
+    /// a chance to coalesce room. Only the task at the MAP's own position
+    /// failing to place is an error — [`ExecError::Fragmented`], or
+    /// [`ExecError::NonExecutable`] where counting already refuses — for
+    /// the lowest processor it happens on.
+    pub fn address_plan(
+        &self,
+        g: &TaskGraph,
+        sched: &Schedule,
+        capacity: u64,
+        window: MapWindow,
+        fit: FitPolicy,
+    ) -> Result<AddressPlan, ExecError> {
+        let nprocs = sched.order.len();
+        if let Some(o) = (0..nprocs).find(|&o| self.perm_units[o] > capacity) {
+            return Err(ExecError::NonExecutable {
+                proc: o as ProcId,
+                position: 0,
+                needed: self.perm_units[o],
+                capacity,
+            });
+        }
+        let mut plan = AddressPlan {
+            placement: MapPlacement { capacity, window, per_proc: Vec::new() },
+            perm_off: permanent_layout(g, sched),
+            ..AddressPlan::default()
+        };
+        for p in 0..nprocs {
+            let mut placer = Placer {
+                arena: Arena::with_reserved(capacity, self.perm_units[p], fit),
+                offsets: vec![NO_OFFSET; g.num_objects()],
+                cuts: 0,
+            };
+            let rows =
+                self.walk_proc(g, sched, p as ProcId, capacity, window, Some(&mut placer))?;
+            plan.placement.per_proc.push(rows);
+            plan.offsets.push(placer.offsets);
+            plan.peak.push(placer.arena.peak());
+            plan.high_water.push(placer.arena.high_water());
+            plan.cuts.push(placer.cuts);
+        }
+        Ok(plan)
     }
 
     /// Estimated storage for the dependence structure itself, in
@@ -348,34 +391,15 @@ pub struct Notify {
     pub dst: ProcId,
     /// Object id.
     pub obj: u32,
-    /// Buffer offset in the allocating processor's arena (executors using
-    /// counting allocation pass 0).
+    /// Buffer offset in the allocating processor's arena: the object's
+    /// entry in an [`AddressPlan`], [`NO_OFFSET`] in the counting rows of
+    /// [`RtPlan::place_maps`].
     pub offset: u64,
 }
 
-/// Outcome of planning one MAP.
-#[derive(Clone, Debug, Default)]
-pub struct MapAction {
-    /// Volatile objects to free (dead before the current position).
-    pub frees: Vec<ObjId>,
-    /// Volatile objects to allocate, in allocation order.
-    pub allocs: Vec<ObjId>,
-    /// `alloc_pos[i]`: the order position whose task first uses
-    /// `allocs[i]` — i.e. which window step introduced the allocation.
-    /// Executors that hit real (or injected) arena fragmentation use this
-    /// to truncate the window at the failing step instead of aborting.
-    pub alloc_pos: Vec<u32>,
-    /// Position (exclusive) up to which tasks are covered: the next MAP
-    /// goes right before this position.
-    pub next_map: u32,
-    /// Address notifications for the newly allocated objects (offsets to
-    /// be filled by the executor's allocator).
-    pub notifies: Vec<Notify>,
-}
-
-/// One statically planned MAP window: the [`MapAction`] the executors
-/// will take at `pos`, plus the resulting arena occupancy. Part of the
-/// checkable [`MapPlacement`] artifact consumed by `rapid-verify`.
+/// One statically planned MAP window: what the executors replay at `pos`,
+/// plus the resulting arena occupancy. Part of the checkable
+/// [`MapPlacement`] artifact consumed by `rapid-verify`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlannedMap {
     /// Order position the MAP precedes (frees happen here).
@@ -385,12 +409,15 @@ pub struct PlannedMap {
     /// Volatile objects allocated by this window, in allocation order.
     pub allocs: Vec<ObjId>,
     /// `alloc_pos[i]`: the order position whose task first uses
-    /// `allocs[i]`.
+    /// `allocs[i]` — which window step introduced the allocation, and
+    /// where the address walk cuts the window if it cannot place it
+    /// contiguously ([`RtPlan::address_plan`]).
     pub alloc_pos: Vec<u32>,
-    /// Position (exclusive) up to which tasks are covered.
+    /// Position (exclusive) up to which tasks are covered: the next MAP
+    /// goes right before this position.
     pub next_map: u32,
-    /// Address notifications the MAP emits (counting form: offsets are 0;
-    /// executors fill real arena offsets at run time).
+    /// Address notifications the MAP emits, sorted by (destination,
+    /// object); see [`Notify::offset`] for what the offsets are.
     pub notifies: Vec<Notify>,
     /// Units in use after this window's allocations. Occupancy is
     /// monotone within a window, so this is the window's high-water mark
@@ -402,14 +429,14 @@ pub struct PlannedMap {
 /// The complete static MAP placement of a plan: every window every
 /// processor will execute, precomputed. MAP decisions are purely local
 /// and deterministic (free wave + greedy window over the static order),
-/// so the placement is exact for both executors — it is the "plan
-/// artifact" `rapid-verify` analyses and the negative tests corrupt.
+/// so the placement is exact — it is the "plan artifact" `rapid-verify`
+/// analyses, the negative tests corrupt and the DES replays.
 ///
-/// The threaded executor can *truncate* a window below this placement
-/// when real arena fragmentation blocks a lookahead allocation; such runs
-/// surface as [`ExecError::Fragmented`] retries and are excluded from the
-/// differential guarantee (as in the conformance suite).
-#[derive(Clone, Debug, PartialEq)]
+/// The counting placement of [`RtPlan::place_maps`] knows nothing of
+/// contiguity. The threaded executor replays the one inside its
+/// [`AddressPlan`]: the same, but for a window cut short wherever
+/// fragmentation stopped a lookahead allocation ([`AddressPlan::cuts`]).
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MapPlacement {
     /// Per-processor capacity the placement was computed for.
     pub capacity: u64,
@@ -437,6 +464,99 @@ impl MapPlacement {
             .map(|(ws, &pu)| ws.iter().map(|w| w.in_use).fold(pu, u64::max))
             .collect()
     }
+}
+
+/// Where every buffer of a run lives, decided before the run
+/// ([`RtPlan::address_plan`]). The threaded executor builds one when it is
+/// constructed and every run replays it, so no allocator and no window
+/// planner runs beside the peer's waits, and the arena occupancy of a run
+/// is this plan's by construction.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct AddressPlan {
+    /// The MAPs as they will be performed. [`Notify::offset`]s are real;
+    /// a window the arena could not follow to its counted end is cut.
+    pub placement: MapPlacement,
+    /// [`permanent_layout`]: object id → offset on the owner's heap.
+    pub perm_off: Vec<u64>,
+    /// `offsets[p][d]`: offset of volatile `d`'s buffer on processor `p`,
+    /// for its one lifetime there ([`NO_OFFSET`] for every other object).
+    pub offsets: Vec<Vec<u64>>,
+    /// Per processor, the most units ever in use (permanents included).
+    pub peak: Vec<u64>,
+    /// Per processor, one past the highest unit any buffer covers: the
+    /// prefix of the heap a run can write.
+    pub high_water: Vec<u64>,
+    /// Per processor, the windows cut short of their counted end.
+    pub cuts: Vec<u32>,
+}
+
+/// The arena side of the address walk of one processor.
+struct Placer {
+    arena: Arena,
+    /// Object id → offset, for the objects placed so far.
+    offsets: Vec<u64>,
+    cuts: u32,
+}
+
+impl Placer {
+    /// Carry out on the arena the MAP `m` that `planner` just planned and
+    /// committed (see [`RtPlan::address_plan`]).
+    fn place(
+        &mut self,
+        g: &TaskGraph,
+        planner: &mut MapPlanner,
+        m: &mut PlannedMap,
+    ) -> Result<(), ExecError> {
+        let proc = planner.proc;
+        let internal = |detail| ExecError::Internal { proc, detail };
+        for &d in &m.frees {
+            let off = self.offsets[d.idx()];
+            self.arena
+                .free(off)
+                .map_err(|e| internal(format!("MAP free of {d:?} at {off} rejected: {e}")))?;
+        }
+        for i in 0..m.allocs.len() {
+            let d = m.allocs[i];
+            match self.arena.alloc(g.obj_size(d)) {
+                Ok(off) => self.offsets[d.idx()] = off,
+                Err(ArenaError::Fragmented { .. }) if m.alloc_pos[i] != m.pos => {
+                    for &dd in &m.allocs[i..] {
+                        planner.rollback_alloc(g, dd);
+                    }
+                    m.next_map = m.alloc_pos[i];
+                    m.allocs.truncate(i);
+                    m.alloc_pos.truncate(i);
+                    m.notifies.retain(|n| planner.is_allocated(ObjId(n.obj)));
+                    m.in_use = planner.in_use;
+                    self.cuts += 1;
+                    break;
+                }
+                Err(ArenaError::Fragmented { requested, largest }) => {
+                    return Err(ExecError::Fragmented { proc, requested, largest })
+                }
+                // Counting said the units are there.
+                Err(e) => return Err(internal(format!("MAP alloc of {d:?} rejected: {e}"))),
+            }
+        }
+        for n in &mut m.notifies {
+            n.offset = self.offsets[n.obj as usize];
+        }
+        Ok(())
+    }
+}
+
+/// The deterministic permanent layout: objects in id order, bump
+/// allocated from 0 on the owner's heap, so their addresses are globally
+/// known without notification, as in RAPID.
+pub fn permanent_layout(g: &TaskGraph, sched: &Schedule) -> Vec<u64> {
+    let mut cursor = vec![0u64; sched.assign.nprocs];
+    g.objects()
+        .map(|d| {
+            let c = &mut cursor[sched.assign.owner_of(d) as usize];
+            *c += g.obj_size(d);
+            *c - g.obj_size(d)
+        })
+        .collect()
 }
 
 /// Which access-set lookup a task body attempted when it violated its
@@ -500,9 +620,10 @@ pub enum ExecError {
         /// or when the event heap ran dry (DES).
         snapshot: Option<Box<crate::inspector::StallSnapshot>>,
     },
-    /// The threaded executor's arena could not satisfy an allocation due
-    /// to fragmentation (enough free units but no contiguous block), even
-    /// after the bounded retry / window-truncation ladder.
+    /// A MAP's own task cannot be given a contiguous buffer (enough free
+    /// units but no block large enough): found by the address walk before
+    /// the run ([`RtPlan::address_plan`]), or, with `largest` 0, an
+    /// injected allocation failure that outlasted its retries.
     Fragmented {
         /// Processor that failed.
         proc: ProcId,
@@ -620,7 +741,9 @@ pub enum MapWindow {
 }
 
 /// Per-processor MAP planner: owns the set of currently-allocated
-/// volatiles (by counting, not offsets) and computes each MAP's action.
+/// volatiles (by counting, not offsets) and plans each MAP in turn. It
+/// runs before the run, inside the walks of [`RtPlan::place_maps`] and
+/// [`RtPlan::address_plan`]; the executors replay what it planned.
 #[derive(Debug)]
 pub struct MapPlanner {
     proc: ProcId,
@@ -629,70 +752,32 @@ pub struct MapPlanner {
     allocated: Vec<ObjId>,
     /// Units in use by permanents + allocated volatiles.
     in_use: u64,
-    /// High-water mark.
-    peak: u64,
-    /// Number of MAPs performed.
-    maps: u32,
 }
 
 impl MapPlanner {
     /// Planner for processor `p` with the given capacity; permanents are
     /// allocated immediately.
     pub fn new(p: ProcId, capacity: u64, perm_units: u64) -> MapPlanner {
-        MapPlanner {
-            proc: p,
-            capacity,
-            allocated: Vec::new(),
-            in_use: perm_units,
-            peak: perm_units,
-            maps: 0,
-        }
-    }
-
-    /// Units currently in use.
-    pub fn in_use(&self) -> u64 {
-        self.in_use
-    }
-
-    /// High-water mark of [`MapPlanner::in_use`].
-    pub fn peak(&self) -> u64 {
-        self.peak
-    }
-
-    /// MAPs performed so far.
-    pub fn maps(&self) -> u32 {
-        self.maps
+        MapPlanner { proc: p, capacity, allocated: Vec::new(), in_use: perm_units }
     }
 
     /// Is volatile `d` currently allocated?
-    pub fn is_allocated(&self, d: ObjId) -> bool {
+    fn is_allocated(&self, d: ObjId) -> bool {
         self.allocated.binary_search(&d).is_ok()
     }
 
     /// Plan and commit the MAP at position `pos` of this processor's
     /// order. Frees volatiles dead before `pos`, then extends the
-    /// allocation window greedily; fails if the task at `pos` itself
-    /// cannot be provisioned (Definition 6).
+    /// allocation window as `window` says; fails if the task at `pos`
+    /// itself cannot be provisioned (Definition 6).
     pub fn run_map(
         &mut self,
         g: &TaskGraph,
         sched: &Schedule,
         plan: &RtPlan,
         pos: u32,
-    ) -> Result<MapAction, ExecError> {
-        self.run_map_with(g, sched, plan, pos, MapWindow::Greedy)
-    }
-
-    /// [`MapPlanner::run_map`] with an explicit window policy.
-    pub fn run_map_with(
-        &mut self,
-        g: &TaskGraph,
-        sched: &Schedule,
-        plan: &RtPlan,
-        pos: u32,
         window: MapWindow,
-    ) -> Result<MapAction, ExecError> {
-        self.maps += 1;
+    ) -> Result<PlannedMap, ExecError> {
         let p = self.proc as usize;
         let pl = &plan.lv.procs[p];
         let order = &sched.order[p];
@@ -738,7 +823,6 @@ impl MapPlanner {
             if self.in_use + add > self.capacity {
                 if j as u32 == pos {
                     // The immediate next task does not fit: non-executable.
-                    self.maps -= 1;
                     return Err(ExecError::NonExecutable {
                         proc: self.proc,
                         position: pos,
@@ -755,7 +839,6 @@ impl MapPlanner {
                 alloc_pos.push(j as u32);
             }
             self.in_use += add;
-            self.peak = self.peak.max(self.in_use);
             next_map = j as u32 + 1;
             if window == MapWindow::Single {
                 break 'window;
@@ -768,23 +851,20 @@ impl MapPlanner {
         let mut notifies = Vec::new();
         for &d in &allocs {
             for &w in plan.watchers.of(self.proc, d.0) {
-                notifies.push(Notify { dst: w, obj: d.0, offset: 0 });
+                notifies.push(Notify { dst: w, obj: d.0, offset: NO_OFFSET });
             }
         }
         notifies.sort_unstable_by_key(|n| (n.dst, n.obj));
 
-        Ok(MapAction { frees, allocs, alloc_pos, next_map, notifies })
+        Ok(PlannedMap { pos, frees, allocs, alloc_pos, next_map, notifies, in_use: self.in_use })
     }
 
     /// Undo one allocation committed by the most recent
     /// [`MapPlanner::run_map`]: remove `d` from the allocated set and
-    /// release its units. The threaded executor's window-truncation path
-    /// calls this when the real arena cannot place a planned *lookahead*
-    /// allocation — the object is re-planned by the next MAP, after that
-    /// MAP's free wave has had a chance to coalesce room. The peak keeps
-    /// its high-water mark (it records what was planned, and the plan
-    /// never exceeds capacity).
-    pub fn rollback_alloc(&mut self, g: &TaskGraph, d: ObjId) {
+    /// release its units. The address walk calls this when its arena
+    /// cannot place a planned *lookahead* allocation — the object is
+    /// planned again by the next MAP.
+    fn rollback_alloc(&mut self, g: &TaskGraph, d: ObjId) {
         if let Ok(k) = self.allocated.binary_search(&d) {
             self.allocated.remove(k);
             self.in_use -= g.obj_size(d);
@@ -831,6 +911,68 @@ mod tests {
                         "seed {seed} nthreads {k}"
                     );
                 }
+            }
+        }
+    }
+
+    /// `RtPlan::new` groups a task's cross-processor edges by sorting one
+    /// scratch list. The definition it has to reproduce — ids, order,
+    /// contents — is the map it replaced: one message per (destination,
+    /// carried object set), keys in ascending order, readers ascending.
+    #[test]
+    fn messages_are_the_grouping_by_destination_and_object_set() {
+        use rapid_core::schedule::CostModel;
+        use std::collections::BTreeMap;
+        for seed in 0..8u64 {
+            let spec = fixtures::RandomGraphSpec {
+                objects: 20,
+                tasks: 80,
+                max_reads: 4,
+                update_prob: 0.4,
+                ..Default::default()
+            };
+            let g = fixtures::random_irregular_graph(seed, &spec);
+            let p = 2 + seed as usize % 3;
+            let owner = rapid_sched::cyclic_owner_map(g.num_objects(), p);
+            let assign = rapid_sched::owner_compute_assignment(&g, &owner, p);
+            let sched = rapid_sched::mpo_order(&g, &assign, &CostModel::unit());
+            let plan = RtPlan::new(&g, &sched);
+            let mut want: Vec<(TaskId, ProcId, Vec<u32>, Vec<TaskId>)> = Vec::new();
+            for t in g.tasks() {
+                let mut by_key: BTreeMap<(ProcId, Vec<u32>), Vec<TaskId>> = BTreeMap::new();
+                for &s in g.succs(t) {
+                    let dp = sched.assign.proc_of(TaskId(s));
+                    if dp != sched.assign.proc_of(t) {
+                        let objs: Vec<u32> = g
+                            .writes(t)
+                            .iter()
+                            .copied()
+                            .filter(|d| g.reads(TaskId(s)).contains(d))
+                            .collect();
+                        by_key.entry((dp, objs)).or_default().push(TaskId(s));
+                    }
+                }
+                for ((dp, objs), mut readers) in by_key {
+                    readers.sort_unstable();
+                    readers.dedup();
+                    want.push((t, dp, objs, readers));
+                }
+            }
+            assert_eq!(plan.msgs.len(), want.len(), "seed {seed}");
+            for (m, (t, dp, objs, readers)) in plan.msgs.iter().zip(&want) {
+                let got: Vec<u32> = m.objs.iter().map(|d| d.0).collect();
+                assert_eq!((m.src_task, m.dst_proc, &got, &m.dst_tasks), (*t, *dp, objs, readers));
+            }
+            // The per-task tables are the same relation, ids ascending.
+            for t in g.tasks() {
+                let outs: Vec<u32> =
+                    plan.msgs.iter().filter(|m| m.src_task == t).map(|m| m.id).collect();
+                let ins: Vec<u32> =
+                    plan.msgs.iter().filter(|m| m.dst_tasks.contains(&t)).map(|m| m.id).collect();
+                assert_eq!(
+                    (&plan.out_msgs[t.idx()], &plan.in_msgs[t.idx()]),
+                    (&outs[..], &ins[..])
+                );
             }
         }
     }
@@ -926,14 +1068,13 @@ mod tests {
         let sched = fixtures::figure2_schedule_c();
         let plan = RtPlan::new(&g, &sched);
         let mut mp = MapPlanner::new(1, 8, plan.perm_units[1]);
-        let first = mp.run_map(&g, &sched, &plan, 0).unwrap();
+        let first = mp.run_map(&g, &sched, &plan, 0, MapWindow::Greedy).unwrap();
         assert!(first.frees.is_empty());
         let k = first.next_map;
         assert!(k < sched.order[1].len() as u32, "one MAP cannot cover all");
-        let second = mp.run_map(&g, &sched, &plan, k).unwrap();
+        let second = mp.run_map(&g, &sched, &plan, k, MapWindow::Greedy).unwrap();
         assert!(!second.frees.is_empty(), "second MAP must recycle volatiles");
-        assert!(mp.peak() <= 8);
-        assert_eq!(mp.maps(), 2);
+        assert!(first.in_use <= 8 && second.in_use <= 8);
     }
 
     #[test]
@@ -946,7 +1087,7 @@ mod tests {
         let mut pos = 0u32;
         let mut failed = false;
         while (pos as usize) < sched.order[1].len() {
-            match mp.run_map(&g, &sched, &plan, pos) {
+            match mp.run_map(&g, &sched, &plan, pos, MapWindow::Greedy) {
                 Ok(a) => pos = a.next_map,
                 Err(ExecError::NonExecutable { capacity: 7, .. }) => {
                     failed = true;
@@ -1003,14 +1144,9 @@ mod tests {
         for p in 0..2u32 {
             let mut mp = MapPlanner::new(p, 8, plan.perm_units[p as usize]);
             for pm in &placement.per_proc[p as usize] {
-                let a = mp.run_map(&g, &sched, &plan, pm.pos).unwrap();
-                assert_eq!(a.frees, pm.frees);
-                assert_eq!(a.allocs, pm.allocs);
-                assert_eq!(a.next_map, pm.next_map);
-                assert_eq!(a.notifies, pm.notifies);
-                assert_eq!(mp.in_use(), pm.in_use);
+                let a = mp.run_map(&g, &sched, &plan, pm.pos, MapWindow::Greedy).unwrap();
+                assert_eq!(&a, pm);
             }
-            assert_eq!(mp.maps() as usize, placement.per_proc[p as usize].len());
         }
         assert!(placement.total_maps() >= 3, "cap 8 must split P1's order");
     }
@@ -1022,9 +1158,8 @@ mod tests {
         let plan = RtPlan::new(&g, &sched);
         for p in 0..2u32 {
             let mut mp = MapPlanner::new(p, 1000, plan.perm_units[p as usize]);
-            let a = mp.run_map(&g, &sched, &plan, 0).unwrap();
+            let a = mp.run_map(&g, &sched, &plan, 0, MapWindow::Greedy).unwrap();
             assert_eq!(a.next_map as usize, sched.order[p as usize].len());
-            assert_eq!(mp.maps(), 1);
         }
     }
 }

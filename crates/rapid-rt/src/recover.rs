@@ -33,8 +33,8 @@ use crate::maps::ExecError;
 /// the same draw, which is what makes recovery decisions reproducible.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Attempts per MAP-time volatile allocation before the window is
-    /// truncated or rolled back (the innermost rung).
+    /// Attempts per MAP-time volatile allocation before the window's MAP
+    /// is rolled back and placed again (the innermost rung).
     pub alloc_attempts: u32,
     /// Re-executions per window (rollback + replay) before the run fails
     /// with `Unrecoverable`.

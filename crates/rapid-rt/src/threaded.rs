@@ -4,15 +4,17 @@
 //! fixed-capacity [`RmaHeap`]; permanent objects are laid out identically
 //! and deterministically on every processor's heap (so their addresses are
 //! globally known without notification, as in RAPID), while volatile
-//! buffers are allocated at MAPs from a real best-fit [`Arena`] and their
-//! offsets travel to the data producers through single-slot address
-//! mailboxes. Data moves with one-sided `put`s into the destination heap;
+//! buffers come and go at MAPs, at the offsets a best-fit arena gave them
+//! when the executor was built ([`AddressPlan`]: the allocator runs once,
+//! at plan time, and every run replays its answers), and those offsets
+//! travel to the data producers through single-slot address mailboxes.
+//! Data moves with one-sided `put`s into the destination heap;
 //! per-message arrival flags give the release/acquire happens-before edge
 //! `SHMEM_PUT` + flag polling gave on the T3D.
 //!
 //! Each thread drives one [`ProcCore`](crate::core) — the five-state
 //! machine of the paper's Figure 3(b), shared with the DES — through a
-//! thread-side environment: heaps, arena and arrival flags, the task body
+//! thread-side environment: heaps and arrival flags, the task body
 //! under `catch_unwind`, the wall clock. Whenever the core is blocked the
 //! driver loop checks for a poisoned run, runs the RA (read address
 //! packages) and CQ (check suspended queue) service operations — which is
@@ -42,28 +44,32 @@
 //!   the Theorem-1 obligations survive aggregation.
 //! - **Workers can pin to cores.** [`ThreadedExecutor::with_pinning`]
 //!   assigns workers to physical cores NUMA-aware (see
-//!   [`rapid_machine::affinity`]) so the per-processor arena and RMA
-//!   working sets stop migrating between caches.
+//!   [`rapid_machine::affinity`]) so the per-processor RMA working sets
+//!   stop migrating between caches.
 //!
 //! ## Run lifecycle
 //!
 //! The schedule is built once and run many times, so what a run needs is
 //! split by how long it lives. The executor keeps, from one run to the
-//! next: the protocol plan; the worker threads (a
+//! next: the protocol plan and the address plan (every MAP of every
+//! processor with its offsets; a schedule the cap or fragmentation rules
+//! out is known here, and `run` reports it without starting a worker); the
+//! worker threads (a
 //! [`rapid_machine::pool::WorkerPool`], one thread per processor, started
 //! by the first run and sent home when the executor is dropped; the thread
 //! that calls `run` sleeps meanwhile); one [`RmaHeap`] per processor (`p × capacity × 8` bytes held
 //! between runs); and the trace rings. Built per run, because they are
 //! small and their initial state *is* the protocol's initial state: arrival
-//! flags, state boards, arenas, address tables and mailboxes.
+//! flags, state boards, address tables and mailboxes.
 //!
 //! Each worker's `Setup` state re-zeroes the prefix of its own heap that
-//! the previous run's arena reached, so buffers start zeroed on every run;
+//! a run can write (the address plan's high-water mark), when the heap has
+//! been run on before, so buffers start zeroed on every run;
 //! its `End` state copies the permanent objects it owns out of its heap, so
 //! the gather runs on `p` threads inside the parallel section. A run that
 //! fails gives its heaps back to the allocator instead of keeping them.
 
-use crate::core::{permanent_layout, CoreSpec, Diag, Env, On, ProcCore, Step, NO_ADDR};
+use crate::core::{CoreSpec, Diag, Env, On, ProcCore, Step, NO_ADDR};
 use crate::inspector::{ProcDiag, StallSnapshot, StateBoard};
 // sync-audit: the only Relaxed atomics in this module are the recovery
 // diagnostics counters (`RecoveryLog`) — monotonic telemetry read after the
@@ -72,12 +78,12 @@ use crate::inspector::{ProcDiag, StallSnapshot, StateBoard};
 // FlagBoard and mailbox protocols, model-checked by `rapid_sync::models`
 // (`sentguard`, `mailbox`; see DESIGN.md §16).
 
-use crate::maps::{AccessOp, AccessViolation, ExecError, MapWindow, RtPlan};
+use crate::maps::{AccessOp, AccessViolation, AddressPlan, ExecError, MapWindow, RtPlan};
 use crate::recover::RecoveryPolicy;
 use rapid_core::graph::{ObjId, TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
 use rapid_machine::affinity;
-use rapid_machine::arena::{Arena, ArenaError};
+use rapid_machine::arena::FitPolicy;
 use rapid_machine::fault::{FaultPlan, FaultSite};
 use rapid_machine::machine::{AggregatingMachine, DirectMachine, Machine, Port};
 use rapid_machine::pool::WorkerPool;
@@ -214,7 +220,8 @@ pub struct ThreadedOutcome {
     /// Peak units in use per processor (counting accounting, matching the
     /// DES executor and `MEM_REQ`).
     pub peak_mem: Vec<u64>,
-    /// Real arena high-water mark per processor (includes fragmentation).
+    /// Peak units in use per processor in the arena the offsets came from
+    /// ([`AddressPlan::peak`]; a run that completes reproduces it).
     pub arena_peak: Vec<u64>,
     /// Final contents of every object, gathered from the owners' heaps.
     pub objects: Vec<Vec<f64>>,
@@ -259,6 +266,8 @@ pub struct ThreadedExecutor<'a> {
     g: &'a TaskGraph,
     sched: &'a Schedule,
     plan: RtPlan,
+    /// Where every buffer of a run lives, or why no run can start.
+    addresses: Result<AddressPlan, ExecError>,
     capacity: u64,
     /// Watchdog: poison the run if no local progress (task completion,
     /// address arrival, or message hand-off) happens within this duration.
@@ -283,11 +292,9 @@ struct Kept {
     /// The worker threads, started by the first run.
     pool: Option<WorkerPool>,
     /// One heap per processor, parked by the last run if it succeeded
-    /// (empty otherwise).
+    /// (empty otherwise). A parked heap is dirty up to the address plan's
+    /// high-water mark; everything above is still the allocator's zeros.
     heaps: Vec<RmaHeap>,
-    /// Per parked heap, the prefix that run may have written: its arena's
-    /// high-water mark. Everything above is still the allocator's zeros.
-    dirty: Vec<u64>,
     /// Rings of the previous traced run: on this machine class a multi-MB
     /// ring allocation (mmap + munmap per run) can cost more than the
     /// recording itself.
@@ -300,9 +307,6 @@ struct WorkerOut {
     maps: u32,
     /// Peak units in use, counting accounting.
     peak_units: u64,
-    arena_peak: u64,
-    /// How far up its heap this worker's arena ever reached.
-    arena_high: u64,
     /// Final contents of the objects this worker owns, in id order
     /// (empty when the worker bailed out).
     owned: Vec<Vec<f64>>,
@@ -320,11 +324,14 @@ impl<'a> ThreadedExecutor<'a> {
             "threaded executor requires an owner-compute schedule"
         );
         let plan = RtPlan::new(g, sched);
+        let addresses =
+            plan.address_plan(g, sched, capacity, MapWindow::Greedy, FitPolicy::BestFit);
         let watchdog = parse_watchdog_ms(std::env::var("RAPID_WATCHDOG_MS").ok().as_deref());
         ThreadedExecutor {
             g,
             sched,
             plan,
+            addresses,
             capacity,
             watchdog,
             backend: Backend::Direct,
@@ -342,6 +349,15 @@ impl<'a> ThreadedExecutor<'a> {
     /// the invariant checker replays a recorded trace against.
     pub fn plan(&self) -> &RtPlan {
         &self.plan
+    }
+
+    /// The address plan every run replays, or the error every run returns
+    /// instead of starting a worker ([`ExecError::NonExecutable`], or
+    /// [`ExecError::Fragmented`] where a best-fit arena has no contiguous
+    /// buffer for some MAP's own task): known since
+    /// [`ThreadedExecutor::new`].
+    pub fn address_plan(&self) -> Result<&AddressPlan, &ExecError> {
+        self.addresses.as_ref()
     }
 
     /// Record a per-processor event trace during the run (builder form).
@@ -495,20 +511,12 @@ impl<'a> ThreadedExecutor<'a> {
         let g = self.g;
         let sched = self.sched;
 
-        if let Some(o) = (0..nprocs).find(|&o| self.plan.perm_units[o] > self.capacity) {
-            return Err(ExecError::NonExecutable {
-                proc: o as u32,
-                position: 0,
-                needed: self.plan.perm_units[o],
-                capacity: self.capacity,
-            });
-        }
-        let perm_off = permanent_layout(g, sched);
+        let addresses = self.addresses.as_ref().map_err(Clone::clone)?;
 
         // Everything the executor keeps between runs, for the whole run:
         // a second `run` on this executor waits here.
         let mut kept = self.kept.lock().unwrap_or_else(|p| p.into_inner());
-        let Kept { pool, heaps, dirty, rings: ring_pool } = &mut *kept;
+        let Kept { pool, heaps, rings: ring_pool } = &mut *kept;
         let pool = match pool {
             Some(pool) => pool,
             None => {
@@ -524,10 +532,11 @@ impl<'a> ThreadedExecutor<'a> {
         // The parked heaps leave `kept` for the run and return only if it
         // succeeds: after a failure nothing vouches for what was written
         // where, so the next run starts from the allocator's zeros.
-        let (run_heaps, run_dirty) = if heaps.is_empty() {
-            ((0..nprocs).map(|_| RmaHeap::new(self.capacity)).collect(), vec![0; nprocs])
+        let heaps_reused = !heaps.is_empty();
+        let run_heaps: Vec<RmaHeap> = if heaps_reused {
+            std::mem::take(heaps)
         } else {
-            (std::mem::take(heaps), std::mem::take(dirty))
+            (0..nprocs).map(|_| RmaHeap::new(self.capacity)).collect()
         };
 
         let flags = FlagBoard::new(self.plan.msgs.len());
@@ -568,13 +577,13 @@ impl<'a> ThreadedExecutor<'a> {
                 g,
                 sched,
                 plan: &self.plan,
-                capacity: self.capacity,
-                perm_off: &perm_off,
-                window: MapWindow::Greedy,
+                perm_off: &addresses.perm_off,
+                maps: &addresses.placement.per_proc,
+                offsets: &addresses.offsets,
                 recovery: self.recovery,
             },
             heaps: &run_heaps,
-            dirty: &run_dirty,
+            dirty: if heaps_reused { &addresses.high_water } else { &[] },
             flags: &flags,
             machine,
             sleepers,
@@ -683,12 +692,11 @@ impl<'a> ThreadedExecutor<'a> {
             .map(|d| owned[sched.assign.owner_of(d) as usize].next().unwrap_or_default())
             .collect();
 
-        *dirty = per_proc.iter().map(|w| w.arena_high).collect();
         *heaps = run_heaps;
 
         let maps = per_proc.iter().map(|w| w.maps).collect();
         let peak_mem = per_proc.iter().map(|w| w.peak_units).collect();
-        let arena_peak = per_proc.iter().map(|w| w.arena_peak).collect();
+        let arena_peak = addresses.peak.clone();
         // Each worker decoded its own ring (and aggregated its metrics)
         // in parallel before it left the run.
         let (trace, metrics) = match rings {
@@ -771,7 +779,8 @@ struct Shared<'e, F, I, M> {
     /// What every processor's protocol core is built from.
     spec: CoreSpec<'e>,
     heaps: &'e [RmaHeap],
-    /// Per heap, the prefix the previous run on it may have written.
+    /// Per heap, the prefix an earlier run on it may have written (empty
+    /// when the heaps are fresh from the allocator).
     dirty: &'e [u64],
     flags: &'e FlagBoard,
     machine: &'e M,
@@ -838,13 +847,12 @@ impl RecovBoard {
     }
 }
 
-/// The thread-side environment of one worker's protocol core: its heap
-/// and arena, the arrival flags, the task body, the wall clock and the
-/// boards other workers read.
+/// The thread-side environment of one worker's protocol core: its heap,
+/// the arrival flags, the task body, the wall clock and the boards other
+/// workers read.
 struct ThreadEnv<'e, F, I, M> {
     p: usize,
     sh: &'e Shared<'e, F, I, M>,
-    arena: Arena,
     /// The clock is *cached*: `Instant::elapsed` is a few tens of ns —
     /// comparable to a flat trace record write, and much more than that
     /// inside a VM — so the core reads it only where [`Env::now`] says.
@@ -894,18 +902,6 @@ where
 
     fn delay(&mut self, _: FaultSite, by: Duration) {
         std::thread::sleep(by);
-    }
-
-    fn place(&mut self, _: ObjId, units: u64, pretend_fragmented: bool) -> Result<u64, ArenaError> {
-        if pretend_fragmented {
-            let largest = self.arena.largest_free();
-            return Err(ArenaError::Fragmented { requested: units, largest });
-        }
-        self.arena.alloc(units)
-    }
-
-    fn release(&mut self, off: u64) -> Result<(), ArenaError> {
-        self.arena.free(off)
     }
 
     fn put(&mut self, mid: u32, local: &[u64], remote: &[u64]) {
@@ -1041,13 +1037,12 @@ where
     I: Fn(ObjId, &mut [f64]) + Sync,
     M: Machine,
 {
-    let CoreSpec { g, sched, plan, capacity, perm_off, .. } = sh.spec;
+    let CoreSpec { g, sched, perm_off, .. } = sh.spec;
     let heap = &sh.heaps[p];
     let ring = sh.rings.map(|rs| &rs[p]);
     let mut env = ThreadEnv {
         p,
         sh,
-        arena: Arena::new(capacity),
         last_ts: 0,
         ctx_reads: Vec::new(),
         ctx_writes: Vec::new(),
@@ -1069,11 +1064,9 @@ where
     // Leave the protocol with `owned` as the gathered objects. The ring's
     // writer is idle from here on, so decoding it on this worker's own
     // thread (all processors in parallel) sees a quiesced ring.
-    let leave = |core: ProcCore<'_, M::Port<'_>>, env: ThreadEnv<'_, F, I, M>, owned| WorkerOut {
-        maps: core.planner().maps(),
-        peak_units: core.planner().peak(),
-        arena_peak: env.arena.peak(),
-        arena_high: env.arena.high_water(),
+    let leave = |core: ProcCore<'_, M::Port<'_>>, owned| WorkerOut {
+        maps: core.maps_done(),
+        peak_units: core.peak(),
         owned,
         trace: ring.map(|r| {
             let t = decode_ring(r);
@@ -1082,7 +1075,7 @@ where
         }),
     };
 
-    // A heap parked by the previous run is dirty up to that run's arena
+    // A heap parked by an earlier run is dirty up to the address plan's
     // high-water mark; above it the allocator's zeros were never touched.
     // This thread pinned itself when it started, so a fresh heap's pages
     // are first touched (below, by `init` and by the tasks) on its node.
@@ -1090,28 +1083,13 @@ where
     // thread is a put to an address this worker has announced, and it
     // announces none before its first MAP; the previous run's threads
     // all left before this run was handed out.
-    unsafe { heap.slice_mut(0, sh.dirty[p]) }.fill(0.0);
-    // Reproduce the deterministic permanent layout and load resident data.
+    unsafe { heap.slice_mut(0, sh.dirty.get(p).copied().unwrap_or(0)) }.fill(0.0);
+    // Load resident data into the permanent layout.
     for d in g.objects().filter(|&d| sched.assign.owner_of(d) as usize == p) {
-        match env.arena.alloc(g.obj_size(d)) {
-            Ok(off) => {
-                debug_assert_eq!(off, perm_off[d.idx()]);
-                // SAFETY: setup phase — no other thread touches our
-                // permanent buffers before the protocol starts (the
-                // first remote put needs an address package or a
-                // write by our own tasks).
-                (sh.init)(d, unsafe { heap.slice_mut(off, g.obj_size(d)) });
-            }
-            Err(_) => {
-                fail(ExecError::NonExecutable {
-                    proc: p as u32,
-                    position: 0,
-                    needed: plan.perm_units[p],
-                    capacity,
-                });
-                return leave(core, env, Vec::new());
-            }
-        }
+        // SAFETY: setup phase — no other thread touches our permanent
+        // buffers before the protocol starts (the first remote put needs
+        // an address package or a write by our own tasks).
+        (sh.init)(d, unsafe { heap.slice_mut(perm_off[d.idx()], g.obj_size(d)) });
     }
 
     // The stall watchdog reads this wait's own clock: time since the last
@@ -1135,7 +1113,7 @@ where
             // (Theorem 1).
             Ok(Step::Blocked(on)) => {
                 if sh.poison.load(AtOrd::Acquire) {
-                    return leave(core, env, Vec::new());
+                    return leave(core, Vec::new());
                 }
                 let moved_on = waiting.replace(on) != Some(on);
                 if core.service(&mut env) || moved_on {
@@ -1145,7 +1123,7 @@ where
                         remaining: core.remaining(),
                         snapshot: Some(Box::new(build_snapshot(p, sh, ring))),
                     });
-                    return leave(core, env, Vec::new());
+                    return leave(core, Vec::new());
                 } else {
                     // Before the core is given away — to a yield, and
                     // again, announced as a sleeper, to a park — whatever
@@ -1165,7 +1143,7 @@ where
             Ok(Step::Done) => break,
             Err(e) => {
                 fail(e);
-                return leave(core, env, Vec::new());
+                return leave(core, Vec::new());
             }
         }
     }
@@ -1182,7 +1160,7 @@ where
         })
         .collect();
     core.retire(&mut env);
-    leave(core, env, owned)
+    leave(core, owned)
 }
 
 /// Assemble the stall diagnostic from the shared introspection surfaces:
@@ -1302,19 +1280,23 @@ mod tests {
             let sched = rapid_sched::mpo::mpo_order(&g, &assign, &CostModel::unit());
             let mm = min_mem(&g, &sched).min_mem;
             let exec = ThreadedExecutor::new(&g, &sched, mm);
-            match exec.run(test_body) {
-                Ok(out) => {
+            match (exec.address_plan(), exec.run(test_body)) {
+                (Ok(addresses), Ok(out)) => {
                     assert_eq!(
                         out.objects,
                         run_sequential(&g, test_body),
                         "seed {seed}: results differ"
                     );
+                    assert_eq!(out.arena_peak, addresses.peak, "seed {seed}");
                 }
-                // A real arena may fragment at exactly MIN_MEM with
-                // mixed object sizes; that is a resource failure, not a
-                // protocol failure.
-                Err(ExecError::Fragmented { .. }) => {}
-                Err(e) => panic!("seed {seed}: {e}"),
+                // A best-fit arena may fragment at exactly MIN_MEM with
+                // mixed object sizes. That is a property of the plan: it
+                // was known before the run, and every run says the same.
+                (Err(planned @ ExecError::Fragmented { .. }), Err(e)) => {
+                    assert_eq!(&e, planned, "seed {seed}");
+                    assert_eq!(exec.run(test_body).err().as_ref(), Some(planned), "seed {seed}");
+                }
+                (planned, ran) => panic!("seed {seed}: planned {planned:?}, ran {ran:?}"),
             }
         }
     }
@@ -1569,21 +1551,20 @@ mod tests {
         let sched = fixtures::figure2_schedule_c();
         let mm = min_mem(&g, &sched).min_mem;
         let exec = ThreadedExecutor::new(&g, &sched, mm);
-        let parked = || {
-            let kept = exec.kept.lock().unwrap();
-            (kept.heaps.len(), kept.dirty.clone())
-        };
-        assert_eq!(parked(), (0, vec![]), "nothing is allocated before the first run");
+        let parked = || exec.kept.lock().unwrap().heaps.len();
+        assert_eq!(parked(), 0, "nothing is allocated before the first run");
+        let dirty = &exec.address_plan().expect("MIN_MEM of unit objects places").high_water;
+        assert!(dirty.iter().all(|&d| d > 0 && d <= mm), "dirty prefixes {dirty:?} of {mm}");
         let reference = run_sequential(&g, test_body);
         assert_eq!(exec.run(test_body).unwrap().objects, reference);
-        let (n, dirty) = parked();
-        assert_eq!(n, 2);
-        assert!(dirty.iter().all(|&d| d > 0 && d <= mm), "dirty prefixes {dirty:?} of {mm}");
+        assert_eq!(parked(), 2);
+        // A parked heap is re-zeroed up to the plan's high-water mark.
+        assert_eq!(exec.run(test_body).unwrap().objects, reference);
         let failed = exec.run_with_init(|_, _| panic!("boom"), |_, buf| buf.fill(f64::NAN));
         assert!(matches!(failed, Err(ExecError::WorkerPanicked { .. })));
-        assert_eq!(parked(), (0, vec![]), "a failed run must not park its heaps");
+        assert_eq!(parked(), 0, "a failed run must not park its heaps");
         assert_eq!(exec.run(test_body).unwrap().objects, reference);
-        assert_eq!(parked().0, 2);
+        assert_eq!(parked(), 2);
     }
 
     /// A wait with no observable progress for longer than the watchdog

@@ -135,9 +135,9 @@ pub enum Event {
         /// Arena offset ([`NO_OFFSET`] for counting executors).
         offset: u64,
     },
-    /// A planned lookahead allocation was rolled back (threaded window
-    /// truncation under fragmentation); the object is re-planned by the
-    /// next MAP.
+    /// A placement of the MAP in progress was undone by an armed
+    /// MAP-phase window retry; the same MAP places the object again, at
+    /// the same offset.
     AllocRollback {
         /// Object id.
         obj: u32,
@@ -145,7 +145,7 @@ pub enum Event {
         units: u64,
     },
     /// A recovery rollback: the window that started at order position
-    /// `pos` was abandoned (its lookahead allocations rolled back via
+    /// `pos` was abandoned (the placements of its MAP so far undone via
     /// [`Event::AllocRollback`] where applicable) and the processor
     /// rewinds to `pos` for re-execution attempt `attempt`. The checker
     /// rewinds its replay cursor accordingly, so a recovered run is held
@@ -164,8 +164,7 @@ pub enum Event {
         next_map: u32,
         /// Units in use after the MAP, by the counting accounting.
         in_use: u64,
-        /// Allocator high-water mark (real arena peak in the threaded
-        /// executor; counting peak in the DES).
+        /// Most units in use after any MAP so far, by the same counting.
         arena_high: u64,
     },
     /// An address package was deposited into the single-slot mailbox

@@ -13,6 +13,8 @@
 //! relaxed via `ProtocolSpec::buffered_mailboxes` — exactly the switch
 //! the DES `addr_buffering` ablation uses.
 
+mod common;
+
 use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid::core::graph::TaskGraph;
 use rapid::core::memreq::min_mem;
@@ -53,7 +55,8 @@ fn dump_traces(label: &str, g: &TaskGraph, des: &TraceSet, thr: &TraceSet) -> St
 /// Run one schedule through the DES reference and the *aggregating*
 /// threaded backend; check both traces (the threaded one against the
 /// buffered-mailbox relaxation) and compare their skeletons. Returns
-/// false when the threaded run hit an arena-fragmentation artifact.
+/// false when the threaded executor's address plan rejects the capacity,
+/// which it must have said before the run.
 fn conform_aggregated(
     label: &str,
     g: &TaskGraph,
@@ -78,7 +81,10 @@ fn conform_aggregated(
     buffered_spec.buffered_mailboxes = true;
     let thr = match thr_exec.run(body) {
         Ok(out) => out,
-        Err(ExecError::Fragmented { .. }) => return false, // arena-level artifact
+        Err(e @ ExecError::Fragmented { .. }) => {
+            common::assert_planned_rejection(label, &thr_exec, &e);
+            return false;
+        }
         Err(e) => panic!("{label}: aggregated threaded failed: {e}"),
     };
     let des_trace = des.trace.as_ref().expect("DES tracing enabled");
@@ -322,7 +328,9 @@ fn unbounded_threshold_never_starves_the_flush() {
                 assert_eq!(out.objects, reference, "seed {seed}: starved run corrupted results");
                 completed += 1;
             }
-            Err(ExecError::Fragmented { .. }) => {} // arena-level artifact
+            Err(e @ ExecError::Fragmented { .. }) => {
+                common::assert_planned_rejection(&format!("seed {seed}"), &exec, &e)
+            }
             Err(e @ ExecError::Stalled { .. }) => {
                 panic!("seed {seed}: flush starvation deadlock: {e}")
             }

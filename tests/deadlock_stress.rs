@@ -4,6 +4,8 @@
 //! and orderings, under real interleavings; every run must terminate with
 //! results identical to the sequential replay.
 
+mod common;
+
 use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid::core::memreq::min_mem;
 use rapid::prelude::*;
@@ -43,9 +45,14 @@ fn stress(seed: u64, nprocs: usize, spec: &RandomGraphSpec, ordering: &str) {
             );
             assert!(out.peak_mem.iter().all(|&p| p <= mm));
         }
-        // First-fit fragmentation at exactly MIN_MEM is a legitimate
-        // resource failure with mixed object sizes — not a deadlock.
-        Err(ExecError::Fragmented { .. }) => {}
+        // Best-fit fragmentation at exactly MIN_MEM is a legitimate
+        // resource failure with mixed object sizes — not a deadlock, and
+        // known before the first worker starts.
+        Err(e @ ExecError::Fragmented { .. }) => common::assert_planned_rejection(
+            &format!("seed {seed} nprocs {nprocs} {ordering}"),
+            &exec,
+            &e,
+        ),
         Err(e) => panic!("seed {seed} nprocs {nprocs} {ordering}: {e}"),
     }
 }

@@ -2,6 +2,8 @@
 //! task graph → schedule (each heuristic) → threaded execution under a
 //! memory constraint → numeric verification.
 
+mod common;
+
 use rapid::core::memreq::min_mem;
 use rapid::prelude::*;
 use rapid::sparse::{gen, order, refsolve, taskgen};
@@ -28,9 +30,11 @@ fn pipeline(a: &rapid::sparse::SparseMatrix, block_w: usize, nprocs: usize) {
                 );
                 out
             }
-            // Mixed block sizes can fragment a first-fit arena at exactly
-            // MIN_MEM; a small slack must always suffice.
-            Err(rapid::rt::ExecError::Fragmented { .. }) => {
+            // Mixed block sizes can fragment a best-fit arena at exactly
+            // MIN_MEM, which the address plan knows; a small slack must always
+            // suffice.
+            Err(e @ rapid::rt::ExecError::Fragmented { .. }) => {
+                common::assert_planned_rejection(name, &exec, &e);
                 ThreadedExecutor::new(&model.graph, &sched, rep.min_mem + 256)
                     .run_with_init(model.body(), model.init(a))
                     .unwrap_or_else(|e| panic!("{name} with slack failed: {e}"))

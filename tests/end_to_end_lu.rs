@@ -2,6 +2,8 @@
 //! factorization, 1-D column blocks, threaded execution, residual checks
 //! against the dense reference.
 
+mod common;
+
 use rapid::core::memreq::min_mem;
 use rapid::prelude::*;
 use rapid::sparse::{gen, refsolve, taskgen};
@@ -19,9 +21,11 @@ fn pipeline(a: &rapid::sparse::SparseMatrix, block_w: usize, nprocs: usize) {
         let exec = ThreadedExecutor::new(&model.graph, &sched, rep.min_mem);
         let out = match exec.run_with_init(model.body(), model.init(a)) {
             Ok(out) => out,
-            // Dense panels of unequal widths can fragment a first-fit
-            // arena at exactly MIN_MEM; retry with slack, which must work.
-            Err(rapid::rt::ExecError::Fragmented { .. }) => {
+            // Dense panels of unequal widths can fragment a best-fit
+            // arena at exactly MIN_MEM, which the address plan knows; retry with
+            // slack, which must work.
+            Err(e @ rapid::rt::ExecError::Fragmented { .. }) => {
+                common::assert_planned_rejection(name, &exec, &e);
                 ThreadedExecutor::new(&model.graph, &sched, rep.min_mem + 256)
                     .run_with_init(model.body(), model.init(a))
                     .unwrap_or_else(|e| panic!("{name} with slack failed: {e}"))

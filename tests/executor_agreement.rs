@@ -7,7 +7,7 @@ use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid::core::memreq::min_mem;
 use rapid::prelude::*;
 use rapid::rt::des::run_managed;
-use rapid::rt::{ExecError, TaskCtx};
+use rapid::rt::TaskCtx;
 use rapid::sched::assign::cyclic_owner_map;
 
 fn body(_t: TaskId, ctx: &mut TaskCtx<'_>) {
@@ -29,11 +29,10 @@ fn check(seed: u64, nprocs: usize, cap_slack: u64) {
 
     let des = run_managed(&g, &sched, MachineConfig::unit(nprocs, cap))
         .unwrap_or_else(|e| panic!("seed {seed}: DES failed: {e}"));
-    let threaded = match ThreadedExecutor::new(&g, &sched, cap).run(body) {
-        Ok(out) => out,
-        Err(ExecError::Fragmented { .. }) => return, // arena-level artifact
-        Err(e) => panic!("seed {seed}: threaded failed: {e}"),
-    };
+    // Unit objects never fragment: at MIN_MEM and above every plan places.
+    let threaded = ThreadedExecutor::new(&g, &sched, cap)
+        .run(body)
+        .unwrap_or_else(|e| panic!("seed {seed}: threaded failed: {e}"));
 
     assert_eq!(des.maps, threaded.maps, "seed {seed}: MAP counts diverge");
     assert_eq!(des.peak_mem, threaded.peak_mem, "seed {seed}: peak memory diverges");

@@ -4,6 +4,8 @@
 //! of a previous run — its data, its failure, its calling thread — shows
 //! in the next one.
 
+mod common;
+
 use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid::core::memreq::min_mem;
 use rapid::machine::{affinity, FaultPlan};
@@ -86,21 +88,26 @@ fn a_poisoned_run_leaves_no_trace_in_the_next() {
         let mm = min_mem(g, sched).min_mem;
         for cap in [mm, mm + 16] {
             let label = format!("{name} cap {cap}");
-            let fresh = match ThreadedExecutor::new(g, sched, cap).run(body) {
+            let first = ThreadedExecutor::new(g, sched, cap);
+            let fresh = match first.run(body) {
                 Ok(out) => out,
                 // Mixed object sizes at exactly MIN_MEM can fragment the
-                // arena; that says nothing about reuse.
-                Err(ExecError::Fragmented { .. }) => continue,
+                // arena. The plan knows; that says nothing about reuse.
+                Err(e @ ExecError::Fragmented { .. }) => {
+                    common::assert_planned_rejection(&label, &first, &e);
+                    continue;
+                }
                 Err(e) => panic!("{label}: {e}"),
             };
             let exec = ThreadedExecutor::new(g, sched, cap);
-            let Ok(dirty) = exec.run_with_init(body, poison) else { continue };
+            let dirty = exec.run_with_init(body, poison).unwrap_or_else(|e| panic!("{label}: {e}"));
             assert!(
                 dirty.objects.iter().flatten().any(|x| x.is_nan()),
                 "{label}: the poisoned run must actually poison"
             );
             for round in 0..3 {
-                let Ok(reused) = exec.run(body) else { continue };
+                let reused =
+                    exec.run(body).unwrap_or_else(|e| panic!("{label} round {round}: {e}"));
                 assert_eq!(bits(&reused.objects), bits(&fresh.objects), "{label} round {round}");
                 assert_eq!(reused.maps, fresh.maps, "{label} round {round}");
             }

@@ -5,7 +5,9 @@
 //! transient faults through site-level retries and window-granular
 //! rollback & re-execution — or fail with a typed `Unrecoverable` naming
 //! the exhausted budget. Bare `Fragmented` and `Stalled` are contract
-//! violations once recovery is armed.
+//! violations once recovery is armed — with one exception that is no run
+//! at all: a capacity the executor's address plan rejects is reported
+//! before any window exists to be retried, armed or not.
 //!
 //! On top of the in-place ladder, the quarantine tests drive the
 //! [`Supervisor`] + `Replanner::replan_survivors` loop end to end: a
@@ -25,6 +27,8 @@ use rapid::trace::{
 use rapid::verify::Replanner;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+mod common;
+
 /// Fault seeds per scenario, mirroring the chaos harness.
 const FAULT_SEEDS: u64 = 16;
 
@@ -41,23 +45,47 @@ fn body(t: TaskId, ctx: &mut TaskCtx<'_>) {
     }
 }
 
-/// Judge one recovered chaos run: bitwise-identical results, or a typed
-/// `Unrecoverable` naming the exhausted budget. Anything else — a bare
-/// `Fragmented`, a watchdog `Stalled`, corruption — fails the harness.
+/// Judge one recovered chaos run: bitwise-identical results (`true`), or
+/// a typed `Unrecoverable` naming the exhausted budget. Anything else — a
+/// bare `Fragmented`, a watchdog `Stalled`, corruption — fails the harness.
 fn judge_recovered(
     label: &str,
     result: Result<rapid::rt::threaded::ThreadedOutcome, ExecError>,
     reference: &[Vec<f64>],
-) {
+) -> bool {
     match result {
         Ok(out) => {
             assert_eq!(out.objects, reference, "{label}: recovered run corrupted results");
+            true
         }
         Err(ExecError::Unrecoverable { attempts, .. }) => {
             assert!(attempts > 0, "{label}: Unrecoverable must name the exhausted budget");
+            false
         }
         Err(e) => panic!("{label}: recovery armed, but run failed with {e}"),
     }
+}
+
+/// Random graph 7 on four processors under MPO, and the tightest capacity
+/// its address plan accepts. With mixed object sizes that is above
+/// `MIN_MEM`: there a best-fit arena cannot give one MAP's own task a
+/// contiguous buffer. That is real fragmentation, no retry heals it, and an
+/// armed executor says so before the run like any other.
+fn tightest_placeable_case() -> (TaskGraph, Schedule, u64) {
+    let spec = RandomGraphSpec { objects: 16, tasks: 40, ..Default::default() };
+    let g = random_irregular_graph(7, &spec);
+    let owner = cyclic_owner_map(g.num_objects(), 4);
+    let assign = owner_compute_assignment(&g, &owner, 4);
+    let sched = mpo_order(&g, &assign, &CostModel::unit());
+    let mm = min_mem(&g, &sched).min_mem;
+    let armed = |cap| ThreadedExecutor::new(&g, &sched, cap).with_recovery(RecoveryPolicy::new());
+    let rejected = armed(mm);
+    let e = rejected.run(body).expect_err("MIN_MEM of this graph does not place");
+    assert!(matches!(e, ExecError::Fragmented { .. }), "{e}");
+    common::assert_planned_rejection("armed at MIN_MEM", &rejected, &e);
+    let cap = (mm..).find(|&cap| armed(cap).address_plan().is_ok()).expect("TOT places");
+    assert!(cap <= mm + 8, "{cap} is not tight against MIN_MEM {mm}");
+    (g, sched, cap)
 }
 
 /// A recovered run that claims success must also leave an invariant-clean
@@ -106,31 +134,29 @@ fn recovery_matrix_random_dags() {
 
 #[test]
 fn recovery_matrix_at_exact_min_mem() {
-    // The hardest regime: exactly MIN_MEM, where injected allocation
-    // failures land on windows with no slack. Armed recovery must convert
-    // what used to be typed `Fragmented` failures into healed runs (the
-    // injected fault budgets are finite, so retries converge) or, for
-    // genuinely wedged windows, into `Unrecoverable`.
-    let spec = RandomGraphSpec { objects: 16, tasks: 40, ..Default::default() };
-    let g = random_irregular_graph(7, &spec);
-    let owner = cyclic_owner_map(g.num_objects(), 4);
-    let assign = owner_compute_assignment(&g, &owner, 4);
-    let sched = mpo_order(&g, &assign, &CostModel::unit());
-    let mm = min_mem(&g, &sched).min_mem;
+    // The hardest regime: the tightest capacity that places at all, where
+    // injected allocation failures land on windows with no slack. Armed
+    // recovery must convert what would be typed `Fragmented` failures into
+    // healed runs (the injected fault budgets are finite, so retries
+    // converge) or, for windows that stay wedged, into `Unrecoverable`.
+    let (g, sched, cap) = tightest_placeable_case();
     let reference = run_sequential(&g, body);
+    let (mut runs, mut healed) = (0, 0);
     for fault_seed in 0..FAULT_SEEDS {
         for (name, plan) in FaultPlan::scenarios(fault_seed) {
-            let exec = ThreadedExecutor::new(&g, &sched, mm)
+            let exec = ThreadedExecutor::new(&g, &sched, cap)
                 .with_faults(plan)
                 .with_recovery(RecoveryPolicy::new())
                 .with_tracing(TraceConfig::default());
-            let spec = exec.plan().trace_spec(mm);
+            let spec = exec.plan().trace_spec(cap);
             let label = format!("min-mem {name} seed {fault_seed}");
             let result = exec.run(body);
             judge_trace(&label, &g, &sched, &spec, &result);
-            judge_recovered(&label, result, &reference);
+            runs += 1;
+            healed += usize::from(judge_recovered(&label, result, &reference));
         }
     }
+    assert!(healed * 4 >= runs * 3, "only {healed} of {runs} faulted runs healed");
 }
 
 /// The deterministic projection of a recovered run: per-processor MAP,
@@ -163,16 +189,11 @@ fn recovery_traces_are_deterministic_per_seed() {
     // Same (seed, scenario) ⇒ byte-identical recovery decisions: every
     // per-site fault stream is consumed in program order, so the rollback
     // positions and attempt counts must reproduce exactly across reruns.
-    let spec = RandomGraphSpec { objects: 16, tasks: 40, ..Default::default() };
-    let g = random_irregular_graph(7, &spec);
-    let owner = cyclic_owner_map(g.num_objects(), 4);
-    let assign = owner_compute_assignment(&g, &owner, 4);
-    let sched = mpo_order(&g, &assign, &CostModel::unit());
-    let mm = min_mem(&g, &sched).min_mem;
+    let (g, sched, cap) = tightest_placeable_case();
     for fault_seed in [0u64, 9] {
         for (name, plan) in FaultPlan::scenarios(fault_seed) {
             let run = || {
-                ThreadedExecutor::new(&g, &sched, mm)
+                ThreadedExecutor::new(&g, &sched, cap)
                     .with_faults(plan.clone())
                     .with_recovery(RecoveryPolicy::new())
                     .with_tracing(TraceConfig::default())

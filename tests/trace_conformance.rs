@@ -8,6 +8,8 @@
 //! On a mismatch the offending traces are exported as Chrome-trace JSON
 //! under `target/trace-failures/` so CI can upload them as artifacts.
 
+mod common;
+
 use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid::core::graph::TaskGraph;
 use rapid::core::memreq::min_mem;
@@ -40,7 +42,8 @@ fn dump_traces(label: &str, g: &TaskGraph, des: &TraceSet, thr: &TraceSet) -> St
 
 /// Run one schedule through both executors under tracing; check both
 /// traces and compare their skeletons. Returns false when the threaded
-/// run hit an arena-fragmentation artifact and the comparison was skipped.
+/// executor's address plan rejects the capacity (a best-fit arena cannot
+/// follow the counted placement), which it must have said before the run.
 fn conform<F>(label: &str, g: &TaskGraph, sched: &Schedule, cap: u64, body: F) -> bool
 where
     F: Fn(TaskId, &mut TaskCtx<'_>) + Send + Sync,
@@ -56,7 +59,10 @@ where
     let spec = thr_exec.plan().trace_spec(cap);
     let thr = match thr_exec.run(body) {
         Ok(out) => out,
-        Err(ExecError::Fragmented { .. }) => return false, // arena-level artifact
+        Err(e @ ExecError::Fragmented { .. }) => {
+            common::assert_planned_rejection(label, &thr_exec, &e);
+            return false;
+        }
         Err(e) => panic!("{label}: threaded failed: {e}"),
     };
     let des_trace = des.trace.as_ref().expect("DES tracing enabled");

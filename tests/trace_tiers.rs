@@ -17,6 +17,8 @@
 //! - A wrapped ring reports *exactly* how many records were lost, and
 //!   the checker refuses the incomplete trace with that same count.
 
+mod common;
+
 use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid::core::memreq::min_mem;
 use rapid::prelude::*;
@@ -164,7 +166,9 @@ fn both_executors_stream_verdicts_that_match_post_hoc() {
             assert_eq!(live, check(&g, &sched, &spec, trace), "threaded live != post-hoc");
             assert!(live.is_ok(), "threaded run must check clean: {live:?}");
         }
-        Err(rapid::rt::ExecError::Fragmented { .. }) => {} // arena artifact, not a protocol issue
+        Err(e @ rapid::rt::ExecError::Fragmented { .. }) => {
+            common::assert_planned_rejection("streaming fixture", &exec, &e)
+        }
         Err(e) => panic!("threaded run failed: {e}"),
     }
 }
