@@ -1,6 +1,5 @@
 //! Microbenches for the machine substrate: arena allocation storms and
-//! address-mailbox round-trips (both the allocating and the
-//! allocation-free paths).
+//! address-mailbox round-trips.
 
 use rapid_bench::timing::bench;
 use rapid_machine::arena::Arena;
@@ -42,13 +41,9 @@ fn main() {
     });
 
     let slot = AddrSlot::new();
-    bench("mailbox/send-take-roundtrip", &mut || {
-        slot.try_send(vec![AddrEntry { obj: 1, offset: 64 }]).unwrap();
-        black_box(slot.take().unwrap());
-    });
     let mut pkg = Vec::new();
     let mut buf = Vec::new();
-    bench("mailbox/send-take-allocation-free", &mut || {
+    bench("mailbox/send-take-roundtrip", &mut || {
         pkg.push(AddrEntry { obj: 1, offset: 64 });
         assert!(slot.try_send_from(&mut pkg));
         buf.clear();

@@ -2,19 +2,16 @@
 //!
 //! 1. **MAP window** — greedy (paper) vs one-task-per-MAP: greedy needs
 //!    far fewer allocation points for the same footprint.
-//! 2. **Address buffering** — single-slot mailboxes (paper) vs unbounded
-//!    buffering: buffering removes MAP blocking but requires queue space
-//!    (the paper rejects it "to avoid the overhead of buffer managing").
-//! 3. **Arena placement** — best-fit vs first-fit under the threaded
+//! 2. **Arena placement** — best-fit vs first-fit under the threaded
 //!    executor's real alloc/free trace: fragmentation headroom needed
 //!    above `MIN_MEM` (the §6 fragmentation observation).
-//! 4. **Commuting updates** — the §2 model extension: marking a block's
+//! 3. **Commuting updates** — the §2 model extension: marking a block's
 //!    trailing updates as commutative removes their artificial chains.
 //!    Finding: for 2-D Cholesky the chains run parallel to the
 //!    Fact→Scale→Update step paths, so predicted time and depth barely
 //!    move — the marking buys scheduling robustness (any arrival order
 //!    is ready), not critical-path length.
-//! 5. **Dependence-structure storage** — the §6 observation that the
+//! 4. **Dependence-structure storage** — the §6 observation that the
 //!    dependence structure itself consumes 18–50 % of memory: report the
 //!    estimated control-structure words next to the data space.
 
@@ -30,7 +27,7 @@ fn main() {
     let (name, w) = lu_workload(scale);
     println!("workload: sparse LU ({name}), capacities at 50% of TOT\n");
 
-    // 1 + 2: DES ablations.
+    // 1: DES ablation.
     let mut rows = Vec::new();
     for &p in &ps {
         let sched = schedule(&w, p, Order::Mpo, u64::MAX);
@@ -41,37 +38,27 @@ fn main() {
         let machine = MachineConfig::t3d(p).with_capacity(cap);
         let run = |cfg: DesConfig| DesExecutor::new(w.graph(), &sched, cfg).run();
         let greedy = run(DesConfig::managed(machine.clone()));
-        let single = run(DesConfig::managed(machine.clone()).with_window(MapWindow::Single));
-        let buffered = run(DesConfig::managed(machine).with_addr_buffering());
-        let cells = match (greedy, single, buffered) {
-            (Ok(g), Ok(s), Ok(b)) => vec![
+        let single = run(DesConfig::managed(machine).with_window(MapWindow::Single));
+        let cells = match (greedy, single) {
+            (Ok(g), Ok(s)) => vec![
                 format!("{:.2}", g.avg_maps()),
                 format!("{:.2}", s.avg_maps()),
                 format!("{:+.1}%", (s.parallel_time / g.parallel_time - 1.0) * 100.0),
-                format!("{:+.1}%", (b.parallel_time / g.parallel_time - 1.0) * 100.0),
-                format!("{}", b.peak_queued_pkgs),
             ],
-            _ => vec!["∞".into(); 5],
+            _ => vec!["∞".into(); 3],
         };
         rows.push((format!("P={p}"), cells));
     }
     println!(
         "{}",
         render_table(
-            "Ablation 1-2: MAP window and address buffering (vs greedy single-slot)",
-            &[
-                "P".into(),
-                "#MAPs greedy".into(),
-                "#MAPs single".into(),
-                "PT single".into(),
-                "PT buffered".into(),
-                "peak queue".into(),
-            ],
+            "Ablation 1: MAP window (vs greedy)",
+            &["P".into(), "#MAPs greedy".into(), "#MAPs single".into(), "PT single".into()],
             &rows
         )
     );
 
-    // 3: arena placement under the threaded executor's allocation trace.
+    // 2: arena placement under the threaded executor's allocation trace.
     use rapid_sparse::{gen, taskgen};
     // A min-degree-ordered FEM matrix with a non-uniform tail block gives
     // the mixed object sizes that expose placement-policy effects (this
@@ -86,7 +73,7 @@ fn main() {
         &rapid_core::schedule::CostModel::unit(),
     );
     let mm = min_mem(&model.graph, &sched).min_mem;
-    println!("Ablation 3: arena placement, 2-D Cholesky n={} p=4, MIN_MEM={mm}", a.ncols);
+    println!("Ablation 2: arena placement, 2-D Cholesky n={} p=4, MIN_MEM={mm}", a.ncols);
     // Find the smallest capacity at which each policy follows the counted
     // placement to the end: no allocation that fails, no window cut short.
     // The threaded executor's address plan is the best-fit walk; the
@@ -115,14 +102,14 @@ fn main() {
     control_structure_report(scale);
 }
 
-/// Ablation 4: strict vs marked-commuting 2-D Cholesky.
+/// Ablation 3: strict vs marked-commuting 2-D Cholesky.
 fn commuting_ablation() {
     use rapid_core::schedule::{evaluate, CostModel};
     use rapid_sparse::{gen, order, taskgen};
     let a = gen::bcsstk_like(10, 10, 3, 17);
     let a = a.permute_sym(&order::min_degree(&a));
     let p = 8;
-    println!("\nAblation 4: commuting trailing updates, 2-D Cholesky n={} p={p}", a.ncols);
+    println!("\nAblation 3: commuting trailing updates, 2-D Cholesky n={} p={p}", a.ncols);
     let cost = CostModel::unit();
     for (name, m) in [
         ("strict   ", taskgen::cholesky_2d_model(&a, 8, p)),
@@ -140,9 +127,9 @@ fn commuting_ablation() {
     }
 }
 
-/// Ablation 5: dependence-structure storage vs data space (§6).
+/// Ablation 4: dependence-structure storage vs data space (§6).
 fn control_structure_report(scale: Scale) {
-    println!("\nAblation 5: dependence-structure storage (paper §6: 18-50% of memory)");
+    println!("\nAblation 4: dependence-structure storage (paper §6: 18-50% of memory)");
     let report = |label: &str, w: &Workload| {
         let sched = schedule(w, 8, Order::Rcp, u64::MAX);
         let plan = rapid_rt::maps::RtPlan::new(w.graph(), &sched);

@@ -11,7 +11,7 @@
 //!
 //! Flags:
 //!
-//! - `--only <executor|executor-native|recovery|kernels|scheduling|trace>`
+//! - `--only <executor|recovery|kernels|scheduling|trace>`
 //!   — run a single section (repeatable; `executor` and `recovery` share
 //!   `BENCH_executor.json`);
 //! - `--check` — shape-invariant CI mode: shrunken problem sizes, no
@@ -27,7 +27,7 @@ use rapid_bench::timing::{bench_ns, fmt_ns};
 use rapid_core::fixtures::{self, random_irregular_graph, RandomGraphSpec};
 use rapid_core::memreq::min_mem;
 use rapid_core::schedule::CostModel;
-use rapid_rt::threaded::{run_sequential_with_init, TaskCtx, ThreadedExecutor};
+use rapid_rt::threaded::{TaskCtx, ThreadedExecutor};
 use rapid_sparse::{gen, kernels, taskgen};
 use rapid_trace::{chrome_trace_json, TraceConfig};
 use std::fmt::Write as _;
@@ -163,8 +163,8 @@ fn recovery_report(check: bool) -> Vec<Entry> {
     let faulted_exec = ThreadedExecutor::new(&g, &sched, cap)
         .with_faults(FaultPlan::mixed(11))
         .with_recovery(RecoveryPolicy::new());
-    // Interleaved min-of-3, as in the native section: OS scheduling noise
-    // dominates on oversubscribed runners and must not read as overhead.
+    // Interleaved min-of-3: OS scheduling noise dominates on oversubscribed
+    // runners and must not read as overhead.
     let (mut plain, mut armed, mut faulted) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..3 {
         plain = plain.min(bench_ns(&mut || {
@@ -210,167 +210,6 @@ fn recovery_report(check: bool) -> Vec<Entry> {
         );
     }
     out
-}
-
-/// Total flops of a model DAG: the sparse task generators assign
-/// flop-accurate weights (e.g. `Update(i,j,k)` costs `2·hi·wj·wk`), so
-/// the graph-weight sum is the work both executors and the serial
-/// reference perform.
-fn total_flops(g: &rapid_core::graph::TaskGraph) -> f64 {
-    (0..g.num_tasks()).map(|t| g.weight(rapid_core::graph::TaskId(t as u32))).sum()
-}
-
-/// The native-backend section: per-destination aggregation against the
-/// per-package direct backend on the protocol-dominated fixture (where
-/// every hand-off rides the single-slot mailbox discipline), plus
-/// end-to-end Gflop/s for the sparse factorizations against the serial
-/// reference (same body, same blocks, no protocol). In `--check` mode
-/// the aggregated configuration must not lose to the per-package one.
-fn native_report(check: bool) -> Vec<Entry> {
-    let mut out = Vec::new();
-
-    // Aggregated vs per-package hand-offs in the tight-memory regime
-    // (MIN_MEM + 8: the deadlock-stress configuration, a slack at which
-    // the address plan places this graph without cutting a window).
-    // Timing is interleaved
-    // min-of-3 so OS scheduling noise — the dominant variance when
-    // worker threads outnumber cores — cannot masquerade as a backend
-    // difference.
-    {
-        let spec = RandomGraphSpec { objects: 48, tasks: 160, ..Default::default() };
-        let g = random_irregular_graph(11, &spec);
-        let owner = rapid_sched::assign::cyclic_owner_map(g.num_objects(), 4);
-        let assign = rapid_sched::assign::owner_compute_assignment(&g, &owner, 4);
-        let sched = rapid_sched::mpo::mpo_order(&g, &assign, &CostModel::unit());
-        let cap = min_mem(&g, &sched).min_mem + 8;
-        let direct_exec = ThreadedExecutor::new(&g, &sched, cap);
-        let agg_exec = ThreadedExecutor::new(&g, &sched, cap).with_aggregation(64);
-        let pinned_exec =
-            ThreadedExecutor::new(&g, &sched, cap).with_aggregation(64).with_pinning(true);
-        let (mut direct, mut agg, mut pinned) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for _ in 0..3 {
-            direct = direct.min(bench_ns(&mut || {
-                direct_exec.run(body).unwrap();
-            }));
-            agg = agg.min(bench_ns(&mut || {
-                agg_exec.run(body).unwrap();
-            }));
-            pinned = pinned.min(bench_ns(&mut || {
-                pinned_exec.run(body).unwrap();
-            }));
-        }
-        let speedup = direct / agg;
-        println!(
-            "executor-native/random-irregular-t160-p4: direct {} aggregated {} ({speedup:.2}x) pinned {}",
-            fmt_ns(direct),
-            fmt_ns(agg),
-            fmt_ns(pinned)
-        );
-        out.push(Entry {
-            name: "random-irregular-t160-p4/direct".into(),
-            ns: direct,
-            extra: vec![("capacity".into(), cap.to_string())],
-        });
-        out.push(Entry {
-            name: "random-irregular-t160-p4/aggregated".into(),
-            ns: agg,
-            extra: vec![
-                ("threshold".into(), "64".into()),
-                ("speedup_vs_direct".into(), format!("{speedup:.3}")),
-            ],
-        });
-        out.push(Entry {
-            name: "random-irregular-t160-p4/aggregated-pinned".into(),
-            ns: pinned,
-            extra: vec![("speedup_vs_direct".into(), format!("{:.3}", direct / pinned))],
-        });
-        if check {
-            // Deterministic half of the "never slower, never different"
-            // contract: both backends must complete and agree bitwise.
-            let d = direct_exec.run(body).expect("direct fixture run");
-            let a = agg_exec.run(body).expect("aggregated fixture run");
-            assert_eq!(d.objects, a.objects, "check: aggregation changed numeric results");
-            // Timing half, as a regression canary: min-of-interleaved
-            // damps scheduler noise, and the tolerance absorbs what is
-            // left on oversubscribed CI runners. A systematically
-            // slower aggregated path still fails.
-            assert!(
-                agg <= direct * 1.25,
-                "check: aggregated hand-offs regressed: {agg:.0} ns vs {direct:.0} ns per-package"
-            );
-        }
-    }
-
-    // End-to-end factorization throughput: flops from the DAG's
-    // flop-accurate weights, serial reference via `run_sequential_with_init`
-    // (same bodies, no protocol), parallel via the aggregating backend.
-    {
-        let a = gen::bcsstk_like(6, 6, 3, 3);
-        let model = taskgen::cholesky_2d_model(&a, 9, 4);
-        let assign = rapid_sched::assign::owner_compute_assignment(&model.graph, &model.owner, 4);
-        let sched = rapid_sched::mpo::mpo_order(&model.graph, &assign, &CostModel::unit());
-        let cap = min_mem(&model.graph, &sched).min_mem + 512;
-        let flops = total_flops(&model.graph);
-        let serial = bench_ns(&mut || {
-            std::hint::black_box(run_sequential_with_init(
-                &model.graph,
-                model.body(),
-                model.init(&a),
-            ));
-        });
-        let exec = ThreadedExecutor::new(&model.graph, &sched, cap).with_aggregation(64);
-        let par = bench_ns(&mut || {
-            exec.run_with_init(model.body(), model.init(&a)).unwrap();
-        });
-        report_gflops(&mut out, "cholesky-n108-p4", flops, serial, par);
-    }
-    {
-        let a = gen::goodwin_like(60, 4, 1, 5);
-        let model = taskgen::lu_1d_model(&a, 10, 3, true);
-        let assign = rapid_sched::assign::owner_compute_assignment(&model.graph, &model.owner, 3);
-        let sched = rapid_sched::mpo::mpo_order(&model.graph, &assign, &CostModel::unit());
-        let cap = min_mem(&model.graph, &sched).min_mem + 512;
-        let flops = total_flops(&model.graph);
-        let serial = bench_ns(&mut || {
-            std::hint::black_box(run_sequential_with_init(
-                &model.graph,
-                model.body(),
-                model.init(&a),
-            ));
-        });
-        let exec = ThreadedExecutor::new(&model.graph, &sched, cap).with_aggregation(64);
-        let par = bench_ns(&mut || {
-            exec.run_with_init(model.body(), model.init(&a)).unwrap();
-        });
-        report_gflops(&mut out, "lu-n60-p3", flops, serial, par);
-    }
-
-    out
-}
-
-/// Report a serial/parallel Gflop/s pair (`flops / ns` is flops per
-/// nanosecond, i.e. Gflop/s).
-fn report_gflops(out: &mut Vec<Entry>, fixture: &str, flops: f64, serial: f64, par: f64) {
-    let sg = flops / serial;
-    let pg = flops / par;
-    println!(
-        "executor-native/{fixture}: serial {} ({sg:.3} Gflop/s) aggregated {} ({pg:.3} Gflop/s)",
-        fmt_ns(serial),
-        fmt_ns(par)
-    );
-    out.push(Entry {
-        name: format!("{fixture}/serial"),
-        ns: serial,
-        extra: vec![("gflops".into(), format!("{sg:.4}")), ("flops".into(), format!("{flops:.0}"))],
-    });
-    out.push(Entry {
-        name: format!("{fixture}/aggregated"),
-        ns: par,
-        extra: vec![
-            ("gflops".into(), format!("{pg:.4}")),
-            ("speedup_vs_serial".into(), format!("{:.3}", serial / par)),
-        ],
-    });
 }
 
 /// The tracked fixture's task body: ~15 µs of deterministic FLOPs per
@@ -875,19 +714,14 @@ fn main() {
             "--check" => check = true,
             "--only" => {
                 let v = args.next().unwrap_or_else(|| {
-                    eprintln!(
-                        "--only needs a section: \
-                         executor|executor-native|recovery|kernels|scheduling|trace"
-                    );
+                    eprintln!("--only needs a section: executor|recovery|kernels|scheduling|trace");
                     std::process::exit(2);
                 });
                 match v.as_str() {
-                    "executor" | "executor-native" | "recovery" | "kernels" | "scheduling"
-                    | "trace" => only.push(v),
+                    "executor" | "recovery" | "kernels" | "scheduling" | "trace" => only.push(v),
                     _ => {
                         eprintln!(
-                            "unknown section {v:?}: \
-                             executor|executor-native|recovery|kernels|scheduling|trace"
+                            "unknown section {v:?}: executor|recovery|kernels|scheduling|trace"
                         );
                         std::process::exit(2);
                     }
@@ -901,8 +735,8 @@ fn main() {
             }
             _ => {
                 eprintln!(
-                    "usage: bench [--check] [--only executor|executor-native|recovery|kernels\
-                     |scheduling|trace]... [--trace out.json]"
+                    "usage: bench [--check] [--only executor|recovery|kernels|scheduling|trace]... \
+                     [--trace out.json]"
                 );
                 std::process::exit(2);
             }
@@ -936,16 +770,6 @@ fn main() {
         } else {
             std::fs::write("BENCH_executor.json", json(&exec)).expect("write BENCH_executor.json");
             written.push("BENCH_executor.json");
-        }
-    }
-    if wants("executor-native") {
-        println!("== executor-native ==");
-        let native = native_report(check);
-        if check {
-            check_entries("executor-native", &native);
-        } else {
-            std::fs::write("BENCH_native.json", json(&native)).expect("write BENCH_native.json");
-            written.push("BENCH_native.json");
         }
     }
     if wants("kernels") {

@@ -21,7 +21,7 @@
 //!    `unsafe fn` declarations are exempt — their contract lives in the
 //!    `# Safety` doc section, which `missing_docs` keeps present.
 //! 4. **No raw `std::sync::atomic` in the six model-checked modules**
-//!    (flat ring, mailbox, aggregation backend, RMA flag board, worker
+//!    (flat ring, mailbox, the ports over it, RMA flag board, worker
 //!    pool hand-off, sleep / wake handshake): they
 //!    must go through the `rapid-sync` instrumented shim so the model
 //!    checker sees every operation.

@@ -1,5 +1,4 @@
-//! Core pinning and NUMA-aware worker→core assignment for the native
-//! backend.
+//! Core pinning and NUMA-aware worker→core assignment.
 //!
 //! The threaded executor can pin each simulated processor's OS thread
 //! to one physical core so workers stop migrating between cores

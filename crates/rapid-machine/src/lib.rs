@@ -14,14 +14,12 @@
 //!   one-sided stores into a remote arena at an offset learned from an
 //!   address package, with release/acquire arrival flags,
 //! - [`wait`] — how a blocked worker waits: spin, yield against a time
-//!   budget, then a park that the peer causing the awaited event ends
-//!   (buffered packages flush before the core is given away),
-//! - [`machine`] — the pluggable comm-backend surface: the [`Machine`]
-//!   trait with the paper-faithful single-slot backend, the native
-//!   per-destination aggregating backend, and the discrete-event
-//!   simulator's virtual-time backend,
+//!   budget, then a park that the peer causing the awaited event ends,
+//! - [`machine`] — the comm surface the protocol is written against: the
+//!   [`Port`] trait, over the mailbox board for threads and over virtual
+//!   time for the discrete-event simulator,
 //! - [`affinity`] — core pinning (raw `sched_setaffinity`) and
-//!   NUMA-aware worker→core assignment for the native backend,
+//!   NUMA-aware worker→core assignment,
 //! - [`pool`] — the persistent worker threads an executor keeps between
 //!   runs, and the model-checked cell that hands them a job,
 //! - [`fault`] — deterministic, seeded fault injection (mailbox rejection
@@ -44,4 +42,4 @@ pub mod wait;
 pub use arena::{Arena, ArenaError};
 pub use config::MachineConfig;
 pub use fault::{FaultPlan, FaultSpec, ProcFaults};
-pub use machine::{AggregatingMachine, DirectMachine, Machine, Port, SendOutcome, VirtualMachine};
+pub use machine::{DirectMachine, Port, VirtualMachine};

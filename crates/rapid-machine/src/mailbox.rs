@@ -8,18 +8,13 @@
 //! blocks (in the MAP state) until the slot drains; Theorem 1 shows the
 //! receiver always drains it because RA runs in every blocking state.
 //!
-//! [`AddrSlot`] is that one-slot channel: `try_send` fails while the slot
-//! is full, `take` empties it. The full/empty handoff uses release/acquire
+//! [`AddrSlot`] is that one-slot channel: [`AddrSlot::try_send_from`] fails
+//! while the slot is full, [`AddrSlot::take_into`] empties it, and
+//! [`MailboxBoard::drain_for_into`] is the RA operation over one
+//! processor's incoming slots. The full/empty handoff uses release/acquire
 //! ordering so the package contents published by the sender are visible to
-//! the receiver.
-//!
-//! The slot payload additionally preserves *logical package boundaries*:
-//! an aggregating sender may coalesce several address packages into one
-//! physical hand-off ([`AddrSlot::try_send_batch_from`]), and the receiver
-//! recovers each original package from the segment-end list
-//! ([`AddrSlot::take_batch_into`], [`MailboxBoard::drain_batched_for_into`]).
-//! A plain send is simply a batch of one segment, so the paper's
-//! unbuffered semantics are the degenerate case of the same machinery.
+//! the receiver. No path allocates in steady state: the slot keeps a
+//! resident buffer, sender and receiver keep theirs.
 
 // sync-audit: the EMPTY→WRITING CAS uses a Relaxed failure ordering — a
 // failed claim publishes nothing and the caller retries later. Success uses
@@ -52,8 +47,8 @@ const FULL: u8 = 2;
 /// A single-slot SPSC mailbox for address packages.
 ///
 /// One instance exists per (source, destination) processor pair; only the
-/// source calls [`AddrSlot::try_send`] and only the destination calls
-/// [`AddrSlot::take`].
+/// source calls [`AddrSlot::try_send_from`] and only the destination calls
+/// [`AddrSlot::take_into`].
 ///
 /// The inner mutex only serializes the package buffer hand-off; the
 /// EMPTY/WRITING/FULL state machine is what gates access, so a poisoned
@@ -63,57 +58,26 @@ const FULL: u8 = 2;
 #[derive(Debug, Default)]
 pub struct AddrSlot {
     state: SyncAtomicU8,
-    pkg: Mutex<BatchBuf>,
-}
-
-/// Slot payload: coalesced entries plus the logical package boundaries.
-/// `seg_ends[i]` is the exclusive end index (into `entries`) of logical
-/// package `i`; a plain unbatched send is one segment covering everything.
-#[derive(Debug, Default)]
-struct BatchBuf {
-    entries: Vec<AddrEntry>,
-    seg_ends: Vec<u32>,
+    pkg: Mutex<AddrPackage>,
 }
 
 impl AddrSlot {
     /// New empty slot.
     pub fn new() -> Self {
-        AddrSlot { state: SyncAtomicU8::new(EMPTY), pkg: Mutex::new(BatchBuf::default()) }
+        AddrSlot { state: SyncAtomicU8::new(EMPTY), pkg: Mutex::new(Vec::new()) }
     }
 
-    /// Attempt to deposit `pkg`. Fails (returning the package back) while
-    /// the previous package has not been consumed.
-    pub fn try_send(&self, pkg: AddrPackage) -> Result<(), AddrPackage> {
-        match self.state.compare_exchange(EMPTY, WRITING, Ordering::Acquire, Ordering::Relaxed) {
-            Ok(_) => {
-                {
-                    let mut slot = self.pkg.lock().unwrap_or_else(|e| e.into_inner());
-                    let end = pkg.len() as u32;
-                    slot.entries = pkg;
-                    slot.seg_ends.clear();
-                    slot.seg_ends.push(end);
-                }
-                self.state.store(FULL, Ordering::Release);
-                Ok(())
-            }
-            Err(_) => Err(pkg),
-        }
-    }
-
-    /// Allocation-free variant of [`AddrSlot::try_send`]: copies the
-    /// entries out of `pkg` (clearing it on success, so the caller can
-    /// reuse its capacity for the next MAP) into the slot's resident
-    /// buffer. Returns `false`, leaving `pkg` untouched, while the
-    /// previous package has not been consumed.
+    /// Deposit `pkg`: copies the entries into the slot's resident buffer
+    /// and clears `pkg` (so the caller can reuse its capacity for the next
+    /// MAP). Returns `false`, leaving `pkg` untouched, while the previous
+    /// package has not been consumed.
     pub fn try_send_from(&self, pkg: &mut AddrPackage) -> bool {
         match self.state.compare_exchange(EMPTY, WRITING, Ordering::Acquire, Ordering::Relaxed) {
             Ok(_) => {
                 {
                     let mut slot = self.pkg.lock().unwrap_or_else(|e| e.into_inner());
-                    slot.entries.clear();
-                    slot.entries.extend_from_slice(pkg);
-                    slot.seg_ends.clear();
-                    slot.seg_ends.push(pkg.len() as u32);
+                    slot.clear();
+                    slot.extend_from_slice(pkg);
                 }
                 self.state.store(FULL, Ordering::Release);
                 pkg.clear();
@@ -123,59 +87,11 @@ impl AddrSlot {
         }
     }
 
-    /// Deposit a whole aggregation batch — `entries` carrying several
-    /// logical packages delimited by `seg_ends` — in one physical
-    /// hand-off, clearing both caller buffers on success (their capacity
-    /// is retained for the next batch). Returns `false`, leaving the
-    /// buffers untouched, while the previous hand-off has not been
-    /// consumed.
-    pub fn try_send_batch_from(
-        &self,
-        entries: &mut Vec<AddrEntry>,
-        seg_ends: &mut Vec<u32>,
-    ) -> bool {
-        debug_assert_eq!(seg_ends.last().copied().unwrap_or(0) as usize, entries.len());
-        match self.state.compare_exchange(EMPTY, WRITING, Ordering::Acquire, Ordering::Relaxed) {
-            Ok(_) => {
-                {
-                    let mut slot = self.pkg.lock().unwrap_or_else(|e| e.into_inner());
-                    slot.entries.clear();
-                    slot.entries.extend_from_slice(entries);
-                    slot.seg_ends.clear();
-                    slot.seg_ends.extend_from_slice(seg_ends);
-                }
-                self.state.store(FULL, Ordering::Release);
-                entries.clear();
-                seg_ends.clear();
-                true
-            }
-            Err(_) => false,
-        }
-    }
-
-    /// Consume the waiting hand-off, emptying the slot (the RA
-    /// operation's per-slot step). Returns `None` when the slot is empty.
-    /// Logical packages of a batch arrive concatenated; use
-    /// [`AddrSlot::take_batch_into`] to recover their boundaries.
-    pub fn take(&self) -> Option<AddrPackage> {
-        if self.state.load(Ordering::Acquire) != FULL {
-            return None;
-        }
-        let pkg = {
-            let mut slot = self.pkg.lock().unwrap_or_else(|e| e.into_inner());
-            slot.seg_ends.clear();
-            std::mem::take(&mut slot.entries)
-        };
-        self.state.store(EMPTY, Ordering::Release);
-        Some(pkg)
-    }
-
-    /// Allocation-free variant of [`AddrSlot::take`]: appends the waiting
-    /// entries to `buf` (the receiver's reusable scratch) and leaves the
-    /// slot's buffer — with its capacity — in place for the sender's next
-    /// package. Returns `false` when the slot is empty. Batch boundaries
-    /// are discarded (entries of all logical packages are appended in
-    /// send order).
+    /// Consume the waiting package, emptying the slot (the RA operation's
+    /// per-slot step): appends its entries to `buf` (the receiver's
+    /// reusable scratch) and leaves the slot's buffer — with its capacity —
+    /// in place for the sender's next package. Returns `false` when the
+    /// slot is empty.
     #[inline]
     pub fn take_into(&self, buf: &mut Vec<AddrEntry>) -> bool {
         if self.state.load(Ordering::Acquire) != FULL {
@@ -183,29 +99,8 @@ impl AddrSlot {
         }
         {
             let mut slot = self.pkg.lock().unwrap_or_else(|e| e.into_inner());
-            buf.extend_from_slice(&slot.entries);
-            slot.entries.clear();
-            slot.seg_ends.clear();
-        }
-        self.state.store(EMPTY, Ordering::Release);
-        true
-    }
-
-    /// Allocation-free batched take: appends the waiting entries to
-    /// `buf` and the logical package boundaries (exclusive end indices
-    /// relative to the start of this run) to `segs`. Returns `false`
-    /// when the slot is empty.
-    #[inline]
-    pub fn take_batch_into(&self, buf: &mut Vec<AddrEntry>, segs: &mut Vec<u32>) -> bool {
-        if self.state.load(Ordering::Acquire) != FULL {
-            return false;
-        }
-        {
-            let mut slot = self.pkg.lock().unwrap_or_else(|e| e.into_inner());
-            buf.extend_from_slice(&slot.entries);
-            segs.extend_from_slice(&slot.seg_ends);
-            slot.entries.clear();
-            slot.seg_ends.clear();
+            buf.extend_from_slice(&slot);
+            slot.clear();
         }
         self.state.store(EMPTY, Ordering::Release);
         true
@@ -232,88 +127,31 @@ impl MailboxBoard {
         MailboxBoard { nprocs, slots: (0..nprocs * nprocs).map(|_| AddrSlot::new()).collect() }
     }
 
-    /// Number of processors the board connects.
-    #[inline]
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
     /// The slot carrying packages from `src` to `dst`.
     #[inline]
     pub fn slot(&self, src: usize, dst: usize) -> &AddrSlot {
         &self.slots[src * self.nprocs + dst]
     }
 
-    /// Drain every package waiting for `dst`, invoking `f(src, package)`.
-    /// This is the RA ("read addresses") service operation.
-    pub fn drain_for<F: FnMut(usize, AddrPackage)>(&self, dst: usize, mut f: F) -> usize {
-        let mut n = 0;
-        for src in 0..self.nprocs {
-            if src == dst {
-                continue;
-            }
-            if let Some(pkg) = self.slot(src, dst).take() {
-                f(src, pkg);
-                n += 1;
-            }
-        }
-        n
-    }
-
-    /// Allocation-free RA: drain every package waiting for `dst` through
-    /// the reusable `scratch` buffer, invoking `f(src, entries)` with a
-    /// borrowed view of each *logical* package (a batched hand-off
-    /// invokes `f` once per segment, in send order). Returns the number
-    /// of logical packages consumed.
+    /// The RA ("read addresses") service operation: drain every package
+    /// waiting for `dst` through the reusable `scratch` buffer, invoking
+    /// `f(src, package)` with a borrowed view of each. Returns the number
+    /// of packages consumed.
     pub fn drain_for_into<F: FnMut(usize, &[AddrEntry])>(
         &self,
         dst: usize,
         scratch: &mut Vec<AddrEntry>,
         mut f: F,
     ) -> usize {
-        let mut segs: Vec<u32> = Vec::new();
         let mut n = 0;
         for src in 0..self.nprocs {
             if src == dst {
                 continue;
             }
             scratch.clear();
-            segs.clear();
-            if self.slot(src, dst).take_batch_into(scratch, &mut segs) {
-                let mut start = 0usize;
-                for &end in &segs {
-                    f(src, &scratch[start..end as usize]);
-                    start = end as usize;
-                    n += 1;
-                }
-            }
-        }
-        n
-    }
-
-    /// Batched RA (the aggregation-aware service path): drain every
-    /// source's waiting hand-off in one callback per source —
-    /// `f(src, entries, seg_ends)` receives the full per-source run with
-    /// the logical package boundaries — instead of one callback per
-    /// package. Both scratch buffers are caller-owned and reused across
-    /// calls. Returns the number of logical packages consumed.
-    pub fn drain_batched_for_into<F: FnMut(usize, &[AddrEntry], &[u32])>(
-        &self,
-        dst: usize,
-        scratch: &mut Vec<AddrEntry>,
-        segs: &mut Vec<u32>,
-        mut f: F,
-    ) -> usize {
-        let mut n = 0;
-        for src in 0..self.nprocs {
-            if src == dst {
-                continue;
-            }
-            scratch.clear();
-            segs.clear();
-            if self.slot(src, dst).take_batch_into(scratch, segs) {
-                n += segs.len();
-                f(src, scratch, segs);
+            if self.slot(src, dst).take_into(scratch) {
+                f(src, scratch);
+                n += 1;
             }
         }
         n
@@ -326,126 +164,49 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn send_take_roundtrip() {
+    fn send_take_roundtrip_reuses_buffers() {
         let s = AddrSlot::new();
-        assert!(s.take().is_none());
-        let pkg = vec![AddrEntry { obj: 3, offset: 128 }];
-        s.try_send(pkg.clone()).unwrap();
-        assert!(s.is_full());
-        // Second send must fail until consumed.
-        let p2 = vec![AddrEntry { obj: 4, offset: 0 }];
-        assert_eq!(s.try_send(p2.clone()).unwrap_err(), p2);
-        assert_eq!(s.take().unwrap(), pkg);
-        assert!(!s.is_full());
-        s.try_send(p2).unwrap();
-        assert_eq!(s.take().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn board_drain() {
-        let b = MailboxBoard::new(3);
-        b.slot(0, 2).try_send(vec![AddrEntry { obj: 1, offset: 8 }]).unwrap();
-        b.slot(1, 2).try_send(vec![AddrEntry { obj: 2, offset: 16 }]).unwrap();
-        let mut seen = Vec::new();
-        let n = b.drain_for(2, |src, pkg| seen.push((src, pkg[0].obj)));
-        assert_eq!(n, 2);
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(0, 1), (1, 2)]);
-        assert_eq!(b.drain_for(2, |_, _| panic!("slot must be empty")), 0);
-    }
-
-    #[test]
-    fn allocation_free_roundtrip_reuses_buffers() {
-        let s = AddrSlot::new();
+        let mut buf = Vec::new();
+        assert!(!s.take_into(&mut buf), "a new slot is empty");
         let mut out = vec![AddrEntry { obj: 1, offset: 8 }, AddrEntry { obj: 2, offset: 16 }];
         assert!(s.try_send_from(&mut out));
+        assert!(s.is_full());
         assert!(out.is_empty(), "send_from clears the caller's buffer");
         assert!(out.capacity() >= 2, "…but keeps its capacity");
-        // A second send fails and leaves the pending buffer untouched.
+        // A second send fails until the first is consumed and leaves the
+        // pending buffer untouched.
         let mut blocked = vec![AddrEntry { obj: 9, offset: 0 }];
         assert!(!s.try_send_from(&mut blocked));
         assert_eq!(blocked.len(), 1);
-        let mut buf = Vec::new();
         assert!(s.take_into(&mut buf));
         assert_eq!(buf, vec![AddrEntry { obj: 1, offset: 8 }, AddrEntry { obj: 2, offset: 16 }]);
+        assert!(!s.is_full());
         assert!(!s.take_into(&mut buf), "slot drained");
         assert_eq!(buf.len(), 2, "failed take appends nothing");
+        assert!(s.try_send_from(&mut blocked));
+        buf.clear();
+        assert!(s.take_into(&mut buf));
+        assert_eq!(buf, vec![AddrEntry { obj: 9, offset: 0 }]);
     }
 
     #[test]
     fn board_drain_into() {
         let b = MailboxBoard::new(3);
-        b.slot(0, 2).try_send(vec![AddrEntry { obj: 1, offset: 8 }]).unwrap();
-        b.slot(1, 2).try_send(vec![AddrEntry { obj: 2, offset: 16 }]).unwrap();
+        assert!(b.slot(0, 2).try_send_from(&mut vec![AddrEntry { obj: 1, offset: 8 }]));
+        assert!(b.slot(1, 2).try_send_from(&mut vec![AddrEntry { obj: 2, offset: 16 }]));
         let mut scratch = Vec::new();
         let mut seen = Vec::new();
-        let n = b.drain_for_into(2, &mut scratch, |src, pkg| seen.push((src, pkg[0].obj)));
+        let n = b.drain_for_into(2, &mut scratch, |src, pkg| seen.push((src, pkg.to_vec())));
         assert_eq!(n, 2);
-        seen.sort_unstable();
-        assert_eq!(seen, vec![(0, 1), (1, 2)]);
-        assert_eq!(b.drain_for_into(2, &mut scratch, |_, _| panic!("must be empty")), 0);
-    }
-
-    #[test]
-    fn batch_roundtrip_preserves_logical_boundaries() {
-        let s = AddrSlot::new();
-        let mut entries = vec![
-            AddrEntry { obj: 1, offset: 8 },
-            AddrEntry { obj: 2, offset: 16 },
-            AddrEntry { obj: 3, offset: 24 },
-        ];
-        let mut segs = vec![2u32, 3]; // packages [1,2] and [3]
-        assert!(s.try_send_batch_from(&mut entries, &mut segs));
-        assert!(entries.is_empty() && segs.is_empty(), "send clears caller buffers");
-        let mut blocked = vec![AddrEntry { obj: 9, offset: 0 }];
-        let mut bsegs = vec![1u32];
-        assert!(!s.try_send_batch_from(&mut blocked, &mut bsegs));
-        assert_eq!((blocked.len(), bsegs.len()), (1, 1), "failed send is side-effect free");
-        let (mut buf, mut got_segs) = (Vec::new(), Vec::new());
-        assert!(s.take_batch_into(&mut buf, &mut got_segs));
-        assert_eq!(got_segs, vec![2, 3]);
-        assert_eq!(buf.len(), 3);
-        assert!(!s.is_full());
-    }
-
-    #[test]
-    fn drain_for_into_splits_batches_into_logical_packages() {
-        let b = MailboxBoard::new(2);
-        let mut entries = vec![
-            AddrEntry { obj: 1, offset: 8 },
-            AddrEntry { obj: 2, offset: 16 },
-            AddrEntry { obj: 3, offset: 24 },
-        ];
-        let mut segs = vec![1u32, 3];
-        assert!(b.slot(0, 1).try_send_batch_from(&mut entries, &mut segs));
-        let mut scratch = Vec::new();
-        let mut pkgs = Vec::new();
-        let n = b.drain_for_into(1, &mut scratch, |src, pkg| {
-            pkgs.push((src, pkg.to_vec()));
-        });
-        assert_eq!(n, 2, "one batch of two segments is two logical packages");
-        assert_eq!(pkgs[0], (0, vec![AddrEntry { obj: 1, offset: 8 }]));
+        seen.sort_unstable_by_key(|&(src, _)| src);
         assert_eq!(
-            pkgs[1],
-            (0, vec![AddrEntry { obj: 2, offset: 16 }, AddrEntry { obj: 3, offset: 24 }])
+            seen,
+            vec![
+                (0, vec![AddrEntry { obj: 1, offset: 8 }]),
+                (1, vec![AddrEntry { obj: 2, offset: 16 }])
+            ]
         );
-    }
-
-    #[test]
-    fn drain_batched_hands_full_run_per_source() {
-        let b = MailboxBoard::new(3);
-        let mut e0 = vec![AddrEntry { obj: 1, offset: 8 }, AddrEntry { obj: 2, offset: 16 }];
-        let mut s0 = vec![1u32, 2];
-        assert!(b.slot(0, 2).try_send_batch_from(&mut e0, &mut s0));
-        b.slot(1, 2).try_send(vec![AddrEntry { obj: 7, offset: 0 }]).unwrap();
-        let (mut scratch, mut segs) = (Vec::new(), Vec::new());
-        let mut calls = Vec::new();
-        let n = b.drain_batched_for_into(2, &mut scratch, &mut segs, |src, run, ends| {
-            calls.push((src, run.len(), ends.to_vec()));
-        });
-        assert_eq!(n, 3, "three logical packages in total");
-        calls.sort_unstable();
-        assert_eq!(calls, vec![(0, 2, vec![1, 2]), (1, 1, vec![1])]);
+        assert_eq!(b.drain_for_into(2, &mut scratch, |_, _| panic!("must be empty")), 0);
     }
 
     #[test]
@@ -454,23 +215,19 @@ mod tests {
         let s = Arc::new(AddrSlot::new());
         let s2 = Arc::clone(&s);
         let producer = std::thread::spawn(move || {
+            let mut pkg = Vec::new();
             for i in 0..1000u32 {
-                let pkg = vec![AddrEntry { obj: i, offset: (i as u64) * 8 }];
-                let mut p = pkg;
-                loop {
-                    match s2.try_send(p) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            p = back;
-                            std::hint::spin_loop();
-                        }
-                    }
+                pkg.push(AddrEntry { obj: i, offset: (i as u64) * 8 });
+                while !s2.try_send_from(&mut pkg) {
+                    std::hint::spin_loop();
                 }
             }
         });
         let mut next = 0u32;
+        let mut pkg = Vec::new();
         while next < 1000 {
-            if let Some(pkg) = s.take() {
+            pkg.clear();
+            if s.take_into(&mut pkg) {
                 assert_eq!(pkg.len(), 1);
                 assert_eq!(pkg[0].obj, next);
                 assert_eq!(pkg[0].offset, (next as u64) * 8);

@@ -230,9 +230,8 @@ impl<'s> Wait<'s> {
     /// Pause once, escalating the tier. `last_look` runs whenever the
     /// worker is about to give its core away — once when the wait starts
     /// to yield and, with the worker already announced as a sleeper, before
-    /// every park: it pushes out whatever this worker holds that a peer may
-    /// be waiting for (buffered address packages) and polls once more.
-    /// `true` from it means something moved; the wait starts over instead.
+    /// every park: it polls once more what the worker waits for. `true`
+    /// from it means something moved; the wait starts over instead.
     pub fn pause(&mut self, mut last_look: impl FnMut() -> bool) {
         if self.spins < SPIN_ROUNDS {
             for _ in 0..(1u32 << self.spins) {

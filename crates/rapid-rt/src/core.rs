@@ -9,7 +9,7 @@
 //! window rollback of [`RecoveryPolicy`], the fault sites and every trace
 //! hook. It knows nothing about time, threads or buffers: those it reaches
 //! through an [`Env`] (statically dispatched, one per driver) and through
-//! the [`Port`] of its comm backend.
+//! its driver's [`Port`].
 //!
 //! What a MAP frees, allocates, where, and whom it tells is decided before
 //! the run ([`crate::maps`]): the core is handed its processor's
@@ -41,17 +41,17 @@
 //!   address package wakes exactly the parked sends its entries unblock
 //!   (the two-watched-literal trick: a retried send that is still blocked
 //!   re-parks on its next missing object).
-//! - **Address packages are batched.** A MAP's notifications are planned
-//!   sorted by destination, so one package per collaborating processor is
-//!   assembled in a reusable buffer and handed to [`Port::send_package`] —
-//!   no allocation in steady state.
+//! - **One address package per destination.** A MAP's notifications are
+//!   planned sorted by destination, so one package per collaborating
+//!   processor is assembled in a reusable buffer and handed to
+//!   [`Port::send_package`] — no allocation in steady state.
 
 use crate::maps::{ExecError, PlannedMap, RtPlan};
 use crate::recover::RecoveryPolicy;
 use rapid_core::graph::{TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
 use rapid_machine::fault::{FaultSite, ProcFaults};
-use rapid_machine::machine::{Port, SendOutcome};
+use rapid_machine::machine::Port;
 use rapid_machine::mailbox::AddrEntry;
 use rapid_trace::{FlatWriter, ProtoState, TraceTier, NO_OFFSET};
 use std::time::Duration;
@@ -130,8 +130,8 @@ pub(crate) enum On {
     Arena,
     /// REC: this message has not arrived.
     Msg(u32),
-    /// END, or a window about to roll back: suspended sends or buffered
-    /// packages are still owed.
+    /// END, or a window about to roll back: suspended sends are still
+    /// owed.
     Drain,
 }
 
@@ -442,12 +442,12 @@ impl<'e, P: Port> ProcCore<'e, P> {
                     }
                 }
                 State::Quiesce => {
-                    // Quiesce before restoring: a send suspended (or a
-                    // package batch still buffered) earlier in this window
-                    // must complete *now*, while the written buffers hold
-                    // the values it is supposed to carry — a put firing
-                    // after the restore would ship pre-window bytes.
-                    if self.suspended > 0 || self.port.pending() > 0 {
+                    // Quiesce before restoring: a send suspended earlier in
+                    // this window must complete *now*, while the written
+                    // buffers hold the values it is supposed to carry — a
+                    // put firing after the restore would ship pre-window
+                    // bytes.
+                    if self.suspended > 0 {
                         return Ok(Step::Blocked(On::Drain));
                     }
                     // Restore the pre-window contents of the window's
@@ -462,13 +462,10 @@ impl<'e, P: Port> ProcCore<'e, P> {
                     return Ok(Step::Progress);
                 }
                 State::End => {
-                    // END may not retire while the suspended queue or this
-                    // port's aggregation buffers hold anything: a buffered
-                    // address package that never got flushed would strand
-                    // a peer's suspended send forever (the aggregation
-                    // half of the Theorem-1 obligations).
+                    // END may not retire while the suspended queue holds
+                    // anything: those puts are owed to peers in REC.
                     self.enter(env, ProtoState::End);
-                    if self.suspended > 0 || self.port.pending() > 0 {
+                    if self.suspended > 0 {
                         return Ok(Step::Blocked(On::Drain));
                     }
                     self.state = State::Done;
@@ -587,12 +584,9 @@ impl<'e, P: Port> ProcCore<'e, P> {
                 self.busy_told = false;
             }
             // An injected rejection is handled exactly like a slot the
-            // receiver has not drained yet. Delivered and Buffered both
-            // complete the logical hand-off (the port owns the entries
-            // from here); only Busy — the direct backend's full slot —
-            // makes this MAP block.
+            // receiver has not drained yet: this MAP blocks.
             let busy = self.rejected(env, FaultSite::MailboxReject, ProcFaults::mailbox_reject)
-                || self.port.send_package(dst as usize, &mut self.pkg_buf) == SendOutcome::Busy;
+                || !self.port.send_package(dst as usize, &mut self.pkg_buf);
             if busy {
                 if !std::mem::replace(&mut self.busy_told, true) {
                     trace(&mut self.tr, |w| w.mailbox_busy(env.recent(), dst));
@@ -621,14 +615,6 @@ impl<'e, P: Port> ProcCore<'e, P> {
         self.next_map = next_map;
         self.maps_done += 1;
         self.peak = self.peak.max(m.in_use);
-        // Hand any coalesced batches over eagerly: under aggregation the
-        // sends above never block, so one flush attempt at MAP end bounds
-        // notification latency by the MAP itself without re-introducing
-        // the per-package blocking of the direct backend (a busy slot
-        // just leaves the batch parked for the service rounds).
-        if self.port.pending() > 0 {
-            self.port.flush();
-        }
         let (in_use, peak) = (m.in_use, self.peak);
         trace(&mut self.tr, |w| w.map_end(env.now(), pos, next_map, in_use, peak));
         let end = (next_map as usize).min(self.order.len());
@@ -729,45 +715,31 @@ impl<'e, P: Port> ProcCore<'e, P> {
         }
     }
 
-    /// RA + incremental CQ: drain incoming address packages (one batched
-    /// callback per source, covering every logical package the run
-    /// carries), then retry exactly the parked sends the new addresses
-    /// may unblock, in the order they were suspended. Every service round
-    /// is also a flush opportunity for packages buffered in this port
-    /// (eventual delivery under aggregation). Returns `true` if any
-    /// package arrived, any buffered batch was handed off, or any
-    /// suspended send completed.
+    /// RA + incremental CQ: drain incoming address packages, then retry
+    /// exactly the parked sends the new addresses may unblock, in the
+    /// order they were suspended. Returns `true` if any package arrived or
+    /// any suspended send completed.
     pub(crate) fn service<E: Env>(&mut self, env: &mut E) -> bool {
         let nobj = self.nobj;
         let ProcCore { known, waiters, woken, tr, pkg_recv_seq, pkg_ids, .. } = self;
-        let drained = self.port.drain_batched(|src, entries, seg_ends| {
-            // One round per *logical* package: a physical batch replays
-            // exactly like the unbatched package sequence.
-            let mut start = 0usize;
-            for &end in seg_ends {
-                let pkg = &entries[start..end as usize];
-                env.charge(Cost::Ra { src });
-                if let Some(w) = tr.as_mut() {
-                    // PkgRecv is a Full-only record; at Skeleton only the
-                    // sequence numbers advance (the send side carries them).
-                    if w.tier() == TraceTier::Full {
-                        pkg_ids.clear();
-                        pkg_ids.extend(pkg.iter().map(|e| e.obj));
-                        w.pkg_recv(env.recent(), src as u32, pkg_recv_seq[src], pkg_ids);
-                    }
-                    pkg_recv_seq[src] += 1;
+        let drained = self.port.drain(|src, pkg| {
+            env.charge(Cost::Ra { src });
+            if let Some(w) = tr.as_mut() {
+                // PkgRecv is a Full-only record; at Skeleton only the
+                // sequence numbers advance (the send side carries them).
+                if w.tier() == TraceTier::Full {
+                    pkg_ids.clear();
+                    pkg_ids.extend(pkg.iter().map(|e| e.obj));
+                    w.pkg_recv(env.recent(), src as u32, pkg_recv_seq[src], pkg_ids);
                 }
-                for e in pkg {
-                    known[src * nobj + e.obj as usize] = e.offset;
-                    woken.append(&mut waiters[e.obj as usize]);
-                }
-                start = end as usize;
+                pkg_recv_seq[src] += 1;
+            }
+            for e in pkg {
+                known[src * nobj + e.obj as usize] = e.offset;
+                woken.append(&mut waiters[e.obj as usize]);
             }
         });
         let mut progress = drained > 0;
-        if self.port.pending() > 0 && self.port.flush() {
-            progress = true;
-        }
         let mut woken = std::mem::take(&mut self.woken);
         // Suspension order is SND order: by the sending task's position,
         // then by message id within the task.

@@ -25,7 +25,7 @@ use rapid_core::graph::{ProcId, TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
 use rapid_machine::config::MachineConfig;
 use rapid_machine::fault::{FaultPlan, FaultSite, FaultSpec};
-use rapid_machine::machine::{Machine, VirtualMachine};
+use rapid_machine::machine::VirtualMachine;
 use rapid_trace::{
     decode_rings, FlatRing, LiveDrain, ProcMetrics, ProtoState, StreamChecker, TraceConfig,
     TraceReport, TraceSet, TraceTier, Violation,
@@ -88,12 +88,6 @@ pub struct DesConfig {
     pub memory_mgmt: bool,
     /// MAP allocation window policy (ablation; the paper is greedy).
     pub window: MapWindow,
-    /// Buffer address packages instead of the paper's single-slot
-    /// mailboxes (ablation; the paper rejects buffering "to avoid the
-    /// overhead of buffer managing"). With buffering senders never block
-    /// in the MAP state; the outcome reports the peak queued packages so
-    /// the space cost of the alternative is visible.
-    pub addr_buffering: bool,
     /// Deterministic fault plan: message puts and address packages are
     /// held back by seeded virtual-time delays, arriving late and
     /// reordered. Only the delay sites apply in the DES — an injected
@@ -120,7 +114,6 @@ impl DesConfig {
             machine,
             memory_mgmt: true,
             window: MapWindow::Greedy,
-            addr_buffering: false,
             faults: None,
             trace: None,
             streaming: false,
@@ -135,12 +128,6 @@ impl DesConfig {
     /// Override the MAP window policy.
     pub fn with_window(mut self, window: MapWindow) -> Self {
         self.window = window;
-        self
-    }
-
-    /// Enable buffered address mailboxes.
-    pub fn with_addr_buffering(mut self) -> Self {
-        self.addr_buffering = true;
         self
     }
 
@@ -194,16 +181,12 @@ pub struct DesOutcome {
     pub addr_pkgs_sent: usize,
     /// Messages that had to wait in the suspended queue at least once.
     pub suspended_sends: usize,
-    /// Peak number of address packages queued in any one mailbox (always
-    /// ≤ 1 with the paper's single-slot scheme; interesting under the
-    /// `addr_buffering` ablation).
-    pub peak_queued_pkgs: usize,
     /// Per-task finish times (simulated seconds).
     pub finish: Vec<f64>,
     /// Recorded event traces when [`DesConfig::trace`] was set at a
     /// tier other than [`TraceTier::Off`].
     pub trace: Option<TraceSet>,
-    /// Per-processor metrics aggregated from the trace (present exactly
+    /// Per-processor metrics replayed from the trace (present exactly
     /// when `trace` is).
     pub metrics: Option<Vec<ProcMetrics>>,
     /// Verdict of the inline streaming checker, when
@@ -414,12 +397,10 @@ impl<'a> DesExecutor<'a> {
             ))
         });
 
-        // Address mailboxes: the cores run on the same [`Machine`]/[`Port`]
-        // surface as under the threaded executor, through its virtual-time
-        // backend. The paper's scheme keeps at most one package in flight
-        // per pair (a second send is `Busy`); with `addr_buffering` the
-        // queue is unbounded and the machine tracks its peak depth.
-        let vm = VirtualMachine::new(nprocs, self.cfg.addr_buffering);
+        // Address mailboxes: the cores talk to the same `Port` surface as
+        // under the threaded executor, here over virtual time. At most one
+        // package is in flight per pair; a second send is refused.
+        let vm = VirtualMachine::new(nprocs);
         let mut sim = Sim {
             g: self.g,
             plan: &self.plan,
@@ -559,7 +540,6 @@ impl<'a> DesExecutor<'a> {
                         Some(On::Mailbox(dst)) if !cores[q].is_done() => vec![dst],
                         _ => Vec::new(),
                     },
-                    buffered_pkgs: 0,
                 })
                 .collect();
             let reporter = cores.iter().position(|c| !c.is_done()).unwrap_or(0);
@@ -593,7 +573,6 @@ impl<'a> DesExecutor<'a> {
             msgs_sent: sim.msgs_sent,
             addr_pkgs_sent: sim.addr_pkgs_sent,
             suspended_sends,
-            peak_queued_pkgs: vm.peak_queued(),
             finish: sim.finish,
             trace,
             metrics,
@@ -791,22 +770,6 @@ mod tests {
         for (s, gm) in single.peak_mem.iter().zip(&greedy.peak_mem) {
             assert!(s <= gm);
         }
-    }
-
-    #[test]
-    fn addr_buffering_never_blocks_maps() {
-        let g = fixtures::figure2_dag();
-        let sched = fixtures::figure2_schedule_c();
-        // Tight memory: multiple MAPs → multiple packages per pair.
-        let machine = MachineConfig::unit(2, 8);
-        let slot = DesExecutor::new(&g, &sched, DesConfig::managed(machine.clone())).run().unwrap();
-        let buf = DesExecutor::new(&g, &sched, DesConfig::managed(machine).with_addr_buffering())
-            .run()
-            .unwrap();
-        assert!(slot.peak_queued_pkgs <= 1, "single-slot must never queue");
-        assert!(buf.peak_queued_pkgs >= 1);
-        // Same work completes either way (Theorem 1 needs no buffering).
-        assert_eq!(slot.finish.len(), buf.finish.len());
     }
 
     #[test]

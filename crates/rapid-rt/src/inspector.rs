@@ -194,11 +194,6 @@ pub struct ProcDiag {
     /// Destinations whose incoming mailbox slot from this processor is
     /// still occupied (a potential blocked-in-MAP edge).
     pub mailbox_full_to: Vec<ProcId>,
-    /// Logical address packages sitting in this processor's sender-side
-    /// aggregation buffers, not yet physically handed off (always 0 on
-    /// the direct backend; a stuck non-zero value under the aggregating
-    /// backend points at flush starvation).
-    pub buffered_pkgs: u32,
 }
 
 /// Diagnostic photograph of the machine taken by the worker whose stall
@@ -292,9 +287,6 @@ impl std::fmt::Display for StallSnapshot {
             if !d.mailbox_full_to.is_empty() {
                 write!(f, ", undrained packages to {:?}", d.mailbox_full_to)?;
             }
-            if d.buffered_pkgs > 0 {
-                write!(f, ", {} packages buffered unsent", d.buffered_pkgs)?;
-            }
             writeln!(f)?;
         }
         if self.recovery_retries > 0 || self.recovery_rollbacks > 0 {
@@ -380,7 +372,6 @@ mod tests {
                     order_len: 5,
                     suspended_sends: 1,
                     mailbox_full_to: vec![1],
-                    buffered_pkgs: 2,
                 },
                 ProcDiag {
                     proc: 1,
@@ -389,7 +380,6 @@ mod tests {
                     order_len: 4,
                     suspended_sends: 0,
                     mailbox_full_to: vec![],
-                    buffered_pkgs: 0,
                 },
             ],
             recent_events: vec!["1.250ms MsgRecv { msg: 4 }".into()],
@@ -403,7 +393,6 @@ mod tests {
         assert!(text.contains("3/9 messages"));
         assert!(text.contains("P0: Map at 2/5"));
         assert!(text.contains("undrained packages to [1]"));
-        assert!(text.contains("2 packages buffered unsent"));
         assert!(text.contains("P1: Rec at 3/4"));
         assert!(text.contains("last events on P1"));
         assert!(text.contains("MsgRecv { msg: 4 }"));

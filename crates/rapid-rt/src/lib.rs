@@ -12,7 +12,7 @@
 //!   service operations, window rollback, fault sites and trace hooks. Its
 //!   `step()` returns `Progress`, `Blocked(on what)` or `Done`, and it
 //!   reaches the machine only through a statically dispatched environment
-//!   and the comm backend's `Port`.
+//!   and the driver's `Port`.
 //! - [`des`] — the deterministic discrete-event driver: an event heap
 //!   steps the cores in virtual time under a cost model and a per-processor
 //!   memory cap (parallel time, #MAPs, blocking on address buffers and
@@ -42,4 +42,4 @@ pub use inspector::Inspector;
 pub use maps::{ExecError, MapPlacement, MapWindow, PlannedMap, RtPlan};
 pub use rapid_trace::{TraceConfig, TraceSet};
 pub use recover::{RecoveryPolicy, RecoveryReport, RetryPolicy, Supervisor};
-pub use threaded::{run_sequential, Backend, TaskCtx, ThreadedExecutor, ThreadedOutcome};
+pub use threaded::{run_sequential, TaskCtx, ThreadedExecutor, ThreadedOutcome};

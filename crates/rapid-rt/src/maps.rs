@@ -207,10 +207,7 @@ impl RtPlan {
 
     /// The plain-data protocol description the trace invariant checker
     /// replays against ([`rapid_trace::check::check`]). `capacity` is the
-    /// per-processor memory cap the run executed under. Executors running
-    /// the buffered-mailbox ablation set
-    /// [`rapid_trace::ProtocolSpec::buffered_mailboxes`] on the result
-    /// themselves.
+    /// per-processor memory cap the run executed under.
     pub fn trace_spec(&self, capacity: u64) -> rapid_trace::ProtocolSpec {
         rapid_trace::ProtocolSpec {
             nprocs: self.perm_units.len(),
@@ -227,7 +224,6 @@ impl RtPlan {
             out_msgs: self.out_msgs.rows().map(<[u32]>::to_vec).collect(),
             capacity,
             perm_units: self.perm_units.clone(),
-            buffered_mailboxes: false,
         }
     }
 
@@ -315,10 +311,12 @@ impl RtPlan {
     /// the permanent objects as the arena's reserved prefix.
     ///
     /// Where the arena cannot place a *lookahead* allocation contiguously,
-    /// the window is cut right before the task that introduces it: that
-    /// object and everything after it go back to the planner and are
-    /// planned again by the MAP now due there, after its free wave has had
-    /// a chance to coalesce room. Only the task at the MAP's own position
+    /// the window is cut right before the task that introduces it: every
+    /// object of that task and everything after it go back to the planner
+    /// and are planned again by the MAP now due there, after its free wave
+    /// has had a chance to coalesce room. A MAP therefore allocates, and
+    /// announces, only what a task of its own window uses. Only the task
+    /// at the MAP's own position
     /// failing to place is an error — [`ExecError::Fragmented`], or
     /// [`ExecError::NonExecutable`] where counting already refuses — for
     /// the lowest processor it happens on.
@@ -353,11 +351,15 @@ impl RtPlan {
             let rows =
                 self.walk_proc(g, sched, p as ProcId, capacity, window, Some(&mut placer))?;
             plan.placement.per_proc.push(rows);
+            // Not the arena's marks: those also count what a cut gave back.
+            let ends = g.objects().zip(&placer.offsets).filter(|(_, &off)| off != NO_OFFSET);
+            let high_water =
+                ends.map(|(d, off)| off + g.obj_size(d)).fold(self.perm_units[p], u64::max);
+            plan.high_water.push(high_water);
             plan.offsets.push(placer.offsets);
-            plan.peak.push(placer.arena.peak());
-            plan.high_water.push(placer.arena.high_water());
             plan.cuts.push(placer.cuts);
         }
+        plan.peak = plan.placement.peaks(&self.perm_units);
         Ok(plan)
     }
 
@@ -520,12 +522,24 @@ impl Placer {
             match self.arena.alloc(g.obj_size(d)) {
                 Ok(off) => self.offsets[d.idx()] = off,
                 Err(ArenaError::Fragmented { .. }) if m.alloc_pos[i] != m.pos => {
-                    for &dd in &m.allocs[i..] {
+                    // Cut before the task that uses `d`, not in the middle
+                    // of it: what was just placed for that same task goes
+                    // back too, or this MAP would announce buffers none of
+                    // its tasks reads.
+                    let cut = m.alloc_pos[i];
+                    let keep = m.alloc_pos.partition_point(|&at| at < cut);
+                    for &dd in &m.allocs[keep..i] {
+                        let off = std::mem::replace(&mut self.offsets[dd.idx()], NO_OFFSET);
+                        self.arena.free(off).map_err(|e| {
+                            internal(format!("cut cannot give {dd:?} at {off} back: {e}"))
+                        })?;
+                    }
+                    for &dd in &m.allocs[keep..] {
                         planner.rollback_alloc(g, dd);
                     }
-                    m.next_map = m.alloc_pos[i];
-                    m.allocs.truncate(i);
-                    m.alloc_pos.truncate(i);
+                    m.next_map = cut;
+                    m.allocs.truncate(keep);
+                    m.alloc_pos.truncate(keep);
                     m.notifies.retain(|n| planner.is_allocated(ObjId(n.obj)));
                     m.in_use = planner.in_use;
                     self.cuts += 1;

@@ -1,9 +1,9 @@
 //! rapid-sync: instrumented atomics + an exhaustive interleaving model checker.
 //!
 //! The runtime's hot lock-free paths (flat-ring trace writers, mailbox slots,
-//! aggregation flush accounting, recovery flag boards) use `Sync*` shim types
-//! from this crate instead of raw `std::sync::atomic`. The shims are
-//! `repr(transparent)` wrappers over the std atomics:
+//! recovery flag boards) use `Sync*` shim types from this crate instead of raw
+//! `std::sync::atomic`. The shims are `repr(transparent)` wrappers over the
+//! std atomics:
 //!
 //! * In plain release builds every method is an `#[inline]` passthrough — the
 //!   shim is zero-cost and the runtime behaves exactly as if it used
@@ -22,7 +22,7 @@
 //! budget), so weakened `Ordering`s and deleted fences produce witnessable
 //! counterexamples rather than silently passing. See `DESIGN.md` §16.
 //!
-//! Bounded models of the four audited runtime cores live in [`models`]; each
+//! Bounded models of the three audited runtime cores live in [`models`]; each
 //! ships with a seeded mutation corpus (weakened orderings / deleted fences /
 //! logic slips) that the checker must catch — this is how the checker itself
 //! is tested.

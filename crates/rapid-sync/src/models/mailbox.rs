@@ -1,5 +1,5 @@
 //! Bounded model of the mailbox slot protocol: `AddrSlot::try_send_from` vs
-//! `take_for` (`crates/rapid-machine/src/mailbox.rs`).
+//! `take_into` (`crates/rapid-machine/src/mailbox.rs`).
 //!
 //! One slot (`state` ∈ {EMPTY, WRITING, FULL} + a payload cell standing in
 //! for the package buffer), one sender, one receiver. The sender pushes two
@@ -24,7 +24,7 @@ const EMPTY: u8 = 0;
 const WRITING: u8 = 1;
 const FULL: u8 = 2;
 
-/// Orderings for the slot protocol.
+/// Orderings and the write-then-publish switch of the slot protocol.
 #[derive(Clone, Copy, Debug)]
 pub struct MailboxConfig {
     /// Success ordering of the claiming CAS (EMPTY → WRITING).
@@ -36,6 +36,8 @@ pub struct MailboxConfig {
     pub empty_store: Ordering,
     /// Receiver's polling load.
     pub take_load: Ordering,
+    /// Mutant: publish FULL before the payload write.
+    pub publish_before_payload: bool,
 }
 
 /// Mirrors the audited `mailbox.rs` code.
@@ -45,6 +47,7 @@ pub const GOOD: MailboxConfig = MailboxConfig {
     full_store: Ordering::Release,
     empty_store: Ordering::Release,
     take_load: Ordering::Acquire,
+    publish_before_payload: false,
 };
 
 /// Seeded mutation corpus: each entry must be refuted by the checker.
@@ -54,6 +57,7 @@ pub fn mutants() -> Vec<(&'static str, MailboxConfig)> {
         ("mailbox-empty-store-relaxed", MailboxConfig { empty_store: Ordering::Relaxed, ..GOOD }),
         ("mailbox-cas-success-relaxed", MailboxConfig { cas_success: Ordering::Relaxed, ..GOOD }),
         ("mailbox-take-load-relaxed", MailboxConfig { take_load: Ordering::Relaxed, ..GOOD }),
+        ("mailbox-publish-before-payload", MailboxConfig { publish_before_payload: true, ..GOOD }),
     ]
 }
 
@@ -77,12 +81,17 @@ pub fn scenario(cfg: MailboxConfig) -> impl Fn(&mut Sim) {
                             .compare_exchange(EMPTY, WRITING, cfg.cas_success, cfg.cas_failure)
                             .is_ok()
                         {
+                            if cfg.publish_before_payload {
+                                state.store(FULL, cfg.full_store);
+                            }
                             // SAFETY (model): exclusivity is supposed to be
                             // granted by winning the EMPTY→WRITING CAS; the
                             // checker race-detects configurations where the
                             // orderings fail to deliver it.
                             unsafe { payload.write(v) };
-                            state.store(FULL, cfg.full_store);
+                            if !cfg.publish_before_payload {
+                                state.store(FULL, cfg.full_store);
+                            }
                             out(v);
                             done = true;
                             break;

@@ -1,4 +1,4 @@
-//! Bounded models of the four audited runtime concurrency cores, plus their
+//! Bounded models of the three audited runtime concurrency cores, plus their
 //! seeded mutation corpora.
 //!
 //! Each model is parameterized by an orderings/logic struct with a `GOOD`
@@ -8,7 +8,6 @@
 //! corpus is how the checker itself is validated, mirroring the
 //! negative-corpus style of `rapid-trace`.
 
-pub mod agg;
 pub mod mailbox;
 pub mod ring;
 pub mod sentguard;

@@ -1,4 +1,4 @@
-//! Exhaustive interleaving checks of the four audited runtime cores, plus
+//! Exhaustive interleaving checks of the three audited runtime cores, plus
 //! the seeded mutation corpus that validates the checker itself: every GOOD
 //! configuration must pass with the full bounded state space explored, and
 //! every mutant (weakened ordering / deleted fence / logic slip) must be
@@ -11,7 +11,7 @@
 #![cfg(any(debug_assertions, rapid_model_check))]
 
 use rapid_sync::model::{self, Config, Counterexample};
-use rapid_sync::models::{agg, mailbox, ring, sentguard};
+use rapid_sync::models::{mailbox, ring, sentguard};
 use rapid_sync::{Ordering, SyncAtomicU64};
 
 fn cfg() -> Config {
@@ -64,28 +64,6 @@ fn mailbox_good_passes_exhaustively() {
 fn mailbox_mutants_all_caught() {
     for (name, mutant) in mailbox::mutants() {
         let cex = model::require_violation(name, cfg(), mailbox::scenario(mutant));
-        assert_named_cex(name, &cex);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Aggregation flush ladder
-// ---------------------------------------------------------------------------
-
-#[test]
-fn agg_good_passes_exhaustively() {
-    let stats = model::check_passes("agg-good", cfg(), agg::scenario(agg::GOOD));
-    println!(
-        "agg-good: {} executions ({} pruned), {} steps",
-        stats.executions, stats.pruned, stats.steps
-    );
-    assert!(stats.executions > 50, "state space was actually explored");
-}
-
-#[test]
-fn agg_mutants_all_caught() {
-    for (name, mutant) in agg::mutants() {
-        let cex = model::require_violation(name, cfg(), agg::scenario(mutant));
         assert_named_cex(name, &cex);
     }
 }

@@ -73,9 +73,6 @@ pub struct ProtocolSpec {
     pub capacity: u64,
     /// Per-processor permanent footprint in allocation units.
     pub perm_units: Vec<u64>,
-    /// The mailboxes were buffered (the DES `addr_buffering` ablation):
-    /// the at-most-one-in-flight check of invariant (2) is skipped.
-    pub buffered_mailboxes: bool,
 }
 
 /// A typed invariant violation. Each variant names the Theorem-1

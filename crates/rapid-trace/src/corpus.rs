@@ -40,7 +40,6 @@ pub fn tiny() -> (TaskGraph, Schedule, ProtocolSpec) {
         out_msgs: vec![vec![], vec![0], vec![]],
         capacity: 16,
         perm_units: vec![5, 0],
-        buffered_mailboxes: false,
     };
     (g, sched, spec)
 }

@@ -344,10 +344,7 @@ impl<'a> StreamChecker<'a> {
                     });
                 }
             }
-            if self.tier >= TraceTier::Full
-                && !self.spec.buffered_mailboxes
-                && sends.len() > recvs.len() + 1
-            {
+            if self.tier >= TraceTier::Full && sends.len() > recvs.len() + 1 {
                 return Err(Violation::MailboxClobber {
                     src,
                     dst,

@@ -131,19 +131,6 @@ pub enum Finding {
         /// Object id carried by the useless entry.
         obj: u32,
     },
-    /// The aggregating backend's batched hand-off for a processor pair
-    /// does not expand back to the plan's per-window address-package
-    /// sequence (or covers a different object set): coalescing would
-    /// deliver different notifications than the single-slot discipline
-    /// the Theorem-1 obligations were proven against.
-    BatchDivergence {
-        /// Notifying (package-sending) processor.
-        src: u32,
-        /// Notified processor.
-        dst: u32,
-        /// Human-readable description of the divergence.
-        detail: String,
-    },
     /// The cross-processor wait-for graph over MAP-window, receive and
     /// send-completion edges has a cycle: the plan deadlocks.
     Deadlock {
@@ -238,9 +225,7 @@ impl Finding {
             Finding::UseAfterFree { .. } | Finding::FreeBeforeLastUse { .. } => {
                 ViolationKind::FreeBeforeLastUse
             }
-            Finding::StalePackage { .. } | Finding::BatchDivergence { .. } => {
-                ViolationKind::MailboxClobber
-            }
+            Finding::StalePackage { .. } => ViolationKind::MailboxClobber,
             Finding::Deadlock { .. } => ViolationKind::MissingRecv,
             Finding::PrecedenceViolation { .. } => ViolationKind::OrderViolation,
             Finding::DoubleAlloc { .. } => ViolationKind::DoubleAlloc,
@@ -259,7 +244,6 @@ impl Finding {
             Finding::UseBeforeAlloc { .. } => "use-before-alloc",
             Finding::UseAfterFree { .. } => "use-after-free",
             Finding::StalePackage { .. } => "stale-package",
-            Finding::BatchDivergence { .. } => "batch-divergence",
             Finding::Deadlock { .. } => "deadlock",
             Finding::PrecedenceViolation { .. } => "precedence-violation",
             Finding::DoubleAlloc { .. } => "double-alloc",
@@ -296,10 +280,6 @@ impl std::fmt::Display for Finding {
             Finding::StalePackage { src, dst, obj } => write!(
                 f,
                 "P{src} notifies P{dst} of d{obj}, but no message from P{dst} ever writes it (package may never drain)"
-            ),
-            Finding::BatchDivergence { src, dst, detail } => write!(
-                f,
-                "batched hand-off from P{src} to P{dst} diverges from its per-package expansion: {detail}"
             ),
             Finding::Deadlock { cycle } => {
                 write!(f, "wait-for cycle:")?;

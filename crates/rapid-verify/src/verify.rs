@@ -8,9 +8,7 @@ use crate::fnv::{AddrWin, KeySet};
 use crate::hb;
 use rapid_core::graph::{TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
-use rapid_machine::mailbox::{AddrEntry, AddrSlot};
 use rapid_rt::{MapPlacement, MapWindow, RtPlan};
-use std::collections::{BTreeMap, HashSet};
 
 /// Result of a verification run.
 #[derive(Clone, Debug)]
@@ -52,9 +50,8 @@ pub fn verify(
     verify_sharded(g, sched, plan, placement, 1)
 }
 
-/// Parallel [`verify`]: the five analyses shard cleanly — dataflow,
-/// batch equivalence and precedence per processor, address coverage per
-/// message range — and every shard's findings are concatenated in shard
+/// Parallel [`verify`]: the analyses shard cleanly — dataflow and
+/// precedence per processor, address coverage per message range — and every shard's findings are concatenated in shard
 /// order, so the report (findings, order included) is **identical** to
 /// the sequential verifier for any `nthreads >= 1`. Only the single
 /// global deadlock-cycle search stays sequential.
@@ -84,11 +81,7 @@ pub fn verify_par(
 ///   placement the greedy planner just produced orders every window
 ///   before the sends that need it by construction, and the coverage
 ///   check above re-proves Fact I (the replan test suite cross-checks
-///   every fast-path placement against the full verifier);
-/// - **batch equivalence** exercises the mailbox wire codec, a pure
-///   function of window contents proven by the cold report and the
-///   codec property tests — a capacity change regroups batches but
-///   cannot alter how the codec round-trips them.
+///   every fast-path placement against the full verifier).
 ///
 /// [`Replanner::replan_capacity`](crate::Replanner::replan_capacity)
 /// relies on exactly this contract; anything that changes the graph or
@@ -131,13 +124,6 @@ fn verify_sharded(
     let (addr_findings, consumed) = address_findings(sched, plan, &addr_win, nthreads);
     findings.extend(addr_findings);
     findings.extend(stale_findings(&addr_win, &consumed));
-
-    // Aggregation safety: coalescing the plan's address packages into
-    // batched hand-offs must be invisible. The wire-format round trip
-    // has to reproduce the per-window package sequence exactly, and the
-    // expansion must cover exactly the key set the coverage analysis
-    // above was run on.
-    findings.extend(batch_findings(placement, &addr_win, nthreads));
 
     // Precedence and deadlock need trustworthy task positions.
     if structural_ok {
@@ -302,126 +288,6 @@ pub fn verify_capacity(g: &TaskGraph, sched: &Schedule, capacity: u64) -> Verify
     }
 }
 
-/// Batched hand-off equivalence (the aggregating backend's static
-/// obligation): for every (notifier, notified) processor pair, coalesce
-/// the plan's per-window address packages — in window order, with the
-/// same one-package-per-destination linear walk the executors use —
-/// into a single aggregation batch, push it through the real mailbox
-/// wire format, and prove the expansion reproduces the unbatched
-/// package sequence exactly and covers exactly the `addr_win` key set.
-/// Sharded over notifying processors.
-fn batch_findings(placement: &MapPlacement, addr_win: &AddrWin, nthreads: usize) -> Vec<Finding> {
-    let shards = rapid_core::par::map_shards(nthreads, placement.per_proc.len(), |_i, range| {
-        let mut findings = Vec::new();
-        for q in range {
-            check_batch_proc(q, &placement.per_proc[q], addr_win, &mut findings);
-        }
-        findings
-    });
-    shards.concat()
-}
-
-/// Batch equivalence for one notifying processor `q`.
-fn check_batch_proc(
-    q: usize,
-    wins: &[rapid_rt::PlannedMap],
-    addr_win: &AddrWin,
-    findings: &mut Vec<Finding>,
-) {
-    // Logical package sequence per destination, in window order.
-    let mut logical: BTreeMap<u32, Vec<Vec<AddrEntry>>> = BTreeMap::new();
-    for (widx, w) in wins.iter().enumerate() {
-        let mut i = 0;
-        while i < w.notifies.len() {
-            let dst = w.notifies[i].dst;
-            let mut pkg = Vec::new();
-            while i < w.notifies.len() && w.notifies[i].dst == dst {
-                // The real offset is a runtime arena value; the
-                // window index stands in so payload corruption in
-                // the round trip is visible.
-                pkg.push(AddrEntry { obj: w.notifies[i].obj, offset: widx as u64 });
-                i += 1;
-            }
-            logical.entry(dst).or_default().push(pkg);
-        }
-    }
-    for (&dst, pkgs) in &logical {
-        if let Err(detail) = batch_roundtrip(pkgs) {
-            findings.push(Finding::BatchDivergence { src: q as u32, dst, detail });
-        }
-        let covered: HashSet<u32> = pkgs.iter().flatten().map(|e| e.obj).collect();
-        let expected: HashSet<u32> = addr_win
-            .keys()
-            .filter(|&&(a, b, _)| a == q as u32 && b == dst)
-            .map(|&(_, _, o)| o)
-            .collect();
-        if covered != expected {
-            let mut missing: Vec<u32> = expected.difference(&covered).copied().collect();
-            let mut extra: Vec<u32> = covered.difference(&expected).copied().collect();
-            missing.sort_unstable();
-            extra.sort_unstable();
-            findings.push(Finding::BatchDivergence {
-                src: q as u32,
-                dst,
-                detail: format!("coverage drift: missing {missing:?}, extra {extra:?}"),
-            });
-        }
-    }
-}
-
-/// Round-trip one processor pair's logical package sequence through the
-/// batched mailbox wire format (one hand-off carrying every package)
-/// and check the expansion against the original sequence.
-fn batch_roundtrip(packages: &[Vec<AddrEntry>]) -> Result<(), String> {
-    let mut entries: Vec<AddrEntry> = Vec::new();
-    let mut seg_ends: Vec<u32> = Vec::new();
-    for p in packages {
-        entries.extend_from_slice(p);
-        seg_ends.push(entries.len() as u32);
-    }
-    let slot = AddrSlot::new();
-    if !slot.try_send_batch_from(&mut entries, &mut seg_ends) {
-        return Err("fresh slot refused the batch".to_string());
-    }
-    let mut got = Vec::new();
-    let mut segs = Vec::new();
-    if !slot.take_batch_into(&mut got, &mut segs) {
-        return Err("slot lost the batch".to_string());
-    }
-    compare_expansion(packages, &got, &segs)
-}
-
-/// Check a received batch (`entries` split at the exclusive indices of
-/// `seg_ends`) against the expected logical package sequence: same
-/// package count, same boundaries, same entries in the same order.
-fn compare_expansion(
-    expected: &[Vec<AddrEntry>],
-    entries: &[AddrEntry],
-    seg_ends: &[u32],
-) -> Result<(), String> {
-    if seg_ends.len() != expected.len() {
-        return Err(format!(
-            "{} logical packages sent, {} received",
-            expected.len(),
-            seg_ends.len()
-        ));
-    }
-    let mut start = 0usize;
-    for (k, (&end, want)) in seg_ends.iter().zip(expected).enumerate() {
-        let got = entries.get(start..end as usize).ok_or_else(|| {
-            format!("package {k} spans {start}..{end}, batch has {} entries", entries.len())
-        })?;
-        if got != &want[..] {
-            return Err(format!("package {k} diverges: sent {want:?}, received {got:?}"));
-        }
-        start = end as usize;
-    }
-    if start != entries.len() {
-        return Err(format!("{} trailing entries after the last package", entries.len() - start));
-    }
-    Ok(())
-}
-
 /// Structural sanity: orders cover every task exactly once on the
 /// processor its assignment names, and the placement has one window list
 /// per processor. Returns false when the position-dependent analyses
@@ -479,49 +345,4 @@ fn check_structure(
         }
     }
     ok
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rapid_core::{fixtures, memreq};
-
-    #[test]
-    fn batch_sweep_accepts_fixture_plans() {
-        // The batched-equivalence sweep runs inside every verify() call;
-        // the figure-2 plan must still be accepted at exactly MIN_MEM.
-        let g = fixtures::figure2_dag();
-        let sched = fixtures::figure2_schedule_c();
-        let mm = memreq::min_mem(&g, &sched).min_mem;
-        let report = crate::verify_capacity(&g, &sched, mm);
-        assert!(report.accepted(), "findings: {:?}", report.findings);
-    }
-
-    #[test]
-    fn wire_roundtrip_preserves_package_sequence() {
-        let want = vec![
-            vec![AddrEntry { obj: 1, offset: 0 }, AddrEntry { obj: 2, offset: 0 }],
-            vec![AddrEntry { obj: 3, offset: 1 }],
-            vec![AddrEntry { obj: 1, offset: 2 }],
-        ];
-        assert!(batch_roundtrip(&want).is_ok());
-        assert!(batch_roundtrip(&[]).is_ok());
-    }
-
-    #[test]
-    fn expansion_divergence_is_detected() {
-        let want = vec![
-            vec![AddrEntry { obj: 1, offset: 0 }, AddrEntry { obj: 2, offset: 0 }],
-            vec![AddrEntry { obj: 3, offset: 1 }],
-        ];
-        let flat: Vec<AddrEntry> = want.iter().flatten().copied().collect();
-        // The faithful expansion passes...
-        assert!(compare_expansion(&want, &flat, &[2, 3]).is_ok());
-        // ...but shifted boundaries, dropped packages, truncated entries
-        // and trailing unclaimed entries are each their own divergence.
-        assert!(compare_expansion(&want, &flat, &[1, 3]).is_err());
-        assert!(compare_expansion(&want, &flat[..2], &[2]).is_err());
-        assert!(compare_expansion(&want, &flat[..2], &[2, 3]).is_err());
-        assert!(compare_expansion(&want[..1], &flat, &[2]).is_err());
-    }
 }

@@ -8,10 +8,14 @@
 //!
 //! - no unit ever belongs to two live buffers, none to a volatile and the
 //!   permanent prefix, and none lies beyond the capacity;
-//! - every volatile is placed once, no later than the window of its first
+//! - every volatile is placed once, by the MAP whose window holds its first
 //!   use, and freed only after its last;
 //! - every notification carries its object's offset, and the notifications
 //!   of a MAP are exactly the watchers of what it allocates;
+//! - every address package is awaited: a task of the announcing MAP's own
+//!   window cannot start before the package's receiver has put into a
+//!   buffer it names, so the receiver drains the slot before the sender's
+//!   next MAP (why one slot per pair never blocks a fault-free sender);
 //! - the planned peak and high-water mark are what the occupancy map saw;
 //! - wherever no window was cut the MAPs are the counting placement's, row
 //!   for row, and a cut only ever adds MAPs.
@@ -35,6 +39,41 @@ struct Seen {
     with_cuts: usize,
     fragmented: usize,
     non_executable: usize,
+}
+
+/// Every MAP allocates only what tasks of its own window first use, and
+/// each package it sends (a run of `notifies` with one `dst`) names an
+/// object whose first user waits for a message from `dst` carrying it.
+fn check_packages_are_awaited(
+    label: &str,
+    sched: &Schedule,
+    plan: &RtPlan,
+    placement: &MapPlacement,
+) {
+    for (p, rows) in placement.per_proc.iter().enumerate() {
+        for m in rows {
+            let label = format!("{label} P{p} MAP@{}", m.pos);
+            for (&d, &first) in m.allocs.iter().zip(&m.alloc_pos) {
+                assert!(
+                    (m.pos..m.next_map).contains(&first),
+                    "{label}: {d:?}, first used at {first}, is outside the window ..{}",
+                    m.next_map
+                );
+            }
+            for pkg in m.notifies.chunk_by(|a, b| a.dst == b.dst) {
+                let dst = pkg[0].dst;
+                let awaited = pkg.iter().any(|n| {
+                    let i = m.allocs.iter().position(|d| d.0 == n.obj).expect("allocated here");
+                    let first_user = sched.order[p][m.alloc_pos[i] as usize];
+                    plan.in_msgs[first_user.idx()].iter().any(|&mid| {
+                        let msg = &plan.msgs[mid as usize];
+                        msg.src_proc == dst && msg.objs.contains(&ObjId(n.obj))
+                    })
+                });
+                assert!(awaited, "{label}: no task of the window waits for P{dst} to use {pkg:?}");
+            }
+        }
+    }
 }
 
 fn check_sound(
@@ -90,13 +129,6 @@ fn check_sound(
             for (&d, &first) in m.allocs.iter().zip(&m.alloc_pos) {
                 let k = pl.volatile.binary_search(&d).expect("a volatile");
                 assert_eq!(pl.volatile_span[k].0, first, "{label}: {d:?}");
-                // In its own window; or, where that window was cut in the
-                // middle of its task's objects, in the one before.
-                let cut_here = a.cuts[p] > 0 && first == m.next_map;
-                assert!(
-                    m.pos <= first && (first < m.next_map || cut_here),
-                    "{label}: {d:?} outside its window"
-                );
                 assert_eq!(
                     std::mem::replace(&mut placed_in[d.idx()], i),
                     usize::MAX,
@@ -156,6 +188,8 @@ fn check_sound(
     }
     assert!(a.placement.total_maps() >= counting.total_maps(), "{label}");
     assert_eq!(a.placement.peaks(&plan.perm_units), a.peak, "{label}: peaks()");
+    check_packages_are_awaited(&format!("{label} counting"), sched, plan, counting);
+    check_packages_are_awaited(label, sched, plan, &a.placement);
 }
 
 fn examine(
@@ -262,6 +296,24 @@ fn irregular_tight_at_reduced_size() {
     }
     eprintln!("irregular-tight: {seen:?}");
     assert_eq!(seen.placed, 12, "{seen:?}");
+}
+
+#[test]
+fn a_cut_falls_between_tasks_not_inside_one() {
+    let (g, sched, cap) = common::mid_task_cut_case();
+    let mut seen = Seen::default();
+    examine(&mut seen, "mid-task cut", &g, &sched, cap, MapWindow::Greedy);
+    assert_eq!((seen.placed, seen.with_cuts), (1, 1), "{seen:?}");
+    // The window that ran out of room in the middle of the task at 22 ends
+    // before it, and that task's MAP allocates all of its objects.
+    let a = RtPlan::new(&g, &sched)
+        .address_plan(&g, &sched, cap, MapWindow::Greedy, FitPolicy::BestFit)
+        .expect("places");
+    let windows: Vec<(u32, u32)> =
+        a.placement.per_proc[2].iter().map(|m| (m.pos, m.next_map)).collect();
+    assert!(windows.contains(&(19, 22)), "{windows:?}");
+    let at_22 = a.placement.per_proc[2].iter().find(|m| m.pos == 22).expect("a MAP at the cut");
+    assert!(at_22.alloc_pos.iter().filter(|&&at| at == 22).count() >= 2, "{at_22:?}");
 }
 
 #[test]

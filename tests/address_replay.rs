@@ -4,16 +4,20 @@
 //! `MapEnd` sequence is the plan's rows (objects, sizes, offsets, units in
 //! use), the outcome's MAP counts and peaks are the plan's, and that stays
 //! so under injected allocation failures and armed window retries, which
-//! place the same rows again; original RAPID replays an empty list.
+//! place the same rows again; original RAPID replays an empty list. And no
+//! fault-free run, threaded or simulated, ever finds an address slot busy.
 
+use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
+use rapid::core::memreq::min_mem;
 use rapid::machine::fault::FaultSite;
 use rapid::machine::{FaultPlan, FaultSpec};
 use rapid::prelude::*;
-use rapid::rt::des::{run_managed, run_unmanaged};
+use rapid::rt::des::{run_managed, run_unmanaged, DesConfig, DesExecutor};
 use rapid::rt::maps::AddressPlan;
 use rapid::rt::threaded::{run_sequential, ThreadedOutcome};
-use rapid::rt::{ExecError, RecoveryPolicy, RetryPolicy};
-use rapid::trace::{check, Event, TraceConfig};
+use rapid::rt::{ExecError, MapWindow, RecoveryPolicy, RetryPolicy};
+use rapid::sched::assign::cyclic_owner_map;
+use rapid::trace::{check, Event, ProcMetrics, TraceConfig};
 
 mod common;
 use common::sum_reads_add_into_writes as body;
@@ -238,6 +242,74 @@ fn an_armed_window_retry_places_the_same_row_again() {
             assert!(undone > 0, "{label}: no retry had a placement to undo");
         }
     }
+}
+
+/// Slots found busy over all processors of a traced run.
+fn mailbox_busy(metrics: &Option<Vec<ProcMetrics>>) -> u32 {
+    metrics.as_ref().expect("tracing was enabled").iter().map(|m| m.mailbox_busy).sum()
+}
+
+#[test]
+fn a_mid_task_cut_never_finds_a_slot_busy() {
+    // A cut inside the task at 22 has P2 announce an object three tasks
+    // before its reader can ask for it, and runs then find P3's slot still
+    // holding that package when P2's next MAP comes.
+    let (g, sched, cap) = common::mid_task_cut_case();
+    let exec = ThreadedExecutor::new(&g, &sched, cap).with_tracing(TraceConfig::default());
+    let reference = run_sequential(&g, body);
+    let mut busy = 0;
+    for round in 0..200 {
+        let out = exec.run(body).unwrap_or_else(|e| panic!("round {round}: {e}"));
+        assert_eq!(out.objects, reference, "round {round}");
+        busy += mailbox_busy(&out.metrics);
+    }
+    assert_eq!(busy, 0, "slots found busy in 200 fault-free runs");
+}
+
+#[test]
+fn no_fault_free_run_finds_a_slot_busy() {
+    let spec = RandomGraphSpec { objects: 24, tasks: 80, ..Default::default() };
+    let (mut threaded, mut simulated) = (0, 0);
+    for seed in 0..6u64 {
+        let g = random_irregular_graph(seed, &spec);
+        let reference = run_sequential(&g, body);
+        for p in [2usize, 3, 4] {
+            let owner = cyclic_owner_map(g.num_objects(), p);
+            let assign = owner_compute_assignment(&g, &owner, p);
+            for (policy, sched) in [
+                ("mpo", mpo_order(&g, &assign, &CostModel::unit())),
+                ("rcp", rcp_order(&g, &assign, &CostModel::unit())),
+                ("dts", dts_order(&g, &assign, &CostModel::unit())),
+            ] {
+                let rep = min_mem(&g, &sched);
+                for cap in [rep.min_mem, rep.min_mem + 8, rep.tot_no_recycle] {
+                    let label = format!("random {seed} p{p} {policy} cap {cap}");
+                    let exec =
+                        ThreadedExecutor::new(&g, &sched, cap).with_tracing(TraceConfig::default());
+                    match exec.run(body) {
+                        Ok(out) => {
+                            assert_eq!(out.objects, reference, "{label}: results");
+                            assert_eq!(mailbox_busy(&out.metrics), 0, "{label}: threaded");
+                            threaded += 1;
+                        }
+                        Err(e) => common::assert_planned_rejection(&label, &exec, &e),
+                    }
+                    for window in [MapWindow::Greedy, MapWindow::Single] {
+                        let cfg = DesConfig::managed(MachineConfig::t3d(p).with_capacity(cap))
+                            .with_window(window)
+                            .with_tracing(TraceConfig::with_capacity(4096));
+                        let out = DesExecutor::new(&g, &sched, cfg)
+                            .run()
+                            .unwrap_or_else(|e| panic!("{label} {window:?}: {e}"));
+                        assert_eq!(out.trace.as_ref().map(|t| t.dropped()), Some(0), "{label}");
+                        assert_eq!(mailbox_busy(&out.metrics), 0, "{label}: DES {window:?}");
+                        simulated += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(threaded >= 120 && simulated == 324, "{threaded} threaded, {simulated} DES runs");
 }
 
 #[test]

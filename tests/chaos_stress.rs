@@ -74,6 +74,10 @@ fn judge_trace(
 #[test]
 fn scenario_matrix_random_dags() {
     let spec = RandomGraphSpec { objects: 12, tasks: 30, ..Default::default() };
+    // Slots the contention-heavy scenario found busy: an injected rejection
+    // is the one way left into the blocking leg of Theorem 1, and the
+    // matrix has to keep taking it.
+    let mut contention_busy = 0;
     for graph_seed in [3u64, 44] {
         let g = random_irregular_graph(graph_seed, &spec);
         let owner = cyclic_owner_map(g.num_objects(), 4);
@@ -92,10 +96,18 @@ fn scenario_matrix_random_dags() {
                 let label = format!("graph {graph_seed} {name} seed {fault_seed}");
                 let result = exec.run(body);
                 judge_trace(&label, &g, &sched, &spec, &result);
+                if name == "contention-heavy" {
+                    // Rejections only delay: the run completes (and `judge`
+                    // holds its result to the reference).
+                    let out = result.as_ref().unwrap_or_else(|e| panic!("{label}: {e}"));
+                    let metrics = out.metrics.as_ref().expect("tracing was enabled");
+                    contention_busy += metrics.iter().map(|m| m.mailbox_busy).sum::<u32>();
+                }
                 judge(&label, result, &reference);
             }
         }
     }
+    assert!(contention_busy >= 1, "no rejected hand-off blocked a MAP");
 }
 
 #[test]

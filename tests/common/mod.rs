@@ -51,6 +51,22 @@ pub fn irregular_tight(seed: u64) -> (TaskGraph, Schedule, u64) {
     (g, sched, cap)
 }
 
+/// A case whose best-fit walk cuts a window in the middle of a task's
+/// objects: random DAG 52 on four processors, MPO, `MIN_MEM + 8`. P2's MAP
+/// at position 19 places one buffer of the task at 22 and has no room for
+/// the next. A cut that kept the placed one would announce it three tasks
+/// before its first reader can ask for it, and P2's MAP at 22 could find
+/// P3's slot still full.
+pub fn mid_task_cut_case() -> (TaskGraph, Schedule, u64) {
+    let spec = RandomGraphSpec { objects: 48, tasks: 160, max_obj_size: 4, ..Default::default() };
+    let g = random_irregular_graph(52, &spec);
+    let owner = cyclic_owner_map(g.num_objects(), 4);
+    let assign = owner_compute_assignment(&g, &owner, 4);
+    let sched = mpo_order(&g, &assign, &CostModel::unit());
+    let cap = min_mem(&g, &sched).min_mem + 8;
+    (g, sched, cap)
+}
+
 /// A case built to cut a window. P1 reads `a`(3) `b`(2) `c`(3), then `b`
 /// and `d`(2), then `e`(4), into its one unit `x`, at capacity 9 =
 /// `MIN_MEM`. Its first MAP fills the heap `x a b c`; the second frees `a`

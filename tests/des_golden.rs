@@ -34,7 +34,6 @@ struct Row {
     msgs_sent: usize,
     addr_pkgs_sent: usize,
     suspended_sends: usize,
-    peak_queued_pkgs: usize,
     /// FNV-1a over the little-endian bits of every task's finish time.
     finish_fnv: u64,
 }
@@ -57,7 +56,6 @@ fn row(name: &'static str, g: &TaskGraph, sched: &Schedule, cfg: DesConfig) -> R
         msgs_sent: out.msgs_sent,
         addr_pkgs_sent: out.addr_pkgs_sent,
         suspended_sends: out.suspended_sends,
-        peak_queued_pkgs: out.peak_queued_pkgs,
         finish_fnv: fnv(&out.finish),
     }
 }
@@ -130,26 +128,10 @@ fn measured() -> Vec<Row> {
         DesConfig::managed(t3d(3, mm3)).with_window(MapWindow::Single),
     ));
     rows.push(row(
-        "random3-single-window-addr-buffering",
-        &g3,
-        &s3,
-        DesConfig::managed(t3d(3, mm3)).with_window(MapWindow::Single).with_addr_buffering(),
-    ));
-    rows.push(row(
         "random3-delay-faults",
         &g3,
         &s3,
         DesConfig::managed(t3d(3, mm3)).with_faults(FaultPlan::delay_heavy(7)).expect("delay-only"),
-    ));
-    rows.push(row(
-        "random11-delay-faults-buffered",
-        &g11,
-        &s11,
-        DesConfig::managed(t3d(4, mm11))
-            .with_window(MapWindow::Single)
-            .with_addr_buffering()
-            .with_faults(FaultPlan::delay_heavy(19))
-            .expect("delay-only"),
     ));
     rows
 }
@@ -157,21 +139,19 @@ fn measured() -> Vec<Row> {
 #[rustfmt::skip]
 fn golden() -> Vec<Row> {
     vec![
-        Row { name: "fig2c-cap8-unit", parallel_time_bits: 0x402e000000000000, maps: vec![1, 2], peak_mem: vec![7, 8], msgs_sent: 5, addr_pkgs_sent: 3, suspended_sends: 2, peak_queued_pkgs: 1, finish_fnv: 0xf7d99db8eacb61e },
-        Row { name: "fig2c-cap8-t3d", parallel_time_bits: 0x3f21a23b4e525c78, maps: vec![1, 2], peak_mem: vec![7, 8], msgs_sent: 5, addr_pkgs_sent: 3, suspended_sends: 4, peak_queued_pkgs: 1, finish_fnv: 0x3eaf1ec0cbc8dc94 },
-        Row { name: "fig2c-idle-proc", parallel_time_bits: 0x3f21a23b4e525c78, maps: vec![1, 2, 1], peak_mem: vec![7, 8, 0], msgs_sent: 5, addr_pkgs_sent: 3, suspended_sends: 4, peak_queued_pkgs: 1, finish_fnv: 0x3eaf1ec0cbc8dc94 },
-        Row { name: "fig2c-idle-proc-unmanaged", parallel_time_bits: 0x3ef40a70a8ccc409, maps: vec![0, 0, 0], peak_mem: vec![7, 9, 0], msgs_sent: 5, addr_pkgs_sent: 0, suspended_sends: 0, peak_queued_pkgs: 0, finish_fnv: 0x3843159fb3bfe015 },
-        Row { name: "cholesky-min-mem", parallel_time_bits: 0x3f2b64697d07c6bd, maps: vec![2, 1, 1, 1], peak_mem: vec![144, 144, 144, 144], msgs_sent: 8, addr_pkgs_sent: 5, suspended_sends: 1, peak_queued_pkgs: 1, finish_fnv: 0x50cfb14463744688 },
-        Row { name: "cholesky-unmanaged", parallel_time_bits: 0x3f178e6a617a3826, maps: vec![0, 0, 0, 0], peak_mem: vec![180, 144, 144, 144], msgs_sent: 8, addr_pkgs_sent: 0, suspended_sends: 0, peak_queued_pkgs: 0, finish_fnv: 0xa2199e626ed3f02b },
-        Row { name: "lu-min-mem", parallel_time_bits: 0x3f521b2c56b4f936, maps: vec![2, 3, 4], peak_mem: vec![1830, 1830, 1830], msgs_sent: 9, addr_pkgs_sent: 9, suspended_sends: 6, peak_queued_pkgs: 1, finish_fnv: 0x71e7001f18272c90 },
-        Row { name: "random3-min-mem", parallel_time_bits: 0x3f4f736414517b7d, maps: vec![5, 4, 7], peak_mem: vec![70, 69, 70], msgs_sent: 79, addr_pkgs_sent: 28, suspended_sends: 33, peak_queued_pkgs: 1, finish_fnv: 0x5de6d5348dd68a57 },
-        Row { name: "random3-slack", parallel_time_bits: 0x3f4fdeef9eb58a12, maps: vec![4, 3, 3], peak_mem: vec![75, 73, 76], msgs_sent: 79, addr_pkgs_sent: 19, suspended_sends: 26, peak_queued_pkgs: 1, finish_fnv: 0x74cf56dfa3c29f67 },
-        Row { name: "random11-min-mem", parallel_time_bits: 0x3f500e6a91195251, maps: vec![3, 3, 5, 3], peak_mem: vec![51, 51, 51, 49], msgs_sent: 109, addr_pkgs_sent: 33, suspended_sends: 32, peak_queued_pkgs: 1, finish_fnv: 0x3ee5368c615f92a4 },
-        Row { name: "random11-slack", parallel_time_bits: 0x3f4effa94a35e469, maps: vec![2, 2, 3, 2], peak_mem: vec![57, 56, 57, 57], msgs_sent: 109, addr_pkgs_sent: 24, suspended_sends: 20, peak_queued_pkgs: 1, finish_fnv: 0x661d5635470533a8 },
-        Row { name: "random3-single-window", parallel_time_bits: 0x3f588d449304d5e0, maps: vec![29, 25, 26], peak_mem: vec![66, 67, 70], msgs_sent: 79, addr_pkgs_sent: 49, suspended_sends: 46, peak_queued_pkgs: 1, finish_fnv: 0x4c4193eb7e39b73b },
-        Row { name: "random3-single-window-addr-buffering", parallel_time_bits: 0x3f588d449304d5e0, maps: vec![29, 25, 26], peak_mem: vec![66, 67, 70], msgs_sent: 79, addr_pkgs_sent: 49, suspended_sends: 46, peak_queued_pkgs: 1, finish_fnv: 0x4c4193eb7e39b73b },
-        Row { name: "random3-delay-faults", parallel_time_bits: 0x3f6537a97aa33a6e, maps: vec![5, 4, 7], peak_mem: vec![70, 69, 70], msgs_sent: 79, addr_pkgs_sent: 28, suspended_sends: 33, peak_queued_pkgs: 1, finish_fnv: 0x2cc36c3c06863d18 },
-        Row { name: "random11-delay-faults-buffered", parallel_time_bits: 0x3f6dd9bd80c7cf41, maps: vec![21, 20, 18, 21], peak_mem: vec![42, 46, 51, 40], msgs_sent: 109, addr_pkgs_sent: 64, suspended_sends: 60, peak_queued_pkgs: 1, finish_fnv: 0xc0ff9b6b1e81beb },
+        Row { name: "fig2c-cap8-unit", parallel_time_bits: 0x402e000000000000, maps: vec![1, 2], peak_mem: vec![7, 8], msgs_sent: 5, addr_pkgs_sent: 3, suspended_sends: 2, finish_fnv: 0xf7d99db8eacb61e },
+        Row { name: "fig2c-cap8-t3d", parallel_time_bits: 0x3f21a23b4e525c78, maps: vec![1, 2], peak_mem: vec![7, 8], msgs_sent: 5, addr_pkgs_sent: 3, suspended_sends: 4, finish_fnv: 0x3eaf1ec0cbc8dc94 },
+        Row { name: "fig2c-idle-proc", parallel_time_bits: 0x3f21a23b4e525c78, maps: vec![1, 2, 1], peak_mem: vec![7, 8, 0], msgs_sent: 5, addr_pkgs_sent: 3, suspended_sends: 4, finish_fnv: 0x3eaf1ec0cbc8dc94 },
+        Row { name: "fig2c-idle-proc-unmanaged", parallel_time_bits: 0x3ef40a70a8ccc409, maps: vec![0, 0, 0], peak_mem: vec![7, 9, 0], msgs_sent: 5, addr_pkgs_sent: 0, suspended_sends: 0, finish_fnv: 0x3843159fb3bfe015 },
+        Row { name: "cholesky-min-mem", parallel_time_bits: 0x3f2b64697d07c6bd, maps: vec![2, 1, 1, 1], peak_mem: vec![144, 144, 144, 144], msgs_sent: 8, addr_pkgs_sent: 5, suspended_sends: 1, finish_fnv: 0x50cfb14463744688 },
+        Row { name: "cholesky-unmanaged", parallel_time_bits: 0x3f178e6a617a3826, maps: vec![0, 0, 0, 0], peak_mem: vec![180, 144, 144, 144], msgs_sent: 8, addr_pkgs_sent: 0, suspended_sends: 0, finish_fnv: 0xa2199e626ed3f02b },
+        Row { name: "lu-min-mem", parallel_time_bits: 0x3f521b2c56b4f936, maps: vec![2, 3, 4], peak_mem: vec![1830, 1830, 1830], msgs_sent: 9, addr_pkgs_sent: 9, suspended_sends: 6, finish_fnv: 0x71e7001f18272c90 },
+        Row { name: "random3-min-mem", parallel_time_bits: 0x3f4f736414517b7d, maps: vec![5, 4, 7], peak_mem: vec![70, 69, 70], msgs_sent: 79, addr_pkgs_sent: 28, suspended_sends: 33, finish_fnv: 0x5de6d5348dd68a57 },
+        Row { name: "random3-slack", parallel_time_bits: 0x3f4fdeef9eb58a12, maps: vec![4, 3, 3], peak_mem: vec![75, 73, 76], msgs_sent: 79, addr_pkgs_sent: 19, suspended_sends: 26, finish_fnv: 0x74cf56dfa3c29f67 },
+        Row { name: "random11-min-mem", parallel_time_bits: 0x3f500e6a91195251, maps: vec![3, 3, 5, 3], peak_mem: vec![51, 51, 51, 49], msgs_sent: 109, addr_pkgs_sent: 33, suspended_sends: 32, finish_fnv: 0x3ee5368c615f92a4 },
+        Row { name: "random11-slack", parallel_time_bits: 0x3f4effa94a35e469, maps: vec![2, 2, 3, 2], peak_mem: vec![57, 56, 57, 57], msgs_sent: 109, addr_pkgs_sent: 24, suspended_sends: 20, finish_fnv: 0x661d5635470533a8 },
+        Row { name: "random3-single-window", parallel_time_bits: 0x3f588d449304d5e0, maps: vec![29, 25, 26], peak_mem: vec![66, 67, 70], msgs_sent: 79, addr_pkgs_sent: 49, suspended_sends: 46, finish_fnv: 0x4c4193eb7e39b73b },
+        Row { name: "random3-delay-faults", parallel_time_bits: 0x3f6537a97aa33a6e, maps: vec![5, 4, 7], peak_mem: vec![70, 69, 70], msgs_sent: 79, addr_pkgs_sent: 28, suspended_sends: 33, finish_fnv: 0x2cc36c3c06863d18 },
     ]
 }
 
@@ -185,7 +165,7 @@ fn des_outcomes_match_the_recorded_rows() {
             format!(
                 "        Row {{ name: {:?}, parallel_time_bits: {:#x}, maps: vec!{:?}, \
                  peak_mem: vec!{:?}, msgs_sent: {}, addr_pkgs_sent: {}, suspended_sends: {}, \
-                 peak_queued_pkgs: {}, finish_fnv: {:#x} }},\n",
+                 finish_fnv: {:#x} }},\n",
                 r.name,
                 r.parallel_time_bits,
                 r.maps,
@@ -193,7 +173,6 @@ fn des_outcomes_match_the_recorded_rows() {
                 r.msgs_sent,
                 r.addr_pkgs_sent,
                 r.suspended_sends,
-                r.peak_queued_pkgs,
                 r.finish_fnv
             )
         })
