@@ -1,5 +1,5 @@
 //! Experiment harness: workload construction, the memory-constraint
-//! runner and table formatting shared by the `table*`/`fig*` binaries.
+//! runner and table formatting shared by [`crate::experiments`].
 //!
 //! Every experiment follows the paper's §5 protocol:
 //!
@@ -25,8 +25,8 @@ use rapid_sparse::blockpart::ProcGrid;
 use rapid_sparse::gen;
 use rapid_sparse::taskgen::{cholesky_2d_model, lu_1d_model, CholeskyModel, LuModel};
 
-/// Experiment scale: `Small` keeps every binary under a few seconds and
-/// is used by the integration tests; `Paper` matches the paper's matrix
+/// Experiment scale: `Small` keeps every experiment under a few seconds
+/// and is used by the tests; `Paper` matches the paper's matrix
 /// dimensions (3 500–7 320).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {

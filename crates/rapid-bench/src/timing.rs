@@ -1,10 +1,10 @@
-//! Minimal dependency-free timing harness for the `harness = false`
-//! microbenches and the `bench` binary.
+//! Minimal dependency-free timing loop for `repro gate`.
 //!
 //! Adaptive calibration (double the iteration count until one batch takes
 //! a fixed budget) followed by a median of several batches — enough
-//! stability to compare kernel variants and executor configurations
-//! without an external benchmarking framework.
+//! stability to compare two executor configurations without an external
+//! benchmarking framework. Everything that is recorded rather than
+//! asserted is measured by `benchmark/`.
 
 use std::time::{Duration, Instant};
 
@@ -33,13 +33,6 @@ pub fn bench_ns<F: FnMut()>(f: &mut F) -> f64 {
     }
     samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
     samples[2]
-}
-
-/// Measure `f` and print one aligned result line.
-pub fn bench<F: FnMut()>(name: &str, f: &mut F) -> f64 {
-    let ns = bench_ns(f);
-    println!("{name:<44} {}", fmt_ns(ns));
-    ns
 }
 
 /// Human-readable time per iteration.

@@ -81,7 +81,6 @@ pub struct Arena {
     live: Vec<(u64, u64)>,
     in_use: u64,
     peak: u64,
-    high_water: u64,
 }
 
 impl Arena {
@@ -110,7 +109,6 @@ impl Arena {
             live: Vec::new(),
             in_use: reserved,
             peak: reserved,
-            high_water: reserved,
         }
     }
 
@@ -127,14 +125,6 @@ impl Arena {
     /// High-water mark of [`Arena::in_use`].
     pub fn peak(&self) -> u64 {
         self.peak
-    }
-
-    /// One past the highest unit any allocation has ever covered. Unlike
-    /// [`Arena::peak`] this includes fragmentation: everything written
-    /// through offsets this arena handed out lies below it, so it is the
-    /// prefix of the backing buffer a reuse has to clear.
-    pub fn high_water(&self) -> u64 {
-        self.high_water
     }
 
     /// Units currently free.
@@ -177,7 +167,6 @@ impl Arena {
         self.live.insert(pos, (off, len));
         self.in_use += len;
         self.peak = self.peak.max(self.in_use);
-        self.high_water = self.high_water.max(off + len);
         Ok(off)
     }
 
@@ -294,18 +283,6 @@ mod tests {
     }
 
     #[test]
-    fn high_water_counts_holes_peak_does_not() {
-        let mut a = Arena::new(100);
-        let x = a.alloc(10).unwrap();
-        a.alloc(10).unwrap();
-        a.free(x).unwrap();
-        // The hole at 0 is too small, so this lands past everything live.
-        assert_eq!(a.alloc(20).unwrap(), 20);
-        assert_eq!(a.peak(), 30);
-        assert_eq!(a.high_water(), 40);
-    }
-
-    #[test]
     fn reserved_prefix_is_the_state_block_by_block_allocation_leaves() {
         // Permanents of sizes 3, 0, 4 bump-allocated from a fresh arena
         // against one reserved prefix of 7: every later answer agrees.
@@ -315,7 +292,7 @@ mod tests {
                 a.alloc(len).unwrap();
             }
             let mut b = Arena::with_reserved(20, 7, policy);
-            assert_eq!((b.in_use(), b.peak(), b.high_water()), (7, 7, 7));
+            assert_eq!((b.in_use(), b.peak()), (7, 7));
             let x = (a.alloc(5).unwrap(), b.alloc(5).unwrap());
             assert_eq!(x, (7, 7));
             assert_eq!(a.alloc(6), b.alloc(6));
@@ -324,10 +301,7 @@ mod tests {
             let small = if policy == FitPolicy::BestFit { 18 } else { 7 };
             assert_eq!((a.alloc(2), b.alloc(2)), (Ok(small), Ok(small)));
             assert_eq!(a.alloc(4), b.alloc(4));
-            assert_eq!(
-                (a.in_use(), a.peak(), a.high_water()),
-                (b.in_use(), b.peak(), b.high_water())
-            );
+            assert_eq!((a.in_use(), a.peak()), (b.in_use(), b.peak()));
             assert_eq!(a.largest_free(), b.largest_free());
             assert!(b.check_invariants());
             assert_eq!(b.free(0), Err(ArenaError::BadFree(0)), "the prefix is not an allocation");

@@ -229,8 +229,7 @@ pub fn merge_slices(
 /// [`merge_slices`] with the pre-PR-7 quadratic `H` evaluation
 /// ([`Dcg::max_volatile_space`], whose per-access membership test scans
 /// the volatile set). Kept — like the straight-scan simulators — as the
-/// differential baseline for `BENCH_scheduling.json` and the equivalence
-/// tests; identical output to [`merge_slices`].
+/// oracle of the equivalence tests; identical output to [`merge_slices`].
 pub fn merge_slices_reference(
     g: &TaskGraph,
     assign: &Assignment,
@@ -272,8 +271,8 @@ pub fn dts_order_merged(
 /// The pre-PR-7 sequential merged-DTS pipeline, composed entirely of
 /// reference parts (sequential DCG build, quadratic `H`, heapsim with
 /// its internal bottom-level pass). Identical output to
-/// [`dts_order_merged`]; kept as the `BENCH_scheduling.json` baseline
-/// the parallel planner is measured against.
+/// [`dts_order_merged`]; kept as the oracle the parallel planner is
+/// tested against.
 pub fn dts_order_merged_reference(
     g: &TaskGraph,
     assign: &Assignment,

@@ -22,8 +22,8 @@
 //! Each ordering ships two implementations with proven-identical output:
 //! a production heap-driven simulation ([`heapsim`], incremental
 //! priorities with lazy-deletion heaps) and the straight-scan reference
-//! ([`sim`]) the paper's pseudo-code transcribes — see
-//! `BENCH_scheduling.json` for the measured gap.
+//! ([`sim`]) the paper's pseudo-code transcribes, kept as the oracle of
+//! `tests/ordering_equiv.rs`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -7,9 +7,9 @@
 //! simulation loop; an [`OrderPolicy`] supplies the pick rule.
 //!
 //! This straight-scan simulator is the *reference implementation*, kept —
-//! like the kernels' naive loops — for validation and as the baseline of
-//! `BENCH_scheduling.json`. Production ordering goes through the
-//! heap-driven [`crate::heapsim::simulate_ordering_heap`], which produces
+//! like the kernels' naive loops — as the tests' oracle. Production
+//! ordering goes through the heap-driven
+//! [`crate::heapsim::simulate_ordering_heap`], which produces
 //! order-for-order identical schedules (proven by
 //! `tests/ordering_equiv.rs`) without the per-step rescans.
 

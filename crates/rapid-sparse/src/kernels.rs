@@ -9,9 +9,9 @@
 //! registers, and the factorizations process column panels so the O(n³)
 //! work lands in that micro-kernel. The straight-loop references
 //! ([`gemm_nt_sub_naive`], [`gemm_nn_sub_naive`], [`potrf_unblocked`],
-//! [`getrf_unblocked`]) remain for validation and for the
-//! `BENCH_kernels.json` speedup measurement; randomized tests check the
-//! tiled and naive paths agree to tight tolerance across odd sizes.
+//! [`getrf_unblocked`]) remain as the tests' oracles: randomized tests
+//! (`kernel_props`) check the tiled and naive paths agree to tight
+//! tolerance across odd sizes.
 //!
 //! Both GEMM shapes funnel into one tile engine that reads `B` in the
 //! transposed (`gemm_nt`) layout: [`gemm_nn_sub`] pre-transposes its `B`
