@@ -415,6 +415,9 @@ impl<'a> ThreadedExecutor<'a> {
     /// objects it owns with `init(obj, buf)` — the RAPID convention where
     /// irregular data is resident before the executor stage (it is *not*
     /// part of the task graph, so it does not constrain DTS slicing).
+    /// `init` receives a zeroed buffer, on the first run and on every later
+    /// one (a fresh heap, or `Setup`'s re-zeroing of a kept one), so it
+    /// writes only the nonzeros.
     ///
     /// Note: `init` affects only the owners' permanent copies. An object
     /// that is read remotely before ever being written would see zeros on
@@ -653,7 +656,7 @@ where
 }
 
 /// [`run_sequential`] with data initialization (mirrors
-/// [`ThreadedExecutor::run_with_init`]).
+/// [`ThreadedExecutor::run_with_init`]): `init` receives a zeroed buffer.
 pub fn run_sequential_with_init<F, I>(g: &TaskGraph, body: F, init: I) -> Vec<Vec<f64>>
 where
     F: Fn(TaskId, &mut TaskCtx<'_>),

@@ -503,7 +503,9 @@ pub fn laswp(b: &mut [f64], m: usize, n: usize, piv: &[u32]) {
 /// the first `k` rows of an `m × k` panel and `B` is `k × n` stored as the
 /// top of an `m × n` block (the LU "compute U block" step).
 pub fn trsm_llu(b: &mut [f64], m: usize, n: usize, l: &[f64], lm: usize, k: usize) {
-    debug_assert!(b.len() >= m * n && l.len() >= lm * k);
+    // Only the top `k` rows of each column are touched, so `b` and `l` may
+    // be tails of larger panels that stop short of a whole last column.
+    debug_assert!(b.len() + m >= m * n + k && l.len() + lm >= lm * k + k);
     for c in 0..n {
         for j in 0..k {
             let v = b[c * m + j];
@@ -526,6 +528,11 @@ pub fn trsm_llu(b: &mut [f64], m: usize, n: usize, l: &[f64], lm: usize, k: usiz
 /// instead of walking `k` separate columns at stride `bm` per tile (the
 /// access pattern that left this kernel ~3× behind `gemm_nt` at equal
 /// sizes). The transpose is `O(k·n)` against the `O(m·n·k)` update.
+///
+/// `LuModel::body` does not call it: its `B` (a U block) is mostly zeros,
+/// which the body's `u == 0.0` skip avoids and dense tiles cannot. Serial
+/// body compute on `lu-panel`: loops 9.0 ms, `trsm_llu` + this 12.5 ms
+/// (both cut at the static row extent; 40 vs 59 ms over full rows).
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_nn_sub(
     c: &mut [f64],

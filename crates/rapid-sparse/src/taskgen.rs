@@ -265,11 +265,14 @@ impl CholeskyModel {
         ctx.write(self.obj_of_block[&(i, j)])
     }
 
-    /// Load block (i, j) of `a` into a dense column-major buffer.
+    /// Load block (i, j) of `a` into a zeroed dense column-major buffer.
     fn load_block(&self, a: &SparseMatrix, i: u32, j: u32, buf: &mut [f64]) {
         let rr = self.pattern.part.range(i as usize);
         let cr = self.pattern.part.range(j as usize);
         let h = rr.len();
+        // The buffer arrives zeroed; this fill is its pages' first touch, in
+        // `Setup`. Every row of a block is used, and leaving the first touch
+        // to the tasks cost `chol-large` 1.25× in `solve_s` (DESIGN.md §6).
         buf.fill(0.0);
         for (cq, c) in cr.enumerate() {
             let rows = a.col_rows(c);
@@ -343,6 +346,9 @@ pub struct LuModel {
     pub n: usize,
     /// Dense panels (numeric mode) or compressed sizes (simulation mode)?
     pub numeric: bool,
+    /// Static row extent: panel `k` is zero at rows `>= row_hi[k]` before,
+    /// during and after the run (closed over `colpat.deps`).
+    pub row_hi: Vec<usize>,
 }
 
 /// Build the 1-D column-block LU model. With `numeric = true` objects are
@@ -356,6 +362,14 @@ pub fn lu_1d_model(a: &SparseMatrix, block_w: usize, nprocs: usize, numeric: boo
     let part = BlockPartition::uniform(n, block_w);
     let colpat = ColBlockPattern::from_lu(&lu, part);
     let nb = colpat.part.num_blocks();
+    // One past the last structural row of each block, closed over the
+    // update graph: `Update(k, j)` swaps and adds rows below `row_hi[k]`.
+    let mut row_hi = vec![0usize; nb];
+    for j in 0..nb {
+        let own = colpat.part.range(j).filter_map(|c| lu.cols[c].last()).max();
+        let deps = colpat.deps[j].iter().map(|&k| row_hi[k as usize]).max();
+        row_hi[j] = own.map_or(0, |&r| r as usize + 1).max(deps.unwrap_or(0));
+    }
 
     let mut tb = TraceBuilder::new(WritePolicy::Rename);
     let mut obj_of_block = Vec::with_capacity(nb);
@@ -398,21 +412,21 @@ pub fn lu_1d_model(a: &SparseMatrix, block_w: usize, nprocs: usize, numeric: boo
     let (graph, _) =
         tb.build(false).unwrap_or_else(|e| unreachable!("lu trace builds by construction: {e:?}"));
     debug_assert_eq!(graph.num_tasks(), kinds.len());
-    LuModel { graph, colpat, obj_of_block, kinds, owner, n, numeric }
+    LuModel { graph, colpat, obj_of_block, kinds, owner, n, numeric, row_hi }
 }
 
 impl LuModel {
-    /// Owner-side data initialization: load each dense panel with `A`'s
-    /// columns (numeric mode only).
+    /// Owner-side data initialization: load each dense panel, handed over
+    /// zeroed by both drivers, with `A`'s columns (numeric mode only).
     pub fn init<'m>(&'m self, a: &'m SparseMatrix) -> impl Fn(ObjId, &mut [f64]) + Sync + 'm {
         assert!(self.numeric, "numeric init needs dense panels");
         let n = self.n;
+        let mut block_of_obj = vec![usize::MAX; self.graph.num_objects()];
+        for (k, d) in self.obj_of_block.iter().enumerate() {
+            block_of_obj[d.idx()] = k;
+        }
         move |d: ObjId, buf: &mut [f64]| {
-            let Some(k) = self.obj_of_block.iter().position(|&o| o == d) else {
-                unreachable!("init called on a non-panel object {d:?}");
-            };
-            let cr = self.colpat.part.range(k);
-            buf.fill(0.0);
+            let cr = self.colpat.part.range(block_of_obj[d.idx()]);
             for (cq, c) in cr.enumerate() {
                 for (x, &r) in a.col_rows(c).iter().enumerate() {
                     buf[cq * n + r as usize] = a.col_values(c)[x];
@@ -431,12 +445,15 @@ impl LuModel {
                 let cr = self.colpat.part.range(k as usize);
                 let w = cr.len();
                 let col0 = cr.start;
+                let hi = self.row_hi[k as usize];
                 let buf = ctx.write(self.obj_of_block[k as usize]);
                 let (panel, piv) = buf.split_at_mut(n * w);
-                // Partial pivoting restricted to rows >= current column.
+                debug_assert!(panel.chunks(n).all(|col| col[hi..].iter().all(|&v| v == 0.0)));
+                // Partial pivoting restricted to rows >= current column;
+                // rows >= hi are zero and stay zero (see `LuModel::row_hi`).
                 for q in 0..w {
                     let c = col0 + q;
-                    let col = &panel[q * n..(q + 1) * n];
+                    let col = &panel[q * n..q * n + hi];
                     let (mut best, mut bestv) = (c, col[c].abs());
                     for (i, v) in col.iter().enumerate().skip(c + 1) {
                         if v.abs() > bestv {
@@ -452,7 +469,7 @@ impl LuModel {
                         }
                     }
                     let d = panel[q * n + c];
-                    for i in c + 1..n {
+                    for i in c + 1..hi {
                         panel[q * n + i] /= d;
                     }
                     for cc in q + 1..w {
@@ -460,7 +477,7 @@ impl LuModel {
                         if u == 0.0 {
                             continue;
                         }
-                        for i in c + 1..n {
+                        for i in c + 1..hi {
                             panel[cc * n + i] -= panel[q * n + i] * u;
                         }
                     }
@@ -468,7 +485,7 @@ impl LuModel {
             }
             LuTask::Update { k, j } => {
                 let kr = self.colpat.part.range(k as usize);
-                let wk = kr.len();
+                let (wk, hi) = (kr.len(), self.row_hi[k as usize]);
                 let src = ctx.read(self.obj_of_block[k as usize]);
                 let (kpanel, piv) = src.split_at(n * wk);
                 let wj = self.colpat.part.width(j as usize);
@@ -486,26 +503,16 @@ impl LuModel {
                 }
                 // U block: solve the unit lower triangle of panel k's
                 // diagonal block against rows kr of panel j.
-                for cc in 0..wj {
-                    for q in 0..wk {
-                        let c = kr.start + q;
-                        let v = panel[cc * n + c];
-                        if v == 0.0 {
-                            continue;
-                        }
-                        for i in q + 1..wk {
-                            panel[cc * n + kr.start + i] -= kpanel[q * n + kr.start + i] * v;
-                        }
-                    }
-                }
-                // Trailing GEMM: rows below panel k's block.
+                kernels::trsm_llu(&mut panel[kr.start..], n, wj, &kpanel[kr.start..], n, wk);
+                // Trailing GEMM: rows below panel k's block, down to its
+                // static extent (panel k is zero below it).
                 for cc in 0..wj {
                     for q in 0..wk {
                         let u = panel[cc * n + kr.start + q];
                         if u == 0.0 {
                             continue;
                         }
-                        for i in kr.end..n {
+                        for i in kr.end..hi {
                             panel[cc * n + i] -= kpanel[q * n + i] * u;
                         }
                     }
@@ -536,7 +543,7 @@ impl LuModel {
             for q in 0..kr.len() {
                 let c = kr.start + q;
                 let v = x[c];
-                for i in c + 1..n {
+                for i in c + 1..self.row_hi[k] {
                     x[i] -= panel[q * n + i] * v;
                 }
             }
@@ -728,6 +735,25 @@ mod tests {
         let x = m.solve(&out.objects, &b);
         let r = refsolve::rel_residual(&a, &x, &b);
         assert!(r < 1e-9, "residual {r}");
+    }
+
+    #[test]
+    fn lu_row_extents_close_over_the_update_graph() {
+        // Block 0 = columns {0, 1}: column 0 couples it to block 1 (rows
+        // 0 and 2 meet in column 2), column 1 alone reaches row 11. No
+        // column of block 1 reaches past row 3, but `Update(0, 1)` applies
+        // block 0's interchanges, which reach row 11.
+        let n = 12;
+        let mut t: Vec<(u32, u32, f64)> = (0..n as u32).map(|i| (i, i, 4.0)).collect();
+        t.extend([(2, 0, 1.0), (0, 2, 1.0), (11, 1, 9.0)]);
+        let a = SparseMatrix::from_triplets(n, n, &t);
+        let m = lu_1d_model(&a, 2, 2, true);
+        assert_eq!(m.colpat.deps[1], [0]);
+        assert_eq!(m.row_hi, [12, 12, 6, 8, 10, 12]);
+        let objects = run_sequential_with_init(&m.graph, m.body(), m.init(&a));
+        assert_eq!(objects[m.obj_of_block[0].idx()][2 * n + 1], 11.0, "column 1 pivots on row 11");
+        let b = vec![1.0; n];
+        assert!(refsolve::rel_residual(&a, &m.solve(&objects, &b), &b) < 1e-12);
     }
 
     #[test]

@@ -105,9 +105,15 @@ fn a_poisoned_run_leaves_no_trace_in_the_next() {
                 dirty.objects.iter().flatten().any(|x| x.is_nan()),
                 "{label}: the poisoned run must actually poison"
             );
+            // The model `init`s write only nonzeros: what they are handed on
+            // a kept heap must be all zeros, as on a fresh one.
+            let sees_zeros = |d: ObjId, buf: &mut [f64]| {
+                assert!(buf.iter().all(|x| x.to_bits() == 0), "init of {d:?} got a dirty buffer");
+            };
             for round in 0..3 {
-                let reused =
-                    exec.run(body).unwrap_or_else(|e| panic!("{label} round {round}: {e}"));
+                let reused = exec
+                    .run_with_init(body, sees_zeros)
+                    .unwrap_or_else(|e| panic!("{label} round {round}: {e}"));
                 assert_eq!(bits(&reused.objects), bits(&fresh.objects), "{label} round {round}");
                 assert_eq!(reused.maps, fresh.maps, "{label} round {round}");
             }
