@@ -146,69 +146,6 @@ pub fn bottom_levels(g: &TaskGraph, cost: &CostModel, assign: Option<&Assignment
     bl
 }
 
-/// Parallel [`bottom_levels`]: tasks are bucketed by *reverse depth*
-/// (sinks at depth 0, a task one past the deepest of its successors) and
-/// each bucket is evaluated concurrently — a task's successors always
-/// live in strictly shallower buckets, so every read is of a finalized
-/// value. Within a task the successor maximum is folded in CSR order,
-/// the exact float-operation sequence of the sequential pass, so the
-/// result is bit-identical for every thread count.
-pub fn bottom_levels_par(
-    g: &TaskGraph,
-    cost: &CostModel,
-    assign: Option<&Assignment>,
-    nthreads: usize,
-) -> Vec<f64> {
-    let Some(order) = topo_sort(g) else {
-        panic!("bottom_levels requires a DAG");
-    };
-    let n = g.num_tasks();
-    let mut depth = vec![0u32; n];
-    let mut max_depth = 0u32;
-    for &t in order.iter().rev() {
-        let mut d = 0u32;
-        for &s in g.succs(t) {
-            d = d.max(depth[s as usize] + 1);
-        }
-        depth[t.idx()] = d;
-        max_depth = max_depth.max(d);
-    }
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); max_depth as usize + 1];
-    for t in 0..n as u32 {
-        buckets[depth[t as usize] as usize].push(t);
-    }
-    let mut bl = vec![0.0f64; n];
-    for bucket in &buckets {
-        let bl_ref = &bl;
-        let vals: Vec<Vec<f64>> = crate::par::map_shards(nthreads, bucket.len(), |_i, range| {
-            range
-                .map(|i| {
-                    let t = TaskId(bucket[i]);
-                    let mut best = 0.0f64;
-                    for &s in g.succs(t) {
-                        let s = TaskId(s);
-                        let comm = edge_comm_cost(g, cost, assign, t, s);
-                        let cand = comm + bl_ref[s.idx()];
-                        if cand > best {
-                            best = cand;
-                        }
-                    }
-                    g.weight(t) + best
-                })
-                .collect()
-        });
-        let mut it = bucket.iter();
-        for shard in vals {
-            for v in shard {
-                if let Some(&t) = it.next() {
-                    bl[t as usize] = v;
-                }
-            }
-        }
-    }
-    bl
-}
-
 /// Top level of every task: longest path length from an entry task to the
 /// task, **excluding** the task's own weight.
 pub fn top_levels(g: &TaskGraph, cost: &CostModel, assign: Option<&Assignment>) -> Vec<f64> {
@@ -333,31 +270,6 @@ mod tests {
         let tl = top_levels(&g, &CostModel::unit(), None);
         assert!((tl[t0.idx()] - 0.0).abs() < 1e-12);
         assert!((tl[t1.idx()] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_bottom_levels_are_bit_identical() {
-        use crate::fixtures;
-        for seed in 0..6 {
-            let spec = fixtures::RandomGraphSpec { objects: 50, tasks: 400, ..Default::default() };
-            let g = fixtures::random_irregular_graph(seed, &spec);
-            let owner: Vec<_> = (0..g.num_objects()).map(|i| (i % 4) as crate::ProcId).collect();
-            let task_proc: Vec<_> = g
-                .tasks()
-                .map(|t| owner[g.writes(t).first().copied().unwrap_or(0) as usize])
-                .collect();
-            let assign = Assignment { task_proc, owner, nprocs: 4 };
-            let cost = CostModel::unit();
-            let seq = bottom_levels(&g, &cost, Some(&assign));
-            for k in [1usize, 2, 8] {
-                let par = bottom_levels_par(&g, &cost, Some(&assign), k);
-                // Bitwise, not approximate: the fold order is identical.
-                assert!(
-                    seq.iter().zip(&par).all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "seed {seed} x{k}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -48,61 +48,37 @@ pub struct Dcg {
 impl Dcg {
     /// Build the DCG of `g` and decompose it into slices.
     pub fn build(g: &TaskGraph) -> Dcg {
-        Dcg::build_sharded(g, 1)
-    }
-
-    /// Parallel [`Dcg::build`]: tasks are partitioned into `nthreads`
-    /// contiguous shards whose edge lists are built concurrently on a
-    /// std-only scoped-thread pool ([`crate::par`]) and then merged.
-    ///
-    /// The result is bit-identical to the sequential build for every
-    /// shard count: each adjacency row ends as the *sorted, deduplicated
-    /// set* of its targets, and sharding changes only the emission order
-    /// of the underlying edge multiset, never its support. Node numbering
-    /// (first touch in task-id order) and the SCC pass stay sequential —
-    /// both are linear and order-defining.
-    pub fn build_par(g: &TaskGraph, nthreads: usize) -> Dcg {
-        Dcg::build_sharded(g, nthreads.max(1))
-    }
-
-    fn build_sharded(g: &TaskGraph, nshards: usize) -> Dcg {
         let m = g.num_objects();
         let n = g.num_tasks();
 
-        // Rule 1: task associations — independent per task, filled into
-        // disjoint chunks of one shared vector.
+        // Rule 1: task associations.
         let mut assoc: Vec<Vec<ObjId>> = vec![Vec::new(); n];
-        crate::par::for_each_shard_mut(nshards, &mut assoc, |start, chunk| {
-            for (off, out) in chunk.iter_mut().enumerate() {
-                let t = TaskId((start + off) as u32);
-                let reads = g.reads(t);
-                let writes = g.writes(t);
-                // Objects read but not written: "uses but does not modify".
-                for &d in reads {
-                    if writes.binary_search(&d).is_err() {
-                        out.push(ObjId(d));
-                    }
-                }
-                if out.is_empty() {
-                    // "only modifies d_i and does not use any other
-                    // objects": associate with the written objects
-                    // (updates count as uses-and-modifies, so a pure
-                    // updater is associated with the updated object as
-                    // well — it reads it).
-                    for &d in writes {
-                        out.push(ObjId(d));
-                    }
+        for (t, out) in assoc.iter_mut().enumerate() {
+            let t = TaskId(t as u32);
+            let writes = g.writes(t);
+            // Objects read but not written: "uses but does not modify".
+            for &d in g.reads(t) {
+                if writes.binary_search(&d).is_err() {
+                    out.push(ObjId(d));
                 }
             }
-        });
+            if out.is_empty() {
+                // "only modifies d_i and does not use any other objects":
+                // associate with the written objects (updates count as
+                // uses-and-modifies, so a pure updater is associated with
+                // the updated object as well — it reads it).
+                for &d in writes {
+                    out.push(ObjId(d));
+                }
+            }
+        }
 
-        // Number the DCG nodes: objects with at least one association.
-        // First-touch in task-id order defines the numbering, so this
-        // scan stays sequential (it is linear in Σ|assoc|).
+        // Number the DCG nodes: objects with at least one association,
+        // first touch in task-id order.
         let mut node_of_obj = vec![u32::MAX; m];
         let mut obj_of_node = Vec::new();
-        for t in g.tasks() {
-            for &d in &assoc[t.idx()] {
+        for a in &assoc {
+            for &d in a {
                 if node_of_obj[d.idx()] == u32::MAX {
                     node_of_obj[d.idx()] = obj_of_node.len() as u32;
                     obj_of_node.push(d);
@@ -122,72 +98,42 @@ impl Dcg {
         // pair's reachability through those cycles. Total edges pushed is
         // ≤ Σ|assoc| + |task edges|, so construction is O(V + E).
         //
-        // Each shard walks its own task range with a private stamp array
-        // (O(1) dedup of same-source runs) and emits `(u, v)` pairs; the
-        // merge concatenates shard outputs into per-source rows and then
-        // sorts + dedups each row. Any emission order with the same edge
-        // support yields the same rows, which is the deterministic-merge
-        // argument for `build_par`.
-        let assoc_ref = &assoc;
-        let node_ref = &node_of_obj;
-        let shard_edges: Vec<Vec<(u32, u32)>> = crate::par::map_shards(nshards, n, |_i, range| {
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            let mut mark = vec![u32::MAX; nn];
-            let mut push_edge = |mark: &mut Vec<u32>, u: u32, v: u32| {
-                if u != v && mark[v as usize] != u {
-                    mark[v as usize] = u;
-                    pairs.push((u, v));
-                }
-            };
-            for t in range {
-                let t = TaskId(t as u32);
-                let a = &assoc_ref[t.idx()];
-                // Rule 2: cycle through the association set (same SCC
-                // as the paper's clique).
-                if a.len() > 1 {
-                    for i in 0..a.len() {
-                        let u = node_ref[a[i].idx()];
-                        let v = node_ref[a[(i + 1) % a.len()].idx()];
-                        // The stamp dedups per-source; cycle edges from
-                        // different tasks may share a source, which is
-                        // fine.
-                        push_edge(&mut mark, u, v);
-                    }
-                }
-                // Rule 3: one representative edge per projected task
-                // edge; the rule-2 cycles extend it to every
-                // association pair.
-                if let Some(&di) = a.first() {
-                    for &s in g.succs(t) {
-                        if let Some(&dj) = assoc_ref[s as usize].first() {
-                            push_edge(&mut mark, node_ref[di.idx()], node_ref[dj.idx()]);
-                        }
-                    }
-                }
-            }
-            pairs
-        });
+        // A stamp array dedups same-source runs in O(1); each row is then
+        // sorted and deduplicated, so it ends as the set of its targets.
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nn];
-        for pairs in &shard_edges {
-            for &(u, v) in pairs {
+        let mut mark = vec![u32::MAX; nn];
+        let mut push_edge = |u: u32, v: u32| {
+            if u != v && mark[v as usize] != u {
+                mark[v as usize] = u;
                 lists[u as usize].push(v);
             }
-        }
-        drop(shard_edges);
-        // The stamps dedup only consecutive same-source pushes within a
-        // shard; remove the remaining parallel edges per row (rows stay
-        // small and the total is linear, so the sort costs O(E log E)
-        // worst case on an already-linear E).
-        crate::par::for_each_shard_mut(nshards, &mut lists, |_start, rows| {
-            for l in rows {
-                l.sort_unstable();
-                l.dedup();
+        };
+        for (t, a) in assoc.iter().enumerate() {
+            // Rule 2: cycle through the association set (same SCC as the
+            // paper's clique).
+            if a.len() > 1 {
+                for i in 0..a.len() {
+                    push_edge(node_of_obj[a[i].idx()], node_of_obj[a[(i + 1) % a.len()].idx()]);
+                }
             }
-        });
+            // Rule 3: one representative edge per projected task edge;
+            // the rule-2 cycles extend it to every association pair.
+            if let Some(&di) = a.first() {
+                for &s in g.succs(TaskId(t as u32)) {
+                    if let Some(&dj) = assoc[s as usize].first() {
+                        push_edge(node_of_obj[di.idx()], node_of_obj[dj.idx()]);
+                    }
+                }
+            }
+        }
+        for l in &mut lists {
+            l.sort_unstable();
+            l.dedup();
+        }
         let adj = Csr::from_lists(&lists);
 
-        // Slices: SCCs in topological order (sequential — Tarjan's
-        // numbering defines the slice order).
+        // Slices: SCCs in topological order (Tarjan's numbering defines
+        // the slice order).
         let (raw_slice, raw_n) = crate::algo::tarjan_scc(&adj);
 
         // The topological order among SCCs must also respect task edges
@@ -197,37 +143,24 @@ impl Dcg {
         // always project onto DCG edges (rule 3) unless an endpoint has no
         // association, so the numbering is consistent.
 
-        let raw_ref = &raw_slice;
+        let node_slice = |d: ObjId| raw_slice[node_of_obj[d.idx()] as usize];
         let mut slice_of_task = vec![u32::MAX; n];
-        crate::par::for_each_shard_mut(nshards, &mut slice_of_task, |start, chunk| {
-            for (off, out) in chunk.iter_mut().enumerate() {
-                let t = start + off;
-                if let Some(&d0) = assoc_ref[t].first() {
-                    *out = raw_ref[node_ref[d0.idx()] as usize];
-                    // Rule 2 guarantees all associated nodes share the SCC.
-                    debug_assert!(assoc_ref[t]
-                        .iter()
-                        .all(|d| raw_ref[node_ref[d.idx()] as usize] == *out));
-                } else {
-                    // Task with an empty access set: attach to the first
-                    // slice.
-                    *out = 0;
-                }
-            }
-        });
         let mut slice_tasks = vec![Vec::new(); raw_n as usize];
-        for t in g.tasks() {
-            slice_tasks[slice_of_task[t.idx()] as usize].push(t);
+        for (t, a) in assoc.iter().enumerate() {
+            // A task with an empty access set attaches to the first slice.
+            let sl = a.first().map_or(0, |&d0| node_slice(d0));
+            // Rule 2 guarantees all associated nodes share the SCC.
+            debug_assert!(a.iter().all(|&d| node_slice(d) == sl));
+            slice_of_task[t] = sl;
+            slice_tasks[sl as usize].push(TaskId(t as u32));
         }
         let mut slice_objs = vec![Vec::new(); raw_n as usize];
         for (node, &sl) in raw_slice.iter().enumerate() {
             slice_objs[sl as usize].push(obj_of_node[node]);
         }
-        crate::par::for_each_shard_mut(nshards, &mut slice_objs, |_start, rows| {
-            for v in rows {
-                v.sort_unstable();
-            }
-        });
+        for v in &mut slice_objs {
+            v.sort_unstable();
+        }
 
         Dcg {
             node_of_obj,
@@ -327,8 +260,7 @@ impl Dcg {
 
 /// Reusable epoch-stamped membership scratch for
 /// [`Dcg::volatile_space_scratch`]: one `u32` per object, reset in O(1)
-/// per query by bumping the epoch. One scratch per worker thread keeps
-/// the per-slice H computation embarrassingly parallel.
+/// per query by bumping the epoch.
 #[derive(Clone, Debug)]
 pub struct VolatileScratch {
     stamp: Vec<u32>,
@@ -471,31 +403,6 @@ mod tests {
         // Writers' slices precede the readers' merged slice.
         for &w in &ws {
             assert!(dcg.slice_of_task[w.idx()] <= dcg.slice_of_task[r.idx()]);
-        }
-    }
-
-    #[test]
-    fn parallel_build_is_bit_identical() {
-        for seed in 0..6 {
-            let spec = fixtures::RandomGraphSpec {
-                objects: 50,
-                tasks: 300,
-                max_reads: 5,
-                ..Default::default()
-            };
-            let g = fixtures::random_irregular_graph(seed, &spec);
-            let seq = Dcg::build(&g);
-            for nthreads in [1usize, 2, 3, 8] {
-                let par = Dcg::build_par(&g, nthreads);
-                assert_eq!(par.node_of_obj, seq.node_of_obj, "seed {seed} x{nthreads}");
-                assert_eq!(par.obj_of_node, seq.obj_of_node, "seed {seed} x{nthreads}");
-                assert_eq!(par.adj, seq.adj, "seed {seed} x{nthreads}");
-                assert_eq!(par.slice_of_node, seq.slice_of_node, "seed {seed} x{nthreads}");
-                assert_eq!(par.num_slices, seq.num_slices, "seed {seed} x{nthreads}");
-                assert_eq!(par.slice_of_task, seq.slice_of_task, "seed {seed} x{nthreads}");
-                assert_eq!(par.slice_tasks, seq.slice_tasks, "seed {seed} x{nthreads}");
-                assert_eq!(par.slice_objs, seq.slice_objs, "seed {seed} x{nthreads}");
-            }
         }
     }
 

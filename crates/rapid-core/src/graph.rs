@@ -498,21 +498,6 @@ impl TaskGraphBuilder {
 
     /// Validate and freeze into a [`TaskGraph`].
     pub fn build(self) -> Result<TaskGraph, GraphError> {
-        self.build_sharded(1)
-    }
-
-    /// Parallel [`TaskGraphBuilder::build`]: the CSR transposes
-    /// (per-object reader/writer/accessor lists) are assembled from
-    /// per-shard partial lists built concurrently over contiguous task
-    /// ranges on the std-only pool ([`crate::par`]). Concatenating shard
-    /// partials in shard order visits tasks in ascending id order —
-    /// exactly the sequential scan — so the result is bit-identical to
-    /// `build()` for every thread count.
-    pub fn build_par(self, nthreads: usize) -> Result<TaskGraph, GraphError> {
-        self.build_sharded(nthreads.max(1))
-    }
-
-    fn build_sharded(self, nshards: usize) -> Result<TaskGraph, GraphError> {
         let n = self.task_weight.len();
         let m = self.obj_size.len();
         let mut succ_lists = vec![Vec::new(); n];
@@ -529,87 +514,41 @@ impl TaskGraphBuilder {
         }
         let mut reads = self.reads;
         let mut writes = self.writes;
-        // Normalize the per-task access sets in parallel (independent per
-        // task), then validate object ids shard by shard; the first bad
-        // id in (task, sorted position) order is reported, matching the
-        // sequential scan.
-        crate::par::for_each_shard_mut(nshards, &mut reads, |_start, chunk| {
-            for rs in chunk {
-                rs.sort_unstable();
-                rs.dedup();
+        // Normalize the per-task access sets, then validate object ids:
+        // the first bad id in (reads before writes, task, sorted position)
+        // order is reported.
+        for sets in [&mut reads, &mut writes] {
+            for l in sets.iter_mut() {
+                l.sort_unstable();
+                l.dedup();
             }
-        });
-        crate::par::for_each_shard_mut(nshards, &mut writes, |_start, chunk| {
-            for ws in chunk {
-                ws.sort_unstable();
-                ws.dedup();
-            }
-        });
-        for sets in [&reads, &writes] {
-            let bad = crate::par::map_shards(nshards, n, |_i, range| {
-                range.flat_map(|t| sets[t].iter().copied()).find(|&d| d as usize >= m)
-            });
-            if let Some(d) = bad.into_iter().flatten().next() {
+            if let Some(&d) = sets.iter().flatten().find(|&&d| d as usize >= m) {
                 return Err(GraphError::BadObject(d));
             }
         }
-        crate::par::for_each_shard_mut(nshards, &mut succ_lists, |_start, chunk| {
-            for l in chunk {
-                l.sort_unstable();
-                l.dedup();
-            }
-        });
-        crate::par::for_each_shard_mut(nshards, &mut pred_lists, |_start, chunk| {
-            for l in chunk {
-                l.sort_unstable();
-                l.dedup();
-            }
-        });
-        // CSR transposes (readers, writers, accessors). Each shard walks
-        // its contiguous task range emitting `(object, task)` pairs; the
-        // accessor stream is the sorted merge of the task's read and
-        // write sets, so each per-object list stays sorted and
-        // duplicate-free without a final sort pass. Concatenating shard
-        // streams in shard order visits tasks in ascending id order —
-        // exactly the sequential scan, so the transposes are
-        // bit-identical for every shard count.
-        let reads_ref = &reads;
-        let writes_ref = &writes;
-        type Pairs = Vec<(u32, u32)>;
-        let shard_pairs: Vec<(Pairs, Pairs, Pairs)> =
-            crate::par::map_shards(nshards, n, |_i, range| {
-                let mut rp: Pairs = Vec::new();
-                let mut wp: Pairs = Vec::new();
-                let mut ap: Pairs = Vec::new();
-                for t in range {
-                    let (rs, ws) = (&reads_ref[t], &writes_ref[t]);
-                    for &d in rs {
-                        rp.push((d, t as u32));
-                    }
-                    for &d in ws {
-                        wp.push((d, t as u32));
-                    }
-                    for d in merge_sorted(rs, ws) {
-                        ap.push((d, t as u32));
-                    }
-                }
-                (rp, wp, ap)
-            });
+        for l in succ_lists.iter_mut().chain(&mut pred_lists) {
+            l.sort_unstable();
+            l.dedup();
+        }
+        // CSR transposes (readers, writers, accessors). Tasks are visited
+        // in ascending id order and the accessor stream is the sorted
+        // merge of the task's read and write sets, so each per-object list
+        // stays sorted and duplicate-free without a final sort pass.
         let mut reader_lists = vec![Vec::new(); m];
         let mut writer_lists = vec![Vec::new(); m];
         let mut accessor_lists = vec![Vec::new(); m];
-        for (rp, wp, ap) in &shard_pairs {
-            for &(d, t) in rp {
+        for (t, (rs, ws)) in reads.iter().zip(&writes).enumerate() {
+            let t = t as u32;
+            for &d in rs {
                 reader_lists[d as usize].push(t);
             }
-            for &(d, t) in wp {
+            for &d in ws {
                 writer_lists[d as usize].push(t);
             }
-            for &(d, t) in ap {
+            for d in merge_sorted(rs, ws) {
                 accessor_lists[d as usize].push(t);
             }
         }
-        drop(shard_pairs);
         let mut commute_group = vec![u32::MAX; n];
         for &(t, grp) in &self.commute {
             if t as usize >= n {

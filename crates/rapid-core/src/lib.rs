@@ -24,8 +24,6 @@
 //!   scalability metrics,
 //! - [`dcg`] — the data connection graph and slice construction used by the
 //!   DTS ordering (paper §4.2),
-//! - [`par`] — std-only scoped-thread fork/join helpers backing the
-//!   parallel planning front-end (shard-deterministic merges),
 //! - [`fixtures`] — the worked example of Figure 2 plus random-graph
 //!   generators used across the workspace's tests and benches.
 
@@ -39,7 +37,6 @@ pub mod fixtures;
 pub mod graph;
 pub mod liveness;
 pub mod memreq;
-pub mod par;
 pub mod schedule;
 
 pub use graph::{ObjId, ProcId, TaskGraph, TaskGraphBuilder, TaskId};

@@ -16,21 +16,6 @@
 
 use rapid_core::ddg::{AccessKind, DdgStats, TraceBuilder, WritePolicy};
 use rapid_core::graph::{GraphError, ObjId, ProcId, TaskGraph, TaskId};
-use rapid_core::schedule::{CostModel, Schedule};
-use rapid_sched::assign::{cyclic_owner_map, owner_compute_assignment};
-
-/// The ordering heuristic to use at the second mapping stage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Ordering {
-    /// Critical-path list scheduling (time-efficient baseline).
-    Rcp,
-    /// Memory-priority guided ordering (paper §4.1).
-    Mpo,
-    /// Data-access directed time-slicing (paper §4.2).
-    Dts,
-    /// DTS with slice merging under the given per-processor capacity.
-    DtsMerged(u64),
-}
 
 /// Inspector: records the sequential task trace and extracts the
 /// transformed dependence graph.
@@ -107,25 +92,6 @@ impl Inspector {
     /// builder — surfaced as a typed error rather than a panic.
     pub fn extract(self) -> Result<(TaskGraph, DdgStats), GraphError> {
         self.tb.build(self.reduce)
-    }
-}
-
-/// One-stop scheduling: owner-compute clustering over `owner` (cyclic map
-/// if `None`) followed by the chosen ordering.
-pub fn plan_schedule(
-    g: &TaskGraph,
-    nprocs: usize,
-    owner: Option<Vec<ProcId>>,
-    ordering: Ordering,
-    cost: &CostModel,
-) -> Schedule {
-    let owner = owner.unwrap_or_else(|| cyclic_owner_map(g.num_objects(), nprocs));
-    let assign = owner_compute_assignment(g, &owner, nprocs);
-    match ordering {
-        Ordering::Rcp => rapid_sched::rcp::rcp_order(g, &assign, cost),
-        Ordering::Mpo => rapid_sched::mpo::mpo_order(g, &assign, cost),
-        Ordering::Dts => rapid_sched::dts::dts_order(g, &assign, cost),
-        Ordering::DtsMerged(cap) => rapid_sched::dts::dts_order_merged(g, &assign, cost, cap),
     }
 }
 
@@ -316,6 +282,9 @@ impl std::fmt::Display for StallSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rapid_core::schedule::CostModel;
+    use rapid_sched::assign::{cyclic_owner_map, owner_compute_assignment};
+    use rapid_sched::{plan_parallel, PlanPolicy};
 
     #[test]
     fn inspector_pipeline_end_to_end() {
@@ -335,9 +304,15 @@ mod tests {
         assert_eq!(stats.true_edges, 6);
         assert!(g.is_dependence_complete());
 
-        for ord in [Ordering::Rcp, Ordering::Mpo, Ordering::Dts, Ordering::DtsMerged(64)] {
-            let s = plan_schedule(&g, 2, None, ord, &CostModel::unit());
-            assert!(s.is_valid(&g), "{ord:?}");
+        let assign = owner_compute_assignment(&g, &cyclic_owner_map(g.num_objects(), 2), 2);
+        for policy in [
+            PlanPolicy::Rcp,
+            PlanPolicy::Mpo,
+            PlanPolicy::Dts,
+            PlanPolicy::DtsMerged { capacity: 64 },
+        ] {
+            let s = plan_parallel(&g, &assign, &CostModel::unit(), policy, 1);
+            assert!(s.is_valid(&g), "{policy:?}");
         }
     }
 

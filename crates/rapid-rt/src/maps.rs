@@ -247,36 +247,6 @@ impl RtPlan {
         Ok(MapPlacement { capacity, window, per_proc })
     }
 
-    /// Parallel [`place_maps`]: every processor's MAP walk is independent
-    /// (each [`MapPlanner`] sees only its own order and counting state), so
-    /// processors are sharded across `nthreads` scoped threads. Identical
-    /// placement for every thread count, and on failure the reported error
-    /// is the lowest-processor one — the same error the sequential walk
-    /// hits first (shards cover contiguous ascending processor ranges, and
-    /// each shard stops at its first failing processor).
-    pub fn place_maps_par(
-        &self,
-        g: &TaskGraph,
-        sched: &Schedule,
-        capacity: u64,
-        window: MapWindow,
-        nthreads: usize,
-    ) -> Result<MapPlacement, ExecError> {
-        let nprocs = sched.order.len();
-        let shards = rapid_core::par::map_shards(nthreads.max(1), nprocs, |_i, range| {
-            let mut rows = Vec::with_capacity(range.len());
-            for p in range {
-                rows.push(self.walk_proc(g, sched, p as ProcId, capacity, window, None)?);
-            }
-            Ok::<_, ExecError>(rows)
-        });
-        let mut per_proc = Vec::with_capacity(nprocs);
-        for shard in shards {
-            per_proc.extend(shard?);
-        }
-        Ok(MapPlacement { capacity, window, per_proc })
-    }
-
     /// The complete MAP walk of one processor under `capacity`: by
     /// counting alone, or with `placer` also through an arena.
     fn walk_proc(
@@ -890,44 +860,6 @@ impl MapPlanner {
 mod tests {
     use super::*;
     use rapid_core::fixtures;
-
-    #[test]
-    fn parallel_placement_is_bit_identical() {
-        use rapid_core::schedule::CostModel;
-        for seed in 0..6u64 {
-            let spec = fixtures::RandomGraphSpec {
-                objects: 20,
-                tasks: 60,
-                max_obj_size: 2,
-                ..Default::default()
-            };
-            let g = fixtures::random_irregular_graph(seed, &spec);
-            let owner = rapid_sched::cyclic_owner_map(g.num_objects(), 3);
-            let assign = rapid_sched::owner_compute_assignment(&g, &owner, 3);
-            let sched = rapid_sched::mpo_order(&g, &assign, &CostModel::unit());
-            let mm = rapid_core::memreq::min_mem(&g, &sched).min_mem;
-            let plan = RtPlan::new(&g, &sched);
-            let seq = plan.place_maps(&g, &sched, mm, MapWindow::Greedy).expect("feasible");
-            for k in [1usize, 2, 3, 8] {
-                let par = plan
-                    .place_maps_par(&g, &sched, mm, MapWindow::Greedy, k)
-                    .expect("feasible in parallel");
-                assert_eq!(par, seq, "seed {seed} nthreads {k}");
-            }
-            // An infeasible capacity must fail identically too.
-            if mm > 1 {
-                let e_seq = plan.place_maps(&g, &sched, mm - 1, MapWindow::Greedy).err();
-                for k in [1usize, 2, 8] {
-                    let e_par = plan.place_maps_par(&g, &sched, mm - 1, MapWindow::Greedy, k).err();
-                    assert_eq!(
-                        format!("{e_par:?}"),
-                        format!("{e_seq:?}"),
-                        "seed {seed} nthreads {k}"
-                    );
-                }
-            }
-        }
-    }
 
     /// `RtPlan::new` groups a task's cross-processor edges by sorting one
     /// scratch list. The definition it has to reproduce — ids, order,

@@ -148,8 +148,8 @@ pub fn dts_order_with(
 }
 
 /// [`dts_order_with`] with caller-provided bottom levels (must equal
-/// `algo::bottom_levels(g, cost, Some(assign))`); used by the parallel
-/// planner and the cap-only replanner, which already hold them.
+/// `algo::bottom_levels(g, cost, Some(assign))`); used by the replanner,
+/// which caches them across capacities.
 pub fn dts_order_with_blevel(
     g: &TaskGraph,
     assign: &Assignment,
@@ -171,19 +171,6 @@ pub fn slice_h(g: &TaskGraph, assign: &Assignment, dcg: &Dcg) -> Vec<u64> {
     (0..dcg.num_slices)
         .map(|l| dcg.max_volatile_space_scratch(g, assign, l, &mut scratch))
         .collect()
-}
-
-/// Parallel [`slice_h`]: slices are independent, so shards of the slice
-/// range are evaluated concurrently, each worker with its own scratch.
-/// Identical output for every thread count.
-pub fn slice_h_par(g: &TaskGraph, assign: &Assignment, dcg: &Dcg, nthreads: usize) -> Vec<u64> {
-    let shards = rapid_core::par::map_shards(nthreads, dcg.num_slices as usize, |_i, range| {
-        let mut scratch = VolatileScratch::new(g.num_objects());
-        range
-            .map(|l| dcg.max_volatile_space_scratch(g, assign, l as u32, &mut scratch))
-            .collect::<Vec<u64>>()
-    });
-    shards.concat()
 }
 
 /// The greedy walk of Figure 6 over a precomputed per-slice `H` vector:
@@ -268,11 +255,9 @@ pub fn dts_order_merged(
     dts_order_with(g, assign, cost, &slice_of_task, nmerged)
 }
 
-/// The pre-PR-7 sequential merged-DTS pipeline, composed entirely of
-/// reference parts (sequential DCG build, quadratic `H`, heapsim with
-/// its internal bottom-level pass). Identical output to
-/// [`dts_order_merged`]; kept as the oracle the parallel planner is
-/// tested against.
+/// The pre-PR-7 merged-DTS pipeline, composed entirely of reference
+/// parts (quadratic `H`, heapsim with its internal bottom-level pass).
+/// Identical output to [`dts_order_merged`]; kept as its oracle.
 pub fn dts_order_merged_reference(
     g: &TaskGraph,
     assign: &Assignment,

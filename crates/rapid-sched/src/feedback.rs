@@ -19,7 +19,7 @@
 //! Everything is integer arithmetic over the metrics (permille
 //! thresholds, u128 proportional transfers), and every tie is broken by
 //! id, so the same metrics produce the same [`FeedbackPlan`] on any
-//! host, any thread count, any run.
+//! host, any run.
 
 use rapid_core::graph::{ProcId, TaskGraph};
 use rapid_core::schedule::Assignment;

@@ -92,8 +92,8 @@ pub fn simulate_ordering_heap<P: HeapPolicy>(
 }
 
 /// [`simulate_ordering_heap`] with caller-provided bottom levels, so a
-/// planner that already computed them (or computed them in parallel)
-/// does not pay the O(V + E) pass again. `blevel` must equal
+/// planner that already computed them does not pay the O(V + E) pass
+/// again. `blevel` must equal
 /// `algo::bottom_levels(g, cost, Some(assign))` for the schedule to
 /// match the reference simulators.
 pub fn simulate_ordering_heap_with<P: HeapPolicy>(

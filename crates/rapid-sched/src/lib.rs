@@ -17,7 +17,9 @@
 //!      tasks slice-by-slice following a topological order of the data
 //!      connection graph's strongly connected components, plus the
 //!      slice-merging refinement of Figure 6.
-
+//!
+//!    [`plan_parallel`] dispatches over them by [`PlanPolicy`], on the
+//!    calling thread.
 //!
 //! Each ordering ships two implementations with proven-identical output:
 //! a production heap-driven simulation ([`heapsim`], incremental
@@ -43,10 +45,9 @@ pub use dsc::{dsc_cluster, DscResult};
 pub use dts::{
     avail_volatile, dts_order, dts_order_merged, dts_order_merged_reference, dts_order_reference,
     dts_order_with_blevel, merge_slices, merge_slices_from_h, merge_slices_reference, slice_h,
-    slice_h_par,
 };
 pub use feedback::{apply_moves, feedback_plan, FeedbackConfig, FeedbackPlan, ObjMove};
-pub use mpo::{mpo_order, mpo_order_reference, mpo_order_with_blevel};
+pub use mpo::{mpo_order, mpo_order_reference};
 pub use parallel::{plan_parallel, PlanPolicy};
 pub use rapid_core::schedule::Assignment;
-pub use rcp::{rcp_order, rcp_order_reference, rcp_order_with_blevel};
+pub use rcp::{rcp_order, rcp_order_reference};

@@ -179,19 +179,6 @@ pub fn mpo_order(g: &TaskGraph, assign: &Assignment, cost: &CostModel) -> Schedu
     simulate_ordering_heap(g, assign, cost, &mut policy)
 }
 
-/// [`mpo_order`] with caller-provided bottom levels (must equal
-/// `algo::bottom_levels(g, cost, Some(assign))`); used by the parallel
-/// planner, which computes them once up front.
-pub fn mpo_order_with_blevel(
-    g: &TaskGraph,
-    assign: &Assignment,
-    cost: &CostModel,
-    blevel: &[f64],
-) -> Schedule {
-    let mut policy = MpoHeapPolicy::new(g, assign);
-    crate::heapsim::simulate_ordering_heap_with(g, assign, cost, &mut policy, blevel)
-}
-
 /// Straight-scan reference implementation of [`mpo_order`]: recomputes
 /// every ready task's memory priority at every pick. Kept for validation
 /// and benchmarking against the heap path.

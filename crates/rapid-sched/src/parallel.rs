@@ -1,21 +1,14 @@
-//! Parallel planning front-end.
+//! The one policy dispatcher of the ordering stage.
 //!
-//! The ordering simulation itself is inherently sequential — each pick
-//! depends on the global interleaving of every earlier pick — but
-//! everything around it shards cleanly: DCG construction, bottom levels,
-//! and the per-slice `H(R, L_i)` volatile requirements. [`plan_parallel`]
-//! fans those stages out over a std-only scoped-thread pool
-//! ([`rapid_core::par`]) and feeds the results to the same heap-driven
-//! simulator the sequential path uses, so its output is **bit-identical**
-//! to the sequential planner for every policy and every thread count
-//! (sharding is keyed to the *requested* thread count; only the spawned
-//! OS threads are clamped to the host).
+//! [`plan_parallel`] is a `match` over the four named entry points and
+//! nothing else. Planning runs on one thread, as the paper's inspector
+//! does (DESIGN.md §13, "Why planning is single-threaded", has the
+//! measurement). The function name and its fifth argument are what
+//! `benchmark/` compiles against.
 
-use crate::dts::{avail_volatile, dts_order_with_blevel, merge_slices_from_h, slice_h_par};
-use crate::mpo::mpo_order_with_blevel;
-use crate::rcp::rcp_order_with_blevel;
-use rapid_core::algo::bottom_levels_par;
-use rapid_core::dcg::Dcg;
+use crate::dts::{dts_order, dts_order_merged};
+use crate::mpo::mpo_order;
+use crate::rcp::rcp_order;
 use rapid_core::graph::TaskGraph;
 use rapid_core::schedule::{Assignment, CostModel, Schedule};
 
@@ -36,38 +29,21 @@ pub enum PlanPolicy {
     },
 }
 
-/// Plan an ordering with the parallel front-end: sharded bottom levels
-/// for every policy, plus sharded DCG construction and per-slice `H`
-/// evaluation for the DTS variants. Returns the same [`Schedule`] —
-/// bitwise, including f64 priorities — as the corresponding sequential
-/// entry point ([`crate::rcp_order`], [`crate::mpo_order`],
-/// [`crate::dts_order`], [`crate::dts_order_merged`]) for any
-/// `nthreads >= 1`.
+/// Order `g` under `policy`: [`rcp_order`], [`mpo_order`], [`dts_order`]
+/// or [`dts_order_merged`]. The fifth argument was a thread count; it is
+/// ignored and stays only until `benchmark/` stops passing it.
 pub fn plan_parallel(
     g: &TaskGraph,
     assign: &Assignment,
     cost: &CostModel,
     policy: PlanPolicy,
-    nthreads: usize,
+    _: usize,
 ) -> Schedule {
-    let nthreads = nthreads.max(1);
-    let blevel = bottom_levels_par(g, cost, Some(assign), nthreads);
     match policy {
-        PlanPolicy::Rcp => rcp_order_with_blevel(g, assign, cost, &blevel),
-        PlanPolicy::Mpo => mpo_order_with_blevel(g, assign, cost, &blevel),
-        PlanPolicy::Dts => {
-            let dcg = Dcg::build_par(g, nthreads);
-            dts_order_with_blevel(g, assign, cost, &dcg.slice_of_task, dcg.num_slices, &blevel)
-        }
-        PlanPolicy::DtsMerged { capacity } => {
-            let dcg = Dcg::build_par(g, nthreads);
-            let h = slice_h_par(g, assign, &dcg, nthreads);
-            let avail = avail_volatile(g, assign, capacity);
-            let (merged_of, nmerged) = merge_slices_from_h(&h, avail);
-            let slice_of_task: Vec<u32> =
-                g.tasks().map(|t| merged_of[dcg.slice_of_task[t.idx()] as usize]).collect();
-            dts_order_with_blevel(g, assign, cost, &slice_of_task, nmerged, &blevel)
-        }
+        PlanPolicy::Rcp => rcp_order(g, assign, cost),
+        PlanPolicy::Mpo => mpo_order(g, assign, cost),
+        PlanPolicy::Dts => dts_order(g, assign, cost),
+        PlanPolicy::DtsMerged { capacity } => dts_order_merged(g, assign, cost, capacity),
     }
 }
 
@@ -75,9 +51,7 @@ pub fn plan_parallel(
 mod tests {
     use super::*;
     use crate::assign::{cyclic_owner_map, owner_compute_assignment};
-    use crate::dts::{dts_order, dts_order_merged, dts_order_merged_reference};
-    use crate::mpo::mpo_order;
-    use crate::rcp::rcp_order;
+    use crate::dts::dts_order_merged_reference;
     use rapid_core::fixtures::{random_irregular_graph, RandomGraphSpec};
 
     fn case(seed: u64) -> (TaskGraph, Assignment) {
@@ -89,7 +63,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_parallel_matches_sequential_for_every_policy() {
+    fn plan_parallel_is_the_named_entry_point_of_every_policy() {
         let cost = CostModel::unit();
         for seed in 0..5u64 {
             let (g, a) = case(seed);
@@ -101,10 +75,8 @@ mod tests {
                 (PlanPolicy::DtsMerged { capacity: cap }, dts_order_merged(&g, &a, &cost, cap)),
             ];
             for (policy, seq) in &seqs {
-                for k in [1usize, 2, 8] {
-                    let par = plan_parallel(&g, &a, &cost, *policy, k);
-                    assert_eq!(par.order, seq.order, "seed {seed} policy {policy:?} nthreads {k}");
-                }
+                let planned = plan_parallel(&g, &a, &cost, *policy, 1);
+                assert_eq!(planned.order, seq.order, "seed {seed} policy {policy:?}");
             }
         }
     }

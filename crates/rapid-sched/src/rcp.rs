@@ -47,18 +47,6 @@ pub fn rcp_order(g: &TaskGraph, assign: &Assignment, cost: &CostModel) -> Schedu
     simulate_ordering_heap(g, assign, cost, &mut RcpHeapPolicy)
 }
 
-/// [`rcp_order`] with caller-provided bottom levels (must equal
-/// `algo::bottom_levels(g, cost, Some(assign))`); used by the parallel
-/// planner, which computes them once up front.
-pub fn rcp_order_with_blevel(
-    g: &TaskGraph,
-    assign: &Assignment,
-    cost: &CostModel,
-    blevel: &[f64],
-) -> Schedule {
-    crate::heapsim::simulate_ordering_heap_with(g, assign, cost, &mut RcpHeapPolicy, blevel)
-}
-
 /// Straight-scan reference implementation of [`rcp_order`], kept for
 /// validation and benchmarking against the heap path.
 pub fn rcp_order_reference(g: &TaskGraph, assign: &Assignment, cost: &CostModel) -> Schedule {

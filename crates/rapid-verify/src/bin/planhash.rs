@@ -1,16 +1,15 @@
 //! `planhash` — print the FNV-1a hash of a cold merged-DTS plan.
 //!
-//! Usage: `planhash [tasks] [seed] [nthreads]` (defaults 20000, 2026,
-//! 8). The CI `planner` job runs this twice in release mode — and once
-//! more at a different thread count — and requires identical output:
-//! sharding is keyed to the *requested* thread count, so the plan hash
-//! is a pure function of `(tasks, seed)` on any host.
+//! Usage: `planhash [tasks] [seed]` (defaults 20000, 2026). The plan
+//! hash is a pure function of `(tasks, seed)` on any host; CI's
+//! `protocol` job runs this twice in release mode and requires both
+//! lines to be the recorded `a54e1c483d6cfe35`.
 
 use rapid_core::dcg::Dcg;
 use rapid_core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid_core::schedule::CostModel;
 use rapid_sched::assign::{cyclic_owner_map, owner_compute_assignment};
-use rapid_sched::slice_h_par;
+use rapid_sched::slice_h;
 use rapid_verify::{plan_hash, Replanner};
 
 fn main() {
@@ -19,7 +18,6 @@ fn main() {
         |default: u64| -> u64 { args.next().and_then(|s| s.parse().ok()).unwrap_or(default) };
     let tasks = next(20_000) as usize;
     let seed = next(2026);
-    let nthreads = next(8) as usize;
     let nprocs = 8usize;
 
     let spec = RandomGraphSpec {
@@ -37,8 +35,8 @@ fn main() {
     let cost = CostModel::unit();
 
     // Feasible-but-tight capacity: max permanent load + 2*Hmax + slack.
-    let dcg = Dcg::build_par(&g, nthreads);
-    let h = slice_h_par(&g, &assign, &dcg, nthreads);
+    let dcg = Dcg::build(&g);
+    let h = slice_h(&g, &assign, &dcg);
     let hmax = h.iter().copied().max().unwrap_or(0);
     let mut perm = vec![0u64; nprocs];
     for d in g.objects() {
@@ -46,7 +44,7 @@ fn main() {
     }
     let capacity = perm.iter().copied().max().unwrap_or(0) + 2 * hmax + 64;
 
-    let (rp, planned) = Replanner::new(&g, &assign, &cost, capacity, nthreads);
+    let (rp, planned) = Replanner::new(&g, &assign, &cost, capacity, 1);
     if !planned.report.accepted() {
         eprintln!("cold plan rejected: {:?}", planned.report.findings);
         std::process::exit(1);

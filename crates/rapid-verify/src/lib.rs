@@ -58,4 +58,4 @@ mod verify;
 
 pub use finding::{Finding, WaitPoint, WaitStep};
 pub use replan::{plan_hash, FeedbackOutcome, Planned, Replanner, SurvivorPlan};
-pub use verify::{verify, verify_capacity, verify_par, verify_placement, VerifyReport};
+pub use verify::{verify, verify_capacity, verify_placement, VerifyReport};

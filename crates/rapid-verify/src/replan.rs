@@ -1,35 +1,34 @@
 //! Incremental replanning: plan once, replan capacity changes cheaply.
 //!
 //! A cold merged-DTS plan walks the whole pipeline — DCG, bottom levels,
-//! per-slice `H`, ordering simulation, protocol plan, MAP placement,
-//! verification. Of these, only the Figure-6 slice merge, the MAP
-//! placement and the capacity-affected analyses actually *read* the
-//! memory capacity. [`Replanner`] caches everything upstream of the
-//! capacity — the DCG, the bottom levels, the per-slice `H` vector, the
-//! order, and the protocol plan — so a capacity-only replan re-merges
-//! the cached `H` (linear in the slice count), re-places the MAPs for
-//! the cached order, and re-verifies just the capacity-affected
-//! obligations ([`crate::verify_placement`]; see its docs for the exact
-//! phase set and why skipping the rest is sound).
+//! per-slice `H`, Figure-6 merge, ordering simulation, protocol plan, MAP
+//! placement, verification. Of these, only the merge, the MAP placement
+//! and the capacity-affected analyses actually *read* the memory
+//! capacity. [`Replanner`] caches everything upstream of the capacity —
+//! the DCG, the bottom levels, the per-slice `H` vector, the order, and
+//! the protocol plan.
 //!
 //! The cached order stays valid at any capacity — slices only *guide*
 //! the ordering simulation; the order itself is a plain precedence-
-//! respecting schedule — so the fast path first tries to place it under
-//! the new capacity. Only when that fails (a tighter capacity demanding
-//! finer slices) does the replanner fall back to re-running the ordering
-//! simulation over the re-merged slices, still reusing the cached DCG,
-//! bottom levels and `H`.
+//! respecting schedule — so a capacity-only replan first re-places the
+//! MAPs of the cached order under the new capacity and re-verifies just
+//! the capacity-affected obligations ([`crate::verify_placement`]; see
+//! its docs for the exact phase set and why skipping the rest is sound).
+//! Only when that fails (a tighter capacity demanding finer slices) does
+//! the replanner fall back to the cold pipeline below the cached DCG,
+//! bottom levels and `H`: re-merge, re-order, place, fully verify. The
+//! same pipeline, with the levels recomputed, serves a changed
+//! assignment (quarantine, metrics feedback).
 
-use crate::verify::{verify_par, verify_placement, VerifyReport};
-use crate::Finding;
-use rapid_core::algo::bottom_levels_par;
+use crate::verify::{place_or_reject, verify, verify_placement, VerifyReport};
+use rapid_core::algo::bottom_levels;
 use rapid_core::dcg::Dcg;
 use rapid_core::graph::{ProcId, TaskGraph};
 use rapid_core::schedule::{Assignment, CostModel, Schedule};
 use rapid_rt::{MapPlacement, MapWindow, RtPlan};
 use rapid_sched::{
     apply_moves, avail_volatile, dts_order_with_blevel, feedback_plan, merge_slices_from_h,
-    owner_compute_assignment, slice_h_par, FeedbackConfig, FeedbackPlan,
+    owner_compute_assignment, slice_h, FeedbackConfig, FeedbackPlan,
 };
 use rapid_trace::ProcMetrics;
 
@@ -55,38 +54,42 @@ pub struct Replanner<'g> {
     g: &'g TaskGraph,
     assign: &'g Assignment,
     cost: &'g CostModel,
-    nthreads: usize,
     dcg: Dcg,
-    blevel: Vec<f64>,
-    /// Per raw-slice volatile requirement `H(R, L_i)` (Definition 7).
-    h: Vec<u64>,
-    /// Merged slice map the cached order was simulated under.
-    merged_of: Vec<u32>,
+    levels: Levels,
     sched: Schedule,
     plan: RtPlan,
 }
 
+/// What depends on the assignment but not on the capacity.
+struct Levels {
+    blevel: Vec<f64>,
+    /// Per raw-slice volatile requirement `H(R, L_i)` (Definition 7).
+    h: Vec<u64>,
+}
+
+impl Levels {
+    fn of(g: &TaskGraph, assign: &Assignment, cost: &CostModel, dcg: &Dcg) -> Levels {
+        Levels { blevel: bottom_levels(g, cost, Some(assign)), h: slice_h(g, assign, dcg) }
+    }
+}
+
 impl<'g> Replanner<'g> {
-    /// Cold-plan `(g, assign)` under `capacity` with the parallel
-    /// front-end, caching every capacity-independent artifact.
+    /// Cold-plan `(g, assign)` under `capacity`, caching every
+    /// capacity-independent artifact. The fifth argument was a thread
+    /// count; it is ignored and stays only until `benchmark/` stops
+    /// passing it.
     pub fn new(
         g: &'g TaskGraph,
         assign: &'g Assignment,
         cost: &'g CostModel,
         capacity: u64,
-        nthreads: usize,
+        _: usize,
     ) -> (Replanner<'g>, Planned) {
-        let nthreads = nthreads.max(1);
-        let blevel = bottom_levels_par(g, cost, Some(assign), nthreads);
-        let dcg = Dcg::build_par(g, nthreads);
-        let h = slice_h_par(g, assign, &dcg, nthreads);
+        let dcg = Dcg::build(g);
+        let levels = Levels::of(g, assign, cost, &dcg);
         let avail = avail_volatile(g, assign, capacity);
-        let (merged_of, nmerged) = merge_slices_from_h(&h, avail);
-        let sched = order_for(g, assign, cost, &dcg, &merged_of, nmerged, &blevel);
-        let plan = RtPlan::new(g, &sched);
-        let planned = place_and_verify(g, &sched, &plan, capacity, nthreads, false);
-        let rp = Replanner { g, assign, cost, nthreads, dcg, blevel, h, merged_of, sched, plan };
-        (rp, planned)
+        let (sched, plan, planned) = cold_plan(g, assign, cost, &dcg, &levels, avail, capacity);
+        (Replanner { g, assign, cost, dcg, levels, sched, plan }, planned)
     }
 
     /// The cached merged-DTS schedule the latest outcome was placed for.
@@ -99,34 +102,27 @@ impl<'g> Replanner<'g> {
         &self.plan
     }
 
-    /// Replan for a new capacity. Fast path: re-merge the cached `H`
-    /// under the new volatile budget and, since the cached order is
-    /// capacity-agnostic, re-place and re-verify it directly. Fallback
-    /// (placement infeasible, or the merge coarsened/refined the slices
-    /// *and* placement of the old order failed): re-simulate the
-    /// ordering over the new slices from the cached DCG and bottom
-    /// levels, then place and fully verify.
+    /// Replan for a new capacity. Fast path: the cached order is
+    /// capacity-agnostic, so re-place and re-verify it directly.
+    /// Fallback (placement of the old order infeasible or rejected):
+    /// re-merge the cached `H` under the new volatile budget and
+    /// re-simulate the ordering over the new slices from the cached DCG
+    /// and bottom levels, then place and fully verify.
     pub fn replan_capacity(&mut self, capacity: u64) -> Planned {
-        let avail = avail_volatile(self.g, self.assign, capacity);
-        let (merged_of, nmerged) = merge_slices_from_h(&self.h, avail);
         // Try the cached order first: placement + incremental verify.
-        let plan = &self.plan;
         if let Ok(placement) =
-            plan.place_maps_par(self.g, &self.sched, capacity, MapWindow::Greedy, self.nthreads)
+            self.plan.place_maps(self.g, &self.sched, capacity, MapWindow::Greedy)
         {
-            let report = verify_placement(self.g, &self.sched, plan, &placement, self.nthreads);
+            let report = verify_placement(self.g, &self.sched, &self.plan, &placement);
             if report.accepted() {
-                self.merged_of = merged_of;
                 return Planned { placement, report, incremental: true };
             }
         }
         // Fallback: new slices demand a new order; everything upstream
-        // of the simulation is still cached.
-        let sched =
-            order_for(self.g, self.assign, self.cost, &self.dcg, &merged_of, nmerged, &self.blevel);
-        let plan = RtPlan::new(self.g, &sched);
-        let planned = place_and_verify(self.g, &sched, &plan, capacity, self.nthreads, false);
-        self.merged_of = merged_of;
+        // of the merge is still cached.
+        let avail = avail_volatile(self.g, self.assign, capacity);
+        let (sched, plan, planned) =
+            cold_plan(self.g, self.assign, self.cost, &self.dcg, &self.levels, avail, capacity);
         self.sched = sched;
         self.plan = plan;
         planned
@@ -158,13 +154,8 @@ impl<'g> Replanner<'g> {
             }
         }
         let assign = owner_compute_assignment(self.g, &owner, alive.len());
-        let blevel = bottom_levels_par(self.g, self.cost, Some(&assign), self.nthreads);
-        let h = slice_h_par(self.g, &assign, &self.dcg, self.nthreads);
         let avail = avail_volatile(self.g, &assign, capacity);
-        let (merged_of, nmerged) = merge_slices_from_h(&h, avail);
-        let sched = order_for(self.g, &assign, self.cost, &self.dcg, &merged_of, nmerged, &blevel);
-        let plan = RtPlan::new(self.g, &sched);
-        let planned = place_and_verify(self.g, &sched, &plan, capacity, self.nthreads, false);
+        let (sched, planned) = self.plan_for(&assign, avail, capacity);
         SurvivorPlan { sched, planned }
     }
 
@@ -178,11 +169,11 @@ impl<'g> Replanner<'g> {
     /// (only the DCG is assignment-independent and reused).
     ///
     /// Deterministic end to end: the feedback decision is pure integer
-    /// arithmetic over the metrics and every downstream stage is
-    /// thread-count-invariant, so the same metrics yield the same
-    /// [`plan_hash`] on every run and every `nthreads`. The cached
-    /// fault-free plan is untouched; apply repeatedly by rebuilding a
-    /// [`Replanner`] over the returned assignment.
+    /// arithmetic over the metrics and every downstream stage is a
+    /// function of its inputs alone, so the same metrics yield the same
+    /// [`plan_hash`] on every run. The cached fault-free plan is
+    /// untouched; apply repeatedly by rebuilding a [`Replanner`] over
+    /// the returned assignment.
     pub fn replan_feedback(
         &self,
         metrics: &[ProcMetrics],
@@ -192,15 +183,19 @@ impl<'g> Replanner<'g> {
         let feedback = feedback_plan(self.g, self.assign, metrics, cfg);
         let owner = apply_moves(&self.assign.owner, &feedback.moves);
         let assign = owner_compute_assignment(self.g, &owner, self.assign.nprocs);
-        let blevel = bottom_levels_par(self.g, self.cost, Some(&assign), self.nthreads);
-        let h = slice_h_par(self.g, &assign, &self.dcg, self.nthreads);
         let avail = avail_volatile(self.g, &assign, capacity);
         let avail = (avail as u128 * feedback.avail_scale_permille as u128 / 1000) as u64;
-        let (merged_of, nmerged) = merge_slices_from_h(&h, avail);
-        let sched = order_for(self.g, &assign, self.cost, &self.dcg, &merged_of, nmerged, &blevel);
-        let plan = RtPlan::new(self.g, &sched);
-        let planned = place_and_verify(self.g, &sched, &plan, capacity, self.nthreads, false);
+        let (sched, planned) = self.plan_for(&assign, avail, capacity);
         FeedbackOutcome { feedback, sched, planned }
+    }
+
+    /// Cold-plan another assignment of the cached graph under a volatile
+    /// budget of `avail`; only the DCG is reused.
+    fn plan_for(&self, assign: &Assignment, avail: u64, capacity: u64) -> (Schedule, Planned) {
+        let levels = Levels::of(self.g, assign, self.cost, &self.dcg);
+        let (sched, _, planned) =
+            cold_plan(self.g, assign, self.cost, &self.dcg, &levels, avail, capacity);
+        (sched, planned)
     }
 }
 
@@ -228,60 +223,35 @@ pub struct SurvivorPlan {
     pub planned: Planned,
 }
 
-fn order_for(
+/// The one cold pipeline below the levels: Figure-6 merge of `H` under
+/// `avail`, ordering simulation over the merged slices, protocol plan,
+/// MAP placement and full verification under `capacity`.
+fn cold_plan(
     g: &TaskGraph,
     assign: &Assignment,
     cost: &CostModel,
     dcg: &Dcg,
-    merged_of: &[u32],
-    nmerged: u32,
-    blevel: &[f64],
-) -> Schedule {
+    levels: &Levels,
+    avail: u64,
+    capacity: u64,
+) -> (Schedule, RtPlan, Planned) {
+    let (merged_of, nmerged) = merge_slices_from_h(&levels.h, avail);
     let slice_of_task: Vec<u32> =
         g.tasks().map(|t| merged_of[dcg.slice_of_task[t.idx()] as usize]).collect();
-    dts_order_with_blevel(g, assign, cost, &slice_of_task, nmerged, blevel)
-}
-
-fn place_and_verify(
-    g: &TaskGraph,
-    sched: &Schedule,
-    plan: &RtPlan,
-    capacity: u64,
-    nthreads: usize,
-    incremental: bool,
-) -> Planned {
-    match plan.place_maps_par(g, sched, capacity, MapWindow::Greedy, nthreads) {
+    let sched = dts_order_with_blevel(g, assign, cost, &slice_of_task, nmerged, &levels.blevel);
+    let plan = RtPlan::new(g, &sched);
+    let planned = match place_or_reject(g, &sched, &plan, capacity) {
         Ok(placement) => {
-            let report = verify_par(g, sched, plan, &placement, nthreads);
-            Planned { placement, report, incremental }
+            let report = verify(g, &sched, &plan, &placement);
+            Planned { placement, report, incremental: false }
         }
-        Err(_) => {
-            // Mirror `verify_capacity`'s infeasibility report.
-            let mut findings = Vec::new();
-            match rapid_core::memreq::window_peaks(g, sched, capacity) {
-                Err(iw) => findings.push(Finding::CapacityExceeded {
-                    proc: iw.proc as u32,
-                    position: iw.position,
-                    needed: iw.needed,
-                    capacity,
-                    live: iw.live,
-                }),
-                Ok(_) => findings.push(Finding::Malformed {
-                    detail: "placement failed but window analysis found the plan feasible"
-                        .to_string(),
-                }),
-            }
-            Planned {
-                placement: MapPlacement {
-                    capacity,
-                    window: MapWindow::Greedy,
-                    per_proc: Vec::new(),
-                },
-                report: VerifyReport { findings, peak: Vec::new(), capacity },
-                incremental,
-            }
-        }
-    }
+        Err(report) => Planned {
+            placement: MapPlacement { capacity, window: MapWindow::Greedy, per_proc: Vec::new() },
+            report,
+            incremental: false,
+        },
+    };
+    (sched, plan, planned)
 }
 
 /// FNV-1a hash of a complete plan — orders, placement windows, frees,
@@ -326,6 +296,7 @@ pub fn plan_hash(sched: &Schedule, placement: &MapPlacement) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Finding;
     use rapid_core::fixtures::{random_irregular_graph, RandomGraphSpec};
     use rapid_core::memreq::min_mem;
     use rapid_sched::{cyclic_owner_map, dts_order, dts_order_merged, owner_compute_assignment};
@@ -343,11 +314,11 @@ mod tests {
     }
 
     #[test]
-    fn cold_plan_matches_sequential_pipeline() {
+    fn cold_plan_is_dts_order_merged() {
         let cost = CostModel::unit();
         for seed in 0..3u64 {
             let (g, a, cap) = case(seed);
-            let (rp, planned) = Replanner::new(&g, &a, &cost, cap, 8);
+            let (rp, planned) = Replanner::new(&g, &a, &cost, cap, 1);
             let seq = dts_order_merged(&g, &a, &cost, cap);
             assert_eq!(rp.sched().order, seq.order, "seed {seed}");
             assert!(planned.report.accepted(), "seed {seed}: {:?}", planned.report.findings);
@@ -359,7 +330,7 @@ mod tests {
     fn capacity_replan_is_verified_and_matches_cold() {
         let cost = CostModel::unit();
         let (g, a, cap) = case(1);
-        let (mut rp, cold) = Replanner::new(&g, &a, &cost, cap, 4);
+        let (mut rp, cold) = Replanner::new(&g, &a, &cost, cap, 1);
         assert!(cold.report.accepted(), "{:?}", cold.report.findings);
         // The cached order's own feasibility floor: replans at or above
         // it stay on the fast path; below it they fall back (or report
@@ -393,7 +364,7 @@ mod tests {
     fn growing_capacity_takes_the_incremental_path() {
         let cost = CostModel::unit();
         let (g, a, cap) = case(2);
-        let (mut rp, cold) = Replanner::new(&g, &a, &cost, cap, 2);
+        let (mut rp, cold) = Replanner::new(&g, &a, &cost, cap, 1);
         assert!(cold.report.accepted(), "{:?}", cold.report.findings);
         // More memory can always host the cached order.
         let re = rp.replan_capacity(2 * cap);
@@ -406,7 +377,7 @@ mod tests {
         let cost = CostModel::unit();
         let (g, a, cap) = case(4);
         let cap = 2 * cap; // headroom: 3 survivors absorb 4 processors' objects
-        let (rp, cold) = Replanner::new(&g, &a, &cost, cap, 4);
+        let (rp, cold) = Replanner::new(&g, &a, &cost, cap, 1);
         assert!(cold.report.accepted(), "{:?}", cold.report.findings);
         let alive = [true, false, true, true];
         let sp = rp.replan_survivors(&alive, cap);
@@ -431,10 +402,10 @@ mod tests {
     fn plan_hash_is_stable_and_input_sensitive() {
         let cost = CostModel::unit();
         let (g, a, cap) = case(3);
-        let (r1, p1) = Replanner::new(&g, &a, &cost, cap, 8);
+        let (r1, p1) = Replanner::new(&g, &a, &cost, cap, 1);
         let (r2, p2) = Replanner::new(&g, &a, &cost, cap, 1);
         assert_eq!(plan_hash(r1.sched(), &p1.placement), plan_hash(r2.sched(), &p2.placement));
-        let (r3, p3) = Replanner::new(&g, &a, &cost, cap + 32, 8);
+        let (r3, p3) = Replanner::new(&g, &a, &cost, cap + 32, 1);
         assert_ne!(plan_hash(r1.sched(), &p1.placement), plan_hash(r3.sched(), &p3.placement));
     }
 }

@@ -47,22 +47,21 @@ pub fn verify(
     plan: &RtPlan,
     placement: &MapPlacement,
 ) -> VerifyReport {
-    verify_sharded(g, sched, plan, placement, 1)
-}
+    let mut findings = Vec::new();
+    let structural_ok = check_structure(g, sched, placement, &mut findings);
+    let addr_win = build_addr_win(placement);
+    capacity_findings(g, sched, plan, placement, &addr_win, &mut findings);
 
-/// Parallel [`verify`]: the analyses shard cleanly — dataflow and
-/// precedence per processor, address coverage per message range — and every shard's findings are concatenated in shard
-/// order, so the report (findings, order included) is **identical** to
-/// the sequential verifier for any `nthreads >= 1`. Only the single
-/// global deadlock-cycle search stays sequential.
-pub fn verify_par(
-    g: &TaskGraph,
-    sched: &Schedule,
-    plan: &RtPlan,
-    placement: &MapPlacement,
-    nthreads: usize,
-) -> VerifyReport {
-    verify_sharded(g, sched, plan, placement, nthreads.max(1))
+    // Precedence and deadlock need trustworthy task positions.
+    if structural_ok {
+        precedence_findings(g, sched, &mut findings);
+        if let Some(cycle) = hb::deadlock_cycle(sched, plan, placement, &addr_win) {
+            findings.push(Finding::Deadlock { cycle });
+        }
+    }
+
+    let peak = placement.peaks(&plan.perm_units);
+    VerifyReport { findings, peak, capacity: placement.capacity }
 }
 
 /// Capacity-affected subset of the analyses, for the cap-only
@@ -85,86 +84,71 @@ pub fn verify_par(
 ///
 /// [`Replanner::replan_capacity`](crate::Replanner::replan_capacity)
 /// relies on exactly this contract; anything that changes the graph or
-/// the schedule must go through [`verify`] / [`verify_par`].
+/// the schedule must go through [`verify`].
 pub fn verify_placement(
     g: &TaskGraph,
     sched: &Schedule,
     plan: &RtPlan,
     placement: &MapPlacement,
-    nthreads: usize,
 ) -> VerifyReport {
-    let nthreads = nthreads.max(1);
-    let capacity = placement.capacity;
-    let mut findings = dataflow_findings(g, sched, plan, placement, nthreads);
-    let addr_win = build_addr_win(placement);
-    let (addr_findings, consumed) = address_findings(sched, plan, &addr_win, nthreads);
-    findings.extend(addr_findings);
-    findings.extend(stale_findings(&addr_win, &consumed));
+    let mut findings = Vec::new();
+    capacity_findings(g, sched, plan, placement, &build_addr_win(placement), &mut findings);
     let peak = placement.peaks(&plan.perm_units);
-    VerifyReport { findings, peak, capacity }
+    VerifyReport { findings, peak, capacity: placement.capacity }
 }
 
-fn verify_sharded(
+/// The analyses a capacity change can flip, in report order: the
+/// per-processor dataflow sweeps (free-safety, allocation sanity,
+/// occupancy accounting, capacity), then address-package coverage
+/// (Fact I) in message order, then stale packages in sorted key order.
+fn capacity_findings(
     g: &TaskGraph,
     sched: &Schedule,
     plan: &RtPlan,
     placement: &MapPlacement,
-    nthreads: usize,
-) -> VerifyReport {
-    let mut findings = Vec::new();
-    let capacity = placement.capacity;
-    let structural_ok = check_structure(g, sched, placement, &mut findings);
+    addr_win: &AddrWin,
+    findings: &mut Vec<Finding>,
+) {
+    for (p, wins) in placement.per_proc.iter().enumerate().take(sched.order.len()) {
+        dataflow::sweep_proc(
+            g,
+            sched,
+            &plan.lv.procs[p],
+            p,
+            wins,
+            placement.capacity,
+            plan.perm_units[p],
+            findings,
+        );
+    }
 
-    // Per-processor dataflow sweeps (free-safety, allocation sanity,
-    // occupancy accounting, capacity).
-    findings.extend(dataflow_findings(g, sched, plan, placement, nthreads));
-
-    // Address-package coverage (Fact I) and stale packages.
-    let addr_win = build_addr_win(placement);
-    let (addr_findings, consumed) = address_findings(sched, plan, &addr_win, nthreads);
-    findings.extend(addr_findings);
-    findings.extend(stale_findings(&addr_win, &consumed));
-
-    // Precedence and deadlock need trustworthy task positions.
-    if structural_ok {
-        findings.extend(precedence_findings(g, sched, nthreads));
-        if let Some(cycle) = hb::deadlock_cycle(sched, plan, placement, &addr_win) {
-            findings.push(Finding::Deadlock { cycle });
+    let mut consumed = KeySet::default();
+    for m in &plan.msgs {
+        for &d in &m.objs {
+            if sched.assign.owner_of(d) == m.dst_proc {
+                continue; // written in place on its owner, no package needed
+            }
+            let key = (m.dst_proc, m.src_proc, d.0);
+            consumed.insert(key);
+            if !addr_win.contains_key(&key) {
+                findings.push(Finding::MissingAddress {
+                    src: m.src_proc,
+                    dst: m.dst_proc,
+                    msg: m.id,
+                    obj: d.0,
+                });
+            }
         }
     }
 
-    let peak = placement.peaks(&plan.perm_units);
-    VerifyReport { findings, peak, capacity }
-}
-
-/// Per-processor dataflow sweeps, sharded over processors; shard-order
-/// concatenation reproduces the sequential per-processor append order.
-fn dataflow_findings(
-    g: &TaskGraph,
-    sched: &Schedule,
-    plan: &RtPlan,
-    placement: &MapPlacement,
-    nthreads: usize,
-) -> Vec<Finding> {
-    let capacity = placement.capacity;
-    let n = sched.order.len().min(placement.per_proc.len());
-    let shards = rapid_core::par::map_shards(nthreads, n, |_i, range| {
-        let mut out = Vec::new();
-        for p in range {
-            dataflow::sweep_proc(
-                g,
-                sched,
-                &plan.lv.procs[p],
-                p,
-                &placement.per_proc[p],
-                capacity,
-                plan.perm_units[p],
-                &mut out,
-            );
-        }
-        out
-    });
-    shards.concat()
+    let mut stale: Vec<(u32, u32, u32)> =
+        addr_win.keys().filter(|k| !consumed.contains(k)).copied().collect();
+    stale.sort_unstable();
+    findings.extend(stale.into_iter().map(|(src, dst, obj)| Finding::StalePackage {
+        src,
+        dst,
+        obj,
+    }));
 }
 
 /// `addr_win` maps (allocating proc, notified proc, obj) to the first
@@ -181,77 +165,24 @@ fn build_addr_win(placement: &MapPlacement) -> AddrWin {
     addr_win
 }
 
-/// Fact-I coverage, sharded over message-id ranges: each shard reports
-/// its [`Finding::MissingAddress`]es in message order and the keys it
-/// consumed; concatenating findings in shard order reproduces the
-/// sequential message-order sweep, and the consumed sets union.
-fn address_findings(
-    sched: &Schedule,
-    plan: &RtPlan,
-    addr_win: &AddrWin,
-    nthreads: usize,
-) -> (Vec<Finding>, KeySet) {
-    let shards = rapid_core::par::map_shards(nthreads, plan.msgs.len(), |_i, range| {
-        let mut out = Vec::new();
-        let mut consumed = KeySet::default();
-        for m in &plan.msgs[range] {
-            for &d in &m.objs {
-                if sched.assign.owner_of(d) == m.dst_proc {
-                    continue; // written in place on its owner, no package needed
-                }
-                consumed.insert((m.dst_proc, m.src_proc, d.0));
-                if !addr_win.contains_key(&(m.dst_proc, m.src_proc, d.0)) {
-                    out.push(Finding::MissingAddress {
-                        src: m.src_proc,
-                        dst: m.dst_proc,
-                        msg: m.id,
-                        obj: d.0,
+/// Every task runs after its same-processor predecessors.
+fn precedence_findings(g: &TaskGraph, sched: &Schedule, findings: &mut Vec<Finding>) {
+    let pos = sched.positions();
+    for (p, order) in sched.order.iter().enumerate() {
+        for (j, &t) in order.iter().enumerate() {
+            for &q in g.preds(t) {
+                let q = TaskId(q);
+                if sched.assign.proc_of(q) == p as u32 && pos[q.idx()] > j as u32 {
+                    findings.push(Finding::PrecedenceViolation {
+                        proc: p as u32,
+                        task: t.0,
+                        pred: q.0,
+                        position: j as u32,
                     });
                 }
             }
         }
-        (out, consumed)
-    });
-    let mut findings = Vec::new();
-    let mut consumed = KeySet::default();
-    for (out, c) in shards {
-        findings.extend(out);
-        consumed.extend(c);
     }
-    (findings, consumed)
-}
-
-/// Packages no send ever consumes, in sorted key order.
-fn stale_findings(addr_win: &AddrWin, consumed: &KeySet) -> Vec<Finding> {
-    let mut stale: Vec<(u32, u32, u32)> =
-        addr_win.keys().filter(|k| !consumed.contains(k)).copied().collect();
-    stale.sort_unstable();
-    stale.into_iter().map(|(q, s, obj)| Finding::StalePackage { src: q, dst: s, obj }).collect()
-}
-
-/// Precedence check, sharded over processors.
-fn precedence_findings(g: &TaskGraph, sched: &Schedule, nthreads: usize) -> Vec<Finding> {
-    let pos = sched.positions();
-    let shards = rapid_core::par::map_shards(nthreads, sched.order.len(), |_i, range| {
-        let mut out = Vec::new();
-        for p in range {
-            for (j, &t) in sched.order[p].iter().enumerate() {
-                for &q in g.preds(t) {
-                    let q = TaskId(q);
-                    if sched.assign.proc_of(q) == p as u32 && pos[q.idx()] > j as u32 {
-                        out.push(Finding::PrecedenceViolation {
-                            proc: p as u32,
-                            task: t.0,
-                            pred: q.0,
-                            position: j as u32,
-                        });
-                    }
-                }
-            }
-        }
-        out
-    });
-    shards.concat()
 }
 
 /// Convenience entry point: build the protocol plan and the greedy MAP
@@ -264,28 +195,37 @@ fn precedence_findings(g: &TaskGraph, sched: &Schedule, nthreads: usize) -> Vec<
 /// window-peak analysis ([`rapid_core::memreq::window_peaks`]).
 pub fn verify_capacity(g: &TaskGraph, sched: &Schedule, capacity: u64) -> VerifyReport {
     let plan = RtPlan::new(g, sched);
-    match plan.place_maps(g, sched, capacity, MapWindow::Greedy) {
+    match place_or_reject(g, sched, &plan, capacity) {
         Ok(placement) => verify(g, sched, &plan, &placement),
-        Err(_) => {
-            let mut findings = Vec::new();
-            match rapid_core::memreq::window_peaks(g, sched, capacity) {
-                Err(iw) => findings.push(Finding::CapacityExceeded {
-                    proc: iw.proc as u32,
-                    position: iw.position,
-                    needed: iw.needed,
-                    capacity,
-                    live: iw.live,
-                }),
-                // place_maps and window_peaks replay the same greedy
-                // policy; disagreement means one of them is broken.
-                Ok(_) => findings.push(Finding::Malformed {
-                    detail: "placement failed but window analysis found the plan feasible"
-                        .to_string(),
-                }),
-            }
-            VerifyReport { findings, peak: Vec::new(), capacity }
-        }
+        Err(report) => report,
     }
+}
+
+/// The greedy MAP placement of `plan` under `capacity`, or the report
+/// that says why there is none (see [`verify_capacity`]).
+pub(crate) fn place_or_reject(
+    g: &TaskGraph,
+    sched: &Schedule,
+    plan: &RtPlan,
+    capacity: u64,
+) -> Result<MapPlacement, VerifyReport> {
+    plan.place_maps(g, sched, capacity, MapWindow::Greedy).map_err(|_| {
+        let finding = match rapid_core::memreq::window_peaks(g, sched, capacity) {
+            Err(iw) => Finding::CapacityExceeded {
+                proc: iw.proc as u32,
+                position: iw.position,
+                needed: iw.needed,
+                capacity,
+                live: iw.live,
+            },
+            // place_maps and window_peaks replay the same greedy
+            // policy; disagreement means one of them is broken.
+            Ok(_) => Finding::Malformed {
+                detail: "placement failed but window analysis found the plan feasible".to_string(),
+            },
+        };
+        VerifyReport { findings: vec![finding], peak: Vec::new(), capacity }
+    })
 }
 
 /// Structural sanity: orders cover every task exactly once on the

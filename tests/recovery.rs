@@ -310,7 +310,7 @@ fn quarantine_replan_completes() {
     // permanents, so plan against a capacity that fits the degraded plan.
     let cap = 2 * min_mem(&g, &sched).min_mem;
     let reference = run_sequential(&g, body);
-    let (replanner, planned) = Replanner::new(&g, &assign, &cost, cap, 2);
+    let (replanner, planned) = Replanner::new(&g, &assign, &cost, cap, 1);
     assert!(planned.report.accepted(), "healthy plan must verify at 2*MIN_MEM");
 
     let broken: u32 = 1;

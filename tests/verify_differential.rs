@@ -165,3 +165,35 @@ fn ordering_policies_all_verify_at_their_min_mem() {
         }
     }
 }
+
+#[test]
+fn cold_plan_hash_of_the_planhash_fixture_is_pinned() {
+    // `planhash 2000 2026` (crates/rapid-verify/src/bin/planhash.rs is
+    // this fixture at any size): DCG, slice `H`, merged-DTS order, MAP
+    // placement and verifier in one number. A plan that moves by one task
+    // or one window moves it; CI pins the 20 000-task value.
+    let (tasks, nprocs) = (2000usize, 8usize);
+    let spec = RandomGraphSpec {
+        objects: tasks / 4,
+        tasks,
+        max_obj_size: 4,
+        max_reads: 3,
+        update_prob: 0.35,
+        accum_prob: 0.05,
+        max_weight: 4.0,
+    };
+    let g = random_irregular_graph(2026, &spec);
+    let owner = cyclic_owner_map(g.num_objects(), nprocs);
+    let assign = owner_compute_assignment(&g, &owner, nprocs);
+    let dcg = rapid::core::dcg::Dcg::build(&g);
+    let hmax = rapid::sched::slice_h(&g, &assign, &dcg).into_iter().max().unwrap_or(0);
+    let mut perm = vec![0u64; nprocs];
+    for d in g.objects() {
+        perm[assign.owner_of(d) as usize] += g.obj_size(d);
+    }
+    let capacity = perm.iter().copied().max().unwrap_or(0) + 2 * hmax + 64;
+    let cost = CostModel::unit();
+    let (rp, planned) = rapid::verify::Replanner::new(&g, &assign, &cost, capacity, 1);
+    assert!(planned.report.accepted(), "{:?}", planned.report.findings);
+    assert_eq!(rapid::verify::plan_hash(rp.sched(), &planned.placement), 0x2fc9_d942_017a_a78e);
+}
