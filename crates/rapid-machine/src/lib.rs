@@ -18,8 +18,8 @@
 //! - [`machine`] — the comm surface the protocol is written against: the
 //!   [`Port`] trait, over the mailbox board for threads and over virtual
 //!   time for the discrete-event simulator,
-//! - [`affinity`] — core pinning (raw `sched_setaffinity`) and
-//!   NUMA-aware worker→core assignment,
+//! - [`affinity`] — core pinning (raw `sched_setaffinity`), used by the
+//!   benchmark's host probe; the executor's worker threads float,
 //! - [`pool`] — the persistent worker threads an executor keeps between
 //!   runs, and the model-checked cell that hands them a job,
 //! - [`fault`] — deterministic, seeded fault injection (mailbox rejection

@@ -1,12 +1,12 @@
 //! The persistent worker pool behind the threaded executor.
 //!
 //! An executor's schedule is built once and run many times, so the threads
-//! that run it are kept too: [`WorkerPool::start`] spawns one thread per
-//! worker, [`WorkerPool::run`] hands one job to all of them, sleeps, and
-//! returns when every thread has left the job, and dropping the pool sends
-//! them home. Between jobs a pool thread yields for [`IDLE_YIELD`] — a
-//! back-to-back run finds it awake — and then parks, so an idle executor
-//! costs no CPU.
+//! that run it are kept too: [`WorkerPool::start`] spawns one floating
+//! (unpinned) thread per worker, [`WorkerPool::run`] hands one job to all
+//! of them, sleeps, and returns when every thread has left the job, and
+//! dropping the pool sends them home. Between jobs a pool thread yields
+//! for [`IDLE_YIELD`] — a back-to-back run finds it awake — and then
+//! parks, so an idle executor costs no CPU.
 //!
 //! The caller does not take a share of the job itself. Measured on the
 //! cold path (pool built, used once, dropped) against a caller that doubles
@@ -42,7 +42,6 @@
 // `rapid-machine/tests/pool_model.rs`, which also refutes both weakenings
 // (`pool-publish-relaxed`, `pool-complete-relaxed`).
 
-use crate::affinity;
 use rapid_sync::{Ordering, SyncAtomicU64, SyncCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::NonNull;
@@ -212,18 +211,18 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Start a pool of `pins.len()` workers. The thread of worker `i` pins
-    /// itself to `pins[i]` (when given) before it does anything else. If a
-    /// thread cannot be spawned, the ones already started are sent home.
-    pub fn start(pins: &[Option<usize>]) -> std::io::Result<Self> {
+    /// Start a pool of `n` workers. Their threads float: the OS places
+    /// them. If a thread cannot be spawned, the ones already started are
+    /// sent home.
+    pub fn start(n: usize) -> std::io::Result<Self> {
         let shared =
             Shared { dispatch: Dispatch::new(), waiter: Mutex::new(std::thread::current()) };
         let mut pool = WorkerPool { shared: Arc::new(shared), threads: Vec::new() };
-        for (index, &cpu) in pins.iter().enumerate() {
+        for index in 0..n {
             let shared = Arc::clone(&pool.shared);
             let thread = std::thread::Builder::new()
                 .name(format!("rapid-worker-{index}"))
-                .spawn(move || serve(&shared, index, cpu))?;
+                .spawn(move || serve(&shared, index))?;
             // Detached from the start (see `Drop`); only its park handle
             // is kept.
             pool.threads.push(thread.thread().clone());
@@ -291,12 +290,8 @@ impl Drop for WorkerPool {
     }
 }
 
-/// A pool thread's life: pin, then serve jobs until the shut-down job.
-fn serve(shared: &Shared, index: usize, cpu: Option<usize>) {
-    if let Some(cpu) = cpu {
-        // Failure leaves the thread floating, which is always safe.
-        let _ = affinity::pin_current_thread(cpu);
-    }
+/// A pool thread's life: serve jobs until the shut-down job.
+fn serve(shared: &Shared, index: usize) {
     let mut seen = 0;
     let mut idle_since: Option<Instant> = None;
     loop {
@@ -328,7 +323,7 @@ mod tests {
 
     #[test]
     fn every_worker_runs_every_job_once() {
-        let mut pool = WorkerPool::start(&[None; 4]).unwrap();
+        let mut pool = WorkerPool::start(4).unwrap();
         assert_eq!(pool.workers(), 4);
         let calls = AtomicUsize::new(0);
         for round in 0..50usize {
@@ -344,7 +339,7 @@ mod tests {
 
     #[test]
     fn job_borrows_from_the_callers_stack() {
-        let mut pool = WorkerPool::start(&[None; 3]).unwrap();
+        let mut pool = WorkerPool::start(3).unwrap();
         let local = vec![7u64, 8, 9];
         let out = pool.run(|i| local[i]);
         assert_eq!(out.into_iter().map(|r| r.unwrap()).collect::<Vec<_>>(), local);
@@ -352,7 +347,7 @@ mod tests {
 
     #[test]
     fn a_panicking_share_is_returned_and_the_pool_survives() {
-        let mut pool = WorkerPool::start(&[None; 3]).unwrap();
+        let mut pool = WorkerPool::start(3).unwrap();
         for victim in 0..3 {
             let out = pool.run(|i| {
                 if i == victim {
@@ -375,7 +370,7 @@ mod tests {
 
     #[test]
     fn parked_threads_wake_for_the_next_job() {
-        let mut pool = WorkerPool::start(&[None; 2]).unwrap();
+        let mut pool = WorkerPool::start(2).unwrap();
         assert!(pool.run(|i| i).into_iter().all(|r| r.is_ok()));
         // Well past IDLE_YIELD: the pool thread has parked by now.
         std::thread::sleep(IDLE_YIELD * 50);
@@ -384,7 +379,7 @@ mod tests {
 
     #[test]
     fn jobs_never_run_on_the_calling_thread() {
-        let mut pool = WorkerPool::start(&[None; 2]).unwrap();
+        let mut pool = WorkerPool::start(2).unwrap();
         let caller = std::thread::current().id();
         for ran_on in pool.run(|_| std::thread::current().id()) {
             assert_ne!(ran_on.unwrap(), caller);
@@ -393,7 +388,7 @@ mod tests {
 
     #[test]
     fn an_empty_pool_runs_nothing() {
-        let mut pool = WorkerPool::start(&[]).unwrap();
+        let mut pool = WorkerPool::start(0).unwrap();
         assert!(pool.run(|i| i).is_empty());
     }
 }

@@ -27,8 +27,7 @@ use rapid_machine::config::MachineConfig;
 use rapid_machine::fault::{FaultPlan, FaultSite, FaultSpec};
 use rapid_machine::machine::VirtualMachine;
 use rapid_trace::{
-    decode_rings, FlatRing, LiveDrain, ProcMetrics, ProtoState, StreamChecker, TraceConfig,
-    TraceReport, TraceSet, TraceTier, Violation,
+    decode_rings, FlatRing, ProcMetrics, ProtoState, TraceConfig, TraceSet, TraceTier,
 };
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -100,11 +99,6 @@ pub struct DesConfig {
     /// into typed events when the run completes. Timestamps are virtual
     /// nanoseconds, so same-seed reruns produce byte-identical traces.
     pub trace: Option<TraceConfig>,
-    /// Check the Theorem-1 obligations *during* the simulation: a
-    /// [`LiveDrain`] polls the rings inline between event-loop steps and
-    /// the verdict lands in [`DesOutcome::stream_verdict`]. Requires
-    /// `trace` at a tier other than [`TraceTier::Off`].
-    pub streaming: bool,
 }
 
 impl DesConfig {
@@ -116,7 +110,6 @@ impl DesConfig {
             window: MapWindow::Greedy,
             faults: None,
             trace: None,
-            streaming: false,
         }
     }
 
@@ -157,13 +150,6 @@ impl DesConfig {
         self.trace = Some(cfg);
         self
     }
-
-    /// Run the streaming checker inline with the simulation (see
-    /// [`DesConfig::streaming`]).
-    pub fn with_streaming_check(mut self) -> Self {
-        self.streaming = true;
-        self
-    }
 }
 
 /// Result of a successful run.
@@ -189,10 +175,6 @@ pub struct DesOutcome {
     /// Per-processor metrics replayed from the trace (present exactly
     /// when `trace` is).
     pub metrics: Option<Vec<ProcMetrics>>,
-    /// Verdict of the inline streaming checker, when
-    /// [`DesConfig::streaming`] was set: the same typed result the
-    /// post-hoc [`rapid_trace::check`] replay produces.
-    pub stream_verdict: Option<Result<TraceReport, Violation>>,
 }
 
 impl DesOutcome {
@@ -386,16 +368,6 @@ impl<'a> DesExecutor<'a> {
             let cap = self.cfg.trace.map_or(0, |tc| tc.capacity);
             (0..nprocs).map(|p| FlatRing::new(p as u32, cap + cap / 4)).collect()
         });
-        // The inline streaming checker: polled between event-loop steps,
-        // finished (with the exact quiesced claim) after the loop.
-        let mut drain = (self.cfg.streaming && rings.is_some()).then(|| {
-            LiveDrain::new(StreamChecker::new(
-                self.g,
-                self.sched,
-                self.plan.trace_spec(m.capacity),
-                tier,
-            ))
-        });
 
         // Address mailboxes: the cores talk to the same `Port` surface as
         // under the threaded executor, here over virtual time. At most one
@@ -478,14 +450,7 @@ impl<'a> DesExecutor<'a> {
 
         // What each processor that cannot go on is waiting for.
         let mut blocked: Vec<Option<On>> = vec![None; nprocs];
-        let mut polled = 0u64;
         while let Some(Reverse((OrdF64(t), _, p))) = sim.events.pop() {
-            polled += 1;
-            if polled & 63 == 0 {
-                if let (Some(d), Some(rs)) = (drain.as_mut(), rings.as_deref()) {
-                    d.poll(rs);
-                }
-            }
             let core = &mut cores[p as usize];
             if core.is_done() {
                 continue;
@@ -558,14 +523,10 @@ impl<'a> DesExecutor<'a> {
         let peak_mem = cores.iter().map(|c| c.peak()).collect();
         let suspended_sends = cores.iter().map(|c| c.suspended_ever()).sum();
         // Quiesce the writers, then decode the rings back into the typed
-        // schema (exact drop accounting via the quiesced claim).
+        // schema (exact drop accounting of the quiesced read).
         drop(cores);
         let trace = rings.as_deref().map(decode_rings);
         let metrics = trace.as_ref().map(ProcMetrics::from_traces);
-        let stream_verdict = match (drain, rings.as_deref()) {
-            (Some(d), Some(rs)) => Some(d.finish(rs)),
-            _ => None,
-        };
         Ok(DesOutcome {
             parallel_time,
             maps,
@@ -576,7 +537,6 @@ impl<'a> DesExecutor<'a> {
             finish: sim.finish,
             trace,
             metrics,
-            stream_verdict,
         })
     }
 }

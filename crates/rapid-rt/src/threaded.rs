@@ -40,10 +40,6 @@
 //!   mailbox board: the paper's unbuffered scheme, in which a sender blocks
 //!   on a slot its receiver has not drained (see [`rapid_machine::machine`]
 //!   for why a fault-free sender never does).
-//! - **Workers can pin to cores.** [`ThreadedExecutor::with_pinning`]
-//!   assigns workers to physical cores NUMA-aware (see
-//!   [`rapid_machine::affinity`]) so the per-processor RMA working sets
-//!   stop migrating between caches.
 //!
 //! ## Run lifecycle
 //!
@@ -80,7 +76,6 @@ use crate::maps::{AccessOp, AccessViolation, AddressPlan, ExecError, MapWindow, 
 use crate::recover::RecoveryPolicy;
 use rapid_core::graph::{ObjId, TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
-use rapid_machine::affinity;
 use rapid_machine::arena::FitPolicy;
 use rapid_machine::fault::{FaultPlan, FaultSite};
 use rapid_machine::machine::{DirectMachine, DirectPort};
@@ -88,8 +83,7 @@ use rapid_machine::pool::WorkerPool;
 use rapid_machine::rma::{FlagBoard, RmaHeap};
 use rapid_machine::wait::Wait;
 use rapid_trace::{
-    decode_ring, FlatRing, LiveDrain, ProcMetrics, ProcTrace, StreamChecker, TraceConfig,
-    TraceReport, TraceSet, TraceTier, Violation,
+    decode_ring, FlatRing, ProcMetrics, ProcTrace, TraceConfig, TraceSet, TraceTier,
 };
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtOrd};
 use std::sync::Mutex;
@@ -225,10 +219,6 @@ pub struct ThreadedOutcome {
     /// Per-processor aggregates replayed from the trace (present exactly
     /// when `trace` is).
     pub metrics: Option<Vec<ProcMetrics>>,
-    /// Verdict of the concurrent streaming checker, when
-    /// [`ThreadedExecutor::with_streaming_check`] was armed: the same
-    /// typed result the post-hoc [`rapid_trace::check`] replay produces.
-    pub stream_verdict: Option<Result<TraceReport, Violation>>,
 }
 
 /// The threaded executor.
@@ -243,11 +233,9 @@ pub struct ThreadedExecutor<'a> {
     /// address arrival, or message hand-off) happens within this duration.
     /// Defaults to 30 s; see [`ThreadedExecutor::with_watchdog`].
     watchdog: Duration,
-    pinning: bool,
     faults: Option<FaultPlan>,
     tracing: Option<TraceConfig>,
     recovery: Option<RecoveryPolicy>,
-    streaming: bool,
     /// What outlives a run (see "Run lifecycle" in the module docs).
     /// Locked for the whole of a run: concurrent runs on one executor
     /// take turns.
@@ -301,11 +289,9 @@ impl<'a> ThreadedExecutor<'a> {
             addresses,
             capacity,
             watchdog: DEFAULT_WATCHDOG,
-            pinning: false,
             faults: None,
             tracing: None,
             recovery: None,
-            streaming: false,
             kept: Mutex::new(Kept::default()),
         }
     }
@@ -340,35 +326,9 @@ impl<'a> ThreadedExecutor<'a> {
         self
     }
 
-    /// Check the Theorem-1 obligations *while the run executes* (builder
-    /// form): a dedicated checker thread claims each worker's flat ring
-    /// via seqlock-style epoch claims, replays the events through the
-    /// same [`StreamChecker`] core the post-hoc [`rapid_trace::check`]
-    /// uses, and delivers its verdict in
-    /// [`ThreadedOutcome::stream_verdict`]. Requires
-    /// [`ThreadedExecutor::with_tracing`] at a tier other than
-    /// [`TraceTier::Off`]; otherwise the verdict is `None`.
-    pub fn with_streaming_check(mut self) -> Self {
-        self.streaming = true;
-        self
-    }
-
     /// Override the stall watchdog (builder form; 30 s otherwise).
     pub fn with_watchdog(mut self, watchdog: Duration) -> Self {
         self.watchdog = watchdog;
-        self
-    }
-
-    /// Pin each worker thread to a physical core, NUMA-aware (builder
-    /// form). When the host has fewer distinct cores than workers the
-    /// plan degrades to floating threads, which is always safe. A worker
-    /// thread pins itself once, when it starts; the affinity of the
-    /// thread that calls `run` is never touched.
-    pub fn with_pinning(mut self, pinning: bool) -> Self {
-        self.pinning = pinning;
-        // Threads started under the other setting leave here; the next
-        // run starts new ones.
-        self.kept.get_mut().unwrap_or_else(|p| p.into_inner()).pool = None;
         self
     }
 
@@ -441,14 +401,10 @@ impl<'a> ThreadedExecutor<'a> {
         let Kept { pool, heaps, rings: ring_pool } = &mut *kept;
         let pool = match pool {
             Some(pool) => pool,
-            None => {
-                let pins =
-                    if self.pinning { affinity::assign_cores(nprocs) } else { vec![None; nprocs] };
-                pool.insert(WorkerPool::start(&pins).map_err(|e| ExecError::Internal {
-                    proc: 0,
-                    detail: format!("cannot start the worker threads: {e}"),
-                })?)
-            }
+            None => pool.insert(WorkerPool::start(nprocs).map_err(|e| ExecError::Internal {
+                proc: 0,
+                detail: format!("cannot start the worker threads: {e}"),
+            })?),
         };
 
         // The parked heaps leave `kept` for the run and return only if it
@@ -494,7 +450,6 @@ impl<'a> ThreadedExecutor<'a> {
                 (0..nprocs).map(|p| FlatRing::new(p as u32, want)).collect()
             }
         });
-        let rings_ref: Option<&[FlatRing]> = rings.as_deref();
 
         let epoch = Instant::now();
         let shared = Shared {
@@ -515,7 +470,7 @@ impl<'a> ThreadedExecutor<'a> {
             poison: &poison,
             watchdog: self.watchdog,
             faults: self.faults.as_ref(),
-            rings: rings_ref,
+            rings: rings.as_deref(),
             tier,
             recov: &recov,
             epoch,
@@ -542,61 +497,21 @@ impl<'a> ThreadedExecutor<'a> {
         // share that comes back as a panic therefore means the worker
         // itself died (an executor bug). Poison the run and surface it as
         // a typed error instead of aborting the process.
-        let mut run_workers = || -> Vec<WorkerOut> {
-            pool.run(|p| drive(p, shared, fail))
-                .into_iter()
-                .enumerate()
-                .map(|(p, share)| {
-                    share.unwrap_or_else(|payload| {
-                        fail(ExecError::WorkerPanicked {
-                            proc: p as u32,
-                            task: None,
-                            payload: panic_payload_str(payload.as_ref()),
-                        });
-                        WorkerOut::default()
-                    })
-                })
-                .collect()
-        };
-        let (mut per_proc, stream_verdict) = match (self.streaming, rings_ref) {
-            (true, Some(rs)) => {
-                // Quiesce signal for the streaming checker: raised after
-                // every worker has left the run, so its final drain sees
-                // quiesced rings.
-                let quiesced = AtomicBool::new(false);
-                let quiesced = &quiesced;
-                std::thread::scope(|scope| {
-                    let checker = scope.spawn(move || {
-                        let spec = self.plan.trace_spec(self.capacity);
-                        let mut drain = LiveDrain::new(StreamChecker::new(g, sched, spec, tier));
-                        while !quiesced.load(AtOrd::Acquire) {
-                            if !drain.poll(rs) {
-                                // Idle: nothing new published. Sleep rather
-                                // than spin so the checker core does not
-                                // perturb the measured run.
-                                std::thread::sleep(Duration::from_micros(50));
-                            }
-                        }
-                        drain.finish(rs)
+        let mut per_proc: Vec<WorkerOut> = pool
+            .run(|p| drive(p, shared, fail))
+            .into_iter()
+            .enumerate()
+            .map(|(p, share)| {
+                share.unwrap_or_else(|payload| {
+                    fail(ExecError::WorkerPanicked {
+                        proc: p as u32,
+                        task: None,
+                        payload: panic_payload_str(payload.as_ref()),
                     });
-                    let per_proc = run_workers();
-                    quiesced.store(true, AtOrd::Release);
-                    let verdict = match checker.join() {
-                        Ok(v) => Some(v),
-                        Err(payload) => {
-                            fail(ExecError::WorkerPanicked {
-                                proc: nprocs as u32,
-                                task: None,
-                                payload: panic_payload_str(payload.as_ref()),
-                            });
-                            None
-                        }
-                    };
-                    (per_proc, verdict)
+                    WorkerOut::default()
                 })
-            }
-            _ => (run_workers(), None),
-        };
+            })
+            .collect();
         let wall = epoch.elapsed();
 
         if poison.load(AtOrd::Acquire) {
@@ -633,16 +548,7 @@ impl<'a> ThreadedExecutor<'a> {
             None => (None, None),
         };
 
-        Ok(ThreadedOutcome {
-            maps,
-            peak_mem,
-            arena_peak,
-            objects,
-            wall,
-            trace,
-            metrics,
-            stream_verdict,
-        })
+        Ok(ThreadedOutcome { maps, peak_mem, arena_peak, objects, wall, trace, metrics })
     }
 }
 
@@ -1000,8 +906,8 @@ where
 
     // A heap parked by an earlier run is dirty up to the address plan's
     // high-water mark; above it the allocator's zeros were never touched.
-    // This thread pinned itself when it started, so a fresh heap's pages
-    // are first touched (below, by `init` and by the tasks) on its node.
+    // A fresh heap's pages are first touched (below, by `init` and by the
+    // tasks) on this worker's thread.
     // SAFETY: setup phase — the only way into this heap from another
     // thread is a put to an address this worker has announced, and it
     // announces none before its first MAP; the previous run's threads

@@ -33,7 +33,6 @@
 pub mod assign;
 pub mod dsc;
 pub mod dts;
-pub mod feedback;
 pub mod heapsim;
 pub mod mpo;
 pub mod parallel;
@@ -46,7 +45,6 @@ pub use dts::{
     avail_volatile, dts_order, dts_order_merged, dts_order_merged_reference, dts_order_reference,
     dts_order_with_blevel, merge_slices, merge_slices_from_h, merge_slices_reference, slice_h,
 };
-pub use feedback::{apply_moves, feedback_plan, FeedbackConfig, FeedbackPlan, ObjMove};
 pub use mpo::{mpo_order, mpo_order_reference};
 pub use parallel::{plan_parallel, PlanPolicy};
 pub use rapid_core::schedule::Assignment;

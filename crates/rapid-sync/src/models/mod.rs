@@ -1,4 +1,4 @@
-//! Bounded models of the three audited runtime concurrency cores, plus their
+//! Bounded models of two audited runtime concurrency cores, plus their
 //! seeded mutation corpora.
 //!
 //! Each model is parameterized by an orderings/logic struct with a `GOOD`
@@ -9,5 +9,4 @@
 //! negative-corpus style of `rapid-trace`.
 
 pub mod mailbox;
-pub mod ring;
 pub mod sentguard;

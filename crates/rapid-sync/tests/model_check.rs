@@ -1,4 +1,4 @@
-//! Exhaustive interleaving checks of the three audited runtime cores, plus
+//! Exhaustive interleaving checks of two audited runtime cores, plus
 //! the seeded mutation corpus that validates the checker itself: every GOOD
 //! configuration must pass with the full bounded state space explored, and
 //! every mutant (weakened ordering / deleted fence / logic slip) must be
@@ -11,7 +11,7 @@
 #![cfg(any(debug_assertions, rapid_model_check))]
 
 use rapid_sync::model::{self, Config, Counterexample};
-use rapid_sync::models::{mailbox, ring, sentguard};
+use rapid_sync::models::{mailbox, sentguard};
 use rapid_sync::{Ordering, SyncAtomicU64};
 
 fn cfg() -> Config {
@@ -22,28 +22,6 @@ fn assert_named_cex(name: &str, cex: &Counterexample) {
     assert_eq!(cex.model, name, "counterexample carries the mutant name");
     assert!(!cex.trace.is_empty(), "counterexample for `{name}` has a concrete interleaving");
     println!("== mutant `{name}` refuted ==\n{}", cex.render());
-}
-
-// ---------------------------------------------------------------------------
-// Flat-ring seqlock
-// ---------------------------------------------------------------------------
-
-#[test]
-fn ring_good_passes_exhaustively() {
-    let stats = model::check_passes("ring-good", cfg(), ring::scenario(ring::GOOD));
-    println!(
-        "ring-good: {} executions ({} pruned), {} steps",
-        stats.executions, stats.pruned, stats.steps
-    );
-    assert!(stats.executions > 50, "state space was actually explored");
-}
-
-#[test]
-fn ring_mutants_all_caught() {
-    for (name, mutant) in ring::mutants() {
-        let cex = model::require_violation(name, cfg(), ring::scenario(mutant));
-        assert_named_cex(name, &cex);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -99,9 +77,9 @@ fn sentguard_mutants_all_caught() {
 /// replayable by re-running the test.
 #[test]
 fn counterexamples_are_reproducible() {
-    let (name, mutant) = &ring::mutants()[0];
-    let a = model::require_violation(name, cfg(), ring::scenario(*mutant));
-    let b = model::require_violation(name, cfg(), ring::scenario(*mutant));
+    let (name, mutant) = &mailbox::mutants()[0];
+    let a = model::require_violation(name, cfg(), mailbox::scenario(*mutant));
+    let b = model::require_violation(name, cfg(), mailbox::scenario(*mutant));
     assert_eq!(a.schedule, b.schedule);
     assert_eq!(a.trace, b.trace);
     assert_eq!(a.executions, b.executions);

@@ -38,11 +38,11 @@
 //! matching of (2) — exactly what a distributed trace can promise
 //! without a global clock.
 
-use crate::event::{Event, ProcTrace, ProtoState, TraceSet, TraceTier};
-use crate::stream::StreamChecker;
-use rapid_core::graph::TaskGraph;
+use crate::event::{Event, ProcTrace, ProtoState, TraceSet, TraceTier, NO_OFFSET};
+use rapid_core::graph::{ObjId, TaskGraph};
+use rapid_core::liveness::Liveness;
 use rapid_core::schedule::Schedule;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 /// One message of the protocol plan, in plain data form (so the checker
 /// does not depend on the runtime crate; the runtime provides a
@@ -335,10 +335,7 @@ pub struct TraceReport {
 /// Theorem-1 obligations. Returns the first violation found, or a
 /// [`TraceReport`] summarizing the clean replay.
 ///
-/// This is a thin wrapper over [`StreamChecker`]: the events are fed
-/// through the same incremental replay the live streaming checker runs,
-/// so a post-hoc verdict and a streaming verdict can never diverge. The
-/// trace is assumed Full-tier; for traces recorded at a reduced tier use
+/// The trace is assumed Full-tier; for traces recorded at a reduced tier use
 /// [`check_tier`], which relaxes exactly the obligations the tier cannot
 /// witness.
 pub fn check(
@@ -362,17 +359,360 @@ pub fn check_tier(
     traces: &TraceSet,
     tier: TraceTier,
 ) -> Result<TraceReport, Violation> {
-    let mut sc = StreamChecker::new(g, sched, spec.clone(), tier);
+    let mut replay = Replay::new(g, sched, spec.clone(), tier);
     for trace in &traces.procs {
         if trace.dropped() > 0 {
-            sc.note_dropped(trace.proc, trace.dropped());
+            replay.note_dropped(trace.proc, trace.dropped());
         } else {
-            for (ts, ev) in trace.iter() {
-                sc.feed(trace.proc, *ts, ev);
+            for (_, ev) in trace.iter() {
+                replay.feed(trace.proc, ev);
             }
         }
     }
-    sc.finish()
+    replay.finish()
+}
+
+/// One processor's incremental replay state (the per-processor locals of
+/// the post-hoc checker, lifted into a struct).
+struct ProcReplay {
+    state: Option<ProtoState>,
+    in_use: u64,
+    peak: u64,
+    live: HashSet<u32>,
+    ever_freed: HashSet<u32>,
+    /// offset -> (len, obj) for live buffers with real offsets.
+    placed: BTreeMap<u64, (u64, u32)>,
+    /// (src proc, obj) addresses received.
+    known: HashSet<(u32, u32)>,
+    /// Message ids observed in REC.
+    recvd: HashSet<u32>,
+    cur_map_pos: Option<u32>,
+    next_task: usize,
+    maps: u32,
+}
+
+/// The incremental Theorem-1 replay behind [`check_tier`]. Feed events
+/// per processor in program order (any interleaving across processors),
+/// then `finish` for the cross-processor obligations and the report.
+///
+/// The replay latches the *first* violation and ignores further input.
+/// Cross-processor tables use ordered maps so the finish-time verdict is
+/// deterministic even when several pairs are in violation.
+struct Replay<'a> {
+    sched: &'a Schedule,
+    spec: ProtocolSpec,
+    tier: TraceTier,
+    lv: Liveness,
+    procs: Vec<ProcReplay>,
+    pkg_sends: BTreeMap<(u32, u32), Vec<Vec<u32>>>,
+    pkg_recvs: BTreeMap<(u32, u32), Vec<Vec<u32>>>,
+    msgs_sent: BTreeSet<u32>,
+    msgs_recvd: BTreeSet<u32>,
+    error: Option<Violation>,
+}
+
+impl<'a> Replay<'a> {
+    fn new(g: &TaskGraph, sched: &'a Schedule, spec: ProtocolSpec, tier: TraceTier) -> Self {
+        let lv = Liveness::analyze(g, sched);
+        let procs = (0..spec.nprocs)
+            .map(|p| ProcReplay {
+                state: None,
+                in_use: spec.perm_units[p],
+                peak: spec.perm_units[p],
+                live: HashSet::new(),
+                ever_freed: HashSet::new(),
+                placed: BTreeMap::new(),
+                known: HashSet::new(),
+                recvd: HashSet::new(),
+                cur_map_pos: None,
+                next_task: 0,
+                maps: 0,
+            })
+            .collect();
+        Replay {
+            sched,
+            spec,
+            tier,
+            lv,
+            procs,
+            pkg_sends: BTreeMap::new(),
+            pkg_recvs: BTreeMap::new(),
+            msgs_sent: BTreeSet::new(),
+            msgs_recvd: BTreeSet::new(),
+            error: None,
+        }
+    }
+
+    /// Processor `proc`'s ring dropped `n` records: a replay with a
+    /// missing prefix proves nothing, so this latches `Incomplete`.
+    fn note_dropped(&mut self, proc: u32, n: u64) {
+        if n > 0 && self.error.is_none() {
+            self.error = Some(Violation::Incomplete { proc, dropped: n });
+        }
+    }
+
+    /// Feed one event of processor `proc`'s trace, in program order.
+    fn feed(&mut self, proc: u32, ev: &Event) {
+        if self.error.is_some() {
+            return;
+        }
+        if let Err(v) = self.apply(proc, ev) {
+            self.error = Some(v);
+        }
+    }
+
+    fn apply(&mut self, p: u32, ev: &Event) -> Result<(), Violation> {
+        let pr = &mut self.procs[p as usize];
+        let pl = &self.lv.procs[p as usize];
+        let order = &self.sched.order[p as usize];
+        match ev {
+            Event::State(s) => {
+                if let Some(prev) = pr.state {
+                    if !prev.may_precede(*s) {
+                        return Err(Violation::IllegalTransition { proc: p, from: prev, to: *s });
+                    }
+                }
+                pr.state = Some(*s);
+            }
+            Event::MapBegin { pos } => {
+                pr.cur_map_pos = Some(*pos);
+                pr.maps += 1;
+            }
+            Event::Free { obj, units, offset } => {
+                if !pr.live.remove(obj) {
+                    return Err(Violation::DoubleFree { proc: p, obj: *obj });
+                }
+                if let Ok(k) = pl.volatile.binary_search(&ObjId(*obj)) {
+                    let (_, last) = pl.volatile_span[k];
+                    let map_pos = pr.cur_map_pos.unwrap_or(0);
+                    if map_pos <= last {
+                        return Err(Violation::FreeBeforeLastUse {
+                            proc: p,
+                            obj: *obj,
+                            map_pos,
+                            last_use: last,
+                        });
+                    }
+                }
+                pr.ever_freed.insert(*obj);
+                pr.in_use = pr.in_use.saturating_sub(*units);
+                if *offset != NO_OFFSET {
+                    pr.placed.remove(offset);
+                }
+            }
+            Event::Alloc { obj, units, offset } => {
+                if pr.live.contains(obj) || pr.ever_freed.contains(obj) {
+                    return Err(Violation::DoubleAlloc { proc: p, obj: *obj });
+                }
+                pr.live.insert(*obj);
+                pr.in_use += units;
+                pr.peak = pr.peak.max(pr.in_use);
+                if pr.in_use > self.spec.capacity {
+                    return Err(Violation::CapExceeded {
+                        proc: p,
+                        in_use: pr.in_use,
+                        capacity: self.spec.capacity,
+                    });
+                }
+                if *offset != NO_OFFSET {
+                    // Overlap iff a live range starts inside ours or the
+                    // predecessor range reaches into us.
+                    let end = offset + units;
+                    if let Some((_, &(_, other))) = pr.placed.range(*offset..end).next() {
+                        return Err(Violation::OverlappingAlloc { proc: p, obj: *obj, other });
+                    }
+                    if let Some((&o, &(len, other))) = pr.placed.range(..*offset).next_back() {
+                        if o + len > *offset {
+                            return Err(Violation::OverlappingAlloc { proc: p, obj: *obj, other });
+                        }
+                    }
+                    pr.placed.insert(*offset, (*units, *obj));
+                }
+            }
+            Event::AllocRollback { obj, units } => {
+                if !pr.live.remove(obj) {
+                    return Err(Violation::DoubleFree { proc: p, obj: *obj });
+                }
+                pr.in_use = pr.in_use.saturating_sub(*units);
+                pr.placed.retain(|_, &mut (_, o)| o != *obj);
+            }
+            Event::MapEnd { pos, in_use: reported, .. } => {
+                if *reported != pr.in_use {
+                    return Err(Violation::AccountingMismatch {
+                        proc: p,
+                        map_pos: *pos,
+                        reported: *reported,
+                        replayed: pr.in_use,
+                    });
+                }
+                pr.cur_map_pos = None;
+            }
+            Event::PkgSend { dst, seq, objs } => {
+                let sends = self.pkg_sends.entry((p, *dst)).or_default();
+                if *seq as usize != sends.len() {
+                    return Err(Violation::MailboxClobber {
+                        src: p,
+                        dst: *dst,
+                        seq: *seq,
+                        detail: format!("send seq {seq} but {} sends recorded", sends.len()),
+                    });
+                }
+                sends.push(objs.clone());
+            }
+            Event::PkgRecv { src, seq, objs } => {
+                let recvs = self.pkg_recvs.entry((*src, p)).or_default();
+                if *seq as usize != recvs.len() {
+                    return Err(Violation::MailboxClobber {
+                        src: *src,
+                        dst: p,
+                        seq: *seq,
+                        detail: format!("recv seq {seq} but {} recvs recorded", recvs.len()),
+                    });
+                }
+                recvs.push(objs.clone());
+                for obj in objs {
+                    pr.known.insert((*src, *obj));
+                }
+            }
+            Event::SendOk { msg } => {
+                let m =
+                    self.spec.msgs.get(*msg as usize).ok_or_else(|| Violation::PhantomMessage {
+                        msg: *msg,
+                        detail: "message id outside the protocol plan".into(),
+                    })?;
+                if m.src_proc != p {
+                    return Err(Violation::PhantomMessage {
+                        msg: *msg,
+                        detail: format!("sent by P{p} but planned from P{}", m.src_proc),
+                    });
+                }
+                // Fact I needs the receive-side package drains, which a
+                // Skeleton trace legitimately lacks.
+                if self.tier >= TraceTier::Full {
+                    for &obj in &m.objs {
+                        let permanent = self.sched.assign.owner_of(ObjId(obj)) == m.dst_proc;
+                        if !permanent && !pr.known.contains(&(m.dst_proc, obj)) {
+                            return Err(Violation::WriteBeforeAddress { proc: p, msg: *msg, obj });
+                        }
+                    }
+                }
+                self.msgs_sent.insert(*msg);
+            }
+            Event::SendSuspend { .. } | Event::CqRetry { .. } => {}
+            Event::MsgRecv { msg } => {
+                match self.spec.msgs.get(*msg as usize) {
+                    Some(m) if m.dst_proc == p => {}
+                    Some(m) => {
+                        return Err(Violation::PhantomMessage {
+                            msg: *msg,
+                            detail: format!("observed on P{p} but destined for P{}", m.dst_proc),
+                        })
+                    }
+                    None => {
+                        return Err(Violation::PhantomMessage {
+                            msg: *msg,
+                            detail: "message id outside the protocol plan".into(),
+                        })
+                    }
+                }
+                pr.recvd.insert(*msg);
+                self.msgs_recvd.insert(*msg);
+            }
+            Event::TaskBegin { task, .. } => {
+                match order.get(pr.next_task) {
+                    Some(t) if t.0 == *task => {}
+                    other => {
+                        return Err(Violation::OrderViolation {
+                            proc: p,
+                            got: *task,
+                            expected: other.map_or(u32::MAX, |t| t.0),
+                        })
+                    }
+                }
+                for &mid in &self.spec.in_msgs[*task as usize] {
+                    if !pr.recvd.contains(&mid) {
+                        return Err(Violation::MissingRecv { proc: p, task: *task, msg: mid });
+                    }
+                }
+                pr.next_task += 1;
+            }
+            Event::WindowRollback { pos, .. } => {
+                // Recovery rewind: the window starting at `pos` was
+                // abandoned and will re-execute. Rewind the schedule
+                // cursor and forget the protocol state (the worker
+                // legally re-enters REC or stays in MAP); received
+                // messages stay received — arrival flags survive a
+                // rollback by design.
+                pr.next_task = (*pos as usize).min(pr.next_task);
+                pr.state = None;
+            }
+            Event::TaskEnd { .. } | Event::MailboxBusy { .. } | Event::Fault { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// Run the cross-processor obligations and produce the report.
+    fn finish(self) -> Result<TraceReport, Violation> {
+        if let Some(v) = self.error {
+            return Err(v);
+        }
+        // Pairwise mailbox discipline: contents match per sequence
+        // number, and at most one package is ever in flight. At Skeleton
+        // tier the receive side is unrecorded, so only the content check
+        // (vacuously) and the send-side sequencing already done apply.
+        for (&(src, dst), sends) in &self.pkg_sends {
+            let empty = Vec::new();
+            let recvs = self.pkg_recvs.get(&(src, dst)).unwrap_or(&empty);
+            for (k, (s, r)) in sends.iter().zip(recvs.iter()).enumerate() {
+                if s != r {
+                    return Err(Violation::MailboxClobber {
+                        src,
+                        dst,
+                        seq: k as u32,
+                        detail: format!("package contents diverge: sent {s:?}, received {r:?}"),
+                    });
+                }
+            }
+            if self.tier >= TraceTier::Full && sends.len() > recvs.len() + 1 {
+                return Err(Violation::MailboxClobber {
+                    src,
+                    dst,
+                    seq: recvs.len() as u32,
+                    detail: format!(
+                        "{} packages sent but only {} received: >1 in flight through a single slot",
+                        sends.len(),
+                        recvs.len()
+                    ),
+                });
+            }
+        }
+        // Orphan recvs: packages received on a pair that never sent any.
+        for (&(src, dst), recvs) in &self.pkg_recvs {
+            let sent = self.pkg_sends.get(&(src, dst)).map_or(0, |s| s.len());
+            if recvs.len() > sent {
+                return Err(Violation::MailboxClobber {
+                    src,
+                    dst,
+                    seq: sent as u32,
+                    detail: format!("{} packages received but only {sent} sent", recvs.len()),
+                });
+            }
+        }
+        // Every observed message must have been sent by its source.
+        for &mid in &self.msgs_recvd {
+            if !self.msgs_sent.contains(&mid) {
+                return Err(Violation::PhantomMessage {
+                    msg: mid,
+                    detail: "observed by receiver but never sent".into(),
+                });
+            }
+        }
+        let tasks_run: Vec<usize> = self.procs.iter().map(|pr| pr.next_task).collect();
+        let peak_mem: Vec<u64> = self.procs.iter().map(|pr| pr.peak).collect();
+        let maps: Vec<u32> = self.procs.iter().map(|pr| pr.maps).collect();
+        let complete = (0..self.spec.nprocs).all(|p| tasks_run[p] == self.sched.order[p].len());
+        Ok(TraceReport { tasks_run, peak_mem, maps, complete })
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -3,9 +3,9 @@
 //! hand-corrupted traces each falsifying one Theorem-1 obligation.
 //!
 //! The corpus started life inside `check`'s unit tests; it is public so
-//! the differential suites (streaming-vs-post-hoc verdicts, flat-ring
-//! round-trips) exercise the *same* negative cases instead of inventing
-//! weaker ones. Not intended for production use.
+//! the integration suites (the whole negative corpus rejected post hoc,
+//! flat-ring round-trips) exercise the *same* negative cases instead of
+//! inventing weaker ones. Not intended for production use.
 
 use crate::check::{MsgSpec, ProtocolSpec};
 use crate::event::{Event, ProcTrace, ProtoState, TraceConfig, TraceSet, NO_OFFSET};
@@ -135,8 +135,8 @@ pub fn recovered_traces() -> TraceSet {
 
 /// The negative corpus: every hand-corrupted trace of [`tiny`] the
 /// checker's unit tests reject, with the violation kind each must
-/// produce. The streaming-vs-post-hoc differential suite runs the whole
-/// catalog through both checkers.
+/// produce. `tests/trace_tiers.rs` runs the whole catalog through the
+/// post-hoc checker.
 pub fn corrupted() -> Vec<(&'static str, TraceSet, ViolationKind)> {
     let mut cases = Vec::new();
     cases.push((

@@ -11,10 +11,8 @@ use crate::ring::FlatRing;
 /// any continuation records orphaned by the wrap), derived from the
 /// ring's monotone head epoch — not a guess.
 pub fn decode_ring(ring: &FlatRing) -> ProcTrace {
-    let mut buf = Vec::new();
-    let claim = ring.claim_quiesced(0, &mut buf);
+    let (buf, mut dropped) = ring.read_quiesced();
     let mut rs = RecordStream::new();
-    let mut dropped = claim.dropped;
     let mut events = Vec::with_capacity(buf.len());
     for rec in &buf {
         match rs.feed(*rec) {
@@ -37,9 +35,9 @@ pub fn decode_rings(rings: &[FlatRing]) -> TraceSet {
     TraceSet::new(rings.iter().map(decode_ring).collect())
 }
 
-/// Re-encode a typed trace into a flat ring (test harnesses: corrupting
-/// a typed corpus trace and feeding it to the streaming checker as raw
-/// records). `cap_records` bounds the ring as [`FlatRing::new`] does.
+/// Re-encode a typed trace into a flat ring (test harnesses: round-trips
+/// of typed traces through the raw record codec). `cap_records` bounds
+/// the ring as [`FlatRing::new`] does.
 pub fn encode_trace(t: &ProcTrace, cap_records: usize, tier: TraceTier) -> FlatRing {
     let ring = FlatRing::new(t.proc, cap_records);
     let mut w = ring.writer(tier);

@@ -22,9 +22,8 @@
 //! typed ring: each worker writes fixed-width records into a [`FlatRing`]
 //! ([`ring`]/[`record`]), decoded off-line ([`decode`]) back into the
 //! [`Event`] schema so `check()`, `skeleton()` and the exporters are
-//! unchanged — or consumed live by the streaming checker ([`stream`]),
-//! which replays the same obligations concurrently with the run via
-//! seqlock-style epoch claims. A [`TraceTier`] picks how much the
+//! unchanged. A ring is decoded once its writer has quiesced; the checker
+//! runs after the run, never during it. A [`TraceTier`] picks how much the
 //! recorder captures (everything, the protocol skeleton, or nothing).
 //!
 //! The crate depends only on `rapid-core` (graph/schedule/liveness) and
@@ -42,7 +41,6 @@ pub mod export;
 pub mod metrics;
 pub mod record;
 pub mod ring;
-pub mod stream;
 
 pub use check::{
     check, check_tier, skeleton, skeletons, CanonEvent, MsgSpec, ProtocolSpec, TraceReport,
@@ -52,5 +50,4 @@ pub use decode::{decode_ring, decode_rings, encode_trace};
 pub use event::{Event, ProcTrace, ProtoState, TraceConfig, TraceSet, TraceTier, Ts, NO_OFFSET};
 pub use export::chrome_trace_json;
 pub use metrics::ProcMetrics;
-pub use ring::{Claim, FlatRing, FlatWriter};
-pub use stream::{LiveDrain, StreamChecker};
+pub use ring::{FlatRing, FlatWriter};

@@ -99,7 +99,7 @@ fn unpack_two(a: u64) -> (u32, u32) {
     ((a & 0x0fff_ffff) as u32, ((a >> 28) & 0x0fff_ffff) as u32)
 }
 
-/// One step of the streaming decoder.
+/// One step of the record decoder.
 #[derive(Debug)]
 pub enum Step {
     /// A complete event was decoded.
@@ -123,9 +123,8 @@ struct Pending {
     records: u64,
 }
 
-/// Stateful record decoder: feeds records (possibly across several ring
-/// claims) and yields typed events, reassembling object-list chains and
-/// resynchronizing after wrap gaps.
+/// Stateful record decoder: feeds records and yields typed events,
+/// reassembling object-list chains and resynchronizing after wrap gaps.
 pub struct RecordStream {
     pending: Option<Pending>,
 }
@@ -142,18 +141,11 @@ impl RecordStream {
         RecordStream { pending: None }
     }
 
-    /// The ring dropped records between the previous claim and the next:
-    /// any half-assembled chain can never complete. Discards it and
-    /// returns how many records it had consumed (the caller adds them to
-    /// its dropped count).
-    pub fn gap(&mut self) -> u64 {
-        self.pending.take().map_or(0, |p| p.records)
-    }
-
     /// Records consumed by a chain still pending at end of stream (a
-    /// writer that died mid-package). Zero on clean shutdown.
+    /// writer that died mid-package, or a chain whose tail was lost):
+    /// discards it, since it can never complete. Zero on clean shutdown.
     pub fn finish(&mut self) -> u64 {
-        self.gap()
+        self.pending.take().map_or(0, |p| p.records)
     }
 
     /// Decode one record.
@@ -276,11 +268,11 @@ mod tests {
     }
 
     #[test]
-    fn gap_discards_pending_chain() {
+    fn finish_discards_pending_chain() {
         let mut rs = RecordStream::new();
         let head = pack(TAG_PKG_SEND, pack_two(1, 0), 5, 9, 0);
         assert!(matches!(rs.feed(head), Step::Consumed));
-        assert_eq!(rs.gap(), 1, "the header record is lost with its chain");
-        assert_eq!(rs.gap(), 0);
+        assert_eq!(rs.finish(), 1, "the header record is lost with its chain");
+        assert_eq!(rs.finish(), 0);
     }
 }

@@ -3,10 +3,8 @@
 //! Each worker owns one [`FlatRing`] and writes fixed-width 4-word
 //! records ([`crate::record`]) through a [`FlatWriter`] — a single
 //! unsynchronized cursor bump per record, no typed-enum construction, no
-//! allocation, no branching beyond the tier gate. The only cross-thread
-//! communication is the `head` counter, stored with `Release` after the
-//! record words land, so a concurrent reader that observes `head = h`
-//! can read records `< h` (modulo wrap-around overwrite).
+//! allocation, no branching beyond the tier gate. A ring is read only
+//! once its writer has quiesced ([`FlatRing::read_quiesced`]).
 //!
 //! `head` counts records *ever published*, monotonically — it doubles as
 //! the overwrite epoch: record `r` lives in slot `r % cap` until record
@@ -15,27 +13,25 @@
 //! dropped (`h - cap`, when positive). That is what lets the decoder
 //! report a precise drop count for a wrapped ring instead of a silent
 //! truncation.
-//!
-//! Concurrent readers use [`FlatRing::claim`], a seqlock-style epoch
-//! claim: read `head`, copy the unread span, re-read `head`, and keep
-//! only records the writer cannot have been overwriting during the copy.
-//! The writer never waits and never observes the reader.
 
-// sync-audit: the record words are deliberately Relaxed — they carry no
-// happens-before edges of their own. Publication order is enforced by the
-// Release fence + Release `head` store in `push`, and reader stability by the
-// Acquire fence before the `h2` re-read in `claim`. This protocol is model-
-// checked exhaustively by `rapid_sync::models::ring` (see DESIGN.md §16).
+// sync-audit: no ring is ever read while its writer runs. Each ring is read
+// either on its writer's own thread (`decode_ring` before a worker leaves the
+// run, `StallSnapshot::new` on the reporting worker, the single-threaded DES)
+// or by the thread that called `WorkerPool::run`, after the pool's `done`
+// Acquire has ordered every record store before the read. So the word stores
+// and loads are Relaxed and need no fences; the Release/Acquire pair on `head`
+// is belt and braces. The words stay atomic because the rings are shared by
+// `&` into the pool.
 
 use crate::event::{Event, ProtoState, TraceTier, Ts};
 use crate::record::{self, fault_index, pack, pack_two};
-use rapid_sync::{sync_fence, Ordering, SyncAtomicU64};
+use rapid_sync::{Ordering, SyncAtomicU64};
 
 /// Words per record.
 const REC_WORDS: usize = 4;
 
-/// A fixed-capacity ring of flat binary records, owned by one writer,
-/// readable concurrently via epoch claims.
+/// A fixed-capacity ring of flat binary records, owned by one writer and
+/// read once that writer has quiesced.
 pub struct FlatRing {
     /// Processor id this ring records for.
     pub proc: u32,
@@ -83,7 +79,7 @@ impl FlatRing {
 
     /// Rewind the ring for reuse by a new run: every published record is
     /// forgotten and the overwrite epoch restarts at zero. Exclusive
-    /// access (`&mut`) guarantees no writer or concurrent claim is live.
+    /// access (`&mut`) guarantees no writer or reader is live.
     pub fn reset(&mut self) {
         self.head.store(0, Ordering::Release);
     }
@@ -110,76 +106,25 @@ impl FlatRing {
         ((rec & (self.cap - 1)) as usize) * REC_WORDS
     }
 
-    /// Seqlock-style epoch claim: copy every record in `[from, head)`
-    /// that is provably stable into `out`, returning the new cursor and
-    /// the count of records in `[from, head)` that were overwritten
-    /// before they could be read.
-    ///
-    /// The stability argument: after the copy we re-read `head = h2`.
-    /// The writer may at that instant be mid-way through writing record
-    /// `h2` (published only when `head` becomes `h2 + 1`), whose slot
-    /// previously held record `h2 - cap`. So every copied record with
-    /// index `>= (h2 + 1) - cap` is untouched; older ones are discarded
-    /// as dropped. The writer never blocks.
-    pub fn claim(&self, from: u64, out: &mut Vec<[u64; 4]>) -> Claim {
-        out.clear();
-        let h1 = self.head.load(Ordering::Acquire);
-        if h1 <= from {
-            return Claim { next: from, dropped: 0 };
-        }
-        let lo = from.max(h1.saturating_sub(self.cap));
-        for r in lo..h1 {
-            let s = self.slot(r);
-            out.push([
-                self.words[s].load(Ordering::Relaxed),
-                self.words[s + 1].load(Ordering::Relaxed),
-                self.words[s + 2].load(Ordering::Relaxed),
-                self.words[s + 3].load(Ordering::Relaxed),
-            ]);
-        }
-        // Classic seqlock reader: the relaxed word copies above must be
-        // ordered before the `h2` validation load, otherwise a copy can
-        // observe a wrapped overwrite (record `r + cap`) while `h2` still
-        // reads a head value that classifies record `r` as stable
-        // (model-checked: deleting this fence is the `ring-no-reader-fence`
-        // mutant). Compiles to a compiler-only barrier on x86.
-        sync_fence(Ordering::Acquire);
-        let h2 = self.head.load(Ordering::Acquire);
-        let stable_lo = lo.max((h2 + 1).saturating_sub(self.cap));
-        if stable_lo > lo {
-            out.drain(..(stable_lo - lo) as usize);
-        }
-        Claim { next: h1, dropped: stable_lo - from }
-    }
-
-    /// [`FlatRing::claim`] for a *quiesced* writer: no stability margin
-    /// is needed, so the drop count is exact (`head - cap`, clamped).
-    /// The caller must guarantee the writer has stopped (the executors
-    /// join their workers before decoding).
-    pub fn claim_quiesced(&self, from: u64, out: &mut Vec<[u64; 4]>) -> Claim {
-        out.clear();
+    /// Copy every surviving record, oldest first, and count the records
+    /// lost to overwrite before them (`head - cap`, clamped: exact). The
+    /// writer must have quiesced (see the `sync-audit` note above).
+    pub fn read_quiesced(&self) -> (Vec<[u64; 4]>, u64) {
         let h = self.head.load(Ordering::Acquire);
-        let lo = from.max(h.saturating_sub(self.cap));
-        for r in lo..h {
-            let s = self.slot(r);
-            out.push([
-                self.words[s].load(Ordering::Relaxed),
-                self.words[s + 1].load(Ordering::Relaxed),
-                self.words[s + 2].load(Ordering::Relaxed),
-                self.words[s + 3].load(Ordering::Relaxed),
-            ]);
-        }
-        Claim { next: h, dropped: lo - from }
+        let lo = h.saturating_sub(self.cap);
+        let records = (lo..h)
+            .map(|r| {
+                let s = self.slot(r);
+                [
+                    self.words[s].load(Ordering::Relaxed),
+                    self.words[s + 1].load(Ordering::Relaxed),
+                    self.words[s + 2].load(Ordering::Relaxed),
+                    self.words[s + 3].load(Ordering::Relaxed),
+                ]
+            })
+            .collect();
+        (records, lo)
     }
-}
-
-/// Result of one [`FlatRing::claim`].
-#[derive(Clone, Copy, Debug)]
-pub struct Claim {
-    /// Cursor to pass to the next claim.
-    pub next: u64,
-    /// Records in the requested span lost to overwrite before reading.
-    pub dropped: u64,
 }
 
 /// The single-writer recording handle: typed methods, each one ring
@@ -201,14 +146,6 @@ impl<'r> FlatWriter<'r> {
     #[inline(always)]
     fn push(&mut self, rec: [u64; 4]) {
         let s = self.ring.slot(self.cursor);
-        // On wrap-around this overwrite must not become visible to a reader
-        // that still classifies the old record in this slot as stable: order
-        // the stores below after every prior record's publication. The
-        // Release `head` store alone does not order the *word* stores of
-        // record `r + cap` against a reader's `h2` re-read (model-checked:
-        // deleting this fence is the `ring-no-writer-fence` mutant). Compiles
-        // to a compiler-only barrier on x86.
-        sync_fence(Ordering::Release);
         self.ring.words[s].store(rec[0], Ordering::Relaxed);
         self.ring.words[s + 1].store(rec[1], Ordering::Relaxed);
         self.ring.words[s + 2].store(rec[2], Ordering::Relaxed);
@@ -401,22 +338,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn claim_reads_published_records() {
-        let ring = FlatRing::new(0, 16);
-        let mut w = ring.writer(TraceTier::Full);
-        w.msg_recv(1, 7);
-        w.task_begin(2, 3, 0);
-        let mut buf = Vec::new();
-        let c = ring.claim(0, &mut buf);
-        assert_eq!(c.next, 2);
-        assert_eq!(c.dropped, 0);
-        assert_eq!(buf.len(), 2);
-        let c2 = ring.claim(c.next, &mut buf);
-        assert_eq!(c2.next, 2);
-        assert!(buf.is_empty());
-    }
-
-    #[test]
     fn overwrite_epoch_counts_exact_drops() {
         let ring = FlatRing::new(0, 8);
         let mut w = ring.writer(TraceTier::Full);
@@ -425,17 +346,11 @@ mod tests {
         }
         assert_eq!(ring.head(), 21);
         assert_eq!(ring.dropped_records(), 13, "21 written into 8 slots");
-        let mut buf = Vec::new();
-        let c = ring.claim_quiesced(0, &mut buf);
-        assert_eq!(c.dropped, 13, "quiesced claim is exact");
+        let (buf, dropped) = ring.read_quiesced();
+        assert_eq!(dropped, 13, "quiesced read is exact");
         assert_eq!(buf.len(), 8);
         let first = crate::record::unpack_head(buf[0][0]);
         assert_eq!(first.1, 13, "oldest surviving record is msg 13");
-        // The live claim gives up one extra record: the writer could
-        // have been mid-way through overwriting it during the copy.
-        let live = ring.claim(0, &mut buf);
-        assert_eq!(live.dropped, 14);
-        assert_eq!(buf.len(), 7);
     }
 
     #[test]

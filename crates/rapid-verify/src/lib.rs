@@ -57,5 +57,5 @@ mod replan;
 mod verify;
 
 pub use finding::{Finding, WaitPoint, WaitStep};
-pub use replan::{plan_hash, FeedbackOutcome, Planned, Replanner, SurvivorPlan};
+pub use replan::{plan_hash, Planned, Replanner, SurvivorPlan};
 pub use verify::{verify, verify_capacity, verify_placement, VerifyReport};

@@ -17,8 +17,9 @@
 //! Only when that fails (a tighter capacity demanding finer slices) does
 //! the replanner fall back to the cold pipeline below the cached DCG,
 //! bottom levels and `H`: re-merge, re-order, place, fully verify. The
-//! same pipeline, with the levels recomputed, serves a changed
-//! assignment (quarantine, metrics feedback).
+//! same pipeline, with the levels recomputed, serves a quarantine's
+//! changed assignment. Nothing here reads a run's measurements: the plan
+//! is made before the run, from the graph, the assignment and the cap.
 
 use crate::verify::{place_or_reject, verify, verify_placement, VerifyReport};
 use rapid_core::algo::bottom_levels;
@@ -27,10 +28,8 @@ use rapid_core::graph::{ProcId, TaskGraph};
 use rapid_core::schedule::{Assignment, CostModel, Schedule};
 use rapid_rt::{MapPlacement, MapWindow, RtPlan};
 use rapid_sched::{
-    apply_moves, avail_volatile, dts_order_with_blevel, feedback_plan, merge_slices_from_h,
-    owner_compute_assignment, slice_h, FeedbackConfig, FeedbackPlan,
+    avail_volatile, dts_order_with_blevel, merge_slices_from_h, owner_compute_assignment, slice_h,
 };
-use rapid_trace::ProcMetrics;
 
 /// The capacity-dependent outcome of a plan or replan. The schedule and
 /// protocol plan it belongs to live in the [`Replanner`]'s cache
@@ -155,60 +154,11 @@ impl<'g> Replanner<'g> {
         }
         let assign = owner_compute_assignment(self.g, &owner, alive.len());
         let avail = avail_volatile(self.g, &assign, capacity);
-        let (sched, planned) = self.plan_for(&assign, avail, capacity);
+        let levels = Levels::of(self.g, &assign, self.cost, &self.dcg);
+        let (sched, _, planned) =
+            cold_plan(self.g, &assign, self.cost, &self.dcg, &levels, avail, capacity);
         SurvivorPlan { sched, planned }
     }
-
-    /// Metrics-fed re-plan: fold one traced run's [`ProcMetrics`] back
-    /// into the planner. [`rapid_sched::feedback_plan`] decides the
-    /// rebalance — whole write-groups migrate off processors whose EXE
-    /// dwell exceeds the hot threshold, and the DTS slice merge re-runs
-    /// at a scaled-down volatile budget so the replanned schedule MAPs
-    /// more often with smaller windows while the machine is hot. The
-    /// owner-compute pipeline then re-runs for the migrated assignment
-    /// (only the DCG is assignment-independent and reused).
-    ///
-    /// Deterministic end to end: the feedback decision is pure integer
-    /// arithmetic over the metrics and every downstream stage is a
-    /// function of its inputs alone, so the same metrics yield the same
-    /// [`plan_hash`] on every run. The cached fault-free plan is
-    /// untouched; apply repeatedly by rebuilding a [`Replanner`] over
-    /// the returned assignment.
-    pub fn replan_feedback(
-        &self,
-        metrics: &[ProcMetrics],
-        cfg: &FeedbackConfig,
-        capacity: u64,
-    ) -> FeedbackOutcome {
-        let feedback = feedback_plan(self.g, self.assign, metrics, cfg);
-        let owner = apply_moves(&self.assign.owner, &feedback.moves);
-        let assign = owner_compute_assignment(self.g, &owner, self.assign.nprocs);
-        let avail = avail_volatile(self.g, &assign, capacity);
-        let avail = (avail as u128 * feedback.avail_scale_permille as u128 / 1000) as u64;
-        let (sched, planned) = self.plan_for(&assign, avail, capacity);
-        FeedbackOutcome { feedback, sched, planned }
-    }
-
-    /// Cold-plan another assignment of the cached graph under a volatile
-    /// budget of `avail`; only the DCG is reused.
-    fn plan_for(&self, assign: &Assignment, avail: u64, capacity: u64) -> (Schedule, Planned) {
-        let levels = Levels::of(self.g, assign, self.cost, &self.dcg);
-        let (sched, _, planned) =
-            cold_plan(self.g, assign, self.cost, &self.dcg, &levels, avail, capacity);
-        (sched, planned)
-    }
-}
-
-/// The owned outcome of a metrics-fed re-plan
-/// ([`Replanner::replan_feedback`]).
-#[derive(Clone, Debug)]
-pub struct FeedbackOutcome {
-    /// The rebalancing decision the metrics produced.
-    pub feedback: FeedbackPlan,
-    /// The replanned schedule under the migrated ownership.
-    pub sched: Schedule,
-    /// Placement and verification of the replanned schedule.
-    pub planned: Planned,
 }
 
 /// The owned outcome of a degraded re-plan

@@ -8,13 +8,12 @@ mod common;
 
 use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid::core::memreq::min_mem;
-use rapid::machine::{affinity, FaultPlan};
+use rapid::machine::FaultPlan;
 use rapid::prelude::*;
 use rapid::rt::threaded::run_sequential_with_init;
 use rapid::rt::{ExecError, TaskCtx};
 use rapid::sched::assign::cyclic_owner_map;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Read-modify-write body: what a written cell ends as depends on what it
@@ -212,40 +211,4 @@ fn runs_from_different_calling_threads() {
         s.spawn(|| check("racer 1"));
         s.spawn(|| check("racer 2"));
     });
-}
-
-/// Pinning belongs to the executor's own threads: they pin once, when they
-/// start, and the thread that calls `run` keeps the affinity it came with.
-#[test]
-fn pinning_never_touches_the_callers_affinity() {
-    let (g, sched) = chain_with_unwritten_volatile();
-    let cap = min_mem(&g, &sched).min_mem + 8;
-    // On a thread of its own, so that a bug cannot pin the test harness.
-    std::thread::spawn(move || {
-        let Some(before) = affinity::current_affinity() else { return };
-        let pins = affinity::assign_cores(2);
-        let seen: Mutex<Vec<(TaskId, Vec<usize>)>> = Mutex::new(Vec::new());
-        let exec = ThreadedExecutor::new(&g, &sched, cap).with_pinning(true);
-        for _ in 0..3 {
-            exec.run(|t, ctx| {
-                let mask = affinity::current_affinity().unwrap_or_default();
-                seen.lock().unwrap().push((t, mask));
-                body(t, ctx)
-            })
-            .unwrap();
-            assert_eq!(affinity::current_affinity(), Some(before.clone()), "caller's mask moved");
-        }
-        for (t, mask) in seen.into_inner().unwrap() {
-            match pins[sched.assign.proc_of(t) as usize] {
-                Some(cpu) if before.contains(&cpu) => {
-                    assert_eq!(mask, vec![cpu], "{t:?} runs on its pinned pool thread")
-                }
-                // Fewer cores than workers, or a cpuset that forbids the
-                // planned core: the pool thread floats.
-                _ => {}
-            }
-        }
-    })
-    .join()
-    .unwrap();
 }

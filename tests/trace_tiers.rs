@@ -11,13 +11,11 @@
 //! - Skeleton tier: the canonical protocol skeleton of a skeleton-tier
 //!   run equals the skeleton *projection* of a full-tier run of the same
 //!   schedule.
-//! - The streaming checker's verdicts equal the post-hoc `check()`
-//!   verdicts — on clean traces, on the whole hand-corrupted negative
-//!   corpus, and live inside both executors.
+//! - The post-hoc `check()` accepts the clean and recovered corpus
+//!   traces and rejects every entry of the hand-corrupted negative corpus
+//!   with its named violation.
 //! - A wrapped ring reports *exactly* how many records were lost, and
 //!   the checker refuses the incomplete trace with that same count.
-
-mod common;
 
 use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid::core::memreq::min_mem;
@@ -27,8 +25,8 @@ use rapid::rt::TaskCtx;
 use rapid::sched::assign::cyclic_owner_map;
 use rapid::sched::mpo::mpo_order;
 use rapid::trace::{
-    check, check_tier, corpus, decode_ring, encode_trace, skeletons, LiveDrain, StreamChecker,
-    TraceConfig, TraceSet, TraceTier, Violation,
+    check, check_tier, corpus, decode_ring, encode_trace, skeletons, TraceConfig, TraceSet,
+    TraceTier, Violation,
 };
 
 fn body(_t: TaskId, ctx: &mut TaskCtx<'_>) {
@@ -95,81 +93,25 @@ fn skeleton_tier_run_equals_full_tier_projection() {
     assert!(report.complete);
 }
 
-/// Drive a [`TraceSet`] through the streaming checker as raw ring
-/// records, via the same re-encode path the corrupted-corpus harness
-/// uses.
-fn stream_verdict(
-    g: &TaskGraph,
-    sched: &Schedule,
-    spec: &rapid::trace::ProtocolSpec,
-    traces: &TraceSet,
-) -> Result<rapid::trace::TraceReport, Violation> {
-    let rings: Vec<_> =
-        traces.procs.iter().map(|t| encode_trace(t, 1 << 12, TraceTier::Full)).collect();
-    let mut drain = LiveDrain::new(StreamChecker::new(g, sched, spec.clone(), TraceTier::Full));
-    // Interleave a few live polls before the final quiesced drain, so
-    // the seqlock claim path is exercised too.
-    drain.poll(&rings);
-    drain.finish(&rings)
-}
-
 #[test]
-fn streaming_and_post_hoc_agree_on_clean_and_recovered_traces() {
+fn post_hoc_checker_accepts_clean_and_recovered_traces() {
     let (g, sched, spec) = corpus::tiny();
     for (label, traces) in
         [("clean", corpus::clean_traces()), ("recovered", corpus::recovered_traces())]
     {
         let post = check(&g, &sched, &spec, &traces);
-        let live = stream_verdict(&g, &sched, &spec, &traces);
-        assert_eq!(post, live, "{label}: streaming and post-hoc verdicts diverge");
         assert!(post.is_ok(), "{label}: corpus trace must be clean: {post:?}");
     }
 }
 
 #[test]
-fn streaming_and_post_hoc_agree_on_the_whole_negative_corpus() {
+fn post_hoc_checker_rejects_the_whole_negative_corpus() {
     let (g, sched, spec) = corpus::tiny();
     for (label, traces, kind) in corpus::corrupted() {
-        let post = check(&g, &sched, &spec, &traces);
-        let live = stream_verdict(&g, &sched, &spec, &traces);
-        assert_eq!(post, live, "{label}: streaming and post-hoc verdicts diverge");
-        match post {
+        match check(&g, &sched, &spec, &traces) {
             Err(v) => assert_eq!(v.kind(), kind, "{label}: wrong violation: {v}"),
             Ok(r) => panic!("{label}: corruption went undetected: {r:?}"),
         }
-    }
-}
-
-#[test]
-fn both_executors_stream_verdicts_that_match_post_hoc() {
-    let (g, sched, cap) = fixture();
-    let nprocs = sched.assign.nprocs;
-    // DES: inline polling between event-loop steps.
-    let cfg = DesConfig::managed(MachineConfig::unit(nprocs, cap))
-        .with_tracing(TraceConfig::default())
-        .with_streaming_check();
-    let out = DesExecutor::new(&g, &sched, cfg).run().expect("DES run");
-    let plan = rapid::rt::RtPlan::new(&g, &sched);
-    let spec = plan.trace_spec(cap);
-    let trace = out.trace.as_ref().expect("tracing enabled");
-    let live = out.stream_verdict.expect("streaming enabled");
-    assert_eq!(live, check(&g, &sched, &spec, trace), "DES live verdict != post-hoc");
-    assert!(live.is_ok(), "DES run must check clean: {live:?}");
-    // Threaded: a dedicated checker thread races the workers.
-    let exec = ThreadedExecutor::new(&g, &sched, cap)
-        .with_tracing(TraceConfig::default())
-        .with_streaming_check();
-    match exec.run(body) {
-        Ok(out) => {
-            let trace = out.trace.as_ref().expect("tracing enabled");
-            let live = out.stream_verdict.expect("streaming enabled");
-            assert_eq!(live, check(&g, &sched, &spec, trace), "threaded live != post-hoc");
-            assert!(live.is_ok(), "threaded run must check clean: {live:?}");
-        }
-        Err(e @ rapid::rt::ExecError::Fragmented { .. }) => {
-            common::assert_planned_rejection("streaming fixture", &exec, &e)
-        }
-        Err(e) => panic!("threaded run failed: {e}"),
     }
 }
 
