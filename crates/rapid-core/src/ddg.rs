@@ -15,7 +15,8 @@
 //! by construction, which is the precondition of the paper's Theorem 1
 //! data-consistency argument.
 
-use crate::graph::{GraphError, ObjId, TaskGraph, TaskGraphBuilder, TaskId};
+use crate::graph::{sort_dedup_from, Csr, GraphError, ObjId, TaskGraph, TaskGraphBuilder, TaskId};
+use std::fmt;
 
 /// How a task touches an object in the sequential trace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,7 +103,12 @@ pub struct TraceBuilder {
     batch_readers: Vec<Vec<TaskId>>,
     next_commute_group: u32,
     stats: DdgStats,
-    edges: Vec<(TaskId, TaskId)>,
+    /// Per-task scratch, reused: the accesses as given, merged to one per
+    /// object, and the resolved (renamed) read and write sets.
+    acc: Vec<(ObjId, AccessKind)>,
+    merged: Vec<(ObjId, AccessKind)>,
+    reads: Vec<ObjId>,
+    writes: Vec<ObjId>,
 }
 
 impl TraceBuilder {
@@ -120,7 +126,10 @@ impl TraceBuilder {
             batch_readers: Vec::new(),
             next_commute_group: 0,
             stats: DdgStats::default(),
-            edges: Vec::new(),
+            acc: Vec::new(),
+            merged: Vec::new(),
+            reads: Vec::new(),
+            writes: Vec::new(),
         }
     }
 
@@ -140,20 +149,14 @@ impl TraceBuilder {
         d
     }
 
-    /// Emit edges from a producer to `t` as true dependencies.
-    fn edges_from_producer(&mut self, p: &Producer, t: TaskId) {
+    /// Edges of `class` from a producer to `t`.
+    fn edges_from_producer(&mut self, p: &Producer, t: TaskId, class: EdgeClass) {
         match p {
             Producer::None => {}
-            Producer::Task(w) => {
-                if *w != t {
-                    self.push_edge(*w, t, EdgeClass::True);
-                }
-            }
+            Producer::Task(w) => self.push_edge(*w, t, class),
             Producer::Batch(ms) => {
                 for &m in ms {
-                    if m != t {
-                        self.push_edge(m, t, EdgeClass::True);
-                    }
+                    self.push_edge(m, t, class);
                 }
             }
         }
@@ -184,21 +187,24 @@ impl TraceBuilder {
     /// logical object ids with access kinds; duplicates are allowed (the
     /// strongest kind wins: Update > Write > Read).
     pub fn add_task(&mut self, weight: f64, accesses: &[(ObjId, AccessKind)]) -> TaskId {
-        self.add_task_labeled(String::new(), weight, accesses)
+        self.add_task_labeled("", weight, accesses)
     }
 
-    /// [`Self::add_task`] with a label for traces and Gantt dumps.
+    /// [`Self::add_task`] with a label for traces and Gantt dumps
+    /// (`format_args!` formats it straight into the graph's label buffer).
     pub fn add_task_labeled(
         &mut self,
-        label: String,
+        label: impl fmt::Display,
         weight: f64,
         accesses: &[(ObjId, AccessKind)],
     ) -> TaskId {
         // Collapse duplicate accesses to the strongest kind.
-        let mut acc: Vec<(ObjId, AccessKind)> = accesses.to_vec();
-        acc.sort_by_key(|&(d, _)| d);
-        let mut merged: Vec<(ObjId, AccessKind)> = Vec::with_capacity(acc.len());
-        for (d, k) in acc {
+        self.acc.clear();
+        self.acc.extend_from_slice(accesses);
+        self.acc.sort_by_key(|&(d, _)| d);
+        let mut merged = std::mem::take(&mut self.merged);
+        merged.clear();
+        for &(d, k) in &self.acc {
             match merged.last_mut() {
                 Some((pd, pk)) if *pd == d => {
                     let stronger = match (*pk, k) {
@@ -230,132 +236,104 @@ impl TraceBuilder {
             }
         }
 
-        let mut reads: Vec<ObjId> = Vec::new();
-        let mut writes: Vec<ObjId> = Vec::new();
-        // Reserve the task id first so edges can point at it.
-        let t = self.b.add_task_labeled(label, weight, &[], &[]);
-        for (logical, kind) in merged {
+        // Edges point at the task before it is added with its resolved
+        // (renamed) accesses: its id is the next one.
+        let t = TaskId(self.b.num_tasks() as u32);
+        let first_edge = self.b.edges.len();
+        self.reads.clear();
+        self.writes.clear();
+        for &(logical, kind) in &merged {
             let li = logical.idx();
             let cur = self.current[li];
+            let v = cur.idx();
             match kind {
                 AccessKind::Read => {
                     // Reading mid-batch would observe partial accumulation;
                     // the batch closes and the reader sees the joint value.
-                    self.close_batch(cur.idx());
-                    let p = self.producer[cur.idx()].clone();
-                    self.edges_from_producer(&p, t);
-                    self.readers_since[cur.idx()].push(t);
-                    reads.push(cur);
+                    self.close_batch(v);
+                    let p = self.producer[v].clone();
+                    self.edges_from_producer(&p, t, EdgeClass::True);
+                    self.readers_since[v].push(t);
+                    self.reads.push(cur);
                 }
                 AccessKind::Update => {
                     // True dependence on the previous producer, and
-                    // ordering after intervening readers (they must see
-                    // the old value).
-                    self.close_batch(cur.idx());
-                    let p = self.producer[cur.idx()].clone();
-                    self.edges_from_producer(&p, t);
-                    let readers = std::mem::take(&mut self.readers_since[cur.idx()]);
-                    for r in readers {
-                        if r != t {
-                            self.push_edge(r, t, EdgeClass::Anti);
-                        }
-                    }
-                    self.producer[cur.idx()] = Producer::Task(t);
-                    reads.push(cur);
-                    writes.push(cur);
+                    // ordering after intervening readers.
+                    self.close_batch(v);
+                    let p = self.producer[v].clone();
+                    self.edges_from_producer(&p, t, EdgeClass::True);
+                    self.edges_from_readers(v, t);
+                    self.producer[v] = Producer::Task(t);
+                    self.reads.push(cur);
+                    self.writes.push(cur);
                 }
                 AccessKind::Accum => {
-                    let v = cur.idx();
                     if self.open_batch[v].is_empty() {
-                        // Start a new batch on the current value. Stash
-                        // the drained readers: every later joiner must be
-                        // ordered after them too.
-                        let readers = std::mem::take(&mut self.readers_since[v]);
-                        for &r in &readers {
-                            if r != t {
-                                self.push_edge(r, t, EdgeClass::Anti);
-                            }
-                        }
-                        self.batch_readers[v] = readers;
-                        let base = self.producer[v].clone();
-                        self.edges_from_producer(&base, t);
-                        self.batch_base[v] = base;
-                        self.open_batch[v].push(t);
-                    } else {
-                        // Join: depend on the base and on the pre-batch
-                        // readers — not on the other batch members.
-                        let base = self.batch_base[v].clone();
-                        self.edges_from_producer(&base, t);
-                        let readers = self.batch_readers[v].clone();
-                        for r in readers {
-                            if r != t {
-                                self.push_edge(r, t, EdgeClass::Anti);
-                            }
-                        }
-                        self.open_batch[v].push(t);
+                        // Start a new batch on the current value. Stash the
+                        // drained readers: every joiner is ordered after
+                        // them too.
+                        self.batch_readers[v] = std::mem::take(&mut self.readers_since[v]);
+                        self.batch_base[v] = self.producer[v].clone();
                     }
-                    reads.push(cur);
-                    writes.push(cur);
+                    // Depend on the base and on the pre-batch readers, not
+                    // on the other batch members.
+                    let base = self.batch_base[v].clone();
+                    self.edges_from_producer(&base, t, EdgeClass::True);
+                    let readers = std::mem::take(&mut self.batch_readers[v]);
+                    for &r in &readers {
+                        self.push_edge(r, t, EdgeClass::Anti);
+                    }
+                    self.batch_readers[v] = readers;
+                    self.open_batch[v].push(t);
+                    self.reads.push(cur);
+                    self.writes.push(cur);
                 }
                 AccessKind::Write => match self.policy {
                     WritePolicy::Rename => {
-                        self.close_batch(cur.idx());
-                        let has_producer = !matches!(self.producer[cur.idx()], Producer::None);
-                        let prior_deps =
-                            self.readers_since[cur.idx()].len() + usize::from(has_producer);
-                        if prior_deps > 0 && has_producer {
-                            // A fresh version removes the would-be anti and
-                            // output edges entirely.
-                            self.stats.eliminated_by_renaming += prior_deps;
-                            let nv = self.new_version(li, t);
-                            writes.push(nv);
+                        // A fresh version removes the would-be anti and
+                        // output edges entirely; the first def of a value
+                        // nobody has read yet just takes ownership.
+                        self.close_batch(v);
+                        let has_producer = !matches!(self.producer[v], Producer::None);
+                        let prior_deps = self.readers_since[v].len() + usize::from(has_producer);
+                        self.stats.eliminated_by_renaming += prior_deps;
+                        if prior_deps == 0 {
+                            self.producer[v] = Producer::Task(t);
+                            self.writes.push(cur);
                         } else {
-                            // First def (or def after reads of the initial
-                            // value with no writer): just take ownership.
-                            self.stats.eliminated_by_renaming +=
-                                self.readers_since[cur.idx()].len();
-                            let readers = std::mem::take(&mut self.readers_since[cur.idx()]);
-                            if readers.is_empty() {
-                                self.producer[cur.idx()] = Producer::Task(t);
-                                writes.push(cur);
-                            } else {
-                                let nv = self.new_version(li, t);
-                                writes.push(nv);
-                            }
+                            let nv = self.new_version(li, t);
+                            self.writes.push(nv);
                         }
                     }
                     WritePolicy::InPlace => {
-                        self.close_batch(cur.idx());
-                        let p = self.producer[cur.idx()].clone();
-                        match &p {
-                            Producer::None => {}
-                            Producer::Task(w) => {
-                                if *w != t {
-                                    self.push_edge(*w, t, EdgeClass::Output);
-                                }
-                            }
-                            Producer::Batch(ms) => {
-                                for &m in ms {
-                                    if m != t {
-                                        self.push_edge(m, t, EdgeClass::Output);
-                                    }
-                                }
-                            }
-                        }
-                        let readers = std::mem::take(&mut self.readers_since[cur.idx()]);
-                        for r in readers {
-                            if r != t {
-                                self.push_edge(r, t, EdgeClass::Anti);
-                            }
-                        }
-                        self.producer[cur.idx()] = Producer::Task(t);
-                        writes.push(cur);
+                        self.close_batch(v);
+                        let p = self.producer[v].clone();
+                        self.edges_from_producer(&p, t, EdgeClass::Output);
+                        self.edges_from_readers(v, t);
+                        self.producer[v] = Producer::Task(t);
+                        self.writes.push(cur);
                     }
                 },
             }
         }
-        self.set_task_accesses(t, &reads, &writes);
-        t
+        self.merged = merged;
+        // Every edge just pushed ends at `t`: sorted and deduplicated here,
+        // the whole list stays sorted by (to, from), the builder's order.
+        let pushed = self.b.edges.len();
+        sort_dedup_from(&mut self.b.edges, first_edge);
+        self.stats.redundant_removed += pushed - self.b.edges.len();
+        self.b.add_task_labeled(label, weight, &self.reads, &self.writes)
+    }
+
+    /// Anti edges to `t` from every reader of version `v` since its last
+    /// write (they must see the old value), who are then forgotten.
+    fn edges_from_readers(&mut self, v: usize, t: TaskId) {
+        let mut readers = std::mem::take(&mut self.readers_since[v]);
+        for &r in &readers {
+            self.push_edge(r, t, EdgeClass::Anti);
+        }
+        readers.clear();
+        self.readers_since[v] = readers;
     }
 
     /// Allocate a fresh version of logical object `li` produced by `t`.
@@ -371,39 +349,30 @@ impl TraceBuilder {
         nv
     }
 
-    fn set_task_accesses(&mut self, t: TaskId, reads: &[ObjId], writes: &[ObjId]) {
-        // TaskGraphBuilder stores access lists by task index; we re-declare
-        // them through a small shim since the builder API is append-only.
-        self.b.set_accesses(t, reads, writes);
-    }
-
+    /// Record the dependence `from -> to`; a task never depends on itself.
     fn push_edge(&mut self, from: TaskId, to: TaskId, class: EdgeClass) {
+        if from == to {
+            return;
+        }
         match class {
             EdgeClass::True => self.stats.true_edges += 1,
             EdgeClass::Anti => self.stats.anti_edges += 1,
             EdgeClass::Output => self.stats.output_edges += 1,
         }
-        self.edges.push((from, to));
+        self.b.add_edge(from, to);
     }
 
-    /// Finish: deduplicate edges (optionally transitively reduce) and build
-    /// the transformed graph.
+    /// Finish: optionally drop transitively redundant edges (duplicates
+    /// went as each task was added) and build the transformed graph.
     pub fn build(mut self, reduce: bool) -> Result<(TaskGraph, DdgStats), GraphError> {
         // Flush still-open commuting batches so their groups are recorded.
         for v in 0..self.open_batch.len() {
             self.close_batch(v);
         }
-        self.edges.sort_unstable_by_key(|&(a, b)| (a.0, b.0));
-        let before = self.edges.len();
-        self.edges.dedup();
-        self.stats.redundant_removed += before - self.edges.len();
         if reduce {
-            let (kept, removed) = transitive_reduce(self.b.num_tasks(), &self.edges);
+            let (kept, removed) = transitive_reduce(self.b.num_tasks(), &self.b.edges);
             self.stats.redundant_removed += removed;
-            self.edges = kept;
-        }
-        for &(a, b) in &self.edges {
-            self.b.add_edge(a, b);
+            self.b.edges = kept;
         }
         let g = self.b.build()?;
         Ok((g, self.stats))
@@ -419,15 +388,9 @@ enum EdgeClass {
 
 /// Remove edges `(a, b)` for which another path `a -> … -> b` exists.
 /// O(v·e) DFS-based reduction; the input edge list must describe a DAG.
-fn transitive_reduce(n: usize, edges: &[(TaskId, TaskId)]) -> (Vec<(TaskId, TaskId)>, usize) {
-    let mut succ = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        succ[a.idx()].push(b.0);
-    }
-    for s in &mut succ {
-        s.sort_unstable();
-        s.dedup();
-    }
+fn transitive_reduce(n: usize, edges: &[(u32, u32)]) -> (Vec<(u32, u32)>, usize) {
+    // Sorted by (to, from) and duplicate-free, so every row is too.
+    let succ = Csr::group(n, edges.iter().map(|&(a, b)| (a as usize, b)));
     let mut keep = Vec::with_capacity(edges.len());
     let mut removed = 0usize;
     let mut mark = vec![0u32; n];
@@ -436,7 +399,7 @@ fn transitive_reduce(n: usize, edges: &[(TaskId, TaskId)]) -> (Vec<(TaskId, Task
     for a in 0..n {
         if succ[a].len() < 2 {
             for &b in &succ[a] {
-                keep.push((TaskId(a as u32), TaskId(b)));
+                keep.push((a as u32, b));
             }
             continue;
         }
@@ -466,7 +429,7 @@ fn transitive_reduce(n: usize, edges: &[(TaskId, TaskId)]) -> (Vec<(TaskId, Task
             if found {
                 removed += 1;
             } else {
-                keep.push((TaskId(a as u32), TaskId(b)));
+                keep.push((a as u32, b));
             }
         }
     }

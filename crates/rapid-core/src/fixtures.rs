@@ -43,8 +43,7 @@ pub fn figure2_dag() -> TaskGraph {
         b.add_object(1);
     }
     let t = |b: &mut TaskGraphBuilder, label: &str, r: Option<u32>, w: u32| -> TaskId {
-        let reads: Vec<ObjId> = r.map(obj).into_iter().collect();
-        b.add_task_labeled(label.to_string(), 1.0, &reads, &[obj(w)])
+        b.add_task_labeled(label, 1.0, r.map(obj).as_slice(), &[obj(w)])
     };
     // P0 tasks (owner-compute on odd objects).
     let a1 = t(&mut b, "T[1]", None, 1);
@@ -245,9 +244,10 @@ pub fn random_irregular_graph(seed: u64, spec: &RandomGraphSpec) -> TaskGraph {
     // O(1) membership alongside the ordered list, so generation stays
     // linear at the bench sizes (10⁵⁺ tasks).
     let mut is_written = vec![false; spec.objects];
+    let mut acc: Vec<(ObjId, AccessKind)> = Vec::new();
     for i in 0..spec.tasks {
         let weight = 1.0 + rng.unit_f64() * (spec.max_weight - 1.0);
-        let mut acc: Vec<(ObjId, AccessKind)> = Vec::new();
+        acc.clear();
         // Reads come from already-written objects to keep the trace causal.
         if !written.is_empty() {
             let nr = 1 + rng.below(spec.max_reads as u64) as usize;

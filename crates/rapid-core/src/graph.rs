@@ -59,8 +59,31 @@ pub struct Csr<T = u32> {
 
 impl<T> Default for Csr<T> {
     fn default() -> Self {
-        Csr { offsets: Vec::new(), targets: Vec::new() }
+        Csr { offsets: vec![0], targets: Vec::new() }
     }
+}
+
+impl Csr {
+    /// Append a row holding `items` sorted and deduplicated.
+    fn push_set(&mut self, items: impl IntoIterator<Item = u32>) {
+        let start = self.targets.len();
+        self.targets.extend(items);
+        sort_dedup_from(&mut self.targets, start);
+        self.offsets.push(self.targets.len() as u32);
+    }
+}
+
+/// Sort `v[start..]` and drop its duplicates, leaving `v[..start]` alone.
+pub(crate) fn sort_dedup_from<T: Ord + Copy>(v: &mut Vec<T>, start: usize) {
+    v[start..].sort_unstable();
+    let mut end = start;
+    for i in start..v.len() {
+        if end == start || v[i] != v[end - 1] {
+            v[end] = v[i];
+            end += 1;
+        }
+    }
+    v.truncate(end);
 }
 
 impl<T: Copy> Csr<T> {
@@ -168,7 +191,7 @@ pub struct TaskGraph {
     accessors: Csr,
     task_weight: Vec<f64>,
     obj_size: Vec<u64>,
-    task_label: Vec<String>,
+    task_label: Labels,
     /// Commuting-group id per task (`u32::MAX` = none). Tasks sharing a
     /// group update a common object with commutative operations and may
     /// execute in any relative order (paper §2: "commuting tasks can be
@@ -269,7 +292,7 @@ impl TaskGraph {
     /// Human-readable label of task `t` (may be empty).
     #[inline]
     pub fn task_label(&self, t: TaskId) -> &str {
-        &self.task_label[t.idx()]
+        self.task_label.get(t.idx())
     }
 
     /// Commuting-group id of `t`, if it is marked as commuting.
@@ -366,8 +389,34 @@ impl TaskGraph {
     }
 }
 
+/// Task labels in one `String`: label `t` ends at byte `ends[t]`.
+#[derive(Clone, Debug, Default)]
+struct Labels {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Labels {
+    fn push(&mut self, label: impl fmt::Display) {
+        use fmt::Write as _;
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.text, "{label}");
+        self.ends.push(self.text.len() as u32);
+    }
+
+    fn get(&self, t: usize) -> &str {
+        let start = if t == 0 { 0 } else { self.ends[t - 1] as usize };
+        &self.text[start..self.ends[t] as usize]
+    }
+}
+
+/// `(object, task)` for every entry of a per-task access set, tasks in order.
+fn by_object(set: &Csr) -> impl Iterator<Item = (usize, u32)> + Clone + '_ {
+    (0..set.len()).flat_map(move |t| set.row(t).iter().map(move |&d| (d as usize, t as u32)))
+}
+
 /// Merge two sorted `u32` slices, removing duplicates.
-fn merge_sorted<'a>(a: &'a [u32], b: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+fn merge_sorted<'a>(a: &'a [u32], b: &'a [u32]) -> impl Iterator<Item = u32> + Clone + 'a {
     let mut i = 0;
     let mut j = 0;
     std::iter::from_fn(move || {
@@ -426,10 +475,13 @@ impl std::error::Error for GraphError {}
 #[derive(Default, Clone, Debug)]
 pub struct TaskGraphBuilder {
     task_weight: Vec<f64>,
-    task_label: Vec<String>,
-    reads: Vec<Vec<u32>>,
-    writes: Vec<Vec<u32>>,
-    edges: Vec<(u32, u32)>,
+    task_label: Labels,
+    /// One sorted, duplicate-free row per task.
+    reads: Csr,
+    writes: Csr,
+    /// `(from, to)`, sorted by `(to, from)` in [`Self::build`] unless a
+    /// [`crate::ddg::TraceBuilder`] handed them over that way already.
+    pub(crate) edges: Vec<(u32, u32)>,
     obj_size: Vec<u64>,
     commute: Vec<(u32, u32)>,
 }
@@ -448,36 +500,28 @@ impl TaskGraphBuilder {
 
     /// Declare a task with computational `weight` and access sets.
     pub fn add_task(&mut self, weight: f64, reads: &[ObjId], writes: &[ObjId]) -> TaskId {
-        self.add_task_labeled(String::new(), weight, reads, writes)
+        self.add_task_labeled("", weight, reads, writes)
     }
 
-    /// Declare a task carrying a human-readable label (used in traces and
-    /// Gantt dumps).
+    /// Declare a task carrying a human-readable label (traces, Gantt dumps),
+    /// formatted into the graph's one label buffer: `format_args!` is free.
     pub fn add_task_labeled(
         &mut self,
-        label: String,
+        label: impl fmt::Display,
         weight: f64,
         reads: &[ObjId],
         writes: &[ObjId],
     ) -> TaskId {
         self.task_weight.push(weight);
         self.task_label.push(label);
-        self.reads.push(reads.iter().map(|d| d.0).collect());
-        self.writes.push(writes.iter().map(|d| d.0).collect());
+        self.reads.push_set(reads.iter().map(|d| d.0));
+        self.writes.push_set(writes.iter().map(|d| d.0));
         TaskId(self.task_weight.len() as u32 - 1)
     }
 
     /// Declare a true-dependence edge `from -> to`.
     pub fn add_edge(&mut self, from: TaskId, to: TaskId) {
         self.edges.push((from.0, to.0));
-    }
-
-    /// Replace the access sets of an already-declared task. Used by trace
-    /// replayers that need to reserve a task id before its (possibly
-    /// renamed) accesses are known.
-    pub fn set_accesses(&mut self, t: TaskId, reads: &[ObjId], writes: &[ObjId]) {
-        self.reads[t.idx()] = reads.iter().map(|d| d.0).collect();
-        self.writes[t.idx()] = writes.iter().map(|d| d.0).collect();
     }
 
     /// Mark task `t` as member of commuting group `group`: tasks sharing
@@ -497,57 +541,17 @@ impl TaskGraphBuilder {
     }
 
     /// Validate and freeze into a [`TaskGraph`].
-    pub fn build(self) -> Result<TaskGraph, GraphError> {
+    pub fn build(mut self) -> Result<TaskGraph, GraphError> {
         let n = self.task_weight.len();
         let m = self.obj_size.len();
-        let mut succ_lists = vec![Vec::new(); n];
-        let mut pred_lists = vec![Vec::new(); n];
-        for &(a, b) in &self.edges {
-            if a as usize >= n {
-                return Err(GraphError::BadTask(a));
-            }
-            if b as usize >= n {
-                return Err(GraphError::BadTask(b));
-            }
-            succ_lists[a as usize].push(b);
-            pred_lists[b as usize].push(a);
+        if let Some(t) = self.edges.iter().flat_map(|&(a, b)| [a, b]).find(|&t| t as usize >= n) {
+            return Err(GraphError::BadTask(t));
         }
-        let mut reads = self.reads;
-        let mut writes = self.writes;
-        // Normalize the per-task access sets, then validate object ids:
-        // the first bad id in (reads before writes, task, sorted position)
-        // order is reported.
-        for sets in [&mut reads, &mut writes] {
-            for l in sets.iter_mut() {
-                l.sort_unstable();
-                l.dedup();
-            }
-            if let Some(&d) = sets.iter().flatten().find(|&&d| d as usize >= m) {
-                return Err(GraphError::BadObject(d));
-            }
-        }
-        for l in succ_lists.iter_mut().chain(&mut pred_lists) {
-            l.sort_unstable();
-            l.dedup();
-        }
-        // CSR transposes (readers, writers, accessors). Tasks are visited
-        // in ascending id order and the accessor stream is the sorted
-        // merge of the task's read and write sets, so each per-object list
-        // stays sorted and duplicate-free without a final sort pass.
-        let mut reader_lists = vec![Vec::new(); m];
-        let mut writer_lists = vec![Vec::new(); m];
-        let mut accessor_lists = vec![Vec::new(); m];
-        for (t, (rs, ws)) in reads.iter().zip(&writes).enumerate() {
-            let t = t as u32;
-            for &d in rs {
-                reader_lists[d as usize].push(t);
-            }
-            for &d in ws {
-                writer_lists[d as usize].push(t);
-            }
-            for d in merge_sorted(rs, ws) {
-                accessor_lists[d as usize].push(t);
-            }
+        // The first bad object id in (reads before writes, task, sorted
+        // position) order is reported.
+        let mut ids = self.reads.targets.iter().chain(&self.writes.targets);
+        if let Some(&d) = ids.find(|&&d| d as usize >= m) {
+            return Err(GraphError::BadObject(d));
         }
         let mut commute_group = vec![u32::MAX; n];
         for &(t, grp) in &self.commute {
@@ -556,16 +560,33 @@ impl TaskGraphBuilder {
             }
             commute_group[t as usize] = grp;
         }
+        if !self.edges.is_sorted_by_key(|&(a, b)| (b, a)) {
+            self.edges.sort_unstable_by_key(|&(a, b)| (b, a));
+        }
+        self.edges.dedup();
+        // Counting sorts over edges sorted by (to, from) and over tasks in
+        // ascending id order: every row comes out sorted and duplicate-free
+        // (the accessor stream is the sorted merge of a task's two sets).
+        let edges = &self.edges;
+        let (reads, writes) = (&self.reads, &self.writes);
+        let accessed = (0..n).flat_map(|t| {
+            merge_sorted(reads.row(t), writes.row(t)).map(move |d| (d as usize, t as u32))
+        });
+        let succs = Csr::group(n, edges.iter().map(|&(a, b)| (a as usize, b)));
+        let preds = Csr::group(n, edges.iter().map(|&(a, b)| (b as usize, a)));
+        let readers = Csr::group(m, by_object(reads));
+        let writers = Csr::group(m, by_object(writes));
+        let accessors = Csr::group(m, accessed);
         let g = TaskGraph {
             n_tasks: n,
             n_objs: m,
-            succs: Csr::from_lists(&succ_lists),
-            preds: Csr::from_lists(&pred_lists),
-            reads: Csr::from_lists(&reads),
-            writes: Csr::from_lists(&writes),
-            readers: Csr::from_lists(&reader_lists),
-            writers: Csr::from_lists(&writer_lists),
-            accessors: Csr::from_lists(&accessor_lists),
+            succs,
+            preds,
+            reads: self.reads,
+            writes: self.writes,
+            readers,
+            writers,
+            accessors,
             task_weight: self.task_weight,
             obj_size: self.obj_size,
             task_label: self.task_label,

@@ -64,13 +64,14 @@ impl Inspector {
         writes: &[ObjId],
         updates: &[ObjId],
     ) -> TaskId {
-        self.task_labeled(String::new(), weight, reads, writes, updates)
+        self.task_labeled("", weight, reads, writes, updates)
     }
 
-    /// [`Inspector::task`] with a label for traces.
+    /// [`Inspector::task`] with a label for traces (`format_args!` formats
+    /// it straight into the graph's label buffer).
     pub fn task_labeled(
         &mut self,
-        label: String,
+        label: impl std::fmt::Display,
         weight: f64,
         reads: &[ObjId],
         writes: &[ObjId],

@@ -58,6 +58,11 @@ impl BlockPartition {
         self.bounds.partition_point(|&b| b <= i) - 1
     }
 
+    /// [`Self::block_of`] for every index at once.
+    fn blocks(&self) -> Vec<u32> {
+        (0..self.num_blocks()).flat_map(|b| self.range(b).map(move |_| b as u32)).collect()
+    }
+
     /// Build from explicit block boundaries (`bounds[0] == 0`, strictly
     /// increasing, last element = n).
     pub fn from_bounds(bounds: Vec<usize>) -> BlockPartition {
@@ -124,14 +129,16 @@ impl BlockPattern {
     /// Build from a symbolic Cholesky structure.
     pub fn from_cholesky(sym: &CholSymbolic, part: BlockPartition) -> BlockPattern {
         let nb = part.num_blocks();
+        let block = part.blocks();
         let mut block_cols: Vec<Vec<u32>> = vec![Vec::new(); nb];
-        for j in 0..sym.n() {
-            let bj = part.block_of(j);
-            for &r in &sym.l_cols[j] {
-                let bi = part.block_of(r as usize) as u32;
-                let col = &mut block_cols[bj];
-                if col.last() != Some(&bi) && !col.contains(&bi) {
-                    col.push(bi);
+        let mut seen = vec![u32::MAX; nb]; // seen[bi] == bj: (bi, bj) is listed
+        for (j, lj) in sym.l_cols.iter().enumerate() {
+            let bj = block[j];
+            for &r in lj {
+                let bi = block[r as usize];
+                if seen[bi as usize] != bj {
+                    seen[bi as usize] = bj;
+                    block_cols[bj as usize].push(bi);
                 }
             }
         }
@@ -144,11 +151,6 @@ impl BlockPattern {
     /// Is block (I, J) present?
     pub fn has(&self, i: u32, j: u32) -> bool {
         self.block_cols[j as usize].binary_search(&i).is_ok()
-    }
-
-    /// Number of present blocks.
-    pub fn num_nonzero_blocks(&self) -> usize {
-        self.block_cols.iter().map(Vec::len).sum()
     }
 }
 
@@ -171,15 +173,18 @@ impl ColBlockPattern {
     /// Build from a static LU structure.
     pub fn from_lu(sym: &LuSymbolic, part: BlockPartition) -> ColBlockPattern {
         let nb = part.num_blocks();
+        let block = part.blocks();
         let mut nnz = vec![0u64; nb];
         let mut deps: Vec<Vec<u32>> = vec![Vec::new(); nb];
-        for c in 0..sym.n() {
-            let bj = part.block_of(c);
-            nnz[bj] += sym.cols[c].len() as u64;
-            for &r in &sym.cols[c] {
-                let bk = part.block_of(r as usize) as u32;
-                if (bk as usize) < bj && !deps[bj].contains(&bk) {
-                    deps[bj].push(bk);
+        let mut seen = vec![u32::MAX; nb]; // seen[bk] == bj: bk is a dep of bj
+        for (c, col) in sym.cols.iter().enumerate() {
+            let bj = block[c];
+            nnz[bj as usize] += col.len() as u64;
+            for &r in col {
+                let bk = block[r as usize];
+                if bk < bj && seen[bk as usize] != bj {
+                    seen[bk as usize] = bj;
+                    deps[bj as usize].push(bk);
                 }
             }
         }

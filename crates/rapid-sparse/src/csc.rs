@@ -24,13 +24,6 @@ impl SparseMatrix {
     /// Build from unordered `(row, col, value)` triplets; duplicate
     /// entries are summed.
     pub fn from_triplets(nrows: usize, ncols: usize, triplets: &[(u32, u32, f64)]) -> SparseMatrix {
-        let mut count = vec![0usize; ncols + 1];
-        for &(_, c, _) in triplets {
-            count[c as usize + 1] += 1;
-        }
-        for i in 0..ncols {
-            count[i + 1] += count[i];
-        }
         let mut entries: Vec<(u32, u32, f64)> = triplets.to_vec();
         entries.sort_unstable_by_key(|&(r, c, _)| (c, r));
         let mut col_ptr = vec![0usize; ncols + 1];
@@ -80,15 +73,26 @@ impl SparseMatrix {
         }
     }
 
-    /// Transpose.
+    /// Transpose, by a counting sort on the row index: columns are visited
+    /// in order, so every column of the result comes out sorted.
     pub fn transpose(&self) -> SparseMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
+        let mut col_ptr = vec![0usize; self.nrows + 1];
+        for &r in &self.row_idx {
+            col_ptr[r as usize + 1] += 1;
+        }
+        for r in 0..self.nrows {
+            col_ptr[r + 1] += col_ptr[r];
+        }
+        let mut next = col_ptr.clone();
+        let (mut row_idx, mut values) = (vec![0u32; self.nnz()], vec![0.0; self.nnz()]);
         for c in 0..self.ncols {
-            for (i, &r) in self.col_rows(c).iter().enumerate() {
-                triplets.push((c as u32, r, self.col_values(c)[i]));
+            for (&r, &v) in self.col_rows(c).iter().zip(self.col_values(c)) {
+                let slot = &mut next[r as usize];
+                (row_idx[*slot], values[*slot]) = (c as u32, v);
+                *slot += 1;
             }
         }
-        SparseMatrix::from_triplets(self.ncols, self.nrows, &triplets)
+        SparseMatrix { nrows: self.ncols, ncols: self.nrows, col_ptr, row_idx, values }
     }
 
     /// Pattern-symmetrized matrix `A + Aᵀ` (values summed; used before

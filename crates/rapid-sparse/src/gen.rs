@@ -175,6 +175,40 @@ pub fn goodwin_like(n: usize, band: usize, scatter: usize, seed: u64) -> SparseM
 }
 
 #[cfg(test)]
+/// 225 small seeded patterns for the ordering and symbolic oracles: FEM
+/// grids, unsymmetric banded matrices, and sparse random patterns that
+/// leave empty columns, missing diagonals and several components.
+pub(crate) fn small_patterns() -> Vec<(String, SparseMatrix)> {
+    let mut out = Vec::new();
+    for (nx, ny) in (1..=7).flat_map(|x| (1..=7).map(move |y| (x, y))) {
+        out.push((format!("grid2d_laplacian({nx}, {ny})"), grid2d_laplacian(nx, ny)));
+    }
+    for (nx, ny, d) in
+        (1..=4).flat_map(|x| (1..=3).flat_map(move |y| (1..=3).map(move |d| (x, y, d))))
+    {
+        out.push((format!("bcsstk_like({nx}, {ny}, {d}, 1997)"), bcsstk_like(nx, ny, d, 1997)));
+    }
+    for seed in 0..60u64 {
+        let (n, band, scatter) = (1 + seed as usize % 40, 1 + seed as usize % 3, seed as usize % 3);
+        let what = format!("goodwin_like({n}, {band}, {scatter}, {seed})");
+        out.push((what, goodwin_like(n, band, scatter, seed)));
+    }
+    for seed in 0..80u64 {
+        let mut rng = SplitMix64(seed);
+        let n = rng.below(33) as usize;
+        let nnz = if n == 0 { 0 } else { rng.below(2 * n as u64 + 1) as usize };
+        let t: Vec<(u32, u32, f64)> = (0..nnz)
+            .map(|_| (rng.below(n as u64) as u32, rng.below(n as u64) as u32, 1.0))
+            .collect();
+        out.push((
+            format!("random({seed}): n = {n}, {nnz} entries"),
+            SparseMatrix::from_triplets(n, n, &t),
+        ));
+    }
+    out
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 

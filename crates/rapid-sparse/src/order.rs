@@ -5,22 +5,28 @@
 //! task graphs were extracted. Both orderings operate on the symmetrized
 //! pattern and return a permutation `perm` such that new index `i`
 //! corresponds to old index `perm[i]` (use with
-//! [`crate::csc::SparseMatrix::permute_sym`]).
+//! [`crate::csc::SparseMatrix::permute_sym`]). Both are linear in the
+//! pattern to set up; minimum degree then costs what its elimination graph
+//! costs (DESIGN.md §6, "Inspector cost").
 
 use crate::csc::SparseMatrix;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Adjacency lists of the symmetrized pattern, excluding the diagonal.
+/// Adjacency lists of the symmetrized pattern, excluding the diagonal:
+/// column `c`'s rows and row `c`'s columns, sorted and deduplicated.
 fn adjacency(a: &SparseMatrix) -> Vec<Vec<u32>> {
-    let s = if a.pattern_symmetric() { a.clone() } else { a.symmetrized() };
-    let mut adj = vec![Vec::new(); s.ncols];
-    for (c, ac) in adj.iter_mut().enumerate() {
-        for &r in s.col_rows(c) {
-            if r as usize != c {
-                ac.push(r);
-            }
-        }
-    }
-    adj
+    assert_eq!(a.nrows, a.ncols);
+    let t = a.transpose();
+    (0..a.ncols)
+        .map(|c| {
+            let mut adj = [a.col_rows(c), t.col_rows(c)].concat();
+            adj.retain(|&r| r as usize != c);
+            adj.sort_unstable();
+            adj.dedup();
+            adj
+        })
+        .collect()
 }
 
 /// Reverse Cuthill-McKee: BFS from a pseudo-peripheral vertex, neighbours
@@ -94,50 +100,50 @@ fn pseudo_peripheral(adj: &[Vec<u32>], start: usize) -> usize {
     v
 }
 
-/// Minimum-degree ordering with explicit elimination-graph update (clique
-/// formation on the eliminated vertex's neighbourhood). Exact but
-/// quadratic in the worst case; intended for the paper-scale matrices
-/// (n ≲ 10⁴).
+/// Exact minimum-degree ordering: each step eliminates the live vertex of
+/// least `(degree, index)` in the explicit elimination graph and makes its
+/// live neighbours a clique. One vertex per step, so the tie-break (and
+/// every downstream plan) is fixed by the definition alone. Picks come from
+/// a lazily pruned `(degree, vertex)` heap; neighbour sets are unsorted and
+/// hold only live vertices, so a step costs the sets it rewrites.
 pub fn min_degree(a: &SparseMatrix) -> Vec<u32> {
-    let adj = adjacency(a);
-    let n = adj.len();
-    // Neighbour sets as sorted vectors.
-    let mut nbrs: Vec<Vec<u32>> = adj
-        .into_iter()
-        .map(|mut v| {
-            v.sort_unstable();
-            v.dedup();
-            v
-        })
-        .collect();
+    let mut nbrs = adjacency(a);
+    let n = nbrs.len();
     let mut eliminated = vec![false; n];
+    let mut heap: BinaryHeap<Reverse<(usize, u32)>> =
+        nbrs.iter().enumerate().map(|(v, s)| Reverse((s.len(), v as u32))).collect();
+    // `mark[x] == stamp`: x is already in the set being rewritten.
+    let mut mark = vec![0usize; n];
+    let mut stamp = 0usize;
     let mut order = Vec::with_capacity(n);
-    // Degree bucket priority: linear scan with cached degrees (simple and
-    // robust; callers needing speed use RCM).
-    let mut degree: Vec<usize> = nbrs.iter().map(Vec::len).collect();
-    for _ in 0..n {
-        let Some(v) = (0..n).filter(|&v| !eliminated[v]).min_by_key(|&v| (degree[v], v)) else {
-            break; // unreachable: n iterations eliminate exactly n vertices
-        };
-        eliminated[v] = true;
-        order.push(v as u32);
-        // Form the clique among v's uneliminated neighbours.
-        let live: Vec<u32> = nbrs[v].iter().copied().filter(|&w| !eliminated[w as usize]).collect();
-        for (i, &w) in live.iter().enumerate() {
-            let wi = w as usize;
-            // Remove v, add the other clique members.
-            let mut set = std::mem::take(&mut nbrs[wi]);
-            set.retain(|&x| x != v as u32 && !eliminated[x as usize]);
-            for (j, &u) in live.iter().enumerate() {
-                if i != j && set.binary_search(&u).is_err() {
-                    let pos = set.partition_point(|&x| x < u);
-                    set.insert(pos, u);
+    while let Some(Reverse((deg, v))) = heap.pop() {
+        let vi = v as usize;
+        if eliminated[vi] || deg != nbrs[vi].len() {
+            continue;
+        }
+        eliminated[vi] = true;
+        order.push(v);
+        // The clique: every live neighbour drops v and gains the others.
+        let clique = std::mem::take(&mut nbrs[vi]);
+        for &w in &clique {
+            let set = &mut nbrs[w as usize];
+            let before = set.len();
+            stamp += 1;
+            mark[w as usize] = stamp;
+            set.retain(|&x| x != v);
+            for &x in set.iter() {
+                mark[x as usize] = stamp;
+            }
+            for &u in &clique {
+                if mark[u as usize] != stamp {
+                    set.push(u);
                 }
             }
-            degree[wi] = set.len();
-            nbrs[wi] = set;
+            // An unchanged degree keeps its entry valid.
+            if set.len() != before {
+                heap.push(Reverse((set.len(), w)));
+            }
         }
-        nbrs[v] = Vec::new();
     }
     order
 }
@@ -168,16 +174,42 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
     }
 
-    #[test]
-    fn min_degree_is_a_permutation() {
-        let a = gen::grid2d_laplacian(6, 6);
-        let p = min_degree(&a);
-        let mut seen = [false; 36];
-        for &v in &p {
-            assert!(!seen[v as usize]);
-            seen[v as usize] = true;
+    /// The definition of exact minimum degree, replayed on a dense
+    /// elimination graph: every pick is the live vertex of least
+    /// `(degree, index)`, so the picks are also a permutation.
+    #[allow(clippy::needless_range_loop)] // symmetric adj[r][c]/adj[c][r] writes
+    fn assert_is_min_degree(a: &SparseMatrix, perm: &[u32], what: &str) {
+        let n = a.ncols;
+        let mut adj = vec![vec![false; n]; n];
+        for c in 0..n {
+            for &r in a.col_rows(c).iter().filter(|&&r| r as usize != c) {
+                adj[r as usize][c] = true;
+                adj[c][r as usize] = true;
+            }
         }
-        assert!(seen.iter().all(|&s| s));
+        let mut live = vec![true; n];
+        assert_eq!(perm.len(), n, "{what}");
+        for (step, &v) in perm.iter().enumerate() {
+            let degree = |u: usize| (0..n).filter(|&x| live[x] && adj[u][x]).count();
+            let best = (0..n).filter(|&u| live[u]).min_by_key(|&u| (degree(u), u));
+            assert_eq!(Some(v as usize), best, "{what}: step {step}");
+            live[v as usize] = false;
+            let clique: Vec<usize> = (0..n).filter(|&x| live[x] && adj[v as usize][x]).collect();
+            for &x in &clique {
+                for &y in &clique {
+                    adj[x][y] |= x != y;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn min_degree_is_exact_minimum_degree() {
+        let patterns = gen::small_patterns();
+        assert!(patterns.len() >= 200);
+        for (what, a) in &patterns {
+            assert_is_min_degree(a, &min_degree(a), what);
+        }
     }
 
     #[test]

@@ -125,47 +125,48 @@ impl LuSymbolic {
 /// George–Ng bound: the union, over columns, of the Cholesky structure of
 /// the `AᵀA` pattern, mirrored to cover both the `L` and `U` parts.
 pub fn lu_static_symbolic(a: &SparseMatrix) -> LuSymbolic {
-    assert_eq!(a.nrows, a.ncols);
-    let n = a.ncols;
-    // Pattern of AᵀA: columns c1, c2 are coupled when some row holds
-    // nonzeros in both. Build row lists first.
-    let mut rows_cols: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for c in 0..n {
-        for &r in a.col_rows(c) {
-            rows_cols[r as usize].push(c as u32);
-        }
-    }
-    let mut triplets: Vec<(u32, u32, f64)> = Vec::new();
-    for cols in &rows_cols {
-        for (i, &c1) in cols.iter().enumerate() {
-            triplets.push((c1, c1, 1.0));
-            for &c2 in &cols[i + 1..] {
-                triplets.push((c1, c2, 1.0));
-                triplets.push((c2, c1, 1.0));
-            }
-        }
-    }
-    let ata = SparseMatrix::from_triplets(n, n, &triplets);
-    let chol = cholesky_symbolic(&ata);
+    let chol = cholesky_symbolic(&ata_pattern(a));
     // Column j of L+U: U part = columns k < j with j ∈ struct(L_k) of the
     // AᵀA factor (row j appears in k's column => U(k,j) may be nonzero),
-    // L part = struct(L_j) itself. Assemble by scattering.
-    let mut cols: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for k in 0..n {
-        for &r in &chol.l_cols[k] {
-            // L entry (r, k): row r in column k.
-            cols[k].push(r);
-            // Symmetric over-estimate for U: entry (k, r).
-            if r as usize != k {
-                cols[r as usize].push(k as u32);
-            }
+    // L part = struct(L_j) itself (`l_cols[j][0] == j`). Columns k ascending
+    // put every U entry of column j (all < j), sorted, before its L part.
+    let mut cols: Vec<Vec<u32>> = vec![Vec::new(); a.ncols];
+    for (k, lk) in chol.l_cols.iter().enumerate() {
+        cols[k].extend_from_slice(lk);
+        for &r in &lk[1..] {
+            cols[r as usize].push(k as u32);
         }
     }
-    for c in cols.iter_mut() {
-        c.sort_unstable();
-        c.dedup();
-    }
     LuSymbolic { cols }
+}
+
+/// The pattern of `AᵀA` (values all 1): columns `c1`, `c2` are coupled
+/// when some row holds nonzeros in both. Column `c` is the union of the
+/// rows of `Aᵀ` that column `c` of `A` touches, gathered under a marker and
+/// then sorted on its own.
+fn ata_pattern(a: &SparseMatrix) -> SparseMatrix {
+    assert_eq!(a.nrows, a.ncols);
+    let n = a.ncols;
+    let t = a.transpose();
+    let mut mark = vec![u32::MAX; n];
+    let mut col_ptr = Vec::with_capacity(n + 1);
+    let mut row_idx: Vec<u32> = Vec::new();
+    col_ptr.push(0);
+    for c in 0..n {
+        let start = row_idx.len();
+        for &r in a.col_rows(c) {
+            for &c2 in t.col_rows(r as usize) {
+                if mark[c2 as usize] != c as u32 {
+                    mark[c2 as usize] = c as u32;
+                    row_idx.push(c2);
+                }
+            }
+        }
+        row_idx[start..].sort_unstable();
+        col_ptr.push(row_idx.len());
+    }
+    let values = vec![1.0; row_idx.len()];
+    SparseMatrix { nrows: n, ncols: n, col_ptr, row_idx, values }
 }
 
 #[cfg(test)]
@@ -244,6 +245,33 @@ mod tests {
             }
         }
         assert!(sym.l_nnz() >= a.nnz() / 2);
+    }
+
+    #[test]
+    fn george_ng_structure_matches_dense_reference() {
+        for (what, a) in gen::small_patterns() {
+            let n = a.ncols;
+            let has = |r: usize, c: usize| a.col_rows(c).binary_search(&(r as u32)).is_ok();
+            // Dense AᵀA: columns i and j meet in some row.
+            let mut t = Vec::new();
+            for j in 0..n {
+                for i in (0..n).filter(|&i| (0..n).any(|r| has(r, i) && has(r, j))) {
+                    t.push((i as u32, j as u32, 1.0));
+                }
+            }
+            let ata = SparseMatrix::from_triplets(n, n, &t);
+            let built = ata_pattern(&a);
+            assert_eq!((&built.col_ptr, &built.row_idx), (&ata.col_ptr, &ata.row_idx), "{what}");
+            // Column j of L+U: the filled AᵀA pattern of column j, mirrored
+            // above the diagonal, diagonal always present.
+            let fill = dense_fill(&ata);
+            let lu = lu_static_symbolic(&a);
+            for (j, col) in lu.cols.iter().enumerate() {
+                let expect: Vec<u32> =
+                    (0..n).filter(|&i| i == j || fill[i][j]).map(|i| i as u32).collect();
+                assert_eq!(*col, expect, "{what}: column {j}");
+            }
+        }
     }
 
     #[test]

@@ -15,14 +15,15 @@
 //! provide *numeric bodies* for the threaded executor plus extraction and
 //! verification helpers.
 
-use crate::blockpart::{BlockPartition, BlockPattern, ColBlockPattern, ProcGrid};
+use crate::blockpart::{
+    supernode_partition, BlockPartition, BlockPattern, ColBlockPattern, ProcGrid,
+};
 use crate::csc::SparseMatrix;
 use crate::kernels;
-use crate::symbolic::{cholesky_symbolic, lu_static_symbolic};
+use crate::symbolic::{cholesky_symbolic, lu_static_symbolic, CholSymbolic};
 use rapid_core::ddg::{AccessKind, TraceBuilder, WritePolicy};
 use rapid_core::graph::{ObjId, ProcId, TaskGraph, TaskId};
 use rapid_rt::threaded::TaskCtx;
-use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
 // 2-D block Cholesky
@@ -63,8 +64,9 @@ pub struct CholeskyModel {
     pub graph: TaskGraph,
     /// Block pattern (closed under block updates).
     pub pattern: BlockPattern,
-    /// Object id of each present block.
-    pub obj_of_block: HashMap<(u32, u32), ObjId>,
+    /// Object of the first present block of each block column; the others
+    /// follow in `pattern.block_cols` order (see [`CholeskyModel::obj`]).
+    col_first: Vec<u32>,
     /// Block of each object.
     pub block_of_obj: Vec<(u32, u32)>,
     /// Kind of each task.
@@ -82,7 +84,7 @@ pub struct CholeskyModel {
 /// order; see [`cholesky_2d_model_commuting`] for the marked-commuting
 /// variant.
 pub fn cholesky_2d_model(a: &SparseMatrix, block_w: usize, nprocs: usize) -> CholeskyModel {
-    cholesky_2d_model_opts(a, block_w, nprocs, false)
+    cholesky_2d_model_with(a, |_| BlockPartition::uniform(a.ncols, block_w), nprocs, false)
 }
 
 /// [`cholesky_2d_model`] with the trailing updates of each block marked
@@ -96,7 +98,7 @@ pub fn cholesky_2d_model_commuting(
     block_w: usize,
     nprocs: usize,
 ) -> CholeskyModel {
-    cholesky_2d_model_opts(a, block_w, nprocs, true)
+    cholesky_2d_model_with(a, |_| BlockPartition::uniform(a.ncols, block_w), nprocs, true)
 }
 
 /// [`cholesky_2d_model`] over *supernodal* blocks: column blocks follow
@@ -108,31 +110,18 @@ pub fn cholesky_2d_model_supernodal(
     max_w: usize,
     nprocs: usize,
 ) -> CholeskyModel {
-    let sym = cholesky_symbolic(a);
-    let part = crate::blockpart::supernode_partition(&sym, max_w);
-    cholesky_2d_model_with(a, sym, part, nprocs, false)
-}
-
-fn cholesky_2d_model_opts(
-    a: &SparseMatrix,
-    block_w: usize,
-    nprocs: usize,
-    commuting: bool,
-) -> CholeskyModel {
-    let sym = cholesky_symbolic(a);
-    let part = BlockPartition::uniform(a.ncols, block_w);
-    cholesky_2d_model_with(a, sym, part, nprocs, commuting)
+    cholesky_2d_model_with(a, |sym| supernode_partition(sym, max_w), nprocs, false)
 }
 
 fn cholesky_2d_model_with(
     a: &SparseMatrix,
-    sym: crate::symbolic::CholSymbolic,
-    part: BlockPartition,
+    part: impl FnOnce(&CholSymbolic) -> BlockPartition,
     nprocs: usize,
     commuting: bool,
 ) -> CholeskyModel {
     let n = a.ncols;
-    let mut pattern = BlockPattern::from_cholesky(&sym, part);
+    let sym = cholesky_symbolic(a);
+    let mut pattern = BlockPattern::from_cholesky(&sym, part(&sym));
     let nb = pattern.part.num_blocks();
 
     // Close the block pattern under block updates: (i,k) and (j,k) present
@@ -158,18 +147,19 @@ fn cholesky_2d_model_with(
 
     let grid = ProcGrid::new(nprocs);
     let mut tb = TraceBuilder::new(WritePolicy::Rename);
-    let mut obj_of_block = HashMap::new();
+    let mut col_first = Vec::with_capacity(nb);
     let mut block_of_obj = Vec::new();
     let mut owner = Vec::new();
     for j in 0..nb as u32 {
+        col_first.push(block_of_obj.len() as u32);
         for &i in &pattern.block_cols[j as usize] {
             let size = (pattern.part.width(i as usize) * pattern.part.width(j as usize)) as u64;
-            let d = tb.add_object(size);
-            obj_of_block.insert((i, j), d);
+            tb.add_object(size);
             block_of_obj.push((i, j));
             owner.push(grid.owner(i, j));
         }
     }
+    let obj = |i: u32, j: u32| block_obj(&pattern, &col_first, i, j);
 
     let mut kinds = Vec::new();
     // Right-looking block factorization. Blocks hold the values of A at
@@ -177,9 +167,9 @@ fn cholesky_2d_model_with(
     // block is an update of resident data.
     for k in 0..nb as u32 {
         let wk = pattern.part.width(k as usize) as f64;
-        let dk = obj_of_block[&(k, k)];
+        let dk = obj(k, k);
         tb.add_task_labeled(
-            format!("Fact({k})"),
+            format_args!("Fact({k})"),
             (wk * wk * wk) / 3.0,
             &[(dk, AccessKind::Update)],
         );
@@ -188,9 +178,9 @@ fn cholesky_2d_model_with(
             pattern.block_cols[k as usize].iter().copied().filter(|&i| i > k).collect();
         for &i in &col {
             let hi = pattern.part.width(i as usize) as f64;
-            let dik = obj_of_block[&(i, k)];
+            let dik = obj(i, k);
             tb.add_task_labeled(
-                format!("Scale({i},{k})"),
+                format_args!("Scale({i},{k})"),
                 hi * wk * wk,
                 &[(dk, AccessKind::Read), (dik, AccessKind::Update)],
             );
@@ -200,15 +190,11 @@ fn cholesky_2d_model_with(
             for &i in &col[x..] {
                 let hi = pattern.part.width(i as usize) as f64;
                 let wj = pattern.part.width(j as usize) as f64;
-                let dik = obj_of_block[&(i, k)];
-                let djk = obj_of_block[&(j, k)];
-                let dij = obj_of_block[&(i, j)];
+                let (dik, djk, dij) = (obj(i, k), obj(j, k), obj(i, j));
                 let upd = if commuting { AccessKind::Accum } else { AccessKind::Update };
-                let mut acc = vec![(dik, AccessKind::Read), (dij, upd)];
-                if djk != dik {
-                    acc.push((djk, AccessKind::Read));
-                }
-                tb.add_task_labeled(format!("Update({i},{j},{k})"), 2.0 * hi * wj * wk, &acc);
+                let acc = [(dik, AccessKind::Read), (dij, upd), (djk, AccessKind::Read)];
+                let acc = if i == j { &acc[..2] } else { &acc[..] };
+                tb.add_task_labeled(format_args!("Update({i},{j},{k})"), 2.0 * hi * wj * wk, acc);
                 kinds.push(CholTask::Update { i, j, k });
             }
         }
@@ -218,10 +204,24 @@ fn cholesky_2d_model_with(
         .unwrap_or_else(|e| unreachable!("cholesky trace builds by construction: {e:?}"));
     debug_assert_eq!(graph.num_tasks(), kinds.len());
     debug_assert_eq!(graph.num_objects(), block_of_obj.len());
-    CholeskyModel { graph, pattern, obj_of_block, block_of_obj, kinds, owner, grid, n }
+    CholeskyModel { graph, pattern, col_first, block_of_obj, kinds, owner, grid, n }
+}
+
+/// Object of present block (i, j): objects are created block column by
+/// block column, each in `pattern.block_cols` order.
+fn block_obj(pattern: &BlockPattern, col_first: &[u32], i: u32, j: u32) -> ObjId {
+    let pos = pattern.block_cols[j as usize]
+        .binary_search(&i)
+        .unwrap_or_else(|_| unreachable!("block ({i}, {j}) is not in the pattern"));
+    ObjId(col_first[j as usize] + pos as u32)
 }
 
 impl CholeskyModel {
+    /// Object holding present block (i, j).
+    pub fn obj(&self, i: u32, j: u32) -> ObjId {
+        block_obj(&self.pattern, &self.col_first, i, j)
+    }
+
     /// Owner-side data initialization: load each block with `A`'s values.
     pub fn init<'m>(&'m self, a: &'m SparseMatrix) -> impl Fn(ObjId, &mut [f64]) + Sync + 'm {
         move |d: ObjId, buf: &mut [f64]| {
@@ -245,7 +245,7 @@ impl CholeskyModel {
             CholTask::Scale { i, k } => {
                 let h = self.pattern.part.width(i as usize);
                 let w = self.pattern.part.width(k as usize);
-                let l = ctx.read(self.obj_of_block[&(k, k)]);
+                let l = ctx.read(self.obj(k, k));
                 let buf = self.obj_buf_mut(ctx, i, k);
                 kernels::trsm_rlt(buf, h, l, w);
             }
@@ -253,8 +253,8 @@ impl CholeskyModel {
                 let hi = self.pattern.part.width(i as usize);
                 let wj = self.pattern.part.width(j as usize);
                 let wk = self.pattern.part.width(k as usize);
-                let aik = ctx.read(self.obj_of_block[&(i, k)]);
-                let bjk = if i == j { aik } else { ctx.read(self.obj_of_block[&(j, k)]) };
+                let aik = ctx.read(self.obj(i, k));
+                let bjk = if i == j { aik } else { ctx.read(self.obj(j, k)) };
                 let buf = self.obj_buf_mut(ctx, i, j);
                 kernels::gemm_nt_sub(buf, hi, wj, aik, bjk, wk);
             }
@@ -262,7 +262,7 @@ impl CholeskyModel {
     }
 
     fn obj_buf_mut<'c>(&self, ctx: &'c mut TaskCtx<'_>, i: u32, j: u32) -> &'c mut [f64] {
-        ctx.write(self.obj_of_block[&(i, j)])
+        ctx.write(self.obj(i, j))
     }
 
     /// Load block (i, j) of `a` into a zeroed dense column-major buffer.
@@ -388,7 +388,7 @@ pub fn lu_1d_model(a: &SparseMatrix, block_w: usize, nprocs: usize, numeric: boo
         let w = colpat.part.width(k as usize) as f64;
         let rows_k = colpat.nnz[k as usize] as f64 / w;
         tb.add_task_labeled(
-            format!("Fact({k})"),
+            format_args!("Fact({k})"),
             w * w * rows_k,
             &[(obj_of_block[k as usize], AccessKind::Update)],
         );
@@ -398,7 +398,7 @@ pub fn lu_1d_model(a: &SparseMatrix, block_w: usize, nprocs: usize, numeric: boo
                 let wj = colpat.part.width(j) as f64;
                 let rows_j = colpat.nnz[j] as f64 / wj;
                 tb.add_task_labeled(
-                    format!("Update({k},{j})"),
+                    format_args!("Update({k},{j})"),
                     2.0 * w * wj * rows_j,
                     &[
                         (obj_of_block[k as usize], AccessKind::Read),

@@ -40,11 +40,11 @@ fn main() {
     let mut labels = Vec::new();
     for j in 0..nb {
         // Diagonal solve of block j, then off-diagonal updates downward.
-        ins.task_labeled(format!("Solve({j})"), 1.0, &[], &[], &[y[j]]);
+        ins.task_labeled(format_args!("Solve({j})"), 1.0, &[], &[], &[y[j]]);
         labels.push((j, j));
         for i in j + 1..nb {
             if coupled[i][j] {
-                ins.task_labeled(format!("Upd({i},{j})"), 1.0, &[y[j]], &[], &[y[i]]);
+                ins.task_labeled(format_args!("Upd({i},{j})"), 1.0, &[y[j]], &[], &[y[i]]);
                 labels.push((i, j));
             }
         }
