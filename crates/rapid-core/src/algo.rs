@@ -129,14 +129,17 @@ pub fn tarjan_scc(adj: &Csr) -> (Vec<u32>, u32) {
 /// `None` to charge every edge (the machine-independent variant used before
 /// mapping).
 pub fn bottom_levels(g: &TaskGraph, cost: &CostModel, assign: Option<&Assignment>) -> Vec<f64> {
+    bottom_levels_from(g, &edge_costs(g, cost, assign))
+}
+
+/// [`bottom_levels`] over edge costs already computed by [`edge_costs`].
+pub fn bottom_levels_from(g: &TaskGraph, edge_cost: &Csr<f64>) -> Vec<f64> {
     let order = topo_sort(g).expect("bottom_levels requires a DAG");
     let mut bl = vec![0.0f64; g.num_tasks()];
     for &t in order.iter().rev() {
         let mut best = 0.0f64;
-        for &s in g.succs(t) {
-            let s = TaskId(s);
-            let comm = edge_comm_cost(g, cost, assign, t, s);
-            let cand = comm + bl[s.idx()];
+        for (&s, &comm) in g.succs(t).iter().zip(&edge_cost[t.idx()]) {
+            let cand = comm + bl[s as usize];
             if cand > best {
                 best = cand;
             }
@@ -146,22 +149,11 @@ pub fn bottom_levels(g: &TaskGraph, cost: &CostModel, assign: Option<&Assignment
     bl
 }
 
-/// Top level of every task: longest path length from an entry task to the
-/// task, **excluding** the task's own weight.
-pub fn top_levels(g: &TaskGraph, cost: &CostModel, assign: Option<&Assignment>) -> Vec<f64> {
-    let order = topo_sort(g).expect("top_levels requires a DAG");
-    let mut tl = vec![0.0f64; g.num_tasks()];
-    for &t in order.iter() {
-        for &s in g.succs(t) {
-            let s = TaskId(s);
-            let comm = edge_comm_cost(g, cost, assign, t, s);
-            let cand = tl[t.idx()] + g.weight(t) + comm;
-            if cand > tl[s.idx()] {
-                tl[s.idx()] = cand;
-            }
-        }
-    }
-    tl
+/// [`edge_comm_cost`] of every dependence edge, computed once: row `t`
+/// is aligned with `g.succs(t)`. The ordering simulation and the
+/// bottom levels it starts from both read it.
+pub fn edge_costs(g: &TaskGraph, cost: &CostModel, assign: Option<&Assignment>) -> Csr<f64> {
+    g.map_succs(|a, b| edge_comm_cost(g, cost, assign, a, b))
 }
 
 /// Communication cost charged on a dependence edge `(a, b)`: the cost of
@@ -267,9 +259,9 @@ mod tests {
         let bl = bottom_levels(&g, &CostModel::unit(), None);
         assert!((bl[t1.idx()] - 1.0).abs() < 1e-12);
         assert!((bl[t0.idx()] - 3.0).abs() < 1e-12); // 1 + comm 1 + 1
-        let tl = top_levels(&g, &CostModel::unit(), None);
-        assert!((tl[t0.idx()] - 0.0).abs() < 1e-12);
-        assert!((tl[t1.idx()] - 2.0).abs() < 1e-12);
+        let ec = edge_costs(&g, &CostModel::unit(), None);
+        assert_eq!(&ec[t0.idx()], &[1.0]);
+        assert_eq!(bottom_levels_from(&g, &ec), bl);
     }
 
     #[test]

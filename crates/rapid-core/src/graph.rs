@@ -234,6 +234,16 @@ impl TaskGraph {
         self.succs.row(t.idx())
     }
 
+    /// One value per dependence edge, `f(t, s)` for the edge `t -> s`:
+    /// row `t` of the result is aligned with [`TaskGraph::succs`]`(t)`.
+    pub fn map_succs<U>(&self, mut f: impl FnMut(TaskId, TaskId) -> U) -> Csr<U> {
+        let mut targets = Vec::with_capacity(self.num_edges());
+        for t in self.tasks() {
+            targets.extend(self.succs(t).iter().map(|&s| f(t, TaskId(s))));
+        }
+        Csr { offsets: self.succs.offsets.clone(), targets }
+    }
+
     /// Immediate predecessors (parents) of `t`.
     #[inline]
     pub fn preds(&self, t: TaskId) -> &[u32] {

@@ -258,7 +258,7 @@ impl RtPlan {
         window: MapWindow,
         mut placer: Option<&mut Placer>,
     ) -> Result<Vec<PlannedMap>, ExecError> {
-        let mut planner = MapPlanner::new(p, capacity, self.perm_units[p as usize]);
+        let mut planner = MapPlanner::new(g, self, p, capacity);
         let mut rows: Vec<PlannedMap> = Vec::new();
         let mut pos = 0u32;
         loop {
@@ -728,26 +728,48 @@ pub enum MapWindow {
 /// volatiles (by counting, not offsets) and plans each MAP in turn. It
 /// runs before the run, inside the walks of [`RtPlan::place_maps`] and
 /// [`RtPlan::address_plan`]; the executors replay what it planned.
+///
+/// Its state is dense: one membership flag and one static last use per
+/// object, plus the allocated volatiles in no particular order, so an
+/// allocation is a push, a membership test one read, and a free wave one
+/// pass over what is allocated (its frees sorted by object id after).
 #[derive(Debug)]
 pub struct MapPlanner {
     proc: ProcId,
     capacity: u64,
-    /// Currently allocated volatile objects (sorted).
+    /// `last[d]`: the static last use of volatile `d` on this processor,
+    /// `u32::MAX` (never freed) for any other object.
+    last: Vec<u32>,
+    /// `resident[d]`: is volatile `d` currently allocated?
+    resident: Vec<bool>,
+    /// The currently allocated volatiles, in no particular order.
     allocated: Vec<ObjId>,
     /// Units in use by permanents + allocated volatiles.
     in_use: u64,
 }
 
 impl MapPlanner {
-    /// Planner for processor `p` with the given capacity; permanents are
-    /// allocated immediately.
-    pub fn new(p: ProcId, capacity: u64, perm_units: u64) -> MapPlanner {
-        MapPlanner { proc: p, capacity, allocated: Vec::new(), in_use: perm_units }
+    /// Planner for processor `p` of `plan` with the given capacity;
+    /// permanents are allocated immediately.
+    pub fn new(g: &TaskGraph, plan: &RtPlan, p: ProcId, capacity: u64) -> MapPlanner {
+        let pl = &plan.lv.procs[p as usize];
+        let mut last = vec![u32::MAX; g.num_objects()];
+        for (d, &(_, l)) in pl.volatile.iter().zip(&pl.volatile_span) {
+            last[d.idx()] = l;
+        }
+        MapPlanner {
+            proc: p,
+            capacity,
+            last,
+            resident: vec![false; g.num_objects()],
+            allocated: Vec::new(),
+            in_use: plan.perm_units[p as usize],
+        }
     }
 
     /// Is volatile `d` currently allocated?
     fn is_allocated(&self, d: ObjId) -> bool {
-        self.allocated.binary_search(&d).is_ok()
+        self.resident[d.idx()]
     }
 
     /// Plan and commit the MAP at position `pos` of this processor's
@@ -766,21 +788,20 @@ impl MapPlanner {
         let pl = &plan.lv.procs[p];
         let order = &sched.order[p];
 
-        // Free volatiles whose last use is strictly before `pos`.
+        // Free volatiles whose last use is strictly before `pos`. Only
+        // objects from this processor's volatile set ever enter
+        // `allocated`, and anything else would keep `u32::MAX` and stay.
+        let (last, resident) = (&self.last, &mut self.resident);
         let mut frees = Vec::new();
         self.allocated.retain(|&d| {
-            // Only objects from this processor's volatile set ever enter
-            // `allocated`; keep anything else resident rather than guess a
-            // lifetime for it.
-            let Ok(k) = pl.volatile.binary_search(&d) else { return true };
-            let (_, last) = pl.volatile_span[k];
-            if last < pos {
+            let dead = last[d.idx()] < pos;
+            if dead {
                 frees.push(d);
-                false
-            } else {
-                true
+                resident[d.idx()] = false;
             }
+            !dead
         });
+        frees.sort_unstable();
         for &d in &frees {
             self.in_use -= g.obj_size(d);
         }
@@ -792,18 +813,12 @@ impl MapPlanner {
         let mut allocs: Vec<ObjId> = Vec::new();
         let mut alloc_pos: Vec<u32> = Vec::new();
         let mut next_map = pos;
-        'window: for j in pos as usize..order.len() {
+        for j in pos as usize..order.len() {
             // Volatiles first used at position j are exactly the ones this
             // task introduces (anything used earlier is already allocated
             // or was newly allocated in this window).
-            let mut new_here: Vec<ObjId> = Vec::new();
-            let mut add = 0u64;
-            for &d in &pl.first_use[j] {
-                if !self.is_allocated(d) {
-                    new_here.push(d);
-                    add += g.obj_size(d);
-                }
-            }
+            let new_here = pl.first_use[j].iter().filter(|d| !self.resident[d.idx()]);
+            let add: u64 = new_here.clone().map(|&d| g.obj_size(d)).sum();
             if self.in_use + add > self.capacity {
                 if j as u32 == pos {
                     // The immediate next task does not fit: non-executable.
@@ -814,18 +829,19 @@ impl MapPlanner {
                         capacity: self.capacity,
                     });
                 }
-                break 'window;
+                break;
             }
-            for d in new_here {
-                let k = self.allocated.partition_point(|&x| x < d);
-                self.allocated.insert(k, d);
-                allocs.push(d);
+            let start = allocs.len();
+            allocs.extend(new_here);
+            for &d in &allocs[start..] {
+                self.resident[d.idx()] = true;
                 alloc_pos.push(j as u32);
             }
+            self.allocated.extend_from_slice(&allocs[start..]);
             self.in_use += add;
             next_map = j as u32 + 1;
             if window == MapWindow::Single {
-                break 'window;
+                break;
             }
         }
 
@@ -849,8 +865,11 @@ impl MapPlanner {
     /// cannot place a planned *lookahead* allocation — the object is
     /// planned again by the next MAP.
     fn rollback_alloc(&mut self, g: &TaskGraph, d: ObjId) {
-        if let Ok(k) = self.allocated.binary_search(&d) {
-            self.allocated.remove(k);
+        if std::mem::take(&mut self.resident[d.idx()]) {
+            // The latest allocations sit at the end.
+            if let Some(k) = self.allocated.iter().rposition(|&x| x == d) {
+                self.allocated.swap_remove(k);
+            }
             self.in_use -= g.obj_size(d);
         }
     }
@@ -1013,7 +1032,7 @@ mod tests {
         let g = fixtures::figure2_dag();
         let sched = fixtures::figure2_schedule_c();
         let plan = RtPlan::new(&g, &sched);
-        let mut mp = MapPlanner::new(1, 8, plan.perm_units[1]);
+        let mut mp = MapPlanner::new(&g, &plan, 1, 8);
         let first = mp.run_map(&g, &sched, &plan, 0, MapWindow::Greedy).unwrap();
         assert!(first.frees.is_empty());
         let k = first.next_map;
@@ -1029,7 +1048,7 @@ mod tests {
         let g = fixtures::figure2_dag();
         let sched = fixtures::figure2_schedule_c();
         let plan = RtPlan::new(&g, &sched);
-        let mut mp = MapPlanner::new(1, 7, plan.perm_units[1]);
+        let mut mp = MapPlanner::new(&g, &plan, 1, 7);
         let mut pos = 0u32;
         let mut failed = false;
         while (pos as usize) < sched.order[1].len() {
@@ -1088,7 +1107,7 @@ mod tests {
         let placement = plan.place_maps(&g, &sched, 8, MapWindow::Greedy).unwrap();
         // Replaying the planner step by step yields the same actions.
         for p in 0..2u32 {
-            let mut mp = MapPlanner::new(p, 8, plan.perm_units[p as usize]);
+            let mut mp = MapPlanner::new(&g, &plan, p, 8);
             for pm in &placement.per_proc[p as usize] {
                 let a = mp.run_map(&g, &sched, &plan, pm.pos, MapWindow::Greedy).unwrap();
                 assert_eq!(&a, pm);
@@ -1103,7 +1122,7 @@ mod tests {
         let sched = fixtures::figure2_schedule_c();
         let plan = RtPlan::new(&g, &sched);
         for p in 0..2u32 {
-            let mut mp = MapPlanner::new(p, 1000, plan.perm_units[p as usize]);
+            let mut mp = MapPlanner::new(&g, &plan, p, 1000);
             let a = mp.run_map(&g, &sched, &plan, 0, MapWindow::Greedy).unwrap();
             assert_eq!(a.next_map as usize, sched.order[p as usize].len());
         }

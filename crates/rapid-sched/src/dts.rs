@@ -13,83 +13,23 @@
 //! the scheduler more critical-path freedom and recovering most of RCP's
 //! time efficiency (Table 7).
 
-use crate::heapsim::{simulate_ordering_heap, HeapPolicy};
-use crate::sim::{simulate_ordering_reference, OrdF64, OrderPolicy, SimCtx};
+use crate::heapsim::{simulate_ordering_heap, simulate_ordering_heap_with, HeapPolicy, SimCtx};
+use rapid_core::algo::OrdF64;
 use rapid_core::dcg::{Dcg, VolatileScratch};
-use rapid_core::graph::{ProcId, TaskGraph, TaskId};
+use rapid_core::graph::{Csr, TaskGraph, TaskId};
 use rapid_core::schedule::{Assignment, CostModel, Schedule};
 
+/// The slice gating lives in the simulator's parked/active heap machinery
+/// (`heapsim` parks ready tasks of future slices and drains them when the
+/// processor's lowest incomplete slice advances), so eligibility is a
+/// heap transfer instead of a per-step filter pass. Within a slice the
+/// key is the static critical-path priority, exactly as RCP.
 struct DtsPolicy<'s> {
-    /// Slice (possibly merged) of each task.
-    slice_of_task: &'s [u32],
-    /// `remaining[p][l]`: unscheduled tasks of slice `l` on processor `p`.
-    remaining: Vec<Vec<u32>>,
-    /// Cached lowest incomplete slice per processor.
-    lowest: Vec<u32>,
-}
-
-impl<'s> DtsPolicy<'s> {
-    fn new(g: &TaskGraph, assign: &Assignment, slice_of_task: &'s [u32], num_slices: u32) -> Self {
-        let mut remaining = vec![vec![0u32; num_slices as usize]; assign.nprocs];
-        for t in g.tasks() {
-            remaining[assign.proc_of(t) as usize][slice_of_task[t.idx()] as usize] += 1;
-        }
-        let lowest = remaining
-            .iter()
-            .map(|r| r.iter().position(|&c| c > 0).unwrap_or(r.len()) as u32)
-            .collect();
-        DtsPolicy { slice_of_task, remaining, lowest }
-    }
-}
-
-impl OrderPolicy for DtsPolicy<'_> {
-    fn eligible(&self, p: ProcId, t: TaskId, _ctx: &SimCtx<'_>) -> bool {
-        // A ready task with a lower slice priority than some unscheduled
-        // task on the same processor waits (paper §4.2): only the lowest
-        // incomplete slice of the processor may run.
-        self.slice_of_task[t.idx()] == self.lowest[p as usize]
-    }
-
-    fn pick(&mut self, _p: ProcId, ready: &[TaskId], ctx: &SimCtx<'_>) -> usize {
-        // All candidates share the slice; use critical-path priority.
-        let mut best = 0;
-        for (i, &t) in ready.iter().enumerate().skip(1) {
-            let (bi, bb) = (ctx.blevel[t.idx()], ctx.blevel[ready[best].idx()]);
-            if bi > bb || (bi == bb && t < ready[best]) {
-                best = i;
-            }
-        }
-        best
-    }
-
-    fn on_scheduled(&mut self, t: TaskId, ctx: &SimCtx<'_>) {
-        let p = ctx.assign.proc_of(t) as usize;
-        let l = self.slice_of_task[t.idx()] as usize;
-        self.remaining[p][l] -= 1;
-        if self.remaining[p][l] == 0 && self.lowest[p] as usize == l {
-            let r = &self.remaining[p];
-            self.lowest[p] = r
-                .iter()
-                .skip(l)
-                .position(|&c| c > 0)
-                .map(|off| (l + off) as u32)
-                .unwrap_or(r.len() as u32);
-        }
-    }
-}
-
-/// Heap twin of [`DtsPolicy`]: the slice gating moves into the
-/// simulator's parked/active heap machinery (`heapsim` parks ready tasks
-/// of future slices and drains them when the processor's lowest
-/// incomplete slice advances), so eligibility is a heap transfer instead
-/// of a per-step filter pass. Within a slice the key is the static
-/// critical-path priority, exactly as RCP.
-struct DtsHeapPolicy<'s> {
     slice_of_task: &'s [u32],
     num_slices: u32,
 }
 
-impl HeapPolicy for DtsHeapPolicy<'_> {
+impl HeapPolicy for DtsPolicy<'_> {
     type Key = OrdF64;
 
     #[inline]
@@ -108,30 +48,10 @@ impl HeapPolicy for DtsHeapPolicy<'_> {
     }
 }
 
-/// Order tasks by DTS over the raw (unmerged) slices of the DCG
-/// (heap-driven; order-for-order identical to [`dts_order_reference`]).
+/// Order tasks by DTS over the raw (unmerged) slices of the DCG.
 pub fn dts_order(g: &TaskGraph, assign: &Assignment, cost: &CostModel) -> Schedule {
     let dcg = Dcg::build(g);
     dts_order_with(g, assign, cost, &dcg.slice_of_task, dcg.num_slices)
-}
-
-/// Straight-scan reference implementation of [`dts_order`], kept for
-/// validation and benchmarking against the heap path.
-pub fn dts_order_reference(g: &TaskGraph, assign: &Assignment, cost: &CostModel) -> Schedule {
-    let dcg = Dcg::build(g);
-    dts_order_with_reference(g, assign, cost, &dcg.slice_of_task, dcg.num_slices)
-}
-
-/// Straight-scan reference implementation of [`dts_order_with`].
-pub fn dts_order_with_reference(
-    g: &TaskGraph,
-    assign: &Assignment,
-    cost: &CostModel,
-    slice_of_task: &[u32],
-    num_slices: u32,
-) -> Schedule {
-    let mut policy = DtsPolicy::new(g, assign, slice_of_task, num_slices);
-    simulate_ordering_reference(g, assign, cost, &mut policy)
 }
 
 /// Order tasks by DTS over an explicit task→slice map (used after
@@ -143,23 +63,23 @@ pub fn dts_order_with(
     slice_of_task: &[u32],
     num_slices: u32,
 ) -> Schedule {
-    let mut policy = DtsHeapPolicy { slice_of_task, num_slices };
+    let mut policy = DtsPolicy { slice_of_task, num_slices };
     simulate_ordering_heap(g, assign, cost, &mut policy)
 }
 
-/// [`dts_order_with`] with caller-provided bottom levels (must equal
-/// `algo::bottom_levels(g, cost, Some(assign))`); used by the replanner,
-/// which caches them across capacities.
-pub fn dts_order_with_blevel(
+/// [`dts_order_with`] over the edge costs and bottom levels a caller
+/// already holds (see [`simulate_ordering_heap_with`]); the replanner
+/// caches them across capacities.
+pub fn dts_order_with_levels(
     g: &TaskGraph,
     assign: &Assignment,
-    cost: &CostModel,
     slice_of_task: &[u32],
     num_slices: u32,
     blevel: &[f64],
+    edge_cost: &Csr<f64>,
 ) -> Schedule {
-    let mut policy = DtsHeapPolicy { slice_of_task, num_slices };
-    crate::heapsim::simulate_ordering_heap_with(g, assign, cost, &mut policy, blevel)
+    let mut policy = DtsPolicy { slice_of_task, num_slices };
+    simulate_ordering_heap_with(g, assign, &mut policy, blevel, edge_cost)
 }
 
 /// Per-slice `H(R, L_i)` (Definition 7) for every slice, through the
@@ -213,20 +133,6 @@ pub fn merge_slices(
     merge_slices_from_h(&slice_h(g, assign, dcg), avail_volatile)
 }
 
-/// [`merge_slices`] with the pre-PR-7 quadratic `H` evaluation
-/// ([`Dcg::max_volatile_space`], whose per-access membership test scans
-/// the volatile set). Kept — like the straight-scan simulators — as the
-/// oracle of the equivalence tests; identical output to [`merge_slices`].
-pub fn merge_slices_reference(
-    g: &TaskGraph,
-    assign: &Assignment,
-    dcg: &Dcg,
-    avail_volatile: u64,
-) -> (Vec<u32>, u32) {
-    let h: Vec<u64> = (0..dcg.num_slices).map(|l| dcg.max_volatile_space(g, assign, l)).collect();
-    merge_slices_from_h(&h, avail_volatile)
-}
-
 /// Volatile budget left under a per-processor `capacity` once permanent
 /// objects are accounted: `capacity - max_p perm(p)` as in Theorem 2.
 pub fn avail_volatile(g: &TaskGraph, assign: &Assignment, capacity: u64) -> u64 {
@@ -250,23 +156,6 @@ pub fn dts_order_merged(
     let dcg = Dcg::build(g);
     let avail = avail_volatile(g, assign, capacity);
     let (merged_of, nmerged) = merge_slices(g, assign, &dcg, avail);
-    let slice_of_task: Vec<u32> =
-        g.tasks().map(|t| merged_of[dcg.slice_of_task[t.idx()] as usize]).collect();
-    dts_order_with(g, assign, cost, &slice_of_task, nmerged)
-}
-
-/// The pre-PR-7 merged-DTS pipeline, composed entirely of reference
-/// parts (quadratic `H`, heapsim with its internal bottom-level pass).
-/// Identical output to [`dts_order_merged`]; kept as its oracle.
-pub fn dts_order_merged_reference(
-    g: &TaskGraph,
-    assign: &Assignment,
-    cost: &CostModel,
-    capacity: u64,
-) -> Schedule {
-    let dcg = Dcg::build(g);
-    let avail = avail_volatile(g, assign, capacity);
-    let (merged_of, nmerged) = merge_slices_reference(g, assign, &dcg, avail);
     let slice_of_task: Vec<u32> =
         g.tasks().map(|t| merged_of[dcg.slice_of_task[t.idx()] as usize]).collect();
     dts_order_with(g, assign, cost, &slice_of_task, nmerged)

@@ -1,51 +1,60 @@
-//! Heap-driven ordering simulation — the production counterpart of the
-//! straight-scan [`crate::sim::simulate_ordering_reference`].
+//! The ordering simulation shared by RCP, MPO and DTS.
 //!
-//! The reference simulator rescans every processor's ready list on every
-//! step and asks its policy to rescan every candidate per pick, which is
-//! O(steps × ready × |access set|) for MPO. This module replaces both
-//! scans with priority heaps and incremental key maintenance:
+//! All three orderings "simulate the execution of tasks following task
+//! dependencies" (paper §4.1) and differ only in which ready task a
+//! processor picks next. [`simulate_ordering_heap`] owns the loop; a
+//! [`HeapPolicy`] supplies a priority key per task. Each step is
+//! O(log V), with no rescans and no stale entries:
 //!
 //! - **Processor selection** is a min-heap on `(idle time, proc id)` with
 //!   lazy deletion: an entry is pushed whenever a processor becomes
 //!   selectable or its clock moves while selectable, and an entry popped
 //!   with a key that no longer matches the processor's current clock (or
-//!   a processor with nothing selectable) is simply discarded. The heap
-//!   invariant is that every selectable processor always owns at least
-//!   one entry carrying its *current* clock, so the first valid pop is
-//!   exactly the reference's linear-scan minimum, ties broken by
-//!   processor id.
-//! - **Task selection** is a per-processor max-heap on
-//!   `(policy key, ¬task id)` with the same lazy-deletion discipline:
-//!   when a task's key changes, the policy reports it *dirty* and a fresh
-//!   entry is pushed; popped entries whose key differs from the task's
-//!   current key (or whose task is already scheduled) are discarded.
-//!   Keys in this codebase only ever increase (MPO's memory priority is
-//!   monotone), so a stale entry can never shadow a live one.
+//!   a processor with nothing selectable) is simply discarded. Every
+//!   selectable processor always owns at least one entry carrying its
+//!   *current* clock, so the first valid pop is the earliest-idle
+//!   processor, ties broken by processor id. There are only `p` of them.
+//! - **Task selection** is a per-processor indexed max-heap on
+//!   `(policy key, ¬task id)` holding exactly the selectable tasks, one
+//!   entry each, with every task's slot recorded. When a task's key
+//!   changes, the policy reports it *dirty* and its entry is re-keyed in
+//!   place, sifted up or down as the key rose or fell; a pop is always
+//!   live.
 //! - **Slice gating** (DTS) is structural: ready tasks of a future slice
 //!   are *parked* in a per-processor min-heap keyed by slice and drained
 //!   into the active heap when the processor's lowest incomplete slice
 //!   reaches them, so eligibility costs a heap transfer instead of a
 //!   filter pass per step. Ungated policies report a single slice and
 //!   never park.
+//! - **Communication costs** are computed once per edge
+//!   ([`algo::edge_costs`]); the bottom levels and the arrival times both
+//!   read that array.
 //!
-//! Every policy must order for order match its reference twin —
-//! `tests/ordering_equiv.rs` proves it on random DAGs, ties included.
+//! Every policy must order for order match its straight-scan reference
+//! twin, the paper's pseudo-code transcribed — the crate's `sim` tests
+//! prove it on random DAGs, ties included.
 
-use crate::sim::SimCtx;
 use rapid_core::algo::{self, OrdF64};
-use rapid_core::graph::{TaskGraph, TaskId};
+use rapid_core::graph::{Csr, TaskGraph, TaskId};
 use rapid_core::schedule::{Assignment, CostModel, Schedule};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// A pick rule for the heap-driven ordering simulation.
-///
-/// Where [`crate::sim::OrderPolicy`] picks by scanning a ready slice, a
-/// `HeapPolicy` exposes a totally ordered *priority key* per task (higher
-/// runs first; ties always break toward the smaller task id) plus
-/// incremental maintenance hooks, so the simulator can keep ready tasks
-/// in heaps instead of rescanning them.
+/// View of the simulation state exposed to policies.
+pub struct SimCtx<'a> {
+    /// The task graph being ordered.
+    pub g: &'a TaskGraph,
+    /// The fixed task→processor assignment.
+    pub assign: &'a Assignment,
+    /// Static bottom levels (critical-path priorities) with communication
+    /// costs charged on cross-processor edges.
+    pub blevel: &'a [f64],
+}
+
+/// A pick rule for the ordering simulation: a totally ordered *priority
+/// key* per task (higher runs first; ties always break toward the smaller
+/// task id) plus incremental maintenance hooks, so the simulator can keep
+/// ready tasks in heaps instead of rescanning them.
 pub trait HeapPolicy {
     /// Priority key type; higher keys are picked first.
     type Key: Ord + Copy;
@@ -68,47 +77,51 @@ pub trait HeapPolicy {
     }
 
     /// Hook invoked after `t` is scheduled. Push every task whose key may
-    /// have changed into `dirty`; the simulator reinserts the ones that
-    /// are ready and eligible with their fresh keys (scheduled or
-    /// not-yet-ready tasks in `dirty` are ignored, so over-reporting is
-    /// harmless).
+    /// have changed, in either direction, into `dirty`; the simulator
+    /// re-keys the selectable ones (scheduled, not-yet-ready or parked
+    /// tasks in `dirty` are ignored, so over-reporting is harmless).
     fn on_scheduled(&mut self, _t: TaskId, _ctx: &SimCtx<'_>, _dirty: &mut Vec<TaskId>) {}
 }
 
-/// Run the heap-driven ordering simulation and return the per-processor
-/// orders. Produces the *identical* schedule to
-/// [`crate::sim::simulate_ordering_reference`] under the matching
-/// [`crate::sim::OrderPolicy`], in
-/// O((V + E + Σ key updates) log V) instead of the reference's
-/// per-step rescans.
+/// Run the ordering simulation and return the per-processor orders, in
+/// O((V + E + Σ key updates) log V).
+///
+/// At every step the processor with the earliest idle time among those
+/// having a selectable task schedules the task with the highest key
+/// (Figure 4, lines 2–3). Task start times honour both the processor
+/// clock and message arrival times from remote predecessors; these
+/// predicted times drive the simulation but only the resulting *order* is
+/// returned — run-time behaviour is the executor's business.
 pub fn simulate_ordering_heap<P: HeapPolicy>(
     g: &TaskGraph,
     assign: &Assignment,
     cost: &CostModel,
     policy: &mut P,
 ) -> Schedule {
-    let blevel = algo::bottom_levels(g, cost, Some(assign));
-    simulate_ordering_heap_with(g, assign, cost, policy, &blevel)
+    let edge_cost = algo::edge_costs(g, cost, Some(assign));
+    let blevel = algo::bottom_levels_from(g, &edge_cost);
+    simulate_ordering_heap_with(g, assign, policy, &blevel, &edge_cost)
 }
 
-/// [`simulate_ordering_heap`] with caller-provided bottom levels, so a
-/// planner that already computed them does not pay the O(V + E) pass
-/// again. `blevel` must equal
-/// `algo::bottom_levels(g, cost, Some(assign))` for the schedule to
-/// match the reference simulators.
+/// [`simulate_ordering_heap`] over the edge costs and bottom levels a
+/// caller already holds: `edge_cost` must be
+/// `algo::edge_costs(g, cost, Some(assign))` and `blevel`
+/// `algo::bottom_levels_from(g, edge_cost)`.
 pub fn simulate_ordering_heap_with<P: HeapPolicy>(
     g: &TaskGraph,
     assign: &Assignment,
-    cost: &CostModel,
     policy: &mut P,
     blevel: &[f64],
+    edge_cost: &Csr<f64>,
 ) -> Schedule {
     let n = g.num_tasks();
     let nprocs = assign.nprocs;
     let nslices = policy.num_slices().max(1) as usize;
-    let mut arrival = vec![0.0f64; n];
-    let mut indeg: Vec<u32> = (0..n).map(|t| g.preds(TaskId(t as u32)).len() as u32).collect();
-    let mut scheduled = vec![false; n];
+    let ctx = SimCtx { g, assign, blevel };
+    let mut state: Vec<TaskState> = g
+        .tasks()
+        .map(|t| TaskState { arrival: 0.0, indeg: g.preds(t).len() as u32, slot: NOT_ACTIVE })
+        .collect();
 
     // Unscheduled tasks per (proc, slice) and the lowest incomplete slice
     // per processor — the generic form of the reference DTS gating state.
@@ -123,15 +136,11 @@ pub fn simulate_ordering_heap_with<P: HeapPolicy>(
         })
         .collect();
 
-    // Active (selectable) ready tasks per processor, max-heap by key.
-    let mut active: Vec<BinaryHeap<(P::Key, Reverse<u32>)>> =
-        (0..nprocs).map(|_| BinaryHeap::new()).collect();
+    // Selectable (ready ∧ eligible ∧ unscheduled) tasks per processor.
+    let mut active: Vec<ReadyHeap<P::Key>> = (0..nprocs).map(|_| ReadyHeap::default()).collect();
     // Ready tasks of future slices, min-heap by slice.
     let mut parked: Vec<BinaryHeap<Reverse<(u32, u32)>>> =
         (0..nprocs).map(|_| BinaryHeap::new()).collect();
-    // Number of selectable (ready ∧ eligible ∧ unscheduled) tasks per
-    // processor; the processor heap's validity criterion.
-    let mut avail = vec![0u32; nprocs];
     let mut clock = vec![0.0f64; nprocs];
     // Lazy-deletion processor heap on (idle time, proc id).
     let mut procs: BinaryHeap<Reverse<(OrdF64, u32)>> = BinaryHeap::new();
@@ -142,16 +151,14 @@ pub fn simulate_ordering_heap_with<P: HeapPolicy>(
 
     // Seed the ready structures with the DAG's sources.
     for t in g.tasks() {
-        if indeg[t.idx()] == 0 {
+        if state[t.idx()].indeg == 0 {
             let p = assign.proc_of(t) as usize;
             let s = policy.slice_of(t);
             if s == lowest[p] {
-                let ctx = SimCtx { g, assign, blevel, arrival: &arrival };
-                active[p].push((policy.key(t, &ctx), Reverse(t.0)));
-                if avail[p] == 0 {
+                if active[p].is_empty() {
                     procs.push(Reverse((OrdF64(clock[p]), p as u32)));
                 }
-                avail[p] += 1;
+                active[p].push(policy.key(t, &ctx), t.0, &mut state);
             } else {
                 parked[p].push(Reverse((s, t.0)));
             }
@@ -166,33 +173,22 @@ pub fn simulate_ordering_heap_with<P: HeapPolicy>(
             let Some(&Reverse((k, p))) = procs.peek() else {
                 unreachable!("ordering simulation stalled: no selectable processor")
             };
-            if avail[p as usize] == 0 || k != OrdF64(clock[p as usize]) {
+            if active[p as usize].is_empty() || k != OrdF64(clock[p as usize]) {
                 procs.pop();
                 continue;
             }
             break p as usize;
         };
-        // Highest-priority live entry of p's active heap.
-        let t = loop {
-            let ctx = SimCtx { g, assign, blevel, arrival: &arrival };
-            // `avail[p] > 0` was just checked, so the heap holds at least
-            // one live entry for this processor.
-            let Some((key, Reverse(t))) = active[p].pop() else {
-                unreachable!("selectable processor has no active task entry")
-            };
-            let t = TaskId(t);
-            if scheduled[t.idx()] || key != policy.key(t, &ctx) {
-                continue;
-            }
-            break t;
+        // Its highest-priority task; the heap holds no stale entry.
+        let Some(t) = active[p].pop(&mut state) else {
+            unreachable!("selectable processor has no active task")
         };
+        let t = TaskId(t);
 
-        let start = clock[p].max(arrival[t.idx()]);
+        let start = clock[p].max(state[t.idx()].arrival);
         let end = start + g.weight(t);
         clock[p] = end;
         order[p].push(t);
-        scheduled[t.idx()] = true;
-        avail[p] -= 1;
         done += 1;
 
         // Retire t from its slice; advancing the lowest incomplete slice
@@ -212,51 +208,37 @@ pub fn simulate_ordering_heap_with<P: HeapPolicy>(
                     break;
                 }
                 parked[p].pop();
-                let ctx = SimCtx { g, assign, blevel, arrival: &arrival };
-                active[p].push((policy.key(TaskId(u), &ctx), Reverse(u)));
-                avail[p] += 1;
+                active[p].push(policy.key(TaskId(u), &ctx), u, &mut state);
             }
         }
 
         // Policy bookkeeping *before* successors compute their keys, so
         // arrivals see the same allocation state as the reference's
         // lazy pick-time evaluation.
-        {
-            let ctx = SimCtx { g, assign, blevel, arrival: &arrival };
-            policy.on_scheduled(t, &ctx, &mut dirty);
-        }
+        policy.on_scheduled(t, &ctx, &mut dirty);
         for u in dirty.drain(..) {
-            if scheduled[u.idx()] || indeg[u.idx()] != 0 {
-                continue;
-            }
-            let q = assign.proc_of(u) as usize;
-            if policy.slice_of(u) == lowest[q] {
-                // Fresh entry with the updated key; the old entry dies by
-                // lazy deletion. Selectability (avail) is unchanged.
-                let ctx = SimCtx { g, assign, blevel, arrival: &arrival };
-                active[q].push((policy.key(u, &ctx), Reverse(u.0)));
+            if state[u.idx()].slot != NOT_ACTIVE {
+                let q = assign.proc_of(u) as usize;
+                active[q].rekey(u.0, policy.key(u, &ctx), &mut state);
             }
         }
 
         // Release successors.
-        for &s in g.succs(t) {
+        for (&s, &comm) in g.succs(t).iter().zip(&edge_cost[t.idx()]) {
             let s = TaskId(s);
-            let comm = algo::edge_comm_cost(g, cost, Some(assign), t, s);
-            let a = end + comm;
-            if a > arrival[s.idx()] {
-                arrival[s.idx()] = a;
+            let st = &mut state[s.idx()];
+            if end + comm > st.arrival {
+                st.arrival = end + comm;
             }
-            indeg[s.idx()] -= 1;
-            if indeg[s.idx()] == 0 {
+            st.indeg -= 1;
+            if st.indeg == 0 {
                 let q = assign.proc_of(s) as usize;
                 let sl = policy.slice_of(s);
                 if sl == lowest[q] {
-                    let ctx = SimCtx { g, assign, blevel, arrival: &arrival };
-                    active[q].push((policy.key(s, &ctx), Reverse(s.0)));
-                    if avail[q] == 0 {
+                    if active[q].is_empty() {
                         procs.push(Reverse((OrdF64(clock[q]), q as u32)));
                     }
-                    avail[q] += 1;
+                    active[q].push(policy.key(s, &ctx), s.0, &mut state);
                 } else {
                     parked[q].push(Reverse((sl, s.0)));
                 }
@@ -265,11 +247,139 @@ pub fn simulate_ordering_heap_with<P: HeapPolicy>(
 
         // p's clock moved (and its active set may have refilled): restore
         // the processor-heap invariant with a fresh entry.
-        if avail[p] > 0 {
+        if !active[p].is_empty() {
             procs.push(Reverse((OrdF64(clock[p]), p as u32)));
         }
     }
     Schedule { assign: assign.clone(), order }
+}
+
+/// What the simulation tracks per task, in one record: the data-ready
+/// time, the predecessors still to run, and the task's position in its
+/// processor's active heap.
+#[derive(Clone, Copy)]
+struct TaskState {
+    arrival: f64,
+    indeg: u32,
+    slot: u32,
+}
+
+/// `slot` of a task that is in no active heap.
+const NOT_ACTIVE: u32 = u32::MAX;
+
+/// One processor's selectable tasks: a binary max-heap on
+/// `(key, ¬task id)`. Each task's position lives in its [`TaskState`]
+/// record, in a table every processor's heap shares (a task is only ever
+/// in its own processor's).
+struct ReadyHeap<K> {
+    items: Vec<(K, u32)>,
+}
+
+impl<K> Default for ReadyHeap<K> {
+    fn default() -> Self {
+        ReadyHeap { items: Vec::new() }
+    }
+}
+
+impl<K: Ord + Copy> ReadyHeap<K> {
+    fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// Does `a` run before `b`?
+    #[inline]
+    fn before(a: &(K, u32), b: &(K, u32)) -> bool {
+        match a.0.cmp(&b.0) {
+            std::cmp::Ordering::Equal => a.1 < b.1,
+            o => o.is_gt(),
+        }
+    }
+
+    fn push(&mut self, key: K, t: u32, state: &mut [TaskState]) {
+        self.items.push((key, t));
+        self.sift_up(self.items.len() - 1, state);
+    }
+
+    fn pop(&mut self, state: &mut [TaskState]) -> Option<u32> {
+        if self.items.is_empty() {
+            return None;
+        }
+        let top = self.items.swap_remove(0).1;
+        state[top as usize].slot = NOT_ACTIVE;
+        if !self.items.is_empty() {
+            // The element moved to the root almost always belongs near the
+            // bottom: walk the hole down along the better children (one
+            // comparison a level), then sift the element up from there.
+            let (item, len) = (self.items[0], self.items.len());
+            let mut i = 0;
+            let mut child = 1;
+            while child + 1 < len {
+                // Branch-free: which child runs first is a coin toss.
+                child += usize::from(Self::before(&self.items[child + 1], &self.items[child]));
+                self.items[i] = self.items[child];
+                state[self.items[i].1 as usize].slot = i as u32;
+                i = child;
+                child = 2 * i + 1;
+            }
+            if child + 1 == len {
+                self.items[i] = self.items[child];
+                state[self.items[i].1 as usize].slot = i as u32;
+                i = child;
+            }
+            self.items[i] = item;
+            self.sift_up(i, state);
+        }
+        Some(top)
+    }
+
+    /// Give task `t` (in this heap) the key `key`, moving it whichever
+    /// way the key went.
+    fn rekey(&mut self, t: u32, key: K, state: &mut [TaskState]) {
+        let i = state[t as usize].slot as usize;
+        let old = std::mem::replace(&mut self.items[i].0, key);
+        if key > old {
+            self.sift_up(i, state);
+        } else if key < old {
+            self.sift_down(i, state);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize, state: &mut [TaskState]) {
+        let item = self.items[i];
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !Self::before(&item, &self.items[parent]) {
+                break;
+            }
+            self.items[i] = self.items[parent];
+            state[self.items[i].1 as usize].slot = i as u32;
+            i = parent;
+        }
+        self.items[i] = item;
+        state[item.1 as usize].slot = i as u32;
+    }
+
+    fn sift_down(&mut self, mut i: usize, state: &mut [TaskState]) {
+        let item = self.items[i];
+        let len = self.items.len();
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= len {
+                break;
+            }
+            if child + 1 < len && Self::before(&self.items[child + 1], &self.items[child]) {
+                child += 1;
+            }
+            if !Self::before(&self.items[child], &item) {
+                break;
+            }
+            self.items[i] = self.items[child];
+            state[self.items[i].1 as usize].slot = i as u32;
+            i = child;
+        }
+        self.items[i] = item;
+        state[item.1 as usize].slot = i as u32;
+    }
 }
 
 #[cfg(test)]
@@ -296,18 +406,95 @@ mod tests {
         }
     }
 
+    fn random_case(seed: u64, nprocs: usize) -> (TaskGraph, Assignment) {
+        let g = fixtures::random_irregular_graph(seed, &fixtures::RandomGraphSpec::default());
+        let owner = crate::assign::cyclic_owner_map(g.num_objects(), nprocs);
+        let a = crate::assign::owner_compute_assignment(&g, &owner, nprocs);
+        (g, a)
+    }
+
     #[test]
     fn heap_fifo_matches_reference_fifo() {
         for seed in 0..8 {
-            let g = fixtures::random_irregular_graph(seed, &fixtures::RandomGraphSpec::default());
-            let owner = crate::assign::cyclic_owner_map(g.num_objects(), 3);
-            let a = crate::assign::owner_compute_assignment(&g, &owner, 3);
+            let (g, a) = random_case(seed, 3);
             let cost = CostModel::unit();
             let h = simulate_ordering_heap(&g, &a, &cost, &mut FifoHeap);
             let r = simulate_ordering_reference(&g, &a, &cost, &mut FifoRef);
             assert!(h.is_valid(&g), "seed {seed}");
             assert_eq!(h.order, r.order, "seed {seed}");
         }
+    }
+
+    /// A policy whose keys fall: each scheduled task demotes every task
+    /// sharing an object with it, so busy objects' tasks sink. The heap
+    /// and reference forms share one state.
+    struct Demote {
+        hits: Vec<u32>,
+    }
+
+    impl Demote {
+        fn key_of(&self, t: TaskId, ctx: &SimCtx<'_>) -> (Reverse<u32>, OrdF64) {
+            (Reverse(self.hits[t.idx()]), OrdF64(ctx.blevel[t.idx()]))
+        }
+
+        fn demote(&mut self, t: TaskId, ctx: &SimCtx<'_>, mut dirty: impl FnMut(TaskId)) {
+            for d in ctx.g.accesses(t) {
+                for &u in ctx.g.accessors(d) {
+                    self.hits[u as usize] += 1;
+                    dirty(TaskId(u));
+                }
+            }
+        }
+    }
+
+    impl HeapPolicy for Demote {
+        type Key = (Reverse<u32>, OrdF64);
+        fn key(&self, t: TaskId, ctx: &SimCtx<'_>) -> Self::Key {
+            self.key_of(t, ctx)
+        }
+        fn on_scheduled(&mut self, t: TaskId, ctx: &SimCtx<'_>, dirty: &mut Vec<TaskId>) {
+            self.demote(t, ctx, |u| dirty.push(u));
+        }
+    }
+
+    impl OrderPolicy for Demote {
+        fn pick(&mut self, _p: ProcId, ready: &[TaskId], ctx: &SimCtx<'_>) -> usize {
+            let best = ready.iter().max_by_key(|&&t| (self.key_of(t, ctx), Reverse(t)));
+            ready.iter().position(|t| Some(t) == best).unwrap()
+        }
+        fn on_scheduled(&mut self, t: TaskId, ctx: &SimCtx<'_>) {
+            self.demote(t, ctx, |_| ());
+        }
+    }
+
+    #[test]
+    fn falling_keys_match_their_straight_scan_twin() {
+        for (seed, nprocs) in (0..12).map(|s| (s, 1 + s as usize % 4)) {
+            let (g, a) = random_case(seed, nprocs);
+            let cost = CostModel::unit();
+            let fresh = || Demote { hits: vec![0; g.num_tasks()] };
+            let h = simulate_ordering_heap(&g, &a, &cost, &mut fresh());
+            let r = simulate_ordering_reference(&g, &a, &cost, &mut fresh());
+            assert_eq!(h.order, r.order, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn rekeying_moves_both_ways() {
+        let mut state = vec![TaskState { arrival: 0.0, indeg: 0, slot: NOT_ACTIVE }; 8];
+        let mut h = ReadyHeap::default();
+        for t in 0..8u32 {
+            h.push(t % 3, t, &mut state);
+        }
+        h.rekey(7, 9, &mut state); // up past everything
+        h.rekey(2, 0, &mut state); // down among the lowest
+        h.rekey(5, 2, &mut state); // unchanged
+        let mut popped = Vec::new();
+        while let Some(t) = h.pop(&mut state) {
+            popped.push(t);
+        }
+        assert_eq!(popped, [7, 5, 1, 4, 0, 2, 3, 6]);
+        assert!(state.iter().all(|s| s.slot == NOT_ACTIVE));
     }
 
     #[test]

@@ -13,139 +13,60 @@
 //! The goal is to reference volatile objects as early as possible after
 //! they materialize, shortening their lifetimes and reducing `MIN_MEM`.
 
-use crate::heapsim::{simulate_ordering_heap, HeapPolicy};
-use crate::sim::{simulate_ordering_reference, OrdF64, OrderPolicy, SimCtx};
-use rapid_core::graph::{ProcId, TaskGraph, TaskId};
+use crate::heapsim::{simulate_ordering_heap, HeapPolicy, SimCtx};
+use rapid_core::algo::OrdF64;
+use rapid_core::graph::{TaskGraph, TaskId};
 use rapid_core::schedule::{Assignment, CostModel, Schedule};
 
-struct MpoPolicy {
-    /// `allocated[obj]`: has the volatile copy been allocated on the (only)
-    /// processor that reads it remotely? Indexed per object per processor.
-    allocated: Vec<bool>,
-    nprocs: usize,
-}
-
-impl MpoPolicy {
-    fn new(g: &TaskGraph, nprocs: usize) -> Self {
-        MpoPolicy { allocated: vec![false; g.num_objects() * nprocs], nprocs }
-    }
-
-    #[inline]
-    fn slot(&self, p: ProcId, d: u32) -> usize {
-        d as usize * self.nprocs + p as usize
-    }
-
-    /// Memory priority of `t` on processor `p`: allocated objects over
-    /// total objects accessed.
-    fn mem_priority(&self, p: ProcId, t: TaskId, ctx: &SimCtx<'_>) -> f64 {
-        let mut total = 0u32;
-        let mut have = 0u32;
-        for d in ctx.g.accesses(t) {
-            total += 1;
-            let local = ctx.assign.owner_of(d) == p;
-            if local || self.allocated[self.slot(p, d.0)] {
-                have += 1;
-            }
-        }
-        if total == 0 {
-            1.0
-        } else {
-            have as f64 / total as f64
-        }
-    }
-}
-
-impl OrderPolicy for MpoPolicy {
-    fn pick(&mut self, p: ProcId, ready: &[TaskId], ctx: &SimCtx<'_>) -> usize {
-        let mut best = 0;
-        let mut best_key = (self.mem_priority(p, ready[0], ctx), ctx.blevel[ready[0].idx()]);
-        for (i, &t) in ready.iter().enumerate().skip(1) {
-            let key = (self.mem_priority(p, t, ctx), ctx.blevel[t.idx()]);
-            let better = key.0 > best_key.0
-                || (key.0 == best_key.0 && key.1 > best_key.1)
-                || (key.0 == best_key.0 && key.1 == best_key.1 && t < ready[best]);
-            if better {
-                best = i;
-                best_key = key;
-            }
-        }
-        best
-    }
-
-    fn on_scheduled(&mut self, t: TaskId, ctx: &SimCtx<'_>) {
-        // Figure 4, line 4: allocate all volatile objects T_x uses that are
-        // not yet allocated on its processor.
-        let p = ctx.assign.proc_of(t);
-        for d in ctx.g.accesses(t) {
-            if ctx.assign.owner_of(d) != p {
-                let slot = self.slot(p, d.0);
-                self.allocated[slot] = true;
-            }
-        }
-    }
-}
-
-/// Heap twin of [`MpoPolicy`] with *incremental* memory priorities.
+/// MPO with *incremental* memory priorities.
 ///
-/// The reference recomputes `have/total` over every ready task's whole
+/// The paper's rule recomputes `have/total` over every ready task's whole
 /// access set at every pick. Here each task carries a `have` counter of
 /// its accesses currently satisfied on its processor (local objects plus
 /// volatile copies allocated so far). When a task's scheduling allocates
 /// a volatile object, only the tasks that actually access that object —
 /// found through the graph's object→tasks reverse index
 /// ([`TaskGraph::accessors`], built once in O(Σ access sets)) — get their
-/// counters bumped and are reported dirty for heap reinsertion. An
+/// counters bumped and are reported dirty, to be re-keyed in place. An
 /// allocation therefore costs O(|accessors|·log V) instead of a full
-/// ready-list rescan, and `have/total` ratios only ever grow, which keeps
-/// stale heap entries strictly below live ones.
-struct MpoHeapPolicy {
+/// ready-list rescan.
+struct MpoPolicy {
     /// `allocated[d * nprocs + p]`: volatile copy of `d` present on `p`.
     allocated: Vec<bool>,
     nprocs: usize,
-    /// Per-task count of accesses currently satisfied on the task's
-    /// processor (equals the reference's pick-time `have` recount).
-    have: Vec<u32>,
-    /// Per-task total access count (static).
-    total: Vec<u32>,
+    /// Per task: accesses currently satisfied on the task's processor,
+    /// and all its accesses.
+    have_total: Vec<(u32, u32)>,
 }
 
-impl MpoHeapPolicy {
+impl MpoPolicy {
     fn new(g: &TaskGraph, assign: &Assignment) -> Self {
-        let n = g.num_tasks();
-        let mut have = vec![0u32; n];
-        let mut total = vec![0u32; n];
-        for t in g.tasks() {
-            let p = assign.proc_of(t);
-            for d in g.accesses(t) {
-                total[t.idx()] += 1;
-                if assign.owner_of(d) == p {
-                    have[t.idx()] += 1;
-                }
-            }
-        }
-        MpoHeapPolicy {
+        let have_total = g
+            .tasks()
+            .map(|t| {
+                let p = assign.proc_of(t);
+                g.accesses(t).fold((0, 0), |(have, total), d| {
+                    (have + u32::from(assign.owner_of(d) == p), total + 1)
+                })
+            })
+            .collect();
+        MpoPolicy {
             allocated: vec![false; g.num_objects() * assign.nprocs],
             nprocs: assign.nprocs,
-            have,
-            total,
+            have_total,
         }
-    }
-
-    #[inline]
-    fn slot(&self, p: ProcId, d: u32) -> usize {
-        d as usize * self.nprocs + p as usize
     }
 }
 
-impl HeapPolicy for MpoHeapPolicy {
+impl HeapPolicy for MpoPolicy {
     type Key = (OrdF64, OrdF64);
 
     #[inline]
     fn key(&self, t: TaskId, ctx: &SimCtx<'_>) -> (OrdF64, OrdF64) {
-        // Must match the reference's `mem_priority` bit for bit: same
-        // integer counts, same division.
-        let total = self.total[t.idx()];
-        let pri = if total == 0 { 1.0 } else { self.have[t.idx()] as f64 / total as f64 };
+        // The paper's memory priority bit for bit: the same integer
+        // counts, the same division.
+        let (have, total) = self.have_total[t.idx()];
+        let pri = if total == 0 { 1.0 } else { have as f64 / total as f64 };
         (OrdF64(pri), OrdF64(ctx.blevel[t.idx()]))
     }
 
@@ -156,12 +77,12 @@ impl HeapPolicy for MpoHeapPolicy {
         let p = ctx.assign.proc_of(t);
         for d in ctx.g.accesses(t) {
             if ctx.assign.owner_of(d) != p {
-                let slot = self.slot(p, d.0);
+                let slot = d.idx() * self.nprocs + p as usize;
                 if !self.allocated[slot] {
                     self.allocated[slot] = true;
                     for &u in ctx.g.accessors(d) {
                         if ctx.assign.proc_of(TaskId(u)) == p {
-                            self.have[u as usize] += 1;
+                            self.have_total[u as usize].0 += 1;
                             dirty.push(TaskId(u));
                         }
                     }
@@ -171,20 +92,9 @@ impl HeapPolicy for MpoHeapPolicy {
     }
 }
 
-/// Order the tasks of each processor by the MPO heuristic (heap-driven
-/// with incremental priorities; order-for-order identical to
-/// [`mpo_order_reference`]).
+/// Order the tasks of each processor by the MPO heuristic.
 pub fn mpo_order(g: &TaskGraph, assign: &Assignment, cost: &CostModel) -> Schedule {
-    let mut policy = MpoHeapPolicy::new(g, assign);
-    simulate_ordering_heap(g, assign, cost, &mut policy)
-}
-
-/// Straight-scan reference implementation of [`mpo_order`]: recomputes
-/// every ready task's memory priority at every pick. Kept for validation
-/// and benchmarking against the heap path.
-pub fn mpo_order_reference(g: &TaskGraph, assign: &Assignment, cost: &CostModel) -> Schedule {
-    let mut policy = MpoPolicy::new(g, assign.nprocs);
-    simulate_ordering_reference(g, assign, cost, &mut policy)
+    simulate_ordering_heap(g, assign, cost, &mut MpoPolicy::new(g, assign))
 }
 
 #[cfg(test)]

@@ -51,7 +51,6 @@ pub fn plan_parallel(
 mod tests {
     use super::*;
     use crate::assign::{cyclic_owner_map, owner_compute_assignment};
-    use crate::dts::dts_order_merged_reference;
     use rapid_core::fixtures::{random_irregular_graph, RandomGraphSpec};
 
     fn case(seed: u64) -> (TaskGraph, Assignment) {
@@ -77,19 +76,6 @@ mod tests {
             for (policy, seq) in &seqs {
                 let planned = plan_parallel(&g, &a, &cost, *policy, 1);
                 assert_eq!(planned.order, seq.order, "seed {seed} policy {policy:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn merged_reference_matches_fast_path() {
-        let cost = CostModel::unit();
-        for seed in 0..5u64 {
-            let (g, a) = case(seed);
-            for cap in [32u64, 64, 256] {
-                let fast = dts_order_merged(&g, &a, &cost, cap);
-                let reference = dts_order_merged_reference(&g, &a, &cost, cap);
-                assert_eq!(fast.order, reference.order, "seed {seed} cap {cap}");
             }
         }
     }

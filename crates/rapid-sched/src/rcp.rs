@@ -8,31 +8,16 @@
 //! delays included). Time-efficient, but volatile objects may stay alive
 //! for long stretches, so it is not memory-scalable (Figure 7).
 
-use crate::heapsim::{simulate_ordering_heap, HeapPolicy};
-use crate::sim::{simulate_ordering_reference, OrdF64, OrderPolicy, SimCtx};
-use rapid_core::graph::{ProcId, TaskGraph, TaskId};
+use crate::heapsim::{simulate_ordering_heap, HeapPolicy, SimCtx};
+use rapid_core::algo::OrdF64;
+use rapid_core::graph::{TaskGraph, TaskId};
 use rapid_core::schedule::{Assignment, CostModel, Schedule};
 
+/// The key is the static bottom level, so no incremental maintenance is
+/// needed — every ready task is pushed once.
 struct RcpPolicy;
 
-impl OrderPolicy for RcpPolicy {
-    fn pick(&mut self, _p: ProcId, ready: &[TaskId], ctx: &SimCtx<'_>) -> usize {
-        let mut best = 0;
-        for (i, &t) in ready.iter().enumerate().skip(1) {
-            let (bi, bb) = (ctx.blevel[t.idx()], ctx.blevel[ready[best].idx()]);
-            if bi > bb || (bi == bb && t < ready[best]) {
-                best = i;
-            }
-        }
-        best
-    }
-}
-
-/// Heap twin of [`RcpPolicy`]: the key is the static bottom level, so no
-/// incremental maintenance is needed — every ready task is pushed once.
-struct RcpHeapPolicy;
-
-impl HeapPolicy for RcpHeapPolicy {
+impl HeapPolicy for RcpPolicy {
     type Key = OrdF64;
 
     #[inline]
@@ -41,16 +26,9 @@ impl HeapPolicy for RcpHeapPolicy {
     }
 }
 
-/// Order the tasks of each processor by the RCP rule (heap-driven;
-/// order-for-order identical to [`rcp_order_reference`]).
+/// Order the tasks of each processor by the RCP rule.
 pub fn rcp_order(g: &TaskGraph, assign: &Assignment, cost: &CostModel) -> Schedule {
-    simulate_ordering_heap(g, assign, cost, &mut RcpHeapPolicy)
-}
-
-/// Straight-scan reference implementation of [`rcp_order`], kept for
-/// validation and benchmarking against the heap path.
-pub fn rcp_order_reference(g: &TaskGraph, assign: &Assignment, cost: &CostModel) -> Schedule {
-    simulate_ordering_reference(g, assign, cost, &mut RcpPolicy)
+    simulate_ordering_heap(g, assign, cost, &mut RcpPolicy)
 }
 
 #[cfg(test)]

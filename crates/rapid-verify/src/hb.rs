@@ -18,167 +18,221 @@
 //! processor services its address queue in *every* blocking state, so a
 //! package can only go undrained if its receiver terminates early, which
 //! the stale-package check rules out separately (DESIGN.md §11).
+//!
+//! The graph is walked where the plan already holds it: program order is
+//! each processor's next position, task → send is `RtPlan::out_msgs`,
+//! send → task is `Message::dst_tasks`. Only the window → send edges, one
+//! per carried volatile, are built. Kahn's algorithm becomes a replay:
+//! each processor advances along its chain while the next node's inputs
+//! are done, and whatever no processor reaches contains a cycle. Only a
+//! cycle that was found is turned into [`WaitPoint`]s.
 
 use crate::finding::{WaitPoint, WaitStep};
-use crate::fnv::AddrWin;
+use rapid_core::graph::Csr;
 use rapid_core::schedule::Schedule;
-use rapid_rt::{MapPlacement, RtPlan};
+use rapid_rt::maps::Message;
+use rapid_rt::{MapPlacement, PlannedMap, RtPlan};
 use std::collections::HashMap;
 
-/// Find a wait-for cycle, if any. `addr_win` maps
-/// `(allocating proc, notified proc, obj)` to the index of the window
-/// (on the allocating proc) that emits the notification; messages whose
-/// address entry is absent contribute no window edge — the missing
-/// coverage is reported separately as a `MissingAddress` finding.
+/// A node of the wait-for graph.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Node {
+    /// Window `k` of processor `p` (its index in the placement).
+    Window(u32, u32),
+    /// The task at position `j` of processor `p`.
+    Task(u32, u32),
+    /// Message `m`'s delivery.
+    Send(u32),
+}
+
+/// One processor's program order: windows merged into tasks, a window at
+/// position `k` before the task at `k`, windows at equal positions in
+/// placement order.
+struct Chain {
+    /// The order, `true` for a window, with its window index or position.
+    nodes: Vec<(bool, u32)>,
+    /// Chain index of every window, then of every task.
+    win_at: Vec<u32>,
+    task_at: Vec<u32>,
+}
+
+impl Chain {
+    fn new(windows: &[PlannedMap], ntasks: usize) -> Chain {
+        let mut wins: Vec<u32> = (0..windows.len() as u32).collect();
+        // Only a corrupted placement lists windows out of position order.
+        if !windows.is_sorted_by_key(|w| w.pos) {
+            wins.sort_by_key(|&k| windows[k as usize].pos);
+        }
+        let mut chain =
+            Chain { nodes: Vec::new(), win_at: vec![0; windows.len()], task_at: vec![0; ntasks] };
+        let mut next_win = wins.iter().peekable();
+        for j in 0..=ntasks as u32 {
+            while let Some(&&k) = next_win.peek() {
+                if windows[k as usize].pos > j && (j as usize) < ntasks {
+                    break;
+                }
+                chain.win_at[k as usize] = chain.nodes.len() as u32;
+                chain.nodes.push((true, k));
+                next_win.next();
+            }
+            if (j as usize) < ntasks {
+                chain.task_at[j as usize] = chain.nodes.len() as u32;
+                chain.nodes.push((false, j));
+            }
+        }
+        chain
+    }
+}
+
+/// Find a wait-for cycle, if any. `fact_i` lists the window → send edges
+/// `(message, window index on the message's destination)`, one per
+/// carried volatile whose address package exists, in message order;
+/// `window_of` gives the same window for a `(message, object)` pair, or
+/// `None` where coverage is missing (reported separately as a
+/// `MissingAddress` finding).
 pub(crate) fn deadlock_cycle(
     sched: &Schedule,
     plan: &RtPlan,
     placement: &MapPlacement,
-    addr_win: &AddrWin,
+    fact_i: &[(u32, u32)],
+    window_of: impl Fn(&Message, u32) -> Option<u32>,
 ) -> Option<Vec<WaitPoint>> {
     let nprocs = sched.order.len();
+    let chains: Vec<Chain> =
+        (0..nprocs).map(|p| Chain::new(&placement.per_proc[p], sched.order[p].len())).collect();
+    let win_base: Vec<usize> = placement
+        .per_proc
+        .iter()
+        .scan(0, |base, wins| {
+            *base += wins.len();
+            Some(*base - wins.len())
+        })
+        .collect();
+    let win_sends = Csr::group(
+        placement.per_proc.iter().map(Vec::len).sum(),
+        fact_i
+            .iter()
+            .map(|&(m, w)| (win_base[plan.msgs[m as usize].dst_proc as usize] + w as usize, m)),
+    );
 
-    // Assign node ids: per-proc windows and tasks, then one per message.
-    let mut win_id: Vec<Vec<usize>> = Vec::with_capacity(nprocs);
-    let mut task_id: Vec<Vec<usize>> = Vec::with_capacity(nprocs);
-    let mut kind: Vec<WaitPoint> = Vec::new();
-    for p in 0..nprocs {
-        let mut wids = Vec::with_capacity(placement.per_proc[p].len());
-        for w in &placement.per_proc[p] {
-            wids.push(kind.len());
-            kind.push(WaitPoint { proc: p as u32, step: WaitStep::Window { pos: w.pos } });
-        }
-        win_id.push(wids);
-        let mut tids = Vec::with_capacity(sched.order[p].len());
-        for (j, &t) in sched.order[p].iter().enumerate() {
-            tids.push(kind.len());
-            kind.push(WaitPoint {
-                proc: p as u32,
-                step: WaitStep::Task { task: t.0, pos: j as u32 },
-            });
-        }
-        task_id.push(tids);
+    // Inputs still missing: undelivered messages per task, and per send
+    // its source task plus its Fact-I windows.
+    let mut missing: Vec<u32> = plan.in_msgs.rows().map(|r| r.len() as u32).collect();
+    let mut need: Vec<u32> = vec![1; plan.msgs.len()];
+    for &(m, _) in fact_i {
+        need[m as usize] += 1;
     }
-    let send_base = kind.len();
-    for m in &plan.msgs {
-        kind.push(WaitPoint { proc: m.src_proc, step: WaitStep::Send { msg: m.id } });
-    }
-    let total = kind.len();
-
-    // Program order: interleave windows (a window at position k precedes
-    // the task at position k) and tasks. Corrupted placements may list
-    // windows out of order; sort the interleaving keys so the chain stays
-    // a chain — the dataflow sweep reports the structural damage.
-    let mut chains: Vec<Vec<usize>> = Vec::with_capacity(nprocs);
-    for p in 0..nprocs {
-        let mut seq: Vec<(u32, u8, usize)> = Vec::new();
-        for (k, w) in placement.per_proc[p].iter().enumerate() {
-            seq.push((w.pos, 0, win_id[p][k]));
-        }
-        for (j, &id) in task_id[p].iter().enumerate() {
-            seq.push((j as u32, 1, id));
-        }
-        seq.sort();
-        chains.push(seq.into_iter().map(|(_, _, id)| id).collect());
-    }
-
-    // Enumerate every edge, in a fixed order (program-order chains first,
-    // then the message edges): EXE of the source task precedes delivery;
-    // Fact I gives each carried volatile a window→send edge from its
-    // address package; REC makes destination tasks wait for the delivery.
-    // DAG edges need no separate modelling: same-processor edges are
-    // subsumed by program order (checked by the precedence analysis) and
-    // cross-processor edges by the message edges here.
-    let for_each_edge = |emit: &mut dyn FnMut(usize, usize)| {
-        for chain in &chains {
-            for pair in chain.windows(2) {
-                emit(pair[0], pair[1]);
-            }
-        }
-        for m in &plan.msgs {
-            let s = send_base + m.id as usize;
-            let src_pos = plan.pos[m.src_task.idx()] as usize;
-            emit(task_id[m.src_proc as usize][src_pos], s);
-            for &d in &m.objs {
-                if sched.assign.owner_of(d) == m.dst_proc {
-                    continue;
+    let mut cursor = vec![0usize; nprocs];
+    let mut ready: Vec<usize> = (0..nprocs).collect();
+    while let Some(p) = ready.pop() {
+        while let Some(&(is_win, i)) = chains[p].nodes.get(cursor[p]) {
+            let sends = if is_win {
+                &win_sends[win_base[p] + i as usize]
+            } else {
+                let t = sched.order[p][i as usize];
+                if missing[t.idx()] > 0 {
+                    break;
                 }
-                if let Some(&widx) = addr_win.get(&(m.dst_proc, m.src_proc, d.0)) {
-                    emit(win_id[m.dst_proc as usize][widx], s);
+                &plan.out_msgs[t.idx()]
+            };
+            cursor[p] += 1;
+            for &m in sends {
+                need[m as usize] -= 1;
+                if need[m as usize] == 0 {
+                    let msg = &plan.msgs[m as usize];
+                    for dt in &msg.dst_tasks {
+                        missing[dt.idx()] -= 1;
+                        if missing[dt.idx()] == 0 {
+                            ready.push(msg.dst_proc as usize);
+                        }
+                    }
                 }
             }
-            for &dt in &m.dst_tasks {
-                let dpos = plan.pos[dt.idx()] as usize;
-                emit(s, task_id[m.dst_proc as usize][dpos]);
-            }
-        }
-    };
-
-    // CSR adjacency in two passes (count, then fill): at 10^6 tasks the
-    // graph has millions of nodes and edges, and per-node Vec growth
-    // dominated the whole verifier. Filling in enumeration order keeps
-    // each node's predecessor list in the same order a Vec-of-Vecs build
-    // would produce, so the extracted cycle is identical.
-    let mut succ_off = vec![0u32; total + 1];
-    let mut pred_off = vec![0u32; total + 1];
-    for_each_edge(&mut |a, b| {
-        succ_off[a + 1] += 1;
-        pred_off[b + 1] += 1;
-    });
-    for v in 0..total {
-        succ_off[v + 1] += succ_off[v];
-        pred_off[v + 1] += pred_off[v];
-    }
-    let nedges = succ_off[total] as usize;
-    let mut succ = vec![0u32; nedges];
-    let mut pred = vec![0u32; nedges];
-    let mut succ_fill = succ_off.clone();
-    let mut pred_fill = pred_off.clone();
-    for_each_edge(&mut |a, b| {
-        succ[succ_fill[a] as usize] = b as u32;
-        succ_fill[a] += 1;
-        pred[pred_fill[b] as usize] = a as u32;
-        pred_fill[b] += 1;
-    });
-    let succs_of = |v: usize| &succ[succ_off[v] as usize..succ_off[v + 1] as usize];
-    let preds_of = |v: usize| &pred[pred_off[v] as usize..pred_off[v + 1] as usize];
-
-    // Kahn's algorithm; any residue contains a cycle.
-    let mut indeg: Vec<u32> = (0..total).map(|v| pred_off[v + 1] - pred_off[v]).collect();
-    let mut queue: Vec<usize> = (0..total).filter(|&v| indeg[v] == 0).collect();
-    let mut done = 0usize;
-    while let Some(v) = queue.pop() {
-        done += 1;
-        for &w in succs_of(v) {
-            indeg[w as usize] -= 1;
-            if indeg[w as usize] == 0 {
-                queue.push(w as usize);
-            }
         }
     }
-    if done == total {
+    if (0..nprocs).all(|p| cursor[p] == chains[p].nodes.len()) {
         return None;
     }
 
-    // Extract one cycle from the residue: every residual node has a
-    // residual predecessor, so walking predecessors must revisit a node.
-    let start = (0..total).find(|&v| indeg[v] > 0)?;
-    let mut path: Vec<usize> = vec![start];
-    let mut seen: HashMap<usize, usize> = HashMap::new();
-    seen.insert(start, 0);
-    let mut cur = start;
+    let stuck = |v: Node| match v {
+        Node::Window(p, k) => chains[p as usize].win_at[k as usize] as usize >= cursor[p as usize],
+        Node::Task(p, j) => chains[p as usize].task_at[j as usize] as usize >= cursor[p as usize],
+        Node::Send(m) => need[m as usize] > 0,
+    };
+    // Residual nodes in node-id order: per processor its windows, then
+    // its tasks; then the sends.
+    let start = (0..nprocs as u32)
+        .flat_map(|p| {
+            let wins =
+                (0..placement.per_proc[p as usize].len() as u32).map(move |k| Node::Window(p, k));
+            wins.chain((0..sched.order[p as usize].len() as u32).map(move |j| Node::Task(p, j)))
+        })
+        .chain((0..plan.msgs.len() as u32).map(Node::Send))
+        .find(|&v| stuck(v))?;
+
+    // Every stuck node has a stuck input, so walking inputs must revisit
+    // a node: the program-order predecessor first, then message inputs
+    // in message order.
+    let chain_pred = |p: u32, at: u32| -> Option<Node> {
+        let &(is_win, i) = chains[p as usize].nodes.get(at.checked_sub(1)? as usize)?;
+        Some(if is_win { Node::Window(p, i) } else { Node::Task(p, i) })
+    };
+    let inputs = |v: Node| -> Vec<Node> {
+        match v {
+            Node::Window(p, k) => {
+                chain_pred(p, chains[p as usize].win_at[k as usize]).into_iter().collect()
+            }
+            Node::Task(p, j) => {
+                let t = sched.order[p as usize][j as usize];
+                let sends = plan.in_msgs[t.idx()].iter().map(|&m| Node::Send(m));
+                chain_pred(p, chains[p as usize].task_at[j as usize])
+                    .into_iter()
+                    .chain(sends)
+                    .collect()
+            }
+            Node::Send(m) => {
+                let msg = &plan.msgs[m as usize];
+                let wins = msg
+                    .objs
+                    .iter()
+                    .filter(|d| sched.assign.owner_of(**d) != msg.dst_proc)
+                    .filter_map(|d| window_of(msg, d.0))
+                    .map(|k| Node::Window(msg.dst_proc, k));
+                std::iter::once(Node::Task(msg.src_proc, plan.pos[msg.src_task.idx()]))
+                    .chain(wins)
+                    .collect()
+            }
+        }
+    };
+    let mut path: Vec<Node> = vec![start];
+    let mut seen: HashMap<Node, usize> = HashMap::from([(start, 0)]);
     loop {
-        let &next = preds_of(cur).iter().find(|&&u| indeg[u as usize] > 0)?;
-        let next = next as usize;
+        let next = inputs(path[path.len() - 1]).into_iter().find(|&u| stuck(u))?;
         if let Some(&at) = seen.get(&next) {
-            // path[at..] walked predecessors; reverse for wait order
+            // path[at..] walked inputs; reverse for wait order
             // ("A waits on B waits on ... waits on A").
-            let mut cycle: Vec<WaitPoint> = path[at..].iter().map(|&v| kind[v].clone()).collect();
-            cycle.reverse();
-            return Some(cycle);
+            return Some(
+                path[at..].iter().rev().map(|&v| wait_point(sched, plan, placement, v)).collect(),
+            );
         }
         seen.insert(next, path.len());
         path.push(next);
-        cur = next;
+    }
+}
+
+/// The blocked step a node stands for.
+fn wait_point(sched: &Schedule, plan: &RtPlan, placement: &MapPlacement, v: Node) -> WaitPoint {
+    match v {
+        Node::Window(p, k) => WaitPoint {
+            proc: p,
+            step: WaitStep::Window { pos: placement.per_proc[p as usize][k as usize].pos },
+        },
+        Node::Task(p, j) => WaitPoint {
+            proc: p,
+            step: WaitStep::Task { task: sched.order[p as usize][j as usize].0, pos: j },
+        },
+        Node::Send(m) => {
+            WaitPoint { proc: plan.msgs[m as usize].src_proc, step: WaitStep::Send { msg: m } }
+        }
     }
 }

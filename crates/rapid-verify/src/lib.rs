@@ -51,7 +51,6 @@
 
 mod dataflow;
 mod finding;
-mod fnv;
 mod hb;
 mod replan;
 mod verify;

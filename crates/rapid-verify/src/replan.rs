@@ -22,13 +22,13 @@
 //! is made before the run, from the graph, the assignment and the cap.
 
 use crate::verify::{place_or_reject, verify, verify_placement, VerifyReport};
-use rapid_core::algo::bottom_levels;
+use rapid_core::algo::{bottom_levels_from, edge_costs};
 use rapid_core::dcg::Dcg;
-use rapid_core::graph::{ProcId, TaskGraph};
+use rapid_core::graph::{Csr, ProcId, TaskGraph};
 use rapid_core::schedule::{Assignment, CostModel, Schedule};
 use rapid_rt::{MapPlacement, MapWindow, RtPlan};
 use rapid_sched::{
-    avail_volatile, dts_order_with_blevel, merge_slices_from_h, owner_compute_assignment, slice_h,
+    avail_volatile, dts_order_with_levels, merge_slices_from_h, owner_compute_assignment, slice_h,
 };
 
 /// The capacity-dependent outcome of a plan or replan. The schedule and
@@ -61,6 +61,7 @@ pub struct Replanner<'g> {
 
 /// What depends on the assignment but not on the capacity.
 struct Levels {
+    edge_cost: Csr<f64>,
     blevel: Vec<f64>,
     /// Per raw-slice volatile requirement `H(R, L_i)` (Definition 7).
     h: Vec<u64>,
@@ -68,7 +69,9 @@ struct Levels {
 
 impl Levels {
     fn of(g: &TaskGraph, assign: &Assignment, cost: &CostModel, dcg: &Dcg) -> Levels {
-        Levels { blevel: bottom_levels(g, cost, Some(assign)), h: slice_h(g, assign, dcg) }
+        let edge_cost = edge_costs(g, cost, Some(assign));
+        let blevel = bottom_levels_from(g, &edge_cost);
+        Levels { edge_cost, blevel, h: slice_h(g, assign, dcg) }
     }
 }
 
@@ -87,7 +90,7 @@ impl<'g> Replanner<'g> {
         let dcg = Dcg::build(g);
         let levels = Levels::of(g, assign, cost, &dcg);
         let avail = avail_volatile(g, assign, capacity);
-        let (sched, plan, planned) = cold_plan(g, assign, cost, &dcg, &levels, avail, capacity);
+        let (sched, plan, planned) = cold_plan(g, assign, &dcg, &levels, avail, capacity);
         (Replanner { g, assign, cost, dcg, levels, sched, plan }, planned)
     }
 
@@ -121,7 +124,7 @@ impl<'g> Replanner<'g> {
         // of the merge is still cached.
         let avail = avail_volatile(self.g, self.assign, capacity);
         let (sched, plan, planned) =
-            cold_plan(self.g, self.assign, self.cost, &self.dcg, &self.levels, avail, capacity);
+            cold_plan(self.g, self.assign, &self.dcg, &self.levels, avail, capacity);
         self.sched = sched;
         self.plan = plan;
         planned
@@ -155,8 +158,7 @@ impl<'g> Replanner<'g> {
         let assign = owner_compute_assignment(self.g, &owner, alive.len());
         let avail = avail_volatile(self.g, &assign, capacity);
         let levels = Levels::of(self.g, &assign, self.cost, &self.dcg);
-        let (sched, _, planned) =
-            cold_plan(self.g, &assign, self.cost, &self.dcg, &levels, avail, capacity);
+        let (sched, _, planned) = cold_plan(self.g, &assign, &self.dcg, &levels, avail, capacity);
         SurvivorPlan { sched, planned }
     }
 }
@@ -179,7 +181,6 @@ pub struct SurvivorPlan {
 fn cold_plan(
     g: &TaskGraph,
     assign: &Assignment,
-    cost: &CostModel,
     dcg: &Dcg,
     levels: &Levels,
     avail: u64,
@@ -188,7 +189,14 @@ fn cold_plan(
     let (merged_of, nmerged) = merge_slices_from_h(&levels.h, avail);
     let slice_of_task: Vec<u32> =
         g.tasks().map(|t| merged_of[dcg.slice_of_task[t.idx()] as usize]).collect();
-    let sched = dts_order_with_blevel(g, assign, cost, &slice_of_task, nmerged, &levels.blevel);
+    let sched = dts_order_with_levels(
+        g,
+        assign,
+        &slice_of_task,
+        nmerged,
+        &levels.blevel,
+        &levels.edge_cost,
+    );
     let plan = RtPlan::new(g, &sched);
     let planned = match place_or_reject(g, &sched, &plan, capacity) {
         Ok(placement) => {

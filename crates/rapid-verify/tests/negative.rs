@@ -1,8 +1,12 @@
 //! Negative verification: every corruption of a valid plan must be
-//! rejected with the expected [`Finding`] variant — the static half of
-//! the differential guarantee (the dynamic half, that *accepted* plans
+//! rejected with the expected [`Finding`]s — the static half of the
+//! differential guarantee (the dynamic half, that *accepted* plans
 //! execute violation-free, lives in the top-level
 //! `tests/verify_differential.rs`).
+//!
+//! Each case pins its whole findings vector, in report order, as it was
+//! recorded when the corpus was written: a rewritten analysis may neither
+//! drop, add nor reorder a finding, nor pick another deadlock cycle.
 
 use rapid_core::fixtures::{self, random_irregular_graph, RandomGraphSpec};
 use rapid_core::graph::{TaskGraph, TaskGraphBuilder};
@@ -31,6 +35,13 @@ fn placed(g: &TaskGraph, sched: &Schedule, cap: u64) -> (RtPlan, MapPlacement) {
     (plan, placement)
 }
 
+/// The report's findings are exactly `want`, one `Display` line each.
+#[track_caller]
+fn assert_findings(report: &VerifyReport, want: &[&str]) {
+    let got: Vec<String> = report.findings.iter().map(ToString::to_string).collect();
+    assert_eq!(got, want, "findings moved; measured:\n{}", got.join("\n"));
+}
+
 fn kinds(report: &VerifyReport) -> Vec<ViolationKind> {
     report.findings.iter().map(Finding::mirrors).collect()
 }
@@ -56,7 +67,10 @@ fn valid_plans_are_accepted() {
 fn infeasible_capacity_is_rejected_with_live_set() {
     let (g, sched, mm) = tight_random_plan(1);
     let report = verify_capacity(&g, &sched, mm - 1);
-    assert!(!report.accepted());
+    assert_findings(
+        &report,
+        &["P0 task #15 needs 29 units, capacity 28 (live volatiles [d10, d16, d29])"],
+    );
     let [Finding::CapacityExceeded { needed, capacity, live, .. }] = &report.findings[..] else {
         panic!("expected a single CapacityExceeded, got {:?}", report.findings);
     };
@@ -94,11 +108,7 @@ fn reordered_same_proc_pair_is_a_precedence_violation() {
         // with slack so the precedence analysis is what rejects.
         Err(_) => verify_capacity(&g, &sched, mm + 16),
     };
-    assert!(
-        report.findings.iter().any(|f| matches!(f, Finding::PrecedenceViolation { .. })),
-        "expected PrecedenceViolation, got {:?}",
-        report.findings
-    );
+    assert_findings(&report, &["P0 schedules T8 (position 0) before its predecessor T4"]);
     assert!(kinds(&report).contains(&ViolationKind::OrderViolation));
 }
 
@@ -120,11 +130,63 @@ fn cross_processor_order_inversion_deadlocks() {
     let assign = Assignment { task_proc: vec![0, 1, 1, 0], owner: vec![], nprocs: 2 };
     let sched = Schedule { assign, order: vec![vec![td, ta], vec![tb, tc]] };
     let report = verify_capacity(&g, &sched, 8);
-    let [Finding::Deadlock { cycle }] = &report.findings[..] else {
-        panic!("expected a single Deadlock, got {:?}", report.findings);
-    };
-    assert!(cycle.len() >= 4, "cycle too short: {cycle:?}");
+    assert_findings(
+        &report,
+        &["wait-for cycle: (P0, T0@1) -> (P0, send m0) -> (P1, T1@0) -> (P1, T2@1) -> (P1, send m1) -> (P0, T3@0)"],
+    );
     assert_eq!(report.findings[0].mirrors(), ViolationKind::MissingRecv);
+}
+
+#[test]
+fn a_window_moved_past_its_readers_deadlocks() {
+    // Move a notifying window to the end of its processor's order: the
+    // sends that wait for its address package now wait for every task of
+    // the processor, including the ones that receive those sends.
+    for seed in 0..20u64 {
+        let (g, sched, mm) = tight_random_plan(seed);
+        let (plan, mut placement) = placed(&g, &sched, mm);
+        let Some((p, wi)) = placement.per_proc.iter().enumerate().find_map(|(p, wins)| {
+            let wi = wins.iter().position(|w| w.pos > 0 && !w.notifies.is_empty())?;
+            Some((p, wi))
+        }) else {
+            continue;
+        };
+        assert_eq!((seed, p, wi), (0, 0, 1), "the corruption moved");
+        placement.per_proc[p][wi].pos = sched.order[p].len() as u32;
+        let report = verify(&g, &sched, &plan, &placement);
+        // The window's allocations now come too late for the tasks it
+        // covered, and the program-order chain is out of position order:
+        // the moved window sorts after every task.
+        assert_findings(
+            &report,
+            &[
+                "P0 task #7 uses d19 before any window allocates it",
+                "P0 task #8 uses d19 before any window allocates it",
+                "P0 task #9 uses d20 before any window allocates it",
+                "P0 task #10 uses d2 before any window allocates it",
+                "P0 task #10 uses d25 before any window allocates it",
+                "P0 task #11 uses d20 before any window allocates it",
+                "P0 task #13 uses d10 before any window allocates it",
+                "P0 task #14 uses d10 before any window allocates it",
+                "P0 task #14 uses d35 before any window allocates it",
+                "P0 task #15 uses d4 before any window allocates it",
+                "P0 task #15 uses d23 before any window allocates it",
+                "P0 task #16 uses d25 before any window allocates it",
+                "P0 task #16 uses d32 before any window allocates it",
+                "P0 task #17 uses d10 before any window allocates it",
+                "P0 task #17 uses d25 before any window allocates it",
+                "P0 task #18 uses d34 before any window allocates it",
+                "P0 task #18 uses d44 before any window allocates it",
+                "wait-for cycle: (P1, send m13) -> (P0, T15@7) -> (P0, T19@8) -> (P0, T10@9) \
+                 -> (P0, MAP@10) -> (P0, T32@10) -> (P0, T40@11) -> (P0, T43@12) -> (P0, MAP@13) \
+                 -> (P0, T52@13) -> (P0, T49@14) -> (P0, MAP@15) -> (P0, T37@15) -> (P0, MAP@16) \
+                 -> (P0, T41@16) -> (P0, T55@17) -> (P0, MAP@18) -> (P0, T59@18) -> (P0, MAP@19)",
+            ],
+        );
+        assert_eq!(report.findings.last().map(Finding::mirrors), Some(ViolationKind::MissingRecv));
+        return;
+    }
+    panic!("no seed has a notifying window past position 0");
 }
 
 #[test]
@@ -143,10 +205,20 @@ fn dropped_address_package_is_missing_address() {
     }
     assert!(dropped, "fixture plan has no address packages to drop");
     let report = verify(&g, &sched, &plan, &placement);
-    assert!(
-        report.findings.iter().any(|f| matches!(f, Finding::MissingAddress { .. })),
-        "expected MissingAddress, got {:?}",
-        report.findings
+    assert_findings(
+        &report,
+        &[
+            "P1's write of d1 (message m0) is never covered by an address package from P0",
+            "P2's write of d8 (message m2) is never covered by an address package from P0",
+            "P2's write of d17 (message m10) is never covered by an address package from P0",
+            "P1's write of d4 (message m16) is never covered by an address package from P0",
+            "P1's write of d13 (message m24) is never covered by an address package from P0",
+            "P1's write of d22 (message m26) is never covered by an address package from P0",
+            "P2's write of d17 (message m38) is never covered by an address package from P0",
+            "P1's write of d4 (message m45) is never covered by an address package from P0",
+            "P1's write of d34 (message m51) is never covered by an address package from P0",
+            "P1's write of d34 (message m66) is never covered by an address package from P0",
+        ],
     );
     assert!(kinds(&report).contains(&ViolationKind::WriteBeforeAddress));
 }
@@ -182,17 +254,19 @@ fn early_free_is_caught_with_its_downstream_damage() {
             continue;
         }
         let report = verify(&g, &sched, &plan, &placement);
-        assert!(
-            report.findings.iter().any(|f| matches!(f, Finding::FreeBeforeLastUse { .. })),
-            "seed {seed}: expected FreeBeforeLastUse, got {:?}",
-            report.findings
+        assert_eq!(seed, 0, "the corruption moved");
+        // The early free also perturbs occupancy accounting, leaves a
+        // dangling use and turns the planned free into a double one; the
+        // sweep reports the whole cascade.
+        assert_findings(
+            &report,
+            &[
+                "P0 MAP@7 frees d14 whose last use is at position 7",
+                "P0 MAP@7 records 29 units in use, replay computes 28",
+                "P0 task #7 uses d14 after MAP@7 freed it",
+                "P0 MAP@10 frees non-live d14",
+            ],
         );
-        // The early free also perturbs occupancy accounting and leaves a
-        // dangling use; the sweep reports the whole cascade.
-        assert!(report.findings.iter().any(|f| matches!(
-            f,
-            Finding::UseAfterFree { .. } | Finding::AccountingMismatch { .. }
-        )));
         return;
     }
     panic!("no seed produced a window-crossing volatile to corrupt");
@@ -204,11 +278,16 @@ fn shrunk_capacity_is_window_over_cap() {
     let (plan, mut placement) = placed(&g, &sched, mm);
     placement.capacity -= 1;
     let report = verify(&g, &sched, &plan, &placement);
-    assert!(
-        report.findings.iter().any(|f| matches!(f, Finding::WindowOverCap { in_use, capacity, .. }
-                if *in_use == mm && *capacity == mm - 1)),
-        "expected WindowOverCap at the peak window, got {:?}",
-        report.findings
+    assert_eq!(mm, 27);
+    assert_findings(
+        &report,
+        &[
+            "P0 MAP@8 leaves 27 units in use, capacity 26",
+            "P0 MAP@18 leaves 27 units in use, capacity 26",
+            "P0 MAP@19 leaves 27 units in use, capacity 26",
+            "P1 MAP@0 leaves 27 units in use, capacity 26",
+            "P1 MAP@12 leaves 27 units in use, capacity 26",
+        ],
     );
 }
 
@@ -230,11 +309,7 @@ fn duplicate_allocation_is_double_alloc() {
     }
     assert!(hit, "no window allocates anything");
     let report = verify(&g, &sched, &plan, &placement);
-    assert!(
-        report.findings.iter().any(|f| matches!(f, Finding::DoubleAlloc { .. })),
-        "expected DoubleAlloc, got {:?}",
-        report.findings
-    );
+    assert_findings(&report, &["P0 MAP@9 allocates already-resident d20"]);
 }
 
 #[test]
@@ -262,10 +337,9 @@ fn uninvited_notify_is_a_stale_package() {
     }
     assert!(hit, "no window notifies anyone");
     let report = verify(&g, &sched, &plan, &placement);
-    assert!(
-        report.findings.iter().any(|f| matches!(f, Finding::StalePackage { .. })),
-        "expected StalePackage, got {:?}",
-        report.findings
+    assert_findings(
+        &report,
+        &["P0 notifies P2 of d10, but no message from P2 ever writes it (package may never drain)"],
     );
     assert!(kinds(&report).contains(&ViolationKind::MailboxClobber));
 }
@@ -279,13 +353,6 @@ fn duplicated_task_is_malformed() {
     let placement =
         plan.place_maps(&g, &sched, mm + 64, MapWindow::Greedy).expect("still placeable");
     let report = verify(&g, &sched, &plan, &placement);
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| matches!(f, Finding::Malformed { detail } if detail.contains("2 times"))),
-        "expected Malformed, got {:?}",
-        report.findings
-    );
+    assert_findings(&report, &["malformed plan: T5 scheduled 2 times"]);
     assert!(kinds(&report).contains(&ViolationKind::Incomplete));
 }
