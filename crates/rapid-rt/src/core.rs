@@ -89,9 +89,9 @@ pub(crate) trait Env {
     fn charge(&mut self, _cost: Cost) {}
     /// Hold the next operation of fault site `site` back by `by`.
     fn delay(&mut self, site: FaultSite, by: Duration);
-    /// Put message `mid`: copy its objects from their `local` offsets to
-    /// the `remote` ones (both indexed by object id) and signal arrival.
-    fn put(&mut self, mid: u32, local: &[u64], remote: &[u64]);
+    /// Put message `mid`: copy its objects to their `remote` offsets
+    /// (indexed by object id) and signal arrival.
+    fn put(&mut self, mid: u32, remote: &[u64]);
     /// Has message `mid` arrived?
     fn arrived(&mut self, mid: u32) -> bool;
     /// Message `mid`, which has arrived, is consumed by the task about to
@@ -102,7 +102,7 @@ pub(crate) trait Env {
     fn run_task(&mut self, t: TaskId, local: &[u64]) -> Result<(), ExecError>;
     /// Photograph the write set of `tasks`, the window about to run (only
     /// asked of runs armed for recovery).
-    fn checkpoint(&mut self, _tasks: &[TaskId], _local: &[u64]) {}
+    fn checkpoint(&mut self, _tasks: &[TaskId]) {}
     /// The window at `pos` is rolled back for re-execution `attempt`;
     /// with `restore`, put the last checkpoint's contents back first.
     fn rollback(&mut self, _restore: bool, _pos: u32, _attempt: u32) {}
@@ -383,7 +383,7 @@ impl<'e, P: Port> ProcCore<'e, P> {
     }
 
     /// The processor leaves the protocol (after [`Step::Done`] and
-    /// whatever its driver does while still in END, such as the gather).
+    /// whatever its driver does while still in END).
     pub(crate) fn retire<E: Env>(&mut self, env: &mut E) {
         self.enter(env, ProtoState::Done);
     }
@@ -622,7 +622,7 @@ impl<'e, P: Port> ProcCore<'e, P> {
         // bodies may read-modify-write their local permanents, so
         // EXE-phase rollback must restore pre-window contents.
         if self.spec.recovery.is_some() {
-            env.checkpoint(&self.order[pos as usize..end], &self.local);
+            env.checkpoint(&self.order[pos as usize..end]);
         }
         // A processor with an empty order performs this one empty MAP
         // and goes straight to END.
@@ -692,7 +692,7 @@ impl<'e, P: Port> ProcCore<'e, P> {
         // Injected put delay: hold this message back so it lands late and
         // reordered relative to the fault-free interleaving.
         self.delayed(env, FaultSite::PutDelay, ProcFaults::put_delay);
-        env.put(mid, &self.local, &self.known[base..base + self.nobj]);
+        env.put(mid, &self.known[base..base + self.nobj]);
         if let Some(s) = self.sent.get_mut(mid as usize) {
             *s = true;
         }

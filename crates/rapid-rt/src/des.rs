@@ -289,7 +289,7 @@ impl Env for Sim<'_> {
     /// Charge the sender's put overhead (plus the managed-mode address
     /// table lookup), date the arrival, including any injected delay, and
     /// wake the destination then.
-    fn put(&mut self, mid: u32, _: &[u64], _: &[u64]) {
+    fn put(&mut self, mid: u32, _: &[u64]) {
         let (m, mgmt) = (self.m, self.memory_mgmt);
         let msg = &self.plan.msgs[mid as usize];
         let c = self.clock();

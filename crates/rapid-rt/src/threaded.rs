@@ -1,10 +1,10 @@
 //! The threaded executor: real concurrency, real buffers.
 //!
-//! One OS thread per simulated processor. Each processor owns a
-//! fixed-capacity [`RmaHeap`]; permanent objects are laid out identically
-//! and deterministically on every processor's heap (so their addresses are
-//! globally known without notification, as in RAPID), while volatile
-//! buffers come and go at MAPs, at the offsets a best-fit arena gave them
+//! One OS thread per simulated processor. A permanent object lives on its
+//! owner for the whole run, as its own buffer, and is never the target of
+//! a put. Each processor also owns a fixed-capacity [`RmaHeap`] for its
+//! volatiles, the copies of remote objects its tasks read: they come and go
+//! at MAPs, at the offsets a best-fit arena gave them
 //! when the executor was built ([`AddressPlan`]: the allocator runs once,
 //! at plan time, and every run replays its answers), and those offsets
 //! travel to the data producers through single-slot address mailboxes.
@@ -51,17 +51,24 @@
 //! worker threads (a
 //! [`rapid_machine::pool::WorkerPool`], one thread per processor, started
 //! by the first run and sent home when the executor is dropped; the thread
-//! that calls `run` sleeps meanwhile); one [`RmaHeap`] per processor (`p × capacity × 8` bytes held
-//! between runs); and the trace rings. Built per run, because they are
-//! small and their initial state *is* the protocol's initial state: arrival
+//! that calls `run` sleeps meanwhile); one [`RmaHeap`] of volatiles per
+//! processor; and the trace rings. Built per run, because they are small
+//! and their initial state *is* the protocol's initial state: arrival
 //! flags, state boards, address tables and mailboxes.
 //!
-//! Each worker's `Setup` state re-zeroes the prefix of its own heap that
-//! a run can write (the address plan's high-water mark), when the heap has
-//! been run on before, so buffers start zeroed on every run;
-//! its `End` state copies the permanent objects it owns out of its heap, so
-//! the gather runs on `p` threads inside the parallel section. A run that
-//! fails gives its heaps back to the allocator instead of keeping them.
+//! The permanents are built per run too, because they are the run's
+//! result. Each worker's `Setup` state allocates a zeroed buffer for every
+//! object it owns (a `calloc`: pages no task writes are never faulted in)
+//! and `init` fills it; tasks, checkpoints and rollbacks use it in place
+//! and puts read from it; its `End` state hands the buffers over as they
+//! are, and they become [`ThreadedOutcome::objects`] without a copy. The
+//! heap keeps its layout ([`AddressPlan`]: permanents below `perm_off`'s
+//! extent, volatiles above) but only the volatile part is ever touched, and
+//! a kept heap is not re-zeroed: every volatile a task reads is filled by a
+//! put first, except one no message fills (an object read remotely that
+//! nobody writes), which the task reads as a zeroed buffer of its own. A
+//! run that fails gives its heaps back to the allocator instead of keeping
+//! them.
 
 use crate::core::{CoreSpec, Diag, Env, On, ProcCore, Step, NO_ADDR};
 use crate::inspector::{ProcDiag, StallSnapshot, StateBoard};
@@ -205,12 +212,13 @@ pub struct ThreadedOutcome {
     /// Peak units in use per processor in the arena the offsets came from
     /// ([`AddressPlan::peak`]; a run that completes reproduces it).
     pub arena_peak: Vec<u64>,
-    /// Final contents of every object, gathered from the owners' heaps.
+    /// Final contents of every object, in id order: the owners' permanent
+    /// buffers themselves, which the tasks wrote in place. The outcome owns
+    /// them; a later run on the executor allocates its own.
     pub objects: Vec<Vec<f64>>,
     /// Wall-clock duration of the parallel section: from the hand-off to
     /// the workers until the last of them has left its `End` state, which
-    /// includes re-zeroing the heaps (`Setup`) and the owner-side gather
-    /// of `objects` (`End`).
+    /// includes allocating and loading the permanents (`Setup`).
     pub wall: Duration,
     /// Recorded event traces, when [`ThreadedExecutor::with_tracing`] was
     /// enabled at a tier other than [`TraceTier::Off`] (one ring per
@@ -236,6 +244,8 @@ pub struct ThreadedExecutor<'a> {
     faults: Option<FaultPlan>,
     tracing: Option<TraceConfig>,
     recovery: Option<RecoveryPolicy>,
+    /// Per processor, the volatiles it reads that no message fills.
+    unfilled: Vec<Vec<ObjId>>,
     /// What outlives a run (see "Run lifecycle" in the module docs).
     /// Locked for the whole of a run: concurrent runs on one executor
     /// take turns.
@@ -247,9 +257,9 @@ pub struct ThreadedExecutor<'a> {
 struct Kept {
     /// The worker threads, started by the first run.
     pool: Option<WorkerPool>,
-    /// One heap per processor, parked by the last run if it succeeded
-    /// (empty otherwise). A parked heap is dirty up to the address plan's
-    /// high-water mark; everything above is still the allocator's zeros.
+    /// One heap of volatiles per processor, parked by the last run if it
+    /// succeeded (empty otherwise). A parked heap holds that run's
+    /// volatiles; nothing reads one before a put of the next run fills it.
     heaps: Vec<RmaHeap>,
     /// Rings of the previous traced run: on this machine class a multi-MB
     /// ring allocation (mmap + munmap per run) can cost more than the
@@ -263,8 +273,9 @@ struct WorkerOut {
     maps: u32,
     /// Peak units in use, counting accounting.
     peak_units: u64,
-    /// Final contents of the objects this worker owns, in id order
-    /// (empty when the worker bailed out).
+    /// [`ThreadEnv::own`] as the worker left it: at the id of every object
+    /// it owns, that object's final contents (empty when the worker bailed
+    /// out).
     owned: Vec<Vec<f64>>,
     /// This worker's ring, decoded, with its aggregate metrics.
     trace: Option<(ProcTrace, ProcMetrics)>,
@@ -282,6 +293,7 @@ impl<'a> ThreadedExecutor<'a> {
         let plan = RtPlan::new(g, sched);
         let addresses =
             plan.address_plan(g, sched, capacity, MapWindow::Greedy, FitPolicy::BestFit);
+        let unfilled = unfilled_volatiles(&plan);
         ThreadedExecutor {
             g,
             sched,
@@ -292,6 +304,7 @@ impl<'a> ThreadedExecutor<'a> {
             faults: None,
             tracing: None,
             recovery: None,
+            unfilled,
             kept: Mutex::new(Kept::default()),
         }
     }
@@ -376,8 +389,8 @@ impl<'a> ThreadedExecutor<'a> {
     /// irregular data is resident before the executor stage (it is *not*
     /// part of the task graph, so it does not constrain DTS slicing).
     /// `init` receives a zeroed buffer, on the first run and on every later
-    /// one (a fresh heap, or `Setup`'s re-zeroing of a kept one), so it
-    /// writes only the nonzeros.
+    /// one (each run allocates its permanents afresh, and they become the
+    /// outcome's `objects`), so it writes only the nonzeros.
     ///
     /// Note: `init` affects only the owners' permanent copies. An object
     /// that is read remotely before ever being written would see zeros on
@@ -408,13 +421,11 @@ impl<'a> ThreadedExecutor<'a> {
         };
 
         // The parked heaps leave `kept` for the run and return only if it
-        // succeeds: after a failure nothing vouches for what was written
-        // where, so the next run starts from the allocator's zeros.
-        let heaps_reused = !heaps.is_empty();
-        let run_heaps: Vec<RmaHeap> = if heaps_reused {
-            std::mem::take(heaps)
-        } else {
+        // succeeds: nothing a failed run left behind outlives it.
+        let run_heaps: Vec<RmaHeap> = if heaps.is_empty() {
             (0..nprocs).map(|_| RmaHeap::new(self.capacity)).collect()
+        } else {
+            std::mem::take(heaps)
         };
 
         // The machine's ports wake whom they hand a package to or drain a
@@ -463,7 +474,7 @@ impl<'a> ThreadedExecutor<'a> {
                 recovery: self.recovery,
             },
             heaps: &run_heaps,
-            dirty: if heaps_reused { &addresses.high_water } else { &[] },
+            unfilled: &self.unfilled,
             flags: &flags,
             machine: &machine,
             state: &state,
@@ -522,13 +533,14 @@ impl<'a> ThreadedExecutor<'a> {
                 .unwrap_or(ExecError::Stalled { remaining: 0, snapshot: None }));
         }
 
-        // Each owner copied its objects out, in id order, before it left
-        // `End`; deal them back into one id-ordered list.
-        let mut owned: Vec<_> =
-            per_proc.iter_mut().map(|w| std::mem::take(&mut w.owned).into_iter()).collect();
+        // Each owner handed its permanents back as they are: they are the
+        // results, and change hands without a copy.
         let objects: Vec<Vec<f64>> = g
             .objects()
-            .map(|d| owned[sched.assign.owner_of(d) as usize].next().unwrap_or_default())
+            .map(|d| {
+                let owner = sched.assign.owner_of(d) as usize;
+                std::mem::take(&mut per_proc[owner].owned[d.idx()])
+            })
             .collect();
 
         *heaps = run_heaps;
@@ -603,15 +615,29 @@ where
     bufs
 }
 
+/// Per processor, each volatile no message toward it carries (no sender
+/// watches its address), such as an object nobody writes, read remotely.
+/// It is read before anything is put into it, so what the task reads is
+/// zeros, from a buffer of the worker's own.
+fn unfilled_volatiles(plan: &RtPlan) -> Vec<Vec<ObjId>> {
+    let procs = plan.lv.procs.iter().enumerate();
+    procs
+        .map(|(p, lv)| {
+            let unwatched = |d: &ObjId| plan.watchers.of(p as u32, d.0).is_empty();
+            lv.volatile.iter().copied().filter(unwatched).collect()
+        })
+        .collect()
+}
+
 /// Everything the workers share by reference — one immutable bundle so
 /// the worker signature stays small.
 struct Shared<'e, F, I> {
     /// What every processor's protocol core is built from.
     spec: CoreSpec<'e>,
+    /// The volatiles, one heap per processor.
     heaps: &'e [RmaHeap],
-    /// Per heap, the prefix an earlier run on it may have written (empty
-    /// when the heaps are fresh from the allocator).
-    dirty: &'e [u64],
+    /// [`unfilled_volatiles`] of the schedule.
+    unfilled: &'e [Vec<ObjId>],
     flags: &'e FlagBoard,
     /// The address slots, and who is parked, for whoever ends its wait
     /// (see [`rapid_machine::wait`]).
@@ -677,9 +703,9 @@ impl RecovBoard {
     }
 }
 
-/// The thread-side environment of one worker's protocol core: its heap,
-/// the arrival flags, the task body, the wall clock and the boards other
-/// workers read.
+/// The thread-side environment of one worker's protocol core: its
+/// permanents and its heap, the arrival flags, the task body, the wall
+/// clock and the boards other workers read.
 struct ThreadEnv<'e, F, I> {
     p: usize,
     sh: &'e Shared<'e, F, I>,
@@ -687,31 +713,43 @@ struct ThreadEnv<'e, F, I> {
     /// comparable to a flat trace record write, and much more than that
     /// inside a VM — so the core reads it only where [`Env::now`] says.
     last_ts: u64,
+    /// Object id → this worker's own buffer of it: the permanent of every
+    /// object it owns, a zeroed buffer for each of its
+    /// [`unfilled_volatiles`], empty for the rest (which live in the heap).
+    /// Under owner-compute every write, every put's source and every
+    /// checkpoint is a permanent. A zero-size object reads as an empty
+    /// slice from here or from the heap alike.
+    own: Vec<Vec<f64>>,
     /// Pooled task-context parts (no allocation in steady state).
     ctx_reads: Vec<(u32, &'e [f64])>,
     ctx_writes: Vec<(u32, &'e mut [f64])>,
     slots: Vec<u32>,
     /// Pre-window contents of the current window's write set, for
-    /// EXE-phase rollback: `(obj, units, offset, start in ckpt_data)`.
-    /// Stays empty on runs not armed for recovery.
-    ckpt: Vec<(u32, u64, u64, usize)>,
+    /// EXE-phase rollback: `(obj, start in ckpt_data)`. Stays empty on
+    /// runs not armed for recovery.
+    ckpt: Vec<(u32, usize)>,
     ckpt_data: Vec<f64>,
     ckpt_seen: Vec<bool>,
 }
 
 impl<'e, F, I> ThreadEnv<'e, F, I> {
-    /// This processor's heap.
-    #[inline]
-    fn heap(&self) -> &'e RmaHeap {
-        &self.sh.heaps[self.p]
-    }
-
-    /// Offset of object `d`'s buffer on this processor.
+    /// Offset of volatile `d`'s buffer in this processor's heap.
     #[inline]
     fn resolve(&self, local: &[u64], d: ObjId) -> u64 {
         let off = local[d.idx()];
         debug_assert_ne!(off, NO_ADDR, "volatile {d:?} not allocated on P{}", self.p);
         off
+    }
+
+    /// The permanent `d`, which this processor owns.
+    #[inline]
+    fn permanent(&mut self, d: u32) -> &mut Vec<f64> {
+        debug_assert_eq!(
+            self.sh.spec.sched.assign.owner[d as usize] as usize, self.p,
+            "P{} asked for the permanent of an object it does not own",
+            self.p
+        );
+        &mut self.own[d as usize]
     }
 }
 
@@ -734,18 +772,16 @@ where
         std::thread::sleep(by);
     }
 
-    fn put(&mut self, mid: u32, local: &[u64], remote: &[u64]) {
-        let msg = &self.sh.spec.plan.msgs[mid as usize];
+    fn put(&mut self, mid: u32, remote: &[u64]) {
+        let sh = self.sh;
+        let msg = &sh.spec.plan.msgs[mid as usize];
+        let dst = &sh.heaps[msg.dst_proc as usize];
         for &d in &msg.objs {
-            let len = self.sh.spec.g.obj_size(d);
-            // SAFETY (module protocol): we produced this object (our task
-            // wrote it and no later writer has run — dependence
-            // completeness), and the destination buffer is exclusively
-            // ours to fill until we raise the flag.
-            unsafe {
-                let src = self.heap().slice(self.resolve(local, d), len);
-                self.sh.heaps[msg.dst_proc as usize].put(remote[d.idx()], src);
-            }
+            // A task of ours wrote `d`, so it is one of our permanents.
+            let src = self.permanent(d.0);
+            // SAFETY (module protocol): the destination buffer is
+            // exclusively ours to fill until we raise the flag.
+            unsafe { dst.put(remote[d.idx()], src) };
         }
         self.sh.flags.raise(mid as usize);
         self.sh.machine.sleepers().wake(msg.dst_proc as usize);
@@ -757,27 +793,32 @@ where
     }
 
     fn run_task(&mut self, t: TaskId, local: &[u64]) -> Result<(), ExecError> {
-        let (g, heap) = (self.sh.spec.g, self.heap());
+        let (g, heap) = (self.sh.spec.g, &self.sh.heaps[self.p]);
         let writes_ids = g.writes(t);
         for &d in writes_ids {
-            let d = ObjId(d);
-            let off = self.resolve(local, d);
-            // SAFETY (module protocol): this task is the unique writer
-            // of `d` at this point of the dependence-complete
-            // schedule; readers have either consumed earlier versions
-            // or are ordered after us.
-            self.ctx_writes.push((d.0, unsafe { heap.slice_mut(off, g.obj_size(d)) }));
+            let buf = self.permanent(d);
+            // SAFETY: a permanent is touched by its owner's thread alone,
+            // and this task is the one running there. The view is dropped
+            // when the context is dismantled, before the buffer can be.
+            let view = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr(), buf.len()) };
+            self.ctx_writes.push((d, view));
         }
         for &d in g.reads(t) {
             if writes_ids.binary_search(&d).is_ok() {
                 continue;
             }
-            let d = ObjId(d);
-            let off = self.resolve(local, d);
-            // SAFETY: arrival flags have been observed with Acquire;
-            // no writer may touch this buffer until tasks ordered
-            // after us run.
-            self.ctx_reads.push((d.0, unsafe { heap.slice(off, g.obj_size(d)) }));
+            let buf = &self.own[d as usize];
+            let view = if buf.is_empty() {
+                let d = ObjId(d);
+                // SAFETY: arrival flags have been observed with Acquire;
+                // no writer may touch this volatile until tasks ordered
+                // after us run.
+                unsafe { heap.slice(self.resolve(local, d), g.obj_size(d)) }
+            } else {
+                // SAFETY: as for a write, and no task writes it meanwhile.
+                unsafe { std::slice::from_raw_parts(buf.as_ptr(), buf.len()) }
+            };
+            self.ctx_reads.push((d, view));
         }
         let mut ctx = TaskCtx::assemble(
             std::mem::take(&mut self.ctx_reads),
@@ -806,10 +847,10 @@ where
         })
     }
 
-    /// Volatiles are deliberately *not* captured — they are filled by
-    /// remote puts that survive a rollback (flags stay raised), and this
-    /// worker's tasks never write them (owner-compute).
-    fn checkpoint(&mut self, tasks: &[TaskId], local: &[u64]) {
+    /// Only permanents are written (owner-compute), so only they are
+    /// captured. Volatiles are filled by remote puts that survive a
+    /// rollback (flags stay raised).
+    fn checkpoint(&mut self, tasks: &[TaskId]) {
         self.ckpt.clear();
         self.ckpt_data.clear();
         let g = self.sh.spec.g;
@@ -819,28 +860,22 @@ where
                 if std::mem::replace(&mut self.ckpt_seen[w as usize], true) {
                     continue;
                 }
-                let (off, len) = (local[w as usize], g.obj_size(ObjId(w)));
                 let start = self.ckpt_data.len();
-                // SAFETY: our own permanent buffer (owner-compute
-                // makes this worker its only writer), read before
-                // any task of this window has run.
-                self.ckpt_data.extend_from_slice(unsafe { self.heap().slice(off, len) });
-                self.ckpt.push((w, len, off, start));
+                self.ckpt_data.extend_from_slice(&self.own[w as usize]);
+                self.ckpt.push((w, start));
             }
         }
-        for &(w, ..) in &self.ckpt {
+        for &(w, _) in &self.ckpt {
             self.ckpt_seen[w as usize] = false;
         }
     }
 
     fn rollback(&mut self, restore: bool, pos: u32, attempt: u32) {
         if restore {
-            for &(_, len, off, start) in &self.ckpt {
-                // SAFETY: the same exclusive local permanents the
-                // checkpoint read; no remote writer exists
-                // (owner-compute) and no local task is running.
-                unsafe { self.heap().slice_mut(off, len) }
-                    .copy_from_slice(&self.ckpt_data[start..start + len as usize]);
+            for &(w, start) in &self.ckpt {
+                let buf = &mut self.own[w as usize];
+                let len = buf.len();
+                buf.copy_from_slice(&self.ckpt_data[start..start + len]);
             }
         }
         self.sh.recov.note(self.p, !restore, pos, attempt);
@@ -852,10 +887,10 @@ where
     }
 }
 
-/// One processor's run of the protocol, on its pool thread: set the heap
-/// up, drive the protocol core to its end, gather. The trace comes back
-/// already decoded from this worker's flat ring (with its aggregate
-/// metrics) and the owned objects already copied out, so both run in
+/// One processor's run of the protocol, on its pool thread: allocate and
+/// load its permanents, drive the protocol core to its end, hand the
+/// permanents back. The trace comes back already decoded from this
+/// worker's flat ring (with its aggregate metrics), so decoding runs in
 /// parallel across workers.
 fn drive<'e, F, I>(
     p: usize,
@@ -866,13 +901,13 @@ where
     F: Fn(TaskId, &mut TaskCtx<'_>) + Sync,
     I: Fn(ObjId, &mut [f64]) + Sync,
 {
-    let CoreSpec { g, sched, perm_off, .. } = sh.spec;
-    let heap = &sh.heaps[p];
+    let CoreSpec { g, sched, .. } = sh.spec;
     let ring = sh.rings.map(|rs| &rs[p]);
     let mut env = ThreadEnv {
         p,
         sh,
         last_ts: 0,
+        own: Vec::new(),
         ctx_reads: Vec::new(),
         ctx_writes: Vec::new(),
         slots: vec![NO_SLOT; g.num_objects()],
@@ -890,9 +925,9 @@ where
         ring.map(|r| r.writer(sh.tier)),
         &mut env,
     );
-    // Leave the protocol with `owned` as the gathered objects. The ring's
-    // writer is idle from here on, so decoding it on this worker's own
-    // thread (all processors in parallel) sees a quiesced ring.
+    // Leave the protocol, handing `owned` back. The ring's writer is idle
+    // from here on, so decoding it on this worker's own thread (all
+    // processors in parallel) sees a quiesced ring.
     let leave = |core: ProcCore<'_, DirectPort<'_>>, owned| WorkerOut {
         maps: core.maps_done(),
         peak_units: core.peak(),
@@ -904,21 +939,20 @@ where
         }),
     };
 
-    // A heap parked by an earlier run is dirty up to the address plan's
-    // high-water mark; above it the allocator's zeros were never touched.
-    // A fresh heap's pages are first touched (below, by `init` and by the
-    // tasks) on this worker's thread.
-    // SAFETY: setup phase — the only way into this heap from another
-    // thread is a put to an address this worker has announced, and it
-    // announces none before its first MAP; the previous run's threads
-    // all left before this run was handed out.
-    unsafe { heap.slice_mut(0, sh.dirty.get(p).copied().unwrap_or(0)) }.fill(0.0);
-    // Load resident data into the permanent layout.
+    // Our permanents, zeroed by the allocator (`vec![0.0; n]` is a
+    // `calloc`: a large one arrives as lazily mapped zero pages, first
+    // touched on this thread, and pages no task writes are never faulted
+    // in), loaded with the resident data. The heap needs nothing: every
+    // volatile is filled by a put before a task reads it, except the
+    // unfilled ones, which read as zeroed buffers of our own.
+    env.own = vec![Vec::new(); g.num_objects()];
     for d in g.objects().filter(|&d| sched.assign.owner_of(d) as usize == p) {
-        // SAFETY: setup phase — no other thread touches our permanent
-        // buffers before the protocol starts (the first remote put needs
-        // an address package or a write by our own tasks).
-        (sh.init)(d, unsafe { heap.slice_mut(perm_off[d.idx()], g.obj_size(d)) });
+        let mut buf = vec![0.0; g.obj_size(d) as usize];
+        (sh.init)(d, &mut buf);
+        env.own[d.idx()] = buf;
+    }
+    for &d in &sh.unfilled[p] {
+        env.own[d.idx()] = vec![0.0; g.obj_size(d) as usize];
     }
 
     // The stall watchdog reads this wait's own clock: time since the last
@@ -975,20 +1009,10 @@ where
             }
         }
     }
-    // Still END: gather. Every task of this processor has run and every
-    // message it owed has been put, so its permanent objects are final.
-    let owned: Vec<Vec<f64>> = g
-        .objects()
-        .filter(|&d| sched.assign.owner_of(d) as usize == p)
-        .map(|d| {
-            // SAFETY: owner-compute makes this worker's tasks the only
-            // writers of the object, and they are done; remote puts only
-            // ever land in volatile buffers, never in a permanent one.
-            unsafe { heap.slice(perm_off[d.idx()], g.obj_size(d)) }.to_vec()
-        })
-        .collect();
+    // END: every task of this processor has run and every message it owed
+    // has been put, so its permanents are final. They leave as they are.
     core.retire(&mut env);
-    leave(core, owned)
+    leave(core, std::mem::take(&mut env.own))
 }
 
 /// Assemble the stall diagnostic from the shared introspection surfaces:
@@ -1364,9 +1388,9 @@ mod tests {
         }
     }
 
-    /// Heap reuse: a run that succeeds parks its heaps with the prefix it
-    /// dirtied, a run that fails gives them up, and either way the next
-    /// run starts from zeroed buffers.
+    /// Heap reuse: a run that succeeds parks its heaps with the volatiles
+    /// it left in them, a run that fails gives them up, and either way the
+    /// next run computes the same objects.
     #[test]
     fn heaps_are_parked_after_success_and_dropped_after_failure() {
         let g = fixtures::figure2_dag();
@@ -1375,12 +1399,11 @@ mod tests {
         let exec = ThreadedExecutor::new(&g, &sched, mm);
         let parked = || exec.kept.lock().unwrap().heaps.len();
         assert_eq!(parked(), 0, "nothing is allocated before the first run");
-        let dirty = &exec.address_plan().expect("MIN_MEM of unit objects places").high_water;
-        assert!(dirty.iter().all(|&d| d > 0 && d <= mm), "dirty prefixes {dirty:?} of {mm}");
         let reference = run_sequential(&g, test_body);
         assert_eq!(exec.run(test_body).unwrap().objects, reference);
         assert_eq!(parked(), 2);
-        // A parked heap is re-zeroed up to the plan's high-water mark.
+        // A parked heap is used as it is: every volatile is put before it
+        // is read.
         assert_eq!(exec.run(test_body).unwrap().objects, reference);
         let failed = exec.run_with_init(|_, _| panic!("boom"), |_, buf| buf.fill(f64::NAN));
         assert!(matches!(failed, Err(ExecError::WorkerPanicked { .. })));

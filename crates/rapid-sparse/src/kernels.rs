@@ -7,11 +7,11 @@
 //! ([`potrf`], [`getrf`]) are register-tiled: a `4 × 4` micro-kernel
 //! accumulates the inner product in sixteen scalars the compiler keeps in
 //! registers, and the factorizations process column panels so the O(n³)
-//! work lands in that micro-kernel. The straight-loop references
-//! ([`gemm_nt_sub_naive`], [`gemm_nn_sub_naive`], [`potrf_unblocked`],
-//! [`getrf_unblocked`]) remain as the tests' oracles: randomized tests
-//! (`kernel_props`) check the tiled and naive paths agree to tight
-//! tolerance across odd sizes.
+//! work lands in that micro-kernel. The straight-loop GEMMs
+//! (`gemm_nt_sub_naive`, `gemm_nn_sub_naive`) exist only as the unit
+//! tests' oracles; [`potrf_unblocked`] and [`getrf_unblocked`] are also the
+//! small-size dispatch. The unit tests check the tiled and straight-loop
+//! paths agree to tight tolerance across odd, tile-straddling sizes.
 //!
 //! Both GEMM shapes funnel into one tile engine that reads `B` in the
 //! transposed (`gemm_nt`) layout: [`gemm_nn_sub`] pre-transposes its `B`
@@ -319,7 +319,8 @@ unsafe fn gemm_bt_tiles_avx2(
 }
 
 /// Straight-loop reference for [`gemm_nt_sub`] (same contract).
-pub fn gemm_nt_sub_naive(c: &mut [f64], m: usize, n: usize, a: &[f64], b: &[f64], k: usize) {
+#[cfg(test)]
+fn gemm_nt_sub_naive(c: &mut [f64], m: usize, n: usize, a: &[f64], b: &[f64], k: usize) {
     debug_assert!(c.len() >= m * n && a.len() >= m * k && b.len() >= n * k);
     for j in 0..n {
         for p in 0..k {
@@ -558,8 +559,9 @@ pub fn gemm_nn_sub(
 }
 
 /// Straight-loop reference for [`gemm_nn_sub`] (same contract).
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-pub fn gemm_nn_sub_naive(
+fn gemm_nn_sub_naive(
     c: &mut [f64],
     cm: usize,
     row0: usize,

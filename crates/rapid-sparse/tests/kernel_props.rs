@@ -1,7 +1,6 @@
 //! Randomized tests for the dense block kernels: factorizations must
-//! reconstruct their inputs for arbitrary well-conditioned matrices, and
-//! the register-tiled paths must agree with the straight-loop references
-//! across odd, tile-straddling sizes.
+//! reconstruct their inputs for arbitrary well-conditioned matrices. The
+//! tiled-versus-straight-loop comparisons are unit tests in `kernels.rs`.
 //!
 //! Cases come from a deterministic xorshift64* generator — no external
 //! property-testing dependency; a failure names its case index.
@@ -174,69 +173,6 @@ fn gemm_accumulates_linearly() {
         for (x1, x2) in c1.iter().zip(&c2) {
             // c2 = 1 - 2·A·Bᵀ; c1 = 1 - A·Bᵀ => c2 - c1 = c1 - 1.
             assert!(((x2 - x1) - (x1 - 1.0)).abs() < 1e-12, "case {case}");
-        }
-    }
-}
-
-/// The register-tiled GEMMs agree with the straight-loop references to
-/// 1e-10 across random odd sizes (tile-remainder edges included).
-#[test]
-fn tiled_gemms_agree_with_naive() {
-    for case in 0..CASES {
-        let mut r = Rng::new(case ^ 0xace);
-        let (m, n, k) = (r.range(1, 23), r.range(1, 23), r.range(1, 23));
-        let a = r.mat(m * k);
-        let bt = r.mat(n * k);
-        let c0 = r.mat(m * n);
-
-        let mut c1 = c0.clone();
-        let mut c2 = c0.clone();
-        kernels::gemm_nt_sub(&mut c1, m, n, &a, &bt, k);
-        kernels::gemm_nt_sub_naive(&mut c2, m, n, &a, &bt, k);
-        for (x, y) in c1.iter().zip(&c2) {
-            assert!((x - y).abs() < 1e-10, "case {case} gemm_nt {m}x{n}x{k}");
-        }
-
-        let b = r.mat(k * n);
-        let mut c1 = c0.clone();
-        let mut c2 = c0;
-        kernels::gemm_nn_sub(&mut c1, m, 0, m, n, &a, m, 0, &b, k, k);
-        kernels::gemm_nn_sub_naive(&mut c2, m, 0, m, n, &a, m, 0, &b, k, k);
-        for (x, y) in c1.iter().zip(&c2) {
-            assert!((x - y).abs() < 1e-10, "case {case} gemm_nn {m}x{n}x{k}");
-        }
-    }
-}
-
-/// Blocked potrf agrees with the unblocked reference to 1e-10 on sizes
-/// straddling the panel width.
-#[test]
-fn blocked_potrf_agrees_with_unblocked() {
-    for case in 0..16 {
-        let mut r = Rng::new(case ^ 0xc0de);
-        let n = r.range(1, 71);
-        let g = r.mat(n * n);
-        let mut a = vec![0.0; n * n];
-        for j in 0..n {
-            for i in 0..n {
-                let mut v = if i == j { n as f64 } else { 0.0 };
-                for p in 0..n {
-                    v += g[p * n + i] * g[p * n + j];
-                }
-                a[j * n + i] = v;
-            }
-        }
-        let mut blocked = a.clone();
-        let mut naive = a;
-        kernels::potrf_blocked(&mut blocked, n).unwrap();
-        kernels::potrf_unblocked(&mut naive, n).unwrap();
-        for j in 0..n {
-            for i in j..n {
-                assert!(
-                    (blocked[j * n + i] - naive[j * n + i]).abs() < 1e-10,
-                    "case {case} n={n} L({i},{j})"
-                );
-            }
         }
     }
 }

@@ -98,6 +98,10 @@ fn a_poisoned_run_leaves_no_trace_in_the_next() {
                 }
                 Err(e) => panic!("{label}: {e}"),
             };
+            // `z` reads as zeros, as in the sequential run, even where its
+            // volatile reuses the space of one a put filled earlier.
+            let reference = run_sequential_with_init(g, body, |_, _| {});
+            assert_eq!(bits(&fresh.objects), bits(&reference), "{label}: a new executor");
             let exec = ThreadedExecutor::new(g, sched, cap);
             let dirty = exec.run_with_init(body, poison).unwrap_or_else(|e| panic!("{label}: {e}"));
             assert!(
@@ -184,6 +188,34 @@ fn a_failed_run_does_not_leak_into_the_next() {
                 }
             }
         }
+    }
+}
+
+/// (c) An outcome owns its results: its objects are the buffers the
+/// owners' tasks wrote, and later runs on the same executor, poisoned or
+/// clean, neither write into them nor hand them out again.
+#[test]
+fn an_outcome_owns_its_results() {
+    let mut plans = vec![("chain+z".to_string(), chain_with_unwritten_volatile())];
+    plans.extend((0..4).map(|seed| (format!("random {seed}"), random_plan(seed, 3))));
+    for (name, (g, sched)) in &plans {
+        let cap = min_mem(g, sched).min_mem + 16;
+        let exec = ThreadedExecutor::new(g, sched, cap);
+        let first = exec.run(body).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let kept = bits(&first.objects);
+        let dirty = exec.run_with_init(body, poison).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(dirty.objects.iter().flatten().any(|x| x.is_nan()), "{name}: poisoned");
+        let clean = exec.run(body).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(bits(&first.objects), kept, "{name}: later runs wrote into run 1's results");
+        assert_eq!(bits(&clean.objects), kept, "{name}: the clean run after the poisoned one");
+        let mut ptrs: Vec<*const f64> = [&first, &dirty, &clean]
+            .iter()
+            .flat_map(|out| out.objects.iter().filter(|o| !o.is_empty()).map(|o| o.as_ptr()))
+            .collect();
+        let total = ptrs.len();
+        ptrs.sort_unstable();
+        ptrs.dedup();
+        assert_eq!(ptrs.len(), total, "{name}: two outcomes share a buffer");
     }
 }
 

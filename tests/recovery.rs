@@ -254,6 +254,23 @@ fn transient_panic_recovers_bitwise() {
         .filter(|e| matches!(e, CanonEvent::Rollback { .. }))
         .count();
     assert_eq!(rollbacks, 1, "exactly one window rollback heals a single transient panic");
+    // The restore lands in the owner's buffers, the outcome's own: the
+    // permanents the rolled-back window wrote are the serial ones.
+    let p = sched.assign.proc_of(victim) as usize;
+    let start = skeletons(trace)[p]
+        .iter()
+        .find_map(|e| match e {
+            CanonEvent::Rollback { pos, .. } => Some(*pos as usize),
+            _ => None,
+        })
+        .expect("the victim's processor rolled its window back");
+    let at = sched.order[p].iter().position(|&t| t == victim).expect("the victim is scheduled");
+    for &t in &sched.order[p][start..=at] {
+        for &d in g.writes(t) {
+            let d = d as usize;
+            assert_eq!(out.objects[d], reference[d], "object {d} of the rolled-back window");
+        }
+    }
 }
 
 #[test]
