@@ -4,7 +4,7 @@
 //! dependence edges: *true* (read-after-write), *anti* (write-after-read)
 //! and *output* (write-after-write). Anti and output edges that are
 //! subsumed by true-dependence paths are redundant; most remaining ones can
-//! be eliminated by program transformation (renaming, ref. [4] of the
+//! be eliminated by program transformation (renaming, ref. \[4\] of the
 //! paper). The result consumed by the scheduler is a *transformed* graph
 //! containing true dependencies only — plus ordering chains for in-place
 //! *updates* (read-modify-write accesses, which carry a true dependence on

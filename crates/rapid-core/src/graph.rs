@@ -69,7 +69,7 @@ impl Csr {
         let start = self.targets.len();
         self.targets.extend(items);
         sort_dedup_from(&mut self.targets, start);
-        self.offsets.push(self.targets.len() as u32);
+        self.end_row();
     }
 }
 
@@ -103,27 +103,50 @@ impl<T: Copy> Csr<T> {
     /// the order they came in (a stable counting sort, two passes over
     /// `pairs`).
     pub fn group(n: usize, pairs: impl Iterator<Item = (usize, T)> + Clone) -> Self {
-        let mut offsets = vec![0u32; n + 1];
+        let mut lens = vec![0u32; n];
         for (row, _) in pairs.clone() {
-            offsets[row + 1] += 1;
+            lens[row] += 1;
         }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
+        Self::deal(lens, pairs)
+    }
+
+    /// [`Csr::group`] when the row lengths are already counted: `lens[i]`
+    /// is how many of `pairs` fall in row `i` (one pass over `pairs`).
+    pub fn deal(mut lens: Vec<u32>, pairs: impl Iterator<Item = (usize, T)>) -> Self {
+        // `lens[i]` becomes row `i`'s start, then its fill cursor, which the
+        // fill leaves at the row's end: the offsets, but for the 0 in front.
+        let mut start = 0;
+        for l in &mut lens {
+            (start, *l) = (start + *l, start);
         }
-        let Some((_, filler)) = pairs.clone().next() else {
-            return Csr { offsets, targets: Vec::new() };
+        let mut pairs = pairs.peekable();
+        let mut targets = match pairs.peek() {
+            Some(&(_, filler)) => vec![filler; start as usize],
+            None => Vec::new(),
         };
-        let mut targets = vec![filler; offsets[n] as usize];
-        let mut next = offsets.clone();
         for (row, item) in pairs {
-            targets[next[row] as usize] = item;
-            next[row] += 1;
+            targets[lens[row] as usize] = item;
+            lens[row] += 1;
         }
-        Csr { offsets, targets }
+        lens.insert(0, 0);
+        Csr { offsets: lens, targets }
     }
 }
 
 impl<T> Csr<T> {
+    /// Append `item` to the row being built: the one after the last row
+    /// [`Csr::end_row`] closed.
+    #[inline]
+    pub fn push(&mut self, item: T) {
+        self.targets.push(item);
+    }
+
+    /// Close the row being built, empty or not.
+    #[inline]
+    pub fn end_row(&mut self) {
+        self.offsets.push(self.targets.len() as u32);
+    }
+
     /// Neighbours of node `i`.
     #[inline]
     pub fn row(&self, i: usize) -> &[T] {
@@ -331,7 +354,7 @@ impl TaskGraph {
     }
 
     /// Check *dependence completeness* (paper §3.4, property of transformed
-    /// graphs from [5]): for every pair of tasks that access a common
+    /// graphs from \[5\]): for every pair of tasks that access a common
     /// object with at least one writer among them, there must be a
     /// dependence path between the two.
     ///

@@ -8,7 +8,7 @@ use crate::liveness::Liveness;
 use crate::schedule::Schedule;
 
 /// Memory analysis of one schedule.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemReport {
     /// Total size of permanent objects per processor.
     pub perm: Vec<u64>,
@@ -93,18 +93,17 @@ pub fn min_mem_with(g: &TaskGraph, sched: &Schedule, lv: &Liveness) -> MemReport
     for p in 0..nprocs {
         let pl = &lv.procs[p];
         vola_total[p] = pl.volatile.iter().map(|&d| g.obj_size(d)).sum();
+        // Units freed right after each position: every volatile's last use.
+        let mut freed = vec![0u64; sched.order[p].len()];
+        for (&d, &(_, l)) in pl.volatile.iter().zip(&pl.volatile_span) {
+            freed[l as usize] += g.obj_size(d);
+        }
         let mut cur = perm[p];
         let mut pk = cur; // a processor with no tasks still holds its permanents
-        for i in 0..sched.order[p].len() {
-            for &d in &pl.first_use[i] {
-                cur += g.obj_size(d);
-            }
-            if cur > pk {
-                pk = cur;
-            }
-            for &d in &pl.dead_after[i] {
-                cur -= g.obj_size(d);
-            }
+        for (i, &f) in freed.iter().enumerate() {
+            cur += pl.first_use[i].iter().map(|&d| g.obj_size(d)).sum::<u64>();
+            pk = pk.max(cur);
+            cur -= f;
         }
         peak[p] = pk;
     }

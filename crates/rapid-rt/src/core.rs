@@ -684,9 +684,9 @@ impl<'e, P: Port> ProcCore<'e, P> {
     /// Try to send message `mid`; on failure returns the id of the first
     /// object whose destination address is still unknown.
     fn try_send<E: Env>(&mut self, env: &mut E, mid: u32) -> Result<(), u32> {
-        let msg = &self.spec.plan.msgs[mid as usize];
-        let base = msg.dst_proc as usize * self.nobj;
-        if let Some(d) = msg.objs.iter().find(|d| self.known[base + d.idx()] == NO_ADDR) {
+        let plan = self.spec.plan;
+        let base = plan.msgs[mid as usize].dst_proc as usize * self.nobj;
+        if let Some(d) = plan.objs(mid).iter().find(|d| self.known[base + d.idx()] == NO_ADDR) {
             return Err(d.0);
         }
         // Injected put delay: hold this message back so it lands late and

@@ -4,7 +4,7 @@
 //! management on the simulated machine: MAP insertion and its costs,
 //! address packages through single-slot mailboxes, suspended sends and
 //! message transfer times. The five-state machine of the paper's Figure
-//! 3(b) is the shared [`ProcCore`](crate::core); this module is its
+//! 3(b) is the shared `ProcCore` (`core.rs`); this module is its
 //! virtual-time driver — the cost model and the message arrival times
 //! behind the core's environment, and an event heap that steps whichever
 //! processor is due, runs the RA and CQ service operations before every

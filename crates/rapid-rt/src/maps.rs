@@ -9,7 +9,7 @@
 //! - **Address watchers** — for every volatile object of every processor,
 //!   the set of processors that will RMA-put into its buffer and therefore
 //!   must be notified of its address when a MAP allocates it.
-//! - **Liveness** — first-use and dead-after tables per processor
+//! - **Liveness** — first-use rows and lifetime spans per processor
 //!   (computed once, `O(Σ access sets)`, the paper's static data-flow
 //!   analysis).
 //!
@@ -31,39 +31,35 @@ use rapid_trace::NO_OFFSET;
 /// every processor, the processors that will RMA-put into its buffer and
 /// therefore must be notified of its address when a MAP allocates it.
 ///
-/// Stored per allocating processor as a list sorted by object id, so the
-/// MAP-time query is a binary search over that processor's (typically
-/// short) watcher list — no hashing anywhere in the runtime.
+/// Per allocating processor, its watched objects ascending and, as row `k`
+/// of a [`Csr`], the senders of the `k`-th ascending: the MAP-time query is
+/// a binary search over them, with no hashing anywhere in the runtime.
 #[derive(Debug, Default)]
 pub struct WatcherTable {
-    /// `per_proc[p]`: `(obj, watchers)` pairs sorted by `obj`.
-    per_proc: Vec<Vec<(u32, Vec<ProcId>)>>,
+    /// `per_proc[p]`: the watched objects of `p` and their senders.
+    per_proc: Vec<(Vec<u32>, Csr<ProcId>)>,
 }
 
 impl WatcherTable {
     /// Processors that must learn the address of volatile `obj` on `p`
     /// (empty for unwatched objects).
     pub fn of(&self, p: ProcId, obj: u32) -> &[ProcId] {
-        let rows = &self.per_proc[p as usize];
-        match rows.binary_search_by_key(&obj, |&(o, _)| o) {
-            Ok(i) => &rows[i].1,
+        let (objs, senders) = &self.per_proc[p as usize];
+        match objs.binary_search(&obj) {
+            Ok(k) => &senders[k],
             Err(_) => &[],
         }
     }
 
-    /// Total number of watched `(proc, obj)` pairs.
-    pub fn len(&self) -> usize {
-        self.per_proc.iter().map(|r| r.len()).sum()
-    }
-
-    /// True when no object is watched.
-    pub fn is_empty(&self) -> bool {
-        self.per_proc.iter().all(|r| r.is_empty())
+    /// The objects of `p` some other processor puts into, ascending.
+    pub(crate) fn watched(&self, p: ProcId) -> &[u32] {
+        &self.per_proc[p as usize].0
     }
 }
 
 /// A run-time message: data present from one task's processor to one
-/// destination processor.
+/// destination processor. What it carries and who waits on it are rows of
+/// the plan: [`RtPlan::objs`] and [`RtPlan::dst_tasks`].
 #[derive(Clone, Debug)]
 pub struct Message {
     /// Dense message id (index into [`RtPlan::msgs`] and the flag board).
@@ -74,13 +70,8 @@ pub struct Message {
     pub src_proc: ProcId,
     /// Destination processor.
     pub dst_proc: ProcId,
-    /// Objects carried: written by `src_task`, read by at least one of the
-    /// destination tasks. May be empty (pure synchronization).
-    pub objs: Vec<ObjId>,
-    /// Total size of `objs` in allocation units.
+    /// Total size of the carried objects in allocation units.
     pub units: u64,
-    /// Destination tasks waiting on this message.
-    pub dst_tasks: Vec<TaskId>,
 }
 
 /// Precomputed protocol metadata for one schedule.
@@ -88,6 +79,10 @@ pub struct Message {
 pub struct RtPlan {
     /// All run-time messages.
     pub msgs: Vec<Message>,
+    /// Row `mid`: the objects message `mid` carries.
+    msg_objs: Csr<ObjId>,
+    /// Row `mid`: the tasks waiting on message `mid`.
+    msg_dst: Csr<TaskId>,
     /// `in_msgs[t]`: message ids task `t` must receive before running.
     pub in_msgs: Csr,
     /// `out_msgs[t]`: message ids task `t` emits after running.
@@ -107,12 +102,17 @@ pub struct RtPlan {
 impl RtPlan {
     /// Build the plan for `sched` over `g`.
     pub fn new(g: &TaskGraph, sched: &Schedule) -> RtPlan {
-        let n = g.num_tasks();
         let assign = &sched.assign;
         let lv = Liveness::analyze(g, sched);
         let pos = sched.positions();
 
         let mut msgs: Vec<Message> = Vec::new();
+        let (mut msg_objs, mut msg_dst, mut out_msgs): (Csr<ObjId>, Csr<TaskId>, Csr) =
+            Default::default();
+        let mut in_lens = vec![0u32; g.num_tasks()];
+        // Per allocating processor, one `(object << 32) | sender` key per
+        // put of a volatile: the watcher table once sorted.
+        let mut puts: Vec<Vec<u64>> = vec![Vec::new(); assign.nprocs];
         // Coalesce each task's cross-proc out-edges by (destination
         // processor, carried object set). Edges carrying *different* sets
         // must stay separate messages: merging a pure-sync edge with a
@@ -144,52 +144,50 @@ impl RtPlan {
                 edges.push((dp, start, sets.len(), s));
             }
             // Deterministic message order: by (destination, object set),
-            // readers ascending within a message.
+            // readers ascending within a message (a stable sort of edges
+            // pushed in ascending reader order). Every row is appended in
+            // place: ids ascend with the sending task, so `out_msgs` is
+            // built as it goes and every `in_msgs` row comes out ascending.
             let key = |e: &(ProcId, usize, usize, TaskId)| (e.0, &sets[e.1..e.2]);
-            edges.sort_unstable_by(|a, b| (key(a), a.3).cmp(&(key(b), b.3)));
+            edges.sort_by(|a, b| key(a).cmp(&key(b)));
             for group in edges.chunk_by(|a, b| key(a) == key(b)) {
                 let (dp, objs) = key(&group[0]);
-                let mut dst_tasks: Vec<TaskId> = group.iter().map(|e| e.3).collect();
-                dst_tasks.dedup();
-                msgs.push(Message {
-                    id: msgs.len() as u32,
-                    src_task: t,
-                    src_proc: sp,
-                    dst_proc: dp,
-                    objs: objs.iter().copied().map(ObjId).collect(),
-                    units: objs.iter().map(|&d| g.obj_size(ObjId(d))).sum(),
-                    dst_tasks,
-                });
-            }
-        }
-
-        // Ids ascend with the sending task, so both tables come out with
-        // every row in ascending id order.
-        let in_msgs = Csr::group(
-            n,
-            msgs.iter().flat_map(|m| m.dst_tasks.iter().map(move |dt| (dt.idx(), m.id))),
-        );
-        let out_msgs = Csr::group(n, msgs.iter().map(|m| (m.src_task.idx(), m.id)));
-
-        // Address watchers: senders that put each volatile object, grouped
-        // per allocating processor and sorted by object id.
-        let mut triples: Vec<(ProcId, u32, ProcId)> = Vec::new();
-        for m in &msgs {
-            for &d in &m.objs {
-                if assign.owner_of(d) != m.dst_proc {
-                    triples.push((m.dst_proc, d.0, m.src_proc));
+                let id = msgs.len() as u32;
+                for &d in objs {
+                    msg_objs.push(ObjId(d));
+                    if assign.owner_of(ObjId(d)) != dp {
+                        puts[dp as usize].push(u64::from(d) << 32 | u64::from(sp));
+                    }
                 }
+                msg_objs.end_row();
+                // `succs` holds each reader once.
+                for &(_, _, _, reader) in group {
+                    msg_dst.push(reader);
+                    in_lens[reader.idx()] += 1;
+                }
+                msg_dst.end_row();
+                out_msgs.push(id);
+                let units = objs.iter().map(|&d| g.obj_size(ObjId(d))).sum();
+                msgs.push(Message { id, src_task: t, src_proc: sp, dst_proc: dp, units });
             }
+            out_msgs.end_row();
         }
-        triples.sort_unstable();
-        triples.dedup();
-        let mut watchers = WatcherTable { per_proc: vec![Vec::new(); assign.nprocs] };
-        for (p, obj, src) in triples {
-            let rows = &mut watchers.per_proc[p as usize];
-            match rows.last_mut() {
-                Some((o, ws)) if *o == obj => ws.push(src),
-                _ => rows.push((obj, vec![src])),
+        let in_msgs = Csr::deal(
+            in_lens,
+            msg_dst.rows().zip(0u32..).flat_map(|(r, id)| r.iter().map(move |dt| (dt.idx(), id))),
+        );
+
+        let mut watchers = WatcherTable::default();
+        for mut keys in puts {
+            keys.sort_unstable();
+            keys.dedup();
+            let (mut objs, mut senders) = (Vec::new(), Csr::default());
+            for run in keys.chunk_by(|a, b| a >> 32 == b >> 32) {
+                objs.push((run[0] >> 32) as u32);
+                run.iter().for_each(|&k| senders.push(k as ProcId));
+                senders.end_row();
             }
+            watchers.per_proc.push((objs, senders));
         }
 
         let mut perm_units = vec![0u64; assign.nprocs];
@@ -197,12 +195,24 @@ impl RtPlan {
             perm_units[assign.owner_of(d) as usize] += g.obj_size(d);
         }
 
-        RtPlan { msgs, in_msgs, out_msgs, lv, watchers, pos, perm_units }
+        RtPlan { msgs, msg_objs, msg_dst, in_msgs, out_msgs, lv, watchers, pos, perm_units }
+    }
+
+    /// Objects message `mid` carries: written by its source task, read by
+    /// at least one of its destination tasks, ascending. Empty for a pure
+    /// synchronization message.
+    pub fn objs(&self, mid: u32) -> &[ObjId] {
+        &self.msg_objs[mid as usize]
+    }
+
+    /// Destination tasks waiting on message `mid`, ascending.
+    pub fn dst_tasks(&self, mid: u32) -> &[TaskId] {
+        &self.msg_dst[mid as usize]
     }
 
     /// Messages carrying data (non-empty object list).
     pub fn data_msg_count(&self) -> usize {
-        self.msgs.iter().filter(|m| !m.objs.is_empty()).count()
+        self.msg_objs.rows().filter(|r| !r.is_empty()).count()
     }
 
     /// The plain-data protocol description the trace invariant checker
@@ -217,7 +227,7 @@ impl RtPlan {
                 .map(|m| rapid_trace::MsgSpec {
                     src_proc: m.src_proc,
                     dst_proc: m.dst_proc,
-                    objs: m.objs.iter().map(|d| d.0).collect(),
+                    objs: self.objs(m.id).iter().map(|d| d.0).collect(),
                 })
                 .collect(),
             in_msgs: self.in_msgs.rows().map(<[u32]>::to_vec).collect(),
@@ -342,13 +352,13 @@ impl RtPlan {
     pub fn control_units(&self, g: &rapid_core::graph::TaskGraph) -> u64 {
         // Two 4-byte ids per edge (succs + preds mirrors), one per access
         // entry (reads + writes + the two transposes), three words per
-        // message record plus its object/destination lists, and the
-        // first-use/dead-after liveness tables.
+        // message record plus its object/destination rows, and a first
+        // and a last use per volatile.
         let edge_words = 2 * g.num_edges() as u64;
         let access_entries: u64 =
             g.tasks().map(|t| 2 * (g.reads(t).len() + g.writes(t).len()) as u64).sum();
-        let msg_words: u64 =
-            self.msgs.iter().map(|m| 3 + m.objs.len() as u64 + m.dst_tasks.len() as u64).sum();
+        let msg_words =
+            (3 * self.msgs.len() + self.msg_objs.num_edges() + self.msg_dst.num_edges()) as u64;
         let live_words: u64 = self.lv.procs.iter().map(|pl| 2 * pl.volatile.len() as u64).sum();
         // Two 4-byte entries per unit (one unit = 8 bytes).
         (edge_words + access_entries + msg_words + live_words).div_ceil(2)
@@ -884,10 +894,13 @@ mod tests {
     /// scratch list. The definition it has to reproduce — ids, order,
     /// contents — is the map it replaced: one message per (destination,
     /// carried object set), keys in ascending order, readers ascending.
+    /// The watcher rows and the unfilled volatiles are read off the same
+    /// messages, by their definitions.
     #[test]
     fn messages_are_the_grouping_by_destination_and_object_set() {
-        use rapid_core::schedule::CostModel;
-        use std::collections::BTreeMap;
+        use rapid_core::graph::TaskGraphBuilder;
+        use rapid_core::schedule::{Assignment, CostModel};
+        let mut unfilled_seen = 0;
         for seed in 0..8u64 {
             let spec = fixtures::RandomGraphSpec {
                 objects: 20,
@@ -901,45 +914,102 @@ mod tests {
             let owner = rapid_sched::cyclic_owner_map(g.num_objects(), p);
             let assign = rapid_sched::owner_compute_assignment(&g, &owner, p);
             let sched = rapid_sched::mpo_order(&g, &assign, &CostModel::unit());
-            let plan = RtPlan::new(&g, &sched);
-            let mut want: Vec<(TaskId, ProcId, Vec<u32>, Vec<TaskId>)> = Vec::new();
-            for t in g.tasks() {
-                let mut by_key: BTreeMap<(ProcId, Vec<u32>), Vec<TaskId>> = BTreeMap::new();
-                for &s in g.succs(t) {
-                    let dp = sched.assign.proc_of(TaskId(s));
-                    if dp != sched.assign.proc_of(t) {
-                        let objs: Vec<u32> = g
-                            .writes(t)
-                            .iter()
-                            .copied()
-                            .filter(|d| g.reads(TaskId(s)).contains(d))
-                            .collect();
-                        by_key.entry((dp, objs)).or_default().push(TaskId(s));
-                    }
-                }
-                for ((dp, objs), mut readers) in by_key {
-                    readers.sort_unstable();
-                    readers.dedup();
-                    want.push((t, dp, objs, readers));
+            unfilled_seen += check_plan_tables(&format!("seed {seed}"), &g, &sched);
+        }
+        assert_eq!(unfilled_seen, 0, "every object a random graph reads was written first");
+        // `z` is never written and read on P1, beside `x`, which P0 writes
+        // into P1's own permanent (not owner-compute): nobody watches `x`,
+        // and on P0 it is a volatile no message fills, as `z` is on P1.
+        let mut b = TaskGraphBuilder::new();
+        let (x, z, y) = (b.add_object(1), b.add_object(2), b.add_object(1));
+        let w = b.add_task(1.0, &[], &[x]);
+        let r = b.add_task(1.0, &[x, z], &[y]);
+        b.add_edge(w, r);
+        let g = b.build().unwrap();
+        let assign = Assignment { task_proc: vec![0, 1], owner: vec![1, 0, 1], nprocs: 2 };
+        let sched = Schedule { assign, order: vec![vec![w], vec![r]] };
+        assert_eq!(check_plan_tables("unwritten read", &g, &sched), 2);
+    }
+
+    /// Check every message, per-task table, watcher row and unfilled
+    /// volatile of `sched`'s plan against its definition; returns how many
+    /// unfilled volatiles there are.
+    fn check_plan_tables(label: &str, g: &TaskGraph, sched: &Schedule) -> usize {
+        use std::collections::BTreeMap;
+        let plan = RtPlan::new(g, sched);
+        let mut want: Vec<(TaskId, ProcId, Vec<u32>, Vec<TaskId>)> = Vec::new();
+        for t in g.tasks() {
+            let mut by_key: BTreeMap<(ProcId, Vec<u32>), Vec<TaskId>> = BTreeMap::new();
+            for &s in g.succs(t) {
+                let dp = sched.assign.proc_of(TaskId(s));
+                if dp != sched.assign.proc_of(t) {
+                    let objs: Vec<u32> = g
+                        .writes(t)
+                        .iter()
+                        .copied()
+                        .filter(|d| g.reads(TaskId(s)).contains(d))
+                        .collect();
+                    by_key.entry((dp, objs)).or_default().push(TaskId(s));
                 }
             }
-            assert_eq!(plan.msgs.len(), want.len(), "seed {seed}");
-            for (m, (t, dp, objs, readers)) in plan.msgs.iter().zip(&want) {
-                let got: Vec<u32> = m.objs.iter().map(|d| d.0).collect();
-                assert_eq!((m.src_task, m.dst_proc, &got, &m.dst_tasks), (*t, *dp, objs, readers));
-            }
-            // The per-task tables are the same relation, ids ascending.
-            for t in g.tasks() {
-                let outs: Vec<u32> =
-                    plan.msgs.iter().filter(|m| m.src_task == t).map(|m| m.id).collect();
-                let ins: Vec<u32> =
-                    plan.msgs.iter().filter(|m| m.dst_tasks.contains(&t)).map(|m| m.id).collect();
-                assert_eq!(
-                    (&plan.out_msgs[t.idx()], &plan.in_msgs[t.idx()]),
-                    (&outs[..], &ins[..])
-                );
+            for ((dp, objs), mut readers) in by_key {
+                readers.sort_unstable();
+                readers.dedup();
+                want.push((t, dp, objs, readers));
             }
         }
+        assert_eq!(plan.msgs.len(), want.len(), "{label}");
+        for (m, (t, dp, objs, readers)) in plan.msgs.iter().zip(&want) {
+            let got: Vec<u32> = plan.objs(m.id).iter().map(|d| d.0).collect();
+            assert_eq!(
+                (m.src_task, m.dst_proc, &got[..], plan.dst_tasks(m.id)),
+                (*t, *dp, &objs[..], &readers[..]),
+                "{label}"
+            );
+            assert_eq!(m.units, objs.iter().map(|&d| g.obj_size(ObjId(d))).sum::<u64>());
+        }
+        // The per-task tables are the same relation, ids ascending.
+        for t in g.tasks() {
+            let outs: Vec<u32> =
+                plan.msgs.iter().filter(|m| m.src_task == t).map(|m| m.id).collect();
+            let ins: Vec<u32> = (0..plan.msgs.len() as u32)
+                .filter(|&mid| plan.dst_tasks(mid).contains(&t))
+                .collect();
+            let got = (&plan.out_msgs[t.idx()], &plan.in_msgs[t.idx()]);
+            assert_eq!(got, (&outs[..], &ins[..]), "{label}");
+        }
+        let carries =
+            |m: &Message, p: ProcId, d: ObjId| m.dst_proc == p && plan.objs(m.id).contains(&d);
+        let unfilled = crate::threaded::unfilled_volatiles(&plan);
+        for p in 0..sched.assign.nprocs as ProcId {
+            // Watchers of `d` on `p`: the sorted senders of the messages
+            // that carry `d` to `p`, which does not own it.
+            let mut watched = Vec::new();
+            for d in g.objects().filter(|&d| sched.assign.owner_of(d) != p) {
+                let mut senders: Vec<ProcId> =
+                    plan.msgs.iter().filter(|m| carries(m, p, d)).map(|m| m.src_proc).collect();
+                senders.sort_unstable();
+                senders.dedup();
+                assert_eq!(plan.watchers.of(p, d.0), &senders[..], "{label} P{p} {d:?}");
+                if !senders.is_empty() {
+                    watched.push(d.0);
+                }
+            }
+            assert_eq!(plan.watchers.watched(p), &watched[..], "{label} P{p}");
+            for d in g.objects().filter(|&d| sched.assign.owner_of(d) == p) {
+                assert_eq!(plan.watchers.of(p, d.0), &[] as &[ProcId], "{label}: own {d:?}");
+            }
+            // Unfilled: the volatiles of `p` no message toward `p` carries.
+            let pl = &plan.lv.procs[p as usize];
+            let want: Vec<ObjId> = pl
+                .volatile
+                .iter()
+                .copied()
+                .filter(|&d| !plan.msgs.iter().any(|m| carries(m, p, d)))
+                .collect();
+            assert_eq!(unfilled[p as usize], want, "{label} P{p}");
+        }
+        unfilled.iter().map(Vec::len).sum()
     }
 
     #[test]
@@ -952,7 +1022,9 @@ mod tests {
         for (p, want) in [(1u32, vec![0u32, 2, 4, 6]), (0u32, vec![7u32])] {
             for d in want {
                 assert!(
-                    plan.msgs.iter().any(|m| m.dst_proc == p && m.objs.contains(&ObjId(d))),
+                    plan.msgs
+                        .iter()
+                        .any(|m| m.dst_proc == p && plan.objs(m.id).contains(&ObjId(d))),
                     "d{} must flow to P{p}",
                     d + 1
                 );
@@ -970,7 +1042,7 @@ mod tests {
         let t1 = fixtures::figure2_task(&g, "T[1]");
         let from_t1: Vec<_> = plan.msgs.iter().filter(|m| m.src_task == t1).collect();
         assert_eq!(from_t1.len(), 1);
-        assert_eq!(from_t1[0].dst_tasks.len(), 2);
+        assert_eq!(plan.dst_tasks(from_t1[0].id).len(), 2);
         assert_eq!(from_t1[0].units, 1);
     }
 
@@ -991,10 +1063,10 @@ mod tests {
         let sched = Schedule { assign, order: vec![vec![t0], vec![t1]] };
         let plan = RtPlan::new(&g, &sched);
         assert_eq!(plan.msgs.len(), 1);
-        assert!(plan.msgs[0].objs.is_empty());
+        assert!(plan.objs(0).is_empty());
         assert_eq!(plan.msgs[0].units, 0);
         assert_eq!(plan.data_msg_count(), 0);
-        assert!(plan.watchers.is_empty());
+        assert!((0..2).all(|p| plan.watchers.watched(p).is_empty()));
     }
 
     #[test]

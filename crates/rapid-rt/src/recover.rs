@@ -8,7 +8,7 @@
 //! to its checkpoint and re-executed, both under the bounded budgets of a
 //! [`RetryPolicy`]. When a window keeps failing until its budget is
 //! exhausted the run surfaces
-//! [`ExecError::Unrecoverable`](crate::maps::ExecError::Unrecoverable) —
+//! [`ExecError::Unrecoverable`] —
 //! the signal that the fault is not transient but *located*: it names the
 //! processor whose window cannot make progress.
 //!

@@ -12,7 +12,7 @@
 //! per-message arrival flags give the release/acquire happens-before edge
 //! `SHMEM_PUT` + flag polling gave on the T3D.
 //!
-//! Each thread drives one [`ProcCore`](crate::core) — the five-state
+//! Each thread drives one `ProcCore` (`core.rs`) — the five-state
 //! machine of the paper's Figure 3(b), shared with the DES — through a
 //! thread-side environment: heaps and arrival flags, the task body
 //! under `catch_unwind`, the wall clock. Whenever the core is blocked the
@@ -619,11 +619,16 @@ where
 /// watches its address), such as an object nobody writes, read remotely.
 /// It is read before anything is put into it, so what the task reads is
 /// zeros, from a buffer of the worker's own.
-fn unfilled_volatiles(plan: &RtPlan) -> Vec<Vec<ObjId>> {
+pub(crate) fn unfilled_volatiles(plan: &RtPlan) -> Vec<Vec<ObjId>> {
     let procs = plan.lv.procs.iter().enumerate();
     procs
         .map(|(p, lv)| {
-            let unwatched = |d: &ObjId| plan.watchers.of(p as u32, d.0).is_empty();
+            // Both lists ascend: one merge walk.
+            let mut watched = plan.watchers.watched(p as u32).iter().peekable();
+            let unwatched = move |d: &ObjId| {
+                while watched.next_if(|&&w| w < d.0).is_some() {}
+                watched.peek() != Some(&&d.0)
+            };
             lv.volatile.iter().copied().filter(unwatched).collect()
         })
         .collect()
@@ -774,9 +779,10 @@ where
 
     fn put(&mut self, mid: u32, remote: &[u64]) {
         let sh = self.sh;
-        let msg = &sh.spec.plan.msgs[mid as usize];
-        let dst = &sh.heaps[msg.dst_proc as usize];
-        for &d in &msg.objs {
+        let plan = sh.spec.plan;
+        let dst_proc = plan.msgs[mid as usize].dst_proc as usize;
+        let dst = &sh.heaps[dst_proc];
+        for &d in plan.objs(mid) {
             // A task of ours wrote `d`, so it is one of our permanents.
             let src = self.permanent(d.0);
             // SAFETY (module protocol): the destination buffer is
@@ -784,7 +790,7 @@ where
             unsafe { dst.put(remote[d.idx()], src) };
         }
         self.sh.flags.raise(mid as usize);
-        self.sh.machine.sleepers().wake(msg.dst_proc as usize);
+        self.sh.machine.sleepers().wake(dst_proc);
     }
 
     #[inline]

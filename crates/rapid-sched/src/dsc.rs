@@ -1,4 +1,4 @@
-//! DSC — Dominant Sequence Clustering (ref. [21] of the paper: Yang &
+//! DSC — Dominant Sequence Clustering (ref. \[21\] of the paper: Yang &
 //! Gerasoulis, *DSC: Scheduling Parallel Tasks on An Unbounded Number of
 //! Processors*).
 //!

@@ -9,7 +9,7 @@
 //!    communication with computation. Three orderings are provided:
 //!
 //!    - [`rcp`] — the time-efficient baseline: ready tasks execute in
-//!      order of critical-path importance (Yang & Gerasoulis, ref. [20]);
+//!      order of critical-path importance (Yang & Gerasoulis, ref. \[20\]);
 //!    - [`mpo`] — memory-priority guided ordering (paper §4.1, Figure 4):
 //!      prefer the ready task with the largest fraction of its objects
 //!      already allocated, tie-broken by critical path;

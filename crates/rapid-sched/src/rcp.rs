@@ -1,4 +1,4 @@
-//! RCP — the time-efficient baseline ordering (ref. [20] of the paper,
+//! RCP — the time-efficient baseline ordering (ref. \[20\] of the paper,
 //! Yang & Gerasoulis *List Scheduling with and without Communication
 //! Delays*).
 //!

@@ -2,7 +2,7 @@
 //! grid over the Cholesky factor structure.
 //!
 //! The paper's Cholesky experiments use a 2-D block data mapping ("which
-//! can expose more parallelism and give better scalability", ref. [14]);
+//! can expose more parallelism and give better scalability", ref. \[14\]);
 //! the LU experiments use a 1-D column-block mapping so that partial
 //! pivoting and row swaps stay processor-local.
 
@@ -77,7 +77,7 @@ impl BlockPartition {
 /// `|struct(L_{j+1})| = |struct(L_j)| - 1`), split at `max_w` columns.
 /// Supernodal blocks give denser, better-balanced block columns than a
 /// uniform cut — the partition the paper's 2-D Cholesky codes actually
-/// use (ref. [14], Rothberg & Schreiber).
+/// use (ref. \[14\], Rothberg & Schreiber).
 pub fn supernode_partition(sym: &crate::symbolic::CholSymbolic, max_w: usize) -> BlockPartition {
     assert!(max_w > 0);
     let n = sym.n();

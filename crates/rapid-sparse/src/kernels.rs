@@ -44,7 +44,7 @@ pub fn potrf(a: &mut [f64], n: usize) -> Result<(), usize> {
 }
 
 /// Blocked right-looking Cholesky (same contract as [`potrf`], no size
-/// dispatch): factor a column panel of width [`NB`] over its full
+/// dispatch): factor a column panel of width `NB` over its full
 /// height, then apply the panel's rank-`nb` SYRK update to the trailing
 /// lower triangle through the register-tiled micro-kernel. Identical
 /// arithmetic graph to [`potrf_unblocked`] up to summation order.
@@ -355,7 +355,7 @@ pub fn getrf(a: &mut [f64], m: usize, n: usize, piv: &mut [u32]) -> Result<(), u
 }
 
 /// Blocked right-looking LU (same contract as [`getrf`], no size
-/// dispatch), with [`NB`]-wide column panels: the panel is factored with
+/// dispatch), with `NB`-wide column panels: the panel is factored with
 /// the reference loops (pivot swaps deferred for the columns outside
 /// it), the `U` block solves against the panel's unit-lower triangle,
 /// and the trailing update packs the panel and `U` block into contiguous

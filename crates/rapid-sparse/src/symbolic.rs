@@ -5,7 +5,7 @@
 //! - [`cholesky_symbolic`] — the full structure of the Cholesky factor
 //!   `L` (per-column row indices, diagonal included),
 //! - [`lu_static_symbolic`] — the *static* symbolic factorization the
-//!   paper uses for LU with partial pivoting (ref. [6], Fu & Yang SC'96):
+//!   paper uses for LU with partial pivoting (ref. \[6\], Fu & Yang SC'96):
 //!   an over-estimated structure containing the nonzeros of `L+U` for
 //!   **any** sequence of partial pivots, obtained as the Cholesky
 //!   structure of the `AᵀA` pattern (the George–Ng bound). The

@@ -104,7 +104,7 @@ pub fn cholesky_2d_model_commuting(
 /// [`cholesky_2d_model`] over *supernodal* blocks: column blocks follow
 /// the factor's supernode structure (split at `max_w` columns) instead of
 /// a uniform cut, giving denser block columns — the partition the paper's
-/// reference [14] codes use.
+/// reference \[14\] codes use.
 pub fn cholesky_2d_model_supernodal(
     a: &SparseMatrix,
     max_w: usize,

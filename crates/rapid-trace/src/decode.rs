@@ -1,4 +1,4 @@
-//! Off-line decode: flat binary rings back into the typed [`Event`]
+//! Off-line decode: flat binary rings back into the typed [`Event`](crate::Event)
 //! schema, so `check()`, `skeleton()`, the metrics aggregator and the
 //! Chrome-trace exporter are unchanged by the flat recording path.
 

@@ -7,7 +7,7 @@
 //!   worker owns its ring outright, so recording takes no locks; the
 //!   executors gate every record site behind an `Option`, so a run with
 //!   tracing disabled pays nothing.
-//! * [`check`]: a replayable invariant checker ([`check::check`]) that
+//! * [`check`](mod@check): a replayable invariant checker ([`check::check`]) that
 //!   asserts the Theorem-1 obligations on a recorded trace — no remote
 //!   write before the matching address package, single-slot mailboxes
 //!   never clobbered, volatile lifetimes respected, the memory cap and

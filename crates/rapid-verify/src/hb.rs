@@ -21,7 +21,7 @@
 //!
 //! The graph is walked where the plan already holds it: program order is
 //! each processor's next position, task → send is `RtPlan::out_msgs`,
-//! send → task is `Message::dst_tasks`. Only the window → send edges, one
+//! send → task is [`RtPlan::dst_tasks`]. Only the window → send edges, one
 //! per carried volatile, are built. Kahn's algorithm becomes a replay:
 //! each processor advances along its chain while the next node's inputs
 //! are done, and whatever no processor reaches contains a cycle. Only a
@@ -139,11 +139,10 @@ pub(crate) fn deadlock_cycle(
             for &m in sends {
                 need[m as usize] -= 1;
                 if need[m as usize] == 0 {
-                    let msg = &plan.msgs[m as usize];
-                    for dt in &msg.dst_tasks {
+                    for dt in plan.dst_tasks(m) {
                         missing[dt.idx()] -= 1;
                         if missing[dt.idx()] == 0 {
-                            ready.push(msg.dst_proc as usize);
+                            ready.push(plan.msgs[m as usize].dst_proc as usize);
                         }
                     }
                 }
@@ -192,8 +191,8 @@ pub(crate) fn deadlock_cycle(
             }
             Node::Send(m) => {
                 let msg = &plan.msgs[m as usize];
-                let wins = msg
-                    .objs
+                let wins = plan
+                    .objs(m)
                     .iter()
                     .filter(|d| sched.assign.owner_of(**d) != msg.dst_proc)
                     .filter_map(|d| window_of(msg, d.0))

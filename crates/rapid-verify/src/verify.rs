@@ -128,7 +128,7 @@ fn capacity_findings(
     let mut consumed = vec![false; addr.keys.len()];
     let mut fact_i = Vec::new();
     for m in &plan.msgs {
-        for &d in &m.objs {
+        for &d in plan.objs(m.id) {
             if sched.assign.owner_of(d) == m.dst_proc {
                 continue; // written in place on its owner, no package needed
             }
@@ -376,7 +376,7 @@ mod tests {
             }
             let mut consumed = HashSet::new();
             for m in &plan.msgs {
-                for &d in &m.objs {
+                for &d in plan.objs(m.id) {
                     if sched.assign.owner_of(d) == m.dst_proc {
                         continue;
                     }
@@ -569,7 +569,7 @@ mod tests {
             for m in &plan.msgs {
                 let s = send_base + m.id as usize;
                 edge(task_id[m.src_proc as usize][plan.pos[m.src_task.idx()] as usize], s);
-                for &d in &m.objs {
+                for &d in plan.objs(m.id) {
                     if sched.assign.owner_of(d) == m.dst_proc {
                         continue;
                     }
@@ -577,7 +577,7 @@ mod tests {
                         edge(win_id[m.dst_proc as usize][widx], s);
                     }
                 }
-                for &dt in &m.dst_tasks {
+                for &dt in plan.dst_tasks(m.id) {
                     edge(s, task_id[m.dst_proc as usize][plan.pos[dt.idx()] as usize]);
                 }
             }

@@ -66,8 +66,8 @@ fn check_packages_are_awaited(
                     let i = m.allocs.iter().position(|d| d.0 == n.obj).expect("allocated here");
                     let first_user = sched.order[p][m.alloc_pos[i] as usize];
                     plan.in_msgs[first_user.idx()].iter().any(|&mid| {
-                        let msg = &plan.msgs[mid as usize];
-                        msg.src_proc == dst && msg.objs.contains(&ObjId(n.obj))
+                        plan.msgs[mid as usize].src_proc == dst
+                            && plan.objs(mid).contains(&ObjId(n.obj))
                     })
                 });
                 assert!(awaited, "{label}: no task of the window waits for P{dst} to use {pkg:?}");

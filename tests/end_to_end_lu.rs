@@ -64,7 +64,7 @@ fn pivoting_stays_processor_local() {
     let sched = rcp_order(&model.graph, &assign, &CostModel::unit());
     let plan = rapid::rt::RtPlan::new(&model.graph, &sched);
     for msg in &plan.msgs {
-        for &d in &msg.objs {
+        for &d in plan.objs(msg.id) {
             assert!(model.obj_of_block.contains(&d), "non-panel object crossed processors");
         }
     }

@@ -69,9 +69,9 @@ fn rtplan_digest(plan: &RtPlan) -> u64 {
         h.u64(u64::from(m.src_task.0));
         h.u64(u64::from(m.src_proc));
         h.u64(u64::from(m.dst_proc));
-        h.row(m.objs.iter().map(|d| u64::from(d.0)));
+        h.row(plan.objs(m.id).iter().map(|d| u64::from(d.0)));
         h.u64(m.units);
-        h.row(m.dst_tasks.iter().map(|t| u64::from(t.0)));
+        h.row(plan.dst_tasks(m.id).iter().map(|t| u64::from(t.0)));
     }
     for table in [&plan.in_msgs, &plan.out_msgs] {
         h.u64(table.len() as u64);
@@ -330,5 +330,32 @@ fn chol_large_orders_and_plan() {
         0xb437_5f91_315d_c087,
     ];
     pin_plan(&mut pins, "chol-large", &w, &mpo, cap, want);
+    pins.finish();
+}
+
+/// The §6 control-overhead estimate `repro ablation` reports, on the
+/// Figure-2, Cholesky and LU fixtures (those of `tests/des_golden.rs`): it
+/// counts message rows and liveness entries, so it must not drift with
+/// their layout.
+#[test]
+fn control_units_of_the_fixtures() {
+    use rapid::core::fixtures;
+    use rapid::sched::mpo_order;
+    let mut pins = Pins::default();
+    let fig2 = fixtures::figure2_dag();
+    let chol = taskgen::cholesky_2d_model(&gen::grid2d_laplacian(6, 5), 6, 4);
+    let lu = taskgen::lu_1d_model(&gen::goodwin_like(60, 4, 1, 5), 10, 3, true);
+    let mpo = |g: &TaskGraph, owner: &[ProcId], p: usize| {
+        mpo_order(g, &owner_compute_assignment(g, owner, p), &CostModel::unit())
+    };
+    let cases = [
+        ("fig2 (b)", &fig2, fixtures::figure2_schedule_b(), 81),
+        ("fig2 (c)", &fig2, fixtures::figure2_schedule_c(), 81),
+        ("cholesky", &chol.graph, mpo(&chol.graph, &chol.owner, 4), 74),
+        ("lu", &lu.graph, mpo(&lu.graph, &lu.owner, 3), 120),
+    ];
+    for (name, g, sched, want) in cases {
+        pins.pin(name, RtPlan::new(g, &sched).control_units(g), want);
+    }
     pins.finish();
 }
