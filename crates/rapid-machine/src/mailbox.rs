@@ -11,20 +11,28 @@
 //! [`AddrSlot`] is that one-slot channel: [`AddrSlot::try_send_from`] fails
 //! while the slot is full, [`AddrSlot::take_into`] empties it, and
 //! [`MailboxBoard::drain_for_into`] is the RA operation over one
-//! processor's incoming slots. The full/empty handoff uses release/acquire
-//! ordering so the package contents published by the sender are visible to
-//! the receiver. No path allocates in steady state: the slot keeps a
-//! resident buffer, sender and receiver keep theirs.
+//! processor's incoming slots. One state byte is the slot's only
+//! synchronisation: a sender claims an empty slot with a CAS
+//! (EMPTY → WRITING) and publishes the package with a Release store of
+//! FULL; a receiver claims a full slot with a CAS (FULL → READING) and
+//! hands the buffer back with a Release store of EMPTY. Whoever wins a
+//! claim is the buffer's only user until the store that ends it, even when
+//! two threads call the same side. No path allocates in steady state: the
+//! slot keeps a resident buffer, sender and receiver keep theirs.
 
-// sync-audit: the EMPTY→WRITING CAS uses a Relaxed failure ordering — a
-// failed claim publishes nothing and the caller retries later. Success uses
-// Acquire (pairs with the receiver's Release EMPTY store so the slot buffer
-// reuse is ordered) and FULL/EMPTY hand-offs are Release/Acquire. The state
-// machine is model-checked exhaustively by `rapid_sync::models::mailbox`
-// (see DESIGN.md §16).
+// sync-audit: both claiming CASes use a Relaxed failure ordering — a failed
+// claim publishes nothing and the caller retries later — and `take_into`
+// looks at the state with a Relaxed load before it claims, so polling an
+// empty slot costs a load rather than a locked RMW; the claim that follows
+// is the Acquire. A successful claim Acquires the Release store (FULL or
+// EMPTY) that ended the previous hold. The shipping slot itself — not a
+// transcription — is explored exhaustively by
+// `rapid-machine/tests/mailbox_model.rs` (one sender and one receiver, two
+// receivers, two senders), which also refutes the five weakenings of
+// `SlotOrd` by name (see DESIGN.md §16).
 
 use rapid_sync::{Ordering, SyncAtomicU8};
-use std::sync::Mutex;
+use std::cell::UnsafeCell;
 
 /// One entry of an address package: object `obj` lives at arena offset
 /// `offset` on the notifying processor.
@@ -43,66 +51,173 @@ pub type AddrPackage = Vec<AddrEntry>;
 const EMPTY: u8 = 0;
 const WRITING: u8 = 1;
 const FULL: u8 = 2;
+const READING: u8 = 3;
 
-/// A single-slot SPSC mailbox for address packages.
+/// The buffer an [`AddrSlot`] hands over. The slot's state byte decides
+/// who may touch it; the buffer only moves a package in and out.
+pub trait SlotBuf {
+    /// What a sender deposits and a receiver drains into.
+    type Pkg;
+
+    /// Copy `pkg` into the buffer, which the last `drain` left empty.
+    /// [`PkgBuf`] then clears `pkg`, keeping its capacity for the caller's
+    /// next package.
+    ///
+    /// # Safety
+    /// The caller is the buffer's only user for the duration of the call.
+    unsafe fn fill(&self, pkg: &mut Self::Pkg);
+
+    /// Hand the buffer's package to `out` and leave the buffer empty for
+    /// the next `fill`. [`PkgBuf`] appends to `out` and keeps its capacity.
+    ///
+    /// # Safety
+    /// The caller is the buffer's only user for the duration of the call.
+    unsafe fn drain(&self, out: &mut Self::Pkg);
+}
+
+/// The shipping buffer: one resident package `Vec`.
+#[derive(Default)]
+pub struct PkgBuf(UnsafeCell<AddrPackage>);
+
+impl SlotBuf for PkgBuf {
+    type Pkg = AddrPackage;
+
+    #[inline]
+    unsafe fn fill(&self, pkg: &mut AddrPackage) {
+        // SAFETY: the caller is the only user of the buffer.
+        let buf = unsafe { &mut *self.0.get() };
+        debug_assert!(buf.is_empty(), "fill without a drain since the last fill");
+        buf.extend_from_slice(pkg);
+        pkg.clear();
+    }
+
+    #[inline]
+    unsafe fn drain(&self, out: &mut AddrPackage) {
+        // SAFETY: the caller is the only user of the buffer.
+        let buf = unsafe { &mut *self.0.get() };
+        out.extend_from_slice(buf);
+        buf.clear();
+    }
+}
+
+/// The orderings of the slot's four state transitions, and where the
+/// sender publishes. Production code always runs [`SlotOrd::GOOD`]; the
+/// model checker's mutants weaken one field each.
+#[derive(Clone, Copy, Debug)]
+pub struct SlotOrd {
+    /// A sender's successful claim, EMPTY → WRITING.
+    pub claim_send: Ordering,
+    /// The sender's publication, WRITING → FULL.
+    pub publish: Ordering,
+    /// A receiver's successful claim, FULL → READING.
+    pub claim_take: Ordering,
+    /// The receiver's hand-back, READING → EMPTY.
+    pub release: Ordering,
+    /// Publish FULL before filling the buffer instead of after.
+    pub publish_before_fill: bool,
+}
+
+impl SlotOrd {
+    /// The orderings the protocol is correct under.
+    pub const GOOD: SlotOrd = SlotOrd {
+        claim_send: Ordering::Acquire,
+        publish: Ordering::Release,
+        claim_take: Ordering::Acquire,
+        release: Ordering::Release,
+        publish_before_fill: false,
+    };
+}
+
+/// A single-slot mailbox for address packages.
 ///
-/// One instance exists per (source, destination) processor pair; only the
-/// source calls [`AddrSlot::try_send_from`] and only the destination calls
-/// [`AddrSlot::take_into`].
-///
-/// The inner mutex only serializes the package buffer hand-off; the
-/// EMPTY/WRITING/FULL state machine is what gates access, so a poisoned
-/// lock (a peer worker panicking while holding it is impossible — no user
-/// code runs under it, but a panicking allocator could) is recovered
-/// rather than propagated.
-#[derive(Debug, Default)]
-pub struct AddrSlot {
+/// One instance exists per (source, destination) processor pair; the
+/// runtime has one sender and one receiver per slot, but either side may
+/// be called from several threads at once: the claims keep the buffer
+/// exclusive (see the module docs).
+pub struct AddrSlot<B = PkgBuf> {
     state: SyncAtomicU8,
-    pkg: Mutex<AddrPackage>,
+    buf: B,
+    ord: SlotOrd,
+}
+
+// SAFETY: `state` is an atomic and `ord` is never written after
+// construction. `buf` is only touched between a successful claim (the CAS
+// EMPTY → WRITING of a sender, FULL → READING of a receiver) and the store
+// that ends it — not even `Debug` reads it. A CAS succeeds for one thread
+// only, so at most one thread uses the buffer at a time, whichever sides
+// call; and every claim Acquires the Release store that ended the previous
+// hold, so the buffer is handed over with everything written into it. As
+// with any lock, `B: Send` suffices: one thread at a time owns the buffer.
+unsafe impl<B: Send> Sync for AddrSlot<B> {}
+
+impl<B> std::fmt::Debug for AddrSlot<B> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AddrSlot").field("state", &self.state).finish_non_exhaustive()
+    }
+}
+
+impl Default for AddrSlot {
+    fn default() -> Self {
+        AddrSlot::new()
+    }
 }
 
 impl AddrSlot {
     /// New empty slot.
     pub fn new() -> Self {
-        AddrSlot { state: SyncAtomicU8::new(EMPTY), pkg: Mutex::new(Vec::new()) }
+        AddrSlot { state: SyncAtomicU8::new(EMPTY), buf: PkgBuf::default(), ord: SlotOrd::GOOD }
+    }
+}
+
+impl<B: SlotBuf> AddrSlot<B> {
+    /// An empty slot over `buf` with its orderings set to `ord` — for the
+    /// model checker only, hence absent from plain release builds.
+    #[cfg(any(debug_assertions, rapid_model_check))]
+    #[doc(hidden)]
+    pub fn with_orderings(buf: B, ord: SlotOrd) -> Self {
+        AddrSlot { state: SyncAtomicU8::new(EMPTY), buf, ord }
     }
 
-    /// Deposit `pkg`: copies the entries into the slot's resident buffer
-    /// and clears `pkg` (so the caller can reuse its capacity for the next
-    /// MAP). Returns `false`, leaving `pkg` untouched, while the previous
-    /// package has not been consumed.
-    pub fn try_send_from(&self, pkg: &mut AddrPackage) -> bool {
-        match self.state.compare_exchange(EMPTY, WRITING, Ordering::Acquire, Ordering::Relaxed) {
-            Ok(_) => {
-                {
-                    let mut slot = self.pkg.lock().unwrap_or_else(|e| e.into_inner());
-                    slot.clear();
-                    slot.extend_from_slice(pkg);
-                }
-                self.state.store(FULL, Ordering::Release);
-                pkg.clear();
-                true
-            }
-            Err(_) => false,
+    /// Deposit `pkg`: copies it into the slot's resident buffer and clears
+    /// `pkg` (so the caller can reuse its capacity for the next MAP).
+    /// Returns `false`, leaving `pkg` untouched, while the previous package
+    /// has not been consumed.
+    pub fn try_send_from(&self, pkg: &mut B::Pkg) -> bool {
+        let ord = self.ord;
+        if self.state.compare_exchange(EMPTY, WRITING, ord.claim_send, Ordering::Relaxed).is_err() {
+            return false;
         }
+        if ord.publish_before_fill {
+            self.state.store(FULL, ord.publish);
+        }
+        // SAFETY: winning EMPTY → WRITING makes this thread the buffer's
+        // only user until it stores FULL.
+        unsafe { self.buf.fill(pkg) };
+        if !ord.publish_before_fill {
+            self.state.store(FULL, ord.publish);
+        }
+        true
     }
 
     /// Consume the waiting package, emptying the slot (the RA operation's
-    /// per-slot step): appends its entries to `buf` (the receiver's
+    /// per-slot step): appends its entries to `out` (the receiver's
     /// reusable scratch) and leaves the slot's buffer — with its capacity —
     /// in place for the sender's next package. Returns `false` when the
     /// slot is empty.
     #[inline]
-    pub fn take_into(&self, buf: &mut Vec<AddrEntry>) -> bool {
-        if self.state.load(Ordering::Acquire) != FULL {
+    pub fn take_into(&self, out: &mut B::Pkg) -> bool {
+        if self.state.load(Ordering::Relaxed) != FULL
+            || self
+                .state
+                .compare_exchange(FULL, READING, self.ord.claim_take, Ordering::Relaxed)
+                .is_err()
+        {
             return false;
         }
-        {
-            let mut slot = self.pkg.lock().unwrap_or_else(|e| e.into_inner());
-            buf.extend_from_slice(&slot);
-            slot.clear();
-        }
-        self.state.store(EMPTY, Ordering::Release);
+        // SAFETY: winning FULL → READING makes this thread the buffer's
+        // only user until it stores EMPTY.
+        unsafe { self.buf.drain(out) };
+        self.state.store(EMPTY, self.ord.release);
         true
     }
 

@@ -28,9 +28,13 @@
 
 // sync-audit: `FlagBoard` is the publication edge for one-sided RMA puts —
 // `raise` is a Release `fetch_add` (publishes every heap store sequenced
-// before it), `is_raised` an Acquire load. The payload-publication protocol
-// (including guarded re-execution after recovery) is model-checked
-// exhaustively by `rapid_sync::models::sentguard` (see DESIGN.md §16).
+// before it), `is_raised` an Acquire load. The shipping board itself is
+// explored exhaustively by `rapid-machine/tests/flag_model.rs` (a payload
+// put and raised, polled and read), which also refutes the weakened raise,
+// the weakened poll and a raise before the payload by name. That a put is
+// published exactly once, re-executed windows included, is a property of
+// the protocol core, checked on its traces (`rapid_trace`'s
+// `DuplicateSend`; see DESIGN.md §16).
 
 use rapid_sync::{Ordering, SyncAtomicU32};
 use std::cell::UnsafeCell;
@@ -138,30 +142,54 @@ impl RmaHeap {
     }
 }
 
+/// The two orderings of the flag protocol. Production code always runs
+/// [`FlagOrd::GOOD`]; the model checker's mutants weaken one side each.
+#[derive(Clone, Copy, Debug)]
+pub struct FlagOrd {
+    /// [`FlagBoard::raise`]'s `fetch_add`.
+    pub raise: Ordering,
+    /// [`FlagBoard::is_raised`]'s load.
+    pub poll: Ordering,
+}
+
+impl FlagOrd {
+    /// The orderings the protocol is correct under.
+    pub const GOOD: FlagOrd = FlagOrd { raise: Ordering::Release, poll: Ordering::Acquire };
+}
+
 /// Arrival flags: one counter per cross-processor dependence edge (or any
 /// other static token), raised by the sender after its put and polled by
 /// the receiver. A counter (not a bool) so that tests can detect double
 /// raises.
 pub struct FlagBoard {
     flags: Box<[SyncAtomicU32]>,
+    ord: FlagOrd,
 }
 
 impl FlagBoard {
     /// Board of `n` flags, all lowered.
     pub fn new(n: usize) -> Self {
-        FlagBoard { flags: (0..n).map(|_| SyncAtomicU32::new(0)).collect() }
+        FlagBoard { flags: (0..n).map(|_| SyncAtomicU32::new(0)).collect(), ord: FlagOrd::GOOD }
+    }
+
+    /// A board with one side of the protocol weakened — for the model
+    /// checker's mutants only, hence absent from plain release builds.
+    #[cfg(any(debug_assertions, rapid_model_check))]
+    #[doc(hidden)]
+    pub fn with_orderings(n: usize, ord: FlagOrd) -> Self {
+        FlagBoard { ord, ..FlagBoard::new(n) }
     }
 
     /// Raise flag `i` (Release): publishes every store sequenced before it.
     #[inline]
     pub fn raise(&self, i: usize) {
-        self.flags[i].fetch_add(1, Ordering::Release);
+        self.flags[i].fetch_add(1, self.ord.raise);
     }
 
     /// Has flag `i` been raised (Acquire)? Synchronizes with the raiser.
     #[inline]
     pub fn is_raised(&self, i: usize) -> bool {
-        self.flags[i].load(Ordering::Acquire) > 0
+        self.flags[i].load(self.ord.poll) > 0
     }
 
     /// Raw counter value (tests).
@@ -173,16 +201,6 @@ impl FlagBoard {
     /// for stall diagnostics (how many messages have arrived so far).
     pub fn raised_count(&self) -> usize {
         self.flags.iter().filter(|f| f.load(Ordering::Acquire) > 0).count()
-    }
-
-    /// Number of flags.
-    pub fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// True when the board has no flags.
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
     }
 }
 
@@ -215,7 +233,6 @@ mod tests {
         assert!(!f.is_raised(0));
         f.raise(1);
         assert_eq!(f.count(1), 2);
-        assert_eq!(f.len(), 3);
         assert_eq!(f.raised_count(), 1, "double raise counts one flag");
         f.raise(0);
         assert_eq!(f.raised_count(), 2);

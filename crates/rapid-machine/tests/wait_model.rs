@@ -53,10 +53,6 @@ fn scenario(hs: Handshake) -> impl Fn(&mut Sim) {
 #[test]
 fn wait_handshake_passes_exhaustively() {
     let stats = model::check_passes("wait-good", cfg(), scenario(Handshake::GOOD));
-    println!(
-        "wait-good: {} executions ({} pruned), {} steps",
-        stats.executions, stats.pruned, stats.steps
-    );
     assert!(stats.executions > 5, "state space was actually explored");
 }
 
@@ -71,9 +67,6 @@ fn wait_mutants_all_caught() {
         ("wait-sleep-no-recheck", Handshake { recheck: false, ..Handshake::GOOD }),
     ];
     for (name, hs) in mutants {
-        let cex = model::require_violation(name, cfg(), scenario(hs));
-        assert_eq!(cex.model, name, "counterexample carries the mutant name");
-        assert!(!cex.trace.is_empty(), "counterexample for `{name}` has a concrete interleaving");
-        println!("== mutant `{name}` refuted ==\n{}", cex.render());
+        model::require_violation(name, cfg(), scenario(hs));
     }
 }

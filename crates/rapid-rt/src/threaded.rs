@@ -76,8 +76,9 @@ use crate::inspector::{ProcDiag, StallSnapshot, StateBoard};
 // diagnostics counters (`RecoveryLog`) — monotonic telemetry read after the
 // workers join or for best-effort stall reports, never a publication edge.
 // All cross-thread payload hand-offs go through the Release/Acquire
-// FlagBoard and mailbox protocols, model-checked by `rapid_sync::models`
-// (`sentguard`, `mailbox`; see DESIGN.md §16).
+// FlagBoard and mailbox protocols, whose shipping types are model-checked
+// by `rapid-machine`'s `flag_model` and `mailbox_model` tests (see
+// DESIGN.md §16).
 
 use crate::maps::{AccessOp, AccessViolation, AddressPlan, ExecError, MapWindow, RtPlan};
 use crate::recover::RecoveryPolicy;
@@ -1086,6 +1087,34 @@ mod tests {
         }
     }
 
+    /// A chain of `k` tasks dealt round-robin over `nprocs` processors:
+    /// task i writes object i, owned where the task runs, and reads object
+    /// i-1, so each task waits on the one before it.
+    fn chain(k: usize, nprocs: usize) -> (TaskGraph, Schedule) {
+        use rapid_core::graph::TaskGraphBuilder;
+        use rapid_core::schedule::Assignment;
+        let mut b = TaskGraphBuilder::new();
+        let objs: Vec<_> = (0..k).map(|_| b.add_object(1)).collect();
+        let mut tasks: Vec<TaskId> = Vec::new();
+        for i in 0..k {
+            let reads: Vec<_> = if i == 0 { vec![] } else { vec![objs[i - 1]] };
+            let t = b.add_task(1.0, &reads, &[objs[i]]);
+            if i > 0 {
+                b.add_edge(tasks[i - 1], t);
+            }
+            tasks.push(t);
+        }
+        let on = |i: usize| (i % nprocs) as u32;
+        let assign = Assignment {
+            task_proc: (0..k).map(on).collect(),
+            owner: (0..k).map(on).collect(),
+            nprocs,
+        };
+        let order =
+            (0..nprocs).map(|p| tasks.iter().copied().skip(p).step_by(nprocs).collect()).collect();
+        (b.build().unwrap(), Schedule { assign, order })
+    }
+
     #[test]
     fn figure2_threaded_matches_sequential() {
         let g = fixtures::figure2_dag();
@@ -1206,34 +1235,9 @@ mod tests {
     /// poisoned as `Stalled`.
     #[test]
     fn long_steady_run_outlives_watchdog() {
-        use rapid_core::graph::TaskGraphBuilder;
-        use rapid_core::schedule::{Assignment, Schedule};
-        // A two-processor ping-pong chain: task i (on proc i % 2) writes
-        // object i and reads object i-1, so every task waits on the
+        // A two-processor ping-pong chain: every task waits on the
         // previous one across the machine.
-        let k = 30usize;
-        let mut b = TaskGraphBuilder::new();
-        let objs: Vec<_> = (0..k).map(|_| b.add_object(1)).collect();
-        let mut tasks = Vec::new();
-        for i in 0..k {
-            let reads: Vec<_> = if i == 0 { vec![] } else { vec![objs[i - 1]] };
-            let t = b.add_task(1.0, &reads, &[objs[i]]);
-            if i > 0 {
-                b.add_edge(tasks[i - 1], t);
-            }
-            tasks.push(t);
-        }
-        let g = b.build().unwrap();
-        let assign = Assignment {
-            task_proc: (0..k as u32).map(|i| i % 2).collect(),
-            owner: (0..k as u32).map(|i| i % 2).collect(),
-            nprocs: 2,
-        };
-        let order = vec![
-            tasks.iter().copied().step_by(2).collect(),
-            tasks.iter().copied().skip(1).step_by(2).collect(),
-        ];
-        let sched = Schedule { assign, order };
+        let (g, sched) = chain(30, 2);
         // Each task sleeps 10 ms: total runtime ≈ 300 ms >> 120 ms
         // watchdog, while each single wait stays well under it.
         let exec = ThreadedExecutor::new(&g, &sched, 64).with_watchdog(Duration::from_millis(120));
@@ -1306,30 +1310,8 @@ mod tests {
     /// on would make every hop cost milliseconds.
     #[test]
     fn oversubscribed_waits_hand_the_core_over() {
-        use rapid_core::graph::TaskGraphBuilder;
-        use rapid_core::schedule::{Assignment, Schedule};
         let (nprocs, hops) = (8usize, 400usize);
-        let mut b = TaskGraphBuilder::new();
-        let objs: Vec<_> = (0..hops).map(|_| b.add_object(1)).collect();
-        let mut tasks: Vec<TaskId> = Vec::new();
-        for i in 0..hops {
-            let reads: Vec<_> = if i == 0 { vec![] } else { vec![objs[i - 1]] };
-            let t = b.add_task(1.0, &reads, &[objs[i]]);
-            if i > 0 {
-                b.add_edge(tasks[i - 1], t);
-            }
-            tasks.push(t);
-        }
-        let g = b.build().unwrap();
-        let on = |i: usize| (i % nprocs) as u32;
-        let assign = Assignment {
-            task_proc: (0..hops).map(on).collect(),
-            owner: (0..hops).map(on).collect(),
-            nprocs,
-        };
-        let order =
-            (0..nprocs).map(|p| tasks.iter().copied().skip(p).step_by(nprocs).collect()).collect();
-        let sched = Schedule { assign, order };
+        let (g, sched) = chain(hops, nprocs);
         let exec = ThreadedExecutor::new(&g, &sched, min_mem(&g, &sched).min_mem);
         let reference = run_sequential(&g, test_body);
         let fastest = (0..5)
@@ -1354,23 +1336,7 @@ mod tests {
     /// identically — totals, drop counts, and the retained events.
     #[test]
     fn pooled_rings_reset_between_traced_runs() {
-        use rapid_core::graph::TaskGraphBuilder;
-        use rapid_core::schedule::{Assignment, Schedule};
-        let k = 12usize;
-        let mut b = TaskGraphBuilder::new();
-        let objs: Vec<_> = (0..k).map(|_| b.add_object(1)).collect();
-        let mut tasks = Vec::new();
-        for i in 0..k {
-            let reads: Vec<_> = if i == 0 { vec![] } else { vec![objs[i - 1]] };
-            let t = b.add_task(1.0, &reads, &[objs[i]]);
-            if i > 0 {
-                b.add_edge(tasks[i - 1], t);
-            }
-            tasks.push(t);
-        }
-        let g = b.build().unwrap();
-        let assign = Assignment { task_proc: vec![0; k], owner: vec![0; k], nprocs: 1 };
-        let sched = Schedule { assign, order: vec![tasks.clone()] };
+        let (g, sched) = chain(12, 1);
         let exec = ThreadedExecutor::new(&g, &sched, 64)
             .with_tracing(TraceConfig { capacity: 8, tier: TraceTier::Full });
         let out1 = exec.run(test_body).unwrap();

@@ -22,12 +22,12 @@
 //! budget), so weakened `Ordering`s and deleted fences produce witnessable
 //! counterexamples rather than silently passing. See `DESIGN.md` §16.
 //!
-//! Bounded models of two audited runtime cores (the mailbox slot and the
-//! recovery sent-guard) live in [`models`]; each ships with a seeded mutation
-//! corpus (weakened orderings / deleted fences / logic slips) that the checker
-//! must catch — this is how the checker itself is tested. The worker pool's
-//! hand-off and the sleep/wake cell are checked as shipped, by
-//! `rapid-machine`'s `pool_model` and `wait_model` tests.
+//! The checker drives the shipping types themselves, not transcriptions of
+//! them: `rapid-machine`'s `mailbox_model`, `flag_model`, `pool_model` and
+//! `wait_model` tests run the address mailbox slot, the RMA flag board, the
+//! worker pool's hand-off and the sleep / wake cell under it, and refute
+//! each one's named mutants (orderings weakened through `cfg`-gated
+//! constructors) — which is also how the checker itself is tested.
 
 // sync-audit: this crate *implements* the instrumented-atomics layer; the
 // passthrough paths below forward caller-chosen orderings (including Relaxed)
@@ -39,14 +39,10 @@
 mod engine;
 #[cfg(any(debug_assertions, rapid_model_check))]
 pub mod model;
-#[cfg(any(debug_assertions, rapid_model_check))]
-pub mod models;
 
 mod shim;
 
-pub use shim::{
-    sync_fence, SyncAtomicU32, SyncAtomicU64, SyncAtomicU8, SyncAtomicUsize, SyncCell, SyncFence,
-};
+pub use shim::{sync_fence, SyncAtomicU32, SyncAtomicU64, SyncAtomicU8, SyncCell};
 
 /// Re-exported so shim users never need to import `std::sync::atomic`.
 pub use std::sync::atomic::Ordering;

@@ -31,11 +31,16 @@ pub fn outputs() -> Vec<Vec<u64>> {
     crate::engine::current_outputs()
 }
 
-/// Run a scenario that must pass exhaustively; panics with a rendered
-/// counterexample (also written to the failure-artifact directory) otherwise.
+/// Run a scenario that must pass exhaustively and print what it explored;
+/// panics with a rendered counterexample (also written to the
+/// failure-artifact directory) otherwise.
 pub fn check_passes(name: &str, cfg: Config, scenario: impl Fn(&mut Sim)) -> Stats {
     match check(name, cfg, scenario) {
-        Outcome::Pass(stats) => stats,
+        Outcome::Pass(stats) => {
+            let (execs, pruned, steps) = (stats.executions, stats.pruned, stats.steps);
+            println!("{name}: {execs} executions ({pruned} pruned), {steps} steps");
+            stats
+        }
         Outcome::Violation(cex) => {
             let path = write_failure_artifact(&cex);
             panic!(
@@ -51,11 +56,20 @@ pub fn check_passes(name: &str, cfg: Config, scenario: impl Fn(&mut Sim)) -> Sta
     }
 }
 
-/// Run a scenario (typically a seeded mutant) that the checker must refute;
+/// Run a scenario (typically a seeded mutant) that the checker must refute
+/// with a concrete interleaving carrying the mutant's name; prints and
 /// returns the counterexample. Panics if the mutant survives.
 pub fn require_violation(name: &str, cfg: Config, scenario: impl Fn(&mut Sim)) -> Counterexample {
     match check(name, cfg, scenario) {
-        Outcome::Violation(cex) => *cex,
+        Outcome::Violation(cex) => {
+            assert_eq!(cex.model, name, "counterexample carries the mutant name");
+            assert!(
+                !cex.trace.is_empty(),
+                "counterexample for `{name}` has a concrete interleaving"
+            );
+            println!("== mutant `{name}` refuted ==\n{}", cex.render());
+            *cex
+        }
         Outcome::Pass(stats) => panic!(
             "mutant `{name}` was NOT caught: {} executions ({} pruned) all passed",
             stats.executions, stats.pruned

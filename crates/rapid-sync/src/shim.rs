@@ -9,10 +9,10 @@
 //! executed.
 
 // sync-audit: passthrough paths forward the caller's orderings verbatim; the
-// audited callers' orderings are themselves checked by the bounded models.
+// audited callers' orderings are checked by the model tests that drive them.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 
 macro_rules! sync_atomic {
     ($(#[$meta:meta])* $name:ident, $raw:ty, $prim:ty, $mask:expr) => {
@@ -119,12 +119,6 @@ macro_rules! sync_atomic {
                 }
                 self.inner.fetch_add(v, ord)
             }
-
-            /// Exclusive-access read (no synchronization needed through `&mut`).
-            #[inline(always)]
-            pub fn get_mut_value(&mut self) -> $prim {
-                self.load(Ordering::Relaxed)
-            }
         }
 
         impl Default for $name {
@@ -164,13 +158,6 @@ sync_atomic!(
     u64,
     u64::MAX
 );
-sync_atomic!(
-    /// Instrumented `AtomicUsize`. Values are modeled in a `u64` domain.
-    SyncAtomicUsize,
-    AtomicUsize,
-    usize,
-    u64::MAX
-);
 
 /// An atomic memory fence, routed through the model checker when one is
 /// active on the calling thread.
@@ -183,18 +170,6 @@ pub fn sync_fence(ord: Ordering) {
         }
     }
     std::sync::atomic::fence(ord)
-}
-
-/// Named-type form of [`sync_fence`], for call sites that prefer
-/// `SyncFence::fence(Ordering::Release)`.
-#[derive(Debug)]
-pub struct SyncFence;
-
-impl SyncFence {
-    #[inline(always)]
-    pub fn fence(ord: Ordering) {
-        sync_fence(ord)
-    }
 }
 
 /// Instrumented `UnsafeCell`: a plain data cell whose cross-thread accesses
@@ -286,12 +261,6 @@ impl<T: Copy> SyncCell<T> {
         }
         // SAFETY: caller contract of `write` — exclusive access.
         unsafe { *self.inner.get() = v }
-    }
-
-    /// Exclusive access through `&mut` — always safe, never instrumented.
-    #[inline(always)]
-    pub fn with_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
     }
 }
 

@@ -9,7 +9,9 @@
 //! 1. **No remote write before the matching address package** (the
 //!    paper's Fact I): a [`Event::SendOk`] may only name destination
 //!    objects that are permanent on the destination or whose address
-//!    arrived in an earlier [`Event::PkgRecv`] from that destination.
+//!    arrived in an earlier [`Event::PkgRecv`] from that destination,
+//!    and each message is sent exactly once: a re-executed window must
+//!    not publish a put twice.
 //! 2. **Single-slot mailboxes are never clobbered**: per (src, dst)
 //!    pair, package sequence numbers on both sides count 0, 1, 2, …;
 //!    matching sequence numbers carry identical object lists; and at
@@ -196,6 +198,14 @@ pub enum Violation {
         /// What exactly went wrong.
         detail: String,
     },
+    /// A message was sent twice: a put published more than once (a
+    /// recovered window re-ran a send that had already completed).
+    DuplicateSend {
+        /// Sending processor.
+        proc: u32,
+        /// Message id.
+        msg: u32,
+    },
     /// A protocol-state transition outside the five-state machine.
     IllegalTransition {
         /// Processor.
@@ -242,6 +252,8 @@ pub enum ViolationKind {
     MissingRecv,
     /// [`Violation::PhantomMessage`].
     PhantomMessage,
+    /// [`Violation::DuplicateSend`].
+    DuplicateSend,
     /// [`Violation::IllegalTransition`].
     IllegalTransition,
 }
@@ -262,6 +274,7 @@ impl Violation {
             Violation::OrderViolation { .. } => ViolationKind::OrderViolation,
             Violation::MissingRecv { .. } => ViolationKind::MissingRecv,
             Violation::PhantomMessage { .. } => ViolationKind::PhantomMessage,
+            Violation::DuplicateSend { .. } => ViolationKind::DuplicateSend,
             Violation::IllegalTransition { .. } => ViolationKind::IllegalTransition,
         }
     }
@@ -308,6 +321,9 @@ impl std::fmt::Display for Violation {
             }
             Violation::PhantomMessage { msg, detail } => {
                 write!(f, "msg {msg}: {detail}")
+            }
+            Violation::DuplicateSend { proc, msg } => {
+                write!(f, "P{proc}: msg {msg} sent twice")
             }
             Violation::IllegalTransition { proc, from, to } => {
                 write!(f, "P{proc}: illegal state transition {from:?} -> {to:?}")
@@ -596,7 +612,9 @@ impl<'a> Replay<'a> {
                         }
                     }
                 }
-                self.msgs_sent.insert(*msg);
+                if !self.msgs_sent.insert(*msg) {
+                    return Err(Violation::DuplicateSend { proc: p, msg: *msg });
+                }
             }
             Event::SendSuspend { .. } | Event::CqRetry { .. } => {}
             Event::MsgRecv { msg } => {

@@ -279,6 +279,22 @@ pub fn corrupted() -> Vec<(&'static str, TraceSet, ViolationKind)> {
         ViolationKind::PhantomMessage,
     ));
     cases.push((
+        "duplicate-send",
+        {
+            // A re-executed SND state sends again what it already sent.
+            let base = clean_traces();
+            let mut p0 = ProcTrace::new(0, TraceConfig::default());
+            for (ts, ev) in base.procs[0].iter() {
+                p0.rec(*ts, ev.clone());
+                if matches!(ev, Event::SendOk { .. }) {
+                    p0.rec(*ts, ev.clone());
+                }
+            }
+            TraceSet::new(vec![p0, base.procs[1].clone()])
+        },
+        ViolationKind::DuplicateSend,
+    ));
+    cases.push((
         "reexecution-without-rollback",
         {
             let base = recovered_traces();

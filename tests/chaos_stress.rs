@@ -19,8 +19,10 @@ use rapid::rt::threaded::run_sequential;
 use rapid::rt::{ExecError, TaskCtx};
 use rapid::sched::assign::cyclic_owner_map;
 use rapid::sparse::{gen, refsolve, taskgen};
-use rapid::trace::{check, chrome_trace_json, ProtocolSpec, TraceConfig};
+use rapid::trace::{chrome_trace_json, TraceConfig};
 use std::time::Duration;
+
+mod common;
 
 /// Fault seeds per scenario. Each seed re-derives every per-site stream,
 /// so the matrix covers `scenarios × FAULT_SEEDS` distinct injections.
@@ -54,23 +56,6 @@ fn judge(
     }
 }
 
-/// The trace-level half of the chaos contract: a faulted run that claims
-/// success must also leave an invariant-clean event trace behind.
-fn judge_trace(
-    label: &str,
-    g: &TaskGraph,
-    sched: &Schedule,
-    spec: &ProtocolSpec,
-    result: &Result<rapid::rt::threaded::ThreadedOutcome, ExecError>,
-) {
-    if let Ok(out) = result {
-        let trace = out.trace.as_ref().expect("tracing was enabled");
-        if let Err(v) = check(g, sched, spec, trace) {
-            panic!("{label}: faulted run violated the protocol: {v}");
-        }
-    }
-}
-
 #[test]
 fn scenario_matrix_random_dags() {
     let spec = RandomGraphSpec { objects: 12, tasks: 30, ..Default::default() };
@@ -95,7 +80,7 @@ fn scenario_matrix_random_dags() {
                 let spec = exec.plan().trace_spec(cap);
                 let label = format!("graph {graph_seed} {name} seed {fault_seed}");
                 let result = exec.run(body);
-                judge_trace(&label, &g, &sched, &spec, &result);
+                common::judge_trace(&label, &g, &sched, &spec, &result);
                 if name == "contention-heavy" {
                     // Rejections only delay: the run completes (and `judge`
                     // holds its result to the reference).
@@ -130,7 +115,7 @@ fn scenario_matrix_at_exact_min_mem() {
             let spec = exec.plan().trace_spec(mm);
             let label = format!("min-mem {name} seed {fault_seed}");
             let result = exec.run(body);
-            judge_trace(&label, &g, &sched, &spec, &result);
+            common::judge_trace(&label, &g, &sched, &spec, &result);
             judge(&label, result, &reference);
         }
     }

@@ -6,8 +6,10 @@
 use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid::core::memreq::min_mem;
 use rapid::prelude::*;
+use rapid::rt::threaded::ThreadedOutcome;
 use rapid::rt::{ExecError, TaskCtx};
 use rapid::sched::assign::cyclic_owner_map;
+use rapid::trace::{check, ProtocolSpec};
 
 /// A fault-free threaded run ended in `e`, a resource error. That is a
 /// property of the executor's address plan, not of the run: the plan must
@@ -21,6 +23,24 @@ pub fn assert_planned_rejection(label: &str, exec: &ThreadedExecutor<'_>, e: &Ex
     assert_eq!(exec.address_plan().err(), Some(e), "{label}: the address plan did not say so");
     let again = exec.run(|t, _| unreachable!("{label}: task {t:?} of a rejected plan ran"));
     assert_eq!(again.err().as_ref(), Some(e), "{label}: a second run ends differently");
+}
+
+/// A faulted or recovered run that claims success must also leave an
+/// invariant-clean trace: the replay checker proves the Theorem-1
+/// obligations across injected faults and rollback / re-execution seams.
+pub fn judge_trace(
+    label: &str,
+    g: &TaskGraph,
+    sched: &Schedule,
+    spec: &ProtocolSpec,
+    result: &Result<ThreadedOutcome, ExecError>,
+) {
+    if let Ok(out) = result {
+        let trace = out.trace.as_ref().expect("tracing was enabled");
+        if let Err(v) = check(g, sched, spec, trace) {
+            panic!("{label}: a run that succeeded violated the protocol: {v}");
+        }
+    }
 }
 
 /// The body of the benchmark's `irregular-tight` workload: sum what is

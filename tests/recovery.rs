@@ -21,9 +21,7 @@ use rapid::prelude::*;
 use rapid::rt::threaded::run_sequential;
 use rapid::rt::{ExecError, RecoveryPolicy, Supervisor, TaskCtx};
 use rapid::sched::assign::cyclic_owner_map;
-use rapid::trace::{
-    check, check_tier, skeletons, CanonEvent, ProtocolSpec, TraceConfig, TraceTier,
-};
+use rapid::trace::{check, check_tier, skeletons, CanonEvent, TraceConfig, TraceTier};
 use rapid::verify::Replanner;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -88,24 +86,6 @@ fn tightest_placeable_case() -> (TaskGraph, Schedule, u64) {
     (g, sched, cap)
 }
 
-/// A recovered run that claims success must also leave an invariant-clean
-/// trace — the replay checker proves the Theorem-1 obligations across the
-/// rollback/re-execution seams.
-fn judge_trace(
-    label: &str,
-    g: &TaskGraph,
-    sched: &Schedule,
-    spec: &ProtocolSpec,
-    result: &Result<rapid::rt::threaded::ThreadedOutcome, ExecError>,
-) {
-    if let Ok(out) = result {
-        let trace = out.trace.as_ref().expect("tracing was enabled");
-        if let Err(v) = check(g, sched, spec, trace) {
-            panic!("{label}: recovered run violated the protocol: {v}");
-        }
-    }
-}
-
 #[test]
 fn recovery_matrix_random_dags() {
     let spec = RandomGraphSpec { objects: 12, tasks: 30, ..Default::default() };
@@ -125,7 +105,7 @@ fn recovery_matrix_random_dags() {
                 let spec = exec.plan().trace_spec(cap);
                 let label = format!("graph {graph_seed} {name} seed {fault_seed}");
                 let result = exec.run(body);
-                judge_trace(&label, &g, &sched, &spec, &result);
+                common::judge_trace(&label, &g, &sched, &spec, &result);
                 judge_recovered(&label, result, &reference);
             }
         }
@@ -151,7 +131,7 @@ fn recovery_matrix_at_exact_min_mem() {
             let spec = exec.plan().trace_spec(cap);
             let label = format!("min-mem {name} seed {fault_seed}");
             let result = exec.run(body);
-            judge_trace(&label, &g, &sched, &spec, &result);
+            common::judge_trace(&label, &g, &sched, &spec, &result);
             runs += 1;
             healed += usize::from(judge_recovered(&label, result, &reference));
         }
