@@ -3,24 +3,39 @@
 //!
 //! All kernels operate on column-major storage: entry `(i, j)` of an
 //! `m × n` block lives at `j * m + i`. The GEMM-shaped kernels
-//! ([`gemm_nt_sub`], [`gemm_nn_sub`]) and the factorizations
-//! ([`potrf`], [`getrf`]) are register-tiled: a `4 × 4` micro-kernel
-//! accumulates the inner product in sixteen scalars the compiler keeps in
-//! registers, and the factorizations process column panels so the O(n³)
-//! work lands in that micro-kernel. The straight-loop GEMMs
-//! (`gemm_nt_sub_naive`, `gemm_nn_sub_naive`) exist only as the unit
-//! tests' oracles; [`potrf_unblocked`] and [`getrf_unblocked`] are also the
-//! small-size dispatch. The unit tests check the tiled and straight-loop
-//! paths agree to tight tolerance across odd, tile-straddling sizes.
+//! ([`gemm_nt_sub`], [`gemm_nn_sub`]) and the blocked factorizations
+//! ([`potrf_blocked`], [`getrf_blocked`]) run their O(n³) work in one
+//! register-tiled engine; [`potrf_unblocked`] and [`getrf_unblocked`] are
+//! the small-size dispatch. Straight-loop GEMMs and the straight-loop
+//! [`trsm_rlt`] exist only as the unit tests' oracles.
 //!
-//! Both GEMM shapes funnel into one tile engine that reads `B` in the
+//! Both GEMM shapes funnel into the engine, which reads `B` in the
 //! transposed (`gemm_nt`) layout: [`gemm_nn_sub`] pre-transposes its `B`
-//! panel into a scratch buffer once per call, so the micro-kernel always
-//! streams both operands at unit stride. With the `simd` feature (on by
-//! default) the full-tile sweep additionally dispatches at runtime to an
-//! AVX2+FMA micro-kernel on x86-64; every other configuration — and all
-//! ragged edges — takes the scalar path, so results never depend on the
-//! host beyond floating-point rounding of the fused multiply-adds.
+//! panel into a scratch buffer once per call, so the tiles always stream
+//! both operands at unit stride. The engine cuts `C` into 4-column
+//! strips and sweeps each strip's full rows with the widest tile the host
+//! runs, then the narrower ones:
+//!
+//! 1. with the `simd` feature (on by default) on an x86-64 host with AVX2
+//!    and FMA at run time: a 24 × 4 tile of twelve AVX-512F accumulators
+//!    where `avx512f` is detected — twelve independent FMA chains cover
+//!    the FMA latency, which four do not — then a 4 × 4 AVX2 tile for the
+//!    rows left (all of them without AVX-512F). Both are one macro body
+//!    over the vector type and its intrinsics;
+//! 2. everywhere else, a scalar 4 × 4 tile of sixteen accumulators;
+//! 3. the ragged edges (rows past the last full tile, columns past the
+//!    last full strip) in scalar loops.
+//!
+//! Which tile covers a row never changes a bit: every full-tile element
+//! starts at zero, accumulates `fma(A(i, p), B(p, j), acc)` over `p` in
+//! order (`acc + A(i, p)·B(p, j)` on the scalar tiles) and is subtracted
+//! from `C` once. So results depend on the host only through whether its
+//! tiles fuse; the unit tests pin each path to an element-wise oracle
+//! with `to_bits` equality.
+//!
+//! [`trsm_rlt`] updates a column at a time with unit-stride axpys; each
+//! element still sees the straight per-element loop's multiplies,
+//! subtracts and divide in that loop's order, so it too is bit for bit.
 
 /// Rows/columns of the register micro-kernel tile.
 const MR: usize = 4;
@@ -49,6 +64,16 @@ pub fn potrf(a: &mut [f64], n: usize) -> Result<(), usize> {
 /// lower triangle through the register-tiled micro-kernel. Identical
 /// arithmetic graph to [`potrf_unblocked`] up to summation order.
 pub fn potrf_blocked(a: &mut [f64], n: usize) -> Result<(), usize> {
+    potrf_blocked_by(a, n, gemm_bt_tiles)
+}
+
+/// The signature of [`gemm_bt_tiles`]; the unit tests hand its oracle to
+/// [`potrf_blocked_by`].
+type TileEngine =
+    fn(&mut [f64], usize, usize, usize, usize, &[f64], usize, usize, &[f64], usize, usize);
+
+/// [`potrf_blocked`] with its SYRK strips run by `tiles`.
+fn potrf_blocked_by(a: &mut [f64], n: usize, tiles: TileEngine) -> Result<(), usize> {
     debug_assert!(a.len() >= n * n);
     let mut k0 = 0;
     while k0 < n {
@@ -76,7 +101,7 @@ pub fn potrf_blocked(a: &mut [f64], n: usize) -> Result<(), usize> {
                 a[k * n + i] = v / d;
             }
         }
-        syrk_ln_sub(a, n, k0, k1);
+        syrk_ln_sub(a, n, k0, k1, tiles);
         k0 = k1;
     }
     Ok(())
@@ -87,7 +112,7 @@ pub fn potrf_blocked(a: &mut [f64], n: usize) -> Result<(), usize> {
 /// `A[k1.., k0..k1]` (full `n`-row stride). The strips below each
 /// diagonal wedge go through the shared tile engine (the `A = B` SYRK
 /// case of [`gemm_nt_sub`]); the wedge itself stays scalar.
-fn syrk_ln_sub(a: &mut [f64], n: usize, k0: usize, k1: usize) {
+fn syrk_ln_sub(a: &mut [f64], n: usize, k0: usize, k1: usize, tiles: TileEngine) {
     let mut j = k1;
     while j < n {
         let jn = (j + MR).min(n);
@@ -106,7 +131,7 @@ fn syrk_ln_sub(a: &mut [f64], n: usize, k0: usize, k1: usize) {
         // ≥ k1, so splitting at column k1 separates the borrows.
         if jn < n {
             let (panel, trail) = a.split_at_mut(k1 * n);
-            gemm_bt_tiles(
+            tiles(
                 &mut trail[(j - k1) * n..],
                 n,
                 jn,
@@ -151,8 +176,32 @@ pub fn potrf_unblocked(a: &mut [f64], n: usize) -> Result<(), usize> {
 
 /// Triangular solve `B := B · L⁻ᵀ` where `L` is the lower triangle of the
 /// `n × n` block `l` and `B` is `m × n` (the Cholesky panel scaling).
+///
+/// Column `j` loses `B[:, p] · L(j, p)` for each `p < j` as a unit-stride
+/// axpy, then is divided by `L(j, j)`: every element sees the multiplies,
+/// subtracts and divide of the straight per-element loop in the same
+/// order, so the result is bit for bit that loop's.
 pub fn trsm_rlt(b: &mut [f64], m: usize, l: &[f64], n: usize) {
     debug_assert!(b.len() >= m * n && l.len() >= n * n);
+    for j in 0..n {
+        let (done, rest) = b.split_at_mut(j * m);
+        let col = &mut rest[..m];
+        for p in 0..j {
+            let lv = l[p * n + j];
+            for (x, &y) in col.iter_mut().zip(&done[p * m..p * m + m]) {
+                *x -= y * lv;
+            }
+        }
+        let d = l[j * n + j];
+        for x in col.iter_mut() {
+            *x /= d;
+        }
+    }
+}
+
+/// The straight per-element loop [`trsm_rlt`] must equal bit for bit.
+#[cfg(test)]
+fn trsm_rlt_naive(b: &mut [f64], m: usize, l: &[f64], n: usize) {
     for j in 0..n {
         let d = l[j * n + j];
         for i in 0..m {
@@ -168,9 +217,9 @@ pub fn trsm_rlt(b: &mut [f64], m: usize, l: &[f64], n: usize) {
 /// `C := C - A · Bᵀ` with `A` `m × k` and `B` `n × k`, `C` `m × n` (the
 /// Cholesky trailing update; `A = B` gives the SYRK case).
 ///
-/// Register-tiled: full `MR × MR` tiles of `C` accumulate their inner
-/// product over `k` in sixteen scalars (or four AVX2 vectors) before a
-/// single subtract pass; ragged edges fall back to the reference loops.
+/// Register-tiled: full tiles of `C` accumulate their inner product over
+/// `k` in registers before a single subtract pass; ragged edges fall back
+/// to the reference loops (see the module docs for the tiles).
 pub fn gemm_nt_sub(c: &mut [f64], m: usize, n: usize, a: &[f64], b: &[f64], k: usize) {
     debug_assert!(c.len() >= m * n && a.len() >= m * k && b.len() >= n * k);
     gemm_bt_tiles(c, m, 0, m, n, a, m, 0, b, n, k);
@@ -180,8 +229,9 @@ pub fn gemm_nt_sub(c: &mut [f64], m: usize, n: usize, a: &[f64], b: &[f64], k: u
 /// `m × n` output entries summing `k` products, where `C` columns have
 /// stride `cm`, `A` columns stride `am`, and `B` is stored transposed
 /// (entry `(j, p)` of `Bᵀ`, i.e. `B(p, j)`, at `p * bn + j` — the
-/// [`gemm_nt_sub`] operand layout). Full `MR × MR` tiles take the SIMD
-/// micro-kernel when the host supports it; everything else is scalar.
+/// [`gemm_nt_sub`] operand layout). The full `MR`-column strips take the
+/// widest vector tiles the host runs, then the 4 × 4 one; without them,
+/// and on the ragged edges, everything is scalar (module docs).
 #[allow(clippy::too_many_arguments)]
 fn gemm_bt_tiles(
     c: &mut [f64],
@@ -198,14 +248,30 @@ fn gemm_bt_tiles(
 ) {
     let mfull = m - m % MR;
     let nfull = n - n % MR;
-    let mut vectored = false;
+    let vectored = fused_tiles();
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-        // SAFETY: AVX2 and FMA were just verified present; the index
-        // arithmetic is identical to the scalar sweep below, which the
-        // randomized differential tests bound-check in debug builds.
-        unsafe { gemm_bt_tiles_avx2(c, cm, row0, mfull, nfull, a, am, arow0, b, bn, k) };
-        vectored = true;
+    if vectored {
+        // The sweeps index through raw pointers: their highest indices.
+        assert!(
+            mfull == 0
+                || nfull == 0
+                || (c.len() >= (nfull - 1) * cm + row0 + mfull
+                    && (k == 0
+                        || (a.len() >= (k - 1) * am + arow0 + mfull
+                            && b.len() >= (k - 1) * bn + nfull))),
+            "tile engine operands shorter than their extents"
+        );
+        // SAFETY: AVX2 and FMA (and AVX-512F for the zmm sweep) were just
+        // verified present, and the assert above bounds every index of the
+        // `mfull × nfull` block, inside which each sweep stays.
+        unsafe {
+            let wide = if is_x86_feature_detected!("avx512f") {
+                tiles_zmm3(c, cm, row0, 0, mfull, nfull, a, am, arow0, b, bn, k)
+            } else {
+                0
+            };
+            tiles_ymm1(c, cm, row0, wide, mfull, nfull, a, am, arow0, b, bn, k);
+        }
     }
     if !vectored {
         for j0 in (0..nfull).step_by(MR) {
@@ -259,64 +325,96 @@ fn gemm_bt_tiles(
     }
 }
 
-/// AVX2+FMA full-tile sweep of [`gemm_bt_tiles`]: each `4 × 4` tile of
-/// `C` is four vector accumulators, the `A` micro-column is one 256-bit
-/// load and each `Bᵀ` entry a broadcast, giving four fused
-/// multiply-adds per `p`.
-///
-/// # Safety
-/// The caller must have verified `avx2` and `fma` at runtime, and the
-/// slice/stride bounds must admit every index the scalar sweep would
-/// touch (`mfull`/`nfull` are multiples of [`MR`] not exceeding the
-/// operand extents).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn gemm_bt_tiles_avx2(
-    c: &mut [f64],
-    cm: usize,
-    row0: usize,
-    mfull: usize,
-    nfull: usize,
-    a: &[f64],
-    am: usize,
-    arow0: usize,
-    b: &[f64],
-    bn: usize,
-    k: usize,
-) {
-    use std::arch::x86_64::*;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let cp = c.as_mut_ptr();
-    for j0 in (0..nfull).step_by(MR) {
-        for i0 in (0..mfull).step_by(MR) {
-            // SAFETY: caller contract — `mfull`/`nfull` are `MR`-multiples
-            // not exceeding the operand extents, so every `add` stays inside
-            // its slice with `MR` elements of headroom for the unaligned
-            // 256-bit loads/stores; AVX2+FMA were runtime-verified by the
-            // caller (and `#[target_feature]` makes the intrinsics callable).
-            unsafe {
-                let mut acc0 = _mm256_setzero_pd();
-                let mut acc1 = _mm256_setzero_pd();
-                let mut acc2 = _mm256_setzero_pd();
-                let mut acc3 = _mm256_setzero_pd();
-                for p in 0..k {
-                    let av = _mm256_loadu_pd(ap.add(p * am + arow0 + i0));
-                    let br = bp.add(p * bn + j0);
-                    acc0 = _mm256_fmadd_pd(av, _mm256_set1_pd(*br), acc0);
-                    acc1 = _mm256_fmadd_pd(av, _mm256_set1_pd(*br.add(1)), acc1);
-                    acc2 = _mm256_fmadd_pd(av, _mm256_set1_pd(*br.add(2)), acc2);
-                    acc3 = _mm256_fmadd_pd(av, _mm256_set1_pd(*br.add(3)), acc3);
-                }
-                for (jj, acc) in [acc0, acc1, acc2, acc3].into_iter().enumerate() {
-                    let cc = cp.add((j0 + jj) * cm + row0 + i0);
-                    _mm256_storeu_pd(cc, _mm256_sub_pd(_mm256_loadu_pd(cc), acc));
-                }
-            }
-        }
+/// Whether [`gemm_bt_tiles`] runs its full tiles on the fused vector
+/// sweeps: the `simd` feature on an x86-64 host with AVX2 and FMA.
+fn fused_tiles() -> bool {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    {
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
+    }
+    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    {
+        false
     }
 }
+
+/// Generates one full-tile sweep of [`gemm_bt_tiles`]: each tile is `$r`
+/// vectors of `$lanes` rows by `MR` columns, i.e. `$r · MR` accumulators,
+/// each `$fmadd(A(i, p), B(p, j), acc)` over `p` in order from zero and
+/// then subtracted from `C` once — the same operation sequence per element
+/// for every instance, so which tile covers a row never changes its bits.
+macro_rules! tile_sweep {
+    ($name:ident, $feat:literal, $r:literal, $lanes:literal, $zero:ident, $load:ident,
+     $store:ident, $set1:ident, $fmadd:ident, $sub:ident) => {
+        /// Sweeps the rows `lo..` of the `mfull × nfull` block with whole
+        /// tiles and returns the end of the rows covered.
+        ///
+        /// # Safety
+        /// The caller must have verified the target features at run time,
+        /// and the operands must hold every index of the block (`mfull` /
+        /// `nfull` are multiples of [`MR`] not exceeding the extents).
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        #[target_feature(enable = $feat)]
+        #[allow(clippy::too_many_arguments)]
+        unsafe fn $name(
+            c: &mut [f64],
+            cm: usize,
+            row0: usize,
+            lo: usize,
+            mfull: usize,
+            nfull: usize,
+            a: &[f64],
+            am: usize,
+            arow0: usize,
+            b: &[f64],
+            bn: usize,
+            k: usize,
+        ) -> usize {
+            use std::arch::x86_64::*;
+            const ROWS: usize = $r * $lanes;
+            let hi = lo + (mfull - lo) / ROWS * ROWS;
+            let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+            for j0 in (0..nfull).step_by(MR) {
+                for i0 in (lo..hi).step_by(ROWS) {
+                    // SAFETY: caller contract — the tile lies inside the
+                    // `mfull × nfull` block, so every `add` stays inside its
+                    // slice for the unaligned loads/stores.
+                    unsafe {
+                        let mut acc = [[$zero(); $r]; MR];
+                        for p in 0..k {
+                            let ar = ap.add(p * am + arow0 + i0);
+                            let mut av = [$zero(); $r];
+                            for (v, x) in av.iter_mut().enumerate() {
+                                *x = $load(ar.add(v * $lanes));
+                            }
+                            let br = bp.add(p * bn + j0);
+                            for (jj, accj) in acc.iter_mut().enumerate() {
+                                let bv = $set1(*br.add(jj));
+                                for (s, &x) in accj.iter_mut().zip(av.iter()) {
+                                    *s = $fmadd(x, bv, *s);
+                                }
+                            }
+                        }
+                        for (jj, accj) in acc.iter().enumerate() {
+                            let cc = cp.add((j0 + jj) * cm + row0 + i0);
+                            for (v, &s) in accj.iter().enumerate() {
+                                let cv = cc.add(v * $lanes);
+                                $store(cv, $sub($load(cv), s));
+                            }
+                        }
+                    }
+                }
+            }
+            hi
+        }
+    };
+}
+
+// Name, target features, vectors per column, lanes, intrinsics.
+tile_sweep! { tiles_zmm3, "avx512f", 3, 8, _mm512_setzero_pd, _mm512_loadu_pd, _mm512_storeu_pd,
+_mm512_set1_pd, _mm512_fmadd_pd, _mm512_sub_pd }
+tile_sweep! { tiles_ymm1, "avx2,fma", 1, 4, _mm256_setzero_pd, _mm256_loadu_pd, _mm256_storeu_pd,
+_mm256_set1_pd, _mm256_fmadd_pd, _mm256_sub_pd }
 
 /// Straight-loop reference for [`gemm_nt_sub`] (same contract).
 #[cfg(test)]
@@ -723,12 +821,200 @@ mod tests {
         ((*seed >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
     }
 
+    fn rand_vec(seed: &mut u64, len: usize) -> Vec<f64> {
+        (0..len).map(|_| rng(seed)).collect()
+    }
+
+    /// Sizes that cross every 24- and 4-row tile boundary and leave
+    /// both ragged edges, and the depths they are swept at.
+    const SIZES: [usize; 14] = [3, 4, 5, 11, 12, 13, 23, 24, 25, 28, 36, 37, 48, 52];
+    const DEPTHS: [usize; 3] = [1, 7, 24];
+
+    fn tile_shapes() -> impl Iterator<Item = (usize, usize, usize)> {
+        SIZES.into_iter().flat_map(|m| {
+            SIZES.into_iter().flat_map(move |n| DEPTHS.into_iter().map(move |k| (m, n, k)))
+        })
+    }
+
+    /// SPD `G·Gᵀ + n·I` with a random `G`.
+    fn spd(seed: &mut u64, n: usize) -> Vec<f64> {
+        let gmat = rand_vec(seed, n * n);
+        let mut a = vec![0.0; n * n];
+        for j in 0..n {
+            for i in 0..n {
+                let mut v = if i == j { n as f64 } else { 0.0 };
+                for p in 0..n {
+                    v += gmat[p * n + i] * gmat[p * n + j];
+                }
+                a[j * n + i] = v;
+            }
+        }
+        a
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: entry {i}: {x} vs {y}");
+        }
+    }
+
+    /// [`gemm_bt_tiles`]' specification, element by element (same
+    /// arguments): a full-tile entry accumulates `A(i, p)·B(p, j)` over `p`
+    /// from zero — one `mul_add` chain where the host's tiles fuse — and
+    /// is subtracted once; a ragged-edge entry subtracts each product with
+    /// a nonzero `B(p, j)` in turn.
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_bt_oracle(
+        c: &mut [f64],
+        cm: usize,
+        row0: usize,
+        m: usize,
+        n: usize,
+        a: &[f64],
+        am: usize,
+        arow0: usize,
+        b: &[f64],
+        bn: usize,
+        k: usize,
+    ) {
+        let fused = fused_tiles();
+        let (mfull, nfull) = (m - m % MR, n - n % MR);
+        for j in 0..n {
+            for i in 0..m {
+                let ci = &mut c[j * cm + row0 + i];
+                let products = (0..k).map(|p| (a[p * am + arow0 + i], b[p * bn + j]));
+                if i < mfull && j < nfull {
+                    let acc = products.fold(0.0f64, |acc, (av, bv)| {
+                        if fused {
+                            av.mul_add(bv, acc)
+                        } else {
+                            acc + av * bv
+                        }
+                    });
+                    *ci -= acc;
+                } else {
+                    for (av, bv) in products.filter(|&(_, bv)| bv != 0.0) {
+                        *ci -= av * bv;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tile_engine_is_its_oracle_bit_for_bit() {
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        for (m, n, k) in tile_shapes() {
+            let what = format!("{m}x{n}x{k}");
+            let a = rand_vec(&mut seed, m * k);
+            let bt = rand_vec(&mut seed, n * k);
+            let c0 = rand_vec(&mut seed, m * n);
+            let mut got = c0.clone();
+            gemm_nt_sub(&mut got, m, n, &a, &bt, k);
+            let mut want = c0;
+            gemm_bt_oracle(&mut want, m, 0, m, n, &a, m, 0, &bt, n, k);
+            assert_bits(&got, &want, &format!("gemm_nt {what}"));
+            // Strided: C is rows 2.. of an (m+3)-row block, A rows 1.. of
+            // an (m+2)-row panel, B the top of a (k+1)-row block.
+            let (cm, row0, am, arow0, bm) = (m + 3, 2, m + 2, 1, k + 1);
+            let a = rand_vec(&mut seed, am * k);
+            let b = rand_vec(&mut seed, bm * n);
+            let c0 = rand_vec(&mut seed, cm * n);
+            let mut got = c0.clone();
+            gemm_nn_sub(&mut got, cm, row0, m, n, &a, am, arow0, &b, bm, k);
+            let bt: Vec<f64> = (0..k * n).map(|x| b[(x % n) * bm + x / n]).collect();
+            let mut want = c0;
+            gemm_bt_oracle(&mut want, cm, row0, m, n, &a, am, arow0, &bt, n, k);
+            assert_bits(&got, &want, &format!("gemm_nn {what}"));
+        }
+        // The SYRK strips of the blocked Cholesky (panels of NB = 32).
+        for n in SIZES.into_iter().chain([65, 100]) {
+            let a = spd(&mut seed, n);
+            let mut got = a.clone();
+            let mut want = a;
+            potrf_blocked(&mut got, n).unwrap();
+            potrf_blocked_by(&mut want, n, gemm_bt_oracle).unwrap();
+            assert_bits(&got, &want, &format!("potrf_blocked n={n}"));
+        }
+    }
+
+    /// Each vector sweep alone covers a whole number of its tiles from the
+    /// top and equals the oracle there — the 4-row AVX2 sweep over every
+    /// full row, as on hosts without AVX-512F, included on those with it.
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[test]
+    fn each_vector_sweep_is_the_oracle_on_its_tiles() {
+        type Sweep = unsafe fn(
+            &mut [f64],
+            usize,
+            usize,
+            usize,
+            usize,
+            usize,
+            &[f64],
+            usize,
+            usize,
+            &[f64],
+            usize,
+            usize,
+        ) -> usize;
+        if !fused_tiles() {
+            return;
+        }
+        let mut sweeps: Vec<(&str, Sweep, usize)> = vec![("ymm1", tiles_ymm1, 4)];
+        if is_x86_feature_detected!("avx512f") {
+            sweeps.push(("zmm3", tiles_zmm3, 24));
+        }
+        let mut seed = 0x5eed;
+        for (m, n, k) in tile_shapes() {
+            let (mfull, nfull) = (m - m % MR, n - n % MR);
+            let a = rand_vec(&mut seed, m * k);
+            let bt = rand_vec(&mut seed, n * k);
+            let c0 = rand_vec(&mut seed, m * n);
+            let mut want = c0.clone();
+            gemm_bt_oracle(&mut want, m, 0, m, n, &a, m, 0, &bt, n, k);
+            for &(name, sweep, rows) in &sweeps {
+                let mut got = c0.clone();
+                // SAFETY: the sweep's features were detected above and the
+                // operands are the packed `m × k`, `n × k` and `m × n`.
+                let hi = unsafe { sweep(&mut got, m, 0, 0, mfull, nfull, &a, m, 0, &bt, n, k) };
+                assert_eq!(hi, mfull / rows * rows, "{name} {m}x{n}x{k}");
+                for j in 0..n {
+                    for i in 0..m {
+                        let x = j * m + i;
+                        let w = if i < hi && j < nfull { want[x] } else { c0[x] };
+                        assert_eq!(got[x].to_bits(), w.to_bits(), "{name} {m}x{n}x{k} ({i},{j})");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trsm_rlt_is_its_straight_loop_bit_for_bit() {
+        let mut seed = 99;
+        for m in [1, 5, 24, 37] {
+            for n in [1, 9, 24] {
+                let mut l = rand_vec(&mut seed, n * n);
+                for j in 0..n {
+                    l[j * n + j] = 2.0 + l[j * n + j].abs();
+                }
+                let b0 = rand_vec(&mut seed, m * n);
+                let mut got = b0.clone();
+                let mut want = b0;
+                trsm_rlt(&mut got, m, &l, n);
+                trsm_rlt_naive(&mut want, m, &l, n);
+                assert_bits(&got, &want, &format!("trsm_rlt {m}x{n}"));
+            }
+        }
+    }
+
     #[test]
     fn tiled_gemms_match_naive_on_odd_sizes() {
         let mut seed = 0x9e3779b97f4a7c15u64;
-        for &(m, n, k) in
-            &[(1, 1, 1), (3, 5, 7), (4, 4, 4), (5, 4, 3), (7, 9, 2), (13, 11, 17), (33, 34, 35)]
-        {
+        let odd =
+            [(1, 1, 1), (3, 5, 7), (4, 4, 4), (5, 4, 3), (7, 9, 2), (13, 11, 17), (33, 34, 35)];
+        for (m, n, k) in odd.into_iter().chain(tile_shapes()) {
             let a: Vec<f64> = (0..m * k).map(|_| rng(&mut seed)).collect();
             let bt: Vec<f64> = (0..n * k).map(|_| rng(&mut seed)).collect();
             let c0: Vec<f64> = (0..m * n).map(|_| rng(&mut seed)).collect();
@@ -755,18 +1041,7 @@ mod tests {
         let mut seed = 42;
         // Sizes straddling the NB=32 panel width, including odd ones.
         for &n in &[1usize, 2, 5, 17, 31, 32, 33, 47, 64, 65, 70] {
-            // SPD: A = G·Gᵀ + n·I.
-            let gmat: Vec<f64> = (0..n * n).map(|_| rng(&mut seed)).collect();
-            let mut a = vec![0.0; n * n];
-            for j in 0..n {
-                for i in 0..n {
-                    let mut v = if i == j { n as f64 } else { 0.0 };
-                    for p in 0..n {
-                        v += gmat[p * n + i] * gmat[p * n + j];
-                    }
-                    a[j * n + i] = v;
-                }
-            }
+            let a = spd(&mut seed, n);
             let mut blocked = a.clone();
             let mut naive = a;
             potrf_blocked(&mut blocked, n).unwrap();
