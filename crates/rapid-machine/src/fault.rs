@@ -161,28 +161,6 @@ pub struct FaultSpec {
     pub task_jitter_max: Duration,
 }
 
-impl FaultSpec {
-    /// Does this spec arm any *rejection* site — one that makes an
-    /// operation fail (and be retried) rather than merely run late?
-    /// The discrete-event executor models delays only, so configs that
-    /// arm a rejection site there are a typed configuration error.
-    pub fn has_rejection_sites(&self) -> bool {
-        self.mailbox_reject_permille > 0 || self.alloc_fail_permille > 0
-    }
-
-    /// A copy of this spec with every rejection site disarmed, keeping
-    /// the delay/jitter sites intact. This is the explicit form of what
-    /// the DES used to do silently when handed a rejection-bearing spec.
-    pub fn delay_sites_only(&self) -> FaultSpec {
-        FaultSpec {
-            mailbox_reject_permille: 0,
-            alloc_fail_permille: 0,
-            alloc_fail_budget: 0,
-            ..self.clone()
-        }
-    }
-}
-
 /// A seeded fault-injection plan: a [`FaultSpec`] plus the seed all
 /// per-site streams derive from.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -272,12 +250,6 @@ impl FaultPlan {
             ("alloc-pressure", FaultPlan::alloc_pressure(seed)),
             ("mixed", FaultPlan::mixed(seed)),
         ]
-    }
-
-    /// A copy of this plan with every rejection site disarmed (same
-    /// seed, delay/jitter sites intact). See [`FaultSpec::delay_sites_only`].
-    pub fn delay_sites_only(&self) -> FaultPlan {
-        FaultPlan { seed: self.seed, spec: self.spec.delay_sites_only() }
     }
 
     /// The per-processor injector: independent streams for every site.
@@ -459,20 +431,6 @@ mod tests {
         assert_eq!(f.injected(FaultSite::AllocFail), 3, "budget caps the counter too");
         assert_eq!(f.injected(FaultSite::PutDelay), 0);
         assert_eq!(f.injected_total(), 13);
-    }
-
-    #[test]
-    fn rejection_site_detection_and_stripping() {
-        assert!(!FaultSpec::default().has_rejection_sites());
-        assert!(!FaultPlan::delay_heavy(1).spec.has_rejection_sites());
-        assert!(FaultPlan::contention_heavy(1).spec.has_rejection_sites());
-        assert!(FaultPlan::alloc_pressure(1).spec.has_rejection_sites());
-        assert!(FaultPlan::mixed(1).spec.has_rejection_sites());
-        let stripped = FaultPlan::mixed(7).delay_sites_only();
-        assert!(!stripped.spec.has_rejection_sites());
-        assert_eq!(stripped.seed, 7);
-        assert_eq!(stripped.spec.put_delay_permille, FaultPlan::mixed(7).spec.put_delay_permille);
-        assert_eq!(stripped.spec.alloc_fail_budget, 0);
     }
 
     #[test]

@@ -126,8 +126,9 @@ pub(crate) struct Diag {
 pub(crate) enum On {
     /// MAP: the address slot toward this processor is still occupied.
     Mailbox(u32),
-    /// MAP: an injected fault refused a placement; retry after servicing.
-    Arena,
+    /// MAP: an injected fault refused a placement or a package hand-off;
+    /// nothing but a retry ends it, so retry after servicing.
+    Refused,
     /// REC: this message has not arrived.
     Msg(u32),
     /// END, or a window about to roll back: suspended sends are still
@@ -529,7 +530,7 @@ impl<'e, P: Port> ProcCore<'e, P> {
             }
             if self.alloc_tries < budget {
                 self.alloc_tries += 1;
-                return Ok(Some(On::Arena));
+                return Ok(Some(On::Refused));
             }
             self.alloc_tries = 0;
             let frag = ExecError::Fragmented { proc: p, requested: size, largest: 0 };
@@ -558,7 +559,7 @@ impl<'e, P: Port> ProcCore<'e, P> {
             trace(&mut self.tr, |w| w.window_rollback(env.now(), pos, attempt));
             env.rollback(false, pos, attempt);
             self.alloc_i = 0;
-            return Ok(Some(On::Arena));
+            return Ok(Some(On::Refused));
         }
         self.state = State::MapNotify;
         Ok(None)
@@ -583,15 +584,14 @@ impl<'e, P: Port> ProcCore<'e, P> {
                 self.pkg_ready = true;
                 self.busy_told = false;
             }
-            // An injected rejection is handled exactly like a slot the
-            // receiver has not drained yet: this MAP blocks.
-            let busy = self.rejected(env, FaultSite::MailboxReject, ProcFaults::mailbox_reject)
-                || !self.port.send_package(dst as usize, &mut self.pkg_buf);
-            if busy {
+            // An injected rejection is traced like a slot the receiver has
+            // not drained yet, but no drain ends it: it is a refusal.
+            let refused = self.rejected(env, FaultSite::MailboxReject, ProcFaults::mailbox_reject);
+            if refused || !self.port.send_package(dst as usize, &mut self.pkg_buf) {
                 if !std::mem::replace(&mut self.busy_told, true) {
                     trace(&mut self.tr, |w| w.mailbox_busy(env.recent(), dst));
                 }
-                return Some(On::Mailbox(dst));
+                return Some(if refused { On::Refused } else { On::Mailbox(dst) });
             }
             env.charge(Cost::AddrPkg { dst, entries });
             if let Some(w) = self.tr.as_mut() {

@@ -8,8 +8,9 @@
 //! virtual-time driver — the cost model and the message arrival times
 //! behind the core's environment, and an event heap that steps whichever
 //! processor is due, runs the RA and CQ service operations before every
-//! step, and on `Blocked` simply returns to the heap: whatever ends a wait
-//! (a put, an address package, an RA drain) has pushed the wake-up.
+//! step, and on `Blocked` returns to the heap: whatever ends a wait (a put,
+//! an address package, an RA drain) has pushed the wake-up, and a processor
+//! refused by an injected fault re-queues itself.
 //!
 //! With `memory_mgmt` disabled the executor reproduces the *original*
 //! RAPID behaviour — all volatile space allocated up front, addresses
@@ -41,42 +42,6 @@ fn vts(now: f64) -> u64 {
     (now.max(0.0) * 1e9).round() as u64
 }
 
-/// A [`DesConfig`] builder was handed something the event-driven
-/// executor cannot honour.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ConfigError {
-    /// The fault plan carries rejection-site knobs (mailbox rejection
-    /// and/or transient allocation failure). The DES cannot model them —
-    /// an injected rejection of a genuinely empty slot would never
-    /// receive a wake event in the event system, manufacturing a
-    /// deadlock the real machine cannot exhibit — so the plan is
-    /// refused rather than silently stripped.
-    RejectionSitesUnsupported {
-        /// The plan's mailbox-rejection probability (‰).
-        mailbox_reject_permille: u16,
-        /// The plan's allocation-failure probability (‰).
-        alloc_fail_permille: u16,
-    },
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::RejectionSitesUnsupported {
-                mailbox_reject_permille,
-                alloc_fail_permille,
-            } => write!(
-                f,
-                "DES fault plans support delay sites only, but this plan injects rejections \
-                 (mailbox {mailbox_reject_permille}‰, alloc {alloc_fail_permille}‰); \
-                 strip them explicitly with FaultPlan::delay_sites_only"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
 /// Executor configuration.
 #[derive(Clone, Debug)]
 pub struct DesConfig {
@@ -87,12 +52,11 @@ pub struct DesConfig {
     pub memory_mgmt: bool,
     /// MAP allocation window policy (ablation; the paper is greedy).
     pub window: MapWindow,
-    /// Deterministic fault plan: message puts and address packages are
+    /// Deterministic fault plan. Message puts and address packages are
     /// held back by seeded virtual-time delays, arriving late and
-    /// reordered. Only the delay sites apply in the DES — an injected
-    /// mailbox *rejection* of a genuinely empty slot would never receive
-    /// a wake event in the event system, manufacturing a deadlock the
-    /// real machine cannot exhibit.
+    /// reordered; a processor whose package hand-off or placement an
+    /// injected fault refuses retries at its own clock, after the events
+    /// already due then. Task jitter has no meaning in virtual time.
     pub faults: Option<FaultPlan>,
     /// Per-processor event tracing. `None` (the default) records nothing.
     /// Recording goes through the flat binary rings and is decoded back
@@ -124,22 +88,10 @@ impl DesConfig {
         self
     }
 
-    /// Inject a deterministic fault plan. Only delay sites are
-    /// supported (see [`DesConfig::faults`]): a plan carrying rejection
-    /// or allocation-failure knobs is refused with
-    /// [`ConfigError::RejectionSitesUnsupported`] instead of silently
-    /// dropping them — strip such a plan explicitly with
-    /// [`FaultPlan::delay_sites_only`] when the delay subset is what you
-    /// mean.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Result<Self, ConfigError> {
-        if faults.spec.has_rejection_sites() {
-            return Err(ConfigError::RejectionSitesUnsupported {
-                mailbox_reject_permille: faults.spec.mailbox_reject_permille,
-                alloc_fail_permille: faults.spec.alloc_fail_permille,
-            });
-        }
+    /// Inject a deterministic fault plan (see [`DesConfig::faults`]).
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
-        Ok(self)
+        self
     }
 
     /// Enable per-processor event tracing. Note the trace checker's
@@ -411,8 +363,7 @@ impl<'a> DesExecutor<'a> {
             offsets: &[],
             recovery: None,
         };
-        // Virtual time has no interleaving for task jitter to shake: only
-        // the put and mailbox delays of a fault plan apply.
+        // Virtual time has no interleaving for task jitter to shake.
         let faults = self.cfg.faults.as_ref().map(|f| FaultPlan {
             seed: f.seed,
             spec: FaultSpec { task_jitter_permille: 0, ..f.spec.clone() },
@@ -477,8 +428,16 @@ impl<'a> DesExecutor<'a> {
                         break;
                     }
                     Step::Progress => {}
-                    // Whatever ends the wait wakes us: a put or a package
-                    // its destination, an RA drain the package's source.
+                    // An injected refusal ends only by trying again: after
+                    // whatever else is due now.
+                    Step::Blocked(On::Refused) => {
+                        let now = sim.clock().now;
+                        sim.wake(now, p);
+                        break;
+                    }
+                    // Whatever ends any other wait wakes us: a put or a
+                    // package its destination, an RA drain the package's
+                    // source.
                     Step::Blocked(on) => {
                         blocked[p as usize] = Some(on);
                         break;
@@ -743,9 +702,7 @@ mod tests {
             DesExecutor::new(
                 &g,
                 &sched,
-                DesConfig::managed(machine.clone())
-                    .with_faults(FaultPlan::delay_heavy(seed))
-                    .expect("delay-only plan"),
+                DesConfig::managed(machine.clone()).with_faults(FaultPlan::delay_heavy(seed)),
             )
             .run()
             .unwrap()
@@ -766,29 +723,6 @@ mod tests {
             (c.parallel_time, c.finish.clone()),
             "different seeds should perturb the timeline"
         );
-    }
-
-    #[test]
-    fn rejection_site_fault_plans_are_refused_not_dropped() {
-        let machine = MachineConfig::unit(2, 8);
-        let plan = FaultPlan::mixed(7); // carries rejection + alloc sites
-        let err = DesConfig::managed(machine.clone()).with_faults(plan.clone()).unwrap_err();
-        match &err {
-            &ConfigError::RejectionSitesUnsupported {
-                mailbox_reject_permille,
-                alloc_fail_permille,
-            } => {
-                assert_eq!(mailbox_reject_permille, plan.spec.mailbox_reject_permille);
-                assert_eq!(alloc_fail_permille, plan.spec.alloc_fail_permille);
-            }
-        }
-        let text = err.to_string();
-        assert!(text.contains("delay sites only"), "{text}");
-        // The documented escape hatch: strip to the delay subset.
-        let cfg = DesConfig::managed(machine)
-            .with_faults(plan.delay_sites_only())
-            .expect("stripped plan is delay-only");
-        assert!(cfg.faults.is_some());
     }
 
     #[test]
@@ -815,25 +749,5 @@ mod tests {
         // Untraced runs stay lean.
         let bare = run_managed(&g, &sched, unit_machine(8)).unwrap();
         assert!(bare.trace.is_none() && bare.metrics.is_none());
-    }
-
-    #[test]
-    fn random_graphs_execute_iff_min_mem_fits() {
-        for seed in 0..10u64 {
-            let g = fixtures::random_irregular_graph(seed, &fixtures::RandomGraphSpec::default());
-            let owner = rapid_sched::assign::cyclic_owner_map(g.num_objects(), 3);
-            let assign = rapid_sched::assign::owner_compute_assignment(&g, &owner, 3);
-            let sched =
-                rapid_sched::mpo::mpo_order(&g, &assign, &rapid_core::schedule::CostModel::unit());
-            let mm = min_mem(&g, &sched).min_mem;
-            let machine = MachineConfig::unit(3, mm);
-            let out = run_managed(&g, &sched, machine).unwrap();
-            assert!(out.peak_mem.iter().all(|&pm| pm <= mm), "seed {seed}");
-            let machine = MachineConfig::unit(3, mm - 1);
-            assert!(
-                matches!(run_managed(&g, &sched, machine), Err(ExecError::NonExecutable { .. })),
-                "seed {seed} must fail below MIN_MEM"
-            );
-        }
     }
 }

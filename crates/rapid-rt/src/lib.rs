@@ -37,7 +37,7 @@ pub mod maps;
 pub mod recover;
 pub mod threaded;
 
-pub use des::{ConfigError, DesConfig, DesExecutor, DesOutcome};
+pub use des::{DesConfig, DesExecutor, DesOutcome};
 pub use inspector::Inspector;
 pub use maps::{ExecError, MapPlacement, MapWindow, PlannedMap, RtPlan};
 pub use rapid_trace::{TraceConfig, TraceSet};

@@ -1074,7 +1074,6 @@ mod tests {
     use super::*;
     use rapid_core::fixtures;
     use rapid_core::memreq::min_mem;
-    use rapid_core::schedule::CostModel;
 
     /// A deterministic task body: every written buffer cell becomes
     /// `task_id + 1 + Σ(read buffers) + previous content`.
@@ -1148,38 +1147,6 @@ mod tests {
         match exec.run(test_body) {
             Err(ExecError::NonExecutable { .. }) => {}
             other => panic!("expected NonExecutable, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn random_graph_stress_at_min_mem() {
-        // The deadlock-freedom (Theorem 1) stress: random irregular graphs
-        // on 4 threads at exactly MIN_MEM, MPO order.
-        for seed in 0..8u64 {
-            let g = fixtures::random_irregular_graph(seed, &fixtures::RandomGraphSpec::default());
-            let owner = rapid_sched::assign::cyclic_owner_map(g.num_objects(), 4);
-            let assign = rapid_sched::assign::owner_compute_assignment(&g, &owner, 4);
-            let sched = rapid_sched::mpo::mpo_order(&g, &assign, &CostModel::unit());
-            let mm = min_mem(&g, &sched).min_mem;
-            let exec = ThreadedExecutor::new(&g, &sched, mm);
-            match (exec.address_plan(), exec.run(test_body)) {
-                (Ok(addresses), Ok(out)) => {
-                    assert_eq!(
-                        out.objects,
-                        run_sequential(&g, test_body),
-                        "seed {seed}: results differ"
-                    );
-                    assert_eq!(out.arena_peak, addresses.peak, "seed {seed}");
-                }
-                // A best-fit arena may fragment at exactly MIN_MEM with
-                // mixed object sizes. That is a property of the plan: it
-                // was known before the run, and every run says the same.
-                (Err(planned @ ExecError::Fragmented { .. }), Err(e)) => {
-                    assert_eq!(&e, planned, "seed {seed}");
-                    assert_eq!(exec.run(test_body).err().as_ref(), Some(planned), "seed {seed}");
-                }
-                (planned, ran) => panic!("seed {seed}: planned {planned:?}, ran {ran:?}"),
-            }
         }
     }
 
@@ -1476,7 +1443,7 @@ mod tests {
 
     #[test]
     fn faulted_run_matches_reference() {
-        // Smoke-level chaos (the full matrix lives in tests/chaos_stress.rs):
+        // Smoke-level chaos (the full matrix is tests/protocol_sweep.rs):
         // every scenario on the Figure 2 DAG must still produce the
         // sequential result.
         let g = fixtures::figure2_dag();

@@ -131,7 +131,7 @@ fn measured() -> Vec<Row> {
         "random3-delay-faults",
         &g3,
         &s3,
-        DesConfig::managed(t3d(3, mm3)).with_faults(FaultPlan::delay_heavy(7)).expect("delay-only"),
+        DesConfig::managed(t3d(3, mm3)).with_faults(FaultPlan::delay_heavy(7)),
     ));
     rows
 }

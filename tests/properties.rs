@@ -1,217 +1,98 @@
-//! Randomized property tests over random irregular graphs: scheduling
-//! validity, the Definition-6 executability criterion, Theorem-2 bounds,
-//! DES determinism and monotonicity properties.
-//!
-//! Cases are drawn from a deterministic xorshift64* generator (no external
-//! property-testing dependency): every run covers the same spread of graph
-//! shapes, processor counts and commuting-mark densities, and a failure
-//! message names the case index for replay.
+//! Property cases of random shape: valid orders under every policy,
+//! executable iff `MIN_MEM` fits, deterministic DES runs, Theorem 2 on
+//! both drivers, merged slices within their budget, managed runs against
+//! original RAPID, and the `MEM_REQ` bounds. Slices of the sweep (see
+//! `sweep/mod.rs`).
 
-use rapid::core::dcg::Dcg;
-use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
-use rapid::core::memreq::min_mem;
-use rapid::prelude::*;
-use rapid::rt::des::{run_managed, run_unmanaged};
-use rapid::rt::ExecError;
-use rapid::sched::assign::cyclic_owner_map;
-use rapid::sched::dts::{dts_order_merged, merge_slices};
+mod common;
+mod sweep;
+
+use rapid::core::fixtures::RandomGraphSpec;
+use sweep::*;
 
 const CASES: u64 = 48;
 
-/// xorshift64* — deterministic, dependency-free case generator.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9e3779b97f4a7c15) | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545f4914f6cdd1d)
-    }
-
-    /// Uniform in `lo..hi`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
-    }
-
-    fn f64(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
-/// One randomized case: a graph seed, its shape, and a processor count —
-/// the same parameter spread the earlier property-based strategy drew.
-fn random_case(i: u64) -> (u64, RandomGraphSpec, usize) {
-    let mut r = Rng::new(i);
-    let seed = r.next();
+/// Property case `i`: a graph seed, its shape (half with commuting marks)
+/// and a processor count, drawn by xorshift64*.
+fn property_case(i: u64) -> (u64, RandomGraphSpec, usize) {
+    let mut x = i.wrapping_mul(0x9e3779b97f4a7c15) | 1;
+    let mut next = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x.wrapping_mul(0x2545f4914f6cdd1d)
+    };
+    let seed = next();
+    let mut range = |lo: u64, hi: u64| lo + next() % (hi - lo);
+    let (objects, tasks, max_obj_size) = (range(4, 32), range(10, 80), range(1, 6));
+    let (max_reads, update) = (range(1, 4), range(0, u64::MAX) >> 11);
     let spec = RandomGraphSpec {
-        objects: r.range(4, 32) as usize,
-        tasks: r.range(10, 80) as usize,
-        max_obj_size: r.range(1, 6),
-        max_reads: r.range(1, 4) as usize,
-        update_prob: r.f64() * 0.8,
-        // Half the runs exercise commuting marks.
+        objects: objects as usize,
+        tasks: tasks as usize,
+        max_obj_size,
+        max_reads: max_reads as usize,
+        update_prob: update as f64 / (1u64 << 53) as f64 * 0.8,
         accum_prob: if seed.is_multiple_of(2) { 0.5 } else { 0.0 },
         max_weight: 5.0,
     };
-    let nprocs = r.range(2, 5) as usize;
-    (seed, spec, nprocs)
+    (seed, spec, range(2, 5) as usize)
 }
 
-/// All three orderings produce valid schedules covering every task.
+/// `row` at every property case.
+fn cases(row: impl Fn(u64, &RandomGraphSpec, usize) -> Case) -> Vec<Case> {
+    (0..CASES)
+        .map(|i| {
+            let (seed, s, p) = property_case(i);
+            row(seed, &s, p)
+        })
+        .collect()
+}
+
 #[test]
 fn orderings_are_valid() {
-    for i in 0..CASES {
-        let (seed, spec, nprocs) = random_case(i);
-        let g = random_irregular_graph(seed, &spec);
-        let owner = cyclic_owner_map(g.num_objects(), nprocs);
-        let assign = owner_compute_assignment(&g, &owner, nprocs);
-        let cost = CostModel::unit();
-        for sched in [
-            rcp_order(&g, &assign, &cost),
-            mpo_order(&g, &assign, &cost),
-            dts_order(&g, &assign, &cost),
-            dts_order_merged(&g, &assign, &cost, g.seq_space()),
-        ] {
-            assert!(sched.is_valid(&g), "case {i}");
-        }
+    for policy in [Rcp, Mpo, Dts, DtsMerged] {
+        sweep(&cases(|seed, s, p| random(seed, s, p, policy, Slack(8))));
     }
 }
 
-/// Definition 6: a schedule executes under capacity `c` iff
-/// `c >= MIN_MEM` (counting allocator).
 #[test]
 fn executable_iff_min_mem() {
-    for i in 0..CASES {
-        let (seed, spec, nprocs) = random_case(i);
-        let g = random_irregular_graph(seed, &spec);
-        let owner = cyclic_owner_map(g.num_objects(), nprocs);
-        let assign = owner_compute_assignment(&g, &owner, nprocs);
-        let sched = mpo_order(&g, &assign, &CostModel::unit());
-        let mm = min_mem(&g, &sched).min_mem;
-        let ok = run_managed(&g, &sched, MachineConfig::unit(nprocs, mm));
-        assert!(ok.is_ok(), "case {i} failed at MIN_MEM: {:?}", ok.err());
-        if mm > 0 {
-            let bad = run_managed(&g, &sched, MachineConfig::unit(nprocs, mm - 1));
-            assert!(
-                matches!(bad, Err(ExecError::NonExecutable { .. })),
-                "case {i}: below MIN_MEM must be non-executable"
-            );
-        }
-    }
+    let on_des =
+        |cap| cases(move |seed, s, p| Case { driver: Des(Unit), ..random(seed, s, p, Mpo, cap) });
+    let t = sweep(&[on_des(AtMin), on_des(BelowMin)].concat());
+    assert_eq!((t.des_ok, t.non_executable), (CASES as usize, CASES as usize), "{t:?}");
 }
 
-/// The DES is deterministic: two runs agree exactly.
 #[test]
 fn des_is_deterministic() {
-    for i in 0..CASES {
-        let (seed, spec, nprocs) = random_case(i);
-        let g = random_irregular_graph(seed, &spec);
-        let owner = cyclic_owner_map(g.num_objects(), nprocs);
-        let assign = owner_compute_assignment(&g, &owner, nprocs);
-        let sched = rcp_order(&g, &assign, &CostModel::unit());
-        let mm = min_mem(&g, &sched).min_mem;
-        let a = run_managed(&g, &sched, MachineConfig::unit(nprocs, mm)).unwrap();
-        let b = run_managed(&g, &sched, MachineConfig::unit(nprocs, mm)).unwrap();
-        assert_eq!(a.parallel_time, b.parallel_time, "case {i}");
-        assert_eq!(a.maps, b.maps, "case {i}");
-        assert_eq!(a.finish, b.finish, "case {i}");
-    }
+    let t = sweep(&cases(|seed, s, p| Case {
+        driver: Des(Unit),
+        rounds: 2,
+        ..random(seed, s, p, Rcp, AtMin)
+    }));
+    assert_eq!(t.des_ok, CASES as usize, "{t:?}");
 }
 
-/// Theorem 2: a DTS schedule's per-processor peak is bounded by
-/// perm(p) + h where h = max slice volatile requirement.
 #[test]
 fn dts_theorem2_bound() {
-    for i in 0..CASES {
-        let (seed, spec, nprocs) = random_case(i);
-        let g = random_irregular_graph(seed, &spec);
-        let owner = cyclic_owner_map(g.num_objects(), nprocs);
-        let assign = owner_compute_assignment(&g, &owner, nprocs);
-        let dcg = Dcg::build(&g);
-        let h = dcg.theorem2_h(&g, &assign);
-        let sched = dts_order(&g, &assign, &CostModel::unit());
-        let rep = min_mem(&g, &sched);
-        for p in 0..nprocs {
-            assert!(
-                rep.peak[p] <= rep.perm[p] + h,
-                "case {i} P{p}: {} > {} + {h}",
-                rep.peak[p],
-                rep.perm[p]
-            );
-        }
-    }
+    // DTS peaks within `perm + h`, and at that capacity both drivers run.
+    let t =
+        sweep(&cases(|seed, s, p| Case { driver: Both(Unit), ..random(seed, s, p, Dts, Thm2) }));
+    assert_eq!(t.des_ok, CASES as usize, "{t:?}");
 }
 
-/// Slice merging respects the volatile budget: the merged schedule
-/// needs no more than the strict-DTS requirement plus the budget.
 #[test]
 fn slice_merging_budget() {
-    for i in 0..CASES {
-        let (seed, spec, nprocs) = random_case(i);
-        let g = random_irregular_graph(seed, &spec);
-        let owner = cyclic_owner_map(g.num_objects(), nprocs);
-        let assign = owner_compute_assignment(&g, &owner, nprocs);
-        let dcg = Dcg::build(&g);
-        let budget = g.seq_space() / 2;
-        let (merged_of, nmerged) = merge_slices(&g, &assign, &dcg, budget);
-        assert!(nmerged <= dcg.num_slices, "case {i}");
-        // Merged ids are monotone over slice ids (consecutive merging).
-        for w in merged_of.windows(2) {
-            assert!(w[0] == w[1] || w[0] + 1 == w[1], "case {i}");
-        }
-        // Sum of H within each merged slice stays within budget (unless a
-        // single slice already exceeds it).
-        let mut sums = vec![0u64; nmerged as usize];
-        for (l, &ml) in merged_of.iter().enumerate() {
-            sums[ml as usize] += dcg.max_volatile_space(&g, &assign, l as u32);
-        }
-        for (ml, &s) in sums.iter().enumerate() {
-            let single = merged_of.iter().filter(|&&x| x == ml as u32).count() == 1;
-            assert!(s <= budget || single, "case {i} merged slice {ml}");
-        }
-    }
+    sweep(&cases(|seed, s, p| random(seed, s, p, DtsMerged, AtMin)));
 }
 
-/// The memory-managed run never beats the unmanaged baseline on the
-/// zero-overhead unit machine by more than float noise, and never
-/// exceeds its memory.
 #[test]
 fn managed_vs_unmanaged_sanity() {
-    for i in 0..CASES {
-        let (seed, spec, nprocs) = random_case(i);
-        let g = random_irregular_graph(seed, &spec);
-        let owner = cyclic_owner_map(g.num_objects(), nprocs);
-        let assign = owner_compute_assignment(&g, &owner, nprocs);
-        let sched = rcp_order(&g, &assign, &CostModel::unit());
-        let rep = min_mem(&g, &sched);
-        let machine = MachineConfig::unit(nprocs, rep.tot_no_recycle);
-        let base = run_unmanaged(&g, &sched, machine.clone()).unwrap();
-        let managed = run_managed(&g, &sched, machine).unwrap();
-        assert!(managed.parallel_time >= base.parallel_time - 1e-9, "case {i}");
-        assert!(managed.peak_mem.iter().zip(&base.peak_mem).all(|(m, b)| m <= b), "case {i}");
-    }
+    let t = sweep(&cases(|seed, s, p| Case { driver: Des(Unit), ..random(seed, s, p, Rcp, Tot) }));
+    assert_eq!(t.des_ok, CASES as usize, "{t:?}");
 }
 
-/// MEM_REQ monotonicity: the peak with recycling never exceeds the
-/// no-recycling footprint, and MIN_MEM is at least the largest
-/// permanent+single-task requirement.
 #[test]
 fn memreq_bounds_on_many_seeds() {
-    for seed in 0..40u64 {
-        let g = random_irregular_graph(seed, &RandomGraphSpec::default());
-        let owner = cyclic_owner_map(g.num_objects(), 3);
-        let assign = owner_compute_assignment(&g, &owner, 3);
-        let sched = rcp_order(&g, &assign, &CostModel::unit());
-        let rep = min_mem(&g, &sched);
-        for p in 0..3 {
-            assert!(rep.peak[p] <= rep.perm[p] + rep.vola_total[p]);
-            assert!(rep.peak[p] >= rep.perm[p]);
-        }
-        assert!(rep.min_mem <= rep.tot_no_recycle);
-    }
+    sweep(&grid(0..40, random(0, &RandomGraphSpec::default(), 3, Rcp, AtMin)));
 }
