@@ -13,10 +13,9 @@ use rapid_core::fixtures::{self, random_irregular_graph, RandomGraphSpec};
 use rapid_core::graph::{TaskGraph, TaskId};
 use rapid_core::memreq::min_mem;
 use rapid_core::schedule::{evaluate, CostModel, Schedule};
-use rapid_machine::arena::FitPolicy;
 use rapid_machine::config::MachineConfig;
-use rapid_rt::des::{run_managed, DesConfig, DesExecutor};
-use rapid_rt::maps::{MapWindow, RtPlan};
+use rapid_rt::des::run_managed;
+use rapid_rt::maps::RtPlan;
 use rapid_rt::recover::RecoveryPolicy;
 use rapid_rt::threaded::{TaskCtx, ThreadedExecutor};
 use rapid_sched::assign::{cyclic_owner_map, owner_compute_assignment};
@@ -46,7 +45,7 @@ pub static EXPERIMENTS: [Experiment; 11] = [
     Experiment { name: "table7", about: "parallel time, RCP vs DTS with merging", run: table7 },
     Experiment { name: "fig7", about: "memory scalability of RCP / MPO / DTS", run: fig7 },
     Experiment { name: "table8", about: "large LU that needs memory management", run: table8 },
-    Experiment { name: "ablation", about: "the four design-choice ablations", run: ablation },
+    Experiment { name: "ablation", about: "the two design-choice ablations", run: ablation },
 ];
 
 /// `P` followed by one column per memory percentage.
@@ -385,94 +384,26 @@ fn table8(scale: Scale) {
 
 /// Ablation studies of the design choices the paper argues for:
 ///
-/// 1. **MAP window** — greedy (paper) vs one-task-per-MAP: greedy needs
-///    far fewer allocation points for the same footprint.
-/// 2. **Arena placement** — best-fit vs first-fit under the threaded
-///    executor's real alloc/free trace: fragmentation headroom needed
-///    above `MIN_MEM` (the §6 fragmentation observation).
-/// 3. **Commuting updates** — the §2 model extension: marking a block's
+/// 1. **Commuting updates** — the §2 model extension: marking a block's
 ///    trailing updates as commutative removes their artificial chains.
 ///    Finding: for 2-D Cholesky the chains run parallel to the
 ///    Fact→Scale→Update step paths, so predicted time and depth barely
 ///    move — the marking buys scheduling robustness (any arrival order
 ///    is ready), not critical-path length.
-/// 4. **Dependence-structure storage** — the §6 observation that the
+/// 2. **Dependence-structure storage** — the §6 observation that the
 ///    dependence structure itself consumes 18–50 % of memory: report the
 ///    estimated control-structure words next to the data space.
+///
+/// The greedy MAP window and the best-fit arena are no longer options;
+/// the ablations that compared them are recorded in EXPERIMENTS.md.
 fn ablation(scale: Scale) {
-    let ps = procs_sweep(scale);
     let (lu_name, lu) = lu_workload(scale);
-    println!("workload: sparse LU ({lu_name}), capacities at 50% of TOT\n");
 
-    // 1: DES ablation.
-    let mut rows = Vec::new();
-    for &p in &ps {
-        let sched = schedule(&lu, p, Order::Mpo, u64::MAX);
-        let rep = min_mem(lu.graph(), &sched);
-        // Midpoint between the recycling requirement and the no-recycling
-        // footprint: guaranteed executable, still under pressure.
-        let cap = (rep.min_mem + rep.tot_no_recycle) / 2;
-        let machine = MachineConfig::t3d(p).with_capacity(cap);
-        let run = |cfg: DesConfig| DesExecutor::new(lu.graph(), &sched, cfg).run();
-        let greedy = run(DesConfig::managed(machine.clone()));
-        let single = run(DesConfig::managed(machine).with_window(MapWindow::Single));
-        let cells = match (greedy, single) {
-            (Ok(g), Ok(s)) => vec![
-                format!("{:.2}", g.avg_maps()),
-                format!("{:.2}", s.avg_maps()),
-                format!("{:+.1}%", (s.parallel_time / g.parallel_time - 1.0) * 100.0),
-            ],
-            _ => vec!["∞".into(); 3],
-        };
-        rows.push((format!("P={p}"), cells));
-    }
-    println!(
-        "{}",
-        render_table(
-            "Ablation 1: MAP window (vs greedy)",
-            &["P", "#MAPs greedy", "#MAPs single", "PT single"].map(String::from),
-            &rows
-        )
-    );
-
-    // 2: arena placement under the threaded executor's allocation trace.
-    // A min-degree-ordered FEM matrix with a non-uniform tail block gives
-    // the mixed object sizes that expose placement-policy effects (this
-    // exact configuration fragments under first-fit).
-    let a = gen::bcsstk_like(5, 5, 3, 11);
-    let a = a.permute_sym(&order::min_degree(&a));
-    let model = taskgen::cholesky_2d_model(&a, 10, 4);
-    let assign = owner_compute_assignment(&model.graph, &model.owner, 4);
-    let sched = rcp_order(&model.graph, &assign, &CostModel::unit());
-    let mm = min_mem(&model.graph, &sched).min_mem;
-    println!("Ablation 2: arena placement, 2-D Cholesky n={} p=4, MIN_MEM={mm}", a.ncols);
-    // Find the smallest capacity at which each policy follows the counted
-    // placement to the end: no allocation that fails, no window cut short.
-    // The threaded executor's address plan is the best-fit walk; the
-    // first-fit one exists for this comparison only.
-    let plan = RtPlan::new(&model.graph, &sched);
-    for policy in [FitPolicy::BestFit, FitPolicy::FirstFit] {
-        let fits = |cap| {
-            plan.address_plan(&model.graph, &sched, cap, MapWindow::Greedy, policy)
-                .is_ok_and(|a| a.cuts.iter().all(|&c| c == 0))
-        };
-        let mut cap = mm;
-        while !fits(cap) {
-            cap += mm / 100 + 1;
-        }
-        println!(
-            "  {:?}: completes at capacity {} (+{:.1}% over MIN_MEM)",
-            policy,
-            cap,
-            (cap as f64 / mm as f64 - 1.0) * 100.0
-        );
-    }
-
-    // 3: strict vs marked-commuting 2-D Cholesky.
+    // 1: strict vs marked-commuting 2-D Cholesky.
     let a = gen::bcsstk_like(10, 10, 3, 17);
     let a = a.permute_sym(&order::min_degree(&a));
     let p = 8;
-    println!("\nAblation 3: commuting trailing updates, 2-D Cholesky n={} p={p}", a.ncols);
+    println!("Ablation 1: commuting trailing updates, 2-D Cholesky n={} p={p}", a.ncols);
     let cost = CostModel::unit();
     for (name, m) in [
         ("strict   ", taskgen::cholesky_2d_model(&a, 8, p)),
@@ -489,8 +420,8 @@ fn ablation(scale: Scale) {
         );
     }
 
-    // 4: dependence-structure storage vs data space (§6).
-    println!("\nAblation 4: dependence-structure storage (paper §6: 18-50% of memory)");
+    // 2: dependence-structure storage vs data space (§6).
+    println!("\nAblation 2: dependence-structure storage (paper §6: 18-50% of memory)");
     let report = |label: &str, w: &Workload| {
         let sched = schedule(w, 8, Order::Rcp, u64::MAX);
         let ctrl = RtPlan::new(w.graph(), &sched).control_units(w.graph());

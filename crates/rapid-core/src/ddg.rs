@@ -15,7 +15,7 @@
 //! by construction, which is the precondition of the paper's Theorem 1
 //! data-consistency argument.
 
-use crate::graph::{sort_dedup_from, Csr, GraphError, ObjId, TaskGraph, TaskGraphBuilder, TaskId};
+use crate::graph::{sort_dedup_from, GraphError, ObjId, TaskGraph, TaskGraphBuilder, TaskId};
 use std::fmt;
 
 /// How a task touches an object in the sequential trace.
@@ -39,30 +39,17 @@ pub enum AccessKind {
     Accum,
 }
 
-/// Renaming policy for `Write` accesses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WritePolicy {
-    /// Allocate a fresh object version for every `Write` def, eliminating
-    /// anti and output dependencies at the cost of more objects (the
-    /// renaming transformation of the paper's §3.1 discussion).
-    Rename,
-    /// Keep writes in place; anti and output dependencies become real
-    /// ordering edges in the produced graph.
-    InPlace,
-}
-
 /// Edge-class statistics reported by [`TraceBuilder::build`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DdgStats {
     /// Read-after-write edges (including update chains).
     pub true_edges: usize,
-    /// Write-after-read edges kept as ordering edges.
+    /// Write-after-read edges kept as ordering edges (updates and
+    /// commuting batches after readers of the old value).
     pub anti_edges: usize,
-    /// Write-after-write edges kept as ordering edges.
-    pub output_edges: usize,
     /// Anti/output dependencies removed by renaming.
     pub eliminated_by_renaming: usize,
-    /// Duplicate or transitively redundant edges dropped.
+    /// Duplicate edges dropped.
     pub redundant_removed: usize,
     /// Fresh object versions introduced by renaming.
     pub versions_added: usize,
@@ -80,12 +67,14 @@ enum Producer {
     Batch(Vec<TaskId>),
 }
 
-/// Builds a transformed task graph from a sequential access trace.
-#[derive(Debug)]
+/// Builds a transformed task graph from a sequential access trace. Every
+/// `Write` def of a value someone has read or produced gets a fresh
+/// object version (the renaming transformation of the paper's §3.1
+/// discussion), so no anti or output dependence on a `Write` survives.
+#[derive(Debug, Default)]
 pub struct TraceBuilder {
     b: TaskGraphBuilder,
-    policy: WritePolicy,
-    /// Current version of each *logical* object (identity under `Rename`).
+    /// Current version of each *logical* object.
     current: Vec<ObjId>,
     /// Size of each logical object (for renaming).
     logical_size: Vec<u64>,
@@ -112,30 +101,13 @@ pub struct TraceBuilder {
 }
 
 impl TraceBuilder {
-    /// New builder with the given write policy.
-    pub fn new(policy: WritePolicy) -> Self {
-        TraceBuilder {
-            b: TaskGraphBuilder::new(),
-            policy,
-            current: Vec::new(),
-            logical_size: Vec::new(),
-            producer: Vec::new(),
-            readers_since: Vec::new(),
-            open_batch: Vec::new(),
-            batch_base: Vec::new(),
-            batch_readers: Vec::new(),
-            next_commute_group: 0,
-            stats: DdgStats::default(),
-            acc: Vec::new(),
-            merged: Vec::new(),
-            reads: Vec::new(),
-            writes: Vec::new(),
-        }
+    /// New, empty builder.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Declare a logical data object of `size` units; returns its id.
-    /// Under [`WritePolicy::Rename`] the id names the *latest version* at
-    /// each point of the trace.
+    /// Declare a logical data object of `size` units; returns its id. The
+    /// id names the *latest version* at each point of the trace.
     pub fn add_object(&mut self, size: u64) -> ObjId {
         let d = self.b.add_object(size);
         self.current.push(d);
@@ -288,32 +260,22 @@ impl TraceBuilder {
                     self.reads.push(cur);
                     self.writes.push(cur);
                 }
-                AccessKind::Write => match self.policy {
-                    WritePolicy::Rename => {
-                        // A fresh version removes the would-be anti and
-                        // output edges entirely; the first def of a value
-                        // nobody has read yet just takes ownership.
-                        self.close_batch(v);
-                        let has_producer = !matches!(self.producer[v], Producer::None);
-                        let prior_deps = self.readers_since[v].len() + usize::from(has_producer);
-                        self.stats.eliminated_by_renaming += prior_deps;
-                        if prior_deps == 0 {
-                            self.producer[v] = Producer::Task(t);
-                            self.writes.push(cur);
-                        } else {
-                            let nv = self.new_version(li, t);
-                            self.writes.push(nv);
-                        }
-                    }
-                    WritePolicy::InPlace => {
-                        self.close_batch(v);
-                        let p = self.producer[v].clone();
-                        self.edges_from_producer(&p, t, EdgeClass::Output);
-                        self.edges_from_readers(v, t);
+                AccessKind::Write => {
+                    // A fresh version removes the would-be anti and output
+                    // edges entirely; the first def of a value nobody has
+                    // read yet just takes ownership.
+                    self.close_batch(v);
+                    let has_producer = !matches!(self.producer[v], Producer::None);
+                    let prior_deps = self.readers_since[v].len() + usize::from(has_producer);
+                    self.stats.eliminated_by_renaming += prior_deps;
+                    if prior_deps == 0 {
                         self.producer[v] = Producer::Task(t);
                         self.writes.push(cur);
+                    } else {
+                        let nv = self.new_version(li, t);
+                        self.writes.push(nv);
                     }
-                },
+                }
             }
         }
         self.merged = merged;
@@ -357,22 +319,16 @@ impl TraceBuilder {
         match class {
             EdgeClass::True => self.stats.true_edges += 1,
             EdgeClass::Anti => self.stats.anti_edges += 1,
-            EdgeClass::Output => self.stats.output_edges += 1,
         }
         self.b.add_edge(from, to);
     }
 
-    /// Finish: optionally drop transitively redundant edges (duplicates
-    /// went as each task was added) and build the transformed graph.
-    pub fn build(mut self, reduce: bool) -> Result<(TaskGraph, DdgStats), GraphError> {
+    /// Finish: build the transformed graph (duplicate edges went as each
+    /// task was added).
+    pub fn build(mut self) -> Result<(TaskGraph, DdgStats), GraphError> {
         // Flush still-open commuting batches so their groups are recorded.
         for v in 0..self.open_batch.len() {
             self.close_batch(v);
-        }
-        if reduce {
-            let (kept, removed) = transitive_reduce(self.b.num_tasks(), &self.b.edges);
-            self.stats.redundant_removed += removed;
-            self.b.edges = kept;
         }
         let g = self.b.build()?;
         Ok((g, self.stats))
@@ -383,57 +339,6 @@ impl TraceBuilder {
 enum EdgeClass {
     True,
     Anti,
-    Output,
-}
-
-/// Remove edges `(a, b)` for which another path `a -> … -> b` exists.
-/// O(v·e) DFS-based reduction; the input edge list must describe a DAG.
-fn transitive_reduce(n: usize, edges: &[(u32, u32)]) -> (Vec<(u32, u32)>, usize) {
-    // Sorted by (to, from) and duplicate-free, so every row is too.
-    let succ = Csr::group(n, edges.iter().map(|&(a, b)| (a as usize, b)));
-    let mut keep = Vec::with_capacity(edges.len());
-    let mut removed = 0usize;
-    let mut mark = vec![0u32; n];
-    let mut epoch = 0u32;
-    let mut stack: Vec<u32> = Vec::new();
-    for a in 0..n {
-        if succ[a].len() < 2 {
-            for &b in &succ[a] {
-                keep.push((a as u32, b));
-            }
-            continue;
-        }
-        for &b in &succ[a] {
-            // Is b reachable from a without using the direct edge a->b?
-            epoch += 1;
-            stack.clear();
-            for &c in &succ[a] {
-                if c != b {
-                    stack.push(c);
-                    mark[c as usize] = epoch;
-                }
-            }
-            let mut found = false;
-            while let Some(v) = stack.pop() {
-                if v == b {
-                    found = true;
-                    break;
-                }
-                for &w in &succ[v as usize] {
-                    if mark[w as usize] != epoch {
-                        mark[w as usize] = epoch;
-                        stack.push(w);
-                    }
-                }
-            }
-            if found {
-                removed += 1;
-            } else {
-                keep.push((a as u32, b));
-            }
-        }
-    }
-    (keep, removed)
 }
 
 #[cfg(test)]
@@ -442,12 +347,12 @@ mod tests {
 
     #[test]
     fn true_dependence_chain() {
-        let mut tb = TraceBuilder::new(WritePolicy::Rename);
+        let mut tb = TraceBuilder::new();
         let d = tb.add_object(1);
         let t0 = tb.add_task(1.0, &[(d, AccessKind::Write)]);
         let t1 = tb.add_task(1.0, &[(d, AccessKind::Read)]);
         let t2 = tb.add_task(1.0, &[(d, AccessKind::Read)]);
-        let (g, st) = tb.build(false).unwrap();
+        let (g, st) = tb.build().unwrap();
         assert_eq!(st.true_edges, 2);
         assert_eq!(st.anti_edges, 0);
         assert!(g.has_edge(t0, t1));
@@ -457,15 +362,14 @@ mod tests {
 
     #[test]
     fn renaming_eliminates_output_and_anti() {
-        let mut tb = TraceBuilder::new(WritePolicy::Rename);
+        let mut tb = TraceBuilder::new();
         let d = tb.add_object(3);
         let _t0 = tb.add_task(1.0, &[(d, AccessKind::Write)]);
         let _t1 = tb.add_task(1.0, &[(d, AccessKind::Read)]);
         let _t2 = tb.add_task(1.0, &[(d, AccessKind::Write)]); // would be anti+output
         let _t3 = tb.add_task(1.0, &[(d, AccessKind::Read)]);
-        let (g, st) = tb.build(false).unwrap();
+        let (g, st) = tb.build().unwrap();
         assert_eq!(st.anti_edges, 0);
-        assert_eq!(st.output_edges, 0);
         assert_eq!(st.eliminated_by_renaming, 2); // one reader + one writer
         assert_eq!(st.versions_added, 1);
         assert_eq!(g.num_objects(), 2);
@@ -475,30 +379,13 @@ mod tests {
     }
 
     #[test]
-    fn in_place_keeps_ordering_edges() {
-        let mut tb = TraceBuilder::new(WritePolicy::InPlace);
-        let d = tb.add_object(1);
-        let t0 = tb.add_task(1.0, &[(d, AccessKind::Write)]);
-        let t1 = tb.add_task(1.0, &[(d, AccessKind::Read)]);
-        let t2 = tb.add_task(1.0, &[(d, AccessKind::Write)]);
-        let (g, st) = tb.build(false).unwrap();
-        assert_eq!(st.anti_edges, 1);
-        assert_eq!(st.output_edges, 1);
-        assert!(g.has_edge(t1, t2));
-        assert!(g.has_edge(t0, t2));
-        assert_eq!(g.num_objects(), 1);
-        assert!(g.is_dependence_complete());
-        let _ = t0;
-    }
-
-    #[test]
     fn update_chain_is_true_dependence() {
-        let mut tb = TraceBuilder::new(WritePolicy::Rename);
+        let mut tb = TraceBuilder::new();
         let d = tb.add_object(1);
         let t0 = tb.add_task(1.0, &[(d, AccessKind::Write)]);
         let t1 = tb.add_task(1.0, &[(d, AccessKind::Update)]);
         let t2 = tb.add_task(1.0, &[(d, AccessKind::Update)]);
-        let (g, st) = tb.build(false).unwrap();
+        let (g, st) = tb.build().unwrap();
         assert_eq!(st.true_edges, 2);
         assert!(g.has_edge(t0, t1));
         assert!(g.has_edge(t1, t2));
@@ -509,11 +396,11 @@ mod tests {
 
     #[test]
     fn duplicate_accesses_merge_to_update() {
-        let mut tb = TraceBuilder::new(WritePolicy::Rename);
+        let mut tb = TraceBuilder::new();
         let d = tb.add_object(1);
         let t0 = tb.add_task(1.0, &[(d, AccessKind::Write)]);
         let t1 = tb.add_task(1.0, &[(d, AccessKind::Read), (d, AccessKind::Write)]);
-        let (g, _) = tb.build(false).unwrap();
+        let (g, _) = tb.build().unwrap();
         assert!(g.has_edge(t0, t1));
         assert_eq!(g.reads(t1), &[0]);
         assert_eq!(g.writes(t1), &[0]);
@@ -523,14 +410,14 @@ mod tests {
     fn accum_batch_is_unordered() {
         // W, A1, A2, A3, R: every accumulator depends on W only; the
         // reader depends on all three; no edges among accumulators.
-        let mut tb = TraceBuilder::new(WritePolicy::Rename);
+        let mut tb = TraceBuilder::new();
         let d = tb.add_object(1);
         let w = tb.add_task(1.0, &[(d, AccessKind::Write)]);
         let a1 = tb.add_task(1.0, &[(d, AccessKind::Accum)]);
         let a2 = tb.add_task(1.0, &[(d, AccessKind::Accum)]);
         let a3 = tb.add_task(1.0, &[(d, AccessKind::Accum)]);
         let r = tb.add_task(1.0, &[(d, AccessKind::Read)]);
-        let (g, st) = tb.build(false).unwrap();
+        let (g, st) = tb.build().unwrap();
         for a in [a1, a2, a3] {
             assert!(g.has_edge(w, a));
             assert!(g.has_edge(a, r));
@@ -545,12 +432,12 @@ mod tests {
 
     #[test]
     fn ordered_update_closes_accum_batch() {
-        let mut tb = TraceBuilder::new(WritePolicy::Rename);
+        let mut tb = TraceBuilder::new();
         let d = tb.add_object(1);
         let a1 = tb.add_task(1.0, &[(d, AccessKind::Accum)]);
         let a2 = tb.add_task(1.0, &[(d, AccessKind::Accum)]);
         let u = tb.add_task(1.0, &[(d, AccessKind::Update)]);
-        let (g, _) = tb.build(false).unwrap();
+        let (g, _) = tb.build().unwrap();
         assert!(g.has_edge(a1, u));
         assert!(g.has_edge(a2, u));
         assert!(!g.has_edge(a1, a2));
@@ -561,12 +448,12 @@ mod tests {
     fn read_splits_accum_batches() {
         // A1, R, A2: the read observes A1's value, so A2 must come after
         // both (a new batch on the post-read value).
-        let mut tb = TraceBuilder::new(WritePolicy::Rename);
+        let mut tb = TraceBuilder::new();
         let d = tb.add_object(1);
         let a1 = tb.add_task(1.0, &[(d, AccessKind::Accum)]);
         let r = tb.add_task(1.0, &[(d, AccessKind::Read)]);
         let a2 = tb.add_task(1.0, &[(d, AccessKind::Accum)]);
-        let (g, st) = tb.build(false).unwrap();
+        let (g, st) = tb.build().unwrap();
         assert!(g.has_edge(a1, r));
         assert!(g.has_edge(a1, a2), "A2 accumulates onto A1's closed batch");
         assert!(g.has_edge(r, a2), "anti edge: the read sees the pre-A2 value");
@@ -580,13 +467,13 @@ mod tests {
         // Regression: W, R, A1, A2 — both accumulators overwrite what R
         // read, so BOTH need anti edges from R (the joiner A2 used to get
         // only the base edge).
-        let mut tb = TraceBuilder::new(WritePolicy::Rename);
+        let mut tb = TraceBuilder::new();
         let d = tb.add_object(1);
         let w = tb.add_task(1.0, &[(d, AccessKind::Write)]);
         let r = tb.add_task(1.0, &[(d, AccessKind::Read)]);
         let a1 = tb.add_task(1.0, &[(d, AccessKind::Accum)]);
         let a2 = tb.add_task(1.0, &[(d, AccessKind::Accum)]);
-        let (g, _) = tb.build(false).unwrap();
+        let (g, _) = tb.build().unwrap();
         assert!(g.has_edge(w, r));
         assert!(g.has_edge(r, a1), "batch starter ordered after reader");
         assert!(g.has_edge(r, a2), "batch joiner ordered after reader");
@@ -599,13 +486,13 @@ mod tests {
     fn multi_object_accum_degrades_to_ordered_updates() {
         // A task accumulating two different objects cannot join two
         // commuting groups; it degrades to ordered updates.
-        let mut tb = TraceBuilder::new(WritePolicy::Rename);
+        let mut tb = TraceBuilder::new();
         let d = tb.add_object(1);
         let e = tb.add_object(1);
         let a1 = tb.add_task(1.0, &[(d, AccessKind::Accum)]);
         let both = tb.add_task(1.0, &[(d, AccessKind::Accum), (e, AccessKind::Accum)]);
         let a2 = tb.add_task(1.0, &[(d, AccessKind::Accum)]);
-        let (g, _) = tb.build(false).unwrap();
+        let (g, _) = tb.build().unwrap();
         assert!(g.commute_group(both).is_none(), "degraded task has no group");
         assert!(g.has_edge(a1, both), "ordered update closes the batch");
         assert!(g.has_edge(both, a2));
@@ -614,40 +501,24 @@ mod tests {
 
     #[test]
     fn accum_plus_other_kind_in_one_task_degrades_to_update() {
-        let mut tb = TraceBuilder::new(WritePolicy::Rename);
+        let mut tb = TraceBuilder::new();
         let d = tb.add_object(1);
         let a1 = tb.add_task(1.0, &[(d, AccessKind::Accum)]);
         let mixed = tb.add_task(1.0, &[(d, AccessKind::Accum), (d, AccessKind::Read)]);
-        let (g, _) = tb.build(false).unwrap();
+        let (g, _) = tb.build().unwrap();
         assert!(g.has_edge(a1, mixed), "mixed access is an ordered update");
         assert!(!g.commutes(a1, mixed));
-    }
-
-    #[test]
-    fn transitive_reduction_drops_subsumed_edge() {
-        let mut tb = TraceBuilder::new(WritePolicy::Rename);
-        let d0 = tb.add_object(1);
-        let d1 = tb.add_object(1);
-        let t0 = tb.add_task(1.0, &[(d0, AccessKind::Write)]);
-        let _t1 = tb.add_task(1.0, &[(d0, AccessKind::Read), (d1, AccessKind::Write)]);
-        // t2 reads both d0 and d1: the edge t0->t2 is subsumed by
-        // t0->t1->t2.
-        let t2 = tb.add_task(1.0, &[(d0, AccessKind::Read), (d1, AccessKind::Read)]);
-        let (g, st) = tb.build(true).unwrap();
-        assert!(!g.has_edge(t0, t2));
-        assert_eq!(st.redundant_removed, 1);
-        assert_eq!(g.num_edges(), 2);
     }
 
     #[test]
     fn read_of_initial_value_then_write_renames() {
         // A read of the never-written initial value followed by a write
         // must not let the writer overwrite what the reader sees.
-        let mut tb = TraceBuilder::new(WritePolicy::Rename);
+        let mut tb = TraceBuilder::new();
         let d = tb.add_object(1);
         let t0 = tb.add_task(1.0, &[(d, AccessKind::Read)]);
         let t1 = tb.add_task(1.0, &[(d, AccessKind::Write)]);
-        let (g, st) = tb.build(false).unwrap();
+        let (g, st) = tb.build().unwrap();
         assert_eq!(st.anti_edges, 0);
         assert_eq!(g.num_objects(), 2);
         assert!(!g.has_edge(t0, t1));

@@ -235,9 +235,9 @@ impl Default for RandomGraphSpec {
 /// be a dependence-complete DAG with mixed granularities, resembling the
 /// partitioned sparse codes the paper targets.
 pub fn random_irregular_graph(seed: u64, spec: &RandomGraphSpec) -> TaskGraph {
-    use crate::ddg::{AccessKind, TraceBuilder, WritePolicy};
+    use crate::ddg::{AccessKind, TraceBuilder};
     let mut rng = SplitMix64(seed ^ 0xA5A5_5A5A_DEAD_BEEF);
-    let mut tb = TraceBuilder::new(WritePolicy::Rename);
+    let mut tb = TraceBuilder::new();
     let objs: Vec<ObjId> =
         (0..spec.objects).map(|_| tb.add_object(1 + rng.below(spec.max_obj_size))).collect();
     let mut written: Vec<ObjId> = Vec::new();
@@ -276,7 +276,7 @@ pub fn random_irregular_graph(seed: u64, spec: &RandomGraphSpec) -> TaskGraph {
             written.push(out);
         }
     }
-    let (g, _) = tb.build(false).expect("random trace builds a DAG");
+    let (g, _) = tb.build().expect("random trace builds a DAG");
     g
 }
 

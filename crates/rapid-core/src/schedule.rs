@@ -60,12 +60,6 @@ impl Assignment {
         self.owner[d.idx()]
     }
 
-    /// Is `d` a permanent object of processor `p` (Definition 3)?
-    #[inline]
-    pub fn is_permanent(&self, d: ObjId, p: ProcId) -> bool {
-        self.owner[d.idx()] == p
-    }
-
     /// The set `TA(P_x)` for every processor: tasks grouped by processor,
     /// preserving task-id order.
     pub fn tasks_by_proc(&self) -> Vec<Vec<TaskId>> {

@@ -4,9 +4,10 @@
 //! data-object space inside a fixed per-processor region so that remote
 //! processors can deposit data with RMA at known offsets. This allocator
 //! hands out offsets in *allocation units* (one unit = one `f64`) from an
-//! address-ordered free list with coalescing, best-fit unless first-fit is
-//! asked for ([`FitPolicy`]); it also tracks the in-use peak so
-//! executors can report actual memory behaviour.
+//! address-ordered free list with coalescing, best fit: with the MAP
+//! allocation pattern exact-size holes get reused and fragmentation stays
+//! low. It also tracks the in-use peak so executors can report actual
+//! memory behaviour.
 //!
 //! The MAP walks allocate and free tens of thousands of small blocks
 //! against a free list of about a hundred, so both halves are kept cheap
@@ -62,28 +63,13 @@ impl fmt::Display for ArenaError {
 
 impl std::error::Error for ArenaError {}
 
-/// Placement policy for [`Arena`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum FitPolicy {
-    /// Smallest free block that fits (default): with the MAP allocation
-    /// pattern, exact-size holes get reused and fragmentation stays low.
-    #[default]
-    BestFit,
-    /// Lowest-address free block that fits: simpler and faster per
-    /// allocation, but fragments under mixed sizes — the behaviour the
-    /// paper's §6 complains about ("space freed from irregular
-    /// dependence structures usually contains many small pieces and is
-    /// hard to be re-utilized"). Kept for the ablation bench.
-    FirstFit,
-}
-
-/// Free-list allocator over `[0, capacity)` units with explicit free.
+/// Best-fit free-list allocator over `[0, capacity)` units with explicit
+/// free.
 #[derive(Clone, Debug)]
 pub struct Arena {
     capacity: u64,
     /// Units at the bottom that were never this arena's to hand out.
     reserved: u64,
-    policy: FitPolicy,
     /// Free blocks `(offset, len)`, sorted by offset, never adjacent.
     free: Vec<(u64, u64)>,
     /// Live allocations by offset.
@@ -93,23 +79,22 @@ pub struct Arena {
 }
 
 impl Arena {
-    /// New best-fit arena of `capacity` units, all free.
+    /// New arena of `capacity` units, all free.
     pub fn new(capacity: u64) -> Self {
-        Self::with_reserved(capacity, 0, FitPolicy::BestFit)
+        Self::with_reserved(capacity, 0)
     }
 
-    /// New arena of the given placement policy whose lowest `reserved`
+    /// New arena whose lowest `reserved`
     /// units (at most `capacity`) are taken for good: a prefix laid out by
     /// someone else — the permanent objects, bump-allocated in id order —
     /// that counts as in use and is never freed. The same state as
     /// allocating the prefix block by block from a fresh arena, without a
     /// `live` entry per block.
-    pub fn with_reserved(capacity: u64, reserved: u64, policy: FitPolicy) -> Self {
+    pub fn with_reserved(capacity: u64, reserved: u64) -> Self {
         let reserved = reserved.min(capacity);
         Arena {
             capacity,
             reserved,
-            policy,
             free: if capacity > reserved {
                 vec![(reserved, capacity - reserved)]
             } else {
@@ -153,24 +138,18 @@ impl Arena {
         if len > self.free_units() {
             return Err(ArenaError::OutOfMemory { requested: len, free: self.free_units() });
         }
-        let slot = match self.policy {
-            FitPolicy::BestFit => {
-                // The smallest block that fits, the lowest offset among
-                // equals: an exact fit cannot be beaten.
-                let mut best: Option<(usize, u64)> = None;
-                for (i, &(_, l)) in self.free.iter().enumerate() {
-                    if l >= len && best.is_none_or(|(_, b)| l < b) {
-                        best = Some((i, l));
-                        if l == len {
-                            break;
-                        }
-                    }
+        // The smallest block that fits, the lowest offset among equals: an
+        // exact fit cannot be beaten.
+        let mut best: Option<(usize, u64)> = None;
+        for (i, &(_, l)) in self.free.iter().enumerate() {
+            if l >= len && best.is_none_or(|(_, b)| l < b) {
+                best = Some((i, l));
+                if l == len {
+                    break;
                 }
-                best.map(|(i, _)| i)
             }
-            FitPolicy::FirstFit => self.free.iter().position(|&(_, l)| l >= len),
-        };
-        let Some(i) = slot else {
+        }
+        let Some((i, _)) = best else {
             return Err(ArenaError::Fragmented { requested: len, largest: self.largest_free() });
         };
         let (off, blen) = self.free[i];
@@ -337,27 +316,24 @@ mod tests {
     fn reserved_prefix_is_the_state_block_by_block_allocation_leaves() {
         // Permanents of sizes 3, 0, 4 bump-allocated from a fresh arena
         // against one reserved prefix of 7: every later answer agrees.
-        for policy in [FitPolicy::BestFit, FitPolicy::FirstFit] {
-            let mut a = Arena::with_reserved(20, 0, policy);
-            for len in [3, 0, 4] {
-                a.alloc(len).unwrap();
-            }
-            let mut b = Arena::with_reserved(20, 7, policy);
-            assert_eq!((b.in_use(), b.peak()), (7, 7));
-            let x = (a.alloc(5).unwrap(), b.alloc(5).unwrap());
-            assert_eq!(x, (7, 7));
-            assert_eq!(a.alloc(6), b.alloc(6));
-            a.free(x.0).unwrap();
-            b.free(x.1).unwrap();
-            let small = if policy == FitPolicy::BestFit { 18 } else { 7 };
-            assert_eq!((a.alloc(2), b.alloc(2)), (Ok(small), Ok(small)));
-            assert_eq!(a.alloc(4), b.alloc(4));
-            assert_eq!((a.in_use(), a.peak()), (b.in_use(), b.peak()));
-            assert_eq!(a.largest_free(), b.largest_free());
-            assert!(b.check_invariants());
-            assert_eq!(b.free(0), Err(ArenaError::BadFree(0)), "the prefix is not an allocation");
+        let mut a = Arena::new(20);
+        for len in [3, 0, 4] {
+            a.alloc(len).unwrap();
         }
-        let full = Arena::with_reserved(4, 9, FitPolicy::BestFit);
+        let mut b = Arena::with_reserved(20, 7);
+        assert_eq!((b.in_use(), b.peak()), (7, 7));
+        let x = (a.alloc(5).unwrap(), b.alloc(5).unwrap());
+        assert_eq!(x, (7, 7));
+        assert_eq!(a.alloc(6), b.alloc(6));
+        a.free(x.0).unwrap();
+        b.free(x.1).unwrap();
+        assert_eq!((a.alloc(2), b.alloc(2)), (Ok(18), Ok(18)));
+        assert_eq!(a.alloc(4), b.alloc(4));
+        assert_eq!((a.in_use(), a.peak()), (b.in_use(), b.peak()));
+        assert_eq!(a.largest_free(), b.largest_free());
+        assert!(b.check_invariants());
+        assert_eq!(b.free(0), Err(ArenaError::BadFree(0)), "the prefix is not an allocation");
+        let full = Arena::with_reserved(4, 9);
         assert_eq!((full.in_use(), full.free_units(), full.largest_free()), (4, 0, 0));
     }
 
@@ -459,7 +435,6 @@ mod tests {
     /// sorted list of live blocks. The oracle of the test below.
     struct ScanArena {
         capacity: u64,
-        policy: FitPolicy,
         free: Vec<(u64, u64)>,
         live: Vec<(u64, u64)>,
         in_use: u64,
@@ -467,11 +442,11 @@ mod tests {
     }
 
     impl ScanArena {
-        fn new(capacity: u64, reserved: u64, policy: FitPolicy) -> Self {
+        fn new(capacity: u64, reserved: u64) -> Self {
             let reserved = reserved.min(capacity);
             let free =
                 if capacity > reserved { vec![(reserved, capacity - reserved)] } else { vec![] };
-            ScanArena { capacity, policy, free, live: vec![], in_use: reserved, peak: reserved }
+            ScanArena { capacity, free, live: vec![], in_use: reserved, peak: reserved }
         }
 
         fn largest_free(&self) -> u64 {
@@ -484,11 +459,7 @@ mod tests {
                 return Err(ArenaError::OutOfMemory { requested: len, free: free_units });
             }
             let fits = self.free.iter().enumerate().filter(|&(_, &(_, l))| l >= len);
-            let slot = match self.policy {
-                FitPolicy::BestFit => fits.min_by_key(|&(_, &(_, l))| l).map(|(i, _)| i),
-                FitPolicy::FirstFit => fits.map(|(i, _)| i).next(),
-            };
-            let Some(i) = slot else {
+            let Some(i) = fits.min_by_key(|&(_, &(_, l))| l).map(|(i, _)| i) else {
                 return Err(ArenaError::Fragmented {
                     requested: len,
                     largest: self.largest_free(),
@@ -539,10 +510,9 @@ mod tests {
         };
         let (mut hits, mut misses) = (0, 0);
         for round in 0..200 {
-            let policy = if round % 3 == 0 { FitPolicy::FirstFit } else { FitPolicy::BestFit };
             let (cap, reserved) = (50 + rng(400), rng(40));
-            let mut a = Arena::with_reserved(cap, reserved, policy);
-            let mut b = ScanArena::new(cap, reserved, policy);
+            let mut a = Arena::with_reserved(cap, reserved);
+            let mut b = ScanArena::new(cap, reserved);
             let mut offs: Vec<u64> = Vec::new();
             for _ in 0..400 {
                 let op = rng(5);
@@ -578,27 +548,19 @@ mod tests {
 
     #[test]
     fn best_fit_reuses_exact_holes() {
-        // Free a 10-unit hole between live blocks; best-fit must place
-        // the next 10-unit request there while first-fit grabs the big
-        // tail block.
-        for (policy, expect_reuse) in [(FitPolicy::BestFit, true), (FitPolicy::FirstFit, false)] {
-            // Layout: a 30-unit free block at 0 and an exact 10-unit hole
-            // at 35, separated by live pins so nothing coalesces.
-            let mut a = Arena::with_reserved(100, 0, policy);
-            let x = a.alloc(30).unwrap(); // 0..30
-            let _p1 = a.alloc(5).unwrap(); // 30..35
-            let h = a.alloc(10).unwrap(); // 35..45
-            let _p2 = a.alloc(5).unwrap(); // 45..50
-            a.free(x).unwrap();
-            a.free(h).unwrap();
-            let got = a.alloc(10).unwrap();
-            if expect_reuse {
-                assert_eq!(got, 35, "best-fit takes the exact 10-unit hole");
-            } else {
-                assert_eq!(got, 0, "first-fit takes the lowest block");
-            }
-            assert!(a.check_invariants());
-        }
+        // Free a 10-unit hole between live blocks; best fit must place
+        // the next 10-unit request there, not in the lower 30-unit block.
+        // Layout: a 30-unit free block at 0 and an exact 10-unit hole at
+        // 35, separated by live pins so nothing coalesces.
+        let mut a = Arena::new(100);
+        let x = a.alloc(30).unwrap(); // 0..30
+        let _p1 = a.alloc(5).unwrap(); // 30..35
+        let h = a.alloc(10).unwrap(); // 35..45
+        let _p2 = a.alloc(5).unwrap(); // 45..50
+        a.free(x).unwrap();
+        a.free(h).unwrap();
+        assert_eq!(a.alloc(10).unwrap(), 35, "best fit takes the exact 10-unit hole");
+        assert!(a.check_invariants());
     }
 
     #[test]

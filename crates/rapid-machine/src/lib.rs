@@ -5,8 +5,7 @@
 //!
 //! - [`config`] — machine cost/capacity parameters with a T3D preset,
 //! - [`arena`] — the per-processor fixed-capacity allocator with explicit
-//!   free (best-fit free list over allocation units; first-fit available
-//!   for the fragmentation ablation),
+//!   free (best-fit free list over allocation units),
 //! - [`mailbox`] — single-slot address mailboxes: the paper's unbuffered
 //!   address-package channel (a source processor cannot send a new address
 //!   package until the destination has consumed the previous one),

@@ -53,7 +53,7 @@ use rapid_core::schedule::Schedule;
 use rapid_machine::fault::{FaultSite, ProcFaults};
 use rapid_machine::machine::Port;
 use rapid_machine::mailbox::AddrEntry;
-use rapid_trace::{FlatWriter, ProtoState, TraceTier, NO_OFFSET};
+use rapid_trace::{FlatWriter, ProtoState, NO_OFFSET};
 use std::time::Duration;
 
 /// Sentinel for "address not (yet) known" in the dense tables. Not
@@ -183,22 +183,6 @@ enum State {
 fn trace<'e>(tr: &mut Option<FlatWriter<'e>>, f: impl FnOnce(&mut FlatWriter<'e>)) {
     if let Some(w) = tr.as_mut() {
         f(w);
-    }
-}
-
-/// Timestamp of a task boundary or a message receipt: fresh at
-/// [`TraceTier::Full`], where per-task timeline spans are worth the clock
-/// reads, the cached one at Skeleton. State transitions, MAP ends and
-/// rollbacks always read the clock; alloc/free waves, package traffic, CQ
-/// retries and fault markers never do. The dwell metrics depend only on
-/// state transitions and the checker ignores timestamps, so the cache
-/// never changes a verdict.
-#[inline]
-fn fine_ts<E: Env>(w: &FlatWriter<'_>, env: &mut E) -> u64 {
-    if w.tier() == TraceTier::Full {
-        env.now()
-    } else {
-        env.recent()
     }
 }
 
@@ -642,14 +626,14 @@ impl<'e, P: Port> ProcCore<'e, P> {
         }
         for &mid in inbox {
             env.receive(mid);
-            trace(&mut self.tr, |w| w.msg_recv(fine_ts(w, env), mid));
+            trace(&mut self.tr, |w| w.msg_recv(env.now(), mid));
         }
         // EXE.
         env.charge(Cost::Lookup { accesses: g.reads(t).len() + g.writes(t).len() });
         self.enter(env, ProtoState::Exe);
         self.delayed(env, FaultSite::TaskJitter, ProcFaults::task_jitter);
         let pos = self.pos;
-        trace(&mut self.tr, |w| w.task_begin(fine_ts(w, env), t.0, pos));
+        trace(&mut self.tr, |w| w.task_begin(env.now(), t.0, pos));
         if let Err(cause) = env.run_task(t, &self.local) {
             let Some(pol) = self.spec.recovery else { return Err(cause) };
             if self.window_attempts >= pol.retry.window_attempts {
@@ -664,7 +648,7 @@ impl<'e, P: Port> ProcCore<'e, P> {
             self.state = State::Quiesce;
             return Ok(None);
         }
-        trace(&mut self.tr, |w| w.task_end(fine_ts(w, env), t.0));
+        trace(&mut self.tr, |w| w.task_end(env.now(), t.0));
         // SND.
         self.enter(env, ProtoState::Snd);
         for &mid in &plan.out_msgs[t.idx()] {
@@ -725,13 +709,9 @@ impl<'e, P: Port> ProcCore<'e, P> {
         let drained = self.port.drain(|src, pkg| {
             env.charge(Cost::Ra { src });
             if let Some(w) = tr.as_mut() {
-                // PkgRecv is a Full-only record; at Skeleton only the
-                // sequence numbers advance (the send side carries them).
-                if w.tier() == TraceTier::Full {
-                    pkg_ids.clear();
-                    pkg_ids.extend(pkg.iter().map(|e| e.obj));
-                    w.pkg_recv(env.recent(), src as u32, pkg_recv_seq[src], pkg_ids);
-                }
+                pkg_ids.clear();
+                pkg_ids.extend(pkg.iter().map(|e| e.obj));
+                w.pkg_recv(env.recent(), src as u32, pkg_recv_seq[src], pkg_ids);
                 pkg_recv_seq[src] += 1;
             }
             for e in pkg {

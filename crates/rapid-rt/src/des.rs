@@ -27,9 +27,7 @@ use rapid_core::schedule::Schedule;
 use rapid_machine::config::MachineConfig;
 use rapid_machine::fault::{FaultPlan, FaultSite, FaultSpec};
 use rapid_machine::machine::VirtualMachine;
-use rapid_trace::{
-    decode_rings, FlatRing, ProcMetrics, ProtoState, TraceConfig, TraceSet, TraceTier,
-};
+use rapid_trace::{decode_rings, FlatRing, ProcMetrics, ProtoState, TraceConfig, TraceSet};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Duration;
@@ -50,8 +48,6 @@ pub struct DesConfig {
     /// Enable active memory management (MAPs, recycling, address
     /// notification). Disabled = original RAPID: everything preallocated.
     pub memory_mgmt: bool,
-    /// MAP allocation window policy (ablation; the paper is greedy).
-    pub window: MapWindow,
     /// Deterministic fault plan. Message puts and address packages are
     /// held back by seeded virtual-time delays, arriving late and
     /// reordered; a processor whose package hand-off or placement an
@@ -68,24 +64,12 @@ pub struct DesConfig {
 impl DesConfig {
     /// Active-memory-management configuration on the given machine.
     pub fn managed(machine: MachineConfig) -> Self {
-        DesConfig {
-            machine,
-            memory_mgmt: true,
-            window: MapWindow::Greedy,
-            faults: None,
-            trace: None,
-        }
+        DesConfig { machine, memory_mgmt: true, faults: None, trace: None }
     }
 
     /// Original-RAPID configuration (no recycling).
     pub fn unmanaged(machine: MachineConfig) -> Self {
         DesConfig { memory_mgmt: false, ..Self::managed(machine) }
-    }
-
-    /// Override the MAP window policy.
-    pub fn with_window(mut self, window: MapWindow) -> Self {
-        self.window = window;
-        self
     }
 
     /// Inject a deterministic fault plan (see [`DesConfig::faults`]).
@@ -121,8 +105,7 @@ pub struct DesOutcome {
     pub suspended_sends: usize,
     /// Per-task finish times (simulated seconds).
     pub finish: Vec<f64>,
-    /// Recorded event traces when [`DesConfig::trace`] was set at a
-    /// tier other than [`TraceTier::Off`].
+    /// Recorded event traces when [`DesConfig::trace`] was set.
     pub trace: Option<TraceSet>,
     /// Per-processor metrics replayed from the trace (present exactly
     /// when `trace` is).
@@ -312,14 +295,11 @@ impl<'a> DesExecutor<'a> {
         assert_eq!(nprocs, m.nprocs, "schedule and machine disagree on processor count");
 
         // Recording goes straight into per-processor flat rings; the
-        // typed trace is decoded once at the end of the run. Headroom on
-        // top of the configured capacity absorbs the multi-record object
-        // lists of package events.
-        let tier = self.cfg.trace.map_or(TraceTier::Off, |tc| tc.tier);
-        let rings: Option<Vec<FlatRing>> = (tier != TraceTier::Off).then(|| {
-            let cap = self.cfg.trace.map_or(0, |tc| tc.capacity);
-            (0..nprocs).map(|p| FlatRing::new(p as u32, cap + cap / 4)).collect()
-        });
+        // typed trace is decoded once at the end of the run.
+        let rings: Option<Vec<FlatRing>> = self
+            .cfg
+            .trace
+            .map(|tc| (0..nprocs).map(|p| FlatRing::new(p as u32, tc.ring_records())).collect());
 
         // Address mailboxes: the cores talk to the same `Port` surface as
         // under the threaded executor, here over virtual time. At most one
@@ -350,7 +330,7 @@ impl<'a> DesExecutor<'a> {
         // verifier does. The DES places no real buffers, so there are no
         // offsets; original RAPID performs no MAP at all.
         let maps = if self.cfg.memory_mgmt {
-            self.plan.place_maps(self.g, self.sched, m.capacity, self.cfg.window)?.per_proc
+            self.plan.place_maps(self.g, self.sched, m.capacity, MapWindow::Greedy)?.per_proc
         } else {
             vec![Vec::new(); nprocs]
         };
@@ -376,7 +356,7 @@ impl<'a> DesExecutor<'a> {
                 p,
                 vm.port(p),
                 faults.as_ref().map(|f| f.for_proc(p)),
-                rings.as_ref().map(|rs| rs[p].writer(tier)),
+                rings.as_ref().map(|rs| rs[p].writer()),
                 &mut sim,
             );
             cores.push(if self.cfg.memory_mgmt {
@@ -665,30 +645,6 @@ mod tests {
         assert_eq!((snap.reporter, snap.watchdog_ms), (0, 0));
         assert_eq!(snap.procs[1].order_len, 14);
         assert!(snap.to_string().contains("P1: Rec at 8/14 tasks"), "{snap}");
-    }
-
-    #[test]
-    fn single_window_maximizes_maps() {
-        let g = fixtures::figure2_dag();
-        let sched = fixtures::figure2_schedule_c();
-        let machine = MachineConfig::unit(2, 100);
-        let greedy =
-            DesExecutor::new(&g, &sched, DesConfig::managed(machine.clone())).run().unwrap();
-        let single = DesExecutor::new(
-            &g,
-            &sched,
-            DesConfig::managed(machine).with_window(crate::maps::MapWindow::Single),
-        )
-        .run()
-        .unwrap();
-        // One MAP per task position that introduces new volatiles; always
-        // at least as many as greedy, and strictly more here.
-        assert!(single.avg_maps() > greedy.avg_maps());
-        assert_eq!(single.finish.len(), g.num_tasks());
-        // Single-window runs use no more memory than greedy.
-        for (s, gm) in single.peak_mem.iter().zip(&greedy.peak_mem) {
-            assert!(s <= gm);
-        }
     }
 
     #[test]

@@ -14,40 +14,20 @@
 // *sequence* of observations is acceptable and no payload is published
 // through it.
 
-use rapid_core::ddg::{AccessKind, DdgStats, TraceBuilder, WritePolicy};
+use rapid_core::ddg::{AccessKind, DdgStats, TraceBuilder};
 use rapid_core::graph::{GraphError, ObjId, ProcId, TaskGraph, TaskId};
 
 /// Inspector: records the sequential task trace and extracts the
-/// transformed dependence graph.
-#[derive(Debug)]
+/// transformed dependence graph, writes renamed ([`TraceBuilder`]).
+#[derive(Debug, Default)]
 pub struct Inspector {
     tb: TraceBuilder,
-    reduce: bool,
-}
-
-impl Default for Inspector {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Inspector {
-    /// New inspector with write renaming (true-dependence-only graphs) and
-    /// no transitive reduction.
+    /// New, empty inspector.
     pub fn new() -> Self {
-        Inspector { tb: TraceBuilder::new(WritePolicy::Rename), reduce: false }
-    }
-
-    /// Inspector keeping writes in place (anti/output dependencies become
-    /// ordering edges).
-    pub fn in_place() -> Self {
-        Inspector { tb: TraceBuilder::new(WritePolicy::InPlace), reduce: false }
-    }
-
-    /// Enable transitive reduction of redundant dependence edges.
-    pub fn with_reduction(mut self) -> Self {
-        self.reduce = true;
-        self
+        Self::default()
     }
 
     /// Declare a data object of `size` allocation units.
@@ -92,7 +72,7 @@ impl Inspector {
     /// only way to see an error here is an id-space overflow in the
     /// builder — surfaced as a typed error rather than a panic.
     pub fn extract(self) -> Result<(TaskGraph, DdgStats), GraphError> {
-        self.tb.build(self.reduce)
+        self.tb.build()
     }
 }
 

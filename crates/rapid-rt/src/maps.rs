@@ -24,7 +24,7 @@
 use rapid_core::graph::{Csr, ObjId, ProcId, TaskGraph, TaskId};
 use rapid_core::liveness::Liveness;
 use rapid_core::schedule::Schedule;
-use rapid_machine::arena::{Arena, ArenaError, FitPolicy};
+use rapid_machine::arena::{Arena, ArenaError};
 use rapid_trace::NO_OFFSET;
 
 /// Address watchers in dense, hash-free form: for every volatile object of
@@ -237,24 +237,24 @@ impl RtPlan {
         }
     }
 
-    /// Precompute the full MAP placement of this plan under `capacity`
-    /// with the given window policy: [`MapPlanner`] run to completion for
-    /// every processor (MAP decisions depend only on the static order and
-    /// the counting allocation state). Fails with
-    /// [`ExecError::NonExecutable`] at the first window whose immediate
-    /// task cannot be provisioned (Definition 6).
+    /// Precompute the full MAP placement of this plan under `capacity`:
+    /// [`MapPlanner`] run to completion for every processor (MAP decisions
+    /// depend only on the static order and the counting allocation state).
+    /// Fails with [`ExecError::NonExecutable`] at the first window whose
+    /// immediate task cannot be provisioned (Definition 6). The last
+    /// argument is ignored: see [`MapWindow`].
     pub fn place_maps(
         &self,
         g: &TaskGraph,
         sched: &Schedule,
         capacity: u64,
-        window: MapWindow,
+        _: MapWindow,
     ) -> Result<MapPlacement, ExecError> {
         let mut per_proc = Vec::with_capacity(sched.order.len());
         for p in 0..sched.order.len() {
-            per_proc.push(self.walk_proc(g, sched, p as ProcId, capacity, window, None)?);
+            per_proc.push(self.walk_proc(g, sched, p as ProcId, capacity, None)?);
         }
-        Ok(MapPlacement { capacity, window, per_proc })
+        Ok(MapPlacement { capacity, per_proc })
     }
 
     /// The complete MAP walk of one processor under `capacity`: by
@@ -265,14 +265,13 @@ impl RtPlan {
         sched: &Schedule,
         p: ProcId,
         capacity: u64,
-        window: MapWindow,
         mut placer: Option<&mut Placer>,
     ) -> Result<Vec<PlannedMap>, ExecError> {
         let mut planner = MapPlanner::new(g, self, p, capacity);
         let mut rows: Vec<PlannedMap> = Vec::new();
         let mut pos = 0u32;
         loop {
-            let mut m = planner.run_map(g, sched, self, pos, window)?;
+            let mut m = planner.run_map(g, sched, self, pos)?;
             if let Some(placer) = placer.as_deref_mut() {
                 placer.place(g, &mut planner, &mut m)?;
             }
@@ -286,9 +285,8 @@ impl RtPlan {
     }
 
     /// The address plan under `capacity`: [`MapPlanner`] and an [`Arena`]
-    /// of policy `fit` walked together (the executors pass
-    /// [`FitPolicy::BestFit`]; first-fit exists for the ablation bench),
-    /// the permanent objects as the arena's reserved prefix.
+    /// walked together, the permanent objects as the arena's reserved
+    /// prefix.
     ///
     /// Where the arena cannot place a *lookahead* allocation contiguously,
     /// the window is cut right before the task that introduces it: every
@@ -305,8 +303,6 @@ impl RtPlan {
         g: &TaskGraph,
         sched: &Schedule,
         capacity: u64,
-        window: MapWindow,
-        fit: FitPolicy,
     ) -> Result<AddressPlan, ExecError> {
         let nprocs = sched.order.len();
         if let Some(o) = (0..nprocs).find(|&o| self.perm_units[o] > capacity) {
@@ -318,18 +314,17 @@ impl RtPlan {
             });
         }
         let mut plan = AddressPlan {
-            placement: MapPlacement { capacity, window, per_proc: Vec::new() },
+            placement: MapPlacement { capacity, per_proc: Vec::new() },
             perm_off: permanent_layout(g, sched),
             ..AddressPlan::default()
         };
         for p in 0..nprocs {
             let mut placer = Placer {
-                arena: Arena::with_reserved(capacity, self.perm_units[p], fit),
+                arena: Arena::with_reserved(capacity, self.perm_units[p]),
                 offsets: vec![NO_OFFSET; g.num_objects()],
                 cuts: 0,
             };
-            let rows =
-                self.walk_proc(g, sched, p as ProcId, capacity, window, Some(&mut placer))?;
+            let rows = self.walk_proc(g, sched, p as ProcId, capacity, Some(&mut placer))?;
             plan.placement.per_proc.push(rows);
             // Not the arena's marks: those also count what a cut gave back.
             let ends = g.objects().zip(&placer.offsets).filter(|(_, &off)| off != NO_OFFSET);
@@ -422,8 +417,6 @@ pub struct PlannedMap {
 pub struct MapPlacement {
     /// Per-processor capacity the placement was computed for.
     pub capacity: u64,
-    /// Window policy used.
-    pub window: MapWindow,
     /// `per_proc[p]`: the MAP windows of processor `p`, in execution
     /// order. A processor with an empty order still performs one (empty)
     /// MAP before terminating, matching the managed executors.
@@ -719,8 +712,10 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// How far ahead a MAP allocates (ablation knob; the paper's scheme is
-/// greedy).
+/// How far ahead a MAP allocates. There is one answer, the paper's: as
+/// many upcoming tasks as fit. This type is the ignored last argument of
+/// [`RtPlan::place_maps`] and stays only until `benchmark/` stops naming
+/// it (ROADMAP item 9).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MapWindow {
     /// Allocate for as many upcoming tasks as fit (paper §3.3: "the
@@ -728,10 +723,6 @@ pub enum MapWindow {
     /// allocated").
     #[default]
     Greedy,
-    /// Allocate only the immediate next task's objects — a MAP before
-    /// every task. Minimizes resident volatile space between MAPs at the
-    /// cost of the maximum number of allocation points.
-    Single,
 }
 
 /// Per-processor MAP planner: owns the set of currently-allocated
@@ -784,15 +775,14 @@ impl MapPlanner {
 
     /// Plan and commit the MAP at position `pos` of this processor's
     /// order. Frees volatiles dead before `pos`, then extends the
-    /// allocation window as `window` says; fails if the task at `pos`
-    /// itself cannot be provisioned (Definition 6).
+    /// allocation window over as many tasks as fit; fails if the task at
+    /// `pos` itself cannot be provisioned (Definition 6).
     pub fn run_map(
         &mut self,
         g: &TaskGraph,
         sched: &Schedule,
         plan: &RtPlan,
         pos: u32,
-        window: MapWindow,
     ) -> Result<PlannedMap, ExecError> {
         let p = self.proc as usize;
         let pl = &plan.lv.procs[p];
@@ -850,9 +840,6 @@ impl MapPlanner {
             self.allocated.extend_from_slice(&allocs[start..]);
             self.in_use += add;
             next_map = j as u32 + 1;
-            if window == MapWindow::Single {
-                break;
-            }
         }
 
         // Address notifications for freshly allocated volatiles, pre-sorted
@@ -1105,11 +1092,11 @@ mod tests {
         let sched = fixtures::figure2_schedule_c();
         let plan = RtPlan::new(&g, &sched);
         let mut mp = MapPlanner::new(&g, &plan, 1, 8);
-        let first = mp.run_map(&g, &sched, &plan, 0, MapWindow::Greedy).unwrap();
+        let first = mp.run_map(&g, &sched, &plan, 0).unwrap();
         assert!(first.frees.is_empty());
         let k = first.next_map;
         assert!(k < sched.order[1].len() as u32, "one MAP cannot cover all");
-        let second = mp.run_map(&g, &sched, &plan, k, MapWindow::Greedy).unwrap();
+        let second = mp.run_map(&g, &sched, &plan, k).unwrap();
         assert!(!second.frees.is_empty(), "second MAP must recycle volatiles");
         assert!(first.in_use <= 8 && second.in_use <= 8);
     }
@@ -1124,7 +1111,7 @@ mod tests {
         let mut pos = 0u32;
         let mut failed = false;
         while (pos as usize) < sched.order[1].len() {
-            match mp.run_map(&g, &sched, &plan, pos, MapWindow::Greedy) {
+            match mp.run_map(&g, &sched, &plan, pos) {
                 Ok(a) => pos = a.next_map,
                 Err(ExecError::NonExecutable { capacity: 7, .. }) => {
                     failed = true;
@@ -1181,7 +1168,7 @@ mod tests {
         for p in 0..2u32 {
             let mut mp = MapPlanner::new(&g, &plan, p, 8);
             for pm in &placement.per_proc[p as usize] {
-                let a = mp.run_map(&g, &sched, &plan, pm.pos, MapWindow::Greedy).unwrap();
+                let a = mp.run_map(&g, &sched, &plan, pm.pos).unwrap();
                 assert_eq!(&a, pm);
             }
         }
@@ -1195,7 +1182,7 @@ mod tests {
         let plan = RtPlan::new(&g, &sched);
         for p in 0..2u32 {
             let mut mp = MapPlanner::new(&g, &plan, p, 1000);
-            let a = mp.run_map(&g, &sched, &plan, 0, MapWindow::Greedy).unwrap();
+            let a = mp.run_map(&g, &sched, &plan, 0).unwrap();
             assert_eq!(a.next_map as usize, sched.order[p as usize].len());
         }
     }

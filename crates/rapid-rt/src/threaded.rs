@@ -80,19 +80,16 @@ use crate::inspector::{ProcDiag, StallSnapshot, StateBoard};
 // by `rapid-machine`'s `flag_model` and `mailbox_model` tests (see
 // DESIGN.md §16).
 
-use crate::maps::{AccessOp, AccessViolation, AddressPlan, ExecError, MapWindow, RtPlan};
+use crate::maps::{AccessOp, AccessViolation, AddressPlan, ExecError, RtPlan};
 use crate::recover::RecoveryPolicy;
 use rapid_core::graph::{ObjId, TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
-use rapid_machine::arena::FitPolicy;
 use rapid_machine::fault::{FaultPlan, FaultSite};
 use rapid_machine::machine::{DirectMachine, DirectPort};
 use rapid_machine::pool::WorkerPool;
 use rapid_machine::rma::{FlagBoard, RmaHeap};
 use rapid_machine::wait::Wait;
-use rapid_trace::{
-    decode_ring, FlatRing, ProcMetrics, ProcTrace, TraceConfig, TraceSet, TraceTier,
-};
+use rapid_trace::{decode_ring, FlatRing, ProcMetrics, ProcTrace, TraceConfig, TraceSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtOrd};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -222,8 +219,8 @@ pub struct ThreadedOutcome {
     /// includes allocating and loading the permanents (`Setup`).
     pub wall: Duration,
     /// Recorded event traces, when [`ThreadedExecutor::with_tracing`] was
-    /// enabled at a tier other than [`TraceTier::Off`] (one ring per
-    /// processor, decoded from the flat binary recording).
+    /// called (one ring per processor, decoded from the flat binary
+    /// recording).
     pub trace: Option<TraceSet>,
     /// Per-processor aggregates replayed from the trace (present exactly
     /// when `trace` is).
@@ -292,8 +289,7 @@ impl<'a> ThreadedExecutor<'a> {
             "threaded executor requires an owner-compute schedule"
         );
         let plan = RtPlan::new(g, sched);
-        let addresses =
-            plan.address_plan(g, sched, capacity, MapWindow::Greedy, FitPolicy::BestFit);
+        let addresses = plan.address_plan(g, sched, capacity);
         let unfilled = unfilled_volatiles(&plan);
         ThreadedExecutor {
             g,
@@ -330,11 +326,9 @@ impl<'a> ThreadedExecutor<'a> {
     /// Recording goes through the flat binary rings: each worker writes
     /// fixed-width records with a single unsynchronized cursor bump, and
     /// decodes its own ring back into the typed [`rapid_trace::Event`]
-    /// schema before its thread returns. The config's
-    /// [`TraceTier`] picks how much is captured; `TraceTier::Off`
-    /// behaves exactly like not calling this at all (no rings, no
-    /// trace in the outcome). Every record site is a single `Option`
-    /// branch, so runs without tracing keep the untraced hot path.
+    /// schema before its thread returns. Every record site is a single
+    /// `Option` branch, so runs without tracing keep the untraced hot
+    /// path.
     pub fn with_tracing(mut self, cfg: TraceConfig) -> Self {
         self.tracing = Some(cfg);
         self
@@ -439,20 +433,18 @@ impl<'a> ThreadedExecutor<'a> {
         let error: Mutex<Option<ExecError>> = Mutex::new(None);
         let error = &error;
 
-        // Flat binary recording: one ring per worker, sized with ~25%
-        // headroom over the configured event capacity so object-list
-        // continuation records do not eat into the event budget. Rings
-        // from a previous run on this executor are reset and reused when
-        // they still fit the configuration.
-        let tier = self.tracing.map_or(TraceTier::Off, |tc| tc.tier);
-        let rings: Option<Vec<FlatRing>> = (tier != TraceTier::Off).then(|| {
-            let cap = self.tracing.map_or(0, |tc| tc.capacity);
-            let want = cap + cap / 4;
+        // Flat binary recording: one ring per worker, of
+        // `TraceConfig::ring_records`. Rings from a previous run on this
+        // executor are reset and reused when they still fit the
+        // configuration.
+        let rings: Option<Vec<FlatRing>> = self.tracing.map(|tc| {
+            let want = tc.ring_records();
             let mut pooled = std::mem::take(ring_pool);
             let fits = pooled.len() == nprocs
-                && pooled.iter().enumerate().all(|(p, r)| {
-                    r.proc == p as u32 && r.capacity_records() == FlatRing::rounded_capacity(want)
-                });
+                && pooled
+                    .iter()
+                    .enumerate()
+                    .all(|(p, r)| r.proc == p as u32 && r.capacity_records() == want as u64);
             if fits {
                 for r in &mut pooled {
                     r.reset();
@@ -483,7 +475,6 @@ impl<'a> ThreadedExecutor<'a> {
             watchdog: self.watchdog,
             faults: self.faults.as_ref(),
             rings: rings.as_deref(),
-            tier,
             recov: &recov,
             epoch,
             body: &body,
@@ -654,8 +645,6 @@ struct Shared<'e, F, I> {
     faults: Option<&'e FaultPlan>,
     /// Flat recording rings, one per worker (`None` when tracing is off).
     rings: Option<&'e [FlatRing]>,
-    /// Sampling tier the rings record at.
-    tier: TraceTier,
     recov: &'e RecovBoard,
     /// Epoch of the parallel section; trace timestamps are nanoseconds
     /// since this instant.
@@ -929,7 +918,7 @@ where
         p,
         sh.machine.port(p),
         sh.faults.map(|f| f.for_proc(p)),
-        ring.map(|r| r.writer(sh.tier)),
+        ring.map(|r| r.writer()),
         &mut env,
     );
     // Leave the protocol, handing `owned` back. The ring's writer is idle
@@ -1304,8 +1293,7 @@ mod tests {
     #[test]
     fn pooled_rings_reset_between_traced_runs() {
         let (g, sched) = chain(12, 1);
-        let exec = ThreadedExecutor::new(&g, &sched, 64)
-            .with_tracing(TraceConfig { capacity: 8, tier: TraceTier::Full });
+        let exec = ThreadedExecutor::new(&g, &sched, 64).with_tracing(TraceConfig { capacity: 8 });
         let out1 = exec.run(test_body).unwrap();
         let t1 = out1.trace.expect("tracing was enabled");
         assert!(t1.dropped() > 0, "capacity 8 must wrap on this workload");

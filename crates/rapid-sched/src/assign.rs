@@ -1,7 +1,7 @@
 //! Cluster-to-processor assignment: the owner-compute rule and
 //! load-balanced mapping of clusters onto physical processors.
 
-use rapid_core::graph::{ObjId, ProcId, TaskGraph, TaskId};
+use rapid_core::graph::{ProcId, TaskGraph, TaskId};
 use rapid_core::schedule::Assignment;
 
 /// The cyclic object mapping used in the paper's Figure 2 example: the
@@ -84,16 +84,6 @@ pub fn assignment_from_clusters(g: &TaskGraph, cluster_of: &[u32], nprocs: usize
     Assignment { task_proc, owner, nprocs }
 }
 
-/// Total task weight per processor — the load-balance view of an
-/// assignment.
-pub fn proc_loads(g: &TaskGraph, assign: &Assignment) -> Vec<f64> {
-    let mut load = vec![0.0f64; assign.nprocs];
-    for t in g.tasks() {
-        load[assign.proc_of(t) as usize] += g.weight(t);
-    }
-    load
-}
-
 /// Convenience: does every task whose writes include `d` run on `d`'s
 /// owner? (The owner-compute property; DTS's Theorem 2 requires it.)
 pub fn is_owner_compute(g: &TaskGraph, assign: &Assignment) -> bool {
@@ -105,21 +95,6 @@ pub fn is_owner_compute(g: &TaskGraph, assign: &Assignment) -> bool {
         }
     }
     true
-}
-
-/// Balanced block owner map helper used by the sparse workloads: object
-/// `i` of `n` is owned by `floor(i * p / n)`.
-pub fn block_owner_map(num_objects: usize, nprocs: usize) -> Vec<ProcId> {
-    (0..num_objects).map(|i| ((i * nprocs) / num_objects.max(1)) as ProcId).collect()
-}
-
-/// Objects owned by each processor, as id lists.
-pub fn objects_by_owner(owner: &[ProcId], nprocs: usize) -> Vec<Vec<ObjId>> {
-    let mut out = vec![Vec::new(); nprocs];
-    for (i, &p) in owner.iter().enumerate() {
-        out[p as usize].push(ObjId(i as u32));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -169,17 +144,5 @@ mod tests {
         assert_eq!(a.nprocs, 2);
         // Every object with a writer is owned by its writer's processor.
         assert!(is_owner_compute(&g, &a));
-        let loads = proc_loads(&g, &a);
-        assert_eq!(loads.iter().sum::<f64>(), 20.0);
-    }
-
-    #[test]
-    fn block_map_is_monotone_and_balanced() {
-        let m = block_owner_map(10, 4);
-        assert_eq!(m.len(), 10);
-        assert!(m.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(*m.last().unwrap(), 3);
-        let by = objects_by_owner(&m, 4);
-        assert!(by.iter().all(|v| !v.is_empty()));
     }
 }

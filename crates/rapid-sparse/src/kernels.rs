@@ -685,16 +685,6 @@ fn gemm_nn_sub_naive(
     }
 }
 
-/// Dense matrix-vector `y += A x` for a column-major `m × n` block.
-pub fn gemv_add(y: &mut [f64], a: &[f64], m: usize, n: usize, x: &[f64]) {
-    for j in 0..n {
-        let xj = x[j];
-        for i in 0..m {
-            y[i] += a[j * m + i] * xj;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,7 +21,7 @@ use crate::blockpart::{
 use crate::csc::SparseMatrix;
 use crate::kernels;
 use crate::symbolic::{cholesky_symbolic, lu_static_symbolic, CholSymbolic};
-use rapid_core::ddg::{AccessKind, TraceBuilder, WritePolicy};
+use rapid_core::ddg::{AccessKind, TraceBuilder};
 use rapid_core::graph::{ObjId, ProcId, TaskGraph, TaskId};
 use rapid_rt::threaded::TaskCtx;
 
@@ -146,7 +146,7 @@ fn cholesky_2d_model_with(
     }
 
     let grid = ProcGrid::new(nprocs);
-    let mut tb = TraceBuilder::new(WritePolicy::Rename);
+    let mut tb = TraceBuilder::new();
     let mut col_first = Vec::with_capacity(nb);
     let mut block_of_obj = Vec::new();
     let mut owner = Vec::new();
@@ -199,9 +199,8 @@ fn cholesky_2d_model_with(
             }
         }
     }
-    let (graph, _) = tb
-        .build(false)
-        .unwrap_or_else(|e| unreachable!("cholesky trace builds by construction: {e:?}"));
+    let (graph, _) =
+        tb.build().unwrap_or_else(|e| unreachable!("cholesky trace builds by construction: {e:?}"));
     debug_assert_eq!(graph.num_tasks(), kinds.len());
     debug_assert_eq!(graph.num_objects(), block_of_obj.len());
     CholeskyModel { graph, pattern, col_first, block_of_obj, kinds, owner, grid, n }
@@ -373,7 +372,7 @@ pub fn lu_1d_model(a: &SparseMatrix, block_w: usize, nprocs: usize, numeric: boo
         row_hi[j] = own.map_or(0, |&r| r as usize + 1).max(deps.unwrap_or(0));
     }
 
-    let mut tb = TraceBuilder::new(WritePolicy::Rename);
+    let mut tb = TraceBuilder::new();
     let mut obj_of_block = Vec::with_capacity(nb);
     let mut owner = Vec::with_capacity(nb);
     for k in 0..nb {
@@ -412,7 +411,7 @@ pub fn lu_1d_model(a: &SparseMatrix, block_w: usize, nprocs: usize, numeric: boo
         }
     }
     let (graph, _) =
-        tb.build(false).unwrap_or_else(|e| unreachable!("lu trace builds by construction: {e:?}"));
+        tb.build().unwrap_or_else(|e| unreachable!("lu trace builds by construction: {e:?}"));
     debug_assert_eq!(graph.num_tasks(), kinds.len());
     LuModel { graph, colpat, obj_of_block, kinds, owner, n, numeric, row_hi }
 }

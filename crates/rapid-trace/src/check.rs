@@ -350,32 +350,13 @@ pub struct TraceReport {
 /// Replay `traces` against the schedule and protocol spec, asserting the
 /// Theorem-1 obligations. Returns the first violation found, or a
 /// [`TraceReport`] summarizing the clean replay.
-///
-/// The trace is assumed Full-tier; for traces recorded at a reduced tier use
-/// [`check_tier`], which relaxes exactly the obligations the tier cannot
-/// witness.
 pub fn check(
     g: &TaskGraph,
     sched: &Schedule,
     spec: &ProtocolSpec,
     traces: &TraceSet,
 ) -> Result<TraceReport, Violation> {
-    check_tier(g, sched, spec, traces, TraceTier::Full)
-}
-
-/// [`check`] for a trace recorded at an explicit sampling tier. At
-/// [`TraceTier::Skeleton`] the receive-side package drains are
-/// legitimately absent, so the write-before-address obligation and the
-/// at-most-one-in-flight mailbox bound are skipped; every other
-/// obligation is asserted unchanged.
-pub fn check_tier(
-    g: &TaskGraph,
-    sched: &Schedule,
-    spec: &ProtocolSpec,
-    traces: &TraceSet,
-    tier: TraceTier,
-) -> Result<TraceReport, Violation> {
-    let mut replay = Replay::new(g, sched, spec.clone(), tier);
+    let mut replay = Replay::new(g, sched, spec.clone());
     for trace in &traces.procs {
         if trace.dropped() > 0 {
             replay.note_dropped(trace.proc, trace.dropped());
@@ -386,6 +367,17 @@ pub fn check_tier(
         }
     }
     replay.finish()
+}
+
+/// [`check`]: see [`TraceTier`].
+pub fn check_tier(
+    g: &TaskGraph,
+    sched: &Schedule,
+    spec: &ProtocolSpec,
+    traces: &TraceSet,
+    _: TraceTier,
+) -> Result<TraceReport, Violation> {
+    check(g, sched, spec, traces)
 }
 
 /// One processor's incremental replay state (the per-processor locals of
@@ -407,7 +399,7 @@ struct ProcReplay {
     maps: u32,
 }
 
-/// The incremental Theorem-1 replay behind [`check_tier`]. Feed events
+/// The incremental Theorem-1 replay behind [`check`]. Feed events
 /// per processor in program order (any interleaving across processors),
 /// then `finish` for the cross-processor obligations and the report.
 ///
@@ -417,7 +409,6 @@ struct ProcReplay {
 struct Replay<'a> {
     sched: &'a Schedule,
     spec: ProtocolSpec,
-    tier: TraceTier,
     lv: Liveness,
     procs: Vec<ProcReplay>,
     pkg_sends: BTreeMap<(u32, u32), Vec<Vec<u32>>>,
@@ -428,7 +419,7 @@ struct Replay<'a> {
 }
 
 impl<'a> Replay<'a> {
-    fn new(g: &TaskGraph, sched: &'a Schedule, spec: ProtocolSpec, tier: TraceTier) -> Self {
+    fn new(g: &TaskGraph, sched: &'a Schedule, spec: ProtocolSpec) -> Self {
         let lv = Liveness::analyze(g, sched);
         let procs = (0..spec.nprocs)
             .map(|p| ProcReplay {
@@ -448,7 +439,6 @@ impl<'a> Replay<'a> {
         Replay {
             sched,
             spec,
-            tier,
             lv,
             procs,
             pkg_sends: BTreeMap::new(),
@@ -602,14 +592,10 @@ impl<'a> Replay<'a> {
                         detail: format!("sent by P{p} but planned from P{}", m.src_proc),
                     });
                 }
-                // Fact I needs the receive-side package drains, which a
-                // Skeleton trace legitimately lacks.
-                if self.tier >= TraceTier::Full {
-                    for &obj in &m.objs {
-                        let permanent = self.sched.assign.owner_of(ObjId(obj)) == m.dst_proc;
-                        if !permanent && !pr.known.contains(&(m.dst_proc, obj)) {
-                            return Err(Violation::WriteBeforeAddress { proc: p, msg: *msg, obj });
-                        }
+                for &obj in &m.objs {
+                    let permanent = self.sched.assign.owner_of(ObjId(obj)) == m.dst_proc;
+                    if !permanent && !pr.known.contains(&(m.dst_proc, obj)) {
+                        return Err(Violation::WriteBeforeAddress { proc: p, msg: *msg, obj });
                     }
                 }
                 if !self.msgs_sent.insert(*msg) {
@@ -675,9 +661,7 @@ impl<'a> Replay<'a> {
             return Err(v);
         }
         // Pairwise mailbox discipline: contents match per sequence
-        // number, and at most one package is ever in flight. At Skeleton
-        // tier the receive side is unrecorded, so only the content check
-        // (vacuously) and the send-side sequencing already done apply.
+        // number, and at most one package is ever in flight.
         for (&(src, dst), sends) in &self.pkg_sends {
             let empty = Vec::new();
             let recvs = self.pkg_recvs.get(&(src, dst)).unwrap_or(&empty);
@@ -691,7 +675,7 @@ impl<'a> Replay<'a> {
                     });
                 }
             }
-            if self.tier >= TraceTier::Full && sends.len() > recvs.len() + 1 {
+            if sends.len() > recvs.len() + 1 {
                 return Err(Violation::MailboxClobber {
                     src,
                     dst,

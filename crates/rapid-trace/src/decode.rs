@@ -2,7 +2,7 @@
 //! schema, so `check()`, `skeleton()`, the metrics aggregator and the
 //! Chrome-trace exporter are unchanged by the flat recording path.
 
-use crate::event::{ProcTrace, TraceConfig, TraceSet, TraceTier};
+use crate::event::{ProcTrace, TraceConfig, TraceSet};
 use crate::record::{RecordStream, Step};
 use crate::ring::FlatRing;
 
@@ -38,9 +38,9 @@ pub fn decode_rings(rings: &[FlatRing]) -> TraceSet {
 /// Re-encode a typed trace into a flat ring (test harnesses: round-trips
 /// of typed traces through the raw record codec). `cap_records` bounds
 /// the ring as [`FlatRing::new`] does.
-pub fn encode_trace(t: &ProcTrace, cap_records: usize, tier: TraceTier) -> FlatRing {
+pub fn encode_trace(t: &ProcTrace, cap_records: usize) -> FlatRing {
     let ring = FlatRing::new(t.proc, cap_records);
-    let mut w = ring.writer(tier);
+    let mut w = ring.writer();
     for (ts, ev) in t.iter() {
         w.rec_event(*ts, ev);
     }
@@ -68,9 +68,9 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_is_lossless_at_full_tier() {
+    fn round_trip_is_lossless() {
         let t = sample();
-        let ring = encode_trace(&t, 1 << 10, TraceTier::Full);
+        let ring = encode_trace(&t, 1 << 10);
         let back = decode_ring(&ring);
         assert_eq!(back.dropped(), 0);
         let a: Vec<_> = t.iter().cloned().collect();
@@ -82,7 +82,7 @@ mod tests {
     fn wrapped_ring_reports_exact_drop_count() {
         // 8-record ring; write 20 single-record events: 12 dropped.
         let ring = FlatRing::new(0, 8);
-        let mut w = ring.writer(TraceTier::Full);
+        let mut w = ring.writer();
         for i in 0..20u32 {
             w.msg_recv(i as u64, i);
         }
@@ -98,7 +98,7 @@ mod tests {
         // survive: the decoder discards the orphans and counts them as
         // dropped, so total() still reflects what the writer produced.
         let ring = FlatRing::new(0, 8);
-        let mut w = ring.writer(TraceTier::Full);
+        let mut w = ring.writer();
         w.pkg_send(0, 1, 0, &(0..30).collect::<Vec<_>>()); // 1 header + 5 objs
         for i in 0..6u32 {
             w.msg_recv(10 + i as u64, 100 + i);

@@ -237,57 +237,49 @@ pub enum Event {
     },
 }
 
-/// Sampling tier: how much of the protocol the recorder captures.
+/// How much of the protocol the recorder captures. There is one answer:
+/// every event. This type is the ignored argument of [`check_tier`] and
+/// [`TraceConfig::with_tier`], and stays only until `benchmark/` stops
+/// naming it (ROADMAP item 9).
 ///
-/// Ordered by verbosity, so `tier >= TraceTier::Skeleton` reads
-/// naturally.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// [`check_tier`]: crate::check::check_tier
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TraceTier {
-    /// Record nothing (the executors treat this exactly like tracing
-    /// disabled: no rings are allocated).
-    Off,
-    /// Record only the protocol skeleton: state transitions, MAP
-    /// begin/end with their alloc/free/rollback waves, package sends
-    /// with sequence numbers and contents, send initiations, message
-    /// receipts and task begins. Enough for [`crate::check::skeleton`]
-    /// conformance and [`crate::metrics::ProcMetrics`] dwell times;
-    /// receive-side package drains, task ends, retry/busy noise and
-    /// fault markers are dropped.
-    Skeleton,
-    /// Record every protocol event (the PR 4 behavior).
+    /// Record every protocol event.
     Full,
 }
 
-/// Tracing configuration: per-processor ring capacity in events, plus
-/// the sampling tier.
+/// Tracing configuration: per-processor ring capacity in events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Maximum events retained per processor before the ring wraps.
     pub capacity: usize,
-    /// Sampling tier ([`TraceTier::Full`] by default).
-    pub tier: TraceTier,
 }
 
 impl Default for TraceConfig {
     fn default() -> Self {
-        TraceConfig { capacity: 1 << 16, tier: TraceTier::Full }
+        TraceConfig { capacity: 1 << 16 }
     }
 }
 
 impl TraceConfig {
-    /// Config with an explicit per-processor capacity (Full tier).
+    /// Config with an explicit per-processor capacity.
     pub fn with_capacity(capacity: usize) -> Self {
-        TraceConfig { capacity: capacity.max(1), tier: TraceTier::Full }
+        TraceConfig { capacity: capacity.max(1) }
     }
 
-    /// Config recording only the protocol skeleton.
-    pub fn skeleton() -> Self {
-        TraceConfig { tier: TraceTier::Skeleton, ..TraceConfig::default() }
+    /// The same config: see [`TraceTier`].
+    pub fn with_tier(self, _: TraceTier) -> Self {
+        self
     }
 
-    /// The same config at a different tier.
-    pub fn with_tier(self, tier: TraceTier) -> Self {
-        TraceConfig { tier, ..self }
+    /// Records in each processor's [`crate::FlatRing`]: the event capacity
+    /// plus a quarter of headroom, so the object-list continuation records
+    /// of package events do not eat into the event budget, rounded up the
+    /// way [`crate::FlatRing::new`] rounds. Both executors size their rings
+    /// by it, and a pooled ring is reused only at exactly this size.
+    pub fn ring_records(&self) -> usize {
+        (self.capacity + self.capacity / 4).max(8).next_power_of_two()
     }
 }
 

@@ -23,8 +23,8 @@
 //! ([`ring`]/[`record`]), decoded off-line ([`decode`]) back into the
 //! [`Event`] schema so `check()`, `skeleton()` and the exporters are
 //! unchanged. A ring is decoded once its writer has quiesced; the checker
-//! runs after the run, never during it. A [`TraceTier`] picks how much the
-//! recorder captures (everything, the protocol skeleton, or nothing).
+//! runs after the run, never during it. A traced run records every event;
+//! an untraced one allocates no ring at all.
 //!
 //! The crate depends only on `rapid-core` (graph/schedule/liveness) and
 //! `rapid-machine` (fault sites); the runtime depends on *it*, handing

@@ -238,16 +238,6 @@ pub fn fault_index(site: FaultSite) -> u64 {
     FaultSite::ALL.iter().position(|&s| s == site).unwrap_or(0) as u64
 }
 
-/// Records one event occupies in the ring (1 + object-list spill).
-pub fn records_for(ev: &Event) -> u64 {
-    match ev {
-        Event::PkgSend { objs, .. } | Event::PkgRecv { objs, .. } => {
-            1 + objs.len().div_ceil(OBJS_PER_RECORD) as u64
-        }
-        _ => 1,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

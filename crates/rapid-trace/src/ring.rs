@@ -3,7 +3,7 @@
 //! Each worker owns one [`FlatRing`] and writes fixed-width 4-word
 //! records ([`crate::record`]) through a [`FlatWriter`] — a single
 //! unsynchronized cursor bump per record, no typed-enum construction, no
-//! allocation, no branching beyond the tier gate. A ring is read only
+//! allocation, no branching. A ring is read only
 //! once its writer has quiesced ([`FlatRing::read_quiesced`]).
 //!
 //! `head` counts records *ever published*, monotonically — it doubles as
@@ -23,7 +23,7 @@
 // is belt and braces. The words stay atomic because the rings are shared by
 // `&` into the pool.
 
-use crate::event::{Event, ProtoState, TraceTier, Ts};
+use crate::event::{Event, ProtoState, Ts};
 use crate::record::{self, fault_index, pack, pack_two};
 use rapid_sync::{Ordering, SyncAtomicU64};
 
@@ -70,13 +70,6 @@ impl FlatRing {
         self.cap
     }
 
-    /// The record capacity [`FlatRing::new`] would round `cap_records`
-    /// up to (callers pooling rings use it to match a ring against a
-    /// requested capacity without allocating).
-    pub fn rounded_capacity(cap_records: usize) -> u64 {
-        cap_records.max(8).next_power_of_two() as u64
-    }
-
     /// Rewind the ring for reuse by a new run: every published record is
     /// forgotten and the overwrite epoch restarts at zero. Exclusive
     /// access (`&mut`) guarantees no writer or reader is live.
@@ -97,8 +90,8 @@ impl FlatRing {
 
     /// Single-writer handle. The caller must ensure only one writer per
     /// ring exists at a time (each executor worker owns its ring).
-    pub fn writer(&self, tier: TraceTier) -> FlatWriter<'_> {
-        FlatWriter { ring: self, cursor: self.head(), tier, last_state: None }
+    pub fn writer(&self) -> FlatWriter<'_> {
+        FlatWriter { ring: self, cursor: self.head(), last_state: None }
     }
 
     #[inline(always)]
@@ -128,17 +121,10 @@ impl FlatRing {
 }
 
 /// The single-writer recording handle: typed methods, each one ring
-/// record (plus object-list continuations), gated by the sampling tier.
-///
-/// Skeleton tier records protocol-state transitions, MAP begin/end and
-/// their alloc/free/rollback waves, package sends (with objects — the
-/// `skeleton()` projection needs them), send initiations, message
-/// receipts and task begins; it drops receive-side package drains, task
-/// ends, retry/busy noise and fault markers.
+/// record (plus object-list continuations).
 pub struct FlatWriter<'r> {
     ring: &'r FlatRing,
     cursor: u64,
-    tier: TraceTier,
     last_state: Option<ProtoState>,
 }
 
@@ -154,21 +140,9 @@ impl<'r> FlatWriter<'r> {
         self.ring.head.store(self.cursor, Ordering::Release);
     }
 
-    #[inline(always)]
-    fn full(&self) -> bool {
-        self.tier == TraceTier::Full
-    }
-
     /// Processor id of the underlying ring.
     pub fn proc(&self) -> u32 {
         self.ring.proc
-    }
-
-    /// The sampling tier this writer records at. Callers use this to
-    /// skip preparing arguments for records the tier would drop anyway
-    /// (e.g. collecting a package's object ids at Skeleton).
-    pub fn tier(&self) -> TraceTier {
-        self.tier
     }
 
     /// Record a protocol-state transition (consecutive duplicates are
@@ -235,27 +209,22 @@ impl<'r> FlatWriter<'r> {
         }
     }
 
-    /// Record [`Event::PkgSend`] (both tiers: sequence numbers and
-    /// contents are protocol skeleton).
+    /// Record [`Event::PkgSend`].
     #[inline]
     pub fn pkg_send(&mut self, ts: Ts, dst: u32, seq: u32, objs: &[u32]) {
         self.pkg(record::TAG_PKG_SEND, ts, dst, seq, objs);
     }
 
-    /// Record [`Event::PkgRecv`] (Full tier only).
+    /// Record [`Event::PkgRecv`].
     #[inline]
     pub fn pkg_recv(&mut self, ts: Ts, src: u32, seq: u32, objs: &[u32]) {
-        if self.full() {
-            self.pkg(record::TAG_PKG_RECV, ts, src, seq, objs);
-        }
+        self.pkg(record::TAG_PKG_RECV, ts, src, seq, objs);
     }
 
-    /// Record [`Event::MailboxBusy`] (Full tier only).
+    /// Record [`Event::MailboxBusy`].
     #[inline]
     pub fn mailbox_busy(&mut self, ts: Ts, dst: u32) {
-        if self.full() {
-            self.push(pack(record::TAG_MAILBOX_BUSY, dst as u64, ts, 0, 0));
-        }
+        self.push(pack(record::TAG_MAILBOX_BUSY, dst as u64, ts, 0, 0));
     }
 
     /// Record [`Event::SendOk`].
@@ -270,12 +239,10 @@ impl<'r> FlatWriter<'r> {
         self.push(pack(record::TAG_SEND_SUSPEND, msg as u64, ts, missing as u64, 0));
     }
 
-    /// Record [`Event::CqRetry`] (Full tier only).
+    /// Record [`Event::CqRetry`].
     #[inline]
     pub fn cq_retry(&mut self, ts: Ts, msg: u32) {
-        if self.full() {
-            self.push(pack(record::TAG_CQ_RETRY, msg as u64, ts, 0, 0));
-        }
+        self.push(pack(record::TAG_CQ_RETRY, msg as u64, ts, 0, 0));
     }
 
     /// Record [`Event::MsgRecv`].
@@ -290,24 +257,20 @@ impl<'r> FlatWriter<'r> {
         self.push(pack(record::TAG_TASK_BEGIN, task as u64, ts, pos as u64, 0));
     }
 
-    /// Record [`Event::TaskEnd`] (Full tier only).
+    /// Record [`Event::TaskEnd`].
     #[inline]
     pub fn task_end(&mut self, ts: Ts, task: u32) {
-        if self.full() {
-            self.push(pack(record::TAG_TASK_END, task as u64, ts, 0, 0));
-        }
+        self.push(pack(record::TAG_TASK_END, task as u64, ts, 0, 0));
     }
 
-    /// Record [`Event::Fault`] (Full tier only).
+    /// Record [`Event::Fault`].
     #[inline]
     pub fn fault(&mut self, ts: Ts, site: rapid_machine::fault::FaultSite) {
-        if self.full() {
-            self.push(pack(record::TAG_FAULT, fault_index(site), ts, 0, 0));
-        }
+        self.push(pack(record::TAG_FAULT, fault_index(site), ts, 0, 0));
     }
 
     /// Encode a typed event (test harnesses and trace re-encoding; the
-    /// executors use the typed methods directly). Tier gating applies.
+    /// executors use the typed methods directly).
     pub fn rec_event(&mut self, ts: Ts, ev: &Event) {
         match ev {
             Event::State(s) => self.state(ts, *s),
@@ -340,7 +303,7 @@ mod tests {
     #[test]
     fn overwrite_epoch_counts_exact_drops() {
         let ring = FlatRing::new(0, 8);
-        let mut w = ring.writer(TraceTier::Full);
+        let mut w = ring.writer();
         for i in 0..21u32 {
             w.msg_recv(i as u64, i);
         }
@@ -351,17 +314,5 @@ mod tests {
         assert_eq!(buf.len(), 8);
         let first = crate::record::unpack_head(buf[0][0]);
         assert_eq!(first.1, 13, "oldest surviving record is msg 13");
-    }
-
-    #[test]
-    fn skeleton_tier_drops_full_only_records() {
-        let ring = FlatRing::new(0, 32);
-        let mut w = ring.writer(TraceTier::Skeleton);
-        w.state(0, ProtoState::Setup);
-        w.task_end(1, 5); // dropped
-        w.cq_retry(2, 1); // dropped
-        w.pkg_recv(3, 1, 0, &[4]); // dropped
-        w.msg_recv(4, 2); // kept
-        assert_eq!(ring.head(), 2);
     }
 }

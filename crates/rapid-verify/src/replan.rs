@@ -204,7 +204,7 @@ fn cold_plan(
             Planned { placement, report, incremental: false }
         }
         Err(report) => Planned {
-            placement: MapPlacement { capacity, window: MapWindow::Greedy, per_proc: Vec::new() },
+            placement: MapPlacement { capacity, per_proc: Vec::new() },
             report,
             incremental: false,
         },

@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example nbody`
 
-use rapid::core::ddg::{AccessKind, TraceBuilder, WritePolicy};
+use rapid::core::ddg::{AccessKind, TraceBuilder};
 use rapid::core::fixtures::SplitMix64;
 use rapid::core::memreq::min_mem;
 use rapid::prelude::*;
@@ -79,7 +79,7 @@ fn main() {
 
     // Inspector stage: objects are particle sets, monopole summaries and
     // force accumulators.
-    let mut tb = TraceBuilder::new(WritePolicy::Rename);
+    let mut tb = TraceBuilder::new();
     let part: Vec<ObjId> = model.particles.iter().map(|p| tb.add_object(p.len() as u64)).collect();
     let summ: Vec<ObjId> = (0..NCELLS).map(|_| tb.add_object(3)).collect();
     let force: Vec<ObjId> =
@@ -127,7 +127,7 @@ fn main() {
         );
         kinds.push(Kind::Far(a, b));
     }
-    let (g, stats) = tb.build(false).expect("trace builds");
+    let (g, stats) = tb.build().expect("trace builds");
     println!(
         "task graph: {} tasks, {} edges, {} commuting groups",
         g.num_tasks(),

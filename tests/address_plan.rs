@@ -1,5 +1,5 @@
 //! The address plan against the unit-occupancy oracle: random DAGs across
-//! processors, capacities and MAP windows, the Cholesky and LU fixtures,
+//! processors and capacities, the Cholesky and LU fixtures,
 //! the benchmark's `irregular-tight` generator, and the two schedules
 //! built to cut a window. Static slices of the sweep (see `sweep/mod.rs`).
 
@@ -9,17 +9,15 @@ mod sweep;
 use sweep::*;
 
 #[test]
-fn random_dags_across_processors_capacities_and_windows() {
+fn random_dags_across_processors_and_capacities() {
     let mut cases = Vec::new();
     for (p, cap) in
         [2, 3, 4].into_iter().flat_map(|p| [BelowMin, AtMin, Slack(8), Tot].map(|c| (p, c)))
     {
-        for window in [Greedy, Single] {
-            cases.extend(grid(0..10, Case { window, ..random(0, &spec(24, 80, 4), p, Mpo, cap) }));
-        }
+        cases.extend(grid(0..10, random(0, &spec(24, 80, 4), p, Mpo, cap)));
     }
     let t = sweep(&cases);
-    assert!(t.placed >= 120 && t.non_executable == 60, "{t:?}");
+    assert!(t.placed >= 72 && t.non_executable == 30, "{t:?}");
     assert!(t.with_cuts > 0 && t.fragmented > 0, "the sweep met no fragmentation: {t:?}");
 }
 
@@ -29,25 +27,18 @@ fn cholesky_and_lu_fixtures() {
     for (graph, p) in [(Cholesky, 4), (Lu, 3)] {
         for policy in [Rcp, Mpo, Dts] {
             for cap in [AtMin, Slack(8), Slack(256), Tot] {
-                for window in [Greedy, Single] {
-                    cases.push(Case { window, ..at(graph.clone(), p, policy, cap) });
-                }
+                cases.push(at(graph.clone(), p, policy, cap));
             }
         }
     }
     let t = sweep(&cases);
-    assert!(t.placed >= 36 && t.non_executable == 0, "{t:?}");
+    assert!(t.placed == 24 && t.non_executable == 0, "{t:?}");
 }
 
 #[test]
 fn irregular_tight_at_reduced_size() {
-    let mut cases = Vec::new();
-    for seed in [1997, 7, 37, 1, 2, 3] {
-        for window in [Greedy, Single] {
-            cases.push(Case { window, ..at(IrregularTight(seed), 2, Mpo, Twentieth) });
-        }
-    }
-    assert_eq!(sweep(&cases).placed, 12);
+    let cases = [1997, 7, 37, 1, 2, 3].map(|seed| at(IrregularTight(seed), 2, Mpo, Twentieth));
+    assert_eq!(sweep(&cases).placed, 6);
 }
 
 #[test]
@@ -59,8 +50,7 @@ fn a_cut_falls_between_tasks_not_inside_one() {
 
 #[test]
 fn a_lookahead_the_arena_cannot_place_cuts_its_window() {
-    // The pinned rows: cuts, windows and offsets under both fit policies.
-    let cut = at(CutWindow, 3, Fixed, AtMin);
-    let t = sweep(&[cut.clone(), Case { window: Single, ..cut }]);
-    assert_eq!((t.placed, t.with_cuts), (2, 1), "{t:?}");
+    // The pinned rows: cuts, windows and offsets.
+    let t = run(&at(CutWindow, 3, Fixed, AtMin));
+    assert_eq!((t.placed, t.with_cuts), (1, 1), "{t:?}");
 }

@@ -17,7 +17,7 @@ fn bases() -> Vec<Case> {
 }
 
 fn traced(base: &Case) -> Case {
-    Case { driver: Threads, tier: Full, ..base.clone() }
+    base.clone().traced_on(Threads)
 }
 
 #[test]
@@ -31,7 +31,7 @@ fn a_fault_free_trace_is_the_plan_row_for_row() {
 fn a_cut_window_is_a_map_the_des_does_not_take() {
     // At `MIN_MEM` threads cut P1's window and the DES does not; one unit
     // more and the two agree MAP for MAP.
-    let cut = |cap| at(CutWindow, 3, Fixed, cap).on(Both(Unit), Full);
+    let cut = |cap| at(CutWindow, 3, Fixed, cap).traced_on(Both(Unit));
     let t = sweep(&[cut(AtMin), cut(Slack(1))]);
     assert_eq!((t.placed, t.with_cuts, t.compared), (2, 1, 1), "{t:?}");
 }
@@ -65,7 +65,7 @@ fn an_armed_window_retry_places_the_same_row_again() {
 
 #[test]
 fn a_mid_task_cut_never_finds_a_slot_busy() {
-    let c = Case { driver: Threads, tier: Full, rounds: 200, ..at(MidTaskCut, 4, Mpo, Slack(8)) };
+    let c = Case { rounds: 200, ..at(MidTaskCut, 4, Mpo, Slack(8)).traced_on(Threads) };
     let t = run(&c);
     assert_eq!((t.thr_ok, t.busy), (200, 0), "slots found busy in fault-free runs");
 }
@@ -80,15 +80,13 @@ fn no_fault_free_run_finds_a_slot_busy() {
         for p in [2, 3, 4] {
             for policy in [Mpo, Rcp, Dts] {
                 for cap in [AtMin, Slack(8), Tot] {
-                    let base = Case { tier: Full, ..random(seed, &s, p, policy, cap) };
-                    cases.push(Case { driver: Both(T3d), ..base.clone() });
-                    cases.push(Case { window: Single, driver: Des(T3d), ..base });
+                    cases.push(random(seed, &s, p, policy, cap).traced_on(Both(T3d)));
                 }
             }
         }
     }
     let t = sweep(&cases);
-    assert!(t.thr_ok >= 120 && t.des_ok == 324, "{t:?}");
+    assert!(t.thr_ok >= 120 && t.des_ok == 162, "{t:?}");
 }
 
 #[test]

@@ -19,7 +19,7 @@ fn scenario_matrix_random_dags() {
     let s = spec(12, 30, 4);
     let mut cases = Vec::new();
     for seed in [3, 44] {
-        let base = random(seed, &s, 4, Mpo, Slack(8)).on(Threads, Full);
+        let base = random(seed, &s, 4, Mpo, Slack(8)).traced_on(Threads);
         cases.extend(scenarios(&base, 0..FAULT_SEEDS));
     }
     let heavy = |c: &Case| matches!(c.fault, Some(Scenario("contention-heavy", _)));
@@ -30,7 +30,7 @@ fn scenario_matrix_random_dags() {
 
 #[test]
 fn scenario_matrix_at_exact_min_mem() {
-    let tight = random(7, &spec(16, 40, 4), 4, Mpo, AtMin).on(Threads, Full);
+    let tight = random(7, &spec(16, 40, 4), 4, Mpo, AtMin).traced_on(Threads);
     sweep(&scenarios(&tight, 0..FAULT_SEEDS));
 }
 
@@ -46,7 +46,7 @@ fn faulted_traces_are_byte_identical_per_seed() {
     // Rejection sites included: the DES wakes a core an injected refusal
     // blocked.
     let g11 = random(11, &spec(12, 30, 4), 3, Mpo, Slack(8));
-    let cases = scenarios(&Case { driver: Des(Unit), tier: Full, rounds: 2, ..g11 }, 0..10);
+    let cases = scenarios(&Case { rounds: 2, ..g11.traced_on(Des(Unit)) }, 0..10);
     let t = sweep(&cases);
     assert!(t.des_ok * 4 >= cases.len() * 3, "{t:?}");
 }

@@ -18,7 +18,7 @@ fn stress(
 ) -> Tally {
     let cases: Vec<Case> = policies
         .iter()
-        .flat_map(|&policy| grid(seeds.clone(), random(0, s, p, policy, AtMin).on(Threads, Off)))
+        .flat_map(|&policy| grid(seeds.clone(), random(0, s, p, policy, AtMin).on(Threads)))
         .collect();
     let t = sweep(&cases);
     assert_eq!(t.thr_ok + t.planned_rejections, cases.len(), "{t:?}");

@@ -20,7 +20,6 @@ use rapid::core::memreq::min_mem;
 use rapid::machine::FaultPlan;
 use rapid::prelude::*;
 use rapid::rt::des::{DesConfig, DesExecutor};
-use rapid::rt::MapWindow;
 use rapid::sched::assign::cyclic_owner_map;
 use rapid::sparse::{gen, taskgen};
 
@@ -122,12 +121,6 @@ fn measured() -> Vec<Row> {
     rows.push(row("random11-min-mem", &g11, &s11, DesConfig::managed(t3d(4, mm11))));
     rows.push(row("random11-slack", &g11, &s11, DesConfig::managed(t3d(4, mm11 + 6))));
     rows.push(row(
-        "random3-single-window",
-        &g3,
-        &s3,
-        DesConfig::managed(t3d(3, mm3)).with_window(MapWindow::Single),
-    ));
-    rows.push(row(
         "random3-delay-faults",
         &g3,
         &s3,
@@ -150,7 +143,6 @@ fn golden() -> Vec<Row> {
         Row { name: "random3-slack", parallel_time_bits: 0x3f4fdeef9eb58a12, maps: vec![4, 3, 3], peak_mem: vec![75, 73, 76], msgs_sent: 79, addr_pkgs_sent: 19, suspended_sends: 26, finish_fnv: 0x74cf56dfa3c29f67 },
         Row { name: "random11-min-mem", parallel_time_bits: 0x3f500e6a91195251, maps: vec![3, 3, 5, 3], peak_mem: vec![51, 51, 51, 49], msgs_sent: 109, addr_pkgs_sent: 33, suspended_sends: 32, finish_fnv: 0x3ee5368c615f92a4 },
         Row { name: "random11-slack", parallel_time_bits: 0x3f4effa94a35e469, maps: vec![2, 2, 3, 2], peak_mem: vec![57, 56, 57, 57], msgs_sent: 109, addr_pkgs_sent: 24, suspended_sends: 20, finish_fnv: 0x661d5635470533a8 },
-        Row { name: "random3-single-window", parallel_time_bits: 0x3f588d449304d5e0, maps: vec![29, 25, 26], peak_mem: vec![66, 67, 70], msgs_sent: 79, addr_pkgs_sent: 49, suspended_sends: 46, finish_fnv: 0x4c4193eb7e39b73b },
         Row { name: "random3-delay-faults", parallel_time_bits: 0x3f6537a97aa33a6e, maps: vec![5, 4, 7], peak_mem: vec![70, 69, 70], msgs_sent: 79, addr_pkgs_sent: 28, suspended_sends: 33, finish_fnv: 0x2cc36c3c06863d18 },
     ]
 }

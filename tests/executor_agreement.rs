@@ -8,7 +8,7 @@ use rapid::core::fixtures::RandomGraphSpec;
 use sweep::*;
 
 fn both(seeds: std::ops::Range<u64>, p: usize, cap: Cap) -> Vec<Case> {
-    grid(seeds, random(0, &spec(20, 60, 1), p, Mpo, cap).on(Both(Unit), Off))
+    grid(seeds, random(0, &spec(20, 60, 1), p, Mpo, cap).on(Both(Unit)))
 }
 
 #[test]
@@ -24,6 +24,6 @@ fn agreement_with_slack() {
 #[test]
 fn agreement_single_processor() {
     // A lone processor runs one MAP on both drivers.
-    let lone = random(99, &RandomGraphSpec::default(), 1, Rcp, Tot).on(Both(Unit), Off);
+    let lone = random(99, &RandomGraphSpec::default(), 1, Rcp, Tot).on(Both(Unit));
     assert_eq!(run(&lone).compared, 1);
 }

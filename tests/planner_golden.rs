@@ -19,7 +19,6 @@ use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid::core::graph::{ProcId, TaskGraph};
 use rapid::core::memreq::min_mem;
 use rapid::core::schedule::{Assignment, CostModel, Schedule};
-use rapid::machine::arena::FitPolicy;
 use rapid::rt::maps::AddressPlan;
 use rapid::rt::{MapPlacement, MapWindow, PlannedMap, RtPlan};
 use rapid::sched::assign::{cyclic_owner_map, owner_compute_assignment};
@@ -199,9 +198,7 @@ fn pin_plan(pins: &mut Pins, name: &str, w: &Workload, sched: &Schedule, cap: u6
     let placement = plan.place_maps(&w.g, sched, cap, MapWindow::Greedy).expect("placeable");
     let report = rapid::verify::verify(&w.g, sched, &plan, &placement);
     assert!(report.accepted(), "{name}: {:?}", report.findings);
-    let ap = plan
-        .address_plan(&w.g, sched, cap, MapWindow::Greedy, FitPolicy::BestFit)
-        .expect("address plan");
+    let ap = plan.address_plan(&w.g, sched, cap).expect("address plan");
     pins.pin(&format!("{name} cap"), cap, want[0]);
     pins.pin(&format!("{name} RtPlan"), rtplan_digest(&plan), want[1]);
     pins.pin(&format!("{name} place_maps"), placement_digest(&placement), want[2]);

@@ -21,7 +21,7 @@ fn regressions() {
 /// of it on the DES.
 #[test]
 fn default_shape_at_min_mem_on_each_driver() {
-    let at_min = |p, driver| random(0, &RandomGraphSpec::default(), p, Mpo, AtMin).on(driver, Off);
+    let at_min = |p, driver| random(0, &RandomGraphSpec::default(), p, Mpo, AtMin).on(driver);
     let cases = [
         grid(0..8, at_min(4, Threads)),
         grid(0..10, at_min(3, Des(Unit))),
@@ -40,8 +40,7 @@ fn fault_matrix_on_the_des() {
     let s = spec(12, 30, 4);
     let mut cases = Vec::new();
     for seed in [3, 44] {
-        let base =
-            Case { driver: Des(Unit), tier: Full, rounds: 2, ..random(seed, &s, 4, Mpo, Slack(8)) };
+        let base = Case { rounds: 2, ..random(seed, &s, 4, Mpo, Slack(8)).traced_on(Des(Unit)) };
         cases.extend(scenarios(&base, 0..FAULT_SEEDS));
     }
     let t = sweep(&cases);

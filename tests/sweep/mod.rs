@@ -2,13 +2,13 @@
 //!
 //! Theorem 1 (deadlock-free, data-consistent) and Theorem 2 (executable
 //! under `S1/p + h`) are checked on seeded lists of [`Case`]s: points of
-//! graph × processors × policy × capacity × MAP window × fault × trace
-//! tier × recovery × driver. Every case goes through one [`oracle`]: the
+//! graph × processors × policy × capacity × fault × tracing × recovery ×
+//! driver. Every case goes through one [`oracle`]: the
 //! verifier accepts iff `MIN_MEM` fits, iff the DES runs, iff threads run
 //! or the address plan said `Fragmented` first; the address plan passes a
 //! unit-occupancy oracle kept here; threaded results are bitwise
-//! `run_sequential` and their MAP counts, peaks and Full-tier MAP events
-//! are the plan's rows; every trace checks clean at its tier, fault-free
+//! `run_sequential` and their MAP counts, peaks and traced MAP events
+//! are the plan's rows; every trace checks clean, fault-free
 //! runs find no slot busy and fault-free drivers emit one skeleton; a
 //! faulted run completes or fails typed, an armed one heals bitwise or
 //! fails `Unrecoverable`, and seeded DES reruns are byte-identical.
@@ -26,20 +26,17 @@ use rapid::core::fixtures::{
     figure2_dag, figure2_schedule_c, random_irregular_graph, RandomGraphSpec,
 };
 use rapid::core::memreq::{window_peaks, MemReport};
-use rapid::machine::arena::FitPolicy;
 use rapid::machine::fault::FaultSite;
 use rapid::machine::{FaultPlan, FaultSpec};
 use rapid::prelude::*;
 use rapid::rt::des::{run_unmanaged, DesConfig};
 use rapid::rt::maps::AddressPlan;
 use rapid::rt::threaded::{run_sequential, ThreadedOutcome};
-pub use rapid::rt::MapWindow::{self, Greedy, Single};
-use rapid::rt::{ExecError, MapPlacement, RecoveryPolicy, RetryPolicy, RtPlan, TaskCtx};
+use rapid::rt::{ExecError, MapPlacement, MapWindow, RecoveryPolicy, RetryPolicy, RtPlan, TaskCtx};
 use rapid::sched::assign::cyclic_owner_map;
 use rapid::sched::dts::merge_slices;
 use rapid::sparse::{gen, taskgen};
-pub use rapid::trace::TraceTier::{self, Full, Off, Skeleton};
-use rapid::trace::{check_tier, decode_ring, encode_trace, skeletons, CanonEvent};
+use rapid::trace::{check, decode_ring, encode_trace, skeletons, CanonEvent};
 use rapid::trace::{Event, ProcMetrics, NO_OFFSET};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,9 +56,9 @@ pub struct Case {
     pub p: usize,
     pub policy: Policy,
     pub cap: Cap,
-    pub window: MapWindow,
     pub fault: Option<Fault>,
-    pub tier: TraceTier,
+    /// Both drivers record a trace, and the oracle judges it.
+    pub traced: bool,
     pub rec: Rec,
     pub driver: Driver,
     /// Runs of the same executor (threads) or configuration (DES).
@@ -166,7 +163,7 @@ pub struct Tally {
     pub busy: u32,
     pub injected: usize,
     pub refusals: usize,
-    /// Placements undone and MAP-phase window retries, from Full traces.
+    /// Placements undone and MAP-phase window retries, from traces.
     pub undone: usize,
     pub retried: usize,
     /// Window rollbacks in skeletons.
@@ -184,9 +181,8 @@ pub fn at(graph: Graph, p: usize, policy: Policy, cap: Cap) -> Case {
         p,
         policy,
         cap,
-        window: Greedy,
         fault: None,
-        tier: Off,
+        traced: false,
         rec: Unarmed,
         driver: PlanOnly,
         rounds: 1,
@@ -198,8 +194,8 @@ pub fn random(seed: u64, s: &RandomGraphSpec, p: usize, policy: Policy, cap: Cap
 }
 
 /// Random DAG 7 of unit objects, tight enough to force several MAPs per
-/// processor: the trace-tier fixture.
-pub fn tiers() -> Case {
+/// processor: the tracing fixture.
+pub fn trace_fixture() -> Case {
     random(7, &spec(18, 50, 1), 3, Mpo, Slack(2))
 }
 
@@ -209,8 +205,14 @@ pub fn victim() -> Case {
 }
 
 impl Case {
-    pub fn on(self, driver: Driver, tier: TraceTier) -> Case {
-        Case { driver, tier, ..self }
+    /// Untraced, on `driver`.
+    pub fn on(self, driver: Driver) -> Case {
+        Case { driver, ..self }
+    }
+
+    /// Traced, on `driver`.
+    pub fn traced_on(self, driver: Driver) -> Case {
+        Case { driver, traced: true, ..self }
     }
 }
 
@@ -315,7 +317,7 @@ pub fn capacity(c: &Case, g: &TaskGraph, sched: &Schedule, rep: &MemReport) -> u
         Twentieth => mm + (rep.tot_no_recycle - mm) / 20,
         Placeable => {
             let plan = RtPlan::new(g, sched);
-            let placed = |cap| plan.address_plan(g, sched, cap, Greedy, FitPolicy::BestFit).is_ok();
+            let placed = |cap| plan.address_plan(g, sched, cap).is_ok();
             let cap = (mm..).find(|&cap| placed(cap)).expect("TOT places");
             assert!(cap <= mm + 8, "{cap} is not tight against MIN_MEM {mm}");
             cap
@@ -346,7 +348,7 @@ pub fn trace_config(c: &Case, g: &TaskGraph) -> Option<TraceConfig> {
     let records = 16 * (g.num_tasks() + g.num_objects()) + 1024;
     let spins = fault_plan(c.fault).is_some() && matches!(c.driver, Threads | Both(_));
     let records = if spins { 4 * records } else { records };
-    (c.tier != Off).then(|| TraceConfig::with_capacity(records).with_tier(c.tier))
+    c.traced.then(|| TraceConfig::with_capacity(records))
 }
 
 /// Read-modify-write: a result depends on the order of every update, and a
@@ -402,7 +404,6 @@ pub fn run(c: &Case) -> Tally {
 }
 
 pub fn oracle(c: &Case, t: &mut Tally) {
-    assert!(c.window == Greedy || !matches!(c.driver, Threads | Both(_)), "threads walk greedily");
     assert!(c.rec == Unarmed || c.driver == Threads, "only threads recover");
     let (g, sched) = build(c);
     assert_eq!(sched.assign.nprocs, c.p);
@@ -452,11 +453,11 @@ pub fn oracle(c: &Case, t: &mut Tally) {
     }
 
     let plan = RtPlan::new(&g, &sched);
-    let counting = plan.place_maps(&g, &sched, cap, c.window);
-    let walked = plan.address_plan(&g, &sched, cap, c.window, FitPolicy::BestFit);
+    let counting = plan.place_maps(&g, &sched, cap, MapWindow::Greedy);
+    let walked = plan.address_plan(&g, &sched, cap);
     // The address walk: a function of its arguments, executable iff
     // counting says so, sound where it places.
-    let again = plan.address_plan(&g, &sched, cap, c.window, FitPolicy::BestFit);
+    let again = plan.address_plan(&g, &sched, cap);
     assert_eq!(&walked, &again, "the walk is not a function of its arguments");
     assert_eq!(counting.is_ok(), cap >= mm, "counting disagrees with MIN_MEM {mm}");
     if let Ok(placed) = &counting {
@@ -533,7 +534,7 @@ pub fn check_sound(
     a: &AddressPlan,
 ) {
     let cap = a.placement.capacity;
-    assert_eq!((cap, a.placement.window), (counting.capacity, counting.window));
+    assert_eq!(cap, counting.capacity);
     for (p, rows) in a.placement.per_proc.iter().enumerate() {
         let pl = &plan.lv.procs[p];
         let perm = plan.perm_units[p];
@@ -622,7 +623,6 @@ pub fn check_sound(
             // A window that starts earlier holds more and reaches no
             // further: a cut can add MAPs and never saves one.
             assert!(rows.len() >= counted.len(), "P{p}: a cut saved a MAP");
-            assert!(a.placement.window == Greedy, "P{p}: one-task windows never cut");
         }
     }
     assert_eq!(a.placement.peaks(&plan.perm_units), a.peak);
@@ -655,15 +655,15 @@ pub fn packages_are_awaited(sched: &Schedule, plan: &RtPlan, placement: &MapPlac
 
 /// What the two built-to-cut cases must plan, row for row.
 pub fn pinned_rows(c: &Case, g: &TaskGraph, sched: &Schedule, plan: &RtPlan, cap: u64) {
-    let walk = |cap, window, fit| plan.address_plan(g, sched, cap, window, fit).expect("places");
+    let walk = |cap| plan.address_plan(g, sched, cap).expect("places");
     let windows = |rows: &[rapid::rt::PlannedMap]| -> Vec<(u32, u32)> {
         rows.iter().map(|m| (m.pos, m.next_map)).collect()
     };
-    match (&c.graph, c.cap, c.window) {
-        (CutWindow, AtMin, Greedy) => {
+    match (&c.graph, c.cap) {
+        (CutWindow, AtMin) => {
             assert_eq!(cap, 9);
-            let counting = plan.place_maps(g, sched, cap, Greedy).expect("MIN_MEM");
-            let a = walk(cap, Greedy, FitPolicy::BestFit);
+            let counting = plan.place_maps(g, sched, cap, MapWindow::Greedy).expect("MIN_MEM");
+            let a = walk(cap);
             assert_eq!(a.cuts, vec![0, 1, 0]);
             assert_eq!(windows(&counting.per_proc[1]), vec![(0, 1), (1, 3)]);
             assert_eq!(windows(&a.placement.per_proc[1]), vec![(0, 1), (1, 2), (2, 3)]);
@@ -671,20 +671,15 @@ pub fn pinned_rows(c: &Case, g: &TaskGraph, sched: &Schedule, plan: &RtPlan, cap
             let off = |d: usize| a.offsets[1][d];
             assert_eq!([off(0), off(1), off(2), off(4), off(5)], [1, 4, 6, 1, 1]);
             assert_eq!((a.peak[1], a.high_water[1]), (9, 9));
-            // First fit meets the same two holes; one unit more and `e`
-            // has room behind `c`'s hole under either policy.
-            for fit in [FitPolicy::BestFit, FitPolicy::FirstFit] {
-                let (tight, slack) = (walk(cap, Greedy, fit), walk(cap + 1, Greedy, fit));
-                assert_eq!((tight.cuts[1], slack.cuts[1]), (1, 0), "{fit:?}");
-            }
-            assert!(walk(cap, Single, FitPolicy::BestFit).cuts.iter().all(|&n| n == 0));
+            // One unit more and `e` has room behind `c`'s hole.
+            assert_eq!(walk(cap + 1).cuts[1], 0);
         }
-        (IdleProc, AtMin, _) => assert_eq!(cap, 8, "Figure 2 (c)'s MIN_MEM"),
-        (MidTaskCut, Slack(8), Greedy) => {
+        (IdleProc, AtMin) => assert_eq!(cap, 8, "Figure 2 (c)'s MIN_MEM"),
+        (MidTaskCut, Slack(8)) => {
             // The window that ran out of room in the middle of the task at
             // 22 ends before it, and that task's MAP allocates all of its
             // objects.
-            let a = walk(cap, Greedy, FitPolicy::BestFit);
+            let a = walk(cap);
             assert!(a.cuts.iter().any(|&n| n > 0));
             let rows = &a.placement.per_proc[2];
             assert!(windows(rows).contains(&(19, 22)), "{:?}", windows(rows));
@@ -720,7 +715,7 @@ pub fn run_des(
         Unit => MachineConfig::unit(c.p, cap),
         T3d => MachineConfig::t3d(c.p).with_capacity(cap),
     };
-    let mut cfg = DesConfig::managed(machine.clone()).with_window(c.window);
+    let mut cfg = DesConfig::managed(machine.clone());
     if let Some(f) = fault_plan(c.fault) {
         cfg = cfg.with_faults(f);
     }
@@ -738,30 +733,17 @@ pub fn run_des(
     let rows: Vec<u32> =
         counting.as_ref().expect("MIN_MEM").per_proc.iter().map(|r| r.len() as u32).collect();
     assert_eq!(out.maps, rows, "DES MAPs are the counting placement's");
-    if c.window == Greedy {
-        let report = verify_capacity(g, sched, cap);
-        assert_eq!(report.peak, out.peak_mem, "the verifier's static peaks are the DES's");
-    }
-    assert_eq!(out.trace.is_some(), c.tier != Off);
-    assert_eq!(out.metrics.is_some(), c.tier != Off);
+    let report = verify_capacity(g, sched, cap);
+    assert_eq!(report.peak, out.peak_mem, "the verifier's static peaks are the DES's");
+    assert_eq!(out.trace.is_some(), c.traced);
+    assert_eq!(out.metrics.is_some(), c.traced);
     if let Some(trace) = &out.trace {
         judge_trace(c, t, g, sched, cap, "des", trace, out.metrics.as_deref());
-        if c.tier == Full {
-            // The flat ring is a lossless encoding of a real trace.
-            for pt in &trace.procs {
-                let back = decode_ring(&encode_trace(pt, 4 * pt.len() + 64, Full));
-                assert_eq!(back.dropped(), 0);
-                assert!(pt.iter().eq(back.iter()), "P{}: decode(encode(t)) != t", pt.proc);
-            }
-        }
-        if c.tier == Skeleton {
-            // The Skeleton tier keeps exactly the Full trace's skeleton.
-            let tc = TraceConfig { tier: Full, ..cfg.trace.expect("traced") };
-            let full = DesExecutor::new(g, sched, cfg.clone().with_tracing(tc)).run().expect("ran");
-            let full = full.trace.expect("traced");
-            assert_eq!(skeletons(&full), skeletons(trace), "Skeleton tier is not the projection");
-            let len = |ts: &TraceSet| ts.procs.iter().map(|pt| pt.len()).sum::<usize>();
-            assert!(len(trace) < len(&full), "the Skeleton tier dropped nothing");
+        // The flat ring is a lossless encoding of a real trace.
+        for pt in &trace.procs {
+            let back = decode_ring(&encode_trace(pt, 4 * pt.len() + 64));
+            assert_eq!(back.dropped(), 0);
+            assert!(pt.iter().eq(back.iter()), "P{}: decode(encode(t)) != t", pt.proc);
         }
     }
     // Seeded reruns are the same run, byte for byte.
@@ -802,7 +784,7 @@ pub fn judge_trace(
 ) {
     assert_eq!(trace.dropped(), 0, "{driver}: the ring wrapped");
     let spec = RtPlan::new(g, sched).trace_spec(cap);
-    if let Err(v) = check_tier(g, sched, &spec, trace, c.tier) {
+    if let Err(v) = check(g, sched, &spec, trace) {
         let paths = dump(c, g, &[(driver, trace)]);
         panic!("{driver}: the trace violates the protocol: {v}\ntrace: {paths}");
     }
@@ -879,17 +861,16 @@ pub fn run_threads(
         assert_eq!(out.maps, rows, "MAPs are the address plan's");
         assert_eq!((&out.peak_mem, &out.arena_peak), (&a.peak, &a.peak), "peaks are the plan's");
         assert!(out.peak_mem.iter().all(|&pk| pk <= cap));
-        assert_eq!(out.trace.is_some(), c.tier != Off);
+        assert_eq!(out.trace.is_some(), c.traced);
+        assert_eq!(out.metrics.is_some(), c.traced);
         if let Some(trace) = &out.trace {
             let before = t.rollbacks;
             judge_trace(c, t, g, sched, cap, "threaded", trace, out.metrics.as_deref());
             if victim.is_some() {
                 assert_eq!(t.rollbacks - before, 1, "one rollback heals one transient panic");
             }
-            if c.tier == Full {
-                for p in 0..c.p {
-                    heal_map_events(t, g, a, trace, p);
-                }
+            for p in 0..c.p {
+                heal_map_events(t, g, a, trace, p);
             }
             projections.push(Ok(recovery_projection(trace)));
         }
@@ -897,7 +878,7 @@ pub fn run_threads(
         last = Some(out);
     }
     // Armed, the recovery decisions of a seeded run are the same on rerun.
-    if c.rec != Unarmed && c.fault.is_some() && c.tier != Off {
+    if c.rec != Unarmed && c.fault.is_some() && c.traced {
         assert!(projections.windows(2).all(|w| w[0] == w[1]), "reruns diverge: {projections:?}");
     }
     last

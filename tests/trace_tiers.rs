@@ -1,8 +1,7 @@
-//! The trace tiers: the Full ring decodes to the trace it encoded, the
-//! Skeleton tier is the Full trace's projection, the Off tier records
-//! nothing, a wrapped ring counts what it dropped, and the post-hoc
-//! checker accepts the clean corpus and rejects every corruption. The
-//! first two are slices of the sweep (see `sweep/mod.rs`).
+//! Recorded traces: the ring decodes to the trace it encoded (a slice of
+//! the sweep, see `sweep/mod.rs`), a wrapped ring counts what it dropped,
+//! and the post-hoc checker accepts the clean corpus and rejects every
+//! corruption.
 
 mod common;
 mod sweep;
@@ -15,12 +14,7 @@ use sweep::*;
 
 #[test]
 fn full_tier_ring_decode_round_trips_executor_traces() {
-    assert_eq!(run(&tiers().on(Des(Unit), Full)).des_ok, 1);
-}
-
-#[test]
-fn skeleton_tier_run_equals_full_tier_projection() {
-    assert_eq!(run(&tiers().on(Des(Unit), Skeleton)).des_ok, 1);
+    assert_eq!(run(&trace_fixture().traced_on(Des(Unit))).des_ok, 1);
 }
 
 #[test]
@@ -47,7 +41,7 @@ fn post_hoc_checker_rejects_the_whole_negative_corpus() {
 
 #[test]
 fn overflowing_a_tiny_ring_reports_the_exact_drop_count() {
-    let (g, sched, cap) = built(&tiers());
+    let (g, sched, cap) = built(&trace_fixture());
     let cfg = DesConfig::managed(MachineConfig::unit(3, cap))
         .with_tracing(TraceConfig::with_capacity(16));
     let traces = DesExecutor::new(&g, &sched, cfg).run().expect("DES run").trace.expect("traced");
@@ -67,15 +61,4 @@ fn overflowing_a_tiny_ring_reports_the_exact_drop_count() {
     for (m, t) in ProcMetrics::from_traces(&traces).iter().zip(&traces.procs) {
         assert_eq!(m.dropped, t.dropped(), "P{}: metrics disagree with the trace", t.proc);
     }
-}
-
-#[test]
-fn off_tier_records_nothing_and_costs_no_outcome_fields() {
-    let (g, sched, cap) = built(&tiers());
-    let off = TraceConfig::default().with_tier(Off);
-    let cfg = DesConfig::managed(MachineConfig::unit(3, cap)).with_tracing(off);
-    let out = DesExecutor::new(&g, &sched, cfg).run().expect("DES run");
-    assert!(out.trace.is_none() && out.metrics.is_none());
-    let out = ThreadedExecutor::new(&g, &sched, cap).with_tracing(off).run(rmw).expect("runs");
-    assert!(out.trace.is_none() && out.metrics.is_none());
 }

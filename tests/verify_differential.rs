@@ -16,8 +16,9 @@ use sweep::*;
 #[test]
 fn accepted_random_plans_execute_clean_at_exact_capacity() {
     // Accepted at `MIN_MEM`, rejected one unit below, on both drivers.
-    let both = |cap, tier| random(0, &spec(16, 40, 1), 3, Mpo, cap).on(Both(Unit), tier);
-    let t = sweep(&[grid(0..10, both(AtMin, Full)), grid(0..10, both(BelowMin, Off))].concat());
+    let both = |cap| random(0, &spec(16, 40, 1), 3, Mpo, cap);
+    let (at_min, below) = (both(AtMin).traced_on(Both(Unit)), both(BelowMin).on(Both(Unit)));
+    let t = sweep(&[grid(0..10, at_min), grid(0..10, below)].concat());
     assert!(t.thr_ok >= 6, "only {}/10 seeds produced a threaded run", t.thr_ok);
 }
 
