@@ -10,9 +10,8 @@
 //! 1. **No `.unwrap()` / `.expect(`** in non-test runtime code. The
 //!    runtime crates execute user plans and hold cross-thread locks; a
 //!    panic there poisons mutexes and turns a recoverable fault into a
-//!    deadlock, and the planner is called back by the recovery
-//!    supervisor mid-run (`Replanner::replan_survivors`), where a panic
-//!    loses the run it was asked to save.
+//!    deadlock, and a planner that panics takes its caller down instead
+//!    of returning the typed rejection the caller can act on.
 //! 2. **No `Ordering::Relaxed` outside audited modules.** Relaxed is
 //!    only legal in a file that carries a `// sync-audit:` header
 //!    comment justifying its memory-ordering discipline (and naming the

@@ -16,7 +16,6 @@ use rapid_core::schedule::{evaluate, CostModel, Schedule};
 use rapid_machine::config::MachineConfig;
 use rapid_rt::des::run_managed;
 use rapid_rt::maps::RtPlan;
-use rapid_rt::recover::RecoveryPolicy;
 use rapid_rt::threaded::{TaskCtx, ThreadedExecutor};
 use rapid_sched::assign::{cyclic_owner_map, owner_compute_assignment};
 use rapid_sched::{dts_order, mpo_order, rcp_order};
@@ -492,7 +491,7 @@ pub fn recovery_gate() {
     assert!(report.accepted(), "gate: plan rejected at capacity {cap}: {:?}", report.findings);
 
     let plain_exec = ThreadedExecutor::new(&g, &sched, cap);
-    let armed_exec = ThreadedExecutor::new(&g, &sched, cap).with_recovery(RecoveryPolicy::new());
+    let armed_exec = ThreadedExecutor::new(&g, &sched, cap).with_recovery();
     // Interleaved min-of-3: OS scheduling noise dominates on oversubscribed
     // runners and must not read as overhead.
     let (mut plain, mut armed) = (f64::INFINITY, f64::INFINITY);

@@ -131,12 +131,18 @@ impl Arena {
         self.free.iter().map(|&(_, l)| l).max().unwrap_or(0)
     }
 
-    /// Allocate `len` units; returns the offset. Zero-length requests get
-    /// a zero-size block at offset of the first free block (they occupy no
-    /// space but must still be freed).
+    /// Allocate `len` units; returns the offset. A zero-length request
+    /// never fails: it gets a zero-size block at the start of the block
+    /// best fit picks, or at `capacity` when no block is free, so that its
+    /// empty slice is in bounds either way. It occupies no space but must
+    /// still be freed.
     pub fn alloc(&mut self, len: u64) -> Result<u64, ArenaError> {
         if len > self.free_units() {
             return Err(ArenaError::OutOfMemory { requested: len, free: self.free_units() });
+        }
+        if len == 0 && self.free.is_empty() {
+            self.live.entry(self.capacity).or_default().push(0);
+            return Ok(self.capacity);
         }
         // The smallest block that fits, the lowest offset among equals: an
         // exact fit cannot be beaten.
@@ -408,6 +414,25 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_len_allocation_fits_a_full_arena() {
+        // No block is free: the empty block goes at the end, where its
+        // empty slice is still in bounds, and frees like any other.
+        let mut a = Arena::with_reserved(4, 1);
+        let x = a.alloc(3).unwrap();
+        assert_eq!(a.largest_free(), 0);
+        assert_eq!(a.alloc(0), Ok(4));
+        assert_eq!(a.alloc(0), Ok(4));
+        a.free(4).unwrap();
+        a.free(x).unwrap();
+        assert_eq!(a.alloc(0), Ok(1), "a free block takes it again");
+        a.free(4).unwrap();
+        assert_eq!(a.free(4), Err(ArenaError::BadFree(4)));
+        assert!(a.check_invariants());
+        let mut empty = Arena::new(0);
+        assert_eq!(empty.alloc(0), Ok(0));
+    }
+
+    #[test]
     fn zero_len_blocks_sharing_an_offset_free_oldest_first() {
         // A zero-length block sits at the start of the smallest free
         // block, so a sized block can land on the same offset; `free`
@@ -457,6 +482,11 @@ mod tests {
             let free_units = self.capacity - self.in_use;
             if len > free_units {
                 return Err(ArenaError::OutOfMemory { requested: len, free: free_units });
+            }
+            if len == 0 && self.free.is_empty() {
+                let pos = self.live.partition_point(|&(o, _)| o <= self.capacity);
+                self.live.insert(pos, (self.capacity, 0));
+                return Ok(self.capacity);
             }
             let fits = self.free.iter().enumerate().filter(|&(_, &(_, l))| l >= len);
             let Some(i) = fits.min_by_key(|&(_, &(_, l))| l).map(|(i, _)| i) else {

@@ -4,7 +4,7 @@
 //! address mailboxes, suspended-send retry from the CQ, and RA service in
 //! every blocking state — is deadlock-free and data-consistent. Well-behaved
 //! runs barely exercise that claim: slots are usually empty, puts land
-//! promptly, arenas rarely fragment. This module perturbs those assumptions
+//! promptly, workers run in lockstep. This module perturbs those assumptions
 //! on purpose so the chaos harness can drive the executors through the
 //! retry/suspend/service paths the proof actually relies on:
 //!
@@ -14,9 +14,6 @@
 //! - **RMA put delay** — a message's puts are held back for a bounded real
 //!   (or virtual, in the DES) interval, so messages from different
 //!   processors arrive reordered relative to the fault-free run;
-//! - **arena allocation failure** — a MAP-time volatile allocation is
-//!   reported as transiently fragmented, driving the executor's
-//!   graceful-degradation ladder (bounded retry, then window truncation);
 //! - **worker stall/jitter** — a worker sleeps briefly before a task body,
 //!   shaking out interleavings that rarely occur under symmetric load.
 //!
@@ -26,10 +23,11 @@
 //! given processor is the same in every run with the same seed. (Under real
 //! threading the mapping of draws to wall-clock moments still depends on the
 //! interleaving; in the discrete-event executor the whole run is
-//! deterministic.) Faults only ever delay, reject-and-retry, or fail
-//! allocations — they never corrupt data, so a faulted run must either
-//! produce results identical to the fault-free reference or surface a typed
-//! error.
+//! deterministic.) Faults only ever delay or reject-and-retry — they never
+//! corrupt data and never fail a run, so a faulted run must produce results
+//! identical to the fault-free reference. There is no allocation site: every
+//! buffer's offset is planned before the run, so a MAP has nothing left to
+//! fail.
 
 use std::time::Duration;
 
@@ -43,19 +41,16 @@ pub enum FaultSite {
     MailboxDelay,
     /// A message's RMA puts were delayed.
     PutDelay,
-    /// A MAP-time volatile allocation was reported transiently fragmented.
-    AllocFail,
     /// A worker stalled before a task body.
     TaskJitter,
 }
 
 impl FaultSite {
     /// All sites, in the order used for injection counters.
-    pub const ALL: [FaultSite; 5] = [
+    pub const ALL: [FaultSite; 4] = [
         FaultSite::MailboxReject,
         FaultSite::MailboxDelay,
         FaultSite::PutDelay,
-        FaultSite::AllocFail,
         FaultSite::TaskJitter,
     ];
 
@@ -65,8 +60,7 @@ impl FaultSite {
             FaultSite::MailboxReject => 0,
             FaultSite::MailboxDelay => 1,
             FaultSite::PutDelay => 2,
-            FaultSite::AllocFail => 3,
-            FaultSite::TaskJitter => 4,
+            FaultSite::TaskJitter => 3,
         }
     }
 
@@ -76,7 +70,6 @@ impl FaultSite {
             FaultSite::MailboxReject => "mailbox-reject",
             FaultSite::MailboxDelay => "mailbox-delay",
             FaultSite::PutDelay => "put-delay",
-            FaultSite::AllocFail => "alloc-fail",
             FaultSite::TaskJitter => "task-jitter",
         }
     }
@@ -86,8 +79,6 @@ impl FaultSite {
 const SITE_MAILBOX: u64 = 0x6d61_696c;
 /// Site tag for the RMA put path.
 const SITE_PUT: u64 = 0x7075_7421;
-/// Site tag for MAP-time arena allocation.
-const SITE_ALLOC: u64 = 0x616c_6c6f;
 /// Site tag for per-task worker jitter.
 const SITE_TASK: u64 = 0x7461_736b;
 
@@ -150,11 +141,6 @@ pub struct FaultSpec {
     pub put_delay_permille: u16,
     /// Maximum put delay.
     pub put_delay_max: Duration,
-    /// ‰ of MAP-time volatile allocations reported transiently fragmented.
-    pub alloc_fail_permille: u16,
-    /// Cap on injected allocation failures per processor — keeps the
-    /// executor's bounded-retry ladder guaranteed to terminate.
-    pub alloc_fail_budget: u32,
     /// ‰ of task bodies preceded by a worker stall.
     pub task_jitter_permille: u16,
     /// Maximum per-task stall.
@@ -209,21 +195,6 @@ impl FaultPlan {
         )
     }
 
-    /// Allocation-pressure scenario: MAP-time allocations fail transiently,
-    /// driving the retry/truncation ladder.
-    pub fn alloc_pressure(seed: u64) -> Self {
-        FaultPlan::new(
-            seed,
-            FaultSpec {
-                alloc_fail_permille: 250,
-                alloc_fail_budget: 64,
-                task_jitter_permille: 100,
-                task_jitter_max: Duration::from_micros(50),
-                ..FaultSpec::default()
-            },
-        )
-    }
-
     /// Mixed scenario: every site injects at a moderate rate.
     pub fn mixed(seed: u64) -> Self {
         FaultPlan::new(
@@ -234,8 +205,6 @@ impl FaultPlan {
                 mailbox_delay_max: Duration::from_micros(100),
                 put_delay_permille: 150,
                 put_delay_max: Duration::from_micros(100),
-                alloc_fail_permille: 100,
-                alloc_fail_budget: 32,
                 task_jitter_permille: 100,
                 task_jitter_max: Duration::from_micros(50),
             },
@@ -247,7 +216,6 @@ impl FaultPlan {
         vec![
             ("delay-heavy", FaultPlan::delay_heavy(seed)),
             ("contention-heavy", FaultPlan::contention_heavy(seed)),
-            ("alloc-pressure", FaultPlan::alloc_pressure(seed)),
             ("mixed", FaultPlan::mixed(seed)),
         ]
     }
@@ -259,10 +227,8 @@ impl FaultPlan {
             spec: self.spec.clone(),
             mailbox: FaultStream::new(self.seed, p, SITE_MAILBOX),
             put: FaultStream::new(self.seed, p, SITE_PUT),
-            alloc: FaultStream::new(self.seed, p, SITE_ALLOC),
             task: FaultStream::new(self.seed, p, SITE_TASK),
-            alloc_budget: self.spec.alloc_fail_budget,
-            injected: [0; 5],
+            injected: [0; 4],
         }
     }
 }
@@ -274,11 +240,9 @@ pub struct ProcFaults {
     spec: FaultSpec,
     mailbox: FaultStream,
     put: FaultStream,
-    alloc: FaultStream,
     task: FaultStream,
-    alloc_budget: u32,
     /// Injections fired so far, indexed by [`FaultSite::idx`].
-    injected: [u32; 5],
+    injected: [u32; 4],
 }
 
 impl ProcFaults {
@@ -312,19 +276,6 @@ impl ProcFaults {
             Some(self.put.jitter(self.spec.put_delay_max))
         } else {
             None
-        }
-    }
-
-    /// Should this MAP-time allocation fail transiently? Consumes one unit
-    /// of the per-processor budget on every injected failure.
-    #[inline]
-    pub fn alloc_fails(&mut self) -> bool {
-        if self.alloc_budget > 0 && self.alloc.hit(self.spec.alloc_fail_permille) {
-            self.alloc_budget -= 1;
-            self.injected[FaultSite::AllocFail.idx()] += 1;
-            true
-        } else {
-            false
         }
     }
 
@@ -362,7 +313,6 @@ mod tests {
         for _ in 0..256 {
             assert_eq!(a.mailbox_reject(), b.mailbox_reject());
             assert_eq!(a.put_delay(), b.put_delay());
-            assert_eq!(a.alloc_fails(), b.alloc_fails());
             assert_eq!(a.task_jitter(), b.task_jitter());
         }
     }
@@ -390,47 +340,27 @@ mod tests {
 
     #[test]
     fn hit_rate_tracks_permille() {
-        let mut s = FaultStream::new(3, 0, SITE_ALLOC);
+        let mut s = FaultStream::new(3, 0, SITE_PUT);
         let hits = (0..10_000).filter(|_| s.hit(250)).count();
         assert!((2000..3000).contains(&hits), "250‰ gave {hits}/10000");
-        let mut s = FaultStream::new(3, 0, SITE_ALLOC);
+        let mut s = FaultStream::new(3, 0, SITE_PUT);
         assert_eq!((0..1000).filter(|_| s.hit(0)).count(), 0);
-        let mut s = FaultStream::new(3, 0, SITE_ALLOC);
+        let mut s = FaultStream::new(3, 0, SITE_PUT);
         assert_eq!((0..1000).filter(|_| s.hit(1000)).count(), 1000);
     }
 
     #[test]
-    fn alloc_budget_caps_injections() {
-        let plan = FaultPlan::new(
-            9,
-            FaultSpec { alloc_fail_permille: 1000, alloc_fail_budget: 5, ..Default::default() },
-        );
-        let mut f = plan.for_proc(2);
-        let injected = (0..100).filter(|_| f.alloc_fails()).count();
-        assert_eq!(injected, 5, "budget must cap certain-failure injection");
-    }
-
-    #[test]
     fn injection_counters_track_fires() {
-        let plan = FaultPlan::new(
-            13,
-            FaultSpec {
-                mailbox_reject_permille: 1000,
-                alloc_fail_permille: 1000,
-                alloc_fail_budget: 3,
-                ..Default::default()
-            },
-        );
+        let plan =
+            FaultPlan::new(13, FaultSpec { mailbox_reject_permille: 1000, ..Default::default() });
         let mut f = plan.for_proc(0);
         for _ in 0..10 {
             let _ = f.mailbox_reject();
-            let _ = f.alloc_fails();
             let _ = f.put_delay(); // 0‰: never fires, never counts
         }
         assert_eq!(f.injected(FaultSite::MailboxReject), 10);
-        assert_eq!(f.injected(FaultSite::AllocFail), 3, "budget caps the counter too");
         assert_eq!(f.injected(FaultSite::PutDelay), 0);
-        assert_eq!(f.injected_total(), 13);
+        assert_eq!(f.injected_total(), 10);
     }
 
     #[test]
@@ -451,7 +381,6 @@ mod tests {
             assert!(!f.mailbox_reject());
             assert!(f.mailbox_delay().is_none());
             assert!(f.put_delay().is_none());
-            assert!(!f.alloc_fails());
             assert!(f.task_jitter().is_none());
         }
     }

@@ -22,8 +22,8 @@
 //! - [`pool`] — the persistent worker threads an executor keeps between
 //!   runs, and the model-checked cell that hands them a job,
 //! - [`fault`] — deterministic, seeded fault injection (mailbox rejection
-//!   and delay, RMA put delay, transient allocation failure, worker
-//!   jitter) for chaos-testing the executors' recovery paths.
+//!   and delay, RMA put delay, worker jitter) for chaos-testing the
+//!   executors' retry, suspend and service paths.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -41,8 +41,8 @@
 //! waker sees `ASLEEP` and unparks. Wake-ups are hints all the same, exactly
 //! as the worker pool treats them: every park ends after [`PARK_BOUND`] at
 //! the latest, so a waiting worker keeps running RA and CQ (Theorem 1) and
-//! keeps looking at its watchdog, and waits that no peer ends (a retried
-//! placement, an injected rejection) only ever cost that bound.
+//! keeps looking at its watchdog, and waits that no peer ends (an injected
+//! rejection) only ever cost that bound.
 //!
 //! ## The one constant
 //!

@@ -6,18 +6,19 @@
 //! everything that *is* protocol: the position in the order and the MAP
 //! window, the replay of the MAPs planned for it and the address packages
 //! they carry, the dense address tables, the suspended-send queue, the
-//! window rollback of [`RecoveryPolicy`], the fault sites and every trace
-//! hook. It knows nothing about time, threads or buffers: those it reaches
+//! rollback of a failed task in an armed run, the fault sites and every
+//! trace hook. It knows nothing about time, threads or buffers: those it reaches
 //! through an [`Env`] (statically dispatched, one per driver) and through
 //! its driver's [`Port`].
 //!
 //! What a MAP frees, allocates, where, and whom it tells is decided before
 //! the run ([`crate::maps`]): the core is handed its processor's
 //! [`PlannedMap`]s and, where buffers are real, the offset of every
-//! volatile, and a MAP is a walk down the next row. No allocator and no
-//! window planner runs here; what can still go wrong while placing is an
-//! injected allocation failure (retried, then healed by an armed window
-//! retry or reported).
+//! volatile, and a MAP is a walk down the next row: free wave, place the
+//! planned row, notify. No allocator and no window planner runs here, so
+//! nothing can go wrong while placing; what can fail during a run is a task
+//! body, which an armed run heals by putting the task's checkpoint back and
+//! running it again, at most [`WINDOW_ATTEMPTS`] times per window.
 //!
 //! [`ProcCore::step`] advances the machine until a MAP or a task is
 //! complete ([`Step::Progress`]), until it cannot go on ([`Step::Blocked`],
@@ -47,7 +48,7 @@
 //!   [`Port::send_package`] — no allocation in steady state.
 
 use crate::maps::{ExecError, PlannedMap, RtPlan};
-use crate::recover::RecoveryPolicy;
+use crate::recover::WINDOW_ATTEMPTS;
 use rapid_core::graph::{TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
 use rapid_machine::fault::{FaultSite, ProcFaults};
@@ -100,12 +101,12 @@ pub(crate) trait Env {
     /// Run task `t` on the buffers at the `local` offsets. A body that
     /// fails comes back as the typed error to report or recover from.
     fn run_task(&mut self, t: TaskId, local: &[u64]) -> Result<(), ExecError>;
-    /// Photograph the write set of `tasks`, the window about to run (only
-    /// asked of runs armed for recovery).
-    fn checkpoint(&mut self, _tasks: &[TaskId]) {}
-    /// The window at `pos` is rolled back for re-execution `attempt`;
-    /// with `restore`, put the last checkpoint's contents back first.
-    fn rollback(&mut self, _restore: bool, _pos: u32, _attempt: u32) {}
+    /// Photograph the write set of task `t`, about to run (only asked of
+    /// runs armed for recovery).
+    fn checkpoint(&mut self, _t: TaskId) {}
+    /// The task at `pos` failed and runs again as its window's re-execution
+    /// `attempt`: put the last checkpoint's contents back.
+    fn rollback(&mut self, _pos: u32, _attempt: u32) {}
     /// The core entered a new state (stall diagnostics).
     fn publish(&mut self, d: Diag);
 }
@@ -126,13 +127,12 @@ pub(crate) struct Diag {
 pub(crate) enum On {
     /// MAP: the address slot toward this processor is still occupied.
     Mailbox(u32),
-    /// MAP: an injected fault refused a placement or a package hand-off;
-    /// nothing but a retry ends it, so retry after servicing.
+    /// MAP: an injected fault refused a package hand-off; nothing but a
+    /// retry ends it, so retry after servicing.
     Refused,
     /// REC: this message has not arrived.
     Msg(u32),
-    /// END, or a window about to roll back: suspended sends are still
-    /// owed.
+    /// END: suspended sends are still owed.
     Drain,
 }
 
@@ -140,7 +140,7 @@ pub(crate) enum On {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Step {
     /// A MAP completed, a task ran and its messages were sent or
-    /// suspended, or a window was rolled back.
+    /// suspended, or a failed task was rolled back.
     Progress,
     /// Nothing can move until what is named happens.
     Blocked(On),
@@ -161,18 +161,17 @@ pub(crate) struct CoreSpec<'e> {
     /// `offsets[p][d]`: where volatile `d` lives on processor `p`. Empty
     /// where no buffer is real and every address is [`NO_OFFSET`].
     pub offsets: &'e [Vec<u64>],
-    pub recovery: Option<RecoveryPolicy>,
+    /// Armed for recovery: checkpoint every task and roll a failed one
+    /// back.
+    pub armed: bool,
 }
 
 /// Where `step` resumes.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum State {
     MapPlan,
-    MapPlace,
     MapNotify,
     Task,
-    /// A task failed and its window is armed for recovery.
-    Quiesce,
     End,
     Done,
 }
@@ -223,20 +222,11 @@ pub(crate) struct ProcCore<'e, P: Port> {
     /// Number of currently suspended sends, and of sends ever suspended.
     suspended: usize,
     suspended_ever: usize,
-    /// `sent[msg]`: message already completed. Maintained only when
-    /// window recovery is armed (empty otherwise): a rolled back window
-    /// re-enters its SND states, and a completed message must not be
-    /// re-sent — the bytes would be identical, but arrival flags and the
-    /// receiver's consumption are one-shot.
-    sent: Vec<bool>,
     faults: Option<ProcFaults>,
     tr: Option<FlatWriter<'e>>,
-    /// The MAP in progress (`maps[maps_done]`): the next allocation to
-    /// place with the retries spent on it, the next notification to send,
-    /// whether its package is assembled and whether its busy slot was
-    /// reported.
-    alloc_i: usize,
-    alloc_tries: u32,
+    /// The MAP in progress (`maps[maps_done]`): the next notification to
+    /// send, whether its package is assembled and whether its busy slot
+    /// was reported.
     notify_i: usize,
     pkg_ready: bool,
     busy_told: bool,
@@ -249,7 +239,7 @@ pub(crate) struct ProcCore<'e, P: Port> {
     pkg_send_seq: Vec<u32>,
     pkg_recv_seq: Vec<u32>,
     /// Start of the current allocation window and the re-executions it
-    /// has consumed (both MAP-phase retries and EXE-phase rollbacks).
+    /// has consumed.
     window_start: u32,
     window_attempts: u32,
 }
@@ -298,11 +288,8 @@ impl<'e, P: Port> ProcCore<'e, P> {
             woken: Vec::new(),
             suspended: 0,
             suspended_ever: 0,
-            sent: if spec.recovery.is_some() { vec![false; plan.msgs.len()] } else { Vec::new() },
             faults,
             tr,
-            alloc_i: 0,
-            alloc_tries: 0,
             notify_i: 0,
             pkg_ready: false,
             busy_told: false,
@@ -373,20 +360,6 @@ impl<'e, P: Port> ProcCore<'e, P> {
         self.enter(env, ProtoState::Done);
     }
 
-    /// Consult a rejection fault site: does this attempt fail by decree?
-    fn rejected<E: Env>(
-        &mut self,
-        env: &E,
-        site: FaultSite,
-        draw: fn(&mut ProcFaults) -> bool,
-    ) -> bool {
-        let hit = self.faults.as_mut().is_some_and(draw);
-        if hit {
-            trace(&mut self.tr, |w| w.fault(env.recent(), site));
-        }
-        hit
-    }
-
     /// Consult a delay fault site and hold the operation back if it fires.
     fn delayed<E: Env>(
         &mut self,
@@ -409,11 +382,6 @@ impl<'e, P: Port> ProcCore<'e, P> {
         loop {
             match self.state {
                 State::MapPlan => self.map_plan(env)?,
-                State::MapPlace => {
-                    if let Some(on) = self.map_place(env)? {
-                        return Ok(Step::Blocked(on));
-                    }
-                }
                 State::MapNotify => {
                     if let Some(on) = self.map_notify(env) {
                         return Ok(Step::Blocked(on));
@@ -421,31 +389,7 @@ impl<'e, P: Port> ProcCore<'e, P> {
                     self.map_end(env);
                     return Ok(Step::Progress);
                 }
-                State::Task => {
-                    if let Some(step) = self.task(env)? {
-                        return Ok(step);
-                    }
-                }
-                State::Quiesce => {
-                    // Quiesce before restoring: a send suspended earlier in
-                    // this window must complete *now*, while the written
-                    // buffers hold the values it is supposed to carry — a
-                    // put firing after the restore would ship pre-window
-                    // bytes.
-                    if self.suspended > 0 {
-                        return Ok(Step::Blocked(On::Drain));
-                    }
-                    // Restore the pre-window contents of the window's
-                    // write set; everything else (volatile allocations,
-                    // arrival flags, received addresses, completed sends)
-                    // is still valid and is deliberately kept.
-                    let (start, attempt) = (self.window_start, self.window_attempts);
-                    env.rollback(true, start, attempt);
-                    trace(&mut self.tr, |w| w.window_rollback(env.now(), start, attempt));
-                    self.pos = start;
-                    self.state = State::Task;
-                    return Ok(Step::Progress);
-                }
+                State::Task => return self.task(env),
                 State::End => {
                     // END may not retire while the suspended queue holds
                     // anything: those puts are owed to peers in REC.
@@ -460,14 +404,15 @@ impl<'e, P: Port> ProcCore<'e, P> {
         }
     }
 
-    /// MAP, first part: take the next planned window and run its free
-    /// wave.
+    /// MAP, first part: take the next planned window, run its free wave
+    /// and place its allocations, each at its planned offset. That they
+    /// fit, contiguously, was settled when the plan was made.
     fn map_plan<E: Env>(&mut self, env: &mut E) -> Result<(), ExecError> {
         let g = self.spec.g;
         let pos = self.pos;
         // A new allocation window begins here: it gets a fresh
-        // re-execution budget (EXE-phase rollbacks never rewind across a
-        // MAP, so the previous window's spend is settled).
+        // re-execution budget (rollbacks never rewind across a MAP, so the
+        // previous window's spend is settled).
         self.window_start = pos;
         self.window_attempts = 0;
         self.enter(env, ProtoState::Map);
@@ -483,73 +428,17 @@ impl<'e, P: Port> ProcCore<'e, P> {
             }
             trace(&mut self.tr, |w| w.free(env.recent(), d.0, g.obj_size(d), off));
         }
-        (self.alloc_i, self.alloc_tries, self.notify_i) = (0, 0, 0);
-        self.state = State::MapPlace;
+        for &d in &m.allocs {
+            let off = self.offsets.get(d.idx()).copied().unwrap_or(NO_OFFSET);
+            self.local[d.idx()] = off;
+            trace(&mut self.tr, |w| w.alloc(env.recent(), d.0, g.obj_size(d), off));
+        }
+        self.notify_i = 0;
+        self.state = State::MapNotify;
         Ok(())
     }
 
-    /// MAP, second part: place the planned allocations, each at its
-    /// planned offset. That they fit, contiguously, was settled when the
-    /// plan was made; what is left to go wrong is an injected allocation
-    /// failure, transient by definition. Ladder: retry the same entry a
-    /// bounded number of times, blocked so that the driver services RA/CQ
-    /// in between (Theorem 1: the system keeps evolving while we wait);
-    /// then an armed window undoes this MAP's placements and places them
-    /// again from the first, and an unarmed one fails `Fragmented`.
-    fn map_place<E: Env>(&mut self, env: &mut E) -> Result<Option<On>, ExecError> {
-        let g = self.spec.g;
-        let (p, pos) = (self.p as u32, self.pos);
-        let m = &self.maps[self.maps_done];
-        // An unarmed run retries as often as the default policy would.
-        let budget = self.spec.recovery.unwrap_or_default().retry.alloc_attempts;
-        while let Some(&d) = m.allocs.get(self.alloc_i) {
-            let size = g.obj_size(d);
-            if !self.rejected(env, FaultSite::AllocFail, ProcFaults::alloc_fails) {
-                let off = self.offsets.get(d.idx()).copied().unwrap_or(NO_OFFSET);
-                self.local[d.idx()] = off;
-                trace(&mut self.tr, |w| w.alloc(env.recent(), d.0, size, off));
-                self.alloc_i += 1;
-                self.alloc_tries = 0;
-                continue;
-            }
-            if self.alloc_tries < budget {
-                self.alloc_tries += 1;
-                return Ok(Some(On::Refused));
-            }
-            self.alloc_tries = 0;
-            let frag = ExecError::Fragmented { proc: p, requested: size, largest: 0 };
-            let Some(pol) = self.spec.recovery else { return Err(frag) };
-            if self.window_attempts >= pol.retry.window_attempts {
-                return Err(ExecError::Unrecoverable {
-                    proc: p,
-                    pos,
-                    attempts: pol.retry.window_attempts,
-                    cause: Box::new(frag),
-                });
-            }
-            // MAP-phase window retry: undo this attempt's placements and
-            // re-run the wave. The same planned row is placed again at the
-            // same offsets, so the recovered trace depends only on the
-            // fault seed and the plan. No task ran yet, so there is
-            // nothing to restore. Blocking gives one service round between
-            // attempts, in which an injected fault stream drains its
-            // budget.
-            self.window_attempts += 1;
-            for &dd in &m.allocs[..self.alloc_i] {
-                self.local[dd.idx()] = NO_ADDR;
-                trace(&mut self.tr, |w| w.alloc_rollback(env.recent(), dd.0, g.obj_size(dd)));
-            }
-            let attempt = self.window_attempts;
-            trace(&mut self.tr, |w| w.window_rollback(env.now(), pos, attempt));
-            env.rollback(false, pos, attempt);
-            self.alloc_i = 0;
-            return Ok(Some(On::Refused));
-        }
-        self.state = State::MapNotify;
-        Ok(None)
-    }
-
-    /// MAP, third part: tell every processor that will put into a buffer
+    /// MAP, second part: tell every processor that will put into a buffer
     /// this MAP placed where it is. Notifications are planned sorted by
     /// (destination, object), so one linear walk assembles one package
     /// per destination.
@@ -570,7 +459,10 @@ impl<'e, P: Port> ProcCore<'e, P> {
             }
             // An injected rejection is traced like a slot the receiver has
             // not drained yet, but no drain ends it: it is a refusal.
-            let refused = self.rejected(env, FaultSite::MailboxReject, ProcFaults::mailbox_reject);
+            let refused = self.faults.as_mut().is_some_and(ProcFaults::mailbox_reject);
+            if refused {
+                trace(&mut self.tr, |w| w.fault(env.recent(), FaultSite::MailboxReject));
+            }
             if refused || !self.port.send_package(dst as usize, &mut self.pkg_buf) {
                 if !std::mem::replace(&mut self.busy_told, true) {
                     trace(&mut self.tr, |w| w.mailbox_busy(env.recent(), dst));
@@ -601,28 +493,21 @@ impl<'e, P: Port> ProcCore<'e, P> {
         self.peak = self.peak.max(m.in_use);
         let (in_use, peak) = (m.in_use, self.peak);
         trace(&mut self.tr, |w| w.map_end(env.now(), pos, next_map, in_use, peak));
-        let end = (next_map as usize).min(self.order.len());
-        // Photograph the window's write set before any of its tasks run:
-        // bodies may read-modify-write their local permanents, so
-        // EXE-phase rollback must restore pre-window contents.
-        if self.spec.recovery.is_some() {
-            env.checkpoint(&self.order[pos as usize..end]);
-        }
         // A processor with an empty order performs this one empty MAP
         // and goes straight to END.
         self.state = if pos as usize == self.order.len() { State::End } else { State::Task };
     }
 
-    /// REC, EXE and SND of the task at `pos`. `None` when the task failed
-    /// and its window is armed for recovery.
-    fn task<E: Env>(&mut self, env: &mut E) -> Result<Option<Step>, ExecError> {
+    /// REC, EXE and SND of the task at `pos`; a failed task of an armed
+    /// run is rolled back instead, to run again.
+    fn task<E: Env>(&mut self, env: &mut E) -> Result<Step, ExecError> {
         let CoreSpec { g, plan, .. } = self.spec;
         let t = self.order[self.pos as usize];
         // REC: wait for every incoming message.
         self.enter(env, ProtoState::Rec);
         let inbox = &plan.in_msgs[t.idx()];
         if let Some(&mid) = inbox.iter().find(|&&mid| !env.arrived(mid)) {
-            return Ok(Some(Step::Blocked(On::Msg(mid))));
+            return Ok(Step::Blocked(On::Msg(mid)));
         }
         for &mid in inbox {
             env.receive(mid);
@@ -634,9 +519,16 @@ impl<'e, P: Port> ProcCore<'e, P> {
         self.delayed(env, FaultSite::TaskJitter, ProcFaults::task_jitter);
         let pos = self.pos;
         trace(&mut self.tr, |w| w.task_begin(env.now(), t.0, pos));
+        // Bodies may read-modify-write their permanents: photograph what
+        // this one writes, so that a failed attempt can be undone.
+        if self.spec.armed {
+            env.checkpoint(t);
+        }
         if let Err(cause) = env.run_task(t, &self.local) {
-            let Some(pol) = self.spec.recovery else { return Err(cause) };
-            if self.window_attempts >= pol.retry.window_attempts {
+            if !self.spec.armed {
+                return Err(cause);
+            }
+            if self.window_attempts >= WINDOW_ATTEMPTS {
                 return Err(ExecError::Unrecoverable {
                     proc: self.p as u32,
                     pos: self.window_start,
@@ -644,9 +536,14 @@ impl<'e, P: Port> ProcCore<'e, P> {
                     cause: Box::new(cause),
                 });
             }
+            // Roll back the failed task alone and run it again. Everything
+            // before it stands: it sent nothing yet, and nothing it reads
+            // has changed, as every writer of what it reads waits for it.
             self.window_attempts += 1;
-            self.state = State::Quiesce;
-            return Ok(None);
+            let attempt = self.window_attempts;
+            env.rollback(pos, attempt);
+            trace(&mut self.tr, |w| w.window_rollback(env.now(), pos, attempt));
+            return Ok(Step::Progress);
         }
         trace(&mut self.tr, |w| w.task_end(env.now(), t.0));
         // SND.
@@ -662,7 +559,7 @@ impl<'e, P: Port> ProcCore<'e, P> {
         } else {
             State::Task
         };
-        Ok(Some(Step::Progress))
+        Ok(Step::Progress)
     }
 
     /// Try to send message `mid`; on failure returns the id of the first
@@ -677,20 +574,12 @@ impl<'e, P: Port> ProcCore<'e, P> {
         // reordered relative to the fault-free interleaving.
         self.delayed(env, FaultSite::PutDelay, ProcFaults::put_delay);
         env.put(mid, &self.known[base..base + self.nobj]);
-        if let Some(s) = self.sent.get_mut(mid as usize) {
-            *s = true;
-        }
         trace(&mut self.tr, |w| w.send_ok(env.recent(), mid));
         Ok(())
     }
 
     /// SND: send `mid` now, or park it on its first missing address.
-    /// No-op for a message that already completed (only possible when a
-    /// recovered window re-runs its SND states).
     fn send_or_suspend<E: Env>(&mut self, env: &mut E, mid: u32) {
-        if self.sent.get(mid as usize).copied().unwrap_or(false) {
-            return;
-        }
         if let Err(missing) = self.try_send(env, mid) {
             trace(&mut self.tr, |w| w.send_suspend(env.recent(), mid, missing));
             self.waiters[missing as usize].push(mid);

@@ -50,8 +50,8 @@ pub struct DesConfig {
     pub memory_mgmt: bool,
     /// Deterministic fault plan. Message puts and address packages are
     /// held back by seeded virtual-time delays, arriving late and
-    /// reordered; a processor whose package hand-off or placement an
-    /// injected fault refuses retries at its own clock, after the events
+    /// reordered; a processor whose package hand-off an injected fault
+    /// refuses retries at its own clock, after the events
     /// already due then. Task jitter has no meaning in virtual time.
     pub faults: Option<FaultPlan>,
     /// Per-processor event tracing. `None` (the default) records nothing.
@@ -341,7 +341,7 @@ impl<'a> DesExecutor<'a> {
             perm_off: &self.perm_off,
             maps: &maps,
             offsets: &[],
-            recovery: None,
+            armed: false,
         };
         // Virtual time has no interleaving for task jitter to shake.
         let faults = self.cfg.faults.as_ref().map(|f| FaultPlan {

@@ -164,21 +164,13 @@ pub struct StallSnapshot {
     /// `"<ms> <event>"` lines), when the run was recording one — what the
     /// stuck worker did right before the silence. Empty otherwise.
     pub recent_events: Vec<String>,
-    /// MAP-phase recovery retries across all processors (allocation waves
-    /// re-attempted inside a MAP) up to the moment of the snapshot. Always
-    /// 0 when the run was not armed with window recovery.
-    pub recovery_retries: u32,
-    /// EXE-phase recovery rollbacks across all processors (windows rewound
-    /// and re-executed) up to the moment of the snapshot. Always 0 when
-    /// the run was not armed with window recovery.
+    /// Recovery rollbacks across all processors (failed tasks restored
+    /// and run again) up to the moment of the snapshot. Always 0 when the
+    /// run was not armed with window recovery.
     pub recovery_rollbacks: u32,
-    /// Most recent window recovery on the machine as
-    /// `(processor, window position, attempt)`, when any happened.
+    /// Most recent rollback on the machine as
+    /// `(processor, task position, attempt)`, when any happened.
     pub last_recovery: Option<(ProcId, u32, u32)>,
-    /// Processors a recovery supervisor had quarantined before this
-    /// attempt ran. Empty for unsupervised runs; stamped by the
-    /// supervisor when it gives up and surfaces the final error.
-    pub quarantined: Vec<ProcId>,
 }
 
 impl StallSnapshot {
@@ -210,10 +202,8 @@ impl StallSnapshot {
             msgs_total,
             procs,
             recent_events,
-            recovery_retries: 0,
             recovery_rollbacks: 0,
             last_recovery: None,
-            quarantined: Vec::new(),
         }
     }
 }
@@ -236,19 +226,12 @@ impl std::fmt::Display for StallSnapshot {
             }
             writeln!(f)?;
         }
-        if self.recovery_retries > 0 || self.recovery_rollbacks > 0 {
-            write!(
-                f,
-                "  recovery so far: {} MAP retries, {} window rollbacks",
-                self.recovery_retries, self.recovery_rollbacks
-            )?;
+        if self.recovery_rollbacks > 0 {
+            write!(f, "  recovery so far: {} rollbacks", self.recovery_rollbacks)?;
             if let Some((p, pos, attempt)) = self.last_recovery {
-                write!(f, "; last P{p} window {pos} attempt {attempt}")?;
+                write!(f, "; last P{p} task at {pos} attempt {attempt}")?;
             }
             writeln!(f)?;
-        }
-        if !self.quarantined.is_empty() {
-            writeln!(f, "  quarantined processors: {:?}", self.quarantined)?;
         }
         if !self.recent_events.is_empty() {
             writeln!(f, "  last events on P{}:", self.reporter)?;
@@ -339,10 +322,8 @@ mod tests {
                 },
             ],
             recent_events: vec!["1.250ms MsgRecv { msg: 4 }".into()],
-            recovery_retries: 2,
             recovery_rollbacks: 1,
             last_recovery: Some((0, 2, 3)),
-            quarantined: vec![2],
         };
         let text = s.to_string();
         assert!(text.contains("reported by P1"));
@@ -352,9 +333,8 @@ mod tests {
         assert!(text.contains("P1: Rec at 3/4"));
         assert!(text.contains("last events on P1"));
         assert!(text.contains("MsgRecv { msg: 4 }"));
-        assert!(text.contains("2 MAP retries, 1 window rollbacks"));
-        assert!(text.contains("last P0 window 2 attempt 3"));
-        assert!(text.contains("quarantined processors: [2]"));
+        assert!(text.contains("1 rollbacks"));
+        assert!(text.contains("last P0 task at 2 attempt 3"));
     }
 
     #[test]

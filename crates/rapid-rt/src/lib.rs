@@ -22,10 +22,9 @@
 //!   arenas and single-slot address mailboxes, servicing RA/CQ whenever it
 //!   is blocked. Exercises the Theorem-1 liveness argument under real
 //!   concurrency and computes actual numeric results.
-//! - [`recover`] — self-healing supervision: the recovery policy armed on
-//!   the threaded executor (site retries, window checkpoints, rollback &
-//!   re-execution) and the processor-quarantine supervisor that re-plans
-//!   the remaining work onto survivors when a window is unrecoverable.
+//! - [`recover`] — recovery on the threaded executor: a failed task body
+//!   is rolled back to its checkpoint and runs again, within a fixed
+//!   budget per window.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -41,5 +40,5 @@ pub use des::{DesConfig, DesExecutor, DesOutcome};
 pub use inspector::Inspector;
 pub use maps::{ExecError, MapPlacement, MapWindow, PlannedMap, RtPlan};
 pub use rapid_trace::{TraceConfig, TraceSet};
-pub use recover::{RecoveryPolicy, RecoveryReport, RetryPolicy, Supervisor};
+pub use recover::WINDOW_ATTEMPTS;
 pub use threaded::{run_sequential, TaskCtx, ThreadedExecutor, ThreadedOutcome};

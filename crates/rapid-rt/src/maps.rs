@@ -608,9 +608,9 @@ pub enum ExecError {
         snapshot: Option<Box<crate::inspector::StallSnapshot>>,
     },
     /// A MAP's own task cannot be given a contiguous buffer (enough free
-    /// units but no block large enough): found by the address walk before
-    /// the run ([`RtPlan::address_plan`]), or, with `largest` 0, an
-    /// injected allocation failure that outlasted its retries.
+    /// units but no block large enough). Only the address walk finds this,
+    /// before the run ([`RtPlan::address_plan`]): a run replays the
+    /// offsets it planned and never allocates.
     Fragmented {
         /// Processor that failed.
         proc: ProcId,

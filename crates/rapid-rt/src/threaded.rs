@@ -73,7 +73,7 @@
 use crate::core::{CoreSpec, Diag, Env, On, ProcCore, Step, NO_ADDR};
 use crate::inspector::{ProcDiag, StallSnapshot, StateBoard};
 // sync-audit: the only Relaxed atomics in this module are the recovery
-// diagnostics counters (`RecoveryLog`) — monotonic telemetry read after the
+// diagnostics counters (`RecovBoard`) — monotonic telemetry read after the
 // workers join or for best-effort stall reports, never a publication edge.
 // All cross-thread payload hand-offs go through the Release/Acquire
 // FlagBoard and mailbox protocols, whose shipping types are model-checked
@@ -81,7 +81,6 @@ use crate::inspector::{ProcDiag, StallSnapshot, StateBoard};
 // DESIGN.md §16).
 
 use crate::maps::{AccessOp, AccessViolation, AddressPlan, ExecError, RtPlan};
-use crate::recover::RecoveryPolicy;
 use rapid_core::graph::{ObjId, TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
 use rapid_machine::fault::{FaultPlan, FaultSite};
@@ -241,7 +240,8 @@ pub struct ThreadedExecutor<'a> {
     watchdog: Duration,
     faults: Option<FaultPlan>,
     tracing: Option<TraceConfig>,
-    recovery: Option<RecoveryPolicy>,
+    /// Armed for recovery ([`ThreadedExecutor::with_recovery`]).
+    armed: bool,
     /// Per processor, the volatiles it reads that no message fills.
     unfilled: Vec<Vec<ObjId>>,
     /// What outlives a run (see "Run lifecycle" in the module docs).
@@ -300,7 +300,7 @@ impl<'a> ThreadedExecutor<'a> {
             watchdog: DEFAULT_WATCHDOG,
             faults: None,
             tracing: None,
-            recovery: None,
+            armed: false,
             unfilled,
             kept: Mutex::new(Kept::default()),
         }
@@ -341,24 +341,23 @@ impl<'a> ThreadedExecutor<'a> {
     }
 
     /// Inject a deterministic, seeded fault plan (chaos testing): mailbox
-    /// send rejection/delay, RMA put delay, transient allocation failure
-    /// and per-task worker jitter. Without a plan every injection site is
-    /// a single `Option` branch, so the fault-free hot path is unchanged.
+    /// send rejection/delay, RMA put delay and per-task worker jitter.
+    /// Without a plan every injection site is a single `Option` branch, so
+    /// the fault-free hot path is unchanged.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
         self
     }
 
-    /// Arm self-healing window recovery (builder form): site-level
-    /// retries under the policy's budgets, a checkpoint of every
-    /// allocation window's write set, and window-granular rollback &
-    /// re-execution on a task panic or access violation. A window still
-    /// failing when its budget is exhausted surfaces
-    /// [`ExecError::Unrecoverable`] naming the spent budget. Without
-    /// this call every recovery site is a single `Option` branch and no
-    /// checkpoint is captured — the fault-free hot path is unchanged.
-    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = Some(policy);
+    /// Arm recovery (builder form): a checkpoint of every task's write
+    /// set, and rollback & re-execution of a task whose body panics or
+    /// violates its access set. A window still failing after
+    /// [`WINDOW_ATTEMPTS`](crate::recover::WINDOW_ATTEMPTS) re-executions
+    /// surfaces [`ExecError::Unrecoverable`]. Without this call every
+    /// recovery site is a single branch and no checkpoint is captured —
+    /// the fault-free hot path is unchanged.
+    pub fn with_recovery(mut self) -> Self {
+        self.armed = true;
         self
     }
 
@@ -428,7 +427,7 @@ impl<'a> ThreadedExecutor<'a> {
         let machine = DirectMachine::new(nprocs);
         let flags = FlagBoard::new(self.plan.msgs.len());
         let state = StateBoard::new(nprocs);
-        let recov = RecovBoard::new(nprocs);
+        let recov = RecovBoard::default();
         let poison = AtomicBool::new(false);
         let error: Mutex<Option<ExecError>> = Mutex::new(None);
         let error = &error;
@@ -464,7 +463,7 @@ impl<'a> ThreadedExecutor<'a> {
                 perm_off: &addresses.perm_off,
                 maps: &addresses.placement.per_proc,
                 offsets: &addresses.offsets,
-                recovery: self.recovery,
+                armed: self.armed,
             },
             heaps: &run_heaps,
             unfilled: &self.unfilled,
@@ -654,47 +653,30 @@ struct Shared<'e, F, I> {
 }
 
 /// Lock-free recovery telemetry the workers publish for stall snapshots:
-/// per-processor MAP-phase retry / EXE-phase rollback counters plus the
-/// most recent recovery. Written only on the (rare) recovery paths;
-/// unarmed runs never touch it.
+/// the rollbacks so far plus the most recent one. Written only on the
+/// (rare) recovery path; unarmed runs never touch it.
+#[derive(Default)]
 struct RecovBoard {
-    /// `[MAP-phase retries, EXE-phase rollbacks]` per processor.
-    counts: Vec<[AtomicU32; 2]>,
-    /// Packed `proc << 48 | pos << 16 | attempt`; `u64::MAX` = none yet.
+    /// Rollbacks across processors.
+    rollbacks: AtomicU32,
+    /// Packed `proc << 48 | pos << 16 | attempt`; 0 = none yet (a first
+    /// rollback is attempt 1, so no record packs to 0).
     last: AtomicU64,
 }
 
 impl RecovBoard {
-    fn new(nprocs: usize) -> Self {
-        RecovBoard {
-            counts: (0..nprocs).map(|_| [AtomicU32::new(0), AtomicU32::new(0)]).collect(),
-            last: AtomicU64::new(u64::MAX),
-        }
-    }
-
-    /// Record one recovery on `p` (relaxed: diagnostics only).
-    fn note(&self, p: usize, map_phase: bool, pos: u32, attempt: u32) {
-        self.counts[p][usize::from(!map_phase)].fetch_add(1, AtOrd::Relaxed);
+    /// Record one rollback on `p` (relaxed: diagnostics only).
+    fn note(&self, p: usize, pos: u32, attempt: u32) {
+        self.rollbacks.fetch_add(1, AtOrd::Relaxed);
         let packed =
             ((p as u64) << 48) | ((pos as u64 & 0xFFFF_FFFF) << 16) | (attempt as u64 & 0xFFFF);
         self.last.store(packed, AtOrd::Relaxed);
     }
 
-    /// `(total MAP retries, total window rollbacks)` across processors.
-    fn totals(&self) -> (u32, u32) {
-        self.counts.iter().fold((0, 0), |(r, rb), c| {
-            (r + c[0].load(AtOrd::Relaxed), rb + c[1].load(AtOrd::Relaxed))
-        })
-    }
-
-    /// Most recent recovery as `(proc, window position, attempt)`.
+    /// Most recent rollback as `(proc, task position, attempt)`.
     fn last_recovery(&self) -> Option<(u32, u32, u32)> {
         let w = self.last.load(AtOrd::Relaxed);
-        (w != u64::MAX).then_some((
-            (w >> 48) as u32,
-            ((w >> 16) & 0xFFFF_FFFF) as u32,
-            w as u32 & 0xFFFF,
-        ))
+        (w != 0).then_some(((w >> 48) as u32, ((w >> 16) & 0xFFFF_FFFF) as u32, w as u32 & 0xFFFF))
     }
 }
 
@@ -719,12 +701,11 @@ struct ThreadEnv<'e, F, I> {
     ctx_reads: Vec<(u32, &'e [f64])>,
     ctx_writes: Vec<(u32, &'e mut [f64])>,
     slots: Vec<u32>,
-    /// Pre-window contents of the current window's write set, for
-    /// EXE-phase rollback: `(obj, start in ckpt_data)`. Stays empty on
-    /// runs not armed for recovery.
+    /// Contents of the running task's write set before it ran, for
+    /// rollback: `(obj, start in ckpt_data)`. Stays empty on runs not
+    /// armed for recovery.
     ckpt: Vec<(u32, usize)>,
     ckpt_data: Vec<f64>,
-    ckpt_seen: Vec<bool>,
 }
 
 impl<'e, F, I> ThreadEnv<'e, F, I> {
@@ -829,7 +810,7 @@ where
             (self.sh.body)(t, &mut ctx);
         }));
         // Reclaim the pooled context parts (and reset the slot table)
-        // on both paths — a recovered window re-assembles contexts.
+        // on both paths — a rolled back task assembles its context again.
         (self.ctx_reads, self.ctx_writes, self.slots) = ctx.dismantle();
         body_ok.map_err(|payload| match payload.downcast::<AccessViolation>() {
             Ok(v) => {
@@ -844,37 +825,24 @@ where
     }
 
     /// Only permanents are written (owner-compute), so only they are
-    /// captured. Volatiles are filled by remote puts that survive a
-    /// rollback (flags stay raised).
-    fn checkpoint(&mut self, tasks: &[TaskId]) {
+    /// captured. The volatiles the task reads were filled by puts whose
+    /// flags stay raised.
+    fn checkpoint(&mut self, t: TaskId) {
         self.ckpt.clear();
         self.ckpt_data.clear();
-        let g = self.sh.spec.g;
-        self.ckpt_seen.resize(g.num_objects(), false);
-        for &wt in tasks {
-            for &w in g.writes(wt) {
-                if std::mem::replace(&mut self.ckpt_seen[w as usize], true) {
-                    continue;
-                }
-                let start = self.ckpt_data.len();
-                self.ckpt_data.extend_from_slice(&self.own[w as usize]);
-                self.ckpt.push((w, start));
-            }
-        }
-        for &(w, _) in &self.ckpt {
-            self.ckpt_seen[w as usize] = false;
+        for &w in self.sh.spec.g.writes(t) {
+            self.ckpt.push((w, self.ckpt_data.len()));
+            self.ckpt_data.extend_from_slice(&self.own[w as usize]);
         }
     }
 
-    fn rollback(&mut self, restore: bool, pos: u32, attempt: u32) {
-        if restore {
-            for &(w, start) in &self.ckpt {
-                let buf = &mut self.own[w as usize];
-                let len = buf.len();
-                buf.copy_from_slice(&self.ckpt_data[start..start + len]);
-            }
+    fn rollback(&mut self, pos: u32, attempt: u32) {
+        for &(w, start) in &self.ckpt {
+            let buf = &mut self.own[w as usize];
+            let len = buf.len();
+            buf.copy_from_slice(&self.ckpt_data[start..start + len]);
         }
-        self.sh.recov.note(self.p, !restore, pos, attempt);
+        self.sh.recov.note(self.p, pos, attempt);
     }
 
     #[inline]
@@ -909,7 +877,6 @@ where
         slots: vec![NO_SLOT; g.num_objects()],
         ckpt: Vec::new(),
         ckpt_data: Vec::new(),
-        ckpt_seen: Vec::new(),
     };
     // The core starts in `Setup`, which is ours: everything up to its
     // first step is traced as that state.
@@ -1042,10 +1009,8 @@ fn build_snapshot<F, I>(
             }
         })
         .collect();
-    let (recovery_retries, recovery_rollbacks) = sh.recov.totals();
     StallSnapshot {
-        recovery_retries,
-        recovery_rollbacks,
+        recovery_rollbacks: sh.recov.rollbacks.load(AtOrd::Relaxed),
         last_recovery: sh.recov.last_recovery(),
         ..StallSnapshot::new(
             reporter as u32,
@@ -1456,7 +1421,7 @@ mod tests {
             let mut exec = ThreadedExecutor::new(&g, &sched, mm)
                 .with_tracing(rapid_trace::TraceConfig::default());
             if armed {
-                exec = exec.with_recovery(crate::recover::RecoveryPolicy::new());
+                exec = exec.with_recovery();
             }
             exec.run(test_body).expect("clean run")
         };
@@ -1466,11 +1431,10 @@ mod tests {
         assert_eq!(armed.maps, plain.maps);
         let tr = armed.trace.as_ref().expect("tracing enabled");
         assert!(
-            tr.procs.iter().flat_map(|p| p.iter()).all(|(_, e)| !matches!(
-                e,
-                rapid_trace::Event::WindowRollback { .. }
-                    | rapid_trace::Event::AllocRollback { .. }
-            )),
+            tr.procs
+                .iter()
+                .flat_map(|p| p.iter())
+                .all(|(_, e)| !matches!(e, rapid_trace::Event::WindowRollback { .. })),
             "clean armed run must record no recovery events"
         );
         assert_eq!(

@@ -10,7 +10,7 @@
 //!    paper's Fact I): a [`Event::SendOk`] may only name destination
 //!    objects that are permanent on the destination or whose address
 //!    arrived in an earlier [`Event::PkgRecv`] from that destination,
-//!    and each message is sent exactly once: a re-executed window must
+//!    and each message is sent exactly once: a re-executed task must
 //!    not publish a put twice.
 //! 2. **Single-slot mailboxes are never clobbered**: per (src, dst)
 //!    pair, package sequence numbers on both sides count 0, 1, 2, …;
@@ -30,10 +30,9 @@
 //!    the REC state observed all of its incoming messages.
 //!
 //! Recovered runs replay under the same rules: a
-//! [`Event::WindowRollback`] rewinds the replay cursor to the window's
-//! first position (its rolled-back allocations having been retired via
-//! [`Event::AllocRollback`]), after which the re-executed window must
-//! discharge every obligation again — re-running tasks out of schedule
+//! [`Event::WindowRollback`] rewinds the replay cursor to its position,
+//! after which the re-executed tasks must discharge every obligation
+//! again — re-running tasks out of schedule
 //! order, or without a recorded rollback, is still a violation.
 //!
 //! Ordering is per-processor program order plus the pairwise sequence
@@ -199,7 +198,7 @@ pub enum Violation {
         detail: String,
     },
     /// A message was sent twice: a put published more than once (a
-    /// recovered window re-ran a send that had already completed).
+    /// recovered run re-ran a send that had already completed).
     DuplicateSend {
         /// Sending processor.
         proc: u32,
@@ -535,13 +534,6 @@ impl<'a> Replay<'a> {
                     pr.placed.insert(*offset, (*units, *obj));
                 }
             }
-            Event::AllocRollback { obj, units } => {
-                if !pr.live.remove(obj) {
-                    return Err(Violation::DoubleFree { proc: p, obj: *obj });
-                }
-                pr.in_use = pr.in_use.saturating_sub(*units);
-                pr.placed.retain(|_, &mut (_, o)| o != *obj);
-            }
             Event::MapEnd { pos, in_use: reported, .. } => {
                 if *reported != pr.in_use {
                     return Err(Violation::AccountingMismatch {
@@ -641,10 +633,10 @@ impl<'a> Replay<'a> {
                 pr.next_task += 1;
             }
             Event::WindowRollback { pos, .. } => {
-                // Recovery rewind: the window starting at `pos` was
-                // abandoned and will re-execute. Rewind the schedule
+                // Recovery rewind: the task at `pos` failed and runs
+                // again (with what follows it). Rewind the schedule
                 // cursor and forget the protocol state (the worker
-                // legally re-enters REC or stays in MAP); received
+                // legally re-enters REC from EXE); received
                 // messages stay received — arrival flags survive a
                 // rollback by design.
                 pr.next_task = (*pos as usize).min(pr.next_task);
@@ -766,7 +758,7 @@ pub enum CanonEvent {
     /// `attempt`. Seeded recovery is deterministic, so two runs of the
     /// same (seed, scenario, plan) must agree on their rollbacks too.
     Rollback {
-        /// Order position the window rewound to.
+        /// Order position the processor rewound to.
         pos: u32,
         /// Re-execution attempt number.
         attempt: u32,
@@ -790,11 +782,6 @@ pub fn skeleton(trace: &ProcTrace) -> Vec<CanonEvent> {
             Event::Alloc { obj, .. } => {
                 if let Some((_, _, allocs)) = cur_map.as_mut() {
                     allocs.push(*obj);
-                }
-            }
-            Event::AllocRollback { obj, .. } => {
-                if let Some((_, _, allocs)) = cur_map.as_mut() {
-                    allocs.retain(|o| o != obj);
                 }
             }
             Event::MapEnd { .. } => {
@@ -1121,44 +1108,6 @@ mod tests {
             Err(Violation::OrderViolation { proc: 1, got: 2, expected: u32::MAX }) => {}
             other => panic!("expected OrderViolation, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn map_phase_rollback_reallocates_cleanly() {
-        // A MAP-phase retry: allocations are rolled back via
-        // AllocRollback and re-made inside the same MAP. The re-made
-        // allocation must not count as a DoubleAlloc, and the skeleton
-        // of the retried MAP must equal the fault-free one (plus the
-        // recorded rollback).
-        let (g, sched, spec) = tiny();
-        let base = clean_traces();
-        let cfg = TraceConfig::default();
-        let mut p1 = ProcTrace::new(1, cfg);
-        p1.state(0, ProtoState::Setup);
-        p1.state(1, ProtoState::Map);
-        p1.rec(1, Event::MapBegin { pos: 0 });
-        p1.rec(2, Event::Alloc { obj: 1, units: 3, offset: 0 });
-        p1.rec(3, Event::AllocRollback { obj: 1, units: 3 });
-        p1.rec(4, Event::WindowRollback { pos: 0, attempt: 1 });
-        p1.rec(5, Event::Alloc { obj: 1, units: 3, offset: 0 });
-        p1.rec(6, Event::PkgSend { dst: 0, seq: 0, objs: vec![1] });
-        p1.rec(7, Event::MapEnd { pos: 0, next_map: 1, in_use: 3, arena_high: 3 });
-        p1.state(8, ProtoState::Rec);
-        p1.rec(9, Event::MsgRecv { msg: 0 });
-        p1.rec(10, Event::TaskBegin { task: 2, pos: 0 });
-        p1.rec(11, Event::TaskEnd { task: 2 });
-        p1.state(11, ProtoState::Exe);
-        p1.state(12, ProtoState::Snd);
-        p1.state(13, ProtoState::End);
-        p1.state(14, ProtoState::Done);
-        let traces = TraceSet::new(vec![base.procs[0].clone(), p1.clone()]);
-        check(&g, &sched, &spec, &traces).expect("retried MAP must pass");
-        let canon = skeleton(&p1);
-        assert!(canon.contains(&CanonEvent::Rollback { pos: 0, attempt: 1 }));
-        assert!(
-            canon.contains(&CanonEvent::Map { pos: 0, frees: vec![], allocs: vec![1] }),
-            "rolled-back allocs must not linger in the canonical MAP"
-        );
     }
 
     #[test]

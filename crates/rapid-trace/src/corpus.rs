@@ -103,9 +103,9 @@ pub fn mutate<F: Fn(u32, u64, &Event) -> Option<Event>>(edit: F) -> TraceSet {
     TraceSet::new(procs)
 }
 
-/// P1's trace with an EXE-phase recovery spliced in: the task begins,
-/// faults, the window rolls back to pos 0, and the replay re-runs
-/// REC/EXE cleanly. With the rollback recorded the trace must pass.
+/// P1's trace with a recovery spliced in: the task begins, faults, is
+/// rolled back to pos 0, and the replay re-runs REC/EXE cleanly. With the
+/// rollback recorded the trace must pass.
 pub fn recovered_traces() -> TraceSet {
     let base = clean_traces();
     let cfg = TraceConfig::default();
@@ -120,7 +120,7 @@ pub fn recovered_traces() -> TraceSet {
     p1.rec(6, Event::MsgRecv { msg: 0 });
     p1.rec(7, Event::TaskBegin { task: 2, pos: 0 });
     p1.state(7, ProtoState::Exe);
-    // Task body faulted: roll the window back and re-execute it.
+    // Task body faulted: roll it back and run it again.
     p1.rec(8, Event::WindowRollback { pos: 0, attempt: 1 });
     p1.state(9, ProtoState::Rec);
     p1.rec(10, Event::MsgRecv { msg: 0 });
@@ -281,7 +281,7 @@ pub fn corrupted() -> Vec<(&'static str, TraceSet, ViolationKind)> {
     cases.push((
         "duplicate-send",
         {
-            // A re-executed SND state sends again what it already sent.
+            // An SND state sends again what it already sent.
             let base = clean_traces();
             let mut p0 = ProcTrace::new(0, TraceConfig::default());
             for (ts, ev) in base.procs[0].iter() {

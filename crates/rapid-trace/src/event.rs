@@ -135,23 +135,14 @@ pub enum Event {
         /// Arena offset ([`NO_OFFSET`] for counting executors).
         offset: u64,
     },
-    /// A placement of the MAP in progress was undone by an armed
-    /// MAP-phase window retry; the same MAP places the object again, at
-    /// the same offset.
-    AllocRollback {
-        /// Object id.
-        obj: u32,
-        /// Size in allocation units.
-        units: u64,
-    },
-    /// A recovery rollback: the window that started at order position
-    /// `pos` was abandoned (the placements of its MAP so far undone via
-    /// [`Event::AllocRollback`] where applicable) and the processor
-    /// rewinds to `pos` for re-execution attempt `attempt`. The checker
-    /// rewinds its replay cursor accordingly, so a recovered run is held
-    /// to the same Theorem-1 obligations as a fault-free one.
+    /// A recovery rollback: the task at order position `pos` failed, its
+    /// writes were restored from the checkpoint taken before it ran, and
+    /// the processor runs it again as its window's re-execution
+    /// `attempt`. The checker rewinds its replay cursor accordingly, so a
+    /// recovered run is held to the same Theorem-1 obligations as a
+    /// fault-free one.
     WindowRollback {
-        /// Order position the window (and the replay cursor) rewinds to.
+        /// Order position the processor (and the replay cursor) rewinds to.
         pos: u32,
         /// Re-execution attempt number (1 = first retry).
         attempt: u32,

@@ -108,13 +108,6 @@ pub fn chrome_trace_json(traces: &TraceSet, g: Option<&TaskGraph>) -> String {
                     *ts,
                     &format!(",\"args\":{{\"obj\":{obj},\"units\":{units}}}"),
                 ),
-                Event::AllocRollback { obj, units } => push_instant(
-                    &mut out,
-                    "alloc-rollback",
-                    tid,
-                    *ts,
-                    &format!(",\"args\":{{\"obj\":{obj},\"units\":{units}}}"),
-                ),
                 Event::PkgSend { dst, seq, objs } => push_instant(
                     &mut out,
                     &format!("pkg-send->P{dst}#{seq}"),

@@ -46,16 +46,9 @@ pub struct ProcMetrics {
     pub arena_high: u64,
     /// Seeded faults injected, total across sites.
     pub faults: u32,
-    /// MAP-phase recovery retries (window rollbacks that rewound no
-    /// tasks: the allocation wave was re-attempted inside one MAP).
-    pub retries: u32,
-    /// EXE-phase recovery rollbacks (window rollbacks that rewound and
-    /// re-executed already-started tasks).
+    /// Recovery rollbacks (failed tasks restored from their checkpoint and
+    /// run again).
     pub rollbacks: u32,
-    /// Degraded re-plans this processor's run went through. Not
-    /// derivable from a single run's trace — the recovery supervisor
-    /// stamps it onto the metrics of the final (successful) attempt.
-    pub replans: u32,
 }
 
 impl ProcMetrics {
@@ -69,7 +62,6 @@ impl ProcMetrics {
         };
         let mut state: Option<(ProtoState, u64)> = None;
         let mut suspended: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        let mut in_map = false;
         for (ts, ev) in trace.iter() {
             match ev {
                 Event::State(s) => {
@@ -78,22 +70,12 @@ impl ProcMetrics {
                     }
                     state = Some((*s, *ts));
                 }
-                Event::MapBegin { .. } => {
-                    m.maps += 1;
-                    in_map = true;
-                }
+                Event::MapBegin { .. } => m.maps += 1,
                 Event::MapEnd { in_use, arena_high, .. } => {
                     m.peak_mem = m.peak_mem.max(*in_use);
                     m.arena_high = m.arena_high.max(*arena_high);
-                    in_map = false;
                 }
-                Event::WindowRollback { .. } => {
-                    if in_map {
-                        m.retries += 1;
-                    } else {
-                        m.rollbacks += 1;
-                    }
-                }
+                Event::WindowRollback { .. } => m.rollbacks += 1,
                 Event::PkgSend { .. } => m.pkgs_sent += 1,
                 Event::PkgRecv { .. } => m.pkgs_recvd += 1,
                 Event::MailboxBusy { .. } => m.mailbox_busy += 1,
@@ -128,7 +110,7 @@ impl std::fmt::Display for ProcMetrics {
             "P{}: {} events ({} dropped), {} maps, {} tasks, {} cq-retries, \
              suspended peak {}, pkgs {}/{} sent/recvd, msgs {}/{}, \
              mailbox busy {}, peak mem {}u (arena high {}), {} faults, \
-             recovery {}r/{}rb/{}rp",
+             {} rollbacks",
             self.proc,
             self.events,
             self.dropped,
@@ -144,9 +126,7 @@ impl std::fmt::Display for ProcMetrics {
             self.peak_mem,
             self.arena_high,
             self.faults,
-            self.retries,
             self.rollbacks,
-            self.replans,
         )?;
         let total: u64 = self.dwell_ns.iter().sum();
         if total > 0 {
@@ -184,6 +164,7 @@ mod tests {
         t.rec(41, Event::SendSuspend { msg: 1, missing: 9 });
         t.rec(50, Event::CqRetry { msg: 1 });
         t.rec(50, Event::SendOk { msg: 1 });
+        t.rec(55, Event::WindowRollback { pos: 0, attempt: 1 });
         t.state(60, ProtoState::End);
         t.state(70, ProtoState::Done);
         let m = ProcMetrics::from_trace(&t);
@@ -203,26 +184,7 @@ mod tests {
         let line = m.to_string();
         assert!(line.contains("P3"), "{line}");
         assert!(line.contains("1 maps"), "{line}");
-    }
-
-    #[test]
-    fn rollbacks_split_by_phase() {
-        let mut t = ProcTrace::new(0, TraceConfig::default());
-        t.rec(0, Event::MapBegin { pos: 0 });
-        t.rec(1, Event::Alloc { obj: 0, units: 2, offset: 0 });
-        t.rec(2, Event::AllocRollback { obj: 0, units: 2 });
-        t.rec(3, Event::WindowRollback { pos: 0, attempt: 1 }); // MAP-phase retry
-        t.rec(4, Event::Alloc { obj: 0, units: 2, offset: 0 });
-        t.rec(5, Event::MapEnd { pos: 0, next_map: 1, in_use: 2, arena_high: 2 });
-        t.rec(6, Event::TaskBegin { task: 0, pos: 0 });
-        t.rec(7, Event::WindowRollback { pos: 0, attempt: 1 }); // EXE-phase rollback
-        t.rec(8, Event::TaskBegin { task: 0, pos: 0 });
-        t.rec(9, Event::TaskEnd { task: 0 });
-        let m = ProcMetrics::from_trace(&t);
-        assert_eq!(m.retries, 1);
         assert_eq!(m.rollbacks, 1);
-        assert_eq!(m.replans, 0);
-        let line = m.to_string();
-        assert!(line.contains("recovery 1r/1rb/0rp"), "{line}");
+        assert!(line.contains("1 rollbacks"), "{line}");
     }
 }

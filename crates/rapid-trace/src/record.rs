@@ -36,37 +36,35 @@ pub const TAG_MAP_BEGIN: u64 = 2;
 pub const TAG_FREE: u64 = 3;
 /// [`Event::Alloc`]; `a` = obj, `b` = units, `c` = offset.
 pub const TAG_ALLOC: u64 = 4;
-/// [`Event::AllocRollback`]; `a` = obj, `b` = units.
-pub const TAG_ALLOC_ROLLBACK: u64 = 5;
 /// [`Event::WindowRollback`]; `a` = pos, `b` = attempt.
-pub const TAG_WINDOW_ROLLBACK: u64 = 6;
+pub const TAG_WINDOW_ROLLBACK: u64 = 5;
 /// [`Event::MapEnd`]; `a` = pos | next_map << 28, `b` = in_use,
 /// `c` = arena_high.
-pub const TAG_MAP_END: u64 = 7;
+pub const TAG_MAP_END: u64 = 6;
 /// [`Event::PkgSend`]; `a` = dst | seq << 28, `b` = object count; the
 /// objects follow in [`TAG_OBJS`] continuations.
-pub const TAG_PKG_SEND: u64 = 8;
+pub const TAG_PKG_SEND: u64 = 7;
 /// [`Event::PkgRecv`]; `a` = src | seq << 28, `b` = object count.
-pub const TAG_PKG_RECV: u64 = 9;
+pub const TAG_PKG_RECV: u64 = 8;
 /// [`Event::MailboxBusy`]; `a` = dst.
-pub const TAG_MAILBOX_BUSY: u64 = 10;
+pub const TAG_MAILBOX_BUSY: u64 = 9;
 /// [`Event::SendOk`]; `a` = msg.
-pub const TAG_SEND_OK: u64 = 11;
+pub const TAG_SEND_OK: u64 = 10;
 /// [`Event::SendSuspend`]; `a` = msg, `b` = missing.
-pub const TAG_SEND_SUSPEND: u64 = 12;
+pub const TAG_SEND_SUSPEND: u64 = 11;
 /// [`Event::CqRetry`]; `a` = msg.
-pub const TAG_CQ_RETRY: u64 = 13;
+pub const TAG_CQ_RETRY: u64 = 12;
 /// [`Event::MsgRecv`]; `a` = msg.
-pub const TAG_MSG_RECV: u64 = 14;
+pub const TAG_MSG_RECV: u64 = 13;
 /// [`Event::TaskBegin`]; `a` = task, `b` = pos.
-pub const TAG_TASK_BEGIN: u64 = 15;
+pub const TAG_TASK_BEGIN: u64 = 14;
 /// [`Event::TaskEnd`]; `a` = task.
-pub const TAG_TASK_END: u64 = 16;
+pub const TAG_TASK_END: u64 = 15;
 /// [`Event::Fault`]; `a` = index into [`FaultSite::ALL`].
-pub const TAG_FAULT: u64 = 17;
+pub const TAG_FAULT: u64 = 16;
 /// Object-list continuation; `a` = ids in this record (1..=6), words
 /// 1–3 each pack two u32 ids (low half first).
-pub const TAG_OBJS: u64 = 18;
+pub const TAG_OBJS: u64 = 17;
 
 /// Ids packed per continuation record (two per word, three words).
 pub const OBJS_PER_RECORD: usize = 6;
@@ -187,7 +185,6 @@ impl RecordStream {
             TAG_MAP_BEGIN => Event::MapBegin { pos: a as u32 },
             TAG_FREE => Event::Free { obj: a as u32, units: b, offset: c },
             TAG_ALLOC => Event::Alloc { obj: a as u32, units: b, offset: c },
-            TAG_ALLOC_ROLLBACK => Event::AllocRollback { obj: a as u32, units: b },
             TAG_WINDOW_ROLLBACK => Event::WindowRollback { pos: a as u32, attempt: b as u32 },
             TAG_MAP_END => {
                 let (pos, next_map) = unpack_two(a);

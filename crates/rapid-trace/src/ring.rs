@@ -174,12 +174,6 @@ impl<'r> FlatWriter<'r> {
         self.push(pack(record::TAG_ALLOC, obj as u64, ts, units, offset));
     }
 
-    /// Record [`Event::AllocRollback`].
-    #[inline]
-    pub fn alloc_rollback(&mut self, ts: Ts, obj: u32, units: u64) {
-        self.push(pack(record::TAG_ALLOC_ROLLBACK, obj as u64, ts, units, 0));
-    }
-
     /// Record [`Event::WindowRollback`].
     #[inline]
     pub fn window_rollback(&mut self, ts: Ts, pos: u32, attempt: u32) {
@@ -277,7 +271,6 @@ impl<'r> FlatWriter<'r> {
             Event::MapBegin { pos } => self.map_begin(ts, *pos),
             Event::Free { obj, units, offset } => self.free(ts, *obj, *units, *offset),
             Event::Alloc { obj, units, offset } => self.alloc(ts, *obj, *units, *offset),
-            Event::AllocRollback { obj, units } => self.alloc_rollback(ts, *obj, *units),
             Event::WindowRollback { pos, attempt } => self.window_rollback(ts, *pos, *attempt),
             Event::MapEnd { pos, next_map, in_use, arena_high } => {
                 self.map_end(ts, *pos, *next_map, *in_use, *arena_high)

@@ -16,20 +16,17 @@
 //! its docs for the exact phase set and why skipping the rest is sound).
 //! Only when that fails (a tighter capacity demanding finer slices) does
 //! the replanner fall back to the cold pipeline below the cached DCG,
-//! bottom levels and `H`: re-merge, re-order, place, fully verify. The
-//! same pipeline, with the levels recomputed, serves a quarantine's
-//! changed assignment. Nothing here reads a run's measurements: the plan
-//! is made before the run, from the graph, the assignment and the cap.
+//! bottom levels and `H`: re-merge, re-order, place, fully verify.
+//! Nothing here reads a run's measurements: the plan is made before the
+//! run, from the graph, the assignment and the cap.
 
 use crate::verify::{place_or_reject, verify, verify_placement, VerifyReport};
 use rapid_core::algo::{bottom_levels_from, edge_costs};
 use rapid_core::dcg::Dcg;
-use rapid_core::graph::{Csr, ProcId, TaskGraph};
+use rapid_core::graph::{Csr, TaskGraph};
 use rapid_core::schedule::{Assignment, CostModel, Schedule};
 use rapid_rt::{MapPlacement, MapWindow, RtPlan};
-use rapid_sched::{
-    avail_volatile, dts_order_with_levels, merge_slices_from_h, owner_compute_assignment, slice_h,
-};
+use rapid_sched::{avail_volatile, dts_order_with_levels, merge_slices_from_h, slice_h};
 
 /// The capacity-dependent outcome of a plan or replan. The schedule and
 /// protocol plan it belongs to live in the [`Replanner`]'s cache
@@ -52,7 +49,6 @@ pub struct Planned {
 pub struct Replanner<'g> {
     g: &'g TaskGraph,
     assign: &'g Assignment,
-    cost: &'g CostModel,
     dcg: Dcg,
     levels: Levels,
     sched: Schedule,
@@ -65,14 +61,6 @@ struct Levels {
     blevel: Vec<f64>,
     /// Per raw-slice volatile requirement `H(R, L_i)` (Definition 7).
     h: Vec<u64>,
-}
-
-impl Levels {
-    fn of(g: &TaskGraph, assign: &Assignment, cost: &CostModel, dcg: &Dcg) -> Levels {
-        let edge_cost = edge_costs(g, cost, Some(assign));
-        let blevel = bottom_levels_from(g, &edge_cost);
-        Levels { edge_cost, blevel, h: slice_h(g, assign, dcg) }
-    }
 }
 
 impl<'g> Replanner<'g> {
@@ -88,10 +76,12 @@ impl<'g> Replanner<'g> {
         _: usize,
     ) -> (Replanner<'g>, Planned) {
         let dcg = Dcg::build(g);
-        let levels = Levels::of(g, assign, cost, &dcg);
+        let edge_cost = edge_costs(g, cost, Some(assign));
+        let blevel = bottom_levels_from(g, &edge_cost);
+        let levels = Levels { edge_cost, blevel, h: slice_h(g, assign, &dcg) };
         let avail = avail_volatile(g, assign, capacity);
         let (sched, plan, planned) = cold_plan(g, assign, &dcg, &levels, avail, capacity);
-        (Replanner { g, assign, cost, dcg, levels, sched, plan }, planned)
+        (Replanner { g, assign, dcg, levels, sched, plan }, planned)
     }
 
     /// The cached merged-DTS schedule the latest outcome was placed for.
@@ -129,50 +119,6 @@ impl<'g> Replanner<'g> {
         self.plan = plan;
         planned
     }
-
-    /// Degraded re-plan after a processor quarantine: every object owned
-    /// by a non-alive processor is re-placed cyclically (in object-id
-    /// order — deterministic) over the survivors, and the whole
-    /// owner-compute pipeline re-runs for the degraded assignment. The
-    /// machine keeps its width: quarantined processors own no objects
-    /// and run no tasks, so their workers retire straight through END
-    /// and no per-processor fault stream ever fires there.
-    ///
-    /// Returns an owned [`SurvivorPlan`]; the cached fault-free plan is
-    /// untouched, so a supervisor can degrade further from the same
-    /// cache. Only the DCG is reused — bottom levels and the per-slice
-    /// `H` depend on the assignment and are recomputed.
-    pub fn replan_survivors(&self, alive: &[bool], capacity: u64) -> SurvivorPlan {
-        assert_eq!(alive.len(), self.assign.nprocs, "alive mask must cover the machine");
-        let survivors: Vec<ProcId> =
-            alive.iter().enumerate().filter(|&(_, &a)| a).map(|(p, _)| p as ProcId).collect();
-        assert!(!survivors.is_empty(), "degraded re-plan needs at least one survivor");
-        let mut owner: Vec<ProcId> = self.g.objects().map(|d| self.assign.owner_of(d)).collect();
-        let mut next = 0usize;
-        for o in owner.iter_mut() {
-            if !alive[*o as usize] {
-                *o = survivors[next % survivors.len()];
-                next += 1;
-            }
-        }
-        let assign = owner_compute_assignment(self.g, &owner, alive.len());
-        let avail = avail_volatile(self.g, &assign, capacity);
-        let levels = Levels::of(self.g, &assign, self.cost, &self.dcg);
-        let (sched, _, planned) = cold_plan(self.g, &assign, &self.dcg, &levels, avail, capacity);
-        SurvivorPlan { sched, planned }
-    }
-}
-
-/// The owned outcome of a degraded re-plan
-/// ([`Replanner::replan_survivors`]).
-#[derive(Clone, Debug)]
-pub struct SurvivorPlan {
-    /// The degraded schedule: same machine width, but quarantined
-    /// processors own no objects and run no tasks.
-    pub sched: Schedule,
-    /// Placement and verification of the degraded plan under the
-    /// requested capacity.
-    pub planned: Planned,
 }
 
 /// The one cold pipeline below the levels: Figure-6 merge of `H` under
@@ -328,32 +274,6 @@ mod tests {
         let re = rp.replan_capacity(2 * cap);
         assert!(re.incremental, "growing capacity must reuse the cached order");
         assert!(re.report.accepted());
-    }
-
-    #[test]
-    fn survivor_replan_moves_work_off_the_quarantined_proc() {
-        let cost = CostModel::unit();
-        let (g, a, cap) = case(4);
-        let cap = 2 * cap; // headroom: 3 survivors absorb 4 processors' objects
-        let (rp, cold) = Replanner::new(&g, &a, &cost, cap, 1);
-        assert!(cold.report.accepted(), "{:?}", cold.report.findings);
-        let alive = [true, false, true, true];
-        let sp = rp.replan_survivors(&alive, cap);
-        assert!(sp.planned.report.accepted(), "{:?}", sp.planned.report.findings);
-        assert_eq!(sp.sched.assign.nprocs, 4, "machine keeps its width");
-        assert!(sp.sched.order[1].is_empty(), "quarantined processor runs nothing");
-        for d in g.objects() {
-            assert_ne!(sp.sched.assign.owner_of(d), 1, "{d:?} still owned by the quarantined proc");
-        }
-        // The cached fault-free plan is untouched and further degradation
-        // from the same cache is deterministic.
-        let sp2 = rp.replan_survivors(&alive, cap);
-        assert_eq!(
-            plan_hash(&sp.sched, &sp.planned.placement),
-            plan_hash(&sp2.sched, &sp2.planned.placement),
-            "degraded re-plan must be deterministic"
-        );
-        assert_eq!(rp.sched().order.iter().map(Vec::len).sum::<usize>(), g.num_tasks());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The address plan against the unit-occupancy oracle: random DAGs across
 //! processors and capacities, the Cholesky and LU fixtures,
-//! the benchmark's `irregular-tight` generator, and the two schedules
-//! built to cut a window. Static slices of the sweep (see `sweep/mod.rs`).
+//! the benchmark's `irregular-tight` generator, the two schedules built to
+//! cut a window and a zero-size volatile at exact capacity. Static slices
+//! of the sweep (see `sweep/mod.rs`).
 
 mod common;
 mod sweep;
@@ -53,4 +54,12 @@ fn a_lookahead_the_arena_cannot_place_cuts_its_window() {
     // The pinned rows: cuts, windows and offsets.
     let t = run(&at(CutWindow, 3, Fixed, AtMin));
     assert_eq!((t.placed, t.with_cuts), (1, 1), "{t:?}");
+}
+
+#[test]
+fn a_zero_size_volatile_fits_a_full_heap() {
+    // The pinned rows: `z` at the end of P1's heap. Verified, placed, run
+    // on threads and in the DES, each agreeing with the other.
+    let t = run(&at(ZeroAtCapacity, 2, Fixed, AtMin).traced_on(Both(Unit)));
+    assert_eq!((t.placed, t.thr_ok, t.des_ok, t.compared), (1, 1, 1, 1), "{t:?}");
 }

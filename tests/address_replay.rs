@@ -1,7 +1,6 @@
 //! Address plans replayed: what the threaded executor records of its MAPs
-//! is the plan, row for row, fault-free, under injected allocation
-//! failures and through an armed window retry; fault-free runs find no
-//! address slot busy. Slices of the sweep (see `sweep/mod.rs`).
+//! is the plan, row for row; fault-free runs find no address slot busy.
+//! Slices of the sweep (see `sweep/mod.rs`).
 
 mod common;
 mod sweep;
@@ -34,33 +33,6 @@ fn a_cut_window_is_a_map_the_des_does_not_take() {
     let cut = |cap| at(CutWindow, 3, Fixed, cap).traced_on(Both(Unit));
     let t = sweep(&[cut(AtMin), cut(Slack(1))]);
     assert_eq!((t.placed, t.with_cuts, t.compared), (2, 1, 1), "{t:?}");
-}
-
-#[test]
-fn injected_allocation_failures_replay_the_same_maps() {
-    // A refusal that is waited out leaves no mark on the MAPs.
-    let mut cases = Vec::new();
-    for base in bases() {
-        for seed in 0..6 {
-            cases.push(Case { fault: Some(Scenario("alloc-pressure", seed)), ..traced(&base) });
-        }
-    }
-    let t = sweep(&cases);
-    let (succeeded, refusals) = (t.thr_ok, t.refusals);
-    assert!(succeeded >= 20 && refusals >= 100, "{succeeded} runs waited out {refusals} refusals");
-}
-
-#[test]
-fn an_armed_window_retry_places_the_same_row_again() {
-    // Every refusal goes to the window retry, which places the same row
-    // again.
-    let fault = Some(AllocOnly { seed: 5, alloc_fail_permille: 200, alloc_fail_budget: 12 });
-    for base in bases() {
-        let t = run(&Case { fault, rec: WindowOnly, ..traced(&base) });
-        assert!(t.thr_ok == 1 && t.retried > 0, "{base:?}: no refusal reached the window retry");
-        let cut = matches!(base.graph, CutWindow);
-        assert!(t.undone > 0 || cut, "{base:?}: no retry had a placement to undo");
-    }
 }
 
 #[test]

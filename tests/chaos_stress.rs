@@ -1,6 +1,6 @@
-//! Every fault scenario, unarmed: a faulted run gives identical results or
-//! fails typed, never `Stalled`; seeded reruns agree, and the DES's trace
-//! is byte-identical. Slices of the sweep (see `sweep/mod.rs`), and the
+//! Every fault scenario, unarmed: a faulted run gives identical results
+//! unless its plan was rejected, never `Stalled`; seeded reruns agree, and
+//! the DES's trace is byte-identical. Slices of the sweep (see `sweep/mod.rs`), and the
 //! typed failures that are not sweep-shaped.
 
 mod common;
@@ -48,13 +48,13 @@ fn faulted_traces_are_byte_identical_per_seed() {
     let g11 = random(11, &spec(12, 30, 4), 3, Mpo, Slack(8));
     let cases = scenarios(&Case { rounds: 2, ..g11.traced_on(Des(Unit)) }, 0..10);
     let t = sweep(&cases);
-    assert!(t.des_ok * 4 >= cases.len() * 3, "{t:?}");
+    assert_eq!(t.des_ok, cases.len(), "{t:?}");
 }
 
 fn under_faults(graph: Graph, p: usize) {
     let base = Case { driver: Threads, ..at(graph, p, Mpo, Slack(256)) };
     let t = sweep(&scenarios(&base, 0..FAULT_SEEDS));
-    assert_eq!(t.thr_ok + t.thr_failed, 4 * FAULT_SEEDS as usize, "{t:?}");
+    assert_eq!(t.thr_ok, 3 * FAULT_SEEDS as usize, "{t:?}");
 }
 
 #[test]

@@ -10,7 +10,44 @@ use rapid::core::fixtures::RandomGraphSpec;
 use sweep::*;
 
 /// Failing cases, pasted as printed, replayed by [`regressions`].
-const REGRESSIONS: &[Case] = &[];
+const REGRESSIONS: &[Case] = &[
+    // A rollback that waited for its window's suspended sends stalled:
+    // their addresses were owed by peers waiting on the window.
+    Case {
+        graph: Random(7, G7),
+        p: 4,
+        policy: Mpo,
+        cap: Placeable,
+        fault: Some(ScenarioPanic("delay-heavy", 2)),
+        traced: true,
+        rec: Armed,
+        driver: Threads,
+        rounds: 1,
+    },
+    // A rollback of the whole window re-ran tasks whose volatiles had been
+    // filled again since: wrong bits in about one run in ten.
+    Case {
+        graph: Random(7, G7),
+        p: 4,
+        policy: Mpo,
+        cap: Slack(8),
+        fault: Some(ScenarioPanic("contention-heavy", 3)),
+        traced: true,
+        rec: Armed,
+        driver: Threads,
+        rounds: 20,
+    },
+];
+
+const G7: RandomGraphSpec = RandomGraphSpec {
+    objects: 16,
+    tasks: 40,
+    max_obj_size: 4,
+    max_reads: 3,
+    update_prob: 0.35,
+    accum_prob: 0.0,
+    max_weight: 4.0,
+};
 
 #[test]
 fn regressions() {
@@ -32,9 +69,9 @@ fn default_shape_at_min_mem_on_each_driver() {
     assert_eq!((t.des_ok, t.non_executable), (10, 10), "{t:?}");
 }
 
-/// Every scenario on the DES, rejections and allocation failures
-/// included: each run completes or fails typed, and a seeded rerun is the
-/// same trace byte for byte.
+/// Every scenario on the DES, rejections included: each run completes, a
+/// rejection site fires, and a seeded rerun is the same trace byte for
+/// byte.
 #[test]
 fn fault_matrix_on_the_des() {
     let s = spec(12, 30, 4);
@@ -44,5 +81,5 @@ fn fault_matrix_on_the_des() {
         cases.extend(scenarios(&base, 0..FAULT_SEEDS));
     }
     let t = sweep(&cases);
-    assert!(t.busy >= 1 && t.refusals > 0 && t.des_ok * 4 >= cases.len() * 3, "{t:?}");
+    assert!(t.busy >= 1 && t.rejects > 0 && t.des_ok == cases.len(), "{t:?}");
 }

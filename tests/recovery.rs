@@ -1,20 +1,25 @@
-//! Armed recovery: every faulted run heals bitwise or fails
-//! `Unrecoverable`, its recovery decisions are the same on rerun, and one
-//! rollback heals a transient panic, read off the trace or its
-//! skeleton projection. Slices of the sweep (see
-//! `sweep/mod.rs`), the exhausted budget and the quarantine.
+//! Armed recovery: under every fault scenario, a one-shot task panic is
+//! healed bitwise by one window rollback, whose trace is the same on
+//! rerun, read off the trace or its skeleton projection. Slices of the
+//! sweep (see `sweep/mod.rs`), and the exhausted budget.
 
 mod common;
 mod sweep;
 
-use rapid::core::memreq::min_mem;
 use rapid::prelude::*;
 use rapid::rt::threaded::run_sequential;
-use rapid::rt::{ExecError, RecoveryPolicy, Supervisor};
+use rapid::rt::{ExecError, WINDOW_ATTEMPTS};
 use rapid::trace::{skeletons, CanonEvent};
-use rapid::verify::Replanner;
 use std::sync::atomic::{AtomicBool, Ordering};
 use sweep::*;
+
+/// Every armed scenario case panics once (see [`scenarios`]): each of its
+/// runs heals bitwise after exactly one rollback.
+fn all_heal(cases: &[Case]) {
+    let runs = cases.iter().map(|c| c.rounds as usize).sum::<usize>();
+    let t = sweep(cases);
+    assert_eq!((t.thr_ok, t.rollbacks), (runs, runs), "{t:?}");
+}
 
 #[test]
 fn recovery_matrix_random_dags() {
@@ -23,7 +28,7 @@ fn recovery_matrix_random_dags() {
         let g = random(seed, &spec(12, 30, 4), 4, Mpo, Slack(8));
         cases.extend(scenarios(&Case { rec: Armed, ..g.traced_on(Threads) }, 0..FAULT_SEEDS));
     }
-    sweep(&cases);
+    all_heal(&cases);
 }
 
 /// Graph 7 armed at the tightest capacity that places: at `MIN_MEM` the
@@ -36,15 +41,14 @@ fn tightest() -> Case {
 fn recovery_matrix_at_exact_min_mem() {
     let rejected = Case { cap: AtMin, traced: false, ..tightest() };
     assert_eq!(run(&rejected).planned_rejections, 1);
-    let cases = scenarios(&tightest(), 0..FAULT_SEEDS);
-    let healed = cases.iter().filter(|c| run(c).thr_ok > 0).count();
-    assert!(healed * 4 >= cases.len() * 3, "only {healed} of {} faulted runs healed", cases.len());
+    all_heal(&scenarios(&tightest(), 0..FAULT_SEEDS));
 }
 
 #[test]
 fn recovery_traces_are_deterministic_per_seed() {
-    let t = sweep(&scenarios(&Case { rounds: 2, ..tightest() }, [0, 9].into_iter()));
-    assert_eq!(t.thr_ok + t.thr_failed, 16, "{t:?}");
+    let cases = scenarios(&Case { rounds: 2, ..tightest() }, [0, 9].into_iter());
+    assert_eq!(cases.len(), 6);
+    all_heal(&cases);
 }
 
 /// Graph 7 with slack, half the fault seeds. The run once recorded only
@@ -53,8 +57,7 @@ fn recovery_traces_are_deterministic_per_seed() {
 #[test]
 fn fault_matrix_checks_clean_under_skeleton_tier() {
     let g7 = random(7, &spec(16, 40, 4), 4, Mpo, Slack(8));
-    let t = sweep(&scenarios(&Case { rec: Armed, ..g7.traced_on(Threads) }, 0..8));
-    assert!(t.thr_ok >= 8, "only {} runs healed — the matrix lost its teeth", t.thr_ok);
+    all_heal(&scenarios(&Case { rec: Armed, ..g7.traced_on(Threads) }, 0..8));
 }
 
 #[test]
@@ -72,7 +75,7 @@ fn transient_panic_recovers_under_skeleton_tier() {
     let (g, sched, cap) = built(&victim());
     let armed = AtomicBool::new(true);
     let out = ThreadedExecutor::new(&g, &sched, cap)
-        .with_recovery(RecoveryPolicy::new())
+        .with_recovery()
         .with_tracing(TraceConfig::default())
         .run(|t, ctx| {
             if t == TaskId(17) && armed.swap(false, Ordering::SeqCst) {
@@ -104,55 +107,16 @@ fn exhausted_budget_is_unrecoverable() {
     // A task that panics every time spends the whole window budget, and
     // the run says so, wrapping the panic that kept recurring.
     let (g, sched, cap) = built(&victim());
-    let policy = RecoveryPolicy::new();
-    let out = ThreadedExecutor::new(&g, &sched, cap).with_recovery(policy).run(|t, ctx| {
+    let out = ThreadedExecutor::new(&g, &sched, cap).with_recovery().run(|t, ctx| {
         assert!(t != TaskId(17), "chaos: persistent body panic");
         rmw(t, ctx)
     });
     let Err(ExecError::Unrecoverable { attempts, cause, .. }) = out else {
         panic!("expected Unrecoverable, got {out:?}");
     };
-    assert_eq!(attempts, policy.retry.window_attempts);
+    assert_eq!(attempts, WINDOW_ATTEMPTS);
     let ExecError::WorkerPanicked { task: Some(TaskId(17)), payload, .. } = *cause else {
         panic!("expected a WorkerPanicked cause, got {cause}");
     };
     assert!(payload.contains("persistent body panic"), "payload was {payload:?}");
-}
-
-#[test]
-fn quarantine_replan_completes() {
-    // P1 fails every window until its budget is spent; the supervisor
-    // quarantines it, the planner moves its objects onto the survivors,
-    // and the degraded machine finishes bitwise.
-    let (g, sched) = build(&random(3, &spec(12, 30, 4), 4, Mpo, AtMin));
-    // Three survivors absorb four processors' permanents.
-    let cap = 2 * min_mem(&g, &sched).min_mem;
-    let cost = CostModel::unit();
-    let (replanner, planned) = Replanner::new(&g, &sched.assign, &cost, cap, 1);
-    assert!(planned.report.accepted(), "the healthy plan must verify at 2 MIN_MEM");
-    let broken = 1;
-    let (objects, report) = Supervisor::new(2)
-        .run(4, |alive| {
-            let degraded;
-            let sched_ref = if alive.iter().all(|&a| a) {
-                &sched
-            } else {
-                degraded = replanner.replan_survivors(alive, cap);
-                assert!(degraded.planned.report.accepted(), "the degraded plan must verify");
-                assert!(degraded.sched.order[broken].is_empty(), "P1 must run nothing");
-                &degraded.sched
-            };
-            let bad: Vec<TaskId> =
-                if alive[broken] { sched_ref.order[broken].clone() } else { vec![] };
-            ThreadedExecutor::new(&g, sched_ref, cap)
-                .with_recovery(RecoveryPolicy::new())
-                .run(move |t, ctx| {
-                    assert!(!bad.contains(&t), "chaos: processor-tied fault");
-                    rmw(t, ctx)
-                })
-                .map(|out| out.objects)
-        })
-        .expect("the degraded machine must finish the job");
-    assert_same_bits("degraded", &objects, &run_sequential(&g, rmw));
-    assert_eq!((report.quarantined, report.attempts), (vec![broken as u32], 2));
 }

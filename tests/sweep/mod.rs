@@ -10,8 +10,9 @@
 //! `run_sequential` and their MAP counts, peaks and traced MAP events
 //! are the plan's rows; every trace checks clean, fault-free
 //! runs find no slot busy and fault-free drivers emit one skeleton; a
-//! faulted run completes or fails typed, an armed one heals bitwise or
-//! fails `Unrecoverable`, and seeded DES reruns are byte-identical.
+//! faulted run completes bitwise unless its plan was rejected, an armed
+//! one heals a one-shot panic with one rollback, and seeded DES reruns are
+//! byte-identical.
 //!
 //! The integration suites are slices of the space: each test names the
 //! cases it owns and the counts its slice must reach, and runs them
@@ -27,12 +28,12 @@ use rapid::core::fixtures::{
 };
 use rapid::core::memreq::{window_peaks, MemReport};
 use rapid::machine::fault::FaultSite;
-use rapid::machine::{FaultPlan, FaultSpec};
+use rapid::machine::FaultPlan;
 use rapid::prelude::*;
 use rapid::rt::des::{run_unmanaged, DesConfig};
 use rapid::rt::maps::AddressPlan;
 use rapid::rt::threaded::{run_sequential, ThreadedOutcome};
-use rapid::rt::{ExecError, MapPlacement, MapWindow, RecoveryPolicy, RetryPolicy, RtPlan, TaskCtx};
+use rapid::rt::{ExecError, MapPlacement, MapWindow, RtPlan, TaskCtx};
 use rapid::sched::assign::cyclic_owner_map;
 use rapid::sched::dts::merge_slices;
 use rapid::sparse::{gen, taskgen};
@@ -82,6 +83,9 @@ pub enum Graph {
     MidTaskCut,
     /// A fixed schedule built to cut a window (see [`cut_window`]).
     CutWindow,
+    /// A fixed schedule whose last volatile has size 0 and meets a full
+    /// heap (see [`zero_at_capacity`]).
+    ZeroAtCapacity,
     /// Figure 2's schedule (c) on three processors, the third idle.
     IdleProc,
 }
@@ -116,8 +120,9 @@ pub enum Cap {
 pub enum Fault {
     /// The entry of `FaultPlan::scenarios(seed)` so named.
     Scenario(&'static str, u64),
-    /// Allocation failures only.
-    AllocOnly { seed: u64, alloc_fail_permille: u16, alloc_fail_budget: u32 },
+    /// That scenario, and the body panics the first time it runs a task
+    /// drawn from the seed ([`panicking_task`]).
+    ScenarioPanic(&'static str, u64),
     /// The body panics the first time it runs this task.
     PanicOnce(u32),
 }
@@ -126,8 +131,6 @@ pub enum Fault {
 pub enum Rec {
     Unarmed,
     Armed,
-    /// No retry in place: every refusal goes to the MAP-phase window retry.
-    WindowOnly,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -155,18 +158,14 @@ pub struct Tally {
     pub fragmented: usize,
     pub non_executable: usize,
     pub thr_ok: usize,
-    pub thr_failed: usize,
     pub planned_rejections: usize,
     pub des_ok: usize,
     pub compared: usize,
-    /// Slots found busy, fault records, and injected allocation failures.
+    /// Slots found busy, fault records, and injected mailbox rejections.
     pub busy: u32,
     pub injected: usize,
-    pub refusals: usize,
-    /// Placements undone and MAP-phase window retries, from traces.
-    pub undone: usize,
-    pub retried: usize,
-    /// Window rollbacks in skeletons.
+    pub rejects: usize,
+    /// Rollbacks in skeletons.
     pub rollbacks: usize,
 }
 
@@ -222,15 +221,30 @@ pub fn grid(seeds: std::ops::Range<u64>, base: Case) -> Vec<Case> {
     seeds.map(|seed| Case { graph: Random(seed, s.clone()), ..base.clone() }).collect()
 }
 
-/// Every scenario at fault seeds `seeds`, on `base`.
+/// Every scenario at fault seeds `seeds`, on `base`. Armed, each case's
+/// body also panics once ([`ScenarioPanic`]): a scenario only delays and
+/// rejects, so without it the recovery would have nothing to heal.
 pub fn scenarios(base: &Case, seeds: impl Iterator<Item = u64>) -> Vec<Case> {
+    let fault = if base.rec == Armed { ScenarioPanic } else { Scenario };
     seeds
         .flat_map(|seed| {
             FaultPlan::scenarios(seed)
                 .into_iter()
-                .map(move |(name, _)| Case { fault: Some(Scenario(name, seed)), ..base.clone() })
+                .map(move |(name, _)| Case { fault: Some(fault(name, seed)), ..base.clone() })
         })
         .collect()
+}
+
+/// The task whose body the case's fault makes panic once, if any.
+pub fn panicking_task(c: &Case, g: &TaskGraph) -> Option<TaskId> {
+    match c.fault? {
+        PanicOnce(t) => Some(TaskId(t)),
+        ScenarioPanic(_, seed) => {
+            let draw = seed.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+            Some(TaskId((draw % g.num_tasks() as u64) as u32))
+        }
+        Scenario(..) => None,
+    }
 }
 
 /// P1 reads `a`(3) `b`(2) `c`(3), then `b` and `d`(2), then `e`(4), into
@@ -261,6 +275,20 @@ pub fn cut_window() -> (TaskGraph, Schedule) {
     (g, sched)
 }
 
+/// P0's task writes `x`(1), `y`(3) and `z`(0); P1's reads `y` and `z` into
+/// its `w`(1). At `MIN_MEM` = 4, `y` fills P1's heap to the last unit and
+/// `z` still needs a place: the end of the heap.
+pub fn zero_at_capacity() -> (TaskGraph, Schedule) {
+    let mut b = TaskGraphBuilder::new();
+    let [x, y, z, w] = [1, 3, 0, 1].map(|n| b.add_object(n));
+    let a = b.add_task(1.0, &[], &[x, y, z]);
+    let r = b.add_task(1.0, &[y, z], &[w]);
+    b.add_edge(a, r);
+    let g = b.build().expect("acyclic");
+    let assign = Assignment { task_proc: vec![0, 1], owner: vec![0, 0, 0, 1], nprocs: 2 };
+    (g, Schedule { assign, order: vec![vec![a], vec![r]] })
+}
+
 pub fn build(c: &Case) -> (TaskGraph, Schedule) {
     let p = c.p;
     let random = |seed, s: &RandomGraphSpec| {
@@ -281,6 +309,7 @@ pub fn build(c: &Case) -> (TaskGraph, Schedule) {
             (m.graph, m.owner)
         }
         CutWindow => return cut_window(),
+        ZeroAtCapacity => return zero_at_capacity(),
         IdleProc => {
             let c = figure2_schedule_c();
             let assign = Assignment { nprocs: 3, ..c.assign.clone() };
@@ -331,12 +360,8 @@ pub fn capacity(c: &Case, g: &TaskGraph, sched: &Schedule, rep: &MemReport) -> u
 
 pub fn fault_plan(f: Option<Fault>) -> Option<FaultPlan> {
     match f? {
-        Scenario(name, seed) => {
+        Scenario(name, seed) | ScenarioPanic(name, seed) => {
             FaultPlan::scenarios(seed).into_iter().find_map(|(n, plan)| (n == name).then_some(plan))
-        }
-        AllocOnly { seed, alloc_fail_permille, alloc_fail_budget } => {
-            let spec = FaultSpec { alloc_fail_permille, alloc_fail_budget, ..<_>::default() };
-            Some(FaultPlan::new(seed, spec))
         }
         PanicOnce(_) => None,
     }
@@ -675,6 +700,11 @@ pub fn pinned_rows(c: &Case, g: &TaskGraph, sched: &Schedule, plan: &RtPlan, cap
             assert_eq!(walk(cap + 1).cuts[1], 0);
         }
         (IdleProc, AtMin) => assert_eq!(cap, 8, "Figure 2 (c)'s MIN_MEM"),
+        (ZeroAtCapacity, AtMin) => {
+            assert_eq!(cap, 4);
+            let a = walk(cap);
+            assert_eq!((a.offsets[1][1], a.offsets[1][2]), (1, 4), "y after w, z at the end");
+        }
         (MidTaskCut, Slack(8)) => {
             // The window that ran out of room in the middle of the task at
             // 22 ends before it, and that task's MAP allocates all of its
@@ -687,16 +717,6 @@ pub fn pinned_rows(c: &Case, g: &TaskGraph, sched: &Schedule, plan: &RtPlan, cap
             assert!(at_22.alloc_pos.iter().filter(|&&at| at == 22).count() >= 2, "{at_22:?}");
         }
         _ => {}
-    }
-}
-
-/// A run that ended in `e` was a typed failure the case allows.
-pub fn typed_failure(c: &Case, e: &ExecError) -> bool {
-    let refusals = fault_plan(c.fault).is_some_and(|f| f.spec.alloc_fail_permille > 0);
-    match (c.rec, e) {
-        (Unarmed, ExecError::Fragmented { largest: 0, .. }) => refusals,
-        (Armed | WindowOnly, ExecError::Unrecoverable { attempts, .. }) => *attempts > 0,
-        _ => false,
     }
 }
 
@@ -725,7 +745,6 @@ pub fn run_des(
     let out = match DesExecutor::new(g, sched, cfg.clone()).run() {
         Ok(out) => out,
         Err(ExecError::NonExecutable { .. }) if cap < mm => return None,
-        Err(e) if typed_failure(c, &e) => return None,
         Err(e) => panic!("DES at {cap} (MIN_MEM {mm}): {e}"),
     };
     assert!(cap >= mm, "the DES ran below MIN_MEM");
@@ -796,7 +815,7 @@ pub fn judge_trace(
     for (_, e) in trace.procs.iter().flat_map(|pt| pt.iter()) {
         if let Event::Fault { site } = e {
             t.injected += 1;
-            t.refusals += usize::from(*site == FaultSite::AllocFail);
+            t.rejects += usize::from(*site == FaultSite::MailboxReject);
         }
     }
     let rollback = |e: &&CanonEvent| matches!(e, CanonEvent::Rollback { .. });
@@ -818,16 +837,12 @@ pub fn run_threads(
     if let Some(f) = fault_plan(c.fault) {
         exec = exec.with_faults(f);
     }
-    exec = match c.rec {
-        Unarmed => exec,
-        Armed => exec.with_recovery(RecoveryPolicy::new()),
-        WindowOnly => exec.with_recovery(RecoveryPolicy {
-            retry: RetryPolicy { alloc_attempts: 0, window_attempts: 24 },
-        }),
-    };
+    if c.rec == Armed {
+        exec = exec.with_recovery();
+    }
     assert_eq!(exec.address_plan(), walked.as_ref(), "the executor walked another plan");
     let reference = run_sequential(g, body_for(g));
-    let victim = if let Some(PanicOnce(v)) = c.fault { Some(TaskId(v)) } else { None };
+    let victim = panicking_task(c, g);
     let mut last = None;
     let mut projections = Vec::new();
     for _ in 0..c.rounds {
@@ -848,11 +863,6 @@ pub fn run_threads(
                 projections.push(Err(e.to_string()));
                 continue;
             }
-            (Err(e), Ok(_)) if typed_failure(c, &e) => {
-                t.thr_failed += 1;
-                projections.push(Err(e.to_string()));
-                continue;
-            }
             (Err(e), Ok(_)) => panic!("threads at {cap}: {e}"),
             (Ok(out), planned) => (out, planned.expect("a rejected plan ran")),
         };
@@ -870,7 +880,7 @@ pub fn run_threads(
                 assert_eq!(t.rollbacks - before, 1, "one rollback heals one transient panic");
             }
             for p in 0..c.p {
-                heal_map_events(t, g, a, trace, p);
+                maps_are_the_plan(g, a, trace, p);
             }
             projections.push(Ok(recovery_projection(trace)));
         }
@@ -915,48 +925,28 @@ pub fn planned_map_events(g: &TaskGraph, a: &AddressPlan, p: usize) -> Vec<Event
     events
 }
 
-/// Replay processor `p`'s recorded MAP events: a window retry forgets the
-/// placements of the MAP in progress. What is left is the plan, row for
-/// row, offsets included.
-pub fn heal_map_events(t: &mut Tally, g: &TaskGraph, a: &AddressPlan, trace: &TraceSet, p: usize) {
-    let mut healed: Vec<Event> = Vec::new();
-    for (_, e) in trace.procs[p].iter() {
-        match e.clone() {
-            Event::AllocRollback { obj, units } => {
-                let placed = healed
-                    .iter()
-                    .rposition(|e| matches!(e, Event::Alloc { obj: o, units: u, .. } if (*o, *u) == (obj, units)))
-                    .unwrap_or_else(|| panic!("P{p}: {obj} rolled back, never placed"));
-                assert!(
-                    healed[placed..].iter().all(|e| matches!(e, Event::Alloc { .. })),
-                    "P{p}: the rollback of {obj} reaches outside its MAP"
-                );
-                healed.remove(placed);
-                t.undone += 1;
-            }
-            // After its MAP, a rollback is of tasks: nothing to heal.
-            Event::WindowRollback { .. } if matches!(healed.last(), Some(Event::MapEnd { .. })) => {
-            }
-            Event::WindowRollback { pos, .. } => {
-                assert!(
-                    matches!(healed.last(), Some(Event::MapBegin { pos: q }) if *q == pos)
-                        || matches!(healed.last(), Some(Event::Free { .. })),
-                    "P{p}: the retry of the window at {pos} starts from its free wave"
-                );
-                t.retried += 1;
-            }
-            e @ (Event::MapBegin { .. }
-            | Event::Free { .. }
-            | Event::Alloc { .. }
-            | Event::MapEnd { .. }) => healed.push(e),
-            _ => {}
-        }
-    }
+/// Processor `p`'s recorded MAP events are the plan, row for row, offsets
+/// included: a rollback reruns a task, never a MAP.
+pub fn maps_are_the_plan(g: &TaskGraph, a: &AddressPlan, trace: &TraceSet, p: usize) {
+    let ran: Vec<Event> = trace.procs[p]
+        .iter()
+        .map(|(_, e)| e)
+        .filter(|e| {
+            matches!(
+                e,
+                Event::MapBegin { .. }
+                    | Event::Free { .. }
+                    | Event::Alloc { .. }
+                    | Event::MapEnd { .. }
+            )
+        })
+        .cloned()
+        .collect();
     let want = planned_map_events(g, a, p);
-    if let Some(i) = healed.iter().zip(&want).position(|(h, w)| h != w) {
-        panic!("P{p}: MAP event {i}: ran {:?}, planned {:?}", healed[i], want[i]);
+    if let Some(i) = ran.iter().zip(&want).position(|(r, w)| r != w) {
+        panic!("P{p}: MAP event {i}: ran {:?}, planned {:?}", ran[i], want[i]);
     }
-    assert_eq!(healed.len(), want.len(), "P{p}: MAP event counts");
+    assert_eq!(ran.len(), want.len(), "P{p}: MAP event counts");
 }
 
 /// Export traces for post-mortem inspection; returns their paths.
