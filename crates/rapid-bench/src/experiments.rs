@@ -461,9 +461,9 @@ pub fn write_trace(path: &str) {
     );
 }
 
-/// `repro gate`: the cost of *arming* window-granular recovery on a
-/// fault-free run — per-window checkpoint capture plus the per-message
-/// sent guard — against the unarmed executor, on the protocol-dominated
+/// `repro gate`: the cost of *arming* recovery on a fault-free run — the
+/// photograph of each task's own write set taken before its body runs —
+/// against the unarmed executor, on the protocol-dominated
 /// fixture (160 near-empty tasks, 4 workers, `MIN_MEM + 8`). The armed
 /// run must stay within 1.30× of the unarmed one ("zero cost when
 /// disabled, near-zero when armed but idle") and both must agree bitwise.

@@ -56,18 +56,6 @@ impl MemReport {
     pub fn executable_under(&self, capacity: u64) -> bool {
         self.min_mem <= capacity
     }
-
-    /// Per-MAP-window peak analysis for this schedule under `capacity`
-    /// (see [`window_peaks`]). Convenience wrapper; the report itself is
-    /// independent of the fields of `self`.
-    pub fn window_peaks(
-        &self,
-        g: &TaskGraph,
-        sched: &Schedule,
-        capacity: u64,
-    ) -> Result<WindowReport, InfeasibleWindow> {
-        window_peaks(g, sched, capacity)
-    }
 }
 
 /// Compute the memory report of a schedule.

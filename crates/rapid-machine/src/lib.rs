@@ -27,6 +27,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::undocumented_unsafe_blocks)]
 
 pub mod affinity;
 pub mod arena;

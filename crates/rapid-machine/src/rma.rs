@@ -47,6 +47,8 @@ pub struct RmaHeap {
 // SAFETY: all aliasing is controlled by the execution protocol documented
 // above; the type itself only hands out raw access through `unsafe` fns.
 unsafe impl Sync for RmaHeap {}
+// SAFETY: the heap owns its cells outright and they are plain `f64`s, so
+// moving it to another thread moves nothing that another thread still holds.
 unsafe impl Send for RmaHeap {}
 
 impl RmaHeap {
@@ -213,6 +215,7 @@ mod tests {
     fn put_then_read_roundtrip() {
         let h = RmaHeap::new(16);
         let src = [1.0, 2.0, 3.0];
+        // SAFETY: one thread, and every range lies inside the 16 cells.
         unsafe {
             h.put(4, &src);
             let mut dst = [0.0; 3];
@@ -247,12 +250,16 @@ mod tests {
         let (h2, f2) = (Arc::clone(&heap), Arc::clone(&flags));
         let writer = std::thread::spawn(move || {
             let payload: Vec<f64> = (0..512).map(|i| i as f64 * 0.5).collect();
+            // SAFETY: the only writer of `[100, 612)`, and the reader waits
+            // for the flag raised after it.
             unsafe { h2.put(100, &payload) };
             f2.raise(0);
         });
         while !flags.is_raised(0) {
             std::hint::spin_loop();
         }
+        // SAFETY: the flag was observed with Acquire, so the put is complete
+        // and nothing writes the range again.
         let got = unsafe { heap.slice(100, 512) };
         for (i, &v) in got.iter().enumerate() {
             assert_eq!(v, i as f64 * 0.5);

@@ -585,16 +585,17 @@ where
         let writes_ids = g.writes(t);
         let mut writes: Vec<(u32, &mut [f64])> = Vec::with_capacity(writes_ids.len());
         let mut reads: Vec<(u32, &[f64])> = Vec::new();
-        // SAFETY: object ids are distinct within each set and across the
-        // two sets (reads that are also written are dropped below), and
-        // `bufs` outlives the ctx; we hand out one &mut per distinct id.
         let base = bufs.as_mut_ptr();
         for &d in writes_ids {
+            // SAFETY: write ids are distinct and in bounds, and `bufs`
+            // outlives the ctx, so this is the one `&mut` to buffer `d`.
             let slice = unsafe { &mut *base.add(d as usize) };
             writes.push((d, slice.as_mut_slice()));
         }
         for &d in g.reads(t) {
             if writes_ids.binary_search(&d).is_err() {
+                // SAFETY: `d` is in bounds and not written by `t` (checked
+                // just above), so no `&mut` to buffer `d` exists.
                 let slice = unsafe { &*base.add(d as usize) };
                 reads.push((d, slice.as_slice()));
             }
@@ -756,7 +757,7 @@ where
         for &d in plan.objs(mid) {
             // A task of ours wrote `d`, so it is one of our permanents.
             let src = self.permanent(d.0);
-            // SAFETY (module protocol): the destination buffer is
+            // SAFETY: per the module protocol, the destination buffer is
             // exclusively ours to fill until we raise the flag.
             unsafe { dst.put(remote[d.idx()], src) };
         }

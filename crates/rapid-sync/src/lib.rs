@@ -34,6 +34,7 @@
 // to std atomics verbatim, and the engine itself is single-threaded.
 
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::undocumented_unsafe_blocks)]
 
 #[cfg(any(debug_assertions, rapid_model_check))]
 mod engine;

@@ -818,7 +818,7 @@ pub fn skeletons(traces: &TraceSet) -> Vec<Vec<CanonEvent>> {
 mod tests {
     use super::*;
     use crate::corpus::{clean_traces, mutate, recovered_traces, tiny};
-    use crate::event::{TraceConfig, NO_OFFSET};
+    use crate::event::NO_OFFSET;
 
     #[test]
     fn violation_kind_strips_payload() {
@@ -1038,10 +1038,10 @@ mod tests {
     fn wrapped_ring_is_rejected() {
         let (g, sched, spec) = tiny();
         let base = clean_traces();
-        let mut small = ProcTrace::new(0, TraceConfig::with_capacity(4));
-        for (ts, ev) in base.procs[0].iter() {
-            small.rec(*ts, ev.clone());
-        }
+        // P0's 15 records pass through a ring asked for 4 (8 after
+        // rounding), which loses the oldest, as a recorder's ring does.
+        let small = crate::decode_ring(&crate::encode_trace(&base.procs[0], 4));
+        assert!(small.dropped() > 0);
         let traces = TraceSet::new(vec![small, base.procs[1].clone()]);
         match check(&g, &sched, &spec, &traces) {
             Err(Violation::Incomplete { proc: 0, .. }) => {}
@@ -1083,9 +1083,8 @@ mod tests {
         // overruns the schedule.
         let (g, sched, spec) = tiny();
         let base = recovered_traces();
-        let cfg = TraceConfig::default();
-        let mut p1 = ProcTrace::new(1, cfg);
-        let mut tasks_only = ProcTrace::new(1, cfg);
+        let mut p1 = ProcTrace::new(1);
+        let mut tasks_only = ProcTrace::new(1);
         for (ts, ev) in base.procs[1].iter() {
             if !matches!(ev, Event::WindowRollback { .. }) {
                 p1.rec(*ts, ev.clone());
@@ -1114,14 +1113,13 @@ mod tests {
     fn skeleton_is_timing_independent() {
         // An immediate send and a suspended-then-retried send project to
         // the same SendInit; alloc/free/task structure is preserved.
-        let cfg = TraceConfig::default();
-        let mut immediate = ProcTrace::new(0, cfg);
+        let mut immediate = ProcTrace::new(0);
         immediate.rec(0, Event::MapBegin { pos: 0 });
         immediate.rec(1, Event::Alloc { obj: 4, units: 1, offset: 0 });
         immediate.rec(2, Event::MapEnd { pos: 0, next_map: 2, in_use: 1, arena_high: 1 });
         immediate.rec(3, Event::TaskBegin { task: 0, pos: 0 });
         immediate.rec(4, Event::SendOk { msg: 3 });
-        let mut retried = ProcTrace::new(0, cfg);
+        let mut retried = ProcTrace::new(0);
         retried.rec(0, Event::MapBegin { pos: 0 });
         retried.rec(1, Event::Alloc { obj: 4, units: 1, offset: 64 });
         retried.rec(2, Event::MapEnd { pos: 0, next_map: 2, in_use: 1, arena_high: 1 });

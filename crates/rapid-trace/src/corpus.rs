@@ -8,7 +8,7 @@
 //! inventing weaker ones. Not intended for production use.
 
 use crate::check::{MsgSpec, ProtocolSpec};
-use crate::event::{Event, ProcTrace, ProtoState, TraceConfig, TraceSet, NO_OFFSET};
+use crate::event::{Event, ProcTrace, ProtoState, TraceSet, NO_OFFSET};
 use crate::ViolationKind;
 use rapid_core::graph::TaskGraph;
 use rapid_core::schedule::Schedule;
@@ -47,8 +47,7 @@ pub fn tiny() -> (TaskGraph, Schedule, ProtocolSpec) {
 /// A clean trace of [`tiny`]: P1 allocates d1 and notifies P0 before P0
 /// puts; every obligation holds.
 pub fn clean_traces() -> TraceSet {
-    let cfg = TraceConfig::default();
-    let mut p0 = ProcTrace::new(0, cfg);
+    let mut p0 = ProcTrace::new(0);
     p0.state(0, ProtoState::Setup);
     p0.state(1, ProtoState::Rec);
     p0.rec(2, Event::TaskBegin { task: 0, pos: 0 });
@@ -64,7 +63,7 @@ pub fn clean_traces() -> TraceSet {
     p0.rec(10, Event::SendOk { msg: 0 });
     p0.state(11, ProtoState::End);
     p0.state(12, ProtoState::Done);
-    let mut p1 = ProcTrace::new(1, cfg);
+    let mut p1 = ProcTrace::new(1);
     p1.state(0, ProtoState::Setup);
     p1.state(1, ProtoState::Map);
     p1.rec(1, Event::MapBegin { pos: 0 });
@@ -86,12 +85,11 @@ pub fn clean_traces() -> TraceSet {
 /// `edit(proc, ts, event) -> Option<Event>` (None drops the event).
 pub fn mutate<F: Fn(u32, u64, &Event) -> Option<Event>>(edit: F) -> TraceSet {
     let base = clean_traces();
-    let cfg = TraceConfig::default();
     let procs = base
         .procs
         .iter()
         .map(|t| {
-            let mut nt = ProcTrace::new(t.proc, cfg);
+            let mut nt = ProcTrace::new(t.proc);
             for (ts, ev) in t.iter() {
                 if let Some(e) = edit(t.proc, *ts, ev) {
                     nt.rec(*ts, e);
@@ -108,8 +106,7 @@ pub fn mutate<F: Fn(u32, u64, &Event) -> Option<Event>>(edit: F) -> TraceSet {
 /// rollback recorded the trace must pass.
 pub fn recovered_traces() -> TraceSet {
     let base = clean_traces();
-    let cfg = TraceConfig::default();
-    let mut p1 = ProcTrace::new(1, cfg);
+    let mut p1 = ProcTrace::new(1);
     p1.state(0, ProtoState::Setup);
     p1.state(1, ProtoState::Map);
     p1.rec(1, Event::MapBegin { pos: 0 });
@@ -283,7 +280,7 @@ pub fn corrupted() -> Vec<(&'static str, TraceSet, ViolationKind)> {
         {
             // An SND state sends again what it already sent.
             let base = clean_traces();
-            let mut p0 = ProcTrace::new(0, TraceConfig::default());
+            let mut p0 = ProcTrace::new(0);
             for (ts, ev) in base.procs[0].iter() {
                 p0.rec(*ts, ev.clone());
                 if matches!(ev, Event::SendOk { .. }) {
@@ -298,8 +295,7 @@ pub fn corrupted() -> Vec<(&'static str, TraceSet, ViolationKind)> {
         "reexecution-without-rollback",
         {
             let base = recovered_traces();
-            let cfg = TraceConfig::default();
-            let mut p1 = ProcTrace::new(1, cfg);
+            let mut p1 = ProcTrace::new(1);
             for (ts, ev) in base.procs[1].iter() {
                 if !matches!(ev, Event::WindowRollback { .. }) {
                     p1.rec(*ts, ev.clone());
@@ -313,8 +309,7 @@ pub fn corrupted() -> Vec<(&'static str, TraceSet, ViolationKind)> {
         "schedule-overrun",
         {
             let base = recovered_traces();
-            let cfg = TraceConfig::default();
-            let mut tasks_only = ProcTrace::new(1, cfg);
+            let mut tasks_only = ProcTrace::new(1);
             for (ts, ev) in base.procs[1].iter() {
                 if !matches!(ev, Event::WindowRollback { .. } | Event::State(_)) {
                     tasks_only.rec(*ts, ev.clone());

@@ -2,7 +2,7 @@
 //! schema, so `check()`, `skeleton()`, the metrics aggregator and the
 //! Chrome-trace exporter are unchanged by the flat recording path.
 
-use crate::event::{ProcTrace, TraceConfig, TraceSet};
+use crate::event::{ProcTrace, TraceSet};
 use crate::record::{RecordStream, Step};
 use crate::ring::FlatRing;
 
@@ -13,20 +13,15 @@ use crate::ring::FlatRing;
 pub fn decode_ring(ring: &FlatRing) -> ProcTrace {
     let (buf, mut dropped) = ring.read_quiesced();
     let mut rs = RecordStream::new();
-    let mut events = Vec::with_capacity(buf.len());
+    let mut t = ProcTrace::new(ring.proc);
     for rec in &buf {
         match rs.feed(*rec) {
-            Step::Event(ts, ev) => events.push((ts, ev)),
+            Step::Event(ts, ev) => t.rec(ts, ev),
             Step::Consumed => {}
             Step::Orphan => dropped += 1,
         }
     }
-    dropped += rs.finish();
-    let mut t = ProcTrace::new(ring.proc, TraceConfig::with_capacity(events.len().max(1)));
-    t.note_dropped(dropped);
-    for (ts, ev) in events {
-        t.rec(ts, ev);
-    }
+    t.note_dropped(dropped + rs.finish());
     t
 }
 
@@ -53,7 +48,7 @@ mod tests {
     use crate::event::{Event, ProtoState};
 
     fn sample() -> ProcTrace {
-        let mut t = ProcTrace::new(0, TraceConfig::default());
+        let mut t = ProcTrace::new(0);
         t.state(0, ProtoState::Setup);
         t.state(1, ProtoState::Map);
         t.rec(1, Event::MapBegin { pos: 0 });
@@ -90,6 +85,8 @@ mod tests {
         assert_eq!(back.len(), 8);
         assert_eq!(back.dropped(), 12);
         assert_eq!(back.total(), 20);
+        let latest: Vec<u64> = back.tail(2).iter().map(|(ts, _)| *ts).collect();
+        assert_eq!(latest, [18, 19], "the oldest records are the ones lost");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Typed protocol events and the per-processor ring buffer they land in.
+//! Typed protocol events and the per-processor trace they are decoded into.
 //!
 //! Every event is something the paper's five-state protocol *does*:
 //! state transitions, MAP alloc/free waves, address-package hand-offs
@@ -7,12 +7,11 @@
 //! an `Option`-gated tracer, so a run with tracing disabled never touches
 //! this module on its hot path.
 //!
-//! Recording is lock-free by construction: each worker owns its
-//! [`ProcTrace`] outright (one per simulated processor) and pushes into a
-//! fixed-capacity ring. When the ring wraps, the oldest events are
-//! overwritten flight-recorder style and the drop is counted — the
-//! invariant checker refuses wrapped traces because a replay with missing
-//! prefix events cannot prove anything.
+//! Workers record into [`FlatRing`](crate::FlatRing)s; a [`ProcTrace`] is
+//! one ring decoded after the run ([`decode_ring`](crate::decode_ring)):
+//! the events the ring kept, oldest first, and the exact count it lost
+//! when it wrapped. The invariant checker refuses a trace with drops,
+//! because a replay with missing prefix events cannot prove anything.
 
 use rapid_machine::fault::FaultSite;
 
@@ -274,24 +273,21 @@ impl TraceConfig {
     }
 }
 
-/// One processor's event ring: fixed capacity, owned by exactly one
-/// worker, overwriting oldest-first once full.
+/// One processor's decoded trace: the events its ring kept, oldest
+/// first, and how many it lost.
 #[derive(Clone, Debug)]
 pub struct ProcTrace {
     /// Processor id.
     pub proc: u32,
-    cap: usize,
-    /// Ring storage; once `len == cap`, `head` is the oldest entry.
-    buf: Vec<(Ts, Event)>,
-    head: usize,
-    total: u64,
+    events: Vec<(Ts, Event)>,
+    dropped: u64,
     last_state: Option<ProtoState>,
 }
 
 impl ProcTrace {
-    /// Empty trace for processor `proc` with the given ring capacity.
-    pub fn new(proc: u32, cfg: TraceConfig) -> Self {
-        ProcTrace { proc, cap: cfg.capacity, buf: Vec::new(), head: 0, total: 0, last_state: None }
+    /// Empty trace for processor `proc`.
+    pub fn new(proc: u32) -> Self {
+        ProcTrace { proc, events: Vec::new(), dropped: 0, last_state: None }
     }
 
     /// Record one event at timestamp `ts`.
@@ -303,13 +299,7 @@ impl ProcTrace {
             }
             self.last_state = Some(s);
         }
-        self.total += 1;
-        if self.buf.len() < self.cap {
-            self.buf.push((ts, ev));
-        } else {
-            self.buf[self.head] = (ts, ev);
-            self.head = (self.head + 1) % self.cap;
-        }
+        self.events.push((ts, ev));
     }
 
     /// Record a state transition (deduplicated shorthand).
@@ -322,32 +312,32 @@ impl ProcTrace {
     /// trace (the flat-ring decoder reports the exact overwrite count it
     /// derives from the ring's head epoch).
     pub fn note_dropped(&mut self, n: u64) {
-        self.total += n;
+        self.dropped += n;
     }
 
-    /// Events recorded in total (including any overwritten by the ring).
+    /// Events recorded in total (including any the ring lost).
     pub fn total(&self) -> u64 {
-        self.total
+        self.events.len() as u64 + self.dropped
     }
 
     /// Events lost to ring wrap-around.
     pub fn dropped(&self) -> u64 {
-        self.total - self.buf.len() as u64
+        self.dropped
     }
 
     /// Number of retained events.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.events.len()
     }
 
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.events.is_empty()
     }
 
     /// Retained events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &(Ts, Event)> {
-        self.buf[self.head..].iter().chain(self.buf[..self.head].iter())
+        self.events.iter()
     }
 
     /// The `n` most recent events, oldest first (stall diagnostics).
@@ -357,7 +347,7 @@ impl ProcTrace {
     }
 }
 
-/// A whole run's trace: one ring per processor.
+/// A whole run's trace: one decoded ring per processor.
 #[derive(Clone, Debug)]
 pub struct TraceSet {
     /// Per-processor traces, indexed by processor id.
@@ -389,27 +379,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_keeps_latest_and_counts_drops() {
-        let mut t = ProcTrace::new(0, TraceConfig::with_capacity(3));
-        for i in 0..5u32 {
-            t.rec(i as u64, Event::MsgRecv { msg: i });
-        }
-        assert_eq!(t.total(), 5);
-        assert_eq!(t.dropped(), 2);
-        let got: Vec<u32> = t
-            .iter()
-            .map(|(_, e)| match e {
-                Event::MsgRecv { msg } => *msg,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(got, vec![2, 3, 4], "oldest events overwritten first");
-        assert_eq!(t.tail(2).len(), 2);
-    }
-
-    #[test]
     fn consecutive_states_deduplicate() {
-        let mut t = ProcTrace::new(0, TraceConfig::default());
+        let mut t = ProcTrace::new(0);
         t.state(0, ProtoState::Rec);
         t.state(1, ProtoState::Rec);
         t.state(2, ProtoState::Exe);

@@ -183,10 +183,10 @@ pub fn chrome_trace_json(traces: &TraceSet, g: Option<&TaskGraph>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{ProcTrace, TraceConfig};
+    use crate::event::ProcTrace;
 
     fn sample() -> TraceSet {
-        let mut t = ProcTrace::new(0, TraceConfig::default());
+        let mut t = ProcTrace::new(0);
         t.state(0, ProtoState::Map);
         t.rec(100, Event::Alloc { obj: 2, units: 4, offset: 0 });
         t.rec(150, Event::PkgSend { dst: 1, seq: 0, objs: vec![2] });
@@ -222,7 +222,7 @@ mod tests {
 
     #[test]
     fn open_state_is_closed_at_last_timestamp() {
-        let mut t = ProcTrace::new(0, TraceConfig::default());
+        let mut t = ProcTrace::new(0);
         t.state(0, ProtoState::Rec);
         t.rec(500, Event::MsgRecv { msg: 0 });
         let out = chrome_trace_json(&TraceSet::new(vec![t]), None);

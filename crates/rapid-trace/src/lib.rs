@@ -2,11 +2,12 @@
 //!
 //! Three pieces, stacked:
 //!
-//! * [`event`]: typed protocol events ([`Event`]) recorded into
-//!   per-processor fixed-capacity ring buffers ([`ProcTrace`]). Each
-//!   worker owns its ring outright, so recording takes no locks; the
-//!   executors gate every record site behind an `Option`, so a run with
-//!   tracing disabled pays nothing.
+//! * [`event`]: typed protocol events ([`Event`]) and the per-processor
+//!   trace ([`ProcTrace`]) they are decoded into. Each worker writes
+//!   fixed-width records into a [`FlatRing`] it owns outright
+//!   ([`ring`]/[`record`]), so recording takes no locks; the executors
+//!   gate every record site behind an `Option`, so a run with tracing
+//!   disabled pays nothing.
 //! * [`check`](mod@check): a replayable invariant checker ([`check::check`]) that
 //!   asserts the Theorem-1 obligations on a recorded trace — no remote
 //!   write before the matching address package, single-slot mailboxes
@@ -18,13 +19,11 @@
 //!   ([`ProcMetrics`]) and Chrome-trace/Perfetto JSON
 //!   ([`chrome_trace_json`]) for human eyes.
 //!
-//! Production recording goes through the flat binary path instead of the
-//! typed ring: each worker writes fixed-width records into a [`FlatRing`]
-//! ([`ring`]/[`record`]), decoded off-line ([`decode`]) back into the
-//! [`Event`] schema so `check()`, `skeleton()` and the exporters are
-//! unchanged. A ring is decoded once its writer has quiesced; the checker
-//! runs after the run, never during it. A traced run records every event;
-//! an untraced one allocates no ring at all.
+//! A ring is decoded off-line ([`decode`]) back into the [`Event`] schema
+//! once its writer has quiesced, so `check()`, `skeleton()` and the
+//! exporters read typed events; the checker runs after the run, never
+//! during it. A traced run records every event; an untraced one allocates
+//! no ring at all.
 //!
 //! The crate depends only on `rapid-core` (graph/schedule/liveness) and
 //! `rapid-machine` (fault sites); the runtime depends on *it*, handing
@@ -32,6 +31,7 @@
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::undocumented_unsafe_blocks)]
 
 pub mod check;
 pub mod corpus;

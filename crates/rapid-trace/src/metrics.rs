@@ -145,11 +145,10 @@ impl std::fmt::Display for ProcMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::TraceConfig;
 
     #[test]
     fn replay_aggregates_counts_and_dwell() {
-        let mut t = ProcTrace::new(3, TraceConfig::default());
+        let mut t = ProcTrace::new(3);
         t.state(0, ProtoState::Setup);
         t.state(10, ProtoState::Map);
         t.rec(10, Event::MapBegin { pos: 0 });

@@ -53,14 +53,14 @@ impl FlatRing {
         let zeroed = vec![0u64; cap * REC_WORDS].into_boxed_slice();
         let len = zeroed.len();
         let ptr = Box::into_raw(zeroed) as *mut SyncAtomicU64;
-        // SAFETY: `SyncAtomicU64` is `repr(transparent)` over `AtomicU64`,
-        // which is guaranteed to have the same size and in-memory
-        // representation as `u64` (checked below), and the box uniquely owns
-        // the allocation.
         const _: () = assert!(
             std::mem::size_of::<SyncAtomicU64>() == std::mem::size_of::<u64>()
                 && std::mem::align_of::<SyncAtomicU64>() == std::mem::align_of::<u64>()
         );
+        // SAFETY: `SyncAtomicU64` is `repr(transparent)` over `AtomicU64`,
+        // which is guaranteed to have the same size and in-memory
+        // representation as `u64` (checked above), and the box uniquely owns
+        // the allocation.
         let words = unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len)) };
         FlatRing { proc, words, head: SyncAtomicU64::new(0), cap: cap as u64 }
     }

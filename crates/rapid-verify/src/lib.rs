@@ -48,6 +48,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::undocumented_unsafe_blocks)]
 
 mod dataflow;
 mod finding;
