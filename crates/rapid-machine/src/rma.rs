@@ -47,9 +47,6 @@ pub struct RmaHeap {
 // SAFETY: all aliasing is controlled by the execution protocol documented
 // above; the type itself only hands out raw access through `unsafe` fns.
 unsafe impl Sync for RmaHeap {}
-// SAFETY: the heap owns its cells outright and they are plain `f64`s, so
-// moving it to another thread moves nothing that another thread still holds.
-unsafe impl Send for RmaHeap {}
 
 impl RmaHeap {
     /// A heap of `capacity` units, zero-initialized.

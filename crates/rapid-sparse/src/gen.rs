@@ -175,17 +175,22 @@ pub fn goodwin_like(n: usize, band: usize, scatter: usize, seed: u64) -> SparseM
 }
 
 #[cfg(test)]
-/// 225 small seeded patterns for the ordering and symbolic oracles: FEM
+/// 229 small seeded patterns for the ordering and symbolic oracles: FEM
 /// grids, unsymmetric banded matrices, and sparse random patterns that
-/// leave empty columns, missing diagonals and several components.
+/// leave empty columns, missing diagonals and several components. Two 3-D
+/// grids and two larger FEM grids are there for minimum degree's
+/// supervariables: they merge mid-elimination, lose one member at a time
+/// and see their elements absorbed.
 pub(crate) fn small_patterns() -> Vec<(String, SparseMatrix)> {
     let mut out = Vec::new();
     for (nx, ny) in (1..=7).flat_map(|x| (1..=7).map(move |y| (x, y))) {
         out.push((format!("grid2d_laplacian({nx}, {ny})"), grid2d_laplacian(nx, ny)));
     }
-    for (nx, ny, d) in
-        (1..=4).flat_map(|x| (1..=3).flat_map(move |y| (1..=3).map(move |d| (x, y, d))))
-    {
+    for (nx, ny, nz) in [(3, 3, 3), (4, 3, 2)] {
+        out.push((format!("grid3d_laplacian({nx}, {ny}, {nz})"), grid3d_laplacian(nx, ny, nz)));
+    }
+    let fem = (1..=4).flat_map(|x| (1..=3).flat_map(move |y| (1..=3).map(move |d| (x, y, d))));
+    for (nx, ny, d) in fem.chain([(5, 4, 3), (4, 4, 2)]) {
         out.push((format!("bcsstk_like({nx}, {ny}, {d}, 1997)"), bcsstk_like(nx, ny, d, 1997)));
     }
     for seed in 0..60u64 {
