@@ -75,6 +75,9 @@ pub(crate) enum Cost {
     /// A task is about to index `accesses` objects through the address
     /// tables.
     Lookup { accesses: usize },
+    /// Message `mid`, which has arrived, is consumed by the task about to
+    /// run.
+    Recv { mid: u32 },
 }
 
 /// What a protocol core needs from the machine it runs on.
@@ -95,15 +98,10 @@ pub(crate) trait Env {
     fn put(&mut self, mid: u32, remote: &[u64]);
     /// Has message `mid` arrived?
     fn arrived(&mut self, mid: u32) -> bool;
-    /// Message `mid`, which has arrived, is consumed by the task about to
-    /// run.
-    fn receive(&mut self, _mid: u32) {}
     /// Run task `t` on the buffers at the `local` offsets. A body that
-    /// fails comes back as the typed error to report or recover from.
+    /// fails comes back as the typed error to report or recover from; a
+    /// run armed for recovery first photographs what the task writes.
     fn run_task(&mut self, t: TaskId, local: &[u64]) -> Result<(), ExecError>;
-    /// Photograph the write set of task `t`, about to run (only asked of
-    /// runs armed for recovery).
-    fn checkpoint(&mut self, _t: TaskId) {}
     /// The task at `pos` failed and runs again as its window's re-execution
     /// `attempt`: put the last checkpoint's contents back.
     fn rollback(&mut self, _pos: u32, _attempt: u32) {}
@@ -510,7 +508,7 @@ impl<'e, P: Port> ProcCore<'e, P> {
             return Ok(Step::Blocked(On::Msg(mid)));
         }
         for &mid in inbox {
-            env.receive(mid);
+            env.charge(Cost::Recv { mid });
             trace(&mut self.tr, |w| w.msg_recv(env.now(), mid));
         }
         // EXE.
@@ -519,11 +517,6 @@ impl<'e, P: Port> ProcCore<'e, P> {
         self.delayed(env, FaultSite::TaskJitter, ProcFaults::task_jitter);
         let pos = self.pos;
         trace(&mut self.tr, |w| w.task_begin(env.now(), t.0, pos));
-        // Bodies may read-modify-write their permanents: photograph what
-        // this one writes, so that a failed attempt can be undone.
-        if self.spec.armed {
-            env.checkpoint(t);
-        }
         if let Err(cause) = env.run_task(t, &self.local) {
             if !self.spec.armed {
                 return Err(cause);

@@ -210,6 +210,13 @@ impl Env for Sim<'_> {
                     self.clock().now += m.addr_lookup_cost * accesses as f64;
                 }
             }
+            // The receiver waits for the message's arrival.
+            Cost::Recv { mid } => {
+                if let Some(arrive) = self.msg_arrival[mid as usize] {
+                    let c = self.clock();
+                    c.now = c.now.max(arrive);
+                }
+            }
         }
     }
 
@@ -239,16 +246,9 @@ impl Env for Sim<'_> {
     }
 
     /// A message counts once it is sent: its receiver then waits for it
-    /// by advancing its clock to the arrival ([`Env::receive`]).
+    /// by advancing its clock to the arrival (`Cost::Recv`).
     fn arrived(&mut self, mid: u32) -> bool {
         self.msg_arrival[mid as usize].is_some()
-    }
-
-    fn receive(&mut self, mid: u32) {
-        if let Some(arrive) = self.msg_arrival[mid as usize] {
-            let c = self.clock();
-            c.now = c.now.max(arrive);
-        }
     }
 
     fn run_task(&mut self, t: TaskId, _: &[u64]) -> Result<(), ExecError> {

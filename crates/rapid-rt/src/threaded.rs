@@ -89,6 +89,8 @@ use rapid_machine::pool::WorkerPool;
 use rapid_machine::rma::{FlagBoard, RmaHeap};
 use rapid_machine::wait::Wait;
 use rapid_trace::{decode_ring, FlatRing, ProcMetrics, ProcTrace, TraceConfig, TraceSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtOrd};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -555,8 +557,9 @@ impl<'a> ThreadedExecutor<'a> {
     }
 }
 
-/// Execute the schedule sequentially (one buffer per object) — the
-/// reference the threaded executor is validated against.
+/// Execute the graph sequentially (one buffer per object), lowest ready
+/// task id first — the reference the threaded executor is validated
+/// against.
 pub fn run_sequential<F>(g: &TaskGraph, body: F) -> Vec<Vec<f64>>
 where
     F: Fn(TaskId, &mut TaskCtx<'_>),
@@ -575,12 +578,15 @@ where
     for (i, buf) in bufs.iter_mut().enumerate() {
         init(ObjId(i as u32), buf);
     }
-    // `TaskGraphBuilder::build` rejects cycles, so a constructed graph
-    // always topo-sorts; return the initialized (untouched) buffers
-    // rather than panicking if that invariant ever breaks.
-    let Some(order) = rapid_core::algo::topo_sort(g) else { return bufs };
+    // Kahn's algorithm taking the lowest ready task id: task-id order
+    // wherever ids are topological, as on every sparse generator.
+    // `TaskGraphBuilder::build` rejects cycles, so every task runs.
+    let mut indeg: Vec<u32> = g.tasks().map(|t| g.preds(t).len() as u32).collect();
+    let mut ready: BinaryHeap<Reverse<u32>> =
+        g.tasks().filter(|t| indeg[t.idx()] == 0).map(|t| Reverse(t.0)).collect();
     let mut slots = vec![NO_SLOT; g.num_objects()];
-    for t in order {
+    while let Some(Reverse(t)) = ready.pop() {
+        let t = TaskId(t);
         // Split-borrow the buffers: writes mutably, reads shared.
         let writes_ids = g.writes(t);
         let mut writes: Vec<(u32, &mut [f64])> = Vec::with_capacity(writes_ids.len());
@@ -603,6 +609,12 @@ where
         let mut ctx = TaskCtx::assemble(reads, writes, slots);
         body(t, &mut ctx);
         slots = ctx.dismantle().2;
+        for &s in g.succs(t) {
+            indeg[s as usize] -= 1;
+            if indeg[s as usize] == 0 {
+                ready.push(Reverse(s));
+            }
+        }
     }
     bufs
 }
@@ -773,6 +785,18 @@ where
     fn run_task(&mut self, t: TaskId, local: &[u64]) -> Result<(), ExecError> {
         let (g, heap) = (self.sh.spec.g, &self.sh.heaps[self.p]);
         let writes_ids = g.writes(t);
+        // Bodies may read-modify-write their permanents: photograph what
+        // this one writes, so that a failed attempt can be undone. Only
+        // permanents are written (owner-compute); the volatiles it reads
+        // were filled by puts whose flags stay raised.
+        if self.sh.spec.armed {
+            self.ckpt.clear();
+            self.ckpt_data.clear();
+            for &w in writes_ids {
+                self.ckpt.push((w, self.ckpt_data.len()));
+                self.ckpt_data.extend_from_slice(&self.own[w as usize]);
+            }
+        }
         for &d in writes_ids {
             let buf = self.permanent(d);
             // SAFETY: a permanent is touched by its owner's thread alone,
@@ -823,18 +847,6 @@ where
                 payload: panic_payload_str(other.as_ref()),
             },
         })
-    }
-
-    /// Only permanents are written (owner-compute), so only they are
-    /// captured. The volatiles the task reads were filled by puts whose
-    /// flags stay raised.
-    fn checkpoint(&mut self, t: TaskId) {
-        self.ckpt.clear();
-        self.ckpt_data.clear();
-        for &w in self.sh.spec.g.writes(t) {
-            self.ckpt.push((w, self.ckpt_data.len()));
-            self.ckpt_data.extend_from_slice(&self.own[w as usize]);
-        }
     }
 
     fn rollback(&mut self, pos: u32, attempt: u32) {

@@ -13,10 +13,10 @@
 //! the scheduler more critical-path freedom and recovering most of RCP's
 //! time efficiency (Table 7).
 
-use crate::heapsim::{simulate_ordering_heap, simulate_ordering_heap_with, HeapPolicy, SimCtx};
+use crate::heapsim::{simulate_ordering_heap, HeapPolicy, SimCtx};
 use rapid_core::algo::OrdF64;
 use rapid_core::dcg::{Dcg, VolatileScratch};
-use rapid_core::graph::{Csr, TaskGraph, TaskId};
+use rapid_core::graph::{TaskGraph, TaskId};
 use rapid_core::schedule::{Assignment, CostModel, Schedule};
 
 /// The slice gating lives in the simulator's parked/active heap machinery
@@ -67,25 +67,9 @@ pub fn dts_order_with(
     simulate_ordering_heap(g, assign, cost, &mut policy)
 }
 
-/// [`dts_order_with`] over the edge costs and bottom levels a caller
-/// already holds (see [`simulate_ordering_heap_with`]); the replanner
-/// caches them across capacities.
-pub fn dts_order_with_levels(
-    g: &TaskGraph,
-    assign: &Assignment,
-    slice_of_task: &[u32],
-    num_slices: u32,
-    blevel: &[f64],
-    edge_cost: &Csr<f64>,
-) -> Schedule {
-    let mut policy = DtsPolicy { slice_of_task, num_slices };
-    simulate_ordering_heap_with(g, assign, &mut policy, blevel, edge_cost)
-}
-
 /// Per-slice `H(R, L_i)` (Definition 7) for every slice, through the
 /// O(1)-membership scratch — linear in the accesses of each slice. This
-/// is the vector the Figure-6 merge walks; the cap-only replanner caches
-/// it to re-merge under a new capacity without touching the DCG.
+/// is the vector the Figure-6 merge walks.
 pub fn slice_h(g: &TaskGraph, assign: &Assignment, dcg: &Dcg) -> Vec<u64> {
     let mut scratch = VolatileScratch::new(g.num_objects());
     (0..dcg.num_slices)
@@ -97,7 +81,7 @@ pub fn slice_h(g: &TaskGraph, assign: &Assignment, dcg: &Dcg) -> Vec<u64> {
 /// merge consecutive slices while the sum of their volatile requirements
 /// stays within `avail_volatile`. Returns the merged slice id of every
 /// original slice and the number of merged slices.
-pub fn merge_slices_from_h(h: &[u64], avail_volatile: u64) -> (Vec<u32>, u32) {
+pub(crate) fn merge_slices_from_h(h: &[u64], avail_volatile: u64) -> (Vec<u32>, u32) {
     let k = h.len();
     let mut merged_of = vec![0u32; k];
     if k == 0 {

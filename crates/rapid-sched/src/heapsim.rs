@@ -35,7 +35,7 @@
 //! prove it on random DAGs, ties included.
 
 use rapid_core::algo::{self, OrdF64};
-use rapid_core::graph::{Csr, TaskGraph, TaskId};
+use rapid_core::graph::{TaskGraph, TaskId};
 use rapid_core::schedule::{Assignment, CostModel, Schedule};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -100,24 +100,10 @@ pub fn simulate_ordering_heap<P: HeapPolicy>(
 ) -> Schedule {
     let edge_cost = algo::edge_costs(g, cost, Some(assign));
     let blevel = algo::bottom_levels_from(g, &edge_cost);
-    simulate_ordering_heap_with(g, assign, policy, &blevel, &edge_cost)
-}
-
-/// [`simulate_ordering_heap`] over the edge costs and bottom levels a
-/// caller already holds: `edge_cost` must be
-/// `algo::edge_costs(g, cost, Some(assign))` and `blevel`
-/// `algo::bottom_levels_from(g, edge_cost)`.
-pub fn simulate_ordering_heap_with<P: HeapPolicy>(
-    g: &TaskGraph,
-    assign: &Assignment,
-    policy: &mut P,
-    blevel: &[f64],
-    edge_cost: &Csr<f64>,
-) -> Schedule {
     let n = g.num_tasks();
     let nprocs = assign.nprocs;
     let nslices = policy.num_slices().max(1) as usize;
-    let ctx = SimCtx { g, assign, blevel };
+    let ctx = SimCtx { g, assign, blevel: &blevel };
     let mut state: Vec<TaskState> = g
         .tasks()
         .map(|t| TaskState { arrival: 0.0, indeg: g.preds(t).len() as u32, slot: NOT_ACTIVE })

@@ -43,10 +43,7 @@ mod sim;
 
 pub use assign::{cyclic_owner_map, lpt_cluster_map, owner_compute_assignment};
 pub use dsc::{dsc_cluster, DscResult};
-pub use dts::{
-    avail_volatile, dts_order, dts_order_merged, dts_order_with_levels, merge_slices,
-    merge_slices_from_h, slice_h,
-};
+pub use dts::{avail_volatile, dts_order, dts_order_merged, merge_slices, slice_h};
 pub use mpo::mpo_order;
 pub use parallel::{plan_parallel, PlanPolicy};
 pub use rapid_core::schedule::Assignment;

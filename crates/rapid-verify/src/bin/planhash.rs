@@ -1,4 +1,4 @@
-//! `planhash` — print the FNV-1a hash of a cold merged-DTS plan.
+//! `planhash` — print the FNV-1a hash of a verified merged-DTS plan.
 //!
 //! Usage: `planhash [tasks] [seed]` (defaults 20000, 2026). The plan
 //! hash is a pure function of `(tasks, seed)` on any host; CI's
@@ -8,9 +8,10 @@
 use rapid_core::dcg::Dcg;
 use rapid_core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid_core::schedule::CostModel;
+use rapid_rt::{MapWindow, RtPlan};
 use rapid_sched::assign::{cyclic_owner_map, owner_compute_assignment};
-use rapid_sched::slice_h;
-use rapid_verify::{plan_hash, Replanner};
+use rapid_sched::{plan_parallel, slice_h, PlanPolicy};
+use rapid_verify::{plan_hash, verify};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -44,10 +45,19 @@ fn main() {
     }
     let capacity = perm.iter().copied().max().unwrap_or(0) + 2 * hmax + 64;
 
-    let (rp, planned) = Replanner::new(&g, &assign, &cost, capacity, 1);
-    if !planned.report.accepted() {
-        eprintln!("cold plan rejected: {:?}", planned.report.findings);
+    let sched = plan_parallel(&g, &assign, &cost, PlanPolicy::DtsMerged { capacity }, 1);
+    let plan = RtPlan::new(&g, &sched);
+    let placement = match plan.place_maps(&g, &sched, capacity, MapWindow::Greedy) {
+        Ok(placement) => placement,
+        Err(e) => {
+            eprintln!("no placement: {e}");
+            std::process::exit(1);
+        }
+    };
+    let report = verify(&g, &sched, &plan, &placement);
+    if !report.accepted() {
+        eprintln!("plan rejected: {:?}", report.findings);
         std::process::exit(1);
     }
-    println!("{:016x}", plan_hash(rp.sched(), &planned.placement));
+    println!("{:016x}", plan_hash(&sched, &placement));
 }

@@ -36,6 +36,13 @@
 //! accepted plans execute violation-free on both executors at exactly
 //! the verified capacity.
 //!
+//! [`verify`] is the one analysis entry: it trusts nothing but the graph,
+//! the schedule and the static lifetimes. [`verify_capacity`] builds the
+//! protocol plan and the greedy placement for a capacity and calls it.
+//! [`plan_hash`] is the determinism witness the `planhash` binary prints;
+//! [`Replanner`] runs the plain planning pipeline at each capacity it is
+//! given, and stays only because the benchmark names it.
+//!
 //! ```
 //! use rapid_core::{fixtures, memreq};
 //!
@@ -58,4 +65,4 @@ mod verify;
 
 pub use finding::{Finding, WaitPoint, WaitStep};
 pub use replan::{plan_hash, Planned, Replanner};
-pub use verify::{verify, verify_capacity, verify_placement, VerifyReport};
+pub use verify::{verify, verify_capacity, VerifyReport};

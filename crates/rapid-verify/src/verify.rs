@@ -49,8 +49,21 @@ pub fn verify(
 ) -> VerifyReport {
     let mut findings = Vec::new();
     let structural_ok = check_structure(g, sched, placement, &mut findings);
+    // Free-safety, allocation sanity, occupancy accounting and capacity.
+    for (p, wins) in placement.per_proc.iter().enumerate().take(sched.order.len()) {
+        dataflow::sweep_proc(
+            g,
+            sched,
+            &plan.lv.procs[p],
+            p,
+            wins,
+            placement.capacity,
+            plan.perm_units[p],
+            &mut findings,
+        );
+    }
     let addr = AddrIndex::new(g, placement);
-    let fact_i = capacity_findings(g, sched, plan, placement, &addr, &mut findings);
+    let fact_i = address_findings(sched, plan, &addr, &mut findings);
 
     // Precedence and deadlock need trustworthy task positions.
     if structural_ok {
@@ -65,66 +78,15 @@ pub fn verify(
     VerifyReport { findings, peak, capacity: placement.capacity }
 }
 
-/// Capacity-affected subset of the analyses, for the cap-only
-/// replanner: the order and the protocol plan are carried over from an
-/// already-accepted cold plan, and only the MAP placement was rebuilt
-/// for the new capacity. Re-runs the phases whose *verdict* a capacity
-/// change can flip — the per-processor dataflow replay (free-safety,
-/// allocation sanity, occupancy accounting, window-over-cap), Fact-I
-/// address coverage and stale packages, and the static peaks.
-///
-/// Deliberately skipped, because the cold report already proved them
-/// and a planner-fresh placement cannot un-prove them:
-///
-/// - **structure, precedence** read only `(g, sched)`, unchanged here;
-/// - the **deadlock search** vets foreign or corrupted placements; a
-///   placement the greedy planner just produced orders every window
-///   before the sends that need it by construction, and the coverage
-///   check above re-proves Fact I (the replan test suite cross-checks
-///   every fast-path placement against the full verifier).
-///
-/// [`Replanner::replan_capacity`](crate::Replanner::replan_capacity)
-/// relies on exactly this contract; anything that changes the graph or
-/// the schedule must go through [`verify`].
-pub fn verify_placement(
-    g: &TaskGraph,
+/// Address-package coverage (Fact I) in message order, then stale
+/// packages in sorted key order. Returns the Fact-I edges the coverage
+/// found, `(message, window)` in message order.
+fn address_findings(
     sched: &Schedule,
     plan: &RtPlan,
-    placement: &MapPlacement,
-) -> VerifyReport {
-    let mut findings = Vec::new();
-    capacity_findings(g, sched, plan, placement, &AddrIndex::new(g, placement), &mut findings);
-    let peak = placement.peaks(&plan.perm_units);
-    VerifyReport { findings, peak, capacity: placement.capacity }
-}
-
-/// The analyses a capacity change can flip, in report order: the
-/// per-processor dataflow sweeps (free-safety, allocation sanity,
-/// occupancy accounting, capacity), then address-package coverage
-/// (Fact I) in message order, then stale packages in sorted key order.
-/// Returns the Fact-I edges the coverage found, `(message, window)` in
-/// message order.
-fn capacity_findings(
-    g: &TaskGraph,
-    sched: &Schedule,
-    plan: &RtPlan,
-    placement: &MapPlacement,
     addr: &AddrIndex,
     findings: &mut Vec<Finding>,
 ) -> Vec<(u32, u32)> {
-    for (p, wins) in placement.per_proc.iter().enumerate().take(sched.order.len()) {
-        dataflow::sweep_proc(
-            g,
-            sched,
-            &plan.lv.procs[p],
-            p,
-            wins,
-            placement.capacity,
-            plan.perm_units[p],
-            findings,
-        );
-    }
-
     let mut consumed = vec![false; addr.keys.len()];
     let mut fact_i = Vec::new();
     for m in &plan.msgs {

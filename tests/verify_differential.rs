@@ -9,8 +9,9 @@ mod sweep;
 use rapid::core::dcg::Dcg;
 use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
 use rapid::prelude::*;
+use rapid::rt::{MapWindow, RtPlan};
 use rapid::sched::assign::cyclic_owner_map;
-use rapid::verify::Replanner;
+use rapid::sched::{plan_parallel, PlanPolicy};
 use sweep::*;
 
 #[test]
@@ -54,8 +55,11 @@ fn cold_plan_hash_of_the_planhash_fixture_is_pinned() {
         perm[assign.owner_of(d) as usize] += g.obj_size(d);
     }
     let capacity = perm.iter().copied().max().unwrap_or(0) + 2 * hmax + 64;
-    let cost = CostModel::unit();
-    let (rp, planned) = Replanner::new(&g, &assign, &cost, capacity, 1);
-    assert!(planned.report.accepted(), "{:?}", planned.report.findings);
-    assert_eq!(rapid::verify::plan_hash(rp.sched(), &planned.placement), 0x2fc9_d942_017a_a78e);
+    let policy = PlanPolicy::DtsMerged { capacity };
+    let sched = plan_parallel(&g, &assign, &CostModel::unit(), policy, 1);
+    let plan = RtPlan::new(&g, &sched);
+    let placement = plan.place_maps(&g, &sched, capacity, MapWindow::Greedy).expect("fits");
+    let report = rapid::verify::verify(&g, &sched, &plan, &placement);
+    assert!(report.accepted(), "{:?}", report.findings);
+    assert_eq!(rapid::verify::plan_hash(&sched, &placement), 0x2fc9_d942_017a_a78e);
 }
