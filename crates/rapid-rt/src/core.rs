@@ -63,7 +63,8 @@ use std::time::Duration;
 pub(crate) const NO_ADDR: u64 = u64::MAX - 1;
 
 /// A modelled cost the protocol incurs. Real threads pay these by doing
-/// the work; the DES adds them to its virtual clock.
+/// the work; the DES adds them to its virtual clock. A rollback is the one
+/// that only threads act on: the DES never arms recovery.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Cost {
     /// A MAP begins: `objects` buffers are freed or allocated.
@@ -78,6 +79,9 @@ pub(crate) enum Cost {
     /// Message `mid`, which has arrived, is consumed by the task about to
     /// run.
     Recv { mid: u32 },
+    /// The task at `pos` failed and runs again as its window's
+    /// re-execution `attempt`: put the last checkpoint's contents back.
+    Rollback { pos: u32, attempt: u32 },
 }
 
 /// What a protocol core needs from the machine it runs on.
@@ -88,9 +92,9 @@ pub(crate) trait Env {
     /// The last timestamp [`Env::now`] returned, where reading the clock
     /// costs something; the current time where it does not.
     fn recent(&self) -> u64;
-    /// Account one modelled cost. Nothing to do where costs are paid by
-    /// doing the work.
-    fn charge(&mut self, _cost: Cost) {}
+    /// Account one modelled cost (see [`Cost`] for which driver acts on
+    /// which).
+    fn charge(&mut self, cost: Cost);
     /// Hold the next operation of fault site `site` back by `by`.
     fn delay(&mut self, site: FaultSite, by: Duration);
     /// Put message `mid`: copy its objects to their `remote` offsets
@@ -102,9 +106,6 @@ pub(crate) trait Env {
     /// fails comes back as the typed error to report or recover from; a
     /// run armed for recovery first photographs what the task writes.
     fn run_task(&mut self, t: TaskId, local: &[u64]) -> Result<(), ExecError>;
-    /// The task at `pos` failed and runs again as its window's re-execution
-    /// `attempt`: put the last checkpoint's contents back.
-    fn rollback(&mut self, _pos: u32, _attempt: u32) {}
     /// The core entered a new state (stall diagnostics).
     fn publish(&mut self, d: Diag);
 }
@@ -534,7 +535,7 @@ impl<'e, P: Port> ProcCore<'e, P> {
             // has changed, as every writer of what it reads waits for it.
             self.window_attempts += 1;
             let attempt = self.window_attempts;
-            env.rollback(pos, attempt);
+            env.charge(Cost::Rollback { pos, attempt });
             trace(&mut self.tr, |w| w.window_rollback(env.now(), pos, attempt));
             return Ok(Step::Progress);
         }

@@ -20,7 +20,7 @@
 
 use crate::core::{CoreSpec, Cost, Diag, Env, On, ProcCore, Step};
 use crate::inspector::{ProcDiag, StallSnapshot};
-use crate::maps::{permanent_layout, ExecError, MapWindow, RtPlan};
+use crate::maps::{permanent_layout, ExecError, MapWindow, PlannedMap, RtPlan};
 use rapid_core::algo::OrdF64;
 use rapid_core::graph::{ProcId, TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
@@ -217,6 +217,7 @@ impl Env for Sim<'_> {
                     c.now = c.now.max(arrive);
                 }
             }
+            Cost::Rollback { .. } => {}
         }
     }
 
@@ -274,13 +275,34 @@ pub struct DesExecutor<'a> {
     /// [`permanent_layout`] of the schedule.
     perm_off: Vec<u64>,
     cfg: DesConfig,
+    /// The MAPs every core replays, or the refusal every run returns
+    /// before stepping a core.
+    maps: Result<Vec<Vec<PlannedMap>>, ExecError>,
 }
 
 impl<'a> DesExecutor<'a> {
-    /// Prepare an executor for `sched` (builds the protocol plan).
+    /// Prepare an executor for `sched`: build the protocol plan and plan
+    /// the MAPs by counting, before virtual time starts. A schedule that
+    /// cannot run under the cap is refused here, for the lowest processor
+    /// it fails on, as the verifier does. The DES places no real buffers,
+    /// so there are no offsets; original RAPID performs no MAP at all, and
+    /// is refused where a processor's up-front allocation does not fit.
     pub fn new(g: &'a TaskGraph, sched: &'a Schedule, cfg: DesConfig) -> Self {
         let plan = RtPlan::new(g, sched);
-        DesExecutor { g, sched, plan, perm_off: permanent_layout(g, sched), cfg }
+        let (nprocs, capacity) = (sched.assign.nprocs, cfg.machine.capacity);
+        let maps = if cfg.memory_mgmt {
+            plan.place_maps(g, sched, capacity, MapWindow::Greedy).map(|m| m.per_proc)
+        } else {
+            let need = |p| (p as ProcId, up_front(g, &plan, p));
+            match (0..nprocs).map(need).find(|&(_, needed)| needed > capacity) {
+                Some((proc, needed)) => {
+                    let live = Vec::new();
+                    Err(ExecError::NonExecutable { proc, position: 0, needed, capacity, live })
+                }
+                None => Ok(vec![Vec::new(); nprocs]),
+            }
+        };
+        DesExecutor { g, sched, plan, perm_off: permanent_layout(g, sched), cfg, maps }
     }
 
     /// Access the protocol plan (tests, stats).
@@ -293,6 +315,7 @@ impl<'a> DesExecutor<'a> {
         let nprocs = self.sched.assign.nprocs;
         let m = &self.cfg.machine;
         assert_eq!(nprocs, m.nprocs, "schedule and machine disagree on processor count");
+        let maps = self.maps.as_ref().map_err(Clone::clone)?;
 
         // Recording goes straight into per-processor flat rings; the
         // typed trace is decoded once at the end of the run.
@@ -324,22 +347,12 @@ impl<'a> DesExecutor<'a> {
             diag: vec![Diag { state: ProtoState::Setup, pos: 0, suspended: 0 }; nprocs],
         };
 
-        // The MAPs every core replays, planned by counting before virtual
-        // time starts: a schedule that cannot run under the cap is
-        // reported here, for the lowest processor it fails on, as the
-        // verifier does. The DES places no real buffers, so there are no
-        // offsets; original RAPID performs no MAP at all.
-        let maps = if self.cfg.memory_mgmt {
-            self.plan.place_maps(self.g, self.sched, m.capacity, MapWindow::Greedy)?.per_proc
-        } else {
-            vec![Vec::new(); nprocs]
-        };
         let spec = CoreSpec {
             g: self.g,
             sched: self.sched,
             plan: &self.plan,
             perm_off: &self.perm_off,
-            maps: &maps,
+            maps,
             offsets: &[],
             armed: false,
         };
@@ -363,18 +376,7 @@ impl<'a> DesExecutor<'a> {
                 core
             } else {
                 // Original RAPID: all volatile space allocated up front.
-                let vola: u64 =
-                    self.plan.lv.procs[p].volatile.iter().map(|&d| self.g.obj_size(d)).sum();
-                let need = self.plan.perm_units[p] + vola;
-                if need > m.capacity {
-                    return Err(ExecError::NonExecutable {
-                        proc: p as ProcId,
-                        position: 0,
-                        needed: need,
-                        capacity: m.capacity,
-                    });
-                }
-                core.preallocated(need)
+                core.preallocated(up_front(self.g, &self.plan, p))
             });
             sim.wake(0.0, p as u32);
         }
@@ -478,6 +480,12 @@ impl<'a> DesExecutor<'a> {
             metrics,
         })
     }
+}
+
+/// Units original RAPID allocates on processor `p` before it starts: its
+/// permanents and every volatile it will ever hold.
+fn up_front(g: &TaskGraph, plan: &RtPlan, p: usize) -> u64 {
+    plan.perm_units[p] + plan.lv.procs[p].volatile.iter().map(|&d| g.obj_size(d)).sum::<u64>()
 }
 
 /// Convenience: run a schedule under active memory management and return

@@ -231,7 +231,6 @@ impl RtPlan {
                 })
                 .collect(),
             in_msgs: self.in_msgs.rows().map(<[u32]>::to_vec).collect(),
-            out_msgs: self.out_msgs.rows().map(<[u32]>::to_vec).collect(),
             capacity,
             perm_units: self.perm_units.clone(),
         }
@@ -241,8 +240,20 @@ impl RtPlan {
     /// [`MapPlanner`] run to completion for every processor (MAP decisions
     /// depend only on the static order and the counting allocation state).
     /// Fails with [`ExecError::NonExecutable`] at the first window whose
-    /// immediate task cannot be provisioned (Definition 6). The last
+    /// immediate task cannot be provisioned (Definition 6), or whose
+    /// processor has no task and more permanents than fit. The last
     /// argument is ignored: see [`MapWindow`].
+    ///
+    /// The placement succeeds exactly from Definition-6 `MIN_MEM` up, and
+    /// one unit below it the refusal needs exactly `MIN_MEM`. A MAP fails
+    /// only on its own task, whose requirement after the free wave is
+    /// `MEM_REQ` of that task: the in-use set at a window start is the
+    /// Definition-4 live set, and no window extends past a task whose
+    /// `MEM_REQ` exceeds the capacity. So the first MAP at the peak
+    /// position is the binding one. A greedy window still holds more than
+    /// the Definition-5 curve between MAPs (its lookahead allocations, and
+    /// frees deferred to the next window start): that slack buys fewer MAPs
+    /// and fewer address packages.
     pub fn place_maps(
         &self,
         g: &TaskGraph,
@@ -304,21 +315,12 @@ impl RtPlan {
         sched: &Schedule,
         capacity: u64,
     ) -> Result<AddressPlan, ExecError> {
-        let nprocs = sched.order.len();
-        if let Some(o) = (0..nprocs).find(|&o| self.perm_units[o] > capacity) {
-            return Err(ExecError::NonExecutable {
-                proc: o as ProcId,
-                position: 0,
-                needed: self.perm_units[o],
-                capacity,
-            });
-        }
         let mut plan = AddressPlan {
             placement: MapPlacement { capacity, per_proc: Vec::new() },
             perm_off: permanent_layout(g, sched),
             ..AddressPlan::default()
         };
-        for p in 0..nprocs {
+        for p in 0..sched.order.len() {
             let mut placer = Placer {
                 arena: Arena::with_reserved(capacity, self.perm_units[p]),
                 offsets: vec![NO_OFFSET; g.num_objects()],
@@ -585,7 +587,8 @@ impl std::fmt::Display for AccessViolation {
 pub enum ExecError {
     /// The schedule cannot run under the memory constraint: at some MAP,
     /// even after freeing every dead volatile, the very next task's
-    /// objects do not fit (the paper's `∞` entries, Definition 6).
+    /// objects do not fit, or a processor with no task owns more than fits
+    /// (the paper's `∞` entries, Definition 6).
     NonExecutable {
         /// Processor that failed.
         proc: ProcId,
@@ -595,6 +598,10 @@ pub enum ExecError {
         needed: u64,
         /// The per-processor capacity.
         capacity: u64,
+        /// Volatiles allocated before the failing MAP and not freed by its
+        /// free wave, ascending. With the permanents and the task's own
+        /// first uses they make up `needed`.
+        live: Vec<ObjId>,
     },
     /// The event loop stalled with unfinished tasks — a protocol bug
     /// (Theorem 1 says this cannot happen); surfaced for debugging rather
@@ -673,9 +680,9 @@ pub enum ExecError {
 impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ExecError::NonExecutable { proc, position, needed, capacity } => write!(
+            ExecError::NonExecutable { proc, position, needed, capacity, live } => write!(
                 f,
-                "non-executable under memory constraint: P{proc} task #{position} needs {needed} units, capacity {capacity}"
+                "non-executable under memory constraint: P{proc} task #{position} needs {needed} units, capacity {capacity} (live volatiles {live:?})"
             ),
             ExecError::Stalled { remaining, snapshot } => {
                 write!(f, "execution stalled with {remaining} tasks remaining")?;
@@ -715,7 +722,7 @@ impl std::error::Error for ExecError {}
 /// How far ahead a MAP allocates. There is one answer, the paper's: as
 /// many upcoming tasks as fit. This type is the ignored last argument of
 /// [`RtPlan::place_maps`] and stays only until `benchmark/` stops naming
-/// it (ROADMAP item 9).
+/// it (ROADMAP item 1).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MapWindow {
     /// Allocate for as many upcoming tasks as fit (paper §3.3: "the
@@ -776,7 +783,8 @@ impl MapPlanner {
     /// Plan and commit the MAP at position `pos` of this processor's
     /// order. Frees volatiles dead before `pos`, then extends the
     /// allocation window over as many tasks as fit; fails if the task at
-    /// `pos` itself cannot be provisioned (Definition 6).
+    /// `pos` itself cannot be provisioned, or if the window holds no task
+    /// and the permanents alone exceed the capacity (Definition 6).
     pub fn run_map(
         &mut self,
         g: &TaskGraph,
@@ -822,12 +830,7 @@ impl MapPlanner {
             if self.in_use + add > self.capacity {
                 if j as u32 == pos {
                     // The immediate next task does not fit: non-executable.
-                    return Err(ExecError::NonExecutable {
-                        proc: self.proc,
-                        position: pos,
-                        needed: self.in_use + add,
-                        capacity: self.capacity,
-                    });
+                    return Err(self.refusal(pos, self.in_use + add));
                 }
                 break;
             }
@@ -840,6 +843,11 @@ impl MapPlanner {
             self.allocated.extend_from_slice(&allocs[start..]);
             self.in_use += add;
             next_map = j as u32 + 1;
+        }
+        // A window with no task is the one MAP of an idle processor: it
+        // allocates nothing, but its permanents must fit all the same.
+        if next_map == pos && self.in_use > self.capacity {
+            return Err(self.refusal(pos, self.in_use));
         }
 
         // Address notifications for freshly allocated volatiles, pre-sorted
@@ -854,6 +862,14 @@ impl MapPlanner {
         notifies.sort_unstable_by_key(|n| (n.dst, n.obj));
 
         Ok(PlannedMap { pos, frees, allocs, alloc_pos, next_map, notifies, in_use: self.in_use })
+    }
+
+    /// The refusal of the MAP at `pos`, which would need `needed` units.
+    fn refusal(&self, pos: u32, needed: u64) -> ExecError {
+        let mut live = self.allocated.clone();
+        live.sort_unstable();
+        let (proc, capacity) = (self.proc, self.capacity);
+        ExecError::NonExecutable { proc, position: pos, needed, capacity, live }
     }
 
     /// Undo one allocation committed by the most recent
@@ -1124,38 +1140,65 @@ mod tests {
     }
 
     #[test]
-    fn placement_matches_core_window_peaks() {
-        // The placement artifact and rapid-core's window-peak analysis
-        // are independent implementations of the same greedy policy; they
-        // must agree window for window.
+    fn placement_is_feasible_exactly_from_min_mem() {
+        // The greedy threshold is Definition-6 MIN_MEM: the windows place
+        // at MIN_MEM, tile the order, hold no less than the ideal-recycling
+        // peak and no more than the capacity; one unit below, the refusal
+        // needs exactly MIN_MEM.
         let g = fixtures::figure2_dag();
         for sched in [fixtures::figure2_schedule_b(), fixtures::figure2_schedule_c()] {
             let plan = RtPlan::new(&g, &sched);
-            let cap = rapid_core::memreq::min_mem(&g, &sched).min_mem;
+            let rep = rapid_core::memreq::min_mem(&g, &sched);
+            let cap = rep.min_mem;
             let placement = plan.place_maps(&g, &sched, cap, MapWindow::Greedy).unwrap();
-            let wr = rapid_core::memreq::window_peaks(&g, &sched, cap).unwrap();
-            assert_eq!(placement.per_proc.len(), wr.windows.len());
-            for p in 0..placement.per_proc.len() {
-                let rows = &placement.per_proc[p];
-                assert_eq!(rows.len(), wr.windows[p].len(), "P{p} window counts");
-                for (pm, wp) in rows.iter().zip(&wr.windows[p]) {
-                    assert_eq!((pm.pos, pm.next_map, pm.in_use), (wp.pos, wp.next_map, wp.peak));
-                }
-                // Windows tile the order contiguously.
+            let peaks = placement.peaks(&plan.perm_units);
+            for (p, rows) in placement.per_proc.iter().enumerate() {
+                assert!(rep.peak[p] <= peaks[p] && peaks[p] <= cap, "P{p} peak {}", peaks[p]);
                 let mut pos = 0u32;
                 for pm in rows {
                     assert_eq!(pm.pos, pos);
+                    assert!(pm.next_map > pos && pm.in_use <= cap);
                     pos = pm.next_map;
                 }
                 assert_eq!(pos as usize, sched.order[p].len());
             }
-            assert_eq!(placement.peaks(&plan.perm_units), wr.peak);
-            // One unit below MIN_MEM the placement must fail.
-            assert!(matches!(
-                plan.place_maps(&g, &sched, cap - 1, MapWindow::Greedy),
-                Err(ExecError::NonExecutable { .. })
-            ));
+            match plan.place_maps(&g, &sched, cap - 1, MapWindow::Greedy) {
+                Err(ExecError::NonExecutable { needed, capacity, .. }) => {
+                    assert_eq!((needed, capacity), (cap, cap - 1));
+                }
+                other => panic!("placed below MIN_MEM: {other:?}"),
+            }
         }
+    }
+
+    #[test]
+    fn an_idle_processor_whose_permanents_exceed_the_cap_is_refused() {
+        // P0 runs one task on its 1-unit permanent; P1 runs nothing and
+        // owns one untouched 10-unit object, so MIN_MEM is 10.
+        use rapid_core::graph::TaskGraphBuilder;
+        use rapid_core::schedule::Assignment;
+        let mut b = TaskGraphBuilder::new();
+        let (a, big) = (b.add_object(1), b.add_object(10));
+        let t = b.add_task(1.0, &[], &[a]);
+        let g = b.build().unwrap();
+        let assign = Assignment { task_proc: vec![0], owner: vec![0, 1], nprocs: 2 };
+        let sched = Schedule { assign, order: vec![vec![t], vec![]] };
+        assert_eq!(sched.assign.owner_of(big), 1);
+        assert_eq!(rapid_core::memreq::min_mem(&g, &sched).min_mem, 10);
+        let plan = RtPlan::new(&g, &sched);
+        let placed = plan.place_maps(&g, &sched, 10, MapWindow::Greedy).unwrap();
+        assert_eq!(placed.peaks(&plan.perm_units), vec![1, 10]);
+
+        let live = Vec::new();
+        let refusal =
+            ExecError::NonExecutable { proc: 1, position: 0, needed: 10, capacity: 5, live };
+        assert_eq!(plan.place_maps(&g, &sched, 5, MapWindow::Greedy), Err(refusal.clone()));
+        assert_eq!(plan.address_plan(&g, &sched, 5), Err(refusal.clone()));
+        let machine = rapid_machine::config::MachineConfig::unit(2, 5);
+        assert_eq!(crate::des::run_managed(&g, &sched, machine).err(), Some(refusal.clone()));
+        let exec = crate::threaded::ThreadedExecutor::new(&g, &sched, 5);
+        assert_eq!(exec.address_plan().err(), Some(&refusal));
+        assert_eq!(exec.run(|_, _| {}).err(), Some(refusal));
     }
 
     #[test]
@@ -1180,10 +1223,13 @@ mod tests {
         let g = fixtures::figure2_dag();
         let sched = fixtures::figure2_schedule_c();
         let plan = RtPlan::new(&g, &sched);
+        let rep = rapid_core::memreq::min_mem(&g, &sched);
         for p in 0..2u32 {
             let mut mp = MapPlanner::new(&g, &plan, p, 1000);
             let a = mp.run_map(&g, &sched, &plan, 0).unwrap();
             assert_eq!(a.next_map as usize, sched.order[p as usize].len());
+            // One window never frees: it holds everything the processor has.
+            assert_eq!(a.in_use, rep.no_recycle(p as usize));
         }
     }
 }

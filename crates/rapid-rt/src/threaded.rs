@@ -70,7 +70,7 @@
 //! run that fails gives its heaps back to the allocator instead of keeping
 //! them.
 
-use crate::core::{CoreSpec, Diag, Env, On, ProcCore, Step, NO_ADDR};
+use crate::core::{CoreSpec, Cost, Diag, Env, On, ProcCore, Step, NO_ADDR};
 use crate::inspector::{ProcDiag, StallSnapshot, StateBoard};
 // sync-audit: the only Relaxed atomics in this module are the recovery
 // diagnostics counters (`RecovBoard`) — monotonic telemetry read after the
@@ -849,13 +849,18 @@ where
         })
     }
 
-    fn rollback(&mut self, pos: u32, attempt: u32) {
-        for &(w, start) in &self.ckpt {
-            let buf = &mut self.own[w as usize];
-            let len = buf.len();
-            buf.copy_from_slice(&self.ckpt_data[start..start + len]);
+    /// Threads pay every cost by doing the work; a rollback puts the
+    /// failed task's checkpoint back.
+    #[inline]
+    fn charge(&mut self, cost: Cost) {
+        if let Cost::Rollback { pos, attempt } = cost {
+            for &(w, start) in &self.ckpt {
+                let buf = &mut self.own[w as usize];
+                let len = buf.len();
+                buf.copy_from_slice(&self.ckpt_data[start..start + len]);
+            }
+            self.sh.recov.note(self.p, pos, attempt);
         }
-        self.sh.recov.note(self.p, pos, attempt);
     }
 
     #[inline]

@@ -68,8 +68,6 @@ pub struct ProtocolSpec {
     pub msgs: Vec<MsgSpec>,
     /// `in_msgs[t]`: message ids task `t` must receive before running.
     pub in_msgs: Vec<Vec<u32>>,
-    /// `out_msgs[t]`: message ids task `t` emits after running.
-    pub out_msgs: Vec<Vec<u32>>,
     /// Per-processor memory capacity in allocation units.
     pub capacity: u64,
     /// Per-processor permanent footprint in allocation units.
@@ -355,7 +353,7 @@ pub fn check(
     spec: &ProtocolSpec,
     traces: &TraceSet,
 ) -> Result<TraceReport, Violation> {
-    let mut replay = Replay::new(g, sched, spec.clone());
+    let mut replay = Replay::new(g, sched, spec);
     for trace in &traces.procs {
         if trace.dropped() > 0 {
             replay.note_dropped(trace.proc, trace.dropped());
@@ -407,7 +405,7 @@ struct ProcReplay {
 /// deterministic even when several pairs are in violation.
 struct Replay<'a> {
     sched: &'a Schedule,
-    spec: ProtocolSpec,
+    spec: &'a ProtocolSpec,
     lv: Liveness,
     procs: Vec<ProcReplay>,
     pkg_sends: BTreeMap<(u32, u32), Vec<Vec<u32>>>,
@@ -418,7 +416,7 @@ struct Replay<'a> {
 }
 
 impl<'a> Replay<'a> {
-    fn new(g: &TaskGraph, sched: &'a Schedule, spec: ProtocolSpec) -> Self {
+    fn new(g: &TaskGraph, sched: &'a Schedule, spec: &'a ProtocolSpec) -> Self {
         let lv = Liveness::analyze(g, sched);
         let procs = (0..spec.nprocs)
             .map(|p| ProcReplay {

@@ -37,7 +37,6 @@ pub fn tiny() -> (TaskGraph, Schedule, ProtocolSpec) {
         // msg 0: t1's write of d1, presented to P1.
         msgs: vec![MsgSpec { src_proc: 0, dst_proc: 1, objs: vec![1] }],
         in_msgs: vec![vec![], vec![], vec![0]],
-        out_msgs: vec![vec![], vec![0], vec![]],
         capacity: 16,
         perm_units: vec![5, 0],
     };

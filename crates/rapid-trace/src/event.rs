@@ -230,7 +230,7 @@ pub enum Event {
 /// How much of the protocol the recorder captures. There is one answer:
 /// every event. This type is the ignored argument of [`check_tier`] and
 /// [`TraceConfig::with_tier`], and stays only until `benchmark/` stops
-/// naming it (ROADMAP item 9).
+/// naming it (ROADMAP item 1).
 ///
 /// [`check_tier`]: crate::check::check_tier
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

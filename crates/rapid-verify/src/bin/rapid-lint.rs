@@ -16,10 +16,10 @@ use rapid_core::fixtures::{self, random_irregular_graph, RandomGraphSpec};
 use rapid_core::graph::TaskGraph;
 use rapid_core::memreq;
 use rapid_core::schedule::{CostModel, Schedule};
-use rapid_rt::{MapPlacement, MapWindow, RtPlan};
+use rapid_rt::{MapPlacement, RtPlan};
 use rapid_sched::{cyclic_owner_map, dts_order, mpo_order, owner_compute_assignment, rcp_order};
 use rapid_sparse::{gen, taskgen};
-use rapid_verify::{verify, Finding, VerifyReport};
+use rapid_verify::{place_or_reject, verify, Finding, VerifyReport};
 
 struct Opts {
     plan: String,
@@ -237,14 +237,13 @@ fn run() -> Result<bool, String> {
     let cap = parse_cap(&o.cap, min)?;
 
     let plan = RtPlan::new(&g, &sched);
-    let report = match plan.place_maps(&g, &sched, cap, MapWindow::Greedy) {
+    let report = match place_or_reject(&g, &sched, &plan, cap) {
         Ok(mut placement) => {
             corrupt_placement(&o.corrupt, &plan, &mut placement)?;
             verify(&g, &sched, &plan, &placement)
         }
-        // Non-executable under `cap`: let the convenience path build the
-        // CapacityExceeded finding with the exact live set.
-        Err(_) => rapid_verify::verify_capacity(&g, &sched, cap),
+        // Non-executable under `cap`: the planner's refusal.
+        Err(report) => report,
     };
 
     let json = json_report(&o, &report, min);

@@ -27,7 +27,8 @@
 //!   [`Finding::UseBeforeAlloc`]).
 //! - **Capacity feasibility** — exact per-window occupancy replay stays
 //!   within the per-processor capacity, and infeasible schedules are
-//!   rejected with the first overflowing window and its live set
+//!   rejected with the planner's refusal: the first window that cannot be
+//!   provisioned and its live set
 //!   ([`Finding::CapacityExceeded`], [`Finding::WindowOverCap`]).
 //!
 //! Every [`Finding`] names the [`rapid_trace::ViolationKind`] the
@@ -38,7 +39,9 @@
 //!
 //! [`verify`] is the one analysis entry: it trusts nothing but the graph,
 //! the schedule and the static lifetimes. [`verify_capacity`] builds the
-//! protocol plan and the greedy placement for a capacity and calls it.
+//! protocol plan and the greedy placement for a capacity and calls it;
+//! [`place_or_reject`] is its placement step, which turns the planner's
+//! refusal into the one [`Finding::CapacityExceeded`].
 //! [`plan_hash`] is the determinism witness the `planhash` binary prints;
 //! [`Replanner`] runs the plain planning pipeline at each capacity it is
 //! given, and stays only because the benchmark names it.
@@ -65,4 +68,4 @@ mod verify;
 
 pub use finding::{Finding, WaitPoint, WaitStep};
 pub use replan::{plan_hash, Planned, Replanner};
-pub use verify::{verify, verify_capacity, VerifyReport};
+pub use verify::{place_or_reject, verify, verify_capacity, VerifyReport};

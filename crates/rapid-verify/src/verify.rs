@@ -8,7 +8,7 @@ use crate::hb;
 use rapid_core::graph::{TaskGraph, TaskId};
 use rapid_core::schedule::Schedule;
 use rapid_rt::maps::Message;
-use rapid_rt::{MapPlacement, MapWindow, RtPlan};
+use rapid_rt::{ExecError, MapPlacement, MapWindow, RtPlan};
 
 /// Result of a verification run.
 #[derive(Clone, Debug)]
@@ -197,10 +197,8 @@ fn precedence_findings(
 /// placement for `capacity`, then verify.
 ///
 /// When no placement exists at all — the schedule is non-executable
-/// under `capacity` (Definition 6) — the report carries a single
-/// [`Finding::CapacityExceeded`] naming the first infeasible window and
-/// the volatile live set that overflows it, computed by the exact
-/// window-peak analysis ([`rapid_core::memreq::window_peaks`]).
+/// under `capacity` (Definition 6) — the report is the planner's refusal
+/// (see [`place_or_reject`]).
 pub fn verify_capacity(g: &TaskGraph, sched: &Schedule, capacity: u64) -> VerifyReport {
     let plan = RtPlan::new(g, sched);
     match place_or_reject(g, sched, &plan, capacity) {
@@ -210,27 +208,22 @@ pub fn verify_capacity(g: &TaskGraph, sched: &Schedule, capacity: u64) -> Verify
 }
 
 /// The greedy MAP placement of `plan` under `capacity`, or the report
-/// that says why there is none (see [`verify_capacity`]).
-pub(crate) fn place_or_reject(
+/// that says why there is none: the planner's refusal as a single
+/// [`Finding::CapacityExceeded`], naming the first window that cannot be
+/// provisioned and the volatile live set that overflows it.
+pub fn place_or_reject(
     g: &TaskGraph,
     sched: &Schedule,
     plan: &RtPlan,
     capacity: u64,
 ) -> Result<MapPlacement, VerifyReport> {
-    plan.place_maps(g, sched, capacity, MapWindow::Greedy).map_err(|_| {
-        let finding = match rapid_core::memreq::window_peaks(g, sched, capacity) {
-            Err(iw) => Finding::CapacityExceeded {
-                proc: iw.proc as u32,
-                position: iw.position,
-                needed: iw.needed,
-                capacity,
-                live: iw.live,
-            },
-            // place_maps and window_peaks replay the same greedy
-            // policy; disagreement means one of them is broken.
-            Ok(_) => Finding::Malformed {
-                detail: "placement failed but window analysis found the plan feasible".to_string(),
-            },
+    plan.place_maps(g, sched, capacity, MapWindow::Greedy).map_err(|e| {
+        let finding = match e {
+            ExecError::NonExecutable { proc, position, needed, capacity, live } => {
+                Finding::CapacityExceeded { proc, position, needed, capacity, live }
+            }
+            // The counting walk refuses nothing else.
+            other => Finding::Malformed { detail: other.to_string() },
         };
         VerifyReport { findings: vec![finding], peak: Vec::new(), capacity }
     })

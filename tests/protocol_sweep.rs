@@ -37,6 +37,19 @@ const REGRESSIONS: &[Case] = &[
         driver: Threads,
         rounds: 20,
     },
+    // An idle processor's one MAP holds no task, and its permanents went
+    // uncounted: the DES ran over the cap and the verifier blamed a window.
+    Case {
+        graph: IdleOwner,
+        p: 2,
+        policy: Fixed,
+        cap: BelowMin,
+        fault: None,
+        traced: false,
+        rec: Unarmed,
+        driver: Both(Unit),
+        rounds: 1,
+    },
 ];
 
 const G7: RandomGraphSpec = RandomGraphSpec {
