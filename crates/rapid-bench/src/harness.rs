@@ -16,7 +16,7 @@
 
 use rapid_core::graph::{ProcId, TaskGraph};
 use rapid_core::memreq::{min_mem, MemReport};
-use rapid_core::schedule::{CostModel, Schedule};
+use rapid_core::schedule::Schedule;
 use rapid_machine::config::MachineConfig;
 use rapid_rt::des::{run_managed, run_unmanaged, DesOutcome};
 use rapid_rt::maps::ExecError;
@@ -162,19 +162,13 @@ pub fn schedule(w: &Workload, p: usize, order: Order, capacity: u64) -> Schedule
     let g = w.graph();
     let owner = w.owner_map(p);
     let assign = owner_compute_assignment(g, &owner, p);
-    let cost = t3d_cost();
+    let cost = MachineConfig::t3d(p).cost_model();
     match order {
         Order::Rcp => rapid_sched::rcp::rcp_order(g, &assign, &cost),
         Order::Mpo => rapid_sched::mpo::mpo_order(g, &assign, &cost),
         Order::Dts => rapid_sched::dts::dts_order(g, &assign, &cost),
         Order::DtsMerged => rapid_sched::dts::dts_order_merged(g, &assign, &cost, capacity),
     }
-}
-
-/// The scheduler-facing cost model matching [`MachineConfig::t3d`].
-pub fn t3d_cost() -> CostModel {
-    let m = MachineConfig::t3d(1);
-    CostModel { latency: m.put_overhead * m.flops, per_unit: m.per_unit_time * m.flops }
 }
 
 /// A managed run at an absolute capacity. `Some` carries the outcome,

@@ -50,12 +50,6 @@ impl MemReport {
         }
         self.s1 as f64 / self.min_mem as f64
     }
-
-    /// Is the schedule executable when each processor has `capacity`
-    /// allocation units (Definition 6)?
-    pub fn executable_under(&self, capacity: u64) -> bool {
-        self.min_mem <= capacity
-    }
 }
 
 /// Compute the memory report of a schedule.
@@ -123,8 +117,6 @@ mod tests {
         let sched = fixtures::figure2_schedule_c();
         let rep = min_mem(&g, &sched);
         assert_eq!(rep.min_mem, 8);
-        assert!(rep.executable_under(8));
-        assert!(!rep.executable_under(7));
     }
 
     #[test]

@@ -62,27 +62,6 @@ impl MachineConfig {
         }
     }
 
-    /// The Meiko CS-2 preset — the paper's second implementation platform
-    /// (§5: "implemented ... on Cray-T3D and Meiko CS-2"). SPARC nodes
-    /// around 40 MFLOPS with a slower communication fabric (~10 µs
-    /// one-sided put, ~40 MB/s).
-    pub fn meiko_cs2(nprocs: usize) -> Self {
-        MachineConfig {
-            nprocs,
-            // 32 MB per node / 8 bytes per unit.
-            capacity: 32 * 1024 * 1024 / 8,
-            flops: 40.0e6,
-            put_overhead: 10.0e-6,
-            per_unit_time: 8.0 / 40.0e6,
-            map_fixed_cost: 25.0e-6,
-            alloc_cost: 5.0e-6,
-            addr_pkg_cost: 12.0e-6,
-            ra_cost: 5.0e-6,
-            addr_lookup_cost: 2.5e-6,
-            msg_lookup_cost: 20.0e-6,
-        }
-    }
-
     /// A unit-cost machine for algorithm tests: every task weight is one
     /// time unit, every message one unit, memory-management actions free.
     pub fn unit(nprocs: usize, capacity: u64) -> Self {
@@ -107,15 +86,19 @@ impl MachineConfig {
         self
     }
 
-    /// The network/cost model seen by the schedulers: message latency is
-    /// the put overhead, incremental cost per unit is the inverse
-    /// bandwidth. Under [`MachineConfig::unit`] this becomes the paper's
-    /// unit model (latency 1, no size term).
+    /// The network/cost model seen by the schedulers, whose task weights
+    /// are flops: message latency is the put overhead and the cost per
+    /// unit the inverse bandwidth, both in flops at this machine's rate.
+    /// Under [`MachineConfig::unit`] this becomes the paper's unit model
+    /// (latency 1, no size term).
     pub fn cost_model(&self) -> CostModel {
         if self.flops == 1.0 {
             return CostModel::unit();
         }
-        CostModel { latency: self.put_overhead, per_unit: self.per_unit_time }
+        CostModel {
+            latency: self.put_overhead * self.flops,
+            per_unit: self.per_unit_time * self.flops,
+        }
     }
 
     /// Seconds needed to execute a task of `weight` flops.
@@ -145,15 +128,10 @@ mod tests {
         let t = c.transfer_time(units);
         assert!((t - (2.7e-6 + units as f64 * 8.0 / 128.0e6)).abs() < 1e-12);
         assert!(t > 8.0e-3 && t < 9.0e-3);
-    }
-
-    #[test]
-    fn meiko_is_slower_than_t3d() {
-        let t3d = MachineConfig::t3d(8);
-        let cs2 = MachineConfig::meiko_cs2(8);
-        assert!(cs2.task_time(1.0e6) > t3d.task_time(1.0e6));
-        assert!(cs2.transfer_time(1024) > t3d.transfer_time(1024));
-        assert!(cs2.capacity < t3d.capacity);
+        // The schedulers see the same wire in flops at 103 Mflop/s.
+        let cost = c.cost_model();
+        assert!((cost.latency - 278.1).abs() < 1e-9, "{cost:?}");
+        assert!((cost.per_unit - 6.4375).abs() < 1e-12, "{cost:?}");
     }
 
     #[test]

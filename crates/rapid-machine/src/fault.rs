@@ -54,16 +54,6 @@ impl FaultSite {
         FaultSite::TaskJitter,
     ];
 
-    /// Index into [`ProcFaults::injected`]-style counter arrays.
-    pub fn idx(self) -> usize {
-        match self {
-            FaultSite::MailboxReject => 0,
-            FaultSite::MailboxDelay => 1,
-            FaultSite::PutDelay => 2,
-            FaultSite::TaskJitter => 3,
-        }
-    }
-
     /// Short display name (trace export labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -228,7 +218,6 @@ impl FaultPlan {
             mailbox: FaultStream::new(self.seed, p, SITE_MAILBOX),
             put: FaultStream::new(self.seed, p, SITE_PUT),
             task: FaultStream::new(self.seed, p, SITE_TASK),
-            injected: [0; 4],
         }
     }
 }
@@ -241,8 +230,6 @@ pub struct ProcFaults {
     mailbox: FaultStream,
     put: FaultStream,
     task: FaultStream,
-    /// Injections fired so far, indexed by [`FaultSite::idx`].
-    injected: [u32; 4],
 }
 
 impl ProcFaults {
@@ -250,18 +237,13 @@ impl ProcFaults {
     /// occupied)?
     #[inline]
     pub fn mailbox_reject(&mut self) -> bool {
-        let hit = self.mailbox.hit(self.spec.mailbox_reject_permille);
-        if hit {
-            self.injected[FaultSite::MailboxReject.idx()] += 1;
-        }
-        hit
+        self.mailbox.hit(self.spec.mailbox_reject_permille)
     }
 
     /// Delay to apply before this mailbox hand-off, if any.
     #[inline]
     pub fn mailbox_delay(&mut self) -> Option<Duration> {
         if self.mailbox.hit(self.spec.mailbox_delay_permille) {
-            self.injected[FaultSite::MailboxDelay.idx()] += 1;
             Some(self.mailbox.jitter(self.spec.mailbox_delay_max))
         } else {
             None
@@ -272,7 +254,6 @@ impl ProcFaults {
     #[inline]
     pub fn put_delay(&mut self) -> Option<Duration> {
         if self.put.hit(self.spec.put_delay_permille) {
-            self.injected[FaultSite::PutDelay.idx()] += 1;
             Some(self.put.jitter(self.spec.put_delay_max))
         } else {
             None
@@ -283,21 +264,10 @@ impl ProcFaults {
     #[inline]
     pub fn task_jitter(&mut self) -> Option<Duration> {
         if self.task.hit(self.spec.task_jitter_permille) {
-            self.injected[FaultSite::TaskJitter.idx()] += 1;
             Some(self.task.jitter(self.spec.task_jitter_max))
         } else {
             None
         }
-    }
-
-    /// Injections fired so far at `site` on this processor.
-    pub fn injected(&self, site: FaultSite) -> u32 {
-        self.injected[site.idx()]
-    }
-
-    /// Total injections fired so far across all sites.
-    pub fn injected_total(&self) -> u32 {
-        self.injected.iter().sum()
     }
 }
 
@@ -347,20 +317,6 @@ mod tests {
         assert_eq!((0..1000).filter(|_| s.hit(0)).count(), 0);
         let mut s = FaultStream::new(3, 0, SITE_PUT);
         assert_eq!((0..1000).filter(|_| s.hit(1000)).count(), 1000);
-    }
-
-    #[test]
-    fn injection_counters_track_fires() {
-        let plan =
-            FaultPlan::new(13, FaultSpec { mailbox_reject_permille: 1000, ..Default::default() });
-        let mut f = plan.for_proc(0);
-        for _ in 0..10 {
-            let _ = f.mailbox_reject();
-            let _ = f.put_delay(); // 0‰: never fires, never counts
-        }
-        assert_eq!(f.injected(FaultSite::MailboxReject), 10);
-        assert_eq!(f.injected(FaultSite::PutDelay), 0);
-        assert_eq!(f.injected_total(), 10);
     }
 
     #[test]

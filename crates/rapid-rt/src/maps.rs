@@ -282,10 +282,7 @@ impl RtPlan {
         let mut rows: Vec<PlannedMap> = Vec::new();
         let mut pos = 0u32;
         loop {
-            let mut m = planner.run_map(g, sched, self, pos)?;
-            if let Some(placer) = placer.as_deref_mut() {
-                placer.place(g, &mut planner, &mut m)?;
-            }
+            let m = planner.plan_map(g, sched, self, pos, placer.as_deref_mut())?;
             pos = m.next_map;
             rows.push(m);
             if pos as usize >= sched.order[p as usize].len() {
@@ -299,16 +296,15 @@ impl RtPlan {
     /// walked together, the permanent objects as the arena's reserved
     /// prefix.
     ///
-    /// Where the arena cannot place a *lookahead* allocation contiguously,
-    /// the window is cut right before the task that introduces it: every
-    /// object of that task and everything after it go back to the planner
-    /// and are planned again by the MAP now due there, after its free wave
-    /// has had a chance to coalesce room. A MAP therefore allocates, and
-    /// announces, only what a task of its own window uses. Only the task
-    /// at the MAP's own position
-    /// failing to place is an error — [`ExecError::Fragmented`], or
-    /// [`ExecError::NonExecutable`] where counting already refuses — for
-    /// the lowest processor it happens on.
+    /// The arena answers inside the planner's window loop: a task whose
+    /// new volatiles the arena cannot place contiguously ends the window
+    /// before it, and the MAP then due there plans it again, after its
+    /// free wave has had a chance to coalesce room. A MAP therefore
+    /// allocates, and announces, only what a task of its own window uses.
+    /// Only the task at the MAP's own position failing to place is an
+    /// error — [`ExecError::Fragmented`], or [`ExecError::NonExecutable`]
+    /// where counting already refuses — for the lowest processor it
+    /// happens on.
     pub fn address_plan(
         &self,
         g: &TaskGraph,
@@ -388,9 +384,7 @@ pub struct PlannedMap {
     /// Volatile objects allocated by this window, in allocation order.
     pub allocs: Vec<ObjId>,
     /// `alloc_pos[i]`: the order position whose task first uses
-    /// `allocs[i]` — which window step introduced the allocation, and
-    /// where the address walk cuts the window if it cannot place it
-    /// contiguously ([`RtPlan::address_plan`]).
+    /// `allocs[i]` — which window step introduced the allocation.
     pub alloc_pos: Vec<u32>,
     /// Position (exclusive) up to which tasks are covered: the next MAP
     /// goes right before this position.
@@ -413,8 +407,8 @@ pub struct PlannedMap {
 ///
 /// The counting placement of [`RtPlan::place_maps`] knows nothing of
 /// contiguity. The threaded executor replays the one inside its
-/// [`AddressPlan`]: the same, but for a window cut short wherever
-/// fragmentation stopped a lookahead allocation ([`AddressPlan::cuts`]).
+/// [`AddressPlan`]: the same, but for a window cut short before a task
+/// whose buffers the arena could not place ([`AddressPlan::cuts`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MapPlacement {
     /// Per-processor capacity the placement was computed for.
@@ -476,59 +470,21 @@ struct Placer {
 }
 
 impl Placer {
-    /// Carry out on the arena the MAP `m` that `planner` just planned and
-    /// committed (see [`RtPlan::address_plan`]).
-    fn place(
-        &mut self,
-        g: &TaskGraph,
-        planner: &mut MapPlanner,
-        m: &mut PlannedMap,
-    ) -> Result<(), ExecError> {
-        let proc = planner.proc;
-        let internal = |detail| ExecError::Internal { proc, detail };
-        for &d in &m.frees {
-            let off = self.offsets[d.idx()];
-            self.arena
-                .free(off)
-                .map_err(|e| internal(format!("MAP free of {d:?} at {off} rejected: {e}")))?;
-        }
-        for i in 0..m.allocs.len() {
-            let d = m.allocs[i];
+    /// Place the volatiles one task introduces, all or none: where one
+    /// does not fit, those placed before it go back to the arena, and the
+    /// arena's refusal is returned.
+    fn place_task(&mut self, g: &TaskGraph, objs: &[ObjId]) -> Result<(), ArenaError> {
+        for (i, &d) in objs.iter().enumerate() {
             match self.arena.alloc(g.obj_size(d)) {
                 Ok(off) => self.offsets[d.idx()] = off,
-                Err(ArenaError::Fragmented { .. }) if m.alloc_pos[i] != m.pos => {
-                    // Cut before the task that uses `d`, not in the middle
-                    // of it: what was just placed for that same task goes
-                    // back too, or this MAP would announce buffers none of
-                    // its tasks reads.
-                    let cut = m.alloc_pos[i];
-                    let keep = m.alloc_pos.partition_point(|&at| at < cut);
-                    for &dd in &m.allocs[keep..i] {
-                        let off = std::mem::replace(&mut self.offsets[dd.idx()], NO_OFFSET);
-                        self.arena.free(off).map_err(|e| {
-                            internal(format!("cut cannot give {dd:?} at {off} back: {e}"))
-                        })?;
+                Err(e) => {
+                    for &placed in &objs[..i] {
+                        let off = std::mem::replace(&mut self.offsets[placed.idx()], NO_OFFSET);
+                        self.arena.free(off)?;
                     }
-                    for &dd in &m.allocs[keep..] {
-                        planner.rollback_alloc(g, dd);
-                    }
-                    m.next_map = cut;
-                    m.allocs.truncate(keep);
-                    m.alloc_pos.truncate(keep);
-                    m.notifies.retain(|n| planner.is_allocated(ObjId(n.obj)));
-                    m.in_use = planner.in_use;
-                    self.cuts += 1;
-                    break;
+                    return Err(e);
                 }
-                Err(ArenaError::Fragmented { requested, largest }) => {
-                    return Err(ExecError::Fragmented { proc, requested, largest })
-                }
-                // Counting said the units are there.
-                Err(e) => return Err(internal(format!("MAP alloc of {d:?} rejected: {e}"))),
             }
-        }
-        for n in &mut m.notifies {
-            n.offset = self.offsets[n.obj as usize];
         }
         Ok(())
     }
@@ -735,7 +691,9 @@ pub enum MapWindow {
 /// Per-processor MAP planner: owns the set of currently-allocated
 /// volatiles (by counting, not offsets) and plans each MAP in turn. It
 /// runs before the run, inside the walks of [`RtPlan::place_maps`] and
-/// [`RtPlan::address_plan`]; the executors replay what it planned.
+/// [`RtPlan::address_plan`]; the executors replay what it planned. In the
+/// address walk a best-fit arena places each task's buffers as soon as
+/// counting admits the task, so where a window ends is decided once, here.
 ///
 /// Its state is dense: one membership flag and one static last use per
 /// object, plus the allocated volatiles in no particular order, so an
@@ -775,11 +733,6 @@ impl MapPlanner {
         }
     }
 
-    /// Is volatile `d` currently allocated?
-    fn is_allocated(&self, d: ObjId) -> bool {
-        self.resident[d.idx()]
-    }
-
     /// Plan and commit the MAP at position `pos` of this processor's
     /// order. Frees volatiles dead before `pos`, then extends the
     /// allocation window over as many tasks as fit; fails if the task at
@@ -792,9 +745,23 @@ impl MapPlanner {
         plan: &RtPlan,
         pos: u32,
     ) -> Result<PlannedMap, ExecError> {
-        let p = self.proc as usize;
+        self.plan_map(g, sched, plan, pos, None)
+    }
+
+    /// [`MapPlanner::run_map`], with `placer`'s arena beside the count
+    /// when there is one (see [`RtPlan::address_plan`]).
+    fn plan_map(
+        &mut self,
+        g: &TaskGraph,
+        sched: &Schedule,
+        plan: &RtPlan,
+        pos: u32,
+        mut placer: Option<&mut Placer>,
+    ) -> Result<PlannedMap, ExecError> {
+        let (p, proc) = (self.proc as usize, self.proc);
         let pl = &plan.lv.procs[p];
         let order = &sched.order[p];
+        let internal = |e: ArenaError| ExecError::Internal { proc, detail: e.to_string() };
 
         // Free volatiles whose last use is strictly before `pos`. Only
         // objects from this processor's volatile set ever enter
@@ -812,12 +779,16 @@ impl MapPlanner {
         frees.sort_unstable();
         for &d in &frees {
             self.in_use -= g.obj_size(d);
+            if let Some(placer) = placer.as_deref_mut() {
+                placer.arena.free(placer.offsets[d.idx()]).map_err(internal)?;
+            }
         }
 
         // Extend the allocation window: walk tasks pos.. and allocate each
         // task's missing volatiles; stop before the first task that does
         // not fit (paper §3.3: "the allocation will stop after T_k if
-        // space for T_{k+1} cannot be allocated").
+        // space for T_{k+1} cannot be allocated"), by count or, in the
+        // address walk, contiguously.
         let mut allocs: Vec<ObjId> = Vec::new();
         let mut alloc_pos: Vec<u32> = Vec::new();
         let mut next_map = pos;
@@ -836,6 +807,23 @@ impl MapPlanner {
             }
             let start = allocs.len();
             allocs.extend(new_here);
+            if let Some(placer) = placer.as_deref_mut() {
+                match placer.place_task(g, &allocs[start..]) {
+                    Ok(()) => {}
+                    // Cut before the task, not in the middle of it: this
+                    // MAP announces only buffers its own tasks read.
+                    Err(ArenaError::Fragmented { .. }) if j as u32 != pos => {
+                        allocs.truncate(start);
+                        placer.cuts += 1;
+                        break;
+                    }
+                    Err(ArenaError::Fragmented { requested, largest }) => {
+                        return Err(ExecError::Fragmented { proc, requested, largest })
+                    }
+                    // Counting said the units are there.
+                    Err(e) => return Err(internal(e)),
+                }
+            }
             for &d in &allocs[start..] {
                 self.resident[d.idx()] = true;
                 alloc_pos.push(j as u32);
@@ -855,8 +843,9 @@ impl MapPlanner {
         // destination with a single linear walk.
         let mut notifies = Vec::new();
         for &d in &allocs {
-            for &w in plan.watchers.of(self.proc, d.0) {
-                notifies.push(Notify { dst: w, obj: d.0, offset: NO_OFFSET });
+            let offset = placer.as_deref().map_or(NO_OFFSET, |placer| placer.offsets[d.idx()]);
+            for &w in plan.watchers.of(proc, d.0) {
+                notifies.push(Notify { dst: w, obj: d.0, offset });
             }
         }
         notifies.sort_unstable_by_key(|n| (n.dst, n.obj));
@@ -870,21 +859,6 @@ impl MapPlanner {
         live.sort_unstable();
         let (proc, capacity) = (self.proc, self.capacity);
         ExecError::NonExecutable { proc, position: pos, needed, capacity, live }
-    }
-
-    /// Undo one allocation committed by the most recent
-    /// [`MapPlanner::run_map`]: remove `d` from the allocated set and
-    /// release its units. The address walk calls this when its arena
-    /// cannot place a planned *lookahead* allocation — the object is
-    /// planned again by the next MAP.
-    fn rollback_alloc(&mut self, g: &TaskGraph, d: ObjId) {
-        if std::mem::take(&mut self.resident[d.idx()]) {
-            // The latest allocations sit at the end.
-            if let Some(k) = self.allocated.iter().rposition(|&x| x == d) {
-                self.allocated.swap_remove(k);
-            }
-            self.in_use -= g.obj_size(d);
-        }
     }
 }
 

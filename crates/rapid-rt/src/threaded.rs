@@ -95,8 +95,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering as AtOrd};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Sentinel for "object not in this task's access set".
-const NO_SLOT: u32 = u32::MAX;
 /// The stall watchdog unless [`ThreadedExecutor::with_watchdog`] sets one.
 const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
 
@@ -115,50 +113,15 @@ fn panic_payload_str(payload: &(dyn std::any::Any + Send)) -> String {
 /// it reads, exclusive views of the objects it writes (an object both read
 /// and written appears once, in the write set).
 ///
-/// Lookups go through a dense per-object slot table precomputed when the
-/// context is assembled, so [`TaskCtx::read`] / [`TaskCtx::write`] are
-/// O(1) — no linear scan of the access set.
+/// Both lists ascend by object id, as the graph's access sets do, so
+/// [`TaskCtx::read`] / [`TaskCtx::write`] are a binary search of the
+/// task's own list.
 pub struct TaskCtx<'h> {
     reads: Vec<(u32, &'h [f64])>,
     writes: Vec<(u32, &'h mut [f64])>,
-    /// Object id → `(slot << 1) | is_write`, [`NO_SLOT`] when absent.
-    /// Pooled by the executor across tasks: entries touched by this task
-    /// are reset when the context is dismantled.
-    slots: Vec<u32>,
 }
 
 impl<'h> TaskCtx<'h> {
-    /// Build a context, indexing the access sets into `slots` (a scratch
-    /// table of at least `num_objects` entries, all [`NO_SLOT`]).
-    fn assemble(
-        reads: Vec<(u32, &'h [f64])>,
-        writes: Vec<(u32, &'h mut [f64])>,
-        mut slots: Vec<u32>,
-    ) -> Self {
-        for (i, &(o, _)) in reads.iter().enumerate() {
-            slots[o as usize] = (i as u32) << 1;
-        }
-        for (i, (o, _)) in writes.iter().enumerate() {
-            slots[*o as usize] = ((i as u32) << 1) | 1;
-        }
-        TaskCtx { reads, writes, slots }
-    }
-
-    /// Tear the context down, resetting the touched slot entries and
-    /// returning the pooled parts for the next task.
-    #[allow(clippy::type_complexity)]
-    fn dismantle(mut self) -> (Vec<(u32, &'h [f64])>, Vec<(u32, &'h mut [f64])>, Vec<u32>) {
-        for &(o, _) in &self.reads {
-            self.slots[o as usize] = NO_SLOT;
-        }
-        for (o, _) in &self.writes {
-            self.slots[*o as usize] = NO_SLOT;
-        }
-        self.reads.clear();
-        self.writes.clear();
-        (self.reads, self.writes, self.slots)
-    }
-
     /// Buffer of a read object. If the task does not read `d` (or also
     /// writes it — use [`TaskCtx::write`]), panics with a typed
     /// [`AccessViolation`] payload; the threaded executor catches it at
@@ -170,11 +133,10 @@ impl<'h> TaskCtx<'h> {
     /// call — read and write buffers are always distinct objects.
     #[inline]
     pub fn read(&self, d: ObjId) -> &'h [f64] {
-        let e = self.slots.get(d.idx()).copied().unwrap_or(NO_SLOT);
-        if e == NO_SLOT || e & 1 == 1 {
-            std::panic::panic_any(AccessViolation { obj: d, op: AccessOp::Read });
+        match self.reads.binary_search_by_key(&d.0, |&(o, _)| o) {
+            Ok(i) => self.reads[i].1,
+            Err(_) => std::panic::panic_any(AccessViolation { obj: d, op: AccessOp::Read }),
         }
-        self.reads[(e >> 1) as usize].1
     }
 
     /// Mutable buffer of a written object (reads the previous content for
@@ -182,19 +144,18 @@ impl<'h> TaskCtx<'h> {
     /// with a typed [`AccessViolation`] payload (see [`TaskCtx::read`]).
     #[inline]
     pub fn write(&mut self, d: ObjId) -> &mut [f64] {
-        let e = self.slots.get(d.idx()).copied().unwrap_or(NO_SLOT);
-        if e == NO_SLOT || e & 1 == 0 {
-            std::panic::panic_any(AccessViolation { obj: d, op: AccessOp::Write });
+        match self.writes.binary_search_by_key(&d.0, |&(o, _)| o) {
+            Ok(i) => &mut *self.writes[i].1,
+            Err(_) => std::panic::panic_any(AccessViolation { obj: d, op: AccessOp::Write }),
         }
-        &mut *self.writes[(e >> 1) as usize].1
     }
 
-    /// Ids of read-only objects, in access-set order.
+    /// Ids of read-only objects, ascending.
     pub fn read_ids(&self) -> impl Iterator<Item = ObjId> + '_ {
         self.reads.iter().map(|&(o, _)| ObjId(o))
     }
 
-    /// Ids of written objects, in access-set order.
+    /// Ids of written objects, ascending.
     pub fn write_ids(&self) -> impl Iterator<Item = ObjId> + '_ {
         self.writes.iter().map(|&(o, _)| ObjId(o))
     }
@@ -584,7 +545,6 @@ where
     let mut indeg: Vec<u32> = g.tasks().map(|t| g.preds(t).len() as u32).collect();
     let mut ready: BinaryHeap<Reverse<u32>> =
         g.tasks().filter(|t| indeg[t.idx()] == 0).map(|t| Reverse(t.0)).collect();
-    let mut slots = vec![NO_SLOT; g.num_objects()];
     while let Some(Reverse(t)) = ready.pop() {
         let t = TaskId(t);
         // Split-borrow the buffers: writes mutably, reads shared.
@@ -606,9 +566,7 @@ where
                 reads.push((d, slice.as_slice()));
             }
         }
-        let mut ctx = TaskCtx::assemble(reads, writes, slots);
-        body(t, &mut ctx);
-        slots = ctx.dismantle().2;
+        body(t, &mut TaskCtx { reads, writes });
         for &s in g.succs(t) {
             indeg[s as usize] -= 1;
             if indeg[s as usize] == 0 {
@@ -713,7 +671,6 @@ struct ThreadEnv<'e, F, I> {
     /// Pooled task-context parts (no allocation in steady state).
     ctx_reads: Vec<(u32, &'e [f64])>,
     ctx_writes: Vec<(u32, &'e mut [f64])>,
-    slots: Vec<u32>,
     /// Contents of the running task's write set before it ran, for
     /// rollback: `(obj, start in ckpt_data)`. Stays empty on runs not
     /// armed for recovery.
@@ -801,7 +758,7 @@ where
             let buf = self.permanent(d);
             // SAFETY: a permanent is touched by its owner's thread alone,
             // and this task is the one running there. The view is dropped
-            // when the context is dismantled, before the buffer can be.
+            // when the context is cleared after the task, before the buffer can be.
             let view = unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr(), buf.len()) };
             self.ctx_writes.push((d, view));
         }
@@ -822,11 +779,10 @@ where
             };
             self.ctx_reads.push((d, view));
         }
-        let mut ctx = TaskCtx::assemble(
-            std::mem::take(&mut self.ctx_reads),
-            std::mem::take(&mut self.ctx_writes),
-            std::mem::take(&mut self.slots),
-        );
+        let mut ctx = TaskCtx {
+            reads: std::mem::take(&mut self.ctx_reads),
+            writes: std::mem::take(&mut self.ctx_writes),
+        };
         // A panicking body must not abort the process: catch it at the
         // task boundary and hand it to the protocol as a typed error, to
         // recover from or to poison the run with. An [`AccessViolation`]
@@ -834,9 +790,12 @@ where
         let body_ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             (self.sh.body)(t, &mut ctx);
         }));
-        // Reclaim the pooled context parts (and reset the slot table)
-        // on both paths — a rolled back task assembles its context again.
-        (self.ctx_reads, self.ctx_writes, self.slots) = ctx.dismantle();
+        // Reclaim the pooled context lists on both paths — a rolled back
+        // task builds its context again.
+        let TaskCtx { mut reads, mut writes } = ctx;
+        reads.clear();
+        writes.clear();
+        (self.ctx_reads, self.ctx_writes) = (reads, writes);
         body_ok.map_err(|payload| match payload.downcast::<AccessViolation>() {
             Ok(v) => {
                 ExecError::AccessViolation { proc: self.p as u32, task: t, obj: v.obj, op: v.op }
@@ -892,7 +851,6 @@ where
         own: Vec::new(),
         ctx_reads: Vec::new(),
         ctx_writes: Vec::new(),
-        slots: vec![NO_SLOT; g.num_objects()],
         ckpt: Vec::new(),
         ckpt_data: Vec::new(),
     };
@@ -1145,17 +1103,22 @@ mod tests {
         let dr = b.add_object(1);
         let dw = b.add_object(1);
         let t0 = b.add_task(1.0, &[], &[dr]);
-        let t1 = b.add_task(1.0, &[dr], &[dw]);
+        // `t1` reads `dw` too: an object both read and written is written.
+        let t1 = b.add_task(1.0, &[dr, dw], &[dw]);
         b.add_edge(t0, t1);
         let g = b.build().unwrap();
         run_sequential(&g, |t, ctx| {
             if t == t1 {
-                // Correct accesses work and are index-resolved.
+                // Correct accesses work.
                 assert_eq!(ctx.read(dr).len(), 1);
                 assert_eq!(ctx.write(dw).len(), 1);
                 // Wrong-set accesses panic.
                 assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     ctx.read(dw);
+                }))
+                .is_err());
+                assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    ctx.write(dr);
                 }))
                 .is_err());
                 let unknown = ObjId(999);

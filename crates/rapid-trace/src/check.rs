@@ -21,7 +21,7 @@
 //!    use, and never re-allocated; live buffers (when the executor
 //!    records real offsets) never overlap.
 //! 4. **Memory cap and accounting**: replayed live units never exceed
-//!    the capacity, and every [`Event::MapEnd`]'s reported `in_use`
+//!    the capacity, the permanents alone included, and every [`Event::MapEnd`]'s reported `in_use`
 //!    equals the checker's independent replay — the same counting
 //!    `memreq::min_mem` builds its per-MAP profile from.
 //! 5. **Protocol-state legality and schedule conformance**: state
@@ -140,7 +140,8 @@ pub enum Violation {
     CapExceeded {
         /// Processor.
         proc: u32,
-        /// Live units after the offending allocation.
+        /// Live units after the offending allocation (the permanents,
+        /// where they alone exceed the capacity).
         in_use: u64,
         /// The capacity.
         capacity: u64,
@@ -433,6 +434,10 @@ impl<'a> Replay<'a> {
                 maps: 0,
             })
             .collect();
+        // Every replay starts with the permanents in use: a processor
+        // whose permanents alone exceed the cap is over it before any event.
+        let capacity = spec.capacity;
+        let error = spec.perm_units.iter().zip(0u32..).find(|&(&perm, _)| perm > capacity);
         Replay {
             sched,
             spec,
@@ -442,7 +447,7 @@ impl<'a> Replay<'a> {
             pkg_recvs: BTreeMap::new(),
             msgs_sent: BTreeSet::new(),
             msgs_recvd: BTreeSet::new(),
-            error: None,
+            error: error.map(|(&in_use, proc)| Violation::CapExceeded { proc, in_use, capacity }),
         }
     }
 
@@ -893,6 +898,17 @@ mod tests {
         });
         match check(&g, &sched, &spec, &bad) {
             Err(Violation::CapExceeded { proc: 1, in_use: 99, capacity: 16 }) => {}
+            other => panic!("expected CapExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn permanents_over_the_cap_are_rejected_without_an_allocation() {
+        // P0's permanents alone exceed capacity 16; P1 allocates within it.
+        let (g, sched, mut spec) = tiny();
+        spec.perm_units = vec![20, 0];
+        match check(&g, &sched, &spec, &clean_traces()) {
+            Err(Violation::CapExceeded { proc: 0, in_use: 20, capacity: 16 }) => {}
             other => panic!("expected CapExceeded, got {other:?}"),
         }
     }

@@ -279,6 +279,24 @@ fn irregular_tight_orders_and_plan() {
                 0xec03_85d0_9826_da27,
             ],
         ),
+        // Here a cut costs a MAP: the address plan cuts windows
+        // (`AddressPlan::cuts` is `[1, 2]`) and has 28 MAPs, counting 27.
+        (
+            37,
+            [
+                0xa816_1850_33d2_d5b1,
+                0x0e99_6915_576a_8615,
+                0x2ae4_44d2_c287_4575,
+                0x642c_b530_5388_13a1,
+            ],
+            [
+                0xb949,
+                0xa451_1a54_ae95_2756,
+                0x3d8b_cb55_6008_2858,
+                0x882e_add4_dae7_8333,
+                0x0ec5_4563_ecaa_295b,
+            ],
+        ),
     ] {
         let mut pins = Pins::default();
         let w = Workload::irregular_tight(seed);
