@@ -629,9 +629,9 @@ pub fn trsm_llu(b: &mut [f64], m: usize, n: usize, l: &[f64], lm: usize, k: usiz
 /// sizes). The transpose is `O(k·n)` against the `O(m·n·k)` update.
 ///
 /// `LuModel::body` does not call it: its `B` (a U block) is mostly zeros,
-/// which the body's `u == 0.0` skip avoids and dense tiles cannot. Serial
-/// body compute on `lu-panel`: loops 9.0 ms, `trsm_llu` + this 12.5 ms
-/// (both cut at the static row extent; 40 vs 59 ms over full rows).
+/// which the body's `u == 0.0` skip avoids and dense tiles cannot. On
+/// `lu-panel` (seed 1997) 16 % of the U-block entries are nonzero, and
+/// 18.8 of an `Update`'s 24 U columns are zero throughout.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_nn_sub(
     c: &mut [f64],

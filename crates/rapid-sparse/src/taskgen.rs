@@ -345,26 +345,85 @@ pub struct LuModel {
     pub owner: Vec<ProcId>,
     /// Matrix dimension.
     pub n: usize,
-    /// Dense panels (numeric mode) or compressed sizes (simulation mode)?
+    /// Panels stored at their static row extent (numeric mode) or
+    /// compressed sizes (simulation mode)?
     pub numeric: bool,
-    /// Static row extent: panel `k` is zero at rows `>= row_hi[k]` before,
-    /// during and after the run (closed over `colpat.deps`).
+    /// Static row extent, lower end: panel `k` is zero at rows `< row_lo[k]`
+    /// before, during and after the run. It is the least `range(d).start`
+    /// over `colpat.deps[k]` (where `Update(d, k)` starts writing), or
+    /// `range(k).start` without dependencies; no structural row of the
+    /// block's columns lies above it.
+    pub row_lo: Vec<usize>,
+    /// Static row extent, upper end: panel `k` is zero at rows `>= row_hi[k]`
+    /// before, during and after the run (closed over `colpat.deps`).
     pub row_hi: Vec<usize>,
 }
 
-/// Build the 1-D column-block LU model. With `numeric = true` objects are
-/// full dense panels (`n × w` plus `w` pivot slots) so the threaded
-/// executor can run real partial pivoting; with `numeric = false` object
-/// sizes are the compressed structural nonzero counts, matching the
-/// paper's memory accounting for the simulation experiments.
+/// Where a numeric LU panel's values sit in its object: rows `lo..hi` of
+/// each of its `w` columns, column-major with stride `hi - lo`, then `w`
+/// pivot slots. Rows outside `lo..hi` are zero and not stored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PanelLayout {
+    /// First stored row.
+    pub lo: usize,
+    /// One past the last stored row.
+    pub hi: usize,
+    /// Columns.
+    pub w: usize,
+}
+
+impl PanelLayout {
+    /// Stored rows per column: the column stride.
+    pub fn height(self) -> usize {
+        self.hi - self.lo
+    }
+
+    /// Object size in units: the stored columns, then one pivot per column.
+    pub fn size(self) -> usize {
+        (self.height() + 1) * self.w
+    }
+
+    /// Index of (row `r`, column `q`) in the stored columns.
+    pub fn at(self, r: usize, q: usize) -> usize {
+        debug_assert!((self.lo..self.hi).contains(&r) && q < self.w, "({r}, {q}) outside {self:?}");
+        q * self.height() + (r - self.lo)
+    }
+
+    /// An object's stored columns and its pivot slots.
+    pub fn split(self, obj: &[f64]) -> (&[f64], &[f64]) {
+        obj.split_at(self.height() * self.w)
+    }
+
+    /// [`PanelLayout::split`], mutably.
+    pub fn split_mut(self, obj: &mut [f64]) -> (&mut [f64], &mut [f64]) {
+        obj.split_at_mut(self.height() * self.w)
+    }
+}
+
+/// Build the 1-D column-block LU model. With `numeric = true` panel `k` is
+/// stored at its static row extent (see [`PanelLayout`]: `row_hi[k] -
+/// row_lo[k]` rows of `w` columns plus `w` pivot slots), so the threaded
+/// executor can run real partial pivoting on every row that can hold a
+/// nonzero; with `numeric = false` object sizes are the compressed
+/// structural nonzero counts, matching the paper's memory accounting for
+/// the simulation experiments.
 pub fn lu_1d_model(a: &SparseMatrix, block_w: usize, nprocs: usize, numeric: bool) -> LuModel {
     let n = a.ncols;
     let lu = lu_static_symbolic(a);
     let part = BlockPartition::uniform(n, block_w);
     let colpat = ColBlockPattern::from_lu(&lu, part);
     let nb = colpat.part.num_blocks();
-    // One past the last structural row of each block, closed over the
-    // update graph: `Update(k, j)` swaps and adds rows below `row_hi[k]`.
+    // The rows each block can hold a nonzero in. `Update(k, j)` swaps and
+    // adds rows from `range(k).start` down to `row_hi[k]`, so `row_hi` is
+    // closed over the update graph, and `row_lo[j]` is where the first block
+    // of the sorted `deps[j]` starts. No structural row of block `j` lies
+    // above that: a row above `range(j).start` puts its block in `deps[j]`.
+    let row_lo: Vec<usize> = (0..nb)
+        .map(|j| {
+            let first = colpat.deps[j].first().map(|&k| k as usize);
+            colpat.part.range(first.unwrap_or(j)).start
+        })
+        .collect();
     let mut row_hi = vec![0usize; nb];
     for j in 0..nb {
         let own = colpat.part.range(j).filter_map(|c| lu.cols[c].last()).max();
@@ -377,7 +436,11 @@ pub fn lu_1d_model(a: &SparseMatrix, block_w: usize, nprocs: usize, numeric: boo
     let mut owner = Vec::with_capacity(nb);
     for k in 0..nb {
         let w = colpat.part.width(k);
-        let size = if numeric { (n * w + w) as u64 } else { colpat.nnz[k] };
+        let size = if numeric {
+            PanelLayout { lo: row_lo[k], hi: row_hi[k], w }.size() as u64
+        } else {
+            colpat.nnz[k]
+        };
         obj_of_block.push(tb.add_object(size.max(1)));
         owner.push((k % nprocs) as ProcId);
     }
@@ -413,108 +476,116 @@ pub fn lu_1d_model(a: &SparseMatrix, block_w: usize, nprocs: usize, numeric: boo
     let (graph, _) =
         tb.build().unwrap_or_else(|e| unreachable!("lu trace builds by construction: {e:?}"));
     debug_assert_eq!(graph.num_tasks(), kinds.len());
-    LuModel { graph, colpat, obj_of_block, kinds, owner, n, numeric, row_hi }
+    LuModel { graph, colpat, obj_of_block, kinds, owner, n, numeric, row_lo, row_hi }
 }
 
 impl LuModel {
-    /// Owner-side data initialization: load each dense panel, handed over
-    /// zeroed by both drivers, with `A`'s columns (numeric mode only).
+    /// Where panel `k`'s rows and pivots sit in its object (numeric mode).
+    pub fn layout(&self, k: usize) -> PanelLayout {
+        PanelLayout { lo: self.row_lo[k], hi: self.row_hi[k], w: self.colpat.part.width(k) }
+    }
+
+    /// Owner-side data initialization: load each panel, handed over zeroed
+    /// by both drivers, with `A`'s columns (numeric mode only).
     pub fn init<'m>(&'m self, a: &'m SparseMatrix) -> impl Fn(ObjId, &mut [f64]) + Sync + 'm {
-        assert!(self.numeric, "numeric init needs dense panels");
-        let n = self.n;
+        assert!(self.numeric, "numeric init needs stored panels");
         let mut block_of_obj = vec![usize::MAX; self.graph.num_objects()];
         for (k, d) in self.obj_of_block.iter().enumerate() {
             block_of_obj[d.idx()] = k;
         }
         move |d: ObjId, buf: &mut [f64]| {
-            let cr = self.colpat.part.range(block_of_obj[d.idx()]);
-            for (cq, c) in cr.enumerate() {
-                for (x, &r) in a.col_rows(c).iter().enumerate() {
-                    buf[cq * n + r as usize] = a.col_values(c)[x];
+            let k = block_of_obj[d.idx()];
+            let lay = self.layout(k);
+            for (q, c) in self.colpat.part.range(k).enumerate() {
+                for (&r, &v) in a.col_rows(c).iter().zip(a.col_values(c)) {
+                    buf[lay.at(r as usize, q)] = v;
                 }
             }
         }
     }
 
-    /// Numeric task body: dense panels with true partial pivoting. The
-    /// model must have been built with `numeric = true`.
+    /// Numeric task body: panels at their static row extent, with true
+    /// partial pivoting. The model must have been built with
+    /// `numeric = true`.
     pub fn body<'m>(&'m self) -> impl Fn(TaskId, &mut TaskCtx<'_>) + Sync + 'm {
-        assert!(self.numeric, "numeric body needs dense panels");
-        let n = self.n;
+        assert!(self.numeric, "numeric body needs stored panels");
         move |t: TaskId, ctx: &mut TaskCtx<'_>| match self.kinds[t.idx()] {
             LuTask::Fact { k } => {
-                let cr = self.colpat.part.range(k as usize);
-                let w = cr.len();
-                let col0 = cr.start;
-                let hi = self.row_hi[k as usize];
-                let buf = ctx.write(self.obj_of_block[k as usize]);
-                let (panel, piv) = buf.split_at_mut(n * w);
-                debug_assert!(panel.chunks(n).all(|col| col[hi..].iter().all(|&v| v == 0.0)));
+                let lay = self.layout(k as usize);
+                let (w, hi) = (lay.w, lay.hi);
+                let col0 = self.colpat.part.range(k as usize).start;
+                let (panel, piv) = lay.split_mut(ctx.write(self.obj_of_block[k as usize]));
                 // Partial pivoting restricted to rows >= current column;
-                // rows >= hi are zero and stay zero (see `LuModel::row_hi`).
+                // rows >= hi are zero, stay zero and are not stored (see
+                // `LuModel::row_hi`).
                 for q in 0..w {
                     let c = col0 + q;
-                    let col = &panel[q * n..q * n + hi];
-                    let (mut best, mut bestv) = (c, col[c].abs());
-                    for (i, v) in col.iter().enumerate().skip(c + 1) {
-                        if v.abs() > bestv {
+                    let (mut best, mut bestv) = (c, panel[lay.at(c, q)].abs());
+                    for i in c + 1..hi {
+                        let v = panel[lay.at(i, q)].abs();
+                        if v > bestv {
                             best = i;
-                            bestv = v.abs();
+                            bestv = v;
                         }
                     }
                     assert!(bestv > 0.0, "zero pivot at column {c}");
                     piv[q] = best as f64;
                     if best != c {
                         for cc in 0..w {
-                            panel.swap(cc * n + c, cc * n + best);
+                            panel.swap(lay.at(c, cc), lay.at(best, cc));
                         }
                     }
-                    let d = panel[q * n + c];
+                    let d = panel[lay.at(c, q)];
                     for i in c + 1..hi {
-                        panel[q * n + i] /= d;
+                        panel[lay.at(i, q)] /= d;
                     }
                     for cc in q + 1..w {
-                        let u = panel[cc * n + c];
+                        let u = panel[lay.at(c, cc)];
                         if u == 0.0 {
                             continue;
                         }
                         for i in c + 1..hi {
-                            panel[cc * n + i] -= panel[q * n + i] * u;
+                            panel[lay.at(i, cc)] -= panel[lay.at(i, q)] * u;
                         }
                     }
                 }
             }
             LuTask::Update { k, j } => {
                 let kr = self.colpat.part.range(k as usize);
-                let (wk, hi) = (kr.len(), self.row_hi[k as usize]);
-                let src = ctx.read(self.obj_of_block[k as usize]);
-                let (kpanel, piv) = src.split_at(n * wk);
-                let wj = self.colpat.part.width(j as usize);
-                let buf = ctx.write(self.obj_of_block[j as usize]);
-                let panel = &mut buf[..n * wj];
-                // Apply panel k's pivots.
+                let (lk, lj) = (self.layout(k as usize), self.layout(j as usize));
+                let (kpanel, piv) = lk.split(ctx.read(self.obj_of_block[k as usize]));
+                let (panel, _) = lj.split_mut(ctx.write(self.obj_of_block[j as usize]));
+                // Apply panel k's pivots. They lie in `kr.start..lk.hi`, which
+                // panel j stores: `row_lo[j] <= kr.start` and `lk.hi <= lj.hi`.
                 for (q, &pv) in piv.iter().enumerate() {
                     let c = kr.start + q;
                     let p = pv as usize;
                     if p != c {
-                        for cc in 0..wj {
-                            panel.swap(cc * n + c, cc * n + p);
+                        for cc in 0..lj.w {
+                            panel.swap(lj.at(c, cc), lj.at(p, cc));
                         }
                     }
                 }
                 // U block: solve the unit lower triangle of panel k's
                 // diagonal block against rows kr of panel j.
-                kernels::trsm_llu(&mut panel[kr.start..], n, wj, &kpanel[kr.start..], n, wk);
-                // Trailing GEMM: rows below panel k's block, down to its
+                kernels::trsm_llu(
+                    &mut panel[lj.at(kr.start, 0)..],
+                    lj.height(),
+                    lj.w,
+                    &kpanel[lk.at(kr.start, 0)..],
+                    lk.height(),
+                    lk.w,
+                );
+                // Trailing product: rows below panel k's block, down to its
                 // static extent (panel k is zero below it).
-                for cc in 0..wj {
-                    for q in 0..wk {
-                        let u = panel[cc * n + kr.start + q];
+                for cc in 0..lj.w {
+                    for q in 0..lk.w {
+                        let u = panel[lj.at(kr.start + q, cc)];
                         if u == 0.0 {
                             continue;
                         }
-                        for i in kr.end..hi {
-                            panel[cc * n + i] -= kpanel[q * n + i] * u;
+                        for i in kr.end..lk.hi {
+                            panel[lj.at(i, cc)] -= kpanel[lk.at(i, q)] * u;
                         }
                     }
                 }
@@ -526,14 +597,13 @@ impl LuModel {
     /// run (`objects` from the executor outcome).
     pub fn solve(&self, objects: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
         assert!(self.numeric);
-        let n = self.n;
         let mut x = b.to_vec();
         let nb = self.colpat.part.num_blocks();
         // Forward: apply each panel's pivots then eliminate with its L.
         for k in 0..nb {
             let kr = self.colpat.part.range(k);
-            let obj = &objects[self.obj_of_block[k].idx()];
-            let (panel, piv) = obj.split_at(n * kr.len());
+            let lay = self.layout(k);
+            let (panel, piv) = lay.split(&objects[self.obj_of_block[k].idx()]);
             for (q, &pv) in piv.iter().enumerate() {
                 let c = kr.start + q;
                 let p = pv as usize;
@@ -541,25 +611,23 @@ impl LuModel {
                     x.swap(c, p);
                 }
             }
-            for q in 0..kr.len() {
-                let c = kr.start + q;
+            for (q, c) in kr.enumerate() {
                 let v = x[c];
-                for i in c + 1..self.row_hi[k] {
-                    x[i] -= panel[q * n + i] * v;
+                for i in c + 1..lay.hi {
+                    x[i] -= panel[lay.at(i, q)] * v;
                 }
             }
         }
         // Backward: U solve, panels in reverse.
         for k in (0..nb).rev() {
             let kr = self.colpat.part.range(k);
-            let obj = &objects[self.obj_of_block[k].idx()];
-            let panel = &obj[..n * kr.len()];
-            for q in (0..kr.len()).rev() {
-                let c = kr.start + q;
-                x[c] /= panel[q * n + c];
+            let lay = self.layout(k);
+            let (panel, _) = lay.split(&objects[self.obj_of_block[k].idx()]);
+            for (q, c) in kr.enumerate().rev() {
+                x[c] /= panel[lay.at(c, q)];
                 let v = x[c];
-                for i in 0..c {
-                    x[i] -= panel[q * n + i] * v;
+                for i in lay.lo..c {
+                    x[i] -= panel[lay.at(i, q)] * v;
                 }
             }
         }
@@ -751,8 +819,13 @@ mod tests {
         let m = lu_1d_model(&a, 2, 2, true);
         assert_eq!(m.colpat.deps[1], [0]);
         assert_eq!(m.row_hi, [12, 12, 6, 8, 10, 12]);
+        // Blocks 2 to 4 store their diagonal blocks alone. Block 5 starts
+        // at row 0: columns 1 and 11 share row 11 of `A`, so column 11 has
+        // a structural U entry in row 1, and block 5 depends on block 0.
+        assert_eq!(m.row_lo, [0, 0, 4, 6, 8, 0]);
         let objects = run_sequential_with_init(&m.graph, m.body(), m.init(&a));
-        assert_eq!(objects[m.obj_of_block[0].idx()][2 * n + 1], 11.0, "column 1 pivots on row 11");
+        let (_, piv) = m.layout(0).split(&objects[m.obj_of_block[0].idx()]);
+        assert_eq!(piv[1], 11.0, "column 1 pivots on row 11");
         let b = vec![1.0; n];
         assert!(refsolve::rel_residual(&a, &m.solve(&objects, &b), &b) < 1e-12);
     }
@@ -777,8 +850,7 @@ mod tests {
         let mut pivoted = false;
         for k in 0..m.colpat.part.num_blocks() {
             let kr = m.colpat.part.range(k);
-            let obj = &objects[m.obj_of_block[k].idx()];
-            let piv = &obj[n * kr.len()..];
+            let (_, piv) = m.layout(k).split(&objects[m.obj_of_block[k].idx()]);
             for (q, &pv) in piv.iter().enumerate() {
                 if pv as usize != kr.start + q {
                     pivoted = true;

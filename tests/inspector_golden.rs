@@ -134,7 +134,9 @@ fn cholesky_graph_at_benchmark_scale() {
 #[test]
 fn lu_graph_at_benchmark_scale() {
     let m = taskgen::lu_1d_model(&gen::goodwin_like(2400, 16, 1, 1997), 24, 2, true);
-    pin("lu_1d_model(lu-panel, 24, 2, true)", graph_digest(&m.graph), 0xb73e_e6bf_7e19_a43d);
+    // Re-recorded when numeric panels went from full height to their static
+    // row extent: only the object sizes moved.
+    pin("lu_1d_model(lu-panel, 24, 2, true)", graph_digest(&m.graph), 0x7ecf_2664_4806_c2a9);
 }
 
 #[test]
