@@ -514,6 +514,11 @@ pub fn oracle(c: &Case, t: &mut Tally) {
         Ok(a) => {
             let counting = counting.as_ref().expect("placed, yet counting fails");
             check_sound(&g, &sched, &plan, counting, a);
+            // The rows the threads replay, cut windows included, pass the
+            // verifier that judges the counting rows.
+            let report = rapid::verify::verify(&g, &sched, &plan, &a.placement);
+            assert!(report.accepted(), "the address rows: {:?}", report.findings);
+            assert_eq!(report.peak, a.placement.peaks(&plan.perm_units), "address-row peaks");
             t.placed += 1;
             t.with_cuts += usize::from(a.cuts.iter().any(|&n| n > 0));
         }
