@@ -438,11 +438,11 @@ impl<'e, P: Port> ProcCore<'e, P> {
     }
 
     /// MAP, second part: tell every processor that will put into a buffer
-    /// this MAP placed where it is. Notifications are planned sorted by
-    /// (destination, object), so one linear walk assembles one package
-    /// per destination.
+    /// this MAP placed where it is, read from the same offset column as
+    /// the placing. Notifications are planned sorted by (destination,
+    /// object), so one linear walk assembles one package per destination.
     fn map_notify<E: Env>(&mut self, env: &mut E) -> Option<On> {
-        let notifies = &self.maps[self.maps_done].notifies;
+        let (notifies, offsets) = (&self.maps[self.maps_done].notifies, self.offsets);
         while let Some(first) = notifies.get(self.notify_i) {
             let dst = first.dst;
             let group = &notifies[self.notify_i..];
@@ -450,7 +450,8 @@ impl<'e, P: Port> ProcCore<'e, P> {
             if !self.pkg_ready {
                 self.pkg_buf.clear();
                 for n in &group[..entries] {
-                    self.pkg_buf.push(AddrEntry { obj: n.obj, offset: n.offset });
+                    let offset = offsets.get(n.obj as usize).copied().unwrap_or(NO_OFFSET);
+                    self.pkg_buf.push(AddrEntry { obj: n.obj, offset });
                 }
                 self.delayed(env, FaultSite::MailboxDelay, ProcFaults::mailbox_delay);
                 self.pkg_ready = true;

@@ -13,13 +13,18 @@
 //!   (computed once, `O(Σ access sets)`, the paper's static data-flow
 //!   analysis).
 //!
-//! MAP planning itself ([`MapPlanner`]) is also shared, and done before
-//! the run: which volatiles to free, how far ahead the allocation window
-//! extends, which address packages to emit. [`RtPlan::place_maps`] walks
-//! it down every processor's order by counting alone (the [`MapPlacement`]
-//! the verifier and the DES consume); [`RtPlan::address_plan`] is the same
-//! walk with a best-fit [`Arena`] beside it, so that every allocation and
-//! notification has its offset (what the threaded executor replays).
+//! MAP planning itself is also shared, and done before the run: which
+//! volatiles to free, how far ahead the allocation window extends, which
+//! address packages to emit. One walk plans every MAP of a processor's
+//! order in turn. [`RtPlan::place_maps`] takes it by counting alone (the
+//! [`MapPlacement`] the verifier and the DES consume);
+//! [`RtPlan::address_plan`] takes it with a best-fit [`Arena`] beside the
+//! count, so that every allocated volatile also gets its one offset (what
+//! the threaded executor replays). The rows of the two walks are one type,
+//! and are equal wherever the arena cut no window: a row says what a MAP
+//! frees, allocates and announces and where its window ends; a buffer's
+//! offset is stored once, in [`AddressPlan::offsets`], and the peaks are
+//! [`MapPlacement::peaks`] of the rows.
 
 use rapid_core::graph::{Csr, ObjId, ProcId, TaskGraph, TaskId};
 use rapid_core::liveness::Liveness;
@@ -237,7 +242,7 @@ impl RtPlan {
     }
 
     /// Precompute the full MAP placement of this plan under `capacity`:
-    /// [`MapPlanner`] run to completion for every processor (MAP decisions
+    /// the MAP walk run to completion for every processor (MAP decisions
     /// depend only on the static order and the counting allocation state).
     /// Fails with [`ExecError::NonExecutable`] at the first window whose
     /// immediate task cannot be provisioned (Definition 6), or whose
@@ -292,9 +297,9 @@ impl RtPlan {
         Ok(rows)
     }
 
-    /// The address plan under `capacity`: [`MapPlanner`] and an [`Arena`]
-    /// walked together, the permanent objects as the arena's reserved
-    /// prefix.
+    /// The address plan under `capacity`: the MAP walk of
+    /// [`RtPlan::place_maps`] and an [`Arena`] stepped together, the
+    /// permanent objects as the arena's reserved prefix.
     ///
     /// The arena answers inside the planner's window loop: a task whose
     /// new volatiles the arena cannot place contiguously ends the window
@@ -324,15 +329,9 @@ impl RtPlan {
             };
             let rows = self.walk_proc(g, sched, p as ProcId, capacity, Some(&mut placer))?;
             plan.placement.per_proc.push(rows);
-            // Not the arena's marks: those also count what a cut gave back.
-            let ends = g.objects().zip(&placer.offsets).filter(|(_, &off)| off != NO_OFFSET);
-            let high_water =
-                ends.map(|(d, off)| off + g.obj_size(d)).fold(self.perm_units[p], u64::max);
-            plan.high_water.push(high_water);
             plan.offsets.push(placer.offsets);
             plan.cuts.push(placer.cuts);
         }
-        plan.peak = plan.placement.peaks(&self.perm_units);
         Ok(plan)
     }
 
@@ -358,39 +357,40 @@ impl RtPlan {
     }
 }
 
-/// One address notification a MAP must emit: tell `dst` that `obj` now
-/// lives at `offset` on the allocating processor.
+/// One address notification a MAP must emit: tell `dst` where `obj` now
+/// lives on the allocating processor. Where that is, is not part of the
+/// row: it is the object's entry in [`AddressPlan::offsets`], and the DES,
+/// which has no buffers, announces [`NO_OFFSET`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Notify {
     /// Processor to notify.
     pub dst: ProcId,
     /// Object id.
     pub obj: u32,
-    /// Buffer offset in the allocating processor's arena: the object's
-    /// entry in an [`AddressPlan`], [`NO_OFFSET`] in the counting rows of
-    /// [`RtPlan::place_maps`].
-    pub offset: u64,
 }
 
 /// One statically planned MAP window: what the executors replay at `pos`,
-/// plus the resulting arena occupancy. Part of the checkable
-/// [`MapPlacement`] artifact consumed by `rapid-verify`.
+/// plus the resulting occupancy. Part of the checkable [`MapPlacement`]
+/// artifact consumed by `rapid-verify`. A row holds what the MAP decides
+/// and nothing derived from the plan: where an allocated volatile is first
+/// used is its liveness span ([`ProcLiveness`]), and where it lives is its
+/// [`AddressPlan::offsets`] entry.
+///
+/// [`ProcLiveness`]: rapid_core::liveness::ProcLiveness
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlannedMap {
     /// Order position the MAP precedes (frees happen here).
     pub pos: u32,
     /// Volatile objects freed by this MAP's free wave (dead before `pos`).
     pub frees: Vec<ObjId>,
-    /// Volatile objects allocated by this window, in allocation order.
+    /// Volatile objects allocated by this window, in allocation order: the
+    /// new first uses of each of its tasks in turn.
     pub allocs: Vec<ObjId>,
-    /// `alloc_pos[i]`: the order position whose task first uses
-    /// `allocs[i]` — which window step introduced the allocation.
-    pub alloc_pos: Vec<u32>,
     /// Position (exclusive) up to which tasks are covered: the next MAP
     /// goes right before this position.
     pub next_map: u32,
     /// Address notifications the MAP emits, sorted by (destination,
-    /// object); see [`Notify::offset`] for what the offsets are.
+    /// object).
     pub notifies: Vec<Notify>,
     /// Units in use after this window's allocations. Occupancy is
     /// monotone within a window, so this is the window's high-water mark
@@ -407,8 +407,9 @@ pub struct PlannedMap {
 ///
 /// The counting placement of [`RtPlan::place_maps`] knows nothing of
 /// contiguity. The threaded executor replays the one inside its
-/// [`AddressPlan`]: the same, but for a window cut short before a task
-/// whose buffers the arena could not place ([`AddressPlan::cuts`]).
+/// [`AddressPlan`]: the counting rows, `==` row for row, but for a window
+/// cut short before a task whose buffers the arena could not place
+/// ([`AddressPlan::cuts`]).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MapPlacement {
     /// Per-processor capacity the placement was computed for.
@@ -442,21 +443,20 @@ impl MapPlacement {
 /// constructed and every run replays it, so no allocator and no window
 /// planner runs beside the peer's waits, and the arena occupancy of a run
 /// is this plan's by construction.
+///
+/// It holds only what the address walk decides. The peaks are
+/// [`MapPlacement::peaks`] of its rows.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AddressPlan {
-    /// The MAPs as they will be performed. [`Notify::offset`]s are real;
-    /// a window the arena could not follow to its counted end is cut.
+    /// The MAPs as they will be performed: the counting rows, but for a
+    /// window the arena could not follow to its counted end, which is cut.
     pub placement: MapPlacement,
     /// [`permanent_layout`]: object id → offset on the owner's heap.
     pub perm_off: Vec<u64>,
     /// `offsets[p][d]`: offset of volatile `d`'s buffer on processor `p`,
-    /// for its one lifetime there ([`NO_OFFSET`] for every other object).
+    /// for its one lifetime there ([`NO_OFFSET`] for every other object):
+    /// where the MAP that allocates `d` places it, and what it announces.
     pub offsets: Vec<Vec<u64>>,
-    /// Per processor, the most units ever in use (permanents included).
-    pub peak: Vec<u64>,
-    /// Per processor, one past the highest unit any buffer covers: the
-    /// prefix of the heap a run can write.
-    pub high_water: Vec<u64>,
     /// Per processor, the windows cut short of their counted end.
     pub cuts: Vec<u32>,
 }
@@ -690,17 +690,18 @@ pub enum MapWindow {
 
 /// Per-processor MAP planner: owns the set of currently-allocated
 /// volatiles (by counting, not offsets) and plans each MAP in turn. It
-/// runs before the run, inside the walks of [`RtPlan::place_maps`] and
-/// [`RtPlan::address_plan`]; the executors replay what it planned. In the
-/// address walk a best-fit arena places each task's buffers as soon as
-/// counting admits the task, so where a window ends is decided once, here.
+/// runs before the run, stepped only by [`RtPlan::walk_proc`], the walk of
+/// [`RtPlan::place_maps`] and [`RtPlan::address_plan`]; the executors
+/// replay what it planned. In the address walk a best-fit arena places
+/// each task's buffers as soon as counting admits the task, so where a
+/// window ends is decided once, here.
 ///
 /// Its state is dense: one membership flag and one static last use per
 /// object, plus the allocated volatiles in no particular order, so an
 /// allocation is a push, a membership test one read, and a free wave one
 /// pass over what is allocated (its frees sorted by object id after).
 #[derive(Debug)]
-pub struct MapPlanner {
+struct MapPlanner {
     proc: ProcId,
     capacity: u64,
     /// `last[d]`: the static last use of volatile `d` on this processor,
@@ -717,7 +718,7 @@ pub struct MapPlanner {
 impl MapPlanner {
     /// Planner for processor `p` of `plan` with the given capacity;
     /// permanents are allocated immediately.
-    pub fn new(g: &TaskGraph, plan: &RtPlan, p: ProcId, capacity: u64) -> MapPlanner {
+    fn new(g: &TaskGraph, plan: &RtPlan, p: ProcId, capacity: u64) -> MapPlanner {
         let pl = &plan.lv.procs[p as usize];
         let mut last = vec![u32::MAX; g.num_objects()];
         for (d, &(_, l)) in pl.volatile.iter().zip(&pl.volatile_span) {
@@ -735,21 +736,11 @@ impl MapPlanner {
 
     /// Plan and commit the MAP at position `pos` of this processor's
     /// order. Frees volatiles dead before `pos`, then extends the
-    /// allocation window over as many tasks as fit; fails if the task at
-    /// `pos` itself cannot be provisioned, or if the window holds no task
-    /// and the permanents alone exceed the capacity (Definition 6).
-    pub fn run_map(
-        &mut self,
-        g: &TaskGraph,
-        sched: &Schedule,
-        plan: &RtPlan,
-        pos: u32,
-    ) -> Result<PlannedMap, ExecError> {
-        self.plan_map(g, sched, plan, pos, None)
-    }
-
-    /// [`MapPlanner::run_map`], with `placer`'s arena beside the count
-    /// when there is one (see [`RtPlan::address_plan`]).
+    /// allocation window over as many tasks as fit, by count and, with
+    /// `placer`, in its arena too (see [`RtPlan::address_plan`]); fails if
+    /// the task at `pos` itself cannot be provisioned, or if the window
+    /// holds no task and the permanents alone exceed the capacity
+    /// (Definition 6).
     fn plan_map(
         &mut self,
         g: &TaskGraph,
@@ -790,7 +781,6 @@ impl MapPlanner {
         // space for T_{k+1} cannot be allocated"), by count or, in the
         // address walk, contiguously.
         let mut allocs: Vec<ObjId> = Vec::new();
-        let mut alloc_pos: Vec<u32> = Vec::new();
         let mut next_map = pos;
         for j in pos as usize..order.len() {
             // Volatiles first used at position j are exactly the ones this
@@ -826,7 +816,6 @@ impl MapPlanner {
             }
             for &d in &allocs[start..] {
                 self.resident[d.idx()] = true;
-                alloc_pos.push(j as u32);
             }
             self.allocated.extend_from_slice(&allocs[start..]);
             self.in_use += add;
@@ -843,14 +832,13 @@ impl MapPlanner {
         // destination with a single linear walk.
         let mut notifies = Vec::new();
         for &d in &allocs {
-            let offset = placer.as_deref().map_or(NO_OFFSET, |placer| placer.offsets[d.idx()]);
             for &w in plan.watchers.of(proc, d.0) {
-                notifies.push(Notify { dst: w, obj: d.0, offset });
+                notifies.push(Notify { dst: w, obj: d.0 });
             }
         }
         notifies.sort_unstable_by_key(|n| (n.dst, n.obj));
 
-        Ok(PlannedMap { pos, frees, allocs, alloc_pos, next_map, notifies, in_use: self.in_use })
+        Ok(PlannedMap { pos, frees, allocs, next_map, notifies, in_use: self.in_use })
     }
 
     /// The refusal of the MAP at `pos`, which would need `needed` units.
@@ -1082,11 +1070,11 @@ mod tests {
         let sched = fixtures::figure2_schedule_c();
         let plan = RtPlan::new(&g, &sched);
         let mut mp = MapPlanner::new(&g, &plan, 1, 8);
-        let first = mp.run_map(&g, &sched, &plan, 0).unwrap();
+        let first = mp.plan_map(&g, &sched, &plan, 0, None).unwrap();
         assert!(first.frees.is_empty());
         let k = first.next_map;
         assert!(k < sched.order[1].len() as u32, "one MAP cannot cover all");
-        let second = mp.run_map(&g, &sched, &plan, k).unwrap();
+        let second = mp.plan_map(&g, &sched, &plan, k, None).unwrap();
         assert!(!second.frees.is_empty(), "second MAP must recycle volatiles");
         assert!(first.in_use <= 8 && second.in_use <= 8);
     }
@@ -1101,7 +1089,7 @@ mod tests {
         let mut pos = 0u32;
         let mut failed = false;
         while (pos as usize) < sched.order[1].len() {
-            match mp.run_map(&g, &sched, &plan, pos) {
+            match mp.plan_map(&g, &sched, &plan, pos, None) {
                 Ok(a) => pos = a.next_map,
                 Err(ExecError::NonExecutable { capacity: 7, .. }) => {
                     failed = true;
@@ -1185,7 +1173,7 @@ mod tests {
         for p in 0..2u32 {
             let mut mp = MapPlanner::new(&g, &plan, p, 8);
             for pm in &placement.per_proc[p as usize] {
-                let a = mp.run_map(&g, &sched, &plan, pm.pos).unwrap();
+                let a = mp.plan_map(&g, &sched, &plan, pm.pos, None).unwrap();
                 assert_eq!(&a, pm);
             }
         }
@@ -1200,7 +1188,7 @@ mod tests {
         let rep = rapid_core::memreq::min_mem(&g, &sched);
         for p in 0..2u32 {
             let mut mp = MapPlanner::new(&g, &plan, p, 1000);
-            let a = mp.run_map(&g, &sched, &plan, 0).unwrap();
+            let a = mp.plan_map(&g, &sched, &plan, 0, None).unwrap();
             assert_eq!(a.next_map as usize, sched.order[p as usize].len());
             // One window never frees: it holds everything the processor has.
             assert_eq!(a.in_use, rep.no_recycle(p as usize));

@@ -169,8 +169,10 @@ pub struct ThreadedOutcome {
     /// Peak units in use per processor (counting accounting, matching the
     /// DES executor and `MEM_REQ`).
     pub peak_mem: Vec<u64>,
-    /// Peak units in use per processor in the arena the offsets came from
-    /// ([`AddressPlan::peak`]; a run that completes reproduces it).
+    /// Peak units in use per processor in the arena the offsets came from:
+    /// [`MapPlacement::peaks`](crate::MapPlacement::peaks) of the
+    /// [`AddressPlan`]'s rows, permanents included (a run that completes
+    /// reproduces it).
     pub arena_peak: Vec<u64>,
     /// Final contents of every object, in id order: the owners' permanent
     /// buffers themselves, which the tasks wrote in place. The outcome owns
@@ -501,7 +503,7 @@ impl<'a> ThreadedExecutor<'a> {
 
         let maps = per_proc.iter().map(|w| w.maps).collect();
         let peak_mem = per_proc.iter().map(|w| w.peak_units).collect();
-        let arena_peak = addresses.peak.clone();
+        let arena_peak = addresses.placement.peaks(&self.plan.perm_units);
         // Each worker decoded its own ring (and replayed it into its metrics)
         // in parallel before it left the run.
         let (trace, metrics) = match rings {

@@ -591,22 +591,18 @@ mod tests {
             4 => {
                 let w = &mut wins[rng.below(nw)];
                 if !w.allocs.is_empty() {
-                    let k = rng.below(w.allocs.len());
-                    w.allocs.remove(k);
-                    w.alloc_pos.remove(k);
+                    w.allocs.remove(rng.below(w.allocs.len()));
                 }
             }
             5 => {
                 let d = rapid_core::graph::ObjId(rng.below(g.num_objects()) as u32);
-                let w = &mut wins[rng.below(nw)];
-                w.allocs.push(d);
-                w.alloc_pos.push(w.pos);
+                wins[rng.below(nw)].allocs.push(d);
             }
             6 => wins[rng.below(nw)].notifies.clear(),
             7 => {
                 let dst = rng.below(sched.assign.nprocs) as u32;
                 let obj = rng.below(g.num_objects()) as u32;
-                wins[rng.below(nw)].notifies.push(Notify { dst, obj, offset: 0 });
+                wins[rng.below(nw)].notifies.push(Notify { dst, obj });
             }
             8 => wins[rng.below(nw)].in_use += 1,
             _ => {

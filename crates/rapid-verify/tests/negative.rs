@@ -299,9 +299,7 @@ fn duplicate_allocation_is_double_alloc() {
     'outer: for wins in placement.per_proc.iter_mut() {
         for wi in 1..wins.len() {
             if let Some(&d) = wins[wi - 1].allocs.first() {
-                let pos = wins[wi].pos;
                 wins[wi].allocs.push(d);
-                wins[wi].alloc_pos.push(pos);
                 hit = true;
                 break 'outer;
             }

@@ -16,7 +16,8 @@
 //! A failing run lists every measured value in paste-ready form.
 
 use rapid::core::fixtures::{random_irregular_graph, RandomGraphSpec};
-use rapid::core::graph::{ProcId, TaskGraph};
+use rapid::core::graph::{ObjId, ProcId, TaskGraph};
+use rapid::core::liveness::ProcLiveness;
 use rapid::core::memreq::min_mem;
 use rapid::core::schedule::{Assignment, CostModel, Schedule};
 use rapid::rt::maps::AddressPlan;
@@ -24,6 +25,7 @@ use rapid::rt::{MapPlacement, MapWindow, PlannedMap, RtPlan};
 use rapid::sched::assign::{cyclic_owner_map, owner_compute_assignment};
 use rapid::sched::{plan_parallel, PlanPolicy};
 use rapid::sparse::{gen, order, taskgen};
+use rapid::trace::NO_OFFSET;
 
 /// Workers the benchmark plans for.
 const WORKERS: usize = 2;
@@ -81,44 +83,55 @@ fn rtplan_digest(plan: &RtPlan) -> u64 {
     h.0
 }
 
-fn map_row(h: &mut Fnv, m: &PlannedMap) {
+/// One MAP row, hashed with what the values were recorded with beside it:
+/// each allocation's first use (read from liveness) after the
+/// allocations, and each notification's offset (read from `offsets`, the
+/// processor's address-plan column, or `NO_OFFSET` for a counting row).
+fn map_row(h: &mut Fnv, m: &PlannedMap, pl: &ProcLiveness, offsets: Option<&[u64]>) {
+    let first_use = |d: &ObjId| pl.volatile_span[pl.volatile.binary_search(d).expect("volatile")].0;
     h.u64(u64::from(m.pos));
     h.row(m.frees.iter().map(|d| u64::from(d.0)));
     h.row(m.allocs.iter().map(|d| u64::from(d.0)));
-    h.row(m.alloc_pos.iter().map(|&p| u64::from(p)));
+    h.row(m.allocs.iter().map(|d| u64::from(first_use(d))));
     h.u64(u64::from(m.next_map));
     h.u64(m.notifies.len() as u64);
     for n in &m.notifies {
         h.u64(u64::from(n.dst));
         h.u64(u64::from(n.obj));
-        h.u64(n.offset);
+        h.u64(offsets.map_or(NO_OFFSET, |o| o[n.obj as usize]));
     }
     h.u64(m.in_use);
 }
 
-fn placement_digest(placement: &MapPlacement) -> u64 {
+fn placement_digest(plan: &RtPlan, placement: &MapPlacement, offsets: Option<&[Vec<u64>]>) -> u64 {
     let mut h = Fnv::new();
     h.u64(placement.capacity);
     h.u64(placement.per_proc.len() as u64);
-    for rows in &placement.per_proc {
+    for (p, rows) in placement.per_proc.iter().enumerate() {
         h.u64(rows.len() as u64);
         for m in rows {
-            map_row(&mut h, m);
+            map_row(&mut h, m, &plan.lv.procs[p], offsets.map(|o| &o[p][..]));
         }
     }
     h.0
 }
 
-fn address_digest(ap: &AddressPlan) -> u64 {
+/// The address plan, hashed with the per-processor peak (of the rows) and
+/// high-water mark (one past the highest unit a buffer covers) after its
+/// offsets, where they were recorded.
+fn address_digest(g: &TaskGraph, plan: &RtPlan, ap: &AddressPlan) -> u64 {
     let mut h = Fnv::new();
-    h.u64(placement_digest(&ap.placement));
+    h.u64(placement_digest(plan, &ap.placement, Some(&ap.offsets)));
     h.row(ap.perm_off.iter().copied());
     h.u64(ap.offsets.len() as u64);
     for offs in &ap.offsets {
         h.row(offs.iter().copied());
     }
-    h.row(ap.peak.iter().copied());
-    h.row(ap.high_water.iter().copied());
+    h.row(ap.placement.peaks(&plan.perm_units).into_iter());
+    h.row(ap.offsets.iter().zip(&plan.perm_units).map(|(offs, &perm)| {
+        let ends = g.objects().zip(offs).filter(|(_, &off)| off != NO_OFFSET);
+        ends.map(|(d, off)| off + g.obj_size(d)).fold(perm, u64::max)
+    }));
     h.row(ap.cuts.iter().map(|&c| u64::from(c)));
     h.0
 }
@@ -199,10 +212,16 @@ fn pin_plan(pins: &mut Pins, name: &str, w: &Workload, sched: &Schedule, cap: u6
     let report = rapid::verify::verify(&w.g, sched, &plan, &placement);
     assert!(report.accepted(), "{name}: {:?}", report.findings);
     let ap = plan.address_plan(&w.g, sched, cap).expect("address plan");
+    // One row type for both walks: a processor the arena cut nowhere runs
+    // the counting rows themselves.
+    for (p, (rows, counted)) in ap.placement.per_proc.iter().zip(&placement.per_proc).enumerate() {
+        assert!(ap.cuts[p] > 0 || rows == counted, "{name}: P{p} is uncut but not counted");
+    }
+    assert!(ap.cuts.iter().any(|&n| n > 0) || ap.placement == placement, "{name}");
     pins.pin(&format!("{name} cap"), cap, want[0]);
     pins.pin(&format!("{name} RtPlan"), rtplan_digest(&plan), want[1]);
-    pins.pin(&format!("{name} place_maps"), placement_digest(&placement), want[2]);
-    pins.pin(&format!("{name} address_plan"), address_digest(&ap), want[3]);
+    pins.pin(&format!("{name} place_maps"), placement_digest(&plan, &placement, None), want[2]);
+    pins.pin(&format!("{name} address_plan"), address_digest(&w.g, &plan, &ap), want[3]);
     pins.pin(&format!("{name} verify peak"), peak_digest(&report.peak), want[4]);
 }
 

@@ -547,7 +547,7 @@ pub fn oracle(c: &Case, t: &mut Tally) {
         _ => None,
     };
     if let (Some(des), Some(thr), Ok(a)) = (&des, &thr, &walked) {
-        if c.fault.is_none() && a.cuts.iter().all(|&n| n == 0) {
+        if c.fault.is_none() && counting.as_ref() == Ok(&a.placement) {
             assert_eq!(des.maps, thr.maps, "MAP counts diverge");
             assert_eq!(des.peak_mem, thr.peak_mem, "peaks diverge");
             if let (Some(dt), Some(tt)) = (&des.trace, &thr.trace) {
@@ -635,7 +635,7 @@ pub fn check_sound(
         }
 
         let mut holder: Vec<Option<ObjId>> = vec![None; cap as usize];
-        let (mut held, mut peak, mut high) = (perm, perm, perm);
+        let mut held = perm;
         let mut placed_in = vec![usize::MAX; g.num_objects()];
         let mut pos = 0u32;
         for (i, m) in rows.iter().enumerate() {
@@ -651,10 +651,9 @@ pub fn check_sound(
                 }
                 held -= len;
             }
-            assert_eq!(m.allocs.len(), m.alloc_pos.len(), "{at}");
-            for (&d, &first) in m.allocs.iter().zip(&m.alloc_pos) {
+            for &d in &m.allocs {
                 let k = pl.volatile.binary_search(&d).expect("a volatile");
-                assert_eq!(pl.volatile_span[k].0, first, "{at}: {d:?}");
+                let first = pl.volatile_span[k].0;
                 assert!((m.pos..m.next_map).contains(&first), "{at}: {d:?} outside its window");
                 let before = std::mem::replace(&mut placed_in[d.idx()], i);
                 assert_eq!(before, usize::MAX, "{at}: {d:?} placed twice");
@@ -665,12 +664,10 @@ pub fn check_sound(
                     assert_eq!(u.replace(d), None, "{at} gives {d:?} a unit in use");
                 }
                 held += len;
-                high = high.max(off + len);
             }
             assert_eq!(m.in_use, held, "{at} counts differently");
-            peak = peak.max(held);
-            // Every watcher of every allocation, told the object's own
-            // offset, sorted by (destination, object).
+            // Every watcher of every allocation, sorted by (destination,
+            // object).
             let mut want: Vec<(u32, u32)> = m
                 .allocs
                 .iter()
@@ -679,35 +676,22 @@ pub fn check_sound(
             want.sort_unstable();
             let got: Vec<(u32, u32)> = m.notifies.iter().map(|n| (n.dst, n.obj)).collect();
             assert_eq!(got, want, "{at} notifies");
-            for n in &m.notifies {
-                assert_eq!(n.offset, offsets[n.obj as usize], "{at} notifies {n:?}");
-            }
             pos = m.next_map;
         }
         assert_eq!(pos as usize, sched.order[p].len(), "P{p}: the MAPs do not cover the order");
         for &d in &pl.volatile {
             assert_ne!(placed_in[d.idx()], usize::MAX, "P{p}: {d:?} is never placed");
         }
-        assert_eq!((a.peak[p], a.high_water[p]), (peak, high), "P{p}: peak, high-water");
 
         let counted = &counting.per_proc[p];
         if a.cuts[p] == 0 {
-            assert_eq!(rows.len(), counted.len(), "P{p}: MAP count without a cut");
-            for (m, k) in rows.iter().zip(counted) {
-                assert_eq!(
-                    (m.pos, &m.frees, &m.allocs, &m.alloc_pos, m.next_map, m.in_use),
-                    (k.pos, &k.frees, &k.allocs, &k.alloc_pos, k.next_map, k.in_use),
-                    "P{p}: an uncut walk is the counting walk"
-                );
-                assert!(k.notifies.iter().all(|n| n.offset == NO_OFFSET));
-            }
+            assert_eq!(rows, counted, "P{p}: an uncut walk is the counting walk");
         } else {
             // A window that starts earlier holds more and reaches no
             // further: a cut can add MAPs and never saves one.
             assert!(rows.len() >= counted.len(), "P{p}: a cut saved a MAP");
         }
     }
-    assert_eq!(a.placement.peaks(&plan.perm_units), a.peak);
     packages_are_awaited(sched, plan, counting);
     packages_are_awaited(sched, plan, &a.placement);
 }
@@ -718,12 +702,14 @@ pub fn check_sound(
 /// blocks a fault-free sender.
 pub fn packages_are_awaited(sched: &Schedule, plan: &RtPlan, placement: &MapPlacement) {
     for (p, rows) in placement.per_proc.iter().enumerate() {
+        let pl = &plan.lv.procs[p];
         for m in rows {
             for pkg in m.notifies.chunk_by(|a, b| a.dst == b.dst) {
                 let dst = pkg[0].dst;
                 let awaited = pkg.iter().any(|n| {
-                    let i = m.allocs.iter().position(|d| d.0 == n.obj).expect("allocated here");
-                    let first_user = sched.order[p][m.alloc_pos[i] as usize];
+                    assert!(m.allocs.contains(&ObjId(n.obj)), "{n:?} is not allocated here");
+                    let k = pl.volatile.binary_search(&ObjId(n.obj)).expect("a volatile");
+                    let first_user = sched.order[p][pl.volatile_span[k].0 as usize];
                     plan.in_msgs[first_user.idx()].iter().any(|&mid| {
                         plan.msgs[mid as usize].src_proc == dst
                             && plan.objs(mid).contains(&ObjId(n.obj))
@@ -752,7 +738,7 @@ pub fn pinned_rows(c: &Case, g: &TaskGraph, sched: &Schedule, plan: &RtPlan, cap
             // `x a b c` | `x d . b . . .` | `x e`.
             let off = |d: usize| a.offsets[1][d];
             assert_eq!([off(0), off(1), off(2), off(4), off(5)], [1, 4, 6, 1, 1]);
-            assert_eq!((a.peak[1], a.high_water[1]), (9, 9));
+            assert_eq!(a.placement.peaks(&plan.perm_units)[1], 9);
             // One unit more and `e` has room behind `c`'s hole.
             assert_eq!(walk(cap + 1).cuts[1], 0);
         }
@@ -771,7 +757,8 @@ pub fn pinned_rows(c: &Case, g: &TaskGraph, sched: &Schedule, plan: &RtPlan, cap
             let rows = &a.placement.per_proc[2];
             assert!(windows(rows).contains(&(19, 22)), "{:?}", windows(rows));
             let at_22 = rows.iter().find(|m| m.pos == 22).expect("a MAP at the cut");
-            assert!(at_22.alloc_pos.iter().filter(|&&at| at == 22).count() >= 2, "{at_22:?}");
+            let firsts = &plan.lv.procs[2].first_use[22];
+            assert!(at_22.allocs.iter().filter(|d| firsts.contains(d)).count() >= 2, "{at_22:?}");
         }
         _ => {}
     }
@@ -926,7 +913,8 @@ pub fn run_threads(
         assert_same_bits("threads", &out.objects, &reference);
         let rows: Vec<u32> = a.placement.per_proc.iter().map(|r| r.len() as u32).collect();
         assert_eq!(out.maps, rows, "MAPs are the address plan's");
-        assert_eq!((&out.peak_mem, &out.arena_peak), (&a.peak, &a.peak), "peaks are the plan's");
+        let peaks = a.placement.peaks(&exec.plan().perm_units);
+        assert_eq!((&out.peak_mem, &out.arena_peak), (&peaks, &peaks), "peaks are the plan's");
         assert!(out.peak_mem.iter().all(|&pk| pk <= cap));
         assert_eq!(out.trace.is_some(), c.traced);
         assert_eq!(out.metrics.is_some(), c.traced);
