@@ -157,8 +157,9 @@ pub(crate) struct CoreSpec<'e> {
     pub perm_off: &'e [u64],
     /// `maps[p]`: the MAPs processor `p` performs, in order.
     pub maps: &'e [Vec<PlannedMap>],
-    /// `offsets[p][d]`: where volatile `d` lives on processor `p`. Empty
-    /// where no buffer is real and every address is [`NO_OFFSET`].
+    /// `offsets[p][d]`: where volatile `d` lives on processor `p`, read
+    /// both where a MAP places `d` and where it announces it. Empty where
+    /// no buffer is real and every address is [`NO_OFFSET`].
     pub offsets: &'e [Vec<u64>],
     /// Armed for recovery: checkpoint every task and roll a failed one
     /// back.

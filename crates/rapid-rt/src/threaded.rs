@@ -46,9 +46,9 @@
 //! The schedule is built once and run many times, so what a run needs is
 //! split by how long it lives. The executor keeps, from one run to the
 //! next: the protocol plan and the address plan (every MAP of every
-//! processor with its offsets; a schedule the cap or fragmentation rules
-//! out is known here, and `run` reports it without starting a worker); the
-//! worker threads (a
+//! processor, and one offset per volatile; a schedule the cap or
+//! fragmentation rules out is known here, and `run` reports it without
+//! starting a worker); the worker threads (a
 //! [`rapid_machine::pool::WorkerPool`], one thread per processor, started
 //! by the first run and sent home when the executor is dropped; the thread
 //! that calls `run` sleeps meanwhile); one [`RmaHeap`] of volatiles per
